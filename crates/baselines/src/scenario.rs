@@ -12,21 +12,28 @@
 //!
 //! ## Protocol
 //!
-//! Each cell trains its victim deterministically (same spec + seed ⇒
-//! identical weights, so cells are comparable), lets the defense transform
-//! it ([`DefenseMechanism::prepare_victim`]) and observe its deployment
-//! ([`DefenseMechanism::on_deploy`], where DNN-Defender profiles its
-//! secured set), then runs the attacker's search against the *belief*
-//! model. Every selected flip is replayed as a mechanistic RowHammer
-//! campaign on a scratch device through
+//! Each cell attacks the same deterministically trained victim (same
+//! spec + seed ⇒ identical weights, so cells are comparable), lets the
+//! defense transform it ([`DefenseMechanism::prepare_victim`]) and
+//! observe its deployment ([`DefenseMechanism::on_deploy`], where
+//! DNN-Defender profiles its secured set), then runs the attacker's
+//! search against the *belief* model. Every selected flip is replayed as
+//! a mechanistic RowHammer campaign on a scratch device through
 //! [`DefenseMechanism::filter_flip`]; accuracy is always measured on the
 //! *real* system state (belief minus blocked flips). Bit flips commute,
 //! so the belief/real bookkeeping is exact.
+//!
+//! One run trains each victim width once and runs each distinct search
+//! once: a memo local to [`ScenarioMatrix::run_with_cache`] hands every
+//! other cell an exact copy (a cloned [`Network`], replayed flips). The
+//! search is keyed by everything it reads, the deployed model compared
+//! bit for bit, so sharing never changes a cell (docs/perf.md, "Run
+//! memo").
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -273,8 +280,9 @@ impl fmt::Display for DefenseKind {
     }
 }
 
-/// Deterministic victim recipe: every cell rebuilds the same weights from
-/// the same seed, so rows of one matrix are directly comparable.
+/// Deterministic victim recipe: the same spec and seed always train the
+/// same weights, so rows of one matrix are directly comparable. A matrix
+/// run builds each width once and gives every cell a clone.
 #[derive(Debug, Clone)]
 pub struct VictimSpec {
     /// Victim architecture.
@@ -1021,9 +1029,12 @@ impl ScenarioMatrix {
     ///
     /// Cells whose [cache key](ScenarioMatrix::cell_keys) appears in
     /// `cache` are taken from it verbatim (and counted in the summary);
-    /// only the misses execute, in parallel. `progress` (if given) is
-    /// called once per finished cell — hits first, then misses as they
-    /// complete, from worker threads — with a monotone `done` counter.
+    /// only the misses execute, in parallel. The misses of one call train
+    /// each victim width once and run each distinct attacker search once
+    /// (see the module docs); nothing is kept across calls. `progress`
+    /// (if given) is called once per finished cell — hits first, then
+    /// misses as they complete, from worker threads — with a monotone
+    /// `done` counter.
     ///
     /// # Errors
     ///
@@ -1149,6 +1160,8 @@ impl ScenarioMatrix {
                 })
                 .collect();
             let remaining = AtomicUsize::new(pending.len());
+            let memo = RunMemo::default();
+            let memo = &memo;
             let pending = &pending;
             let cells = &cells;
             let attackers = &attackers;
@@ -1177,121 +1190,114 @@ impl ScenarioMatrix {
             };
             let finish_cell = &finish_cell;
 
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(move || loop {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        let job = queue.lock().expect("job queue").pop();
-                        let Some(job) = job else {
-                            // Jobs still in flight on other workers may
-                            // yet push attack work back to the pool.
-                            std::thread::sleep(Duration::from_micros(200));
-                            continue;
-                        };
-                        match job {
-                            Job::Setup { p } => {
-                                let i = pending[p];
-                                let (d, a, m, l) = cells[i];
-                                let started = Instant::now();
-                                let setup = {
-                                    let name: &str = &self.defenses[d].0;
-                                    let _span = dd_obs::span_with("matrix.cell_setup", || {
-                                        format!("defense={name} cell={i}")
-                                    });
-                                    self.cell_setup(d, &attackers[a], &drams[m], loads[l])
-                                };
-                                let mut ready: Vec<(usize, Box<CellState>)> = Vec::new();
-                                match (setup, group_of[p]) {
-                                    (Ok(mut state), None) => match self.warmup_solo(&mut state) {
-                                        Ok(()) => {
-                                            state.millis += started.elapsed().as_millis() as u64;
-                                            queue.lock().expect("job queue").push(Job::Attack {
-                                                i,
-                                                state: Box::new(state),
-                                            });
-                                        }
-                                        Err(e) => finish_cell(
-                                            i,
-                                            Err(e),
-                                            started.elapsed().as_millis() as u64,
-                                        ),
-                                    },
-                                    (Ok(mut state), Some(g)) => {
-                                        state.millis += started.elapsed().as_millis() as u64;
-                                        let mut slot = group_slots[g].lock().expect("group slot");
-                                        slot.arrived.push((i, Box::new(state)));
-                                        if slot.arrived.len() == slot.expected {
-                                            ready = std::mem::take(&mut slot.arrived);
-                                        }
-                                    }
-                                    (Err(e), None) => {
-                                        finish_cell(i, Err(e), started.elapsed().as_millis() as u64)
-                                    }
-                                    (Err(e), Some(g)) => {
-                                        finish_cell(
-                                            i,
-                                            Err(e),
-                                            started.elapsed().as_millis() as u64,
-                                        );
-                                        // Shrink the group so the cells
-                                        // that did set up still run.
-                                        let mut slot = group_slots[g].lock().expect("group slot");
-                                        slot.expected -= 1;
-                                        if slot.expected > 0 && slot.arrived.len() == slot.expected
-                                        {
-                                            ready = std::mem::take(&mut slot.arrived);
-                                        }
-                                    }
-                                }
-                                if !ready.is_empty() {
-                                    // The last member to arrive warms the
-                                    // whole group up in one sweep, then
-                                    // returns the cells to the pool.
-                                    let warm_started = Instant::now();
-                                    let (idxs, mut states): (Vec<usize>, Vec<CellState>) =
-                                        ready.into_iter().map(|(ci, b)| (ci, *b)).unzip();
-                                    match self.warmup_group(&mut states) {
-                                        Ok(()) => {
-                                            let share = (warm_started.elapsed().as_millis() as u64)
-                                                / states.len().max(1) as u64;
-                                            let mut q = queue.lock().expect("job queue");
-                                            for (ci, mut st) in idxs.into_iter().zip(states) {
-                                                st.millis += share;
-                                                q.push(Job::Attack {
-                                                    i: ci,
-                                                    state: Box::new(st),
-                                                });
-                                            }
-                                        }
-                                        Err(e) => {
-                                            let ms = warm_started.elapsed().as_millis() as u64;
-                                            for ci in idxs {
-                                                finish_cell(ci, Err(e.clone()), ms);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            Job::Attack { i, state } => {
-                                let started = Instant::now();
-                                let base_ms = state.millis;
-                                let (d, _, _, _) = cells[i];
-                                let name: &str = &self.defenses[d].0;
-                                let _span = dd_obs::span_with("matrix.cell_attack", || {
-                                    format!("defense={name} cell={i}")
-                                });
-                                let result = self.cell_attack(*state);
-                                finish_cell(
-                                    i,
-                                    result,
-                                    base_ms + started.elapsed().as_millis() as u64,
-                                );
-                            }
-                        }
-                    });
+            // Worker 0 is the calling thread; only the other workers get
+            // a thread of their own, so a one-worker run spawns none.
+            let worker = move || loop {
+                if remaining.load(Ordering::Acquire) == 0 {
+                    break;
                 }
+                let job = queue.lock().expect("job queue").pop();
+                let Some(job) = job else {
+                    // Jobs still in flight on other workers may
+                    // yet push attack work back to the pool.
+                    std::thread::sleep(Duration::from_micros(200));
+                    continue;
+                };
+                match job {
+                    Job::Setup { p } => {
+                        let i = pending[p];
+                        let (d, a, m, l) = cells[i];
+                        let started = Instant::now();
+                        let setup = {
+                            let name: &str = &self.defenses[d].0;
+                            let _span = dd_obs::span_with("matrix.cell_setup", || {
+                                format!("defense={name} cell={i}")
+                            });
+                            self.cell_setup(d, &attackers[a], &drams[m], loads[l], memo)
+                        };
+                        let mut ready: Vec<(usize, Box<CellState>)> = Vec::new();
+                        match (setup, group_of[p]) {
+                            (Ok(mut state), None) => match self.warmup_solo(&mut state) {
+                                Ok(()) => {
+                                    state.millis += started.elapsed().as_millis() as u64;
+                                    queue.lock().expect("job queue").push(Job::Attack {
+                                        i,
+                                        state: Box::new(state),
+                                    });
+                                }
+                                Err(e) => {
+                                    finish_cell(i, Err(e), started.elapsed().as_millis() as u64)
+                                }
+                            },
+                            (Ok(mut state), Some(g)) => {
+                                state.millis += started.elapsed().as_millis() as u64;
+                                let mut slot = group_slots[g].lock().expect("group slot");
+                                slot.arrived.push((i, Box::new(state)));
+                                if slot.arrived.len() == slot.expected {
+                                    ready = std::mem::take(&mut slot.arrived);
+                                }
+                            }
+                            (Err(e), None) => {
+                                finish_cell(i, Err(e), started.elapsed().as_millis() as u64)
+                            }
+                            (Err(e), Some(g)) => {
+                                finish_cell(i, Err(e), started.elapsed().as_millis() as u64);
+                                // Shrink the group so the cells
+                                // that did set up still run.
+                                let mut slot = group_slots[g].lock().expect("group slot");
+                                slot.expected -= 1;
+                                if slot.expected > 0 && slot.arrived.len() == slot.expected {
+                                    ready = std::mem::take(&mut slot.arrived);
+                                }
+                            }
+                        }
+                        if !ready.is_empty() {
+                            // The last member to arrive warms the
+                            // whole group up in one sweep, then
+                            // returns the cells to the pool.
+                            let warm_started = Instant::now();
+                            let (idxs, mut states): (Vec<usize>, Vec<CellState>) =
+                                ready.into_iter().map(|(ci, b)| (ci, *b)).unzip();
+                            match self.warmup_group(&mut states) {
+                                Ok(()) => {
+                                    let share = (warm_started.elapsed().as_millis() as u64)
+                                        / states.len().max(1) as u64;
+                                    let mut q = queue.lock().expect("job queue");
+                                    for (ci, mut st) in idxs.into_iter().zip(states) {
+                                        st.millis += share;
+                                        q.push(Job::Attack {
+                                            i: ci,
+                                            state: Box::new(st),
+                                        });
+                                    }
+                                }
+                                Err(e) => {
+                                    let ms = warm_started.elapsed().as_millis() as u64;
+                                    for ci in idxs {
+                                        finish_cell(ci, Err(e.clone()), ms);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    Job::Attack { i, state } => {
+                        let started = Instant::now();
+                        let base_ms = state.millis;
+                        let (d, _, _, _) = cells[i];
+                        let name: &str = &self.defenses[d].0;
+                        let _span = dd_obs::span_with("matrix.cell_attack", || {
+                            format!("defense={name} cell={i}")
+                        });
+                        let result = self.cell_attack(*state);
+                        finish_cell(i, result, base_ms + started.elapsed().as_millis() as u64);
+                    }
+                }
+            };
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(worker);
+                }
+                worker();
             });
         }
 
@@ -1312,9 +1318,10 @@ impl ScenarioMatrix {
         ))
     }
 
-    /// Phase 1 of a cell: train and deploy the victim, run the
-    /// attacker's search, assemble the scratch device and its background
-    /// traffic — everything up to (but excluding) the warmup windows.
+    /// Phase 1 of a cell: deploy the run's trained victim, run the
+    /// attacker's search (both shared through `memo`), assemble the
+    /// scratch device and its background traffic — everything up to (but
+    /// excluding) the warmup windows.
     /// The returned state is `Send`, so a sweep group can collect its
     /// members from whichever worker threads set them up.
     fn cell_setup(
@@ -1323,6 +1330,7 @@ impl ScenarioMatrix {
         attacker: &AttackerKind,
         dram: &DramConfig,
         load: BackgroundLoad,
+        memo: &RunMemo,
     ) -> Result<CellState, DramError> {
         let (name, factory, budget_override) = &self.defenses[defense_idx];
         let budget = budget_override.unwrap_or(self.budget);
@@ -1330,10 +1338,19 @@ impl ScenarioMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut defense = factory(seed, dram);
 
-        // Victim: deterministic per (spec, width), so every cell of the
-        // same width attacks identical weights.
-        let (mut net, dataset) = self.victim.build(defense.capacity_multiplier());
-        defense.prepare_victim(&mut net, &dataset, &mut rng);
+        // Victim: deterministic per (spec, width), so the run trains each
+        // width once and every cell of that width attacks a clone.
+        let width = defense.capacity_multiplier();
+        let victim = memo.victim(width);
+        let (trained, dataset) = victim.get_or_init(|| {
+            let _span = dd_obs::span_with("matrix.victim_build", || format!("width={width}"));
+            let (net, dataset) = self.victim.build(width);
+            // Keep a clone: it drops the last training batch's forward
+            // caches, which would otherwise stay resident all run.
+            (net.clone(), dataset)
+        });
+        let mut net = trained.clone();
+        defense.prepare_victim(&mut net, dataset, &mut rng);
         let mut model = QModel::from_network(net);
         let mut data_rng = StdRng::seed_from_u64(self.victim.seed ^ 0x5eed_da7a);
         let batch = dataset.attack_batch(self.victim.batch.min(dataset.test.len()), &mut data_rng);
@@ -1360,26 +1377,32 @@ impl ScenarioMatrix {
             ..self.attack
         };
         let flips: Vec<BitFlip> = match attacker {
-            AttackerKind::Bfa => run_bfa(&mut model, &data, &search_cfg, &HashSet::new())
-                .steps
-                .iter()
-                .map(|s| s.flip)
-                .collect(),
-            AttackerKind::Adaptive(threat) => {
-                let skip = if threat.is_defense_aware() {
-                    defense.secured_bits().cloned().unwrap_or_default()
-                } else {
-                    HashSet::new()
+            AttackerKind::Bfa | AttackerKind::Adaptive(_) | AttackerKind::Tbfa(_) => {
+                let skip = match attacker {
+                    AttackerKind::Adaptive(threat) if threat.is_defense_aware() => {
+                        defense.secured_bits().cloned().unwrap_or_default()
+                    }
+                    _ => HashSet::new(),
                 };
-                run_bfa(&mut model, &data, &search_cfg, &skip)
-                    .steps
-                    .iter()
-                    .map(|s| s.flip)
-                    .collect()
+                let key = SearchKey {
+                    attacker: *attacker,
+                    width,
+                    budget,
+                    skip,
+                    model: ModelImage::of(&mut model),
+                };
+                memo.search(key, &mut model, |model, skip| match attacker {
+                    AttackerKind::Tbfa(goal) => {
+                        run_tbfa(model, &data, &search_cfg, *goal, skip).flips
+                    }
+                    _ => run_bfa(model, &data, &search_cfg, skip)
+                        .steps
+                        .iter()
+                        .map(|s| s.flip)
+                        .collect(),
+                })
             }
-            AttackerKind::Tbfa(goal) => {
-                run_tbfa(&mut model, &data, &search_cfg, *goal, &HashSet::new()).flips
-            }
+            // Random flips draw from the cell's own RNG: never shared.
             AttackerKind::Random { flips } => {
                 let weights: Vec<usize> = (0..model.num_qparams())
                     .map(|p| model.qtensor(p).len())
@@ -1653,6 +1676,132 @@ impl ScenarioMatrix {
     }
 }
 
+/// The defense-independent stages of a cell, computed once per
+/// [`ScenarioMatrix::run_with_cache`] call and copied exactly into every
+/// other cell that needs them. The first cell to need an entry computes
+/// it; concurrent cells wait for that computation instead of repeating
+/// it, so each entry is computed exactly once per run.
+#[derive(Default)]
+struct RunMemo {
+    /// Trained victims by width multiplier (the dataset does not depend
+    /// on the width; each cell clones the network and borrows the data).
+    victims: Mutex<HashMap<usize, Slot<(Network, Dataset)>>>,
+    /// Attacker searches, matched by exact key comparison.
+    searches: Mutex<Vec<Arc<SearchEntry>>>,
+}
+
+/// One memo entry, filled by the first cell that needs it.
+type Slot<T> = Arc<OnceLock<T>>;
+
+/// Everything an attacker's search reads besides the matrix's attack
+/// config and the attacker's batch, which are fixed for the whole run.
+#[derive(PartialEq)]
+struct SearchKey {
+    attacker: AttackerKind,
+    width: usize,
+    budget: usize,
+    skip: HashSet<BitAddr>,
+    model: ModelImage,
+}
+
+struct SearchEntry {
+    key: SearchKey,
+    flips: OnceLock<Vec<BitFlip>>,
+}
+
+impl RunMemo {
+    /// The slot of the trained victim at `width`.
+    fn victim(&self, width: usize) -> Slot<(Network, Dataset)> {
+        Arc::clone(
+            self.victims
+                .lock()
+                .expect("run memo")
+                .entry(width)
+                .or_default(),
+        )
+    }
+
+    /// The attacker's flips for `key`, applied to `model`. The first cell
+    /// with this key runs `compute` on its own model; every other cell
+    /// replays the stored flips, each of which must match what its equal
+    /// model yields.
+    fn search(
+        &self,
+        key: SearchKey,
+        model: &mut QModel,
+        compute: impl FnOnce(&mut QModel, &HashSet<BitAddr>) -> Vec<BitFlip>,
+    ) -> Vec<BitFlip> {
+        let entry = {
+            let mut entries = self.searches.lock().expect("run memo");
+            match entries.iter().find(|e| e.key == key) {
+                Some(entry) => Arc::clone(entry),
+                None => {
+                    let entry = Arc::new(SearchEntry {
+                        key,
+                        flips: OnceLock::new(),
+                    });
+                    entries.push(Arc::clone(&entry));
+                    entry
+                }
+            }
+        };
+        let mut searched = false;
+        let flips = entry.flips.get_or_init(|| {
+            searched = true;
+            let _span = dd_obs::span_with("matrix.search", || {
+                format!("attacker={}", entry.key.attacker)
+            });
+            compute(model, &entry.key.skip)
+        });
+        if !searched {
+            for flip in flips {
+                assert_eq!(
+                    model.flip_bit(flip.addr),
+                    *flip,
+                    "replayed flip diverged from the shared search"
+                );
+            }
+        }
+        flips.clone()
+    }
+}
+
+/// A deployed model's complete inference state: quantized weights with
+/// their scales, every float parameter, and the normalization running
+/// statistics, floats as bit patterns. Images compare exactly (nothing is
+/// hashed), so equal images are bit-identical models.
+#[derive(PartialEq)]
+struct ModelImage {
+    qweights: Vec<(u32, Vec<i8>)>,
+    params: Vec<Vec<u32>>,
+    buffers: Vec<Vec<u32>>,
+}
+
+impl ModelImage {
+    fn of(model: &mut QModel) -> Self {
+        let qweights = (0..model.num_qparams())
+            .map(|p| {
+                let qt = model.qtensor(p);
+                (qt.quant_params().scale.to_bits(), qt.as_q().to_vec())
+            })
+            .collect();
+        let net = model.network_mut();
+        let mut params = Vec::new();
+        net.visit_params(&mut |p| params.push(f32_bits(p.value.as_slice())));
+        let mut buffers = Vec::new();
+        net.visit_buffers(&mut |b| buffers.push(f32_bits(b)));
+        ModelImage {
+            qweights,
+            params,
+            buffers,
+        }
+    }
+}
+
+fn f32_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 /// A cell paused between its setup phase (victim training, defense
 /// deployment, attack search, device + traffic assembly) and its
 /// measurement phases (warmup, then attacked windows). States are `Send`
@@ -1756,6 +1905,7 @@ fn real_accuracy(model: &mut QModel, data: &AttackData, blocked: &[BitAddr]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnn_defender::defense::FlipAttempt;
 
     fn quick_matrix() -> ScenarioMatrix {
         let attack = AttackConfig {
@@ -1913,6 +2063,102 @@ mod tests {
             assert_eq!(g.landed, s.landed, "{}", g.scenario.defense);
             assert_eq!(g.stats, s.stats, "{}", g.scenario.defense);
             assert_eq!(g.benign, s.benign, "{}", g.scenario.defense);
+        }
+    }
+
+    /// Undefended, except that its victim preparation raises one output
+    /// bias of the tiny MLP: the quantized weights are untouched, so only
+    /// a search key that sees the float parameters tells this model from
+    /// the undefended one (and the nudge is large enough to change what
+    /// the search picks).
+    #[derive(Debug, Default)]
+    struct BiasNudge(Undefended);
+
+    impl DefenseMechanism for BiasNudge {
+        fn name(&self) -> &str {
+            "Bias nudge"
+        }
+
+        fn prepare_victim(&mut self, net: &mut Network, _: &Dataset, _: &mut StdRng) {
+            net.visit_params(&mut |p| {
+                if p.name == "fc3.bias" {
+                    p.value.as_mut_slice()[0] += 10.0;
+                }
+            });
+        }
+
+        fn filter_flip(&mut self, view: CampaignView<'_>) -> Result<FlipAttempt, DramError> {
+            self.0.filter_flip(view)
+        }
+
+        fn stats(&self) -> DefenseStats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn run_memo_never_changes_a_cell() {
+        // Every cell of a run that shares victims and searches equals the
+        // same cell computed alone, at one worker and at two. The roster
+        // covers every memo path: a shared victim and search (Undefended,
+        // Graphene, DNN-Defender), a second width (CapacityX2), a victim
+        // whose preparation changes its weights (Clustering) or only one
+        // float bias (BiasNudge) — both must miss the search — a skip set
+        // from the defense (Adaptive white box), and random flips, which
+        // are never shared.
+        type Factory = fn(u64, &DramConfig) -> DynDefense;
+        let defenses: [(&str, Factory); 6] = [
+            (DefenseKind::Undefended.label(), |s, c| {
+                DefenseKind::Undefended.build(s, c)
+            }),
+            (DefenseKind::Graphene.label(), |s, c| {
+                DefenseKind::Graphene.build(s, c)
+            }),
+            (DefenseKind::DnnDefender.label(), |s, c| {
+                DefenseKind::DnnDefender.build(s, c)
+            }),
+            (DefenseKind::CapacityX2.label(), |s, c| {
+                DefenseKind::CapacityX2.build(s, c)
+            }),
+            (DefenseKind::Clustering.label(), |s, c| {
+                DefenseKind::Clustering.build(s, c)
+            }),
+            ("Bias nudge", |_, _| Box::new(BiasNudge::default())),
+        ];
+        let attackers = [
+            AttackerKind::Bfa,
+            AttackerKind::Adaptive(ThreatModel::WhiteBox),
+            AttackerKind::Random { flips: 4 },
+        ];
+        let matrix = |defenses: &[(&str, Factory)], attackers: &[AttackerKind]| {
+            let m = defenses
+                .iter()
+                .fold(quick_matrix().budget(4), |m, &(name, f)| m.defense(name, f));
+            attackers.iter().fold(m, |m, &a| m.attacker(a))
+        };
+        let render = |report: MatrixReport| -> Vec<String> {
+            report
+                .cells
+                .iter()
+                .map(|c| c.to_json().render_compact())
+                .collect()
+        };
+        let alone: Vec<String> = defenses
+            .iter()
+            .flat_map(|d| attackers.iter().map(move |a| (d, a)))
+            .flat_map(|(d, a)| render(matrix(&[*d], &[*a]).run().expect("one-cell matrix")))
+            .collect();
+        for threads in [1, 2] {
+            let shared = render(
+                matrix(&defenses, &attackers)
+                    .threads(threads)
+                    .run()
+                    .expect("matrix"),
+            );
+            assert_eq!(shared.len(), alone.len());
+            for (cell, expected) in shared.iter().zip(&alone) {
+                assert_eq!(cell, expected, "threads={threads}");
+            }
         }
     }
 

@@ -638,8 +638,9 @@ fn table3(ctx: &mut RunContext<'_>) -> Result<Artifact, DramError> {
     }
     if ctx.verbose {
         println!(
-            "[table3] running the {}-cell defense matrix (ResNet-20 on {}; every cell \
-             retrains the victim deterministically; cells run in parallel)...",
+            "[table3] running the {}-cell defense matrix (ResNet-20 on {}; the victim \
+             trains once per width and each distinct search runs once; cells run in \
+             parallel)...",
             matrix.scenarios().len(),
             DatasetKind::Cifar10.name(),
         );

@@ -87,6 +87,8 @@ fn observed_scenario_covers_the_span_taxonomy() {
         "sweep.resolve",
         "matrix.cell_setup",
         "matrix.cell_attack",
+        "matrix.victim_build",
+        "matrix.search",
         "matrix.warmup_solo",
         "matrix.warmup_group",
         "executor.job",

@@ -290,7 +290,10 @@ mod tests {
 
     #[test]
     fn disarmed_probes_are_inert_and_free_of_state() {
-        // No session: probes must return false/0 and record nothing.
+        // No session: probes must return false/0 and record nothing. Hold
+        // the session lock, as `arm` does, so no sibling test arms the
+        // process-global plane while this one checks it is disarmed.
+        let _serialized = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!armed());
         assert!(!fires("test.site", 7));
         assert_eq!(payload("test.site", 7), 0);

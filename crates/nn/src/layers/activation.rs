@@ -37,6 +37,10 @@ impl Layer for Relu {
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(Relu::new())
+    }
+
     fn name(&self) -> &str {
         "relu"
     }

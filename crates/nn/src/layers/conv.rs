@@ -87,6 +87,17 @@ impl Layer for Conv2d {
         f(&mut self.bias);
     }
 
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(Conv2d {
+            name: self.name.clone(),
+            geometry: self.geometry,
+            weight: self.weight.clone(),
+            bias: self.bias.clone(),
+            cached_cols: None,
+            cached_in_hw: (0, 0),
+        })
+    }
+
     fn name(&self) -> &str {
         &self.name
     }

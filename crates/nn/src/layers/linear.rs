@@ -90,6 +90,15 @@ impl Layer for Linear {
         f(&mut self.bias);
     }
 
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(Linear {
+            name: self.name.clone(),
+            weight: self.weight.clone(),
+            bias: self.bias.clone(),
+            cached_input: None,
+        })
+    }
+
     fn name(&self) -> &str {
         &self.name
     }

@@ -58,7 +58,10 @@ impl Param {
 /// The contract is the classic cache-and-replay one:
 /// [`Layer::forward`] must be called before [`Layer::backward`], and
 /// `backward` consumes the cache of the *most recent* forward.
-pub trait Layer: std::fmt::Debug + Send {
+///
+/// Layers are `Sync` so one trained network can be shared read-only
+/// across worker threads and cloned per cell ([`Layer::clone_box`]).
+pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Compute the layer output, caching intermediates for backward.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
@@ -71,6 +74,15 @@ pub trait Layer: std::fmt::Debug + Send {
 
     /// Visit every parameter in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
+
+    /// Visit the layer's persistent non-parameter state (normalization
+    /// running statistics) in a stable order. Default: none.
+    fn visit_buffers(&self, _f: &mut dyn FnMut(&[f32])) {}
+
+    /// An independent copy: parameters (values and gradients) and
+    /// running statistics, but no forward cache — the copy needs a
+    /// `forward` before its first `backward`.
+    fn clone_box(&self) -> Box<dyn Layer>;
 
     /// Stable display name.
     fn name(&self) -> &str;

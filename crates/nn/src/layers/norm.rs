@@ -169,6 +169,26 @@ impl Layer for ChannelNorm {
         f(&mut self.beta);
     }
 
+    fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
+        f(&self.running_mean);
+        f(&self.running_var);
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(ChannelNorm {
+            name: self.name.clone(),
+            gamma: self.gamma.clone(),
+            beta: self.beta.clone(),
+            running_mean: self.running_mean.clone(),
+            running_var: self.running_var.clone(),
+            momentum: self.momentum,
+            eps: self.eps,
+            cached_xhat: None,
+            cached_inv_std: Vec::new(),
+            cached_train: false,
+        })
+    }
+
     fn name(&self) -> &str {
         &self.name
     }

@@ -31,6 +31,10 @@ impl Layer for AvgPool2 {
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(AvgPool2::new())
+    }
+
     fn name(&self) -> &str {
         "avgpool2"
     }
@@ -60,6 +64,10 @@ impl Layer for GlobalAvgPool {
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(GlobalAvgPool::new())
+    }
 
     fn name(&self) -> &str {
         "global_avgpool"
@@ -92,6 +100,10 @@ impl Layer for Flatten {
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(Flatten::new())
+    }
 
     fn name(&self) -> &str {
         "flatten"

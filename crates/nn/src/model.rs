@@ -70,6 +70,14 @@ impl Network {
         }
     }
 
+    /// Visit every running statistic in a stable order (see
+    /// [`Layer::visit_buffers`]).
+    pub fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
+        for layer in &self.layers {
+            layer.visit_buffers(f);
+        }
+    }
+
     /// Zero every gradient.
     pub fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());
@@ -112,6 +120,17 @@ impl Network {
             i += 1;
         });
         assert_eq!(i, snapshot.len(), "snapshot length mismatch");
+    }
+}
+
+/// Clones parameters and running statistics layer by layer
+/// ([`Layer::clone_box`]); the clone starts without forward caches.
+impl Clone for Network {
+    fn clone(&self) -> Self {
+        Network {
+            layers: self.layers.iter().map(|l| l.clone_box()).collect(),
+            name: self.name.clone(),
+        }
     }
 }
 
@@ -204,6 +223,20 @@ impl Layer for ResidualBlock {
         }
     }
 
+    fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
+        for layer in self.main.iter().chain(&self.shortcut) {
+            layer.visit_buffers(f);
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(ResidualBlock::new(
+            self.name.clone(),
+            self.main.iter().map(|l| l.clone_box()).collect(),
+            self.shortcut.iter().map(|l| l.clone_box()).collect(),
+        ))
+    }
+
     fn name(&self) -> &str {
         &self.name
     }
@@ -212,7 +245,8 @@ impl Layer for ResidualBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Linear, Relu};
+    use crate::layers::{ChannelNorm, Conv2d, Linear, Relu};
+    use crate::ops::ConvGeometry;
 
     fn tiny_net() -> Network {
         let mut rng = crate::init::seeded_rng(11);
@@ -267,6 +301,46 @@ mod tests {
         let g = block.backward(&Tensor::full(&[1, 4], 1.0));
         // Identity shortcut grad + zero-weight main grad, gated by relu.
         assert_eq!(g.as_slice(), &[1.0, 0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn layer_clones_drop_forward_caches() {
+        let mut rng = crate::init::seeded_rng(12);
+        let geometry = ConvGeometry {
+            in_channels: 2,
+            out_channels: 2,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let block = ResidualBlock::new("rb", vec![Box::new(Relu::new())], vec![]);
+        let layers: Vec<(Box<dyn Layer>, Tensor)> = vec![
+            (
+                Box::new(Linear::kaiming("fc", 4, 4, &mut rng)),
+                Tensor::full(&[2, 4], 0.5),
+            ),
+            (Box::new(Relu::new()), Tensor::full(&[2, 4], 0.5)),
+            (
+                Box::new(ChannelNorm::new("bn", 4)),
+                Tensor::full(&[2, 4], 0.5),
+            ),
+            (
+                Box::new(Conv2d::kaiming("conv", geometry, &mut rng)),
+                Tensor::full(&[1, 2, 4, 4], 0.5),
+            ),
+            (Box::new(block), Tensor::full(&[2, 4], 0.5)),
+        ];
+        for (mut layer, x) in layers {
+            let y = layer.forward(&x, true);
+            let mut copy = layer.clone_box();
+            let backward =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| copy.backward(&y)));
+            assert!(
+                backward.is_err(),
+                "{} clone kept its forward cache",
+                layer.name()
+            );
+        }
     }
 
     #[test]

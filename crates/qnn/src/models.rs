@@ -204,8 +204,17 @@ pub fn build_model(config: &ModelConfig, rng: &mut impl Rng) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_nn::init::seeded_rng;
-    use dd_nn::Tensor;
+    use dd_nn::init::{kaiming_uniform, seeded_rng};
+    use dd_nn::loss::cross_entropy_grad;
+    use dd_nn::{Sgd, Tensor};
+
+    const ARCHS: [Architecture; 5] = [
+        Architecture::Mlp,
+        Architecture::Vgg11,
+        Architecture::ResNet18,
+        Architecture::ResNet20,
+        Architecture::ResNet34,
+    ];
 
     fn forward_shape(arch: Architecture) -> Vec<usize> {
         let mut rng = seeded_rng(1);
@@ -218,14 +227,73 @@ mod tests {
 
     #[test]
     fn all_architectures_produce_logits() {
-        for arch in [
-            Architecture::Mlp,
-            Architecture::Vgg11,
-            Architecture::ResNet18,
-            Architecture::ResNet20,
-            Architecture::ResNet34,
-        ] {
+        for arch in ARCHS {
             assert_eq!(forward_shape(arch), vec![2, 10], "{}", arch.name());
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every parameter value and running statistic, as bit patterns.
+    fn state_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        net.visit_params(&mut |p| out.push(bits(p.value.as_slice())));
+        net.visit_buffers(&mut |b| out.push(bits(b)));
+        out
+    }
+
+    /// `Network::clone` is exact: after a training step the clone computes
+    /// bit-identical outputs, one more SGD step on each keeps parameters,
+    /// running statistics and eval outputs bit-identical, and the clone
+    /// carries no forward cache.
+    #[test]
+    fn networks_clone_exactly() {
+        for arch in ARCHS {
+            let name = arch.name();
+            let mut rng = seeded_rng(5);
+            let config = ModelConfig::new(arch, 4).with_base_width(2);
+            let mut net = build_model(&config, &mut rng);
+            let x = kaiming_uniform(&[4, 3, 16, 16], 16, &mut rng);
+            let labels = [0, 1, 2, 3];
+            let sgd_step = |net: &mut Network| {
+                let logits = net.forward(&x, true);
+                net.zero_grad();
+                net.backward(&cross_entropy_grad(&logits, &labels));
+                Sgd::new(0.05, 0.9, 1e-4).step(net);
+            };
+            sgd_step(&mut net);
+
+            let mut fresh = net.clone();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fresh.backward(&Tensor::zeros(&[4, 4]))
+            }))
+            .expect_err("a clone must not inherit forward caches");
+            let message = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                message.contains("backward before forward"),
+                "{name}: {message}"
+            );
+
+            let mut copy = net.clone();
+            assert_eq!(
+                bits(net.forward(&x, false).as_slice()),
+                bits(copy.forward(&x, false).as_slice()),
+                "{name}: forward"
+            );
+            sgd_step(&mut net);
+            sgd_step(&mut copy);
+            assert_eq!(state_bits(&mut net), state_bits(&mut copy), "{name}: step");
+            assert_eq!(
+                bits(net.forward(&x, false).as_slice()),
+                bits(copy.forward(&x, false).as_slice()),
+                "{name}: eval after step"
+            );
         }
     }
 
