@@ -147,9 +147,15 @@ pub fn run_bfa(
     let mut steps = Vec::new();
     let mut final_accuracy = clean_accuracy;
     let mut reached_target = false;
+    // The search loss of the model as it stands. After a commit that is
+    // the committed candidate's `loss_after`: `flip_bit` and `unflip`
+    // re-sync each weight from its quantized value, so the committed
+    // model is bit for bit the one that loss was measured on.
+    let mut current_loss = None;
 
     for iter in 0..config.max_flips {
-        let loss_before = model.loss(&data.search_images, &data.search_labels);
+        let loss_before =
+            current_loss.unwrap_or_else(|| model.loss(&data.search_images, &data.search_labels));
         let grads = model.weight_grads(&data.search_images, &data.search_labels);
         let mut candidates = intra_layer_candidates(model, &grads, skip);
         if candidates.is_empty() {
@@ -169,6 +175,7 @@ pub fn run_bfa(
         }
         let (addr, loss_after) = best.expect("candidates were non-empty");
         let flip = model.flip_bit(addr);
+        current_loss = Some(loss_after);
 
         let record = (iter + 1) % config.record_every.max(1) == 0;
         let accuracy = if record {
@@ -243,6 +250,25 @@ mod tests {
                 step.loss_before,
                 step.loss_after
             );
+        }
+    }
+
+    #[test]
+    fn reused_losses_match_a_fresh_forward_bit_for_bit() {
+        let (mut model, data, _) = trained_victim();
+        let clean = model.snapshot_q();
+        let config = AttackConfig {
+            target_accuracy: 0.0,
+            max_flips: 6,
+            ..Default::default()
+        };
+        let report = run_bfa(&mut model, &data, &config, &HashSet::new());
+        model.restore_q(&clean);
+        let loss = |m: &mut QModel| m.loss(&data.search_images, &data.search_labels);
+        for step in &report.steps {
+            assert_eq!(step.loss_before.to_bits(), loss(&mut model).to_bits());
+            model.flip_bit(step.flip.addr);
+            assert_eq!(step.loss_after.to_bits(), loss(&mut model).to_bits());
         }
     }
 

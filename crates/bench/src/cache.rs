@@ -279,23 +279,4 @@ mod tests {
         assert_eq!(load.corrupt_evicted, 2);
         assert!(!load.evicted_all);
     }
-
-    #[test]
-    fn chaos_corrupt_entry_fault_exercises_the_eviction_path() {
-        let cells = one_cell();
-        let rendered = render_cell_cache(&cells);
-        let json = Json::parse(&rendered).expect("cache parses");
-        let session = dd_chaos::arm(
-            dd_chaos::ChaosPlan::inert(7).with_rule("cache.corrupt_entry", 1_000_000),
-        );
-        let load = parse_cell_cache_accounted(&json);
-        let report = session.finish();
-        assert!(load.cells.is_empty(), "every entry was corrupted");
-        assert_eq!(load.corrupt_evicted, 1);
-        assert_eq!(report.fires_at("cache.corrupt_entry"), 1);
-        // Disarmed, the same document loads cleanly again.
-        let clean = parse_cell_cache_accounted(&json);
-        assert_eq!(clean.cells.len(), 1);
-        assert_eq!(clean.corrupt_evicted, 0);
-    }
 }

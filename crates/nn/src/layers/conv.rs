@@ -1,4 +1,10 @@
-//! 2-D convolution layer (im2col-based).
+//! 2-D convolution layer over a transposed patch matrix.
+//!
+//! The forward pass unfolds the input into the patch matrix
+//! `colT: [c·k·k, n·oh·ow]` and keeps it for the backward pass's
+//! grad-weight; the next forward reuses its allocation. See
+//! [`crate::ops::conv2d_forward`] and [`crate::ops::conv2d_backward`]
+//! for the kernels and their summation order.
 
 use crate::layers::{Layer, Param};
 use crate::ops::{conv2d_backward, conv2d_forward, ConvGeometry};
@@ -66,7 +72,17 @@ impl Conv2d {
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
         let (h, w) = (x.shape()[2], x.shape()[3]);
-        let (y, cols) = conv2d_forward(x, &self.weight.value, &self.bias.value, &self.geometry);
+        let scratch = self
+            .cached_cols
+            .take()
+            .map_or_else(Vec::new, Tensor::into_vec);
+        let (y, cols) = conv2d_forward(
+            x,
+            &self.weight.value,
+            &self.bias.value,
+            &self.geometry,
+            scratch,
+        );
         self.cached_cols = Some(cols);
         self.cached_in_hw = (h, w);
         y

@@ -6,6 +6,10 @@
 //! inference mode (frozen-statistics backward). The inference-time
 //! behaviour — the only thing BFA interacts with — is the standard affine
 //! `y = γ·(x−μ)/σ + β`.
+//!
+//! Every pass walks the input as contiguous runs, one per
+//! `(batch, channel)`, so each channel's sums see its elements in index
+//! order.
 
 use crate::layers::{Layer, Param};
 use crate::tensor::Tensor;
@@ -51,13 +55,17 @@ impl ChannelNorm {
         self.running_mean.len()
     }
 
-    /// Per-channel iteration helper: yields (channel, slice range stride).
-    fn channel_of(idx: usize, shape: &[usize]) -> usize {
-        match shape.len() {
-            2 => idx % shape[1],
-            4 => (idx / (shape[2] * shape[3])) % shape[1],
+    /// The run length of an NC or NCHW input: each `(batch, channel)`
+    /// pair owns one contiguous run of this many elements, and the runs
+    /// cycle through the channels in order.
+    fn run_len(&self, shape: &[usize]) -> usize {
+        let run = match shape.len() {
+            2 => 1,
+            4 => shape[2] * shape[3],
             _ => panic!("channelnorm supports 2-d or 4-d inputs"),
-        }
+        };
+        assert_eq!(shape[1], self.channels(), "channelnorm channel count");
+        run.max(1)
     }
 }
 
@@ -65,27 +73,26 @@ impl Layer for ChannelNorm {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let c = self.channels();
         let shape = x.shape().to_vec();
+        let run = self.run_len(&shape);
+        let runs = || x.as_slice().chunks_exact(run).zip((0..c).cycle());
         let (mean, var) = if train {
-            // Batch statistics per channel.
+            // Batch statistics per channel, each summed in index order.
+            let count = (x.len() / c).max(1) as f64;
             let mut sum = vec![0.0f64; c];
             let mut sumsq = vec![0.0f64; c];
-            let mut count = vec![0usize; c];
-            for (i, &v) in x.as_slice().iter().enumerate() {
-                let ch = Self::channel_of(i, &shape);
-                sum[ch] += v as f64;
-                sumsq[ch] += (v as f64) * (v as f64);
-                count[ch] += 1;
+            for (vals, ch) in runs() {
+                let (mut s, mut sq) = (sum[ch], sumsq[ch]);
+                for &v in vals {
+                    s += v as f64;
+                    sq += (v as f64) * (v as f64);
+                }
+                (sum[ch], sumsq[ch]) = (s, sq);
             }
-            let mean: Vec<f32> = sum
-                .iter()
-                .zip(&count)
-                .map(|(s, &n)| (s / n.max(1) as f64) as f32)
-                .collect();
+            let mean: Vec<f32> = sum.iter().map(|s| (s / count) as f32).collect();
             let var: Vec<f32> = sumsq
                 .iter()
-                .zip(&count)
                 .zip(&mean)
-                .map(|((sq, &n), &m)| ((sq / n.max(1) as f64) as f32 - m * m).max(0.0))
+                .map(|(sq, &m)| ((sq / count) as f32 - m * m).max(0.0))
                 .collect();
             for ch in 0..c {
                 self.running_mean[ch] =
@@ -99,15 +106,15 @@ impl Layer for ChannelNorm {
         };
 
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let gv = self.gamma.value.as_slice().to_vec();
-        let bv = self.beta.value.as_slice().to_vec();
-        let mut xhat = vec![0.0f32; x.len()];
-        let mut y = vec![0.0f32; x.len()];
-        for (i, &v) in x.as_slice().iter().enumerate() {
-            let ch = Self::channel_of(i, &shape);
-            let h = (v - mean[ch]) * inv_std[ch];
-            xhat[i] = h;
-            y[i] = gv[ch] * h + bv[ch];
+        let gv = self.gamma.value.as_slice();
+        let bv = self.beta.value.as_slice();
+        let mut xhat = Vec::with_capacity(x.len());
+        let mut y = Vec::with_capacity(x.len());
+        for (vals, ch) in runs() {
+            let (m, is, g, b) = (mean[ch], inv_std[ch], gv[ch], bv[ch]);
+            let start = xhat.len();
+            xhat.extend(vals.iter().map(|&v| (v - m) * is));
+            y.extend(xhat[start..].iter().map(|&h| g * h + b));
         }
         self.cached_xhat = Some(Tensor::from_vec(&shape, xhat));
         self.cached_inv_std = inv_std;
@@ -119,46 +126,50 @@ impl Layer for ChannelNorm {
         let xhat = self.cached_xhat.as_ref().expect("backward before forward");
         let shape = grad_out.shape().to_vec();
         let c = self.channels();
-        let gv = self.gamma.value.as_slice().to_vec();
+        let run = self.run_len(&shape);
+        let gv = self.gamma.value.as_slice();
+        let inv_std = &self.cached_inv_std;
+        let runs = || {
+            let g_runs = grad_out.as_slice().chunks_exact(run);
+            g_runs
+                .zip(xhat.as_slice().chunks_exact(run))
+                .zip((0..c).cycle())
+        };
 
-        // Parameter gradients (same in both modes).
+        // Parameter gradients (same in both modes), each channel summed
+        // in index order.
         let mut sum_g = vec![0.0f32; c];
         let mut sum_gh = vec![0.0f32; c];
-        let mut count = vec![0usize; c];
-        for (i, (&g, &h)) in grad_out.as_slice().iter().zip(xhat.as_slice()).enumerate() {
-            let ch = Self::channel_of(i, &shape);
-            sum_g[ch] += g;
-            sum_gh[ch] += g * h;
-            count[ch] += 1;
+        for ((g_run, h_run), ch) in runs() {
+            let (mut s, mut sh) = (sum_g[ch], sum_gh[ch]);
+            for (&g, &h) in g_run.iter().zip(h_run) {
+                s += g;
+                sh += g * h;
+            }
+            (sum_g[ch], sum_gh[ch]) = (s, sh);
         }
         for ch in 0..c {
             self.gamma.grad.as_mut_slice()[ch] += sum_gh[ch];
             self.beta.grad.as_mut_slice()[ch] += sum_g[ch];
         }
 
-        let mut gx = vec![0.0f32; grad_out.len()];
+        let mut gx = Vec::with_capacity(grad_out.len());
         if self.cached_train {
             // Exact batch-norm backward (statistics depend on the batch):
             // dx = γ·invstd·(g − mean(g) − x̂·mean(g·x̂)).
-            let mean_g: Vec<f32> = sum_g
-                .iter()
-                .zip(&count)
-                .map(|(s, &n)| s / n.max(1) as f32)
-                .collect();
-            let mean_gh: Vec<f32> = sum_gh
-                .iter()
-                .zip(&count)
-                .map(|(s, &n)| s / n.max(1) as f32)
-                .collect();
-            for (i, (&g, &h)) in grad_out.as_slice().iter().zip(xhat.as_slice()).enumerate() {
-                let ch = Self::channel_of(i, &shape);
-                gx[i] = gv[ch] * self.cached_inv_std[ch] * (g - mean_g[ch] - h * mean_gh[ch]);
+            let count = (grad_out.len() / c).max(1) as f32;
+            let mean_g: Vec<f32> = sum_g.iter().map(|s| s / count).collect();
+            let mean_gh: Vec<f32> = sum_gh.iter().map(|s| s / count).collect();
+            for ((g_run, h_run), ch) in runs() {
+                let (scale, mg, mgh) = (gv[ch] * inv_std[ch], mean_g[ch], mean_gh[ch]);
+                let terms = g_run.iter().zip(h_run);
+                gx.extend(terms.map(|(&g, &h)| scale * (g - mg - h * mgh)));
             }
         } else {
             // Frozen running statistics: plain affine backward.
-            for (i, &g) in grad_out.as_slice().iter().enumerate() {
-                let ch = Self::channel_of(i, &shape);
-                gx[i] = g * gv[ch] * self.cached_inv_std[ch];
+            for ((g_run, _), ch) in runs() {
+                let (gamma, is) = (gv[ch], inv_std[ch]);
+                gx.extend(g_run.iter().map(|&g| g * gamma * is));
             }
         }
         Tensor::from_vec(&shape, gx)

@@ -44,6 +44,8 @@ pub mod loss;
 pub mod model;
 pub mod ops;
 pub mod optim;
+#[cfg(test)]
+mod reference;
 pub mod tensor;
 pub mod train;
 

@@ -1291,45 +1291,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_worker_panic_becomes_job_failed_with_refund_never_process_death() {
-        let mut server = test_server(1_000_000);
-        let line = submit_line("chaotic", &["Baseline (undefended):BFA:lpddr4_small:none"]);
-        let session = dd_chaos::arm(
-            dd_chaos::ChaosPlan::inert(42).with_rule("executor.job_panic", 1_000_000),
-        );
-        let response = Json::parse(&server.handle_line(&line)).expect("submit");
-        let report = session.finish();
-        // Every attempt panicked: MAX_JOB_ATTEMPTS checks, all fired.
-        assert_eq!(
-            report.fires_at("executor.job_panic"),
-            u64::from(MAX_JOB_ATTEMPTS)
-        );
-        assert_eq!(response.field_bool("ok"), Ok(true));
-        let results = response.field_arr("results").expect("results");
-        assert_eq!(results[0].field_str("status"), Ok("error"));
-        assert_eq!(results[0].field_str("kind"), Ok("job_failed"));
-        assert!(results[0]
-            .field_str("reason")
-            .expect("reason")
-            .contains("panicked after 3 attempts"));
-        let ledger = response.field("ledger").expect("ledger");
-        assert_eq!(ledger.field_u64("charged_micros"), Ok(0));
-        assert!(ledger.field_u64("refunded_micros").expect("refunded") > 0);
-        assert!(ledger_balances(ledger));
-
-        // The server is alive and the cell computes cleanly with the
-        // fault plane disarmed — and the retry/job_failed counters are on
-        // the stats wire.
-        let retry_free = Json::parse(&server.handle_line(&line)).expect("resubmit");
-        let results = retry_free.field_arr("results").expect("results");
-        assert_eq!(results[0].field_str("status"), Ok("done"));
-        let stats = Json::parse(&server.handle_line("{\"op\":\"stats\"}")).expect("stats");
-        let counters = stats.field("stats").expect("counters");
-        assert_eq!(counters.field_u64("job_failed"), Ok(1));
-        assert!(counters.field_u64("job_retries").expect("retries") >= 2);
-    }
-
-    #[test]
     fn quick_mode_mismatch_is_a_structured_error() {
         let mut server = test_server(1_000_000);
         let response = Json::parse(
