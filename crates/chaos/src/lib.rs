@@ -379,6 +379,9 @@ mod tests {
         assert!(fires("test.drain", 0));
         let report = session.finish();
         assert_eq!(report.fires_at("test.drain"), 1);
+        // As in `disarmed_probes_are_inert_and_free_of_state`: hold the
+        // session lock so no sibling test arms the plane before the checks.
+        let _serialized = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!armed());
         assert!(!fires("test.drain", 0));
     }

@@ -470,9 +470,9 @@ pub fn conv2d_backward(
     let w_t: Vec<f32> = (0..patch)
         .flat_map(|p| (0..oc).map(move |j| wv[j * patch + p]))
         .collect();
-    // The direct kernel needs stride 1; on planes narrower than 4 its
-    // blocks are too small, and folding whole-batch rows is faster.
-    let grad_input = if g.stride == 1 && g.padding < g.kernel && in_w >= 4 {
+    // The direct kernel reads the gradient padded by `kernel - 1 - padding`
+    // at stride 1; every other geometry folds grad-cols rows.
+    let grad_input = if g.stride == 1 && g.padding < g.kernel {
         grad_input_stride1(grad_out, &w_t, g, in_h, in_w)
     } else {
         grad_input_folded(&g_t, &w_t, g, n, in_h, in_w)
