@@ -2,7 +2,7 @@
 
 use dd_nn::data::{Dataset, SyntheticSpec};
 use dd_nn::init::seeded_rng;
-use dd_nn::train::{train, TrainConfig};
+use dd_nn::train::{evaluate, train, TrainConfig};
 use dd_qnn::{build_model, Architecture, ModelConfig, QModel};
 
 use crate::bfa::AttackData;
@@ -37,14 +37,11 @@ pub fn trained_victim() -> (QModel, AttackData, f32) {
         momentum: 0.9,
         weight_decay: 0.0,
     };
-    let report = train(&mut net, &ds, cfg, &mut rng);
-    assert!(
-        report.test_accuracy > 0.8,
-        "victim too weak: {}",
-        report.test_accuracy
-    );
+    train(&mut net, &ds, cfg, &mut rng);
+    let accuracy = evaluate(&mut net, &ds.test, cfg.batch_size);
+    assert!(accuracy > 0.8, "victim too weak: {accuracy}");
     let model = QModel::from_network(net);
     let batch = ds.attack_batch(64, &mut rng);
     let data = AttackData::single_batch(batch.images, batch.labels);
-    (model, data, report.test_accuracy)
+    (model, data, accuracy)
 }

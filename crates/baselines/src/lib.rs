@@ -63,8 +63,8 @@ pub use dd_workload::BackgroundLoad;
 pub use graphene::{GrapheneDefense, MisraGries};
 pub use scenario::{
     dram_label, fig8_rows, AttackerKind, BenignReport, CellProgress, CellReport, DefenseFactory,
-    DefenseKind, Fig8Row, MatrixReport, MatrixRunSummary, Scenario, ScenarioMatrix, VictimSpec,
-    CELL_PROTOCOL_VERSION,
+    DefenseKind, Fig8Row, MatrixReport, MatrixRunSummary, RunMemo, Scenario, ScenarioMatrix,
+    VictimSpec, CELL_PROTOCOL_VERSION,
 };
 pub use shadow::{ShadowDefense, ShadowMechanism};
 pub use software::{

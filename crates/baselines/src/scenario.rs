@@ -23,14 +23,17 @@
 //! *real* system state (belief minus blocked flips). Bit flips commute,
 //! so the belief/real bookkeeping is exact.
 //!
-//! One run trains each victim width once and runs each distinct search
-//! once: a memo local to [`ScenarioMatrix::run_with_cache`] hands every
-//! other cell an exact copy (a cloned [`Network`], replayed flips). The
-//! search is keyed by everything it reads, the deployed model compared
-//! bit for bit, so sharing never changes a cell (docs/perf.md, "Run
-//! memo").
+//! A [`RunMemo`] trains each victim width once and runs each distinct
+//! search once, handing every other cell an exact copy (a cloned
+//! [`Network`], replayed flips). Its owner picks its lifetime:
+//! [`ScenarioMatrix::run_with_cache`] makes one per call, and a sweep
+//! server keeps one across all the one-cell matrices it serves
+//! ([`ScenarioMatrix::run_with_memo`]). Entries are keyed by everything
+//! their computation reads — the victim recipe, the attack config, the
+//! deployed model compared bit for bit — so sharing never changes a cell
+//! (docs/perf.md, "Run memo").
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -281,8 +284,8 @@ impl fmt::Display for DefenseKind {
 }
 
 /// Deterministic victim recipe: the same spec and seed always train the
-/// same weights, so rows of one matrix are directly comparable. A matrix
-/// run builds each width once and gives every cell a clone.
+/// same weights, so rows of one matrix are directly comparable. A
+/// [`RunMemo`] builds each width once and gives every cell a clone.
 #[derive(Debug, Clone)]
 pub struct VictimSpec {
     /// Victim architecture.
@@ -1030,11 +1033,11 @@ impl ScenarioMatrix {
     /// Cells whose [cache key](ScenarioMatrix::cell_keys) appears in
     /// `cache` are taken from it verbatim (and counted in the summary);
     /// only the misses execute, in parallel. The misses of one call train
-    /// each victim width once and run each distinct attacker search once
-    /// (see the module docs); nothing is kept across calls. `progress`
-    /// (if given) is called once per finished cell — hits first, then
-    /// misses as they complete, from worker threads — with a monotone
-    /// `done` counter.
+    /// each victim width once and run each distinct attacker search once,
+    /// through a [`RunMemo`] that lives for this call only: nothing is
+    /// kept across calls. `progress` (if given) is called once per
+    /// finished cell — hits first, then misses as they complete, from
+    /// worker threads — with a monotone `done` counter.
     ///
     /// # Errors
     ///
@@ -1047,6 +1050,28 @@ impl ScenarioMatrix {
         &self,
         cache: &HashMap<u64, CellReport>,
         progress: Option<&(dyn Fn(&CellProgress) + Sync)>,
+    ) -> Result<(MatrixReport, MatrixRunSummary), DramError> {
+        self.run_with_memo(cache, progress, &RunMemo::default())
+    }
+
+    /// [`ScenarioMatrix::run_with_cache`] against a caller-owned
+    /// [`RunMemo`]: the misses reuse every victim and search an earlier
+    /// matrix left in `memo`, and leave theirs for later ones. Sharing
+    /// never changes a cell, because memo keys cover the victim recipe
+    /// and the attack config (see [`RunMemo`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`DramError`] any cell produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no defenses were added.
+    pub fn run_with_memo(
+        &self,
+        cache: &HashMap<u64, CellReport>,
+        progress: Option<&(dyn Fn(&CellProgress) + Sync)>,
+        memo: &RunMemo,
     ) -> Result<(MatrixReport, MatrixRunSummary), DramError> {
         assert!(!self.defenses.is_empty(), "scenario matrix has no defenses");
         let attackers = self.effective_attackers();
@@ -1160,8 +1185,6 @@ impl ScenarioMatrix {
                 })
                 .collect();
             let remaining = AtomicUsize::new(pending.len());
-            let memo = RunMemo::default();
-            let memo = &memo;
             let pending = &pending;
             let cells = &cells;
             let attackers = &attackers;
@@ -1318,7 +1341,7 @@ impl ScenarioMatrix {
         ))
     }
 
-    /// Phase 1 of a cell: deploy the run's trained victim, run the
+    /// Phase 1 of a cell: deploy the memo's trained victim, run the
     /// attacker's search (both shared through `memo`), assemble the
     /// scratch device and its background traffic — everything up to (but
     /// excluding) the warmup windows.
@@ -1338,17 +1361,11 @@ impl ScenarioMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut defense = factory(seed, dram);
 
-        // Victim: deterministic per (spec, width), so the run trains each
+        // Victim: deterministic per (spec, width), so the memo trains each
         // width once and every cell of that width attacks a clone.
         let width = defense.capacity_multiplier();
-        let victim = memo.victim(width);
-        let (trained, dataset) = victim.get_or_init(|| {
-            let _span = dd_obs::span_with("matrix.victim_build", || format!("width={width}"));
-            let (net, dataset) = self.victim.build(width);
-            // Keep a clone: it drops the last training batch's forward
-            // caches, which would otherwise stay resident all run.
-            (net.clone(), dataset)
-        });
+        let victim = memo.victim(&self.victim, width);
+        let (trained, dataset) = victim.value.get().expect("trained by RunMemo::victim");
         let mut net = trained.clone();
         defense.prepare_victim(&mut net, dataset, &mut rng);
         let mut model = QModel::from_network(net);
@@ -1388,6 +1405,7 @@ impl ScenarioMatrix {
                     attacker: *attacker,
                     width,
                     budget,
+                    recipe: Recipe::search(&self.victim, &self.attack),
                     skip,
                     model: ModelImage::of(&mut model),
                 };
@@ -1676,49 +1694,207 @@ impl ScenarioMatrix {
     }
 }
 
-/// The defense-independent stages of a cell, computed once per
-/// [`ScenarioMatrix::run_with_cache`] call and copied exactly into every
-/// other cell that needs them. The first cell to need an entry computes
-/// it; concurrent cells wait for that computation instead of repeating
-/// it, so each entry is computed exactly once per run.
+/// The defense-independent stages of a cell — trained victims and
+/// attacker searches — computed once and copied exactly into every other
+/// cell that needs them.
+///
+/// Its owner chooses its lifetime. [`ScenarioMatrix::run`] and
+/// [`ScenarioMatrix::run_with_cache`] make one per call; a long-lived
+/// owner (the sweep server keeps one per server) hands the same memo to
+/// every matrix through [`ScenarioMatrix::run_with_memo`]. Entries are
+/// keyed on everything their computation reads, the victim recipe and
+/// the attack config included, and keys compare exactly, never by hash,
+/// so matrices that differ in either never share an entry.
+///
+/// The first cell to need an entry computes it; concurrent cells wait
+/// for that computation instead of repeating it. A computation that
+/// panics leaves its entry empty, and the next cell to need it computes
+/// it. Each list keeps its most recently used entries up to a fixed cap:
+/// victims are few (one per recipe and width), but every cell whose
+/// defense retrains the victim with the cell's own RNG (Clustering,
+/// Binary weight) deploys a distinct model and adds a search key no
+/// other cell will ask for. A cell holding an evicted entry keeps it.
 #[derive(Default)]
-struct RunMemo {
-    /// Trained victims by width multiplier (the dataset does not depend
-    /// on the width; each cell clones the network and borrows the data).
-    victims: Mutex<HashMap<usize, Slot<(Network, Dataset)>>>,
-    /// Attacker searches, matched by exact key comparison.
-    searches: Mutex<Vec<Arc<SearchEntry>>>,
+pub struct RunMemo {
+    /// Trained victims, keyed by width multiplier and recipe (the dataset
+    /// does not depend on the width; each cell clones the network and
+    /// borrows the data).
+    victims: Lru<VictimEntry>,
+    /// Attacker searches.
+    searches: Lru<SearchEntry>,
 }
 
-/// One memo entry, filled by the first cell that needs it.
-type Slot<T> = Arc<OnceLock<T>>;
+/// Memo entries, least recently used first.
+type Lru<E> = Mutex<VecDeque<Arc<E>>>;
 
-/// Everything an attacker's search reads besides the matrix's attack
-/// config and the attacker's batch, which are fixed for the whole run.
+/// A trained victim `(network, dataset)`, keyed by width and recipe.
+type VictimEntry = Entry<(usize, Recipe), (Network, Dataset)>;
+
+/// The flips of one attacker search.
+type SearchEntry = Entry<SearchKey, Vec<BitFlip>>;
+
+/// Most trained victims a [`RunMemo`] keeps.
+const VICTIM_CAP: usize = 8;
+
+/// Most attacker searches a [`RunMemo`] keeps: far above the handful of
+/// shared keys a sweep serves, and about 2 MB of model images for the
+/// sweep server's tiny victim (~32 KB per key).
+const SEARCH_CAP: usize = 64;
+
+/// One memo entry: its exact key and the value the first cell that
+/// needs it computes.
+struct Entry<K, V> {
+    key: K,
+    value: OnceLock<V>,
+}
+
+impl<K, V> Entry<K, V> {
+    /// The value, from `compute` if no cell has computed it yet (`true`)
+    /// or as computed before (`false`, counted under `reuse_counter`).
+    fn get_or_compute(
+        &self,
+        reuse_counter: &'static str,
+        compute: impl FnOnce() -> V,
+    ) -> (&V, bool) {
+        let mut computed = false;
+        let value = self.value.get_or_init(|| {
+            computed = true;
+            compute()
+        });
+        if !computed {
+            dd_obs::add(reuse_counter, 1);
+        }
+        (value, computed)
+    }
+}
+
+/// The entry of `entries` whose key equals `key`, or a new empty one,
+/// moved to the most recently used end; the least recently used entry
+/// beyond `cap` is dropped.
+fn lookup<K: PartialEq, V>(entries: &Lru<Entry<K, V>>, key: K, cap: usize) -> Arc<Entry<K, V>> {
+    let mut entries = entries.lock().expect("run memo");
+    let entry = match entries.iter().position(|e| e.key == key) {
+        Some(i) => entries.remove(i).expect("found above"),
+        None => Arc::new(Entry {
+            key,
+            value: OnceLock::new(),
+        }),
+    };
+    entries.push_back(Arc::clone(&entry));
+    if entries.len() > cap {
+        entries.pop_front();
+    }
+    entry
+}
+
+/// Everything an attacker's search reads: the attacker, its budget, the
+/// skip set, the deployed model, and the recipe and attack config, which
+/// fix the attacker's batch and the search's knobs. Cheap fields come
+/// first, so most mismatches are found before the model images.
 #[derive(PartialEq)]
 struct SearchKey {
     attacker: AttackerKind,
     width: usize,
     budget: usize,
+    recipe: Recipe,
     skip: HashSet<BitAddr>,
     model: ModelImage,
 }
 
-struct SearchEntry {
-    key: SearchKey,
-    flips: OnceLock<Vec<BitFlip>>,
+/// A victim recipe, and for a search the attack config too, as exact
+/// words: floats by bit pattern, as in [`ModelImage`], so `0.0` and
+/// `-0.0` differ and a NaN matches itself. Every struct is destructured
+/// in full, so a new field does not compile until it joins the key.
+#[derive(PartialEq)]
+struct Recipe {
+    arch: Architecture,
+    words: Vec<u64>,
+}
+
+impl Recipe {
+    fn victim(victim: &VictimSpec) -> Self {
+        let VictimSpec {
+            arch,
+            spec,
+            base_width,
+            train,
+            fine_tune,
+            seed,
+            batch,
+        } = victim;
+        let SyntheticSpec {
+            classes,
+            channels,
+            height,
+            width,
+            train_per_class,
+            test_per_class,
+            noise,
+            brightness_jitter,
+        } = *spec;
+        let mut words: Vec<u64> = [
+            classes,
+            channels,
+            height,
+            width,
+            train_per_class,
+            test_per_class,
+            *base_width,
+            *batch,
+        ]
+        .map(|w| w as u64)
+        .to_vec();
+        words.extend([noise, brightness_jitter].map(|f| u64::from(f.to_bits())));
+        words.push(*seed);
+        for schedule in [Some(train), fine_tune.as_ref()] {
+            let Some(&TrainConfig {
+                epochs,
+                batch_size,
+                lr,
+                momentum,
+                weight_decay,
+            }) = schedule
+            else {
+                words.push(0);
+                continue;
+            };
+            words.extend([1, epochs as u64, batch_size as u64]);
+            words.extend([lr, momentum, weight_decay].map(|f| u64::from(f.to_bits())));
+        }
+        Recipe { arch: *arch, words }
+    }
+
+    fn search(victim: &VictimSpec, attack: &AttackConfig) -> Self {
+        let AttackConfig {
+            target_accuracy,
+            max_flips,
+            evaluate_top_k,
+            record_every,
+        } = *attack;
+        let mut recipe = Recipe::victim(victim);
+        recipe.words.extend([
+            u64::from(target_accuracy.to_bits()),
+            max_flips as u64,
+            evaluate_top_k as u64,
+            record_every as u64,
+        ]);
+        recipe
+    }
 }
 
 impl RunMemo {
-    /// The slot of the trained victim at `width`.
-    fn victim(&self, width: usize) -> Slot<(Network, Dataset)> {
-        Arc::clone(
-            self.victims
-                .lock()
-                .expect("run memo")
-                .entry(width)
-                .or_default(),
-        )
+    /// The entry of `victim` at `width`, trained by the first cell that
+    /// needs it.
+    fn victim(&self, victim: &VictimSpec, width: usize) -> Arc<VictimEntry> {
+        let entry = lookup(&self.victims, (width, Recipe::victim(victim)), VICTIM_CAP);
+        entry.get_or_compute("matrix.victim_reuse", || {
+            let _span = dd_obs::span_with("matrix.victim_build", || format!("width={width}"));
+            let (net, dataset) = victim.build(width);
+            // Keep a clone: it drops the last training batch's forward
+            // caches, which would otherwise stay resident.
+            (net.clone(), dataset)
+        });
+        entry
     }
 
     /// The attacker's flips for `key`, applied to `model`. The first cell
@@ -1731,29 +1907,14 @@ impl RunMemo {
         model: &mut QModel,
         compute: impl FnOnce(&mut QModel, &HashSet<BitAddr>) -> Vec<BitFlip>,
     ) -> Vec<BitFlip> {
-        let entry = {
-            let mut entries = self.searches.lock().expect("run memo");
-            match entries.iter().find(|e| e.key == key) {
-                Some(entry) => Arc::clone(entry),
-                None => {
-                    let entry = Arc::new(SearchEntry {
-                        key,
-                        flips: OnceLock::new(),
-                    });
-                    entries.push(Arc::clone(&entry));
-                    entry
-                }
-            }
-        };
-        let mut searched = false;
-        let flips = entry.flips.get_or_init(|| {
-            searched = true;
+        let entry = lookup(&self.searches, key, SEARCH_CAP);
+        let (flips, computed) = entry.get_or_compute("matrix.search_reuse", || {
             let _span = dd_obs::span_with("matrix.search", || {
                 format!("attacker={}", entry.key.attacker)
             });
             compute(model, &entry.key.skip)
         });
-        if !searched {
+        if !computed {
             for flip in flips {
                 assert_eq!(
                     model.flip_bit(flip.addr),
@@ -2098,14 +2259,15 @@ mod tests {
 
     #[test]
     fn run_memo_never_changes_a_cell() {
-        // Every cell of a run that shares victims and searches equals the
-        // same cell computed alone, at one worker and at two. The roster
-        // covers every memo path: a shared victim and search (Undefended,
-        // Graphene, DNN-Defender), a second width (CapacityX2), a victim
-        // whose preparation changes its weights (Clustering) or only one
-        // float bias (BiasNudge) — both must miss the search — a skip set
-        // from the defense (Adaptive white box), and random flips, which
-        // are never shared.
+        // Every cell that shares victims and searches equals the same cell
+        // computed alone: within one run at one worker and at two, and as
+        // one-cell matrices through one memo the way a sweep server runs
+        // them. The roster covers every memo path: a shared victim and
+        // search (Undefended, Graphene, DNN-Defender), a second width
+        // (CapacityX2), a victim whose preparation changes its weights
+        // (Clustering) or only one float bias (BiasNudge) — both must
+        // miss the search — a skip set from the defense (Adaptive white
+        // box), and random flips, which are never shared.
         type Factory = fn(u64, &DramConfig) -> DynDefense;
         let defenses: [(&str, Factory); 6] = [
             (DefenseKind::Undefended.label(), |s, c| {
@@ -2160,6 +2322,118 @@ mod tests {
                 assert_eq!(cell, expected, "threads={threads}");
             }
         }
+
+        // One-cell matrices through one memo, in both cell orders, from
+        // one thread and from two.
+        let cells: Vec<(usize, usize)> = (0..defenses.len())
+            .flat_map(|d| (0..attackers.len()).map(move |a| (d, a)))
+            .collect();
+        for reversed in [false, true] {
+            for workers in [1, 2] {
+                let memo = RunMemo::default();
+                let mut order: Vec<usize> = (0..cells.len()).collect();
+                if reversed {
+                    order.reverse();
+                }
+                let next = AtomicUsize::new(0);
+                let serve = || {
+                    let mut out = Vec::new();
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (d, a) = cells[i];
+                        let (report, _) = matrix(&[defenses[d]], &[attackers[a]])
+                            .run_with_memo(&HashMap::new(), None, &memo)
+                            .expect("one-cell matrix");
+                        out.push((i, render(report).remove(0)));
+                    }
+                    out
+                };
+                let mut served: Vec<(usize, String)> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..workers).map(|_| scope.spawn(serve)).collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("worker"))
+                        .collect()
+                });
+                served.sort();
+                assert_eq!(served.len(), alone.len());
+                for ((_, cell), expected) in served.iter().zip(&alone) {
+                    assert_eq!(cell, expected, "reversed={reversed} workers={workers}");
+                }
+            }
+        }
+
+        // Matrices that differ in the victim seed or the attack config
+        // share a memo but no entry (on this victim, evaluate_top_k does
+        // not change the flips, so only the entry count tells).
+        let attack = |top_k: usize| AttackConfig {
+            target_accuracy: 0.3,
+            max_flips: 40,
+            evaluate_top_k: top_k,
+            ..Default::default()
+        };
+        let variant = |seed: u64, top_k: usize| {
+            ScenarioMatrix::new(VictimSpec::tiny_mlp(seed))
+                .attack_config(attack(top_k))
+                .budget(4)
+                .defense_kind(DefenseKind::Undefended)
+        };
+        let variants = [(2002, 3), (2003, 3), (2002, 1)];
+        let memo = RunMemo::default();
+        for (seed, top_k) in variants {
+            let (shared, _) = variant(seed, top_k)
+                .run_with_memo(&HashMap::new(), None, &memo)
+                .expect("shared-memo matrix");
+            let alone = variant(seed, top_k).run().expect("solo matrix");
+            assert_eq!(
+                render(shared),
+                render(alone),
+                "victim seed {seed}, evaluate_top_k {top_k}"
+            );
+        }
+        assert_eq!(memo.victims.lock().expect("run memo").len(), 2);
+        assert_eq!(memo.searches.lock().expect("run memo").len(), 3);
+
+        // At most SEARCH_CAP searches stay, least recently used out first:
+        // a key asked for between the one-off keys is never recomputed. A
+        // search that panics leaves its entry empty for the retry.
+        let spec = VictimSpec::tiny_mlp(2002);
+        let config = ModelConfig {
+            arch: spec.arch,
+            in_channels: spec.spec.channels,
+            image_side: spec.spec.height,
+            classes: spec.spec.classes,
+            base_width: spec.base_width,
+        };
+        let mut model = QModel::from_network(build_model(&config, &mut StdRng::seed_from_u64(1)));
+        let memo = RunMemo::default();
+        let mut computed = 0;
+        let mut search = |budget: usize, fail: bool| {
+            let key = SearchKey {
+                attacker: AttackerKind::Bfa,
+                width: 1,
+                budget,
+                recipe: Recipe::search(&spec, &attack(3)),
+                skip: HashSet::new(),
+                model: ModelImage::of(&mut model),
+            };
+            memo.search(key, &mut model, |_, _| {
+                assert!(!fail, "search failed");
+                computed += 1;
+                Vec::new()
+            });
+        };
+        search(0, false);
+        for one_off in 1..=SEARCH_CAP + 8 {
+            search(one_off, false);
+            search(0, false);
+        }
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            search(SEARCH_CAP + 9, true);
+        }));
+        assert!(failed.is_err());
+        search(SEARCH_CAP + 9, false);
+        assert_eq!(computed, 1 + SEARCH_CAP + 9, "a search was recomputed");
+        assert_eq!(memo.searches.lock().expect("run memo").len(), SEARCH_CAP);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use dd_attack::AttackData;
 use dd_nn::data::{Dataset, SyntheticSpec};
 use dd_nn::init::seeded_rng;
-use dd_nn::train::{train, TrainConfig};
+use dd_nn::train::{evaluate, train, TrainConfig};
 use dd_qnn::{build_model, Architecture, ModelConfig, QModel};
 
 pub mod cache;
@@ -127,8 +127,8 @@ pub fn prepare_victim(
         let mut attempt_rng = seeded_rng(seed ^ (attempt as u64) << 32);
         let mut net = build_model(&config, &mut attempt_rng);
         train(&mut net, &dataset, tc, &mut attempt_rng);
-        let report = train(&mut net, &dataset, ft, &mut attempt_rng);
-        let acc = report.test_accuracy;
+        train(&mut net, &dataset, ft, &mut attempt_rng);
+        let acc = evaluate(&mut net, &dataset.test, ft.batch_size);
         let good_enough = acc > 0.85;
         if best.as_ref().is_none_or(|(_, b)| acc > *b) {
             best = Some((net, acc));

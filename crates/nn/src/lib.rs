@@ -18,7 +18,7 @@
 //! use dd_nn::init::seeded_rng;
 //! use dd_nn::layers::{Flatten, Linear, Relu};
 //! use dd_nn::model::Network;
-//! use dd_nn::train::{train, TrainConfig};
+//! use dd_nn::train::{evaluate, train, TrainConfig};
 //!
 //! let mut rng = seeded_rng(7);
 //! let mut spec = SyntheticSpec::cifar10_like();
@@ -33,8 +33,10 @@
 //!     .push(Linear::kaiming("fc2", 32, 10, &mut rng));
 //!
 //! let config = TrainConfig { epochs: 2, ..TrainConfig::default() };
-//! let report = train(&mut net, &dataset, config, &mut rng);
-//! assert!(report.test_accuracy >= 0.0);
+//! let losses = train(&mut net, &dataset, config, &mut rng);
+//! assert_eq!(losses.len(), 2);
+//! let accuracy = evaluate(&mut net, &dataset.test, config.batch_size);
+//! assert!((0.0..=1.0).contains(&accuracy));
 //! ```
 
 pub mod data;
@@ -56,4 +58,4 @@ pub use layers::{
 pub use model::{Network, ResidualBlock};
 pub use optim::Sgd;
 pub use tensor::Tensor;
-pub use train::{evaluate, train, TrainConfig, TrainReport};
+pub use train::{evaluate, train, TrainConfig};

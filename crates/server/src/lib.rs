@@ -19,7 +19,10 @@
 //!   admission control, budget accounting, Calm/PreStorm/Storm regime
 //!   switching (offered + in-flight load), and incremental cache
 //!   invalidation; submit splits into admit / execute / complete so
-//!   connection loops hold no lock while cells simulate;
+//!   connection loops hold no lock while cells simulate, and every cell
+//!   runs against one run memo per server
+//!   ([`dd_baselines::RunMemo`]: the victim trained once, each distinct
+//!   attacker search run once);
 //! * [`metrics`] — per-client ledgers and whole-server counters;
 //! * [`frame`] — bounded line-frame reader shared by the socket transports
 //!   (oversized-line and invalid-UTF-8 safe).

@@ -47,8 +47,9 @@
 //! refunds every pending cell (`shed`/`shutting_down`).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
-use dd_baselines::{dram_label, CellReport, Scenario};
+use dd_baselines::{dram_label, CellReport, RunMemo, Scenario};
 use dnn_defender::{CostModel, Json, Regime};
 
 use crate::executor::{run_work_stealing_grouped_isolated, JobOutcome, JobRun};
@@ -106,6 +107,9 @@ pub struct SweepServer {
     /// between `begin_line` and `complete_submit`/`abort_submit`). Later
     /// admissions classify their regime against `offered + inflight`.
     inflight_micros: u64,
+    /// Trained victims and attacker searches, shared by every cell this
+    /// server computes (each cell is a one-cell matrix).
+    memo: Arc<RunMemo>,
 }
 
 /// Per-cell admission state inside one submit request.
@@ -194,6 +198,7 @@ pub struct PreparedSubmit {
     affinity: Vec<u64>,
     workers: usize,
     base: SweepBase,
+    memo: Arc<RunMemo>,
 }
 
 /// A prepared submit whose jobs have run; feed to
@@ -214,7 +219,7 @@ pub enum LineOutcome {
 }
 
 impl SweepServer {
-    /// A fresh server with an empty cache.
+    /// A fresh server with an empty cache and an empty run memo.
     pub fn new(config: ServerConfig, cost: CostModel) -> Self {
         SweepServer {
             base: SweepBase::standard(config.quick),
@@ -226,6 +231,7 @@ impl SweepServer {
             last_regime: None,
             shutdown: false,
             inflight_micros: 0,
+            memo: Arc::default(),
         }
     }
 
@@ -758,22 +764,28 @@ impl SweepServer {
             affinity,
             workers: self.config.workers,
             base,
+            memo: Arc::clone(&self.memo),
         })
     }
 
     /// Pass 3 — execute the surviving pending cells on the work-stealing
     /// executor, co-scheduling same-geometry jobs onto one worker (warm
     /// device tables, and the seam the cross-cell sweep kernel batches
-    /// across). Takes no `&self`: callers run this outside the server
-    /// lock. Jobs are panic-isolated with bounded retry; `dd-chaos`
-    /// injects worker panics (`executor.job_panic`) and stalls
-    /// (`executor.job_stall`) here, keyed on (cell key, request sequence,
-    /// attempt) so campaigns are deterministic under work stealing.
+    /// across). Every cell runs as a one-cell matrix against the server's
+    /// [`RunMemo`], so the victim is trained and each distinct search runs
+    /// once per server, not once per cell. Takes no `&self`: callers run
+    /// this outside the server lock. Jobs are panic-isolated with bounded
+    /// retry (a panic mid-computation leaves its memo entry empty for the
+    /// retry); `dd-chaos` injects worker panics (`executor.job_panic`) and
+    /// stalls (`executor.job_stall`) here, keyed on (cell key, request
+    /// sequence, attempt) so campaigns are deterministic under work
+    /// stealing.
     pub fn execute_prepared(prepared: PreparedSubmit) -> ExecutedSubmit {
         let span = dd_obs::span_with("server.execute", || format!("client={}", prepared.client));
         let base = prepared.base;
         let seq = prepared.request_seq;
         let jobs = &prepared.jobs;
+        let memo = &*prepared.memo;
         let runs = run_work_stealing_grouped_isolated(
             &prepared.affinity,
             prepared.workers,
@@ -790,11 +802,10 @@ impl SweepServer {
                         job.spec_label
                     );
                 }
-                let matrix = base.matrix_for(&job.spec);
-                matrix
-                    .run()
+                base.matrix_for(&job.spec)
+                    .run_with_memo(&HashMap::new(), None, memo)
                     .map_err(|e| format!("{e:?}"))
-                    .and_then(|report| {
+                    .and_then(|(report, _)| {
                         report
                             .cells
                             .into_iter()

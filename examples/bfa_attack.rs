@@ -16,12 +16,13 @@ fn main() {
     let dataset = Dataset::generate(spec, &mut rng);
     let config = ModelConfig::new(Architecture::Vgg11, spec.classes).with_base_width(2);
     let mut net = build_model(&config, &mut rng);
-    let report = train(&mut net, &dataset, TrainConfig::default(), &mut rng);
+    let tc = TrainConfig::default();
+    train(&mut net, &dataset, tc, &mut rng);
     println!(
         "victim: {} ({} params), test accuracy {:.1}%",
         config.arch.name(),
         net.param_count(),
-        report.test_accuracy * 100.0
+        evaluate(&mut net, &dataset.test, tc.batch_size) * 100.0
     );
 
     let mut model = QModel::from_network(net);

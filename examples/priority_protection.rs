@@ -19,10 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         epochs: 16,
         ..TrainConfig::default()
     };
-    let report = train(&mut net, &dataset, tc, &mut rng);
+    train(&mut net, &dataset, tc, &mut rng);
     println!(
         "victim resnet20: test accuracy {:.1}%",
-        report.test_accuracy * 100.0
+        evaluate(&mut net, &dataset.test, tc.batch_size) * 100.0
     );
 
     let mut model = QModel::from_network(net);

@@ -15,11 +15,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = Dataset::generate(spec, &mut rng);
     let config = ModelConfig::new(Architecture::Mlp, spec.classes).with_base_width(4);
     let mut net = build_model(&config, &mut rng);
-    let report = train(&mut net, &dataset, TrainConfig::default(), &mut rng);
+    let tc = TrainConfig::default();
+    train(&mut net, &dataset, tc, &mut rng);
+    let accuracy = evaluate(&mut net, &dataset.test, tc.batch_size);
     println!(
         "trained {}: test accuracy {:.1}%",
         net.name(),
-        report.test_accuracy * 100.0
+        accuracy * 100.0
     );
 
     // 2. Quantize to 8-bit and deploy into simulated LPDDR4 (each run

@@ -42,7 +42,7 @@ pub mod prelude {
     pub use dd_dram::{DramConfig, MemoryController, Nanos, TimingParams};
     pub use dd_nn::data::{Dataset, SyntheticSpec};
     pub use dd_nn::init::seeded_rng;
-    pub use dd_nn::train::{train, TrainConfig};
+    pub use dd_nn::train::{evaluate, train, TrainConfig};
     pub use dd_qnn::{build_model, Architecture, BitAddr, ModelConfig, QModel};
     pub use dnn_defender::{
         DefenseConfig, DefenseMechanism, DefenseOp, DefenseStats, DnnDefenderDefense, DynDefense,

@@ -20,12 +20,9 @@ fn victim() -> (QModel, AttackData, Dataset) {
         momentum: 0.9,
         weight_decay: 0.0,
     };
-    let report = train(&mut net, &dataset, tc, &mut rng);
-    assert!(
-        report.test_accuracy > 0.8,
-        "victim failed to train: {}",
-        report.test_accuracy
-    );
+    train(&mut net, &dataset, tc, &mut rng);
+    let accuracy = evaluate(&mut net, &dataset.test, tc.batch_size);
+    assert!(accuracy > 0.8, "victim failed to train: {accuracy}");
     let model = QModel::from_network(net);
     let batch = dataset.attack_batch(64, &mut rng);
     let data = AttackData::single_batch(batch.images, batch.labels);
