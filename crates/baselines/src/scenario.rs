@@ -37,22 +37,19 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use dd_attack::{run_bfa, run_tbfa, AttackConfig, AttackData, TbfaGoal, ThreatModel};
-use dd_dram::{CellSweep, DramConfig, DramError, GlobalRowId, MemoryController, Nanos, TraceMode};
+use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, Nanos, TraceMode};
 use dd_nn::data::{Dataset, SyntheticSpec};
 use dd_nn::train::{train, TrainConfig};
 use dd_nn::Network;
 use dd_qnn::{build_model, Architecture, BitAddr, BitFlip, ModelConfig, QModel};
-use dd_workload::{
-    all_data_rows, drive_benign_window_sweep, BackgroundLoad, BenignTraffic, SpanTraffic,
-    SweepCell, WORKLOAD_PROTOCOL_VERSION,
-};
+use dd_workload::{all_data_rows, BackgroundLoad, BenignTraffic, WORKLOAD_PROTOCOL_VERSION};
 use dnn_defender::defense::{
     CampaignView, DefenseConfig, DefenseMechanism, DefenseStats, DnnDefenderDefense, DynDefense,
     Undefended,
@@ -171,9 +168,9 @@ impl StableHash for AttackerKind {
 ///
 /// v3: benign traffic is seeded from the non-defense axes only
 /// (`ScenarioMatrix::traffic_seed`), so cells sharing (attacker,
-/// device, load) carry byte-identical traffic and can be replayed as one
-/// cross-cell sweep group ([`dd_dram::CellSweep`]). Every cell that runs
-/// background traffic computes different numbers than v2.
+/// device, load) carry byte-identical traffic whatever their defense.
+/// Every cell that runs background traffic computes different numbers
+/// than v2.
 pub const CELL_PROTOCOL_VERSION: u64 = 3;
 
 /// The canonical defense roster: every mitigation the paper's Table 3
@@ -690,7 +687,6 @@ pub struct ScenarioMatrix {
     budget: usize,
     seed: u64,
     threads: Option<usize>,
-    sweep: bool,
 }
 
 impl ScenarioMatrix {
@@ -708,20 +704,7 @@ impl ScenarioMatrix {
             budget: 25,
             seed: 0x5ca1_ab1e,
             threads: None,
-            sweep: true,
         }
-    }
-
-    /// Enable or disable cross-cell sweep grouping (default: on).
-    ///
-    /// Grouping is byte-invariant — every cell's report is identical
-    /// either way, which the conformance suite's grouping-invariance law
-    /// enforces — so this toggle exists for differential tests and for
-    /// isolating performance effects. It is deliberately absent from
-    /// [`ScenarioMatrix::config_hash`] and the cell cache keys.
-    pub fn sweep_groups(mut self, on: bool) -> Self {
-        self.sweep = on;
-        self
     }
 
     /// Add an attacker axis entry.
@@ -870,9 +853,8 @@ impl ScenarioMatrix {
 
     /// Seed of a cell's benign traffic: derived from the *non-defense*
     /// axes only, so every cell sharing (attacker, device, load) builds
-    /// byte-identical traffic regardless of its defense. This is what
-    /// makes cross-cell sweep groups possible — grouped cells replay one
-    /// decoded command stream — and it is a protocol property:
+    /// byte-identical traffic regardless of its defense — every defense
+    /// faces the same benign stream. This is a protocol property:
     /// [`CELL_PROTOCOL_VERSION`] v3.
     fn traffic_seed(
         &self,
@@ -1128,192 +1110,40 @@ impl ScenarioMatrix {
                 .min(pending.len())
                 .max(1);
 
-            // Partition the pending cells into cross-cell sweep groups:
-            // same (attacker, device, load) with background traffic and
-            // an untapped defense (probed on a throwaway instance — the
-            // factory is cheap next to victim training). Grouped cells
-            // pause after setup, run their benign warmup windows as one
-            // kernel sweep, then return to the pool as attack jobs;
-            // everything else runs the unchanged solo path. Grouping is
-            // byte-invariant, so scheduling cannot change any report.
-            let mut group_of: Vec<Option<usize>> = vec![None; pending.len()];
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            if self.sweep {
-                let mut by_key: HashMap<(usize, usize, usize), Vec<usize>> = HashMap::new();
-                for (p, &i) in pending.iter().enumerate() {
+            // Each worker takes the next pending cell and runs it start to
+            // finish on its own thread: setup, warmup, attack. Worker 0 is
+            // the calling thread; only the other workers get a thread of
+            // their own, so a one-worker run spawns none.
+            let next = AtomicUsize::new(0);
+            let worker = || {
+                while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let (d, a, m, l) = cells[i];
-                    if loads[l] == BackgroundLoad::None {
-                        continue;
+                    let name: &str = &self.defenses[d].0;
+                    let started = Instant::now();
+                    let result = {
+                        let _span = dd_obs::span_with("matrix.cell_setup", || {
+                            format!("defense={name} cell={i}")
+                        });
+                        self.cell_setup(d, &attackers[a], &drams[m], loads[l], memo)
                     }
-                    let (name, factory, _) = &self.defenses[d];
-                    let probe_seed = self.cell_seed(name, &attackers[a], &drams[m], loads[l]);
-                    if factory(probe_seed, &drams[m]).has_online_tap() {
-                        continue;
-                    }
-                    by_key.entry((a, m, l)).or_default().push(p);
-                }
-                for members in by_key.into_values() {
-                    if members.len() >= 2 {
-                        let g = groups.len();
-                        for &p in &members {
-                            group_of[p] = Some(g);
-                        }
-                        groups.push(members);
-                    }
-                }
-                dd_obs::add("matrix.sweep_groups", groups.len() as u64);
-            }
-
-            enum Job {
-                Setup { p: usize },
-                Attack { i: usize, state: Box<CellState> },
-            }
-            struct GroupSlot {
-                expected: usize,
-                arrived: Vec<(usize, Box<CellState>)>,
-            }
-
-            let queue: Mutex<Vec<Job>> =
-                Mutex::new((0..pending.len()).rev().map(|p| Job::Setup { p }).collect());
-            let group_slots: Vec<Mutex<GroupSlot>> = groups
-                .iter()
-                .map(|members| {
-                    Mutex::new(GroupSlot {
-                        expected: members.len(),
-                        arrived: Vec::new(),
-                    })
-                })
-                .collect();
-            let remaining = AtomicUsize::new(pending.len());
-            let pending = &pending;
-            let cells = &cells;
-            let attackers = &attackers;
-            let drams = &drams;
-            let loads = &loads;
-            let group_of = &group_of;
-            let queue = &queue;
-            let group_slots = &group_slots;
-            let remaining = &remaining;
-            let done = &done;
-            let slots = &slots;
-
-            let finish_cell = move |i: usize, result: Result<CellReport, DramError>, ms: u64| {
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let (Some(observe), Ok(cell)) = (progress, &result) {
-                    observe(&CellProgress {
-                        done: n,
-                        total,
-                        scenario: cell.scenario.clone(),
-                        cache_hit: false,
-                        millis: ms,
-                    });
-                }
-                *slots[i].lock().expect("cell slot") = Some(result);
-                remaining.fetch_sub(1, Ordering::Release);
-            };
-            let finish_cell = &finish_cell;
-
-            // Worker 0 is the calling thread; only the other workers get
-            // a thread of their own, so a one-worker run spawns none.
-            let worker = move || loop {
-                if remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                let job = queue.lock().expect("job queue").pop();
-                let Some(job) = job else {
-                    // Jobs still in flight on other workers may
-                    // yet push attack work back to the pool.
-                    std::thread::sleep(Duration::from_micros(200));
-                    continue;
-                };
-                match job {
-                    Job::Setup { p } => {
-                        let i = pending[p];
-                        let (d, a, m, l) = cells[i];
-                        let started = Instant::now();
-                        let setup = {
-                            let name: &str = &self.defenses[d].0;
-                            let _span = dd_obs::span_with("matrix.cell_setup", || {
-                                format!("defense={name} cell={i}")
-                            });
-                            self.cell_setup(d, &attackers[a], &drams[m], loads[l], memo)
-                        };
-                        let mut ready: Vec<(usize, Box<CellState>)> = Vec::new();
-                        match (setup, group_of[p]) {
-                            (Ok(mut state), None) => match self.warmup_solo(&mut state) {
-                                Ok(()) => {
-                                    state.millis += started.elapsed().as_millis() as u64;
-                                    queue.lock().expect("job queue").push(Job::Attack {
-                                        i,
-                                        state: Box::new(state),
-                                    });
-                                }
-                                Err(e) => {
-                                    finish_cell(i, Err(e), started.elapsed().as_millis() as u64)
-                                }
-                            },
-                            (Ok(mut state), Some(g)) => {
-                                state.millis += started.elapsed().as_millis() as u64;
-                                let mut slot = group_slots[g].lock().expect("group slot");
-                                slot.arrived.push((i, Box::new(state)));
-                                if slot.arrived.len() == slot.expected {
-                                    ready = std::mem::take(&mut slot.arrived);
-                                }
-                            }
-                            (Err(e), None) => {
-                                finish_cell(i, Err(e), started.elapsed().as_millis() as u64)
-                            }
-                            (Err(e), Some(g)) => {
-                                finish_cell(i, Err(e), started.elapsed().as_millis() as u64);
-                                // Shrink the group so the cells
-                                // that did set up still run.
-                                let mut slot = group_slots[g].lock().expect("group slot");
-                                slot.expected -= 1;
-                                if slot.expected > 0 && slot.arrived.len() == slot.expected {
-                                    ready = std::mem::take(&mut slot.arrived);
-                                }
-                            }
-                        }
-                        if !ready.is_empty() {
-                            // The last member to arrive warms the
-                            // whole group up in one sweep, then
-                            // returns the cells to the pool.
-                            let warm_started = Instant::now();
-                            let (idxs, mut states): (Vec<usize>, Vec<CellState>) =
-                                ready.into_iter().map(|(ci, b)| (ci, *b)).unzip();
-                            match self.warmup_group(&mut states) {
-                                Ok(()) => {
-                                    let share = (warm_started.elapsed().as_millis() as u64)
-                                        / states.len().max(1) as u64;
-                                    let mut q = queue.lock().expect("job queue");
-                                    for (ci, mut st) in idxs.into_iter().zip(states) {
-                                        st.millis += share;
-                                        q.push(Job::Attack {
-                                            i: ci,
-                                            state: Box::new(st),
-                                        });
-                                    }
-                                }
-                                Err(e) => {
-                                    let ms = warm_started.elapsed().as_millis() as u64;
-                                    for ci in idxs {
-                                        finish_cell(ci, Err(e.clone()), ms);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Job::Attack { i, state } => {
-                        let started = Instant::now();
-                        let base_ms = state.millis;
-                        let (d, _, _, _) = cells[i];
-                        let name: &str = &self.defenses[d].0;
+                    .and_then(|mut state| {
+                        self.cell_warmup(&mut state)?;
                         let _span = dd_obs::span_with("matrix.cell_attack", || {
                             format!("defense={name} cell={i}")
                         });
-                        let result = self.cell_attack(*state);
-                        finish_cell(i, result, base_ms + started.elapsed().as_millis() as u64);
+                        self.cell_attack(state)
+                    });
+                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    if let (Some(observe), Ok(cell)) = (progress, &result) {
+                        observe(&CellProgress {
+                            done: n,
+                            total,
+                            scenario: cell.scenario.clone(),
+                            cache_hit: false,
+                            millis: started.elapsed().as_millis() as u64,
+                        });
                     }
+                    *slots[i].lock().expect("cell slot") = Some(result);
                 }
             };
             std::thread::scope(|scope| {
@@ -1345,8 +1175,6 @@ impl ScenarioMatrix {
     /// attacker's search (both shared through `memo`), assemble the
     /// scratch device and its background traffic — everything up to (but
     /// excluding) the warmup windows.
-    /// The returned state is `Send`, so a sweep group can collect its
-    /// members from whichever worker threads set them up.
     fn cell_setup(
         &self,
         defense_idx: usize,
@@ -1496,81 +1324,45 @@ impl ScenarioMatrix {
             clean_accuracy: clean,
             t_rh,
             false_ops_base,
-            millis: 0,
         })
     }
 
-    /// Phase 2, solo: the two benign-only measurement windows — any
-    /// defensive operation fired here is a false positive (nothing is
-    /// under attack yet). The window protocol (rollover notification,
-    /// budget, boundary-minus-1 sampling point) is the workload driver's.
-    fn warmup_solo(&self, state: &mut CellState) -> Result<(), DramError> {
+    /// Phase 2: the two benign-only measurement windows — any defensive
+    /// operation fired here is a false positive (nothing is under attack
+    /// yet). The window protocol (rollover notification, budget,
+    /// boundary-minus-1 sampling point) is the workload driver's; after
+    /// each window the benign rows' disturbance is sampled and the clock
+    /// crosses the boundary.
+    fn cell_warmup(&self, state: &mut CellState) -> Result<(), DramError> {
+        // perfbench's per-layer ledger reads this span name.
         let _span = dd_obs::span("matrix.warmup_solo");
-        if state.traffic.is_some() {
-            for _ in 0..2 {
-                let span = {
-                    let CellState {
-                        traffic,
-                        mem,
-                        defense,
-                        ..
-                    } = state;
-                    traffic
-                        .as_mut()
-                        .expect("checked above")
-                        .drive_benign_window(mem, &mut **defense, None)?
-                };
-                state.absorb_warmup_window(span);
-            }
-        }
-        state.finish_warmup();
-        Ok(())
-    }
-
-    /// Phase 2, grouped: the same two benign-only windows, but driven
-    /// across a whole sweep group in one cross-cell kernel pass per
-    /// window ([`drive_benign_window_sweep`]). Relies on what the
-    /// scheduler's grouping guarantees — identical device configs and
-    /// clocks, background traffic present, untapped defenses — and is
-    /// bit-identical to running [`ScenarioMatrix::warmup_solo`] on every
-    /// member, which the conformance suite's grouping-invariance law
-    /// enforces.
-    fn warmup_group(&self, states: &mut [CellState]) -> Result<(), DramError> {
-        if states.len() == 1 {
-            return self.warmup_solo(&mut states[0]);
-        }
-        let cells = states.len();
-        let _span = dd_obs::span_with("matrix.warmup_group", || format!("cells={cells}"));
-        let config = states[0].dram.clone();
-        let mut sweep = CellSweep::new(&config, states.len());
+        let CellState {
+            mem,
+            defense,
+            traffic,
+            benign,
+            disturbed,
+            t_rh,
+            false_ops_base,
+            ..
+        } = state;
+        let (Some(traffic), Some(benign)) = (traffic.as_mut(), benign.as_mut()) else {
+            return Ok(());
+        };
         for _ in 0..2 {
-            let span = {
-                let mut cells: Vec<SweepCell<'_>> = states
-                    .iter_mut()
-                    .map(|s| {
-                        let CellState {
-                            mem,
-                            defense,
-                            traffic,
-                            ..
-                        } = s;
-                        SweepCell {
-                            mem,
-                            defense: &mut **defense,
-                            map: None,
-                            traffic: traffic.as_mut().expect("grouped cell has traffic"),
-                        }
-                    })
-                    .collect();
-                drive_benign_window_sweep(&mut sweep, &mut cells)?
-            };
-            for s in states.iter_mut() {
-                s.absorb_warmup_window(span);
+            let span = traffic.drive_benign_window(mem, &mut **defense, None)?;
+            benign.ops += span.ops;
+            benign.activations += span.activations;
+            for &row in traffic.universe() {
+                let d = mem.disturbance(row);
+                benign.peak_disturbance = benign.peak_disturbance.max(d);
+                if d >= *t_rh / 2 {
+                    disturbed.insert(row);
+                }
             }
+            mem.advance(Nanos(1));
         }
-        for s in states.iter_mut() {
-            s.finish_warmup();
-        }
+        benign.false_defense_ops = defense.stats().defense_ops - *false_ops_base;
         Ok(())
     }
 
@@ -1963,12 +1755,9 @@ fn f32_bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// A cell paused between its setup phase (victim training, defense
-/// deployment, attack search, device + traffic assembly) and its
-/// measurement phases (warmup, then attacked windows). States are `Send`
-/// — [`DefenseMechanism`] and the traffic's generators carry the bound —
-/// so the matrix scheduler can collect a sweep group's members from the
-/// worker threads that set them up and warm them up together.
+/// A cell between its setup phase (victim training, defense deployment,
+/// attack search, device + traffic assembly) and its measurement phases
+/// (warmup, then attacked windows).
 struct CellState {
     scenario: Scenario,
     dram: DramConfig,
@@ -1985,39 +1774,6 @@ struct CellState {
     /// Defense-op counter at the end of setup; the warmup windows'
     /// false-positive delta is measured from here.
     false_ops_base: u64,
-    /// Wall-clock milliseconds attributed to this cell so far (setup,
-    /// plus its share of a grouped warmup).
-    millis: u64,
-}
-
-impl CellState {
-    /// Absorb one warmup window's traffic into the benign report, sample
-    /// benign-row disturbance at the boundary-minus-1 instant, and cross
-    /// the window boundary — identical bookkeeping for the solo and
-    /// grouped warmup paths.
-    fn absorb_warmup_window(&mut self, span: SpanTraffic) {
-        let (Some(t), Some(b)) = (self.traffic.as_ref(), self.benign.as_mut()) else {
-            return;
-        };
-        b.ops += span.ops;
-        b.activations += span.activations;
-        for &row in t.universe() {
-            let d = self.mem.disturbance(row);
-            b.peak_disturbance = b.peak_disturbance.max(d);
-            if d >= self.t_rh / 2 {
-                self.disturbed.insert(row);
-            }
-        }
-        self.mem.advance(Nanos(1));
-    }
-
-    /// Close the warmup phase: everything the defense fired since setup
-    /// was fired with nothing under attack — false positives.
-    fn finish_warmup(&mut self) {
-        if let Some(b) = self.benign.as_mut() {
-            b.false_defense_ops = self.defense.stats().defense_ops - self.false_ops_base;
-        }
-    }
 }
 
 /// Device label used in report rows and cell seeds.
@@ -2191,13 +1947,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_grouping_is_report_invariant() {
-        // The matrix-level grouping law: a run with cross-cell sweep
-        // grouping on is byte-identical to the same run with every cell
-        // solo. The roster mixes groupable defenses with a tapped one
-        // (DNN-Defender), which the scheduler must route down the
-        // per-cell path even when grouping is on.
-        let build = |sweep: bool| {
+    fn worker_count_is_report_invariant() {
+        // The scheduler law under background load: every cell's report is
+        // byte-identical at one worker and at two. The roster mixes
+        // untapped defenses with a tapped one (DNN-Defender), so both
+        // driver flush policies run on either side.
+        let run = |threads: usize| -> Vec<String> {
             quick_matrix()
                 .budget(6)
                 .background(BackgroundLoad::Light)
@@ -2205,26 +1960,17 @@ mod tests {
                 .defense_kind(DefenseKind::Rrs)
                 .defense_kind(DefenseKind::Shadow)
                 .defense_kind(DefenseKind::DnnDefender)
-                .sweep_groups(sweep)
+                .threads(threads)
                 .run()
                 .expect("matrix")
+                .cells
+                .iter()
+                .map(|c| c.to_json().render_compact())
+                .collect()
         };
-        let grouped = build(true);
-        let solo = build(false);
-        assert_eq!(grouped.cells.len(), solo.cells.len());
-        for (g, s) in grouped.cells.iter().zip(&solo.cells) {
-            assert_eq!(g.scenario, s.scenario);
-            assert_eq!(g.clean_accuracy, s.clean_accuracy, "{}", g.scenario.defense);
-            assert_eq!(
-                g.post_attack_accuracy, s.post_attack_accuracy,
-                "{}",
-                g.scenario.defense
-            );
-            assert_eq!(g.attempts, s.attempts, "{}", g.scenario.defense);
-            assert_eq!(g.landed, s.landed, "{}", g.scenario.defense);
-            assert_eq!(g.stats, s.stats, "{}", g.scenario.defense);
-            assert_eq!(g.benign, s.benign, "{}", g.scenario.defense);
-        }
+        let one = run(1);
+        assert_eq!(one.len(), 4);
+        assert_eq!(one, run(2));
     }
 
     /// Undefended, except that its victim preparation raises one output

@@ -31,7 +31,7 @@ use dd_bench::corpus::{run_corpus_campaign, CorpusReport};
 use dd_bench::experiments::{print_artifact, ExperimentId, RunContext};
 use dd_bench::kernel::{
     run_kernel_bench, KernelBench, CHAOS_OVERHEAD_CEILING_PCT, KERNEL_SPEEDUP_FLOOR,
-    OBS_OVERHEAD_CEILING_PCT, STREAMING_RATIO_FLOOR, SWEEP_SPEEDUP_FLOOR,
+    OBS_OVERHEAD_CEILING_PCT, STREAMING_RATIO_FLOOR,
 };
 use dd_bench::report::{render_duration, splice_section, Artifact};
 use dd_bench::serve::{run_serve, run_submit, ServeOptions, SubmitOptions};
@@ -44,7 +44,6 @@ struct Options {
     force: bool,
     check: bool,
     quiet: bool,
-    sweep_cells: Option<usize>,
     artifacts_dir: PathBuf,
     commands: Vec<String>,
 }
@@ -56,9 +55,8 @@ fn usage(code: u8) -> ExitCode {
          commands:\n\
          \x20 all            run every experiment\n\
          \x20 report         regenerate the marked sections of EXPERIMENTS.md from artifacts\n\
-         \x20 kernel         benchmark the batched kernel vs the per-command reference path,\n\
-         \x20                the cross-cell sweep kernel vs N per-cell batched replays, and\n\
-         \x20                streaming v2-container replay vs the decoded-in-RAM path;\n\
+         \x20 kernel         benchmark the batched kernel vs the per-command reference path\n\
+         \x20                and streaming v2-container replay vs the decoded-in-RAM path;\n\
          \x20                write BENCH_kernel.json, and fail below any committed floor\n\
          \x20 trace          run an observed smoke scenario (matrix slice + driver run +\n\
          \x20                server session) under dd-obs; write TRACE_summary.json and a\n\
@@ -84,7 +82,6 @@ fn usage(code: u8) -> ExitCode {
          options:\n\
          \x20 --smoke              smoke-sized experiments (sets DD_QUICK=1)\n\
          \x20 --jobs <N>           cap scenario-matrix worker threads\n\
-         \x20 --sweep-cells <N>    with `kernel`: cells in the cross-cell sweep (default 12, min 2)\n\
          \x20 --force              ignore artifact and cell caches, recompute\n\
          \x20 --check              with `report`: fail instead of writing on drift\n\
          \x20 --quiet              suppress table output (summary lines only)\n\
@@ -100,7 +97,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         force: false,
         check: false,
         quiet: false,
-        sweep_cells: None,
         artifacts_dir: PathBuf::from("artifacts"),
         commands: Vec::new(),
     };
@@ -117,16 +113,6 @@ fn parse_args() -> Result<Options, ExitCode> {
                     Some(n) if n > 0 => opts.jobs = Some(n),
                     _ => {
                         eprintln!("repro: --jobs needs a positive integer");
-                        return Err(usage(1));
-                    }
-                }
-            }
-            "--sweep-cells" => {
-                let value = args.next().and_then(|v| v.parse::<usize>().ok());
-                match value {
-                    Some(n) if n >= 2 => opts.sweep_cells = Some(n),
-                    _ => {
-                        eprintln!("repro: --sweep-cells needs an integer of at least 2");
                         return Err(usage(1));
                     }
                 }
@@ -165,8 +151,8 @@ fn main() -> ExitCode {
         Err(code) => return code,
     };
     if opts.smoke {
-        // The experiment implementations scale off DD_QUICK (the same
-        // switch the legacy binaries used); set it before any threads.
+        // The experiment implementations scale off DD_QUICK; set it
+        // before any threads.
         std::env::set_var("DD_QUICK", "1");
     }
 
@@ -390,7 +376,7 @@ fn run_kernel(opts: &Options) -> Result<(), ExitCode> {
     // The floors and the overhead ceilings travel in the committed
     // artifact: prefer the target dir's copy, fall back to the repo's
     // committed one, then to the built-in defaults.
-    let (floor, sweep_floor, streaming_floor, obs_ceiling, chaos_ceiling) =
+    let (floor, streaming_floor, obs_ceiling, chaos_ceiling) =
         [path.clone(), PathBuf::from("artifacts/BENCH_kernel.json")]
             .iter()
             .find_map(|p| {
@@ -398,7 +384,6 @@ fn run_kernel(opts: &Options) -> Result<(), ExitCode> {
                 let committed = KernelBench::parse(&text).ok()?;
                 Some((
                     committed.floor,
-                    committed.sweep_floor,
                     committed.streaming_floor,
                     committed.obs_overhead_ceiling_pct,
                     committed.chaos_overhead_ceiling_pct,
@@ -406,7 +391,6 @@ fn run_kernel(opts: &Options) -> Result<(), ExitCode> {
             })
             .unwrap_or((
                 KERNEL_SPEEDUP_FLOOR,
-                SWEEP_SPEEDUP_FLOOR,
                 STREAMING_RATIO_FLOOR,
                 OBS_OVERHEAD_CEILING_PCT,
                 CHAOS_OVERHEAD_CEILING_PCT,
@@ -414,20 +398,11 @@ fn run_kernel(opts: &Options) -> Result<(), ExitCode> {
 
     let quick = dd_bench::quick_mode();
     println!(
-        "[kernel] racing the batched kernel against the per-command reference path, and \
-         the cross-cell sweep kernel against per-cell batched replays \
+        "[kernel] racing the batched kernel against the per-command reference path \
          ({} sizing; equivalence is asserted before timing)...",
         if quick { "smoke" } else { "full" }
     );
-    let bench = run_kernel_bench(
-        quick,
-        floor,
-        sweep_floor,
-        streaming_floor,
-        obs_ceiling,
-        chaos_ceiling,
-        opts.sweep_cells,
-    );
+    let bench = run_kernel_bench(quick, floor, streaming_floor, obs_ceiling, chaos_ceiling);
     if let Err(e) = std::fs::write(&path, bench.to_json().render_pretty()) {
         eprintln!("repro: cannot write {}: {e}", path.display());
         return Err(ExitCode::FAILURE);
@@ -441,29 +416,11 @@ fn run_kernel(opts: &Options) -> Result<(), ExitCode> {
         bench.floor,
         path.display(),
     );
-    println!(
-        "[kernel] {} cells: per-cell batch {:.1}M cmd/s vs sweep {:.1}M cmd/s -> {:.2}x \
-         matrix-throughput speedup (floor {:.2}x)",
-        bench.sweep_cells,
-        bench.cell_batch.commands_per_sec / 1e6,
-        bench.sweep.commands_per_sec / 1e6,
-        bench.sweep_speedup,
-        bench.sweep_floor,
-    );
     if bench.speedup < bench.floor {
         eprintln!(
             "repro: kernel speedup {:.2}x regressed below the committed floor {:.2}x — \
              the batched fast path lost its advantage (see docs/perf.md)",
             bench.speedup, bench.floor
-        );
-        return Err(ExitCode::FAILURE);
-    }
-    if bench.sweep_speedup < bench.sweep_floor {
-        eprintln!(
-            "repro: cross-cell sweep speedup {:.2}x regressed below the committed floor \
-             {:.2}x — the sweep kernel lost its advantage over per-cell replay \
-             (see docs/perf.md)",
-            bench.sweep_speedup, bench.sweep_floor
         );
         return Err(ExitCode::FAILURE);
     }
@@ -484,40 +441,29 @@ fn run_kernel(opts: &Options) -> Result<(), ExitCode> {
         return Err(ExitCode::FAILURE);
     }
     println!(
-        "[kernel] dd-obs overhead: batch {:+.2}% / sweep {:+.2}% with recording enabled \
-         (ceiling {:.2}%)",
-        bench.obs_overhead_batch_pct, bench.obs_overhead_sweep_pct, bench.obs_overhead_ceiling_pct,
+        "[kernel] dd-obs overhead: batch {:+.2}% with recording enabled (ceiling {:.2}%)",
+        bench.obs_overhead_batch_pct, bench.obs_overhead_ceiling_pct,
     );
-    if bench.obs_overhead_batch_pct > bench.obs_overhead_ceiling_pct
-        || bench.obs_overhead_sweep_pct > bench.obs_overhead_ceiling_pct
-    {
+    if bench.obs_overhead_batch_pct > bench.obs_overhead_ceiling_pct {
         eprintln!(
-            "repro: dd-obs instrumentation overhead (batch {:+.2}%, sweep {:+.2}%) exceeds \
-             the committed ceiling {:.2}% — the disabled-sink fast path is no longer cheap \
-             enough on a kernel hot loop (see docs/observability.md)",
-            bench.obs_overhead_batch_pct,
-            bench.obs_overhead_sweep_pct,
-            bench.obs_overhead_ceiling_pct,
+            "repro: dd-obs instrumentation overhead (batch {:+.2}%) exceeds the committed \
+             ceiling {:.2}% — the disabled-sink fast path is no longer cheap enough on a \
+             kernel hot loop (see docs/observability.md)",
+            bench.obs_overhead_batch_pct, bench.obs_overhead_ceiling_pct,
         );
         return Err(ExitCode::FAILURE);
     }
     println!(
-        "[kernel] dd-chaos fault-plane overhead: batch {:+.2}% / sweep {:+.2}% with an \
-         armed inert plan (ceiling {:.2}%)",
-        bench.chaos_overhead_batch_pct,
-        bench.chaos_overhead_sweep_pct,
-        bench.chaos_overhead_ceiling_pct,
+        "[kernel] dd-chaos fault-plane overhead: batch {:+.2}% with an armed inert plan \
+         (ceiling {:.2}%)",
+        bench.chaos_overhead_batch_pct, bench.chaos_overhead_ceiling_pct,
     );
-    if bench.chaos_overhead_batch_pct > bench.chaos_overhead_ceiling_pct
-        || bench.chaos_overhead_sweep_pct > bench.chaos_overhead_ceiling_pct
-    {
+    if bench.chaos_overhead_batch_pct > bench.chaos_overhead_ceiling_pct {
         eprintln!(
-            "repro: dd-chaos fault-plane overhead (batch {:+.2}%, sweep {:+.2}%) exceeds \
-             the committed ceiling {:.2}% — the fault-injection probes are no longer cheap \
-             enough on a kernel hot loop (see docs/resilience.md)",
-            bench.chaos_overhead_batch_pct,
-            bench.chaos_overhead_sweep_pct,
-            bench.chaos_overhead_ceiling_pct,
+            "repro: dd-chaos fault-plane overhead (batch {:+.2}%) exceeds the committed \
+             ceiling {:.2}% — the fault-injection probes are no longer cheap enough on a \
+             kernel hot loop (see docs/resilience.md)",
+            bench.chaos_overhead_batch_pct, bench.chaos_overhead_ceiling_pct,
         );
         return Err(ExitCode::FAILURE);
     }

@@ -1,9 +1,7 @@
 //! Every figure/table of the paper as a reusable experiment function.
 //!
-//! This module is the single implementation behind both entry points:
-//! the `repro` CLI (cached, artifact-writing, docs-regenerating) and the
-//! eight legacy thin-wrapper binaries (`fig1a` … `power`), which just
-//! call [`run_standalone`]. Each experiment:
+//! This module is the single implementation behind the `repro` CLI
+//! (cached, artifact-writing, docs-regenerating). Each experiment:
 //!
 //! * derives a cheap [content hash](ExperimentId::config_hash) of its
 //!   full configuration *without running anything*, so the pipeline can
@@ -39,7 +37,7 @@ use dnn_defender::{
 };
 
 use crate::report::{Artifact, TableArtifact, ARTIFACT_SCHEMA_VERSION};
-use crate::{pct, prepare_victim, print_table, quick_mode, DatasetKind, Victim};
+use crate::{pct, prepare_victim, print_table, DatasetKind, Victim};
 
 /// Version of the experiment *bodies*: the seeds and constants baked
 /// into the implementations rather than declared as parameters (fig1b's
@@ -277,7 +275,7 @@ impl ExperimentId {
 
 /// Shared state of one pipeline invocation.
 pub struct RunContext<'a> {
-    /// Quick (smoke) scaling — mirrors [`quick_mode`].
+    /// Quick (smoke) scaling — mirrors [`crate::quick_mode`].
     pub quick: bool,
     /// Worker-thread cap for scenario-matrix cells (`None` = one per
     /// core).
@@ -287,18 +285,6 @@ pub struct RunContext<'a> {
     pub cells: &'a mut HashMap<u64, CellReport>,
     /// Print per-cell progress lines while matrices run.
     pub verbose: bool,
-}
-
-impl RunContext<'_> {
-    /// A context with current env scaling and no cache.
-    pub fn ephemeral(cells: &mut HashMap<u64, CellReport>) -> RunContext<'_> {
-        RunContext {
-            quick: quick_mode(),
-            jobs: None,
-            cells,
-            verbose: true,
-        }
-    }
 }
 
 fn blank_artifact(id: ExperimentId, config_hash: u64, seed: u64, quick: bool) -> Artifact {
@@ -320,7 +306,7 @@ fn blank_artifact(id: ExperimentId, config_hash: u64, seed: u64, quick: bool) ->
     }
 }
 
-/// Print an artifact's tables and notes the way the legacy binaries did.
+/// Print an artifact's tables and notes.
 pub fn print_artifact(artifact: &Artifact) {
     for table in &artifact.tables {
         let headers: Vec<&str> = table.headers.iter().map(String::as_str).collect();
@@ -328,20 +314,6 @@ pub fn print_artifact(artifact: &Artifact) {
     }
     for note in &artifact.notes {
         println!("\n{note}");
-    }
-}
-
-/// Run one experiment with no on-disk cache and print it — the body of
-/// the eight legacy figure/table binaries.
-pub fn run_standalone(id: ExperimentId) {
-    let mut cells = HashMap::new();
-    let mut ctx = RunContext::ephemeral(&mut cells);
-    match id.run(&mut ctx) {
-        Ok(artifact) => print_artifact(&artifact),
-        Err(e) => {
-            eprintln!("{}: {e:?}", id.name());
-            std::process::exit(1);
-        }
     }
 }
 

@@ -1,60 +1,44 @@
 //! The `kernel` perf benchmark: the batched simulation fast path
 //! ([`MemoryController::issue_batch`]) raced against the per-command
-//! reference path over one fixed seeded trace, and the cross-cell sweep
-//! kernel ([`CellSweep`]) raced against N per-cell batched replays of
-//! the same trace — with every end state asserted bit-identical before
-//! any timing is reported.
+//! reference path over one fixed seeded trace, with every end state
+//! asserted bit-identical before any timing is reported.
 //!
 //! `repro kernel` runs it and writes `artifacts/BENCH_kernel.json`
-//! (schema v5): both single-cell paths' commands/sec plus their ratio,
-//! the N-cell matrix throughput (total commands across cells per
-//! wall second) of the sweep kernel against the per-cell batched
-//! baseline, the *streaming* replay path — the same trace replayed
-//! straight off a v2 chunked container through
-//! [`StreamingTraceReader`], decode and issue interleaved chunk by
-//! chunk, gated as a ratio of the pre-materialized batched path — the
-//! `dd-obs` recording overhead — both timed fast paths replayed with
-//! the sink enabled, as a percentage over the disabled baseline — and
-//! the `dd-chaos` fault-plane overhead, the same two paths replayed
-//! with an armed-but-inert chaos plan (every `kernel.chunk_stall`
-//! probe consulted, nothing ever fires) over the disarmed baseline.
-//! The committed artifact carries a `floor`, a `sweep_floor`, a
+//! (schema v6): both paths' commands/sec plus their ratio, the
+//! *streaming* replay path — the same trace replayed straight off a v2
+//! chunked container through [`StreamingTraceReader`], decode and issue
+//! interleaved chunk by chunk, gated as a ratio of the pre-materialized
+//! batched path — the `dd-obs` recording overhead — the batched path
+//! replayed with the sink enabled, as a percentage over the disabled
+//! baseline — and the `dd-chaos` fault-plane overhead, the batched path
+//! replayed with an armed-but-inert chaos plan (every
+//! `kernel.chunk_stall` probe consulted, nothing ever fires) over the
+//! disarmed baseline. The committed artifact carries a `floor`, a
 //! `streaming_floor`, an `obs_overhead_ceiling_pct`, and a
 //! `chaos_overhead_ceiling_pct`; a rerun whose measured speedup falls
 //! below a floor, or whose overhead rises above a ceiling, exits
-//! non-zero — the CI perf-regression gate (the floors are deliberately
-//! well under the ≥3×/≥4× targets so CI noise cannot flake them). See
+//! non-zero — the CI perf-regression gate (the floor is deliberately
+//! well under the ≥3× target so CI noise cannot flake it). See
 //! `docs/perf.md`, `docs/observability.md`, and `docs/resilience.md`
 //! for how to read the numbers.
 
 use std::io::Cursor;
 use std::time::Instant;
 
-use dd_dram::{
-    BatchOpKind, CellSweep, DecodedBatch, DramConfig, GlobalRowId, MemoryController, Nanos,
-    TraceMode,
-};
+use dd_dram::{DecodedBatch, DramConfig, GlobalRowId, MemoryController, TraceMode};
 use dd_workload::{
-    all_data_rows, encode_v2, OpKind, StreamingScan, StreamingTraceReader, WorkloadGenerator,
-    WorkloadOp, ZipfianServing,
+    all_data_rows, batch_op_kind, encode_v2, OpKind, StreamingScan, StreamingTraceReader,
+    WorkloadGenerator, WorkloadOp, ZipfianServing,
 };
 use dnn_defender::{Json, JsonError};
 
 /// Schema version of `BENCH_kernel.json`.
-pub const KERNEL_BENCH_SCHEMA_VERSION: u64 = 5;
+pub const KERNEL_BENCH_SCHEMA_VERSION: u64 = 6;
 
 /// Default speedup floor when no committed artifact provides one: the
 /// regression gate trips below this batch/reference ratio. Generously
 /// below the ≥3× target so shared-CI timing noise cannot flake the gate.
 pub const KERNEL_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// Default cross-cell floor: the gate trips when the sweep kernel's
-/// matrix throughput falls below this multiple of the per-cell batched
-/// baseline. Generously below the ≥4× target for the same reason.
-pub const SWEEP_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// Default cell count for the cross-cell sweep measurement.
-pub const SWEEP_CELLS_DEFAULT: usize = 12;
 
 /// Default floor on streaming-replay throughput as a fraction of the
 /// pre-materialized batched path. Streaming interleaves chunk decode
@@ -66,14 +50,14 @@ pub const SWEEP_CELLS_DEFAULT: usize = 12;
 pub const STREAMING_RATIO_FLOOR: f64 = 0.5;
 
 /// Default ceiling on the `dd-obs` recording overhead, in percent over
-/// the disabled baseline on either kernel fast path. The probes are
+/// the disabled baseline on the batched path. The probes are
 /// amortized per chunk (never per command), so real overhead sits well
 /// under 1%; 3% leaves room for shared-CI timing noise without letting a
 /// per-op probe regression slip through.
 pub const OBS_OVERHEAD_CEILING_PCT: f64 = 3.0;
 
 /// Default ceiling on the `dd-chaos` fault-plane overhead, in percent
-/// over the disarmed baseline on either kernel fast path. The measured
+/// over the disarmed baseline on the batched path. The measured
 /// configuration is the *worst* benign case — a plan armed for the
 /// whole replay so every `kernel.chunk_stall` probe pays the full
 /// hash-and-lookup check (the disarmed path is a single relaxed atomic
@@ -96,8 +80,6 @@ pub struct KernelParams {
     /// Timed repetitions per path (best run wins, to shed scheduler
     /// noise).
     pub rounds: usize,
-    /// Cells in the cross-cell sweep measurement.
-    pub sweep_cells: usize,
 }
 
 impl KernelParams {
@@ -109,7 +91,6 @@ impl KernelParams {
             seed: 20240606,
             chunk: 512,
             rounds: if quick { 2 } else { 3 },
-            sweep_cells: SWEEP_CELLS_DEFAULT,
         }
     }
 }
@@ -142,9 +123,9 @@ impl PathMeasure {
     }
 }
 
-/// The `BENCH_kernel.json` payload: both single-cell paths and their
-/// ratio, the cross-cell sweep measurement and its ratio, and the
-/// committed regression floors.
+/// The `BENCH_kernel.json` payload: both paths and their ratio, the
+/// streaming replay and its ratio, the overhead measurements, and the
+/// committed regression floors and ceilings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelBench {
     /// Schema version ([`KERNEL_BENCH_SCHEMA_VERSION`]).
@@ -167,19 +148,6 @@ pub struct KernelBench {
     pub speedup: f64,
     /// The regression gate: a rerun measuring below this fails.
     pub floor: f64,
-    /// Cells in the cross-cell measurement (`commands` in the two
-    /// measures below are totals across all of them).
-    pub sweep_cells: u64,
-    /// N per-cell batched replays, one device at a time (the matrix
-    /// scheduler's fallback path).
-    pub cell_batch: PathMeasure,
-    /// The same N cells through one [`CellSweep`] session.
-    pub sweep: PathMeasure,
-    /// `sweep.commands_per_sec / cell_batch.commands_per_sec` — the
-    /// matrix-throughput gain of decoding and replaying once.
-    pub sweep_speedup: f64,
-    /// The cross-cell regression gate.
-    pub sweep_floor: f64,
     /// The streaming replay path: the same trace replayed straight off
     /// a v2 chunked container, decode interleaved with issue.
     pub streaming: PathMeasure,
@@ -194,18 +162,13 @@ pub struct KernelBench {
     /// alternating enabled/disabled run pairs of the enabled-over-
     /// disabled wall-time ratio, in percent (negative = noise).
     pub obs_overhead_batch_pct: f64,
-    /// Recording overhead on the cross-cell sweep path, same definition.
-    pub obs_overhead_sweep_pct: f64,
-    /// The overhead gate: a rerun measuring above this on either path
-    /// fails ([`OBS_OVERHEAD_CEILING_PCT`] when no artifact provides one).
+    /// The overhead gate: a rerun measuring above this fails
+    /// ([`OBS_OVERHEAD_CEILING_PCT`] when no artifact provides one).
     pub obs_overhead_ceiling_pct: f64,
     /// Fault-plane overhead on the batched path: armed-but-inert chaos
     /// plan over the disarmed baseline, same paired-median estimator as
     /// the `dd-obs` measurement (negative = noise).
     pub chaos_overhead_batch_pct: f64,
-    /// Fault-plane overhead on the cross-cell sweep path, same
-    /// definition.
-    pub chaos_overhead_sweep_pct: f64,
     /// The fault-plane overhead gate ([`CHAOS_OVERHEAD_CEILING_PCT`]
     /// when no artifact provides one).
     pub chaos_overhead_ceiling_pct: f64,
@@ -226,11 +189,6 @@ impl KernelBench {
             .with("batch", self.batch.to_json())
             .with("speedup", Json::num(self.speedup))
             .with("floor", Json::num(self.floor))
-            .with("sweep_cells", Json::uint(self.sweep_cells))
-            .with("cell_batch", self.cell_batch.to_json())
-            .with("sweep", self.sweep.to_json())
-            .with("sweep_speedup", Json::num(self.sweep_speedup))
-            .with("sweep_floor", Json::num(self.sweep_floor))
             .with("streaming", self.streaming.to_json())
             .with("streaming_ratio", Json::num(self.streaming_ratio))
             .with("streaming_floor", Json::num(self.streaming_floor))
@@ -239,20 +197,12 @@ impl KernelBench {
                 Json::num(self.obs_overhead_batch_pct),
             )
             .with(
-                "obs_overhead_sweep_pct",
-                Json::num(self.obs_overhead_sweep_pct),
-            )
-            .with(
                 "obs_overhead_ceiling_pct",
                 Json::num(self.obs_overhead_ceiling_pct),
             )
             .with(
                 "chaos_overhead_batch_pct",
                 Json::num(self.chaos_overhead_batch_pct),
-            )
-            .with(
-                "chaos_overhead_sweep_pct",
-                Json::num(self.chaos_overhead_sweep_pct),
             )
             .with(
                 "chaos_overhead_ceiling_pct",
@@ -288,19 +238,12 @@ impl KernelBench {
             batch: PathMeasure::from_json(json.field("batch")?)?,
             speedup: json.field_f64("speedup")?,
             floor: json.field_f64("floor")?,
-            sweep_cells: json.field_u64("sweep_cells")?,
-            cell_batch: PathMeasure::from_json(json.field("cell_batch")?)?,
-            sweep: PathMeasure::from_json(json.field("sweep")?)?,
-            sweep_speedup: json.field_f64("sweep_speedup")?,
-            sweep_floor: json.field_f64("sweep_floor")?,
             streaming: PathMeasure::from_json(json.field("streaming")?)?,
             streaming_ratio: json.field_f64("streaming_ratio")?,
             streaming_floor: json.field_f64("streaming_floor")?,
             obs_overhead_batch_pct: json.field_f64("obs_overhead_batch_pct")?,
-            obs_overhead_sweep_pct: json.field_f64("obs_overhead_sweep_pct")?,
             obs_overhead_ceiling_pct: json.field_f64("obs_overhead_ceiling_pct")?,
             chaos_overhead_batch_pct: json.field_f64("chaos_overhead_batch_pct")?,
-            chaos_overhead_sweep_pct: json.field_f64("chaos_overhead_sweep_pct")?,
             chaos_overhead_ceiling_pct: json.field_f64("chaos_overhead_ceiling_pct")?,
         })
     }
@@ -376,13 +319,9 @@ fn run_batched(
     let mut mem = counters_only_device(config);
     let mut kernel = DecodedBatch::new(config);
     for piece in ops.chunks(chunk.max(1)) {
-        for op in piece {
-            let kind = match op.kind {
-                OpKind::Read => BatchOpKind::Read,
-                OpKind::Write => BatchOpKind::Write(dd_workload::tenant_fill(op.row.row)),
-            };
+        for &op in piece {
             kernel
-                .push(op.row, kind, batch_factor - 1, None)
+                .push(op.row, batch_op_kind(op), batch_factor - 1, None)
                 .expect("trace rows are valid");
         }
         mem.issue_batch(&mut kernel).expect("matching geometry");
@@ -406,118 +345,14 @@ fn run_streaming(config: &DramConfig, bytes: &[u8], batch_factor: u64) -> Memory
         .next_chunk(&mut chunk)
         .expect("bench container is valid")
     {
-        for op in &chunk {
-            let kind = match op.kind {
-                OpKind::Read => BatchOpKind::Read,
-                OpKind::Write => BatchOpKind::Write(dd_workload::tenant_fill(op.row.row)),
-            };
+        for &op in &chunk {
             kernel
-                .push(op.row, kind, batch_factor - 1, None)
+                .push(op.row, batch_op_kind(op), batch_factor - 1, None)
                 .expect("trace rows are valid");
         }
         mem.issue_batch(&mut kernel).expect("matching geometry");
     }
     mem
-}
-
-/// Give cell `i` of a sweep roster a distinct pre-existing counter
-/// state (the matrix's cells never start identical: each defense has
-/// hammered and relocated differently by warmup), then both cross-cell
-/// paths start from the same staggered baseline.
-fn pre_seed(mem: &mut MemoryController, config: &DramConfig, cell: usize) {
-    let rows = all_data_rows(config);
-    for j in 0..=cell {
-        let row = rows[(j * 97 + cell * 13) % rows.len()];
-        mem.hammer(row, 40 * (j as u64 + 1) + cell as u64)
-            .expect("seed rows are valid");
-    }
-}
-
-/// Build an N-cell roster with staggered counter states on a shared
-/// clock (the sweep session requires lockstep cells).
-fn sweep_roster(config: &DramConfig, cells: usize) -> Vec<MemoryController> {
-    let mut mems: Vec<MemoryController> = (0..cells)
-        .map(|i| {
-            let mut mem = counters_only_device(config);
-            pre_seed(&mut mem, config, i);
-            mem
-        })
-        .collect();
-    let latest = mems
-        .iter()
-        .map(|m| m.now())
-        .max()
-        .expect("roster not empty");
-    for mem in &mut mems {
-        let dt = latest - mem.now();
-        if dt > Nanos(0) {
-            mem.advance(dt);
-        }
-    }
-    mems
-}
-
-/// Replay the trace into every cell one at a time through the batched
-/// kernel — the matrix scheduler's per-cell fallback, and the baseline
-/// the sweep kernel is measured against.
-fn run_cells_batched(
-    config: &DramConfig,
-    ops: &[WorkloadOp],
-    batch_factor: u64,
-    chunk: usize,
-    cells: usize,
-) -> Vec<MemoryController> {
-    let mut mems = sweep_roster(config, cells);
-    let mut kernel = DecodedBatch::new(config);
-    for mem in &mut mems {
-        for piece in ops.chunks(chunk.max(1)) {
-            for op in piece {
-                let kind = match op.kind {
-                    OpKind::Read => BatchOpKind::Read,
-                    OpKind::Write => BatchOpKind::Write(dd_workload::tenant_fill(op.row.row)),
-                };
-                kernel
-                    .push(op.row, kind, batch_factor - 1, None)
-                    .expect("trace rows are valid");
-            }
-            mem.issue_batch(&mut kernel).expect("matching geometry");
-        }
-    }
-    mems
-}
-
-/// Replay the trace once against all N cells through the cross-cell
-/// sweep kernel: decode each chunk once, one [`CellSweep::issue`] pass
-/// per chunk, counters resolved at [`CellSweep::finish`].
-fn run_swept(
-    config: &DramConfig,
-    ops: &[WorkloadOp],
-    batch_factor: u64,
-    chunk: usize,
-    cells: usize,
-) -> Vec<MemoryController> {
-    let mut mems = sweep_roster(config, cells);
-    let mut sweep = CellSweep::new(config, cells);
-    let mut kernel = DecodedBatch::new(config);
-    {
-        let mut refs: Vec<&mut MemoryController> = mems.iter_mut().collect();
-        for piece in ops.chunks(chunk.max(1)) {
-            for op in piece {
-                let kind = match op.kind {
-                    OpKind::Read => BatchOpKind::Read,
-                    OpKind::Write => BatchOpKind::Write(dd_workload::tenant_fill(op.row.row)),
-                };
-                kernel
-                    .push(op.row, kind, batch_factor - 1, None)
-                    .expect("trace rows are valid");
-            }
-            sweep
-                .issue(&mut refs, &mut kernel)
-                .expect("lockstep roster");
-        }
-        sweep.finish(&mut refs).expect("session settles");
-    }
-    mems
 }
 
 /// Assert the two paths produced the identical device end state — the
@@ -547,41 +382,26 @@ fn assert_equivalent(fast: &MemoryController, reference: &MemoryController, trac
     }
 }
 
-/// Run the benchmark: time both single-cell paths, both cross-cell
-/// paths, and the streaming-container replay over the shared trace
-/// (best of [`KernelParams::rounds`]), verify equivalence, replay both
-/// fast paths with `dd-obs` recording enabled to measure the
-/// instrumentation overhead, replay them again with an armed-but-inert
-/// `dd-chaos` plan to measure the fault-plane overhead, and assemble
-/// the artifact with the given regression floors and overhead
-/// ceilings. `sweep_cells` overrides the cross-cell roster size
-/// ([`SWEEP_CELLS_DEFAULT`]); callers must pass at least 2.
+/// Run the benchmark: time both paths and the streaming-container
+/// replay over the shared trace (best of [`KernelParams::rounds`]),
+/// verify equivalence, replay the batched path with `dd-obs` recording
+/// enabled to measure the instrumentation overhead, replay it again
+/// with an armed-but-inert `dd-chaos` plan to measure the fault-plane
+/// overhead, and assemble the artifact with the given regression floors
+/// and overhead ceilings.
 pub fn run_kernel_bench(
     quick: bool,
     floor: f64,
-    sweep_floor: f64,
     streaming_floor: f64,
     obs_ceiling: f64,
     chaos_ceiling: f64,
-    sweep_cells: Option<usize>,
 ) -> KernelBench {
-    let mut p = KernelParams::new(quick);
-    if let Some(n) = sweep_cells {
-        assert!(n >= 2, "a sweep needs at least 2 cells");
-        p.sweep_cells = n;
-    }
+    let p = KernelParams::new(quick);
     let config = DramConfig::lpddr4_small();
     let trace = kernel_trace(&config, p.ops, p.seed);
-    // The cross-cell measurement replays a shorter trace (its baseline
-    // costs N single-cell replays per round), but never so short that
-    // the fixed per-round costs both paths share — building the N-cell
-    // roster, resolving counters at finish — drown the per-op advantage
-    // the floor is gating. 120k ops keeps smoke mode honest.
-    let sweep_trace = &trace[..(p.ops / 4).max(120_000).min(p.ops)];
 
-    // Warm-up + equivalence checks (untimed). Single-cell batched vs
-    // per-command reference first, then every sweep cell against its
-    // per-cell batched twin.
+    // Warm-up + equivalence check (untimed): batched vs per-command
+    // reference.
     let warm_fast = run_batched(&config, &trace, p.batch_factor, p.chunk);
     let warm_ref = run_reference(&config, &trace, p.batch_factor);
     assert_equivalent(&warm_fast, &warm_ref, &trace);
@@ -594,20 +414,9 @@ pub fn run_kernel_bench(
     let warm_streaming = run_streaming(&config, &container, p.batch_factor);
     assert_equivalent(&warm_streaming, &warm_ref, &trace);
 
-    let warm_swept = run_swept(&config, sweep_trace, p.batch_factor, p.chunk, p.sweep_cells);
-    let warm_cells =
-        run_cells_batched(&config, sweep_trace, p.batch_factor, p.chunk, p.sweep_cells);
-    let mut sweep_commands = 0u64;
-    for (swept, cell) in warm_swept.iter().zip(&warm_cells) {
-        assert_equivalent(swept, cell, sweep_trace);
-        sweep_commands += total_commands(cell);
-    }
-
     let mut best_ref = u128::MAX;
     let mut best_fast = u128::MAX;
     let mut best_streaming = u128::MAX;
-    let mut best_cells = u128::MAX;
-    let mut best_swept = u128::MAX;
     for _ in 0..p.rounds.max(1) {
         let started = Instant::now();
         let mem = run_reference(&config, &trace, p.batch_factor);
@@ -623,33 +432,20 @@ pub fn run_kernel_bench(
         let mem = run_streaming(&config, &container, p.batch_factor);
         best_streaming = best_streaming.min(started.elapsed().as_micros().max(1));
         std::hint::black_box(mem.stats());
-
-        let started = Instant::now();
-        let mems = run_cells_batched(&config, sweep_trace, p.batch_factor, p.chunk, p.sweep_cells);
-        best_cells = best_cells.min(started.elapsed().as_micros().max(1));
-        std::hint::black_box(mems.len());
-
-        let started = Instant::now();
-        let mems = run_swept(&config, sweep_trace, p.batch_factor, p.chunk, p.sweep_cells);
-        best_swept = best_swept.min(started.elapsed().as_micros().max(1));
-        std::hint::black_box(mems.len());
     }
 
-    // Overhead measurement: the same timed fast paths with the
+    // Overhead measurement: the same timed batched path with the
     // recording sink enabled, paired with disabled-sink twins in the
     // same loop so both sides see near-identical cache and frequency
-    // conditions (comparing against `best_fast`/`best_swept` from the
-    // speedup loop above would bias the ratio — the machine is warmer
-    // here and the reference replays no longer thrash the cache between
-    // rounds). Each enabled run holds an exclusive session — concurrent
-    // tests can't race the global flag — and rings are drained untimed
-    // at finish, so a long bench never hits ring overflow and every
-    // round pays the same per-chunk recording cost the real experiments
-    // would.
+    // conditions (comparing against `best_fast` from the speedup loop
+    // above would bias the ratio — the machine is warmer here and the
+    // reference replays no longer thrash the cache between rounds).
+    // Each enabled run holds an exclusive session — concurrent tests
+    // can't race the global flag — and rings are drained untimed at
+    // finish, so a long bench never hits ring overflow and every round
+    // pays the same per-chunk recording cost the real experiments would.
     let mut fast_ratios = Vec::new();
-    let mut swept_ratios = Vec::new();
     let mut chaos_fast_ratios = Vec::new();
-    let mut chaos_swept_ratios = Vec::new();
     // One smoke replay is preemption-slice sized (~10ms — one scheduler
     // slice can eat 30% of a sample), so each timed sample aggregates
     // enough back-to-back replays to span ~25ms: long enough to average
@@ -659,7 +455,6 @@ pub fn run_kernel_bench(
     // sizing get the same statistical treatment.
     let target_sample_micros: u128 = 25_000;
     let reps_fast = (target_sample_micros / best_fast).clamp(1, 16) as usize;
-    let reps_swept = (target_sample_micros / best_swept).clamp(1, 16) as usize;
     let time_fast = |enabled: bool| {
         let session = enabled.then(dd_obs::session);
         let started = Instant::now();
@@ -673,21 +468,8 @@ pub fn run_kernel_bench(
         }
         micros
     };
-    let time_swept = |enabled: bool| {
-        let session = enabled.then(dd_obs::session);
-        let started = Instant::now();
-        for _ in 0..reps_swept {
-            let mems = run_swept(&config, sweep_trace, p.batch_factor, p.chunk, p.sweep_cells);
-            std::hint::black_box(mems.len());
-        }
-        let micros = started.elapsed().as_micros().max(1);
-        if let Some(session) = session {
-            let _ = session.finish();
-        }
-        micros
-    };
-    // The fault-plane twins: the same timed fast paths with a chaos plan
-    // armed for the whole sample. The plan is *inert* — it names no
+    // The fault-plane twin: the same timed batched path with a chaos
+    // plan armed for the whole sample. The plan is *inert* — it names no
     // rules, so no fault ever fires and the replay stays bit-identical —
     // but arming it forces every `kernel.chunk_stall` probe down the
     // armed slow path (site hash + rule lookup + check counting), which
@@ -699,19 +481,6 @@ pub fn run_kernel_bench(
         for _ in 0..reps_fast {
             let mem = run_batched(&config, &trace, p.batch_factor, p.chunk);
             std::hint::black_box(mem.stats());
-        }
-        let micros = started.elapsed().as_micros().max(1);
-        if let Some(session) = session {
-            let _ = session.finish();
-        }
-        micros
-    };
-    let time_swept_chaos = |armed: bool| {
-        let session = armed.then(|| dd_chaos::arm(dd_chaos::ChaosPlan::inert(p.seed)));
-        let started = Instant::now();
-        for _ in 0..reps_swept {
-            let mems = run_swept(&config, sweep_trace, p.batch_factor, p.chunk, p.sweep_cells);
-            std::hint::black_box(mems.len());
         }
         let micros = started.elapsed().as_micros().max(1);
         if let Some(session) = session {
@@ -749,32 +518,22 @@ pub fn run_kernel_bench(
     };
     let overhead_pct = |ratio: f64| ((ratio - 1.0) * 10_000.0).round() / 100.0;
     collect_pairs(24, &time_fast, &mut fast_ratios);
-    collect_pairs(24, &time_swept, &mut swept_ratios);
     // Adaptive confirmation: the true recording cost is well under 1%,
     // so a first-round median anywhere near the ceiling is far more
     // likely an unlucky stretch of machine noise than a regression.
     // Pool three times the pairs before believing it — a real per-op
     // probe regression (the failure mode this gate exists for) is a
     // 10x-100x slowdown and survives any amount of pooling.
-    if overhead_pct(median(&fast_ratios)) > obs_ceiling / 2.0
-        || overhead_pct(median(&swept_ratios)) > obs_ceiling / 2.0
-    {
+    if overhead_pct(median(&fast_ratios)) > obs_ceiling / 2.0 {
         collect_pairs(72, &time_fast, &mut fast_ratios);
-        collect_pairs(72, &time_swept, &mut swept_ratios);
     }
     collect_pairs(24, &time_fast_chaos, &mut chaos_fast_ratios);
-    collect_pairs(24, &time_swept_chaos, &mut chaos_swept_ratios);
-    if overhead_pct(median(&chaos_fast_ratios)) > chaos_ceiling / 2.0
-        || overhead_pct(median(&chaos_swept_ratios)) > chaos_ceiling / 2.0
-    {
+    if overhead_pct(median(&chaos_fast_ratios)) > chaos_ceiling / 2.0 {
         collect_pairs(72, &time_fast_chaos, &mut chaos_fast_ratios);
-        collect_pairs(72, &time_swept_chaos, &mut chaos_swept_ratios);
     }
     if std::env::var_os("DD_KERNEL_DEBUG").is_some() {
         eprintln!("fast_ratios: {fast_ratios:.4?}");
-        eprintln!("swept_ratios: {swept_ratios:.4?}");
         eprintln!("chaos_fast_ratios: {chaos_fast_ratios:.4?}");
-        eprintln!("chaos_swept_ratios: {chaos_swept_ratios:.4?}");
     }
 
     let cps = |total: u64, micros: u128| total as f64 / (micros as f64 / 1e6);
@@ -795,19 +554,12 @@ pub fn run_kernel_bench(
         batch: measure(commands, best_fast),
         speedup: ratio(best_ref, best_fast),
         floor,
-        sweep_cells: p.sweep_cells as u64,
-        cell_batch: measure(sweep_commands, best_cells),
-        sweep: measure(sweep_commands, best_swept),
-        sweep_speedup: ratio(best_cells, best_swept),
-        sweep_floor,
         streaming: measure(commands, best_streaming),
         streaming_ratio: ratio(best_fast, best_streaming),
         streaming_floor,
         obs_overhead_batch_pct: overhead_pct(median(&fast_ratios)),
-        obs_overhead_sweep_pct: overhead_pct(median(&swept_ratios)),
         obs_overhead_ceiling_pct: obs_ceiling,
         chaos_overhead_batch_pct: overhead_pct(median(&chaos_fast_ratios)),
-        chaos_overhead_sweep_pct: overhead_pct(median(&chaos_swept_ratios)),
         chaos_overhead_ceiling_pct: chaos_ceiling,
     }
 }
@@ -847,21 +599,6 @@ mod tests {
         assert_equivalent(&streaming, &batched, &trace);
     }
 
-    #[test]
-    fn sweep_paths_agree_on_small_rosters() {
-        let config = DramConfig::lpddr4_small();
-        let trace = kernel_trace(&config, 1_500, 23);
-        let swept = run_swept(&config, &trace, 16, 128, 5);
-        let cells = run_cells_batched(&config, &trace, 16, 128, 5);
-        assert_eq!(swept.len(), 5);
-        for (fast, reference) in swept.iter().zip(&cells) {
-            assert_equivalent(fast, reference, &trace);
-        }
-        // The staggered pre-seed must actually stagger, or the N-cell
-        // measurement degenerates into one cell copied N times.
-        assert_ne!(cells[0].stats(), cells[4].stats());
-    }
-
     fn sample_bench() -> KernelBench {
         KernelBench {
             schema_version: KERNEL_BENCH_SCHEMA_VERSION,
@@ -882,19 +619,6 @@ mod tests {
             },
             speedup: 5.0,
             floor: KERNEL_SPEEDUP_FLOOR,
-            sweep_cells: 8,
-            cell_batch: PathMeasure {
-                wall_millis: 100,
-                commands: 7_920_000,
-                commands_per_sec: 79_200_000.0,
-            },
-            sweep: PathMeasure {
-                wall_millis: 20,
-                commands: 7_920_000,
-                commands_per_sec: 396_000_000.0,
-            },
-            sweep_speedup: 5.0,
-            sweep_floor: SWEEP_SPEEDUP_FLOOR,
             streaming: PathMeasure {
                 wall_millis: 55,
                 commands: 3_960_000,
@@ -903,10 +627,8 @@ mod tests {
             streaming_ratio: 0.91,
             streaming_floor: STREAMING_RATIO_FLOOR,
             obs_overhead_batch_pct: 0.4,
-            obs_overhead_sweep_pct: 0.6,
             obs_overhead_ceiling_pct: OBS_OVERHEAD_CEILING_PCT,
             chaos_overhead_batch_pct: 0.2,
-            chaos_overhead_sweep_pct: 0.3,
             chaos_overhead_ceiling_pct: CHAOS_OVERHEAD_CEILING_PCT,
         }
     }

@@ -4,11 +4,10 @@
 //! every figure/table of the paper's evaluation once, [`report`] defines
 //! the versioned artifact schema and the EXPERIMENTS.md renderer, and
 //! the `repro` binary ties them together with content-hash caching (see
-//! `docs/artifacts.md`). The per-figure binaries (`fig1a`, `fig1b`,
-//! `table2`, `fig8a`, `fig8b`, `fig9`, `table3`, `power`) are thin
-//! wrappers over [`experiments::run_standalone`]; the Criterion benches
-//! live under `benches/`. See EXPERIMENTS.md for the paper-vs-measured
-//! record.
+//! `docs/artifacts.md`). `repro <experiment>` runs any one of them;
+//! `repro --help` lists the rest (the kernel perf gate, the chaos and
+//! corpus campaigns, the sweep server). See EXPERIMENTS.md for the
+//! paper-vs-measured record.
 //!
 //! Set `DD_QUICK=1` (or pass `--smoke` to `repro`) to shrink every
 //! experiment (fewer training epochs, smaller attack budgets) for smoke

@@ -2,10 +2,10 @@
 //!
 //! Runs a real slice of the reproduction under an exclusive
 //! [`dd_obs`] recording session — a small scenario matrix (empty cache,
-//! so sweep grouping and per-cell spans actually fire), one solo
-//! workload-driver run (the untapped per-chunk decode path), and a
-//! scripted sweep-server session that crosses into the storm regime —
-//! then exports the snapshot two ways:
+//! so the per-cell spans actually fire), one solo workload-driver run
+//! (the untapped per-chunk decode path), and a scripted sweep-server
+//! session that crosses into the storm regime — then exports the
+//! snapshot two ways:
 //!
 //! * `artifacts/TRACE_perfetto.json` — Chrome trace-event JSON, loadable
 //!   at <https://ui.perfetto.dev> (timings, thread lanes, labels);
@@ -233,11 +233,10 @@ pub struct TraceOutcome {
     pub snapshot: Snapshot,
 }
 
-/// The matrix slice the trace observes: two untapped defenses under a
-/// shared background load, so a cross-cell sweep group actually forms
-/// (grouping skips load-free cells and online-tapped defenses), plus
-/// DNN-Defender for the tapped solo path — sized well below the span
-/// ring capacity.
+/// The matrix slice the trace observes: two untapped defenses and
+/// DNN-Defender (whose online tap makes the driver flush every op),
+/// each with and without background load, so both driver flush
+/// policies run — sized well below the span ring capacity.
 fn trace_matrix(quick: bool) -> ScenarioMatrix {
     let attack = AttackConfig {
         target_accuracy: 0.3,
@@ -271,13 +270,13 @@ pub fn run_trace(quick: bool, jobs: Option<usize>) -> Result<TraceOutcome, DramE
     let session = dd_obs::session();
 
     // (A) Matrix slice with an empty cache: per-cell setup/attack spans,
-    // sweep grouping, warmups, and the batched-kernel chunk spans.
+    // warmups, and the batched-kernel chunk spans.
     let matrix = trace_matrix(quick);
     let (_report, matrix_summary) = matrix.run_with_cache(&HashMap::new(), None)?;
     assert_eq!(matrix_summary.cache_hits, 0, "trace matrix must execute");
 
-    // (B) One solo driver run with an untapped defense: the per-chunk
-    // decode span on the plain batched path, outside any sweep group.
+    // (B) One driver run with an untapped defense, outside any matrix:
+    // the per-chunk decode span on the plain batched path.
     let driver = workload_run(
         BackgroundLoad::Light,
         DefenseKind::Undefended,

@@ -58,35 +58,17 @@ fn malformed_option_values_exit_nonzero() {
 
 #[test]
 fn kernel_sweep_flags_reject_bad_input_nonzero() {
-    // The cross-cell sweep needs at least two cells — 0, 1, and
-    // non-integers are all contract violations, as is a dangling flag.
-    for args in [
-        ["kernel", "--sweep-cells", "0"].as_slice(),
-        ["kernel", "--sweep-cells", "1"].as_slice(),
-        ["kernel", "--sweep-cells", "eight"].as_slice(),
-        ["kernel", "--sweep-cells"].as_slice(),
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        let err = stderr(&out);
-        assert!(
-            err.contains("--sweep-cells needs an integer of at least 2"),
-            "{args:?}: {err}"
-        );
-        assert!(err.contains("usage: repro"), "{args:?}: {err}");
-    }
-
-    // An unknown kernel flag keeps the global contract.
-    let out = repro(&["kernel", "--sweep-cell", "4"]);
+    // `--sweep-cells` is not a `repro` option: it takes the global
+    // unknown-option exit, and the usage text does not list it.
+    let out = repro(&["kernel", "--sweep-cells", "4"]);
     assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
-    assert!(err.contains("unknown option `--sweep-cell`"), "{err}");
+    assert!(err.contains("unknown option `--sweep-cells`"), "{err}");
     assert!(err.contains("usage: repro"), "{err}");
 
-    // The usage text documents the flag.
     let out = repro(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
-    assert!(stderr(&out).contains("--sweep-cells"));
+    assert!(!stderr(&out).contains("--sweep-cells"));
 }
 
 #[test]

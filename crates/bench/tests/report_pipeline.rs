@@ -8,7 +8,7 @@ use dd_baselines::{CellReport, MatrixRunSummary};
 use dd_bench::experiments::{table3_matrix, ExperimentId, RunContext};
 use dd_bench::kernel::{
     KernelBench, PathMeasure, CHAOS_OVERHEAD_CEILING_PCT, KERNEL_BENCH_SCHEMA_VERSION,
-    KERNEL_SPEEDUP_FLOOR, OBS_OVERHEAD_CEILING_PCT, STREAMING_RATIO_FLOOR, SWEEP_SPEEDUP_FLOOR,
+    KERNEL_SPEEDUP_FLOOR, OBS_OVERHEAD_CEILING_PCT, STREAMING_RATIO_FLOOR,
 };
 use dd_bench::report::{splice_section, Artifact, TableArtifact, ARTIFACT_SCHEMA_VERSION};
 use dnn_defender::Json;
@@ -125,19 +125,6 @@ fn golden_kernel_bench() -> KernelBench {
         },
         speedup: 5.5,
         floor: KERNEL_SPEEDUP_FLOOR,
-        sweep_cells: 8,
-        cell_batch: PathMeasure {
-            wall_millis: 100,
-            commands: 7_920_000,
-            commands_per_sec: 79_200_000.0,
-        },
-        sweep: PathMeasure {
-            wall_millis: 20,
-            commands: 7_920_000,
-            commands_per_sec: 396_000_000.0,
-        },
-        sweep_speedup: 5.0,
-        sweep_floor: SWEEP_SPEEDUP_FLOOR,
         streaming: PathMeasure {
             wall_millis: 55,
             commands: 3_960_000,
@@ -146,10 +133,8 @@ fn golden_kernel_bench() -> KernelBench {
         streaming_ratio: 0.91,
         streaming_floor: STREAMING_RATIO_FLOOR,
         obs_overhead_batch_pct: 0.4,
-        obs_overhead_sweep_pct: 0.6,
         obs_overhead_ceiling_pct: OBS_OVERHEAD_CEILING_PCT,
         chaos_overhead_batch_pct: 0.2,
-        chaos_overhead_sweep_pct: 0.3,
         chaos_overhead_ceiling_pct: CHAOS_OVERHEAD_CEILING_PCT,
     }
 }
@@ -205,26 +190,6 @@ fn committed_kernel_bench_is_a_valid_baseline() {
         bench.reference.commands, bench.batch.commands,
         "both paths must replay the identical trace"
     );
-    // The cross-cell section: same self-consistency, plus the ISSUE's
-    // >= 4x matrix-throughput target for the sweep kernel.
-    assert!(bench.sweep_cells >= 2, "a sweep needs at least 2 cells");
-    assert!(
-        bench.sweep_floor >= 1.0,
-        "sweep floor must gate a real speedup"
-    );
-    assert!(
-        bench.sweep_speedup >= bench.sweep_floor,
-        "committed baseline violates its own sweep floor"
-    );
-    assert!(
-        bench.sweep_speedup >= 4.0,
-        "committed baseline lost the 4x cross-cell target: {}",
-        bench.sweep_speedup
-    );
-    assert_eq!(
-        bench.cell_batch.commands, bench.sweep.commands,
-        "both cross-cell paths must replay the identical roster"
-    );
     // The streaming-replay gate: the committed baseline carries its own
     // floor and satisfies it — chunked decode stays close to the
     // decoded-in-RAM path.
@@ -243,7 +208,7 @@ fn committed_kernel_bench_is_a_valid_baseline() {
         "streaming replays the identical trace off its v2 container"
     );
     // The dd-obs overhead gate: the committed baseline carries its own
-    // ceiling and satisfies it on both kernel fast paths.
+    // ceiling and satisfies it on the batched path.
     assert!(
         bench.obs_overhead_ceiling_pct > 0.0,
         "overhead ceiling must gate something"
@@ -253,13 +218,6 @@ fn committed_kernel_bench_is_a_valid_baseline() {
         "committed baseline violates its own obs-overhead ceiling on the batch path: \
          {} > {}",
         bench.obs_overhead_batch_pct,
-        bench.obs_overhead_ceiling_pct
-    );
-    assert!(
-        bench.obs_overhead_sweep_pct <= bench.obs_overhead_ceiling_pct,
-        "committed baseline violates its own obs-overhead ceiling on the sweep path: \
-         {} > {}",
-        bench.obs_overhead_sweep_pct,
         bench.obs_overhead_ceiling_pct
     );
     // Cold/warm byte stability: rerunning `repro kernel` rewrites the

@@ -73,8 +73,8 @@ fn deterministic_document_matches_golden_file() {
 }
 
 /// The snapshot covers every instrumented layer: per-chunk kernel spans,
-/// the cross-cell sweep phases, matrix scheduling, the executor, and the
-/// server's five submit passes with regime/shed events.
+/// matrix scheduling, the executor, and the server's five submit passes
+/// with regime/shed events.
 #[test]
 fn observed_scenario_covers_the_span_taxonomy() {
     let snap = &traced().snapshot;
@@ -83,14 +83,11 @@ fn observed_scenario_covers_the_span_taxonomy() {
         "chunk.issue",
         "chunk.decode",
         "chunk.observe",
-        "sweep.classify",
-        "sweep.resolve",
         "matrix.cell_setup",
         "matrix.cell_attack",
         "matrix.victim_build",
         "matrix.search",
         "matrix.warmup_solo",
-        "matrix.warmup_group",
         "executor.job",
         "server.parse",
         "server.shed",
@@ -100,11 +97,6 @@ fn observed_scenario_covers_the_span_taxonomy() {
     ] {
         assert!(count(name) > 0, "span `{name}` missing from the scenario");
     }
-    // The sweep phases carry their cell-count label.
-    assert!(snap
-        .spans
-        .iter()
-        .any(|s| s.name == "sweep.classify" && s.label.as_deref() == Some("cells=2")));
     // Regime transitions and shed decisions surface as events: the
     // scripted session goes calm (Alice) then storm (Carol, 3 sheds).
     let regimes: Vec<&str> = snap
@@ -126,10 +118,7 @@ fn observed_scenario_covers_the_span_taxonomy() {
     );
     // Deterministic counters/histograms landed.
     assert!(snap.counters.get("driver.ops").copied().unwrap_or(0) > 0);
-    assert!(snap.counters.get("driver.sweep_ops").copied().unwrap_or(0) > 0);
-    assert_eq!(snap.counters.get("matrix.sweep_groups"), Some(&1));
     assert!(snap.hists.contains_key("chunk.ops"));
-    assert!(snap.hists.contains_key("sweep.chunk_ops"));
     assert_eq!(snap.dropped_spans, 0);
 }
 
@@ -164,7 +153,7 @@ fn perfetto_export_parses_and_carries_the_timeline() {
     // Spot-check one span of each layer by name.
     for name in [
         "chunk.issue",
-        "sweep.classify",
+        "matrix.cell_setup",
         "server.parse",
         "executor.job",
     ] {
@@ -232,7 +221,7 @@ fn summary_disk_format_round_trips() {
     assert_eq!(back.to_json().render_pretty(), text);
     assert_eq!(back.render_markdown(), summary.render_markdown());
     let md = summary.render_markdown();
-    for needle in ["`chunk.issue`", "`sweep.classify`", "`server.parse`"] {
+    for needle in ["`chunk.issue`", "`matrix.cell_setup`", "`server.parse`"] {
         assert!(md.contains(needle), "docs section missing {needle}");
     }
 }

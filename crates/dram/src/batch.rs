@@ -36,10 +36,9 @@ use crate::timing::Nanos;
 /// The canonical ops-per-chunk boundary of the batched replay plane.
 ///
 /// Consumers that feed [`DecodedBatch`] chunk-by-chunk — the workload
-/// driver's batched issue loop, the cross-cell sweep, and the v2 trace
-/// container's chunk framing — size their chunks to this constant, so a
-/// streamed trace chunk maps 1:1 onto one `issue_batch` call without
-/// re-buffering.
+/// driver's batched issue loop and the v2 trace container's chunk
+/// framing — size their chunks to this constant, so a streamed trace
+/// chunk maps 1:1 onto one `issue_batch` call without re-buffering.
 pub const BATCH_CHUNK_OPS: usize = 512;
 
 /// What one batched op does to its (pre-decoded) target row.

@@ -490,8 +490,8 @@ impl MemoryController {
         dd_obs::observe("chunk.ops", batch.ops.len() as u64);
         // Fault plane: a stall-only probe on the chunk hot path, keyed by
         // the deterministic simulated clock. Stalls never mutate state,
-        // so the differential oracles (fast vs reference, sweep vs
-        // per-cell) hold verbatim under an armed plan.
+        // so the differential oracle (fast vs reference) holds verbatim
+        // under an armed plan.
         if dd_chaos::fires("kernel.chunk_stall", self.now.0 as u64) {
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
@@ -549,20 +549,6 @@ impl MemoryController {
         batch.ops = ops;
         batch.ops.clear();
         outcome
-    }
-
-    /// Split borrows of the controller's mutable internals for the
-    /// cross-cell sweep kernel (see [`crate::batch_sweep`]), which
-    /// advances N controllers through one decoded op stream and needs
-    /// simultaneous access to clock, stats, trace, tracker and banks.
-    pub(crate) fn raw_parts(&mut self) -> RawParts<'_> {
-        RawParts {
-            now: &mut self.now,
-            stats: &mut self.stats,
-            trace: &mut self.trace,
-            hammer: &mut self.hammer,
-            banks: &mut self.banks,
-        }
     }
 
     /// The batched kernel: dense counters, amortized epoch checks, one
@@ -678,16 +664,6 @@ impl MemoryController {
         batch.ops = ops;
         batch.ops.clear();
     }
-}
-
-/// Split mutable borrows of one controller's internals, handed to the
-/// cross-cell sweep kernel ([`crate::batch_sweep::CellSweep`]).
-pub(crate) struct RawParts<'a> {
-    pub now: &'a mut Nanos,
-    pub stats: &'a mut MemStats,
-    pub trace: &'a mut CommandTrace,
-    pub hammer: &'a mut HammerTracker,
-    pub banks: &'a mut Vec<Bank>,
 }
 
 #[cfg(test)]

@@ -45,7 +45,6 @@
 pub mod addressing;
 pub mod bank;
 pub mod batch;
-pub mod batch_sweep;
 pub mod command;
 pub mod controller;
 pub mod error;
@@ -59,7 +58,6 @@ pub mod timing;
 pub use addressing::{AddressMapping, DecodedAddr, PhysAddr};
 pub use bank::Bank;
 pub use batch::{BatchOp, BatchOpKind, DecodedBatch, BATCH_CHUNK_OPS};
-pub use batch_sweep::CellSweep;
 pub use command::{CommandKind, CommandTrace, DramCommand, TraceMode};
 pub use controller::MemoryController;
 pub use error::DramError;

@@ -136,8 +136,8 @@ mod tests {
     fn chrome_trace_has_metadata_spans_and_events() {
         let snap = Snapshot {
             spans: vec![SpanRecord {
-                name: "sweep.classify",
-                label: Some("cells=4".into()),
+                name: "matrix.cell_setup",
+                label: Some("cell=4".into()),
                 start_ns: 1_234_567,
                 dur_ns: 2_500,
                 tid: 3,
@@ -153,10 +153,10 @@ mod tests {
         let json = chrome_trace_json(&snap, "repro trace");
         assert!(json.contains("\"displayTimeUnit\": \"ms\""));
         assert!(json.contains("\"process_name\""));
-        assert!(json.contains("\"name\": \"sweep.classify\""));
+        assert!(json.contains("\"name\": \"matrix.cell_setup\""));
         assert!(json.contains("\"ts\": 1234.567"));
         assert!(json.contains("\"dur\": 2.500"));
-        assert!(json.contains("\"label\": \"cells=4\""));
+        assert!(json.contains("\"label\": \"cell=4\""));
         assert!(json.contains("\"ph\": \"i\""));
         assert!(json.contains("\"label\": \"storm\""));
         // Balanced braces/brackets — cheap well-formedness check; the

@@ -1,15 +1,15 @@
 #![deny(missing_docs)]
 //! `dd-obs`: zero-dependency structured tracing and metrics.
 //!
-//! The simulator's hot layers (batched kernel, cross-cell sweep, matrix
-//! scheduler, executor, server pipeline) record *spans* (named, optionally
+//! The simulator's hot layers (batched kernel, matrix scheduler,
+//! executor, server pipeline) record *spans* (named, optionally
 //! labelled intervals on a shared monotonic clock), *counters*, *events*
 //! (labelled instants) and *log2 histograms* into per-thread recorders.
 //! Everything is amortized per chunk/job/request — never per DRAM command —
 //! and the whole subsystem sits behind a single relaxed atomic flag:
 //! with [`ObsSink::Disabled`] (the default) every probe is one atomic load
 //! and an early return, which `repro kernel` proves costs ≤ the committed
-//! overhead ceiling on both kernel fast paths.
+//! overhead ceiling on the batched kernel path.
 //!
 //! Data flows out through [`snapshot_and_reset`], which drains every
 //! thread's ring buffers into a [`Snapshot`]; exporters turn that into

@@ -104,10 +104,9 @@ where
 
 /// Like [`run_work_stealing`], but jobs sharing an affinity key are dealt
 /// to the same worker's deque, back to back. A worker then runs a whole
-/// same-geometry run of cells consecutively — warm device tables, and the
-/// natural seam for handing a contiguous run to the cross-cell sweep
-/// kernel. Work stealing still rebalances when a group turns out slow, so
-/// affinity is a hint, never a stall.
+/// same-geometry run of cells consecutively, on warm device tables. Work
+/// stealing still rebalances when a group turns out slow, so affinity is
+/// a hint, never a stall.
 pub fn run_work_stealing_grouped<T, F>(keys: &[u64], workers: usize, run: F) -> Vec<JobRun<T>>
 where
     T: Send,

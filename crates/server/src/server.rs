@@ -770,16 +770,15 @@ impl SweepServer {
 
     /// Pass 3 — execute the surviving pending cells on the work-stealing
     /// executor, co-scheduling same-geometry jobs onto one worker (warm
-    /// device tables, and the seam the cross-cell sweep kernel batches
-    /// across). Every cell runs as a one-cell matrix against the server's
-    /// [`RunMemo`], so the victim is trained and each distinct search runs
-    /// once per server, not once per cell. Takes no `&self`: callers run
-    /// this outside the server lock. Jobs are panic-isolated with bounded
-    /// retry (a panic mid-computation leaves its memo entry empty for the
-    /// retry); `dd-chaos` injects worker panics (`executor.job_panic`) and
-    /// stalls (`executor.job_stall`) here, keyed on (cell key, request
-    /// sequence, attempt) so campaigns are deterministic under work
-    /// stealing.
+    /// device tables). Every cell runs as a one-cell matrix against the
+    /// server's [`RunMemo`], so the victim is trained and each distinct
+    /// search runs once per server, not once per cell. Takes no `&self`:
+    /// callers run this outside the server lock. Jobs are panic-isolated
+    /// with bounded retry (a panic mid-computation leaves its memo entry
+    /// empty for the retry); `dd-chaos` injects worker panics
+    /// (`executor.job_panic`) and stalls (`executor.job_stall`) here,
+    /// keyed on (cell key, request sequence, attempt) so campaigns are
+    /// deterministic under work stealing.
     pub fn execute_prepared(prepared: PreparedSubmit) -> ExecutedSubmit {
         let span = dd_obs::span_with("server.execute", || format!("client={}", prepared.client));
         let base = prepared.base;

@@ -22,14 +22,14 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 use dd_dram::{
-    BatchOpKind, CellSweep, DecodedBatch, DramConfig, DramError, GlobalRowId, MemoryController,
-    Nanos, TraceMode, BATCH_CHUNK_OPS,
+    DecodedBatch, DramConfig, DramError, GlobalRowId, MemoryController, Nanos, TraceMode,
+    BATCH_CHUNK_OPS,
 };
 use dd_qnn::BitAddr;
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats};
 use dnn_defender::WeightMap;
 
-use crate::generator::{BackgroundLoad, OpKind, WorkloadGenerator, WorkloadOp};
+use crate::generator::{batch_op_kind, BackgroundLoad, OpKind, WorkloadGenerator, WorkloadOp};
 
 /// Ops per [`dd_dram::DecodedBatch`] chunk on the batched path (when the
 /// installed defense has no online tap that must run per-op). This is
@@ -413,11 +413,7 @@ impl BenignTraffic {
                 None
             };
             let op = self.streams[idx].0.next_op();
-            let kind = match op.kind {
-                OpKind::Read => BatchOpKind::Read,
-                OpKind::Write => BatchOpKind::Write(crate::generator::tenant_fill(op.row.row)),
-            };
-            if let Err(e) = kernel.push(op.row, kind, extra, advance_to) {
+            if let Err(e) = kernel.push(op.row, batch_op_kind(op), extra, advance_to) {
                 // Same surface as the per-command loop: everything before
                 // the invalid op executes (flushed below), the error then
                 // propagates.
@@ -616,275 +612,6 @@ impl BenignTraffic {
 pub fn next_window_boundary(mem: &MemoryController) -> Nanos {
     let t_ref = mem.config().timing.t_ref;
     Nanos(((mem.now().0 / t_ref.0) + 1) * t_ref.0)
-}
-
-/// One cell of a grouped benign-window drive
-/// ([`drive_benign_window_sweep`]): its device, its defense, its deployed
-/// weight map, and its own traffic instance. Across a group the traffic
-/// instances must be byte-identical clones (same streams, seed, rates) —
-/// the scenario matrix guarantees this by seeding benign traffic from the
-/// non-defense axes only.
-pub struct SweepCell<'a> {
-    /// The cell's device (same geometry, timing, and clock as the rest
-    /// of the group).
-    pub mem: &'a mut MemoryController,
-    /// The cell's defense. Must have no online tap
-    /// ([`DefenseMechanism::has_online_tap`]): the grouped drive defers
-    /// counter state to the window boundary, which only a tap could
-    /// observe mid-window.
-    pub defense: &'a mut dyn DefenseMechanism,
-    /// The cell's deployed weight map, if any.
-    pub map: Option<&'a mut WeightMap>,
-    /// The cell's traffic. Its generators and recording advance exactly
-    /// as the cell's solo run would.
-    pub traffic: &'a mut BenignTraffic,
-}
-
-/// One *benign-only* measurement window driven across a whole sweep
-/// group at once: the shared op schedule is decoded once and replayed
-/// against every cell's counter state through the cross-cell kernel
-/// ([`CellSweep`]), bit-identical to each cell running
-/// [`BenignTraffic::drive_benign_window`] on its own.
-///
-/// Per cell, the window protocol is exactly the solo one: the rollover
-/// notification ([`DefenseMechanism::on_hammer_window`]), the full
-/// per-window op budget, deferred
-/// [`DefenseMechanism::observe_activation`] calls in op order, and the
-/// clock parked 1 ns short of the epoch boundary so the caller samples
-/// disturbance inside the window (then advances each cell across). The
-/// sweep session is finished before returning, so every cell's counter
-/// and payload state is settled at the sampling point.
-///
-/// Each cell's schedule and generators are walked in lockstep (identical
-/// traffic clones on identical clocks pop identically), so after the
-/// window every cell's traffic state matches its solo trajectory — the
-/// attack phase can continue per-cell from it.
-///
-/// Returns the window's traffic, identical for every cell.
-///
-/// # Errors
-///
-/// Returns [`DramError::InvalidConfig`] when the group is empty or
-/// mis-assembled (kernel sized differently, mixed geometry/timing,
-/// diverged clocks, mismatched traffic shapes, or a defense with an
-/// online tap); propagates device and defense errors.
-pub fn drive_benign_window_sweep(
-    sweep: &mut CellSweep,
-    cells: &mut [SweepCell<'_>],
-) -> Result<SpanTraffic, DramError> {
-    validate_sweep_group(sweep, cells)?;
-    for cell in cells.iter_mut() {
-        cell.defense.on_hammer_window(cell.mem.epoch());
-    }
-    let sample_at = Nanos(next_window_boundary(cells[0].mem).0 - 1);
-    let ops = cells[0].traffic.ops_per_window();
-    drive_span_sweep(sweep, cells, sample_at, ops)
-}
-
-fn validate_sweep_group(sweep: &CellSweep, cells: &[SweepCell<'_>]) -> Result<(), DramError> {
-    if cells.is_empty() || sweep.cells() != cells.len() {
-        return Err(DramError::InvalidConfig(format!(
-            "sweep kernel sized for {} cells, group has {}",
-            sweep.cells(),
-            cells.len()
-        )));
-    }
-    let lead = &cells[0];
-    for cell in cells {
-        if cell.defense.has_online_tap() {
-            return Err(DramError::InvalidConfig(format!(
-                "defense '{}' keeps an online tap and cannot join a sweep group",
-                cell.defense.name()
-            )));
-        }
-        if cell.mem.config().timing != lead.mem.config().timing || !sweep.matches(cell.mem.config())
-        {
-            return Err(DramError::InvalidConfig(
-                "sweep group mixes device geometries or timing parameters".into(),
-            ));
-        }
-        if cell.mem.now() != lead.mem.now() {
-            return Err(DramError::InvalidConfig(
-                "sweep group cells' clocks diverged".into(),
-            ));
-        }
-        if cell.traffic.ops_per_window() != lead.traffic.ops_per_window()
-            || cell.traffic.batch() != lead.traffic.batch()
-            || cell.traffic.streams.len() != lead.traffic.streams.len()
-            || cell.traffic.label() != lead.traffic.label()
-        {
-            return Err(DramError::InvalidConfig(
-                "sweep group cells carry different traffic mixes".into(),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The grouped counterpart of [`BenignTraffic::drive_span_batched`]: one
-/// schedule walk feeds the shared kernel chunk, every other cell's
-/// schedule and generators mirror it in lockstep, and each chunk executes
-/// against all cells in one [`CellSweep::issue`] pass.
-fn drive_span_sweep(
-    sweep: &mut CellSweep,
-    cells: &mut [SweepCell<'_>],
-    span_end: Nanos,
-    ops: u64,
-) -> Result<SpanTraffic, DramError> {
-    let mut traffic = SpanTraffic::default();
-    let start = cells[0].mem.now();
-    if cells[0].traffic.streams.is_empty() || ops == 0 || span_end <= start {
-        for cell in cells.iter_mut() {
-            if span_end > cell.mem.now() {
-                let dt = span_end - cell.mem.now();
-                cell.mem.advance(dt);
-            }
-        }
-        return Ok(traffic);
-    }
-    let mut scheds: Vec<StreamSchedule> = cells
-        .iter()
-        .map(|c| StreamSchedule::new(&c.traffic.streams, start, span_end - start, ops))
-        .collect();
-
-    if cells[0]
-        .traffic
-        .kernel
-        .as_ref()
-        .is_none_or(|k| !k.matches(cells[0].mem.config()))
-    {
-        cells[0].traffic.kernel = Some(DecodedBatch::new(cells[0].mem.config()));
-    }
-    let mut kernel = cells[0]
-        .traffic
-        .kernel
-        .take()
-        .expect("kernel installed above");
-    let t = cells[0].mem.config().timing;
-    let batch = cells[0].traffic.batch;
-    let extra = batch - 1;
-    let hammer_cost = t.t_act.0 * u128::from(extra);
-    let read_cost = t.t_act.0 + t.t_rd.0 + t.t_pre.0 + hammer_cost;
-    let write_cost = t.t_act.0 + t.t_wr.0 + t.t_pre.0 + hammer_cost;
-    let mut pending: Vec<WorkloadOp> = Vec::with_capacity(BATCH_CHUNK);
-    let mut vnow = start.0;
-    let mut failed: Option<DramError> = None;
-
-    // One decode pass feeds every lockstep cell, so the span is already
-    // amortized N ways; re-armed after each flush like the solo path.
-    dd_obs::add("driver.sweep_ops", ops);
-    let mut decode_span = dd_obs::enabled().then(|| dd_obs::span("chunk.decode"));
-
-    for _ in 0..ops {
-        let (at, idx) = scheds[0].pop();
-        let advance_to = if at > vnow && at < span_end.0 {
-            vnow = at;
-            Some(Nanos(at))
-        } else {
-            None
-        };
-        let op = cells[0].traffic.streams[idx].0.next_op();
-        let weight = u64::from(cells[0].traffic.streams[idx].1);
-        scheds[0].reschedule(at, idx, weight);
-        // Mirror the pop on every other cell so its traffic state tracks
-        // its solo trajectory; identical clones cannot drift.
-        for (k, cell) in cells.iter_mut().enumerate().skip(1) {
-            let (at_k, idx_k) = scheds[k].pop();
-            debug_assert_eq!((at, idx), (at_k, idx_k), "sweep schedules diverged");
-            let op_k = cell.traffic.streams[idx_k].0.next_op();
-            debug_assert_eq!(op, op_k, "sweep generators diverged");
-            scheds[k].reschedule(at_k, idx_k, u64::from(cell.traffic.streams[idx_k].1));
-        }
-        if let Err(e) = kernel.push(op.row, batch_kind(op), extra, advance_to) {
-            failed = Some(e);
-            break;
-        }
-        vnow += match op.kind {
-            OpKind::Read => read_cost,
-            OpKind::Write => write_cost,
-        };
-        pending.push(op);
-        if pending.len() >= BATCH_CHUNK {
-            drop(decode_span.take());
-            if let Err(e) = flush_sweep_chunk(sweep, cells, &mut kernel, &mut pending, &mut traffic)
-            {
-                failed = Some(e);
-                break;
-            }
-            debug_assert!(
-                cells[0].mem.now().0 == vnow,
-                "sweep clock prediction diverged"
-            );
-            vnow = cells[0].mem.now().0;
-            decode_span = dd_obs::enabled().then(|| dd_obs::span("chunk.decode"));
-        }
-    }
-    drop(decode_span.take());
-    let last = flush_sweep_chunk(sweep, cells, &mut kernel, &mut pending, &mut traffic);
-    let finished = {
-        let mut mems: Vec<&mut MemoryController> = cells.iter_mut().map(|c| &mut *c.mem).collect();
-        sweep.finish(&mut mems)
-    };
-    cells[0].traffic.kernel = Some(kernel);
-    if let Some(e) = failed {
-        return Err(e);
-    }
-    last?;
-    finished?;
-    for cell in cells.iter_mut() {
-        if span_end > cell.mem.now() {
-            let dt = span_end - cell.mem.now();
-            cell.mem.advance(dt);
-        }
-    }
-    Ok(traffic)
-}
-
-fn batch_kind(op: WorkloadOp) -> BatchOpKind {
-    match op.kind {
-        OpKind::Read => BatchOpKind::Read,
-        OpKind::Write => BatchOpKind::Write(crate::generator::tenant_fill(op.row.row)),
-    }
-}
-
-/// Issue the queued chunk against every cell through the cross-cell
-/// kernel, then run each cell's deferred per-op accounting and defense
-/// observations in op order (the solo [`BenignTraffic::flush_chunk`]
-/// contract, per cell).
-fn flush_sweep_chunk(
-    sweep: &mut CellSweep,
-    cells: &mut [SweepCell<'_>],
-    kernel: &mut DecodedBatch,
-    pending: &mut Vec<WorkloadOp>,
-    traffic: &mut SpanTraffic,
-) -> Result<(), DramError> {
-    if pending.is_empty() {
-        kernel.clear();
-        return Ok(());
-    }
-    {
-        let mut mems: Vec<&mut MemoryController> = cells.iter_mut().map(|c| &mut *c.mem).collect();
-        sweep.issue(&mut mems, kernel)?;
-    }
-    let cell_count = cells.len();
-    let _span = dd_obs::span_with("chunk.observe", || format!("cells={cell_count}"));
-    let batch = cells[0].traffic.batch;
-    let bytes = cells[0].traffic.scratch_row.len() as u64;
-    for cell in cells.iter_mut() {
-        for op in pending.iter() {
-            cell.defense
-                .observe_activation(cell.mem, cell.map.as_deref_mut(), op.row, batch)?;
-            if let Some(recorded) = &mut cell.traffic.recorded {
-                recorded.push(*op);
-            }
-        }
-    }
-    for _ in pending.drain(..) {
-        traffic.ops += 1;
-        traffic.activations += batch;
-        traffic.bytes += bytes;
-    }
-    Ok(())
 }
 
 /// Shape of one [`run_workload`] invocation.

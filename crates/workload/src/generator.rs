@@ -16,7 +16,7 @@
 //!   each confined to its own bank slice ([`tenant_rows`]), modelling
 //!   co-located tenants with placement affinity.
 
-use dd_dram::{DramConfig, GlobalRowId};
+use dd_dram::{BatchOpKind, DramConfig, GlobalRowId};
 use dnn_defender::{StableHash, StableHasher};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,12 +47,22 @@ pub fn tenant_fill(row: dd_dram::RowInSubarray) -> u8 {
     row.0 as u8 ^ 0xA5
 }
 
+/// The batched kernel's form of a benign op: a read, or a write of the
+/// row's [`tenant_fill`] payload. The driver's batched loop and the
+/// `repro kernel` benchmark both decode through this one function.
+pub fn batch_op_kind(op: WorkloadOp) -> BatchOpKind {
+    match op.kind {
+        OpKind::Read => BatchOpKind::Read,
+        OpKind::Write => BatchOpKind::Write(tenant_fill(op.row.row)),
+    }
+}
+
 /// A deterministic source of benign traffic.
 ///
 /// Generators never touch the device themselves; the driver executes the
 /// ops they emit, which is what makes record/replay exact. Generators are
-/// `Send` so a paused cell (traffic included) can migrate between the
-/// scenario matrix's worker threads for cross-cell sweep grouping.
+/// `Send`, so traffic (and a scenario cell that owns it) may move between
+/// threads.
 pub trait WorkloadGenerator: Send {
     /// Short label for reports and traces.
     fn label(&self) -> &str;

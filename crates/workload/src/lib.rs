@@ -64,12 +64,12 @@ pub const WORKLOAD_PROTOCOL_VERSION: u64 = 1;
 
 pub use corpus::{CorpusPhase, DiurnalProfile, PhaseShape};
 pub use driver::{
-    drive_benign_window_sweep, next_window_boundary, run_workload, BenignTraffic, DriverConfig,
-    DriverReport, IssuePath, SpanTraffic, SweepCell,
+    next_window_boundary, run_workload, BenignTraffic, DriverConfig, DriverReport, IssuePath,
+    SpanTraffic,
 };
 pub use generator::{
-    all_data_rows, tenant_fill, tenant_rows, BackgroundLoad, OpKind, PointerChase, StreamingScan,
-    TenantMix, WorkloadGenerator, WorkloadOp, ZipfianServing,
+    all_data_rows, batch_op_kind, tenant_fill, tenant_rows, BackgroundLoad, OpKind, PointerChase,
+    StreamingScan, TenantMix, WorkloadGenerator, WorkloadOp, ZipfianServing,
 };
 pub use trace::{
     decode, decode_any, encode, encode_v2, StreamingReplay, StreamingTraceReader, TraceError,

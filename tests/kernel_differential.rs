@@ -22,16 +22,15 @@ use proptest::prelude::*;
 
 use dd_baselines::DefenseKind;
 use dd_dram::{
-    CellSweep, CommandKind, DramConfig, DramError, GlobalRowId, MemStats, MemoryController, Nanos,
-    TraceMode,
+    CommandKind, DramConfig, DramError, GlobalRowId, MemStats, MemoryController, TraceMode,
 };
 use dd_nn::init::seeded_rng;
 use dd_nn::layers::{Flatten, Linear};
 use dd_nn::model::Network;
 use dd_qnn::{BitAddr, QModel};
 use dd_workload::{
-    all_data_rows, drive_benign_window_sweep, run_workload, BackgroundLoad, BenignTraffic,
-    DriverConfig, IssuePath, OpKind, SpanTraffic, SweepCell, WorkloadOp,
+    all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig, IssuePath, OpKind,
+    WorkloadOp,
 };
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats, FlipAttempt};
 use dnn_defender::{DynDefense, WeightMap};
@@ -298,230 +297,6 @@ fn run_trace(
     )
     .expect("replay run");
     outcome_of(mem, recording, report, &universe)
-}
-
-// ---------------------------------------------------------------------------
-// N-way oracle for the cross-cell sweep kernel
-// ---------------------------------------------------------------------------
-//
-// The scenario matrix's grouped warmup decodes one shared traffic stream
-// and replays it against N defense/counter states in a single
-// `CellSweep` pass. Its contract is the same as the batched kernel's:
-// bit-identity with N *independent* solo runs. The tests below are that
-// oracle at the workload-driver layer.
-
-/// One sweep-oracle cell: its own device, recording defense, and its own
-/// clone of the group's traffic (the grouped contract: every member sees
-/// a byte-identical stream, seeded from the non-defense axes only).
-struct OracleCell {
-    mem: MemoryController,
-    defense: Recording,
-    traffic: BenignTraffic,
-}
-
-/// Builds one cell exactly like the matrix does: counters-only tracing,
-/// a deployed-model working set, secured bits, load-seeded traffic.
-/// Returns `None` when the load has no traffic (grouping never applies).
-fn oracle_cell(
-    kind: DefenseKind,
-    config: &DramConfig,
-    load: BackgroundLoad,
-    seed: u64,
-) -> Option<OracleCell> {
-    let mut mem = MemoryController::try_new(config.clone()).expect("device");
-    mem.set_trace_mode(TraceMode::CountersOnly);
-    let model = serving_model(seed);
-    let map = WeightMap::layout(&model, config);
-    let hot: Vec<GlobalRowId> = map.slots().iter().map(|s| s.row).collect();
-    let hot_set: std::collections::HashSet<GlobalRowId> = hot.iter().copied().collect();
-    let cold: Vec<GlobalRowId> = all_data_rows(config)
-        .into_iter()
-        .filter(|r| !hot_set.contains(r))
-        .collect();
-    let mut defense = Recording::new(kind.build(seed, config));
-    defense.secure_bits(&spread_bits(&model, 8), Some(&map));
-    let traffic = BenignTraffic::for_load(load, seed ^ 0x51ee, config, &hot, &cold)?;
-    Some(OracleCell {
-        mem,
-        defense,
-        traffic,
-    })
-}
-
-/// Everything a warmup window exposes per cell; grouped and solo runs
-/// must produce equal snapshots.
-#[derive(Debug, PartialEq)]
-struct SweepOutcome {
-    now: u128,
-    mem: MemStats,
-    issued: Vec<u64>,
-    stats: DefenseStats,
-    calls: Vec<(GlobalRowId, u64)>,
-    disturbance: Vec<u64>,
-}
-
-fn sweep_outcome(cell: &OracleCell) -> SweepOutcome {
-    SweepOutcome {
-        now: cell.mem.now().0,
-        mem: cell.mem.stats(),
-        issued: [
-            CommandKind::Act,
-            CommandKind::Pre,
-            CommandKind::Rd,
-            CommandKind::Wr,
-            CommandKind::RowClone,
-            CommandKind::Refresh,
-        ]
-        .into_iter()
-        .map(|k| cell.mem.trace().issued_of(k))
-        .collect(),
-        stats: cell.defense.stats(),
-        calls: cell.defense.calls.clone(),
-        disturbance: cell
-            .traffic
-            .universe()
-            .iter()
-            .map(|&r| cell.mem.disturbance(r))
-            .collect(),
-    }
-}
-
-/// The matrix warmup protocol, solo: N windows, each sampled at
-/// boundary-minus-1 and then advanced 1 ns across the rollover.
-fn drive_windows_solo(cell: &mut OracleCell, windows: usize) -> Vec<SpanTraffic> {
-    let mut spans = Vec::new();
-    for w in 0..windows {
-        if w > 0 {
-            cell.mem.advance(Nanos(1));
-        }
-        spans.push(
-            cell.traffic
-                .drive_benign_window(&mut cell.mem, &mut cell.defense, None)
-                .expect("solo window"),
-        );
-    }
-    spans
-}
-
-/// The same protocol through the cross-cell kernel: one `CellSweep`
-/// shared by the whole group for all windows.
-fn drive_windows_grouped(
-    config: &DramConfig,
-    cells: &mut [OracleCell],
-    windows: usize,
-) -> Vec<SpanTraffic> {
-    let mut sweep = CellSweep::new(config, cells.len());
-    let mut spans = Vec::new();
-    for w in 0..windows {
-        if w > 0 {
-            for cell in cells.iter_mut() {
-                cell.mem.advance(Nanos(1));
-            }
-        }
-        let mut group: Vec<SweepCell<'_>> = cells
-            .iter_mut()
-            .map(|c| SweepCell {
-                mem: &mut c.mem,
-                defense: &mut c.defense,
-                map: None,
-                traffic: &mut c.traffic,
-            })
-            .collect();
-        spans.push(drive_benign_window_sweep(&mut sweep, &mut group).expect("grouped window"));
-    }
-    spans
-}
-
-/// The ISSUE's N-way oracle: one grouped sweep over every untapped
-/// Table-3 defense, on every background load and device geometry, is
-/// bit-identical to N independent solo runs — same `DefenseStats`, same
-/// `MemStats`, same per-row disturbance, same clock, same (empty) tap
-/// sequences. Afterwards one *more* solo window is driven on both sides:
-/// the grouped walk must leave every cell's traffic generators exactly on
-/// their solo trajectory, because the attack phase continues per-cell.
-///
-/// The two tapped defenses are covered by
-/// [`sweep_rejects_online_tap_defenses`]: the scheduler routes them down
-/// the per-cell path this suite already proves path-identical.
-#[test]
-fn grouped_sweep_matches_n_independent_runs() {
-    for config in devices() {
-        let untapped: Vec<DefenseKind> = DefenseKind::TABLE3
-            .into_iter()
-            .filter(|k| !k.build(7, &config).has_online_tap())
-            .collect();
-        assert_eq!(
-            untapped.len(),
-            DefenseKind::TABLE3.len() - 2,
-            "exactly Graphene and DNN-Defender keep online taps"
-        );
-        for load in BackgroundLoad::ALL {
-            let Some(mut grouped) = untapped
-                .iter()
-                .map(|&k| oracle_cell(k, &config, load, 2024))
-                .collect::<Option<Vec<OracleCell>>>()
-            else {
-                continue; // no traffic under this load — nothing to group
-            };
-            let grouped_spans = drive_windows_grouped(&config, &mut grouped, 2);
-            for (cell, &kind) in grouped.iter_mut().zip(&untapped) {
-                let mut solo = oracle_cell(kind, &config, load, 2024).expect("solo twin");
-                let solo_spans = drive_windows_solo(&mut solo, 2);
-                assert_eq!(
-                    solo_spans, grouped_spans,
-                    "window traffic diverged for {kind:?} under {load}"
-                );
-                assert_eq!(
-                    sweep_outcome(cell),
-                    sweep_outcome(&solo),
-                    "grouped cell diverged for {kind:?} under {load} on {}b/{}s/{}r",
-                    config.banks,
-                    config.subarrays_per_bank,
-                    config.rows_per_subarray
-                );
-                // Continue both sides solo: the generators must be in
-                // lockstep with the solo trajectory.
-                cell.mem.advance(Nanos(1));
-                let tail = drive_windows_solo(cell, 1);
-                solo.mem.advance(Nanos(1));
-                let solo_tail = drive_windows_solo(&mut solo, 1);
-                assert_eq!(tail, solo_tail, "post-sweep window for {kind:?}");
-                assert_eq!(
-                    sweep_outcome(cell),
-                    sweep_outcome(&solo),
-                    "traffic state left the solo trajectory for {kind:?} under {load}"
-                );
-            }
-        }
-    }
-}
-
-/// Tapped defenses must be refused by the grouped drive — the
-/// scheduler's fallback to the solo path is load-bearing, not optional.
-#[test]
-fn sweep_rejects_online_tap_defenses() {
-    let config = DramConfig::lpddr4_small();
-    for kind in [DefenseKind::Graphene, DefenseKind::DnnDefender] {
-        let mut cells = [
-            oracle_cell(DefenseKind::Undefended, &config, BackgroundLoad::Light, 9).expect("cell"),
-            oracle_cell(kind, &config, BackgroundLoad::Light, 9).expect("cell"),
-        ];
-        let mut sweep = CellSweep::new(&config, cells.len());
-        let mut group: Vec<SweepCell<'_>> = cells
-            .iter_mut()
-            .map(|c| SweepCell {
-                mem: &mut c.mem,
-                defense: &mut c.defense,
-                map: None,
-                traffic: &mut c.traffic,
-            })
-            .collect();
-        let err = drive_benign_window_sweep(&mut sweep, &mut group);
-        assert!(
-            matches!(err, Err(DramError::InvalidConfig(_))),
-            "{kind:?} joined a sweep group: {err:?}"
-        );
-    }
 }
 
 proptest! {

@@ -5,21 +5,13 @@
 //! `flips_resisted + flips_landed == attempts` — and DRAM/model
 //! coherence. Family-specific behavior is asserted on top.
 
-use proptest::prelude::*;
-
 use dd_baselines::{
     DefenseKind, GrapheneDefense, RowSwapMechanism, ShadowMechanism, SoftwareDefense, SoftwareKind,
     SwapScheme,
 };
-use dd_dram::{CellSweep, DramConfig, GlobalRowId, MemStats, MemoryController, Nanos, TraceMode};
-use dd_workload::{
-    all_data_rows, drive_benign_window_sweep, BackgroundLoad, BenignTraffic, SweepCell,
-};
+use dd_dram::DramConfig;
 use dnn_defender::conformance::{check, check_batched_observation};
-use dnn_defender::defense::{
-    DefenseConfig, DefenseMechanism, DefenseStats, DnnDefenderDefense, Undefended,
-};
-use dnn_defender::DynDefense;
+use dnn_defender::defense::{DefenseConfig, DefenseMechanism, DnnDefenderDefense, Undefended};
 
 const CAMPAIGNS: usize = 6;
 
@@ -205,135 +197,4 @@ fn batched_observation_law_holds_for_armed_watcher() {
     assert_eq!(whole.0.defense_ops, 1, "the watcher must fire exactly once");
     assert_eq!(whole.1, split.1, "chunking changed the swap cost");
     assert_eq!(whole.2, split.2, "chunking changed the relocation");
-}
-
-// ---------------------------------------------------------------------------
-// Cell-grouping invariance — the cross-cell sweep kernel's conformance law
-// ---------------------------------------------------------------------------
-
-/// One matrix-style cell for the grouping law: an untapped defense, its
-/// own device, its own clone of the group's shared traffic stream.
-struct LawCell {
-    mem: MemoryController,
-    defense: DynDefense,
-    traffic: BenignTraffic,
-}
-
-fn law_cell(kind: DefenseKind, config: &DramConfig, seed: u64) -> LawCell {
-    let mut mem = MemoryController::try_new(config.clone()).expect("device");
-    mem.set_trace_mode(TraceMode::CountersOnly);
-    let rows = all_data_rows(config);
-    let hot: Vec<GlobalRowId> = rows
-        .iter()
-        .copied()
-        .step_by((rows.len() / 64).max(1))
-        .take(64)
-        .collect();
-    let traffic = BenignTraffic::for_load(BackgroundLoad::Light, seed, config, &hot, &rows)
-        .expect("light load builds traffic");
-    LawCell {
-        mem,
-        defense: kind.build(seed ^ 0x9e37, config),
-        traffic,
-    }
-}
-
-/// Everything the law compares per cell: clock, device counters, defense
-/// bookkeeping, and per-row disturbance over the traffic universe.
-fn law_fingerprint(cell: &LawCell) -> (u128, MemStats, DefenseStats, Vec<u64>) {
-    (
-        cell.mem.now().0,
-        cell.mem.stats(),
-        cell.defense.stats(),
-        cell.traffic
-            .universe()
-            .iter()
-            .map(|&r| cell.mem.disturbance(r))
-            .collect(),
-    )
-}
-
-/// Two benign measurement windows, solo (the reference trajectory).
-fn law_drive_solo(cell: &mut LawCell) {
-    for w in 0..2 {
-        if w > 0 {
-            cell.mem.advance(Nanos(1));
-        }
-        let LawCell {
-            mem,
-            defense,
-            traffic,
-        } = cell;
-        traffic
-            .drive_benign_window(mem, &mut **defense, None)
-            .expect("solo window");
-    }
-}
-
-/// The same two windows through one shared [`CellSweep`] kernel.
-fn law_drive_swept(config: &DramConfig, cells: &mut [LawCell]) {
-    let mut sweep = CellSweep::new(config, cells.len());
-    for w in 0..2 {
-        if w > 0 {
-            for cell in cells.iter_mut() {
-                cell.mem.advance(Nanos(1));
-            }
-        }
-        let mut group: Vec<SweepCell<'_>> = cells
-            .iter_mut()
-            .map(|c| SweepCell {
-                mem: &mut c.mem,
-                defense: &mut *c.defense,
-                map: None,
-                traffic: &mut c.traffic,
-            })
-            .collect();
-        drive_benign_window_sweep(&mut sweep, &mut group).expect("grouped window");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The cell-grouping invariance law: HOWEVER the scheduler
-    /// partitions a roster of untapped cells into sweep groups —
-    /// including singleton groups — every cell's bytes are its solo
-    /// bytes. Random contiguous partitions of the full untapped Table-3
-    /// roster, each group driven through its own [`CellSweep`], compared
-    /// cell-by-cell against independent solo runs.
-    #[test]
-    fn cell_grouping_is_invariant(
-        seed in 0u64..200,
-        cuts in proptest::collection::vec(any::<bool>(), 6),
-    ) {
-        let config = DramConfig::lpddr4_small();
-        let roster: Vec<DefenseKind> = DefenseKind::TABLE3
-            .into_iter()
-            .filter(|k| !k.build(1, &config).has_online_tap())
-            .collect();
-        prop_assert_eq!(roster.len(), cuts.len() + 1, "roster size drifted");
-        let mut grouped: Vec<LawCell> =
-            roster.iter().map(|&k| law_cell(k, &config, seed)).collect();
-        let mut bounds = vec![0usize];
-        for (i, &cut) in cuts.iter().enumerate() {
-            if cut {
-                bounds.push(i + 1);
-            }
-        }
-        bounds.push(roster.len());
-        for pair in bounds.windows(2) {
-            law_drive_swept(&config, &mut grouped[pair[0]..pair[1]]);
-        }
-        for (cell, &kind) in grouped.iter().zip(&roster) {
-            let mut solo = law_cell(kind, &config, seed);
-            law_drive_solo(&mut solo);
-            prop_assert_eq!(
-                law_fingerprint(cell),
-                law_fingerprint(&solo),
-                "cell {:?} changed under partition {:?}",
-                kind,
-                &cuts
-            );
-        }
-    }
 }
