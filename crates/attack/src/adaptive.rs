@@ -6,9 +6,9 @@ use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
-use dd_qnn::{BitAddr, BitFlip, QModel};
+use dd_qnn::{BitAddr, QModel};
 
-use crate::bfa::{intra_layer_candidates, run_bfa, AttackData, AttackReport};
+use crate::bfa::{progressive_search, run_bfa, AttackData, AttackReport, Direction};
 use crate::threat::{AttackConfig, ThreatModel};
 
 /// Report of an attack against a DNN-Defender-protected model.
@@ -68,8 +68,8 @@ fn into_protected_report(report: AttackReport, threat: ThreatModel) -> Protected
 
 /// The defense-blind attacker. The model instance plays the attacker's
 /// belief state (all flips applied); the *real* system state is obtained
-/// by reverting the flips that the defense blocked, which is exact because
-/// bit flips commute.
+/// by reverting the flips that the defense blocked (see
+/// [`real_accuracy`]).
 fn semi_white_box(
     model: &mut QModel,
     data: &AttackData,
@@ -77,70 +77,57 @@ fn semi_white_box(
     protected: &HashSet<BitAddr>,
 ) -> ProtectedAttackReport {
     let clean_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
-    let mut blocked: Vec<BitFlip> = Vec::new();
+    let mut blocked: Vec<BitAddr> = Vec::new();
     let mut attempted = 0usize;
-    let mut landed = 0usize;
     let mut trajectory = vec![(0usize, clean_accuracy)];
-    let empty = HashSet::new();
 
-    for iter in 0..config.max_flips {
-        let grads = model.weight_grads(&data.search_images, &data.search_labels);
-        let mut candidates = intra_layer_candidates(model, &grads, &empty);
-        if candidates.is_empty() {
-            break;
-        }
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(config.evaluate_top_k.max(1));
-        let mut best: Option<(BitAddr, f32)> = None;
-        for &(addr, _) in &candidates {
-            let flip = model.flip_bit(addr);
-            let loss = model.loss(&data.search_images, &data.search_labels);
-            model.unflip(flip);
-            if best.is_none_or(|(_, bl)| loss > bl) {
-                best = Some((addr, loss));
+    progressive_search(
+        model,
+        &data.search_images,
+        &data.search_labels,
+        Direction::Ascend,
+        config,
+        &HashSet::new(),
+        |model, step| {
+            attempted += 1;
+            if protected.contains(&step.flip.addr) {
+                // The defense refreshed the row before T_RH: the flip never
+                // landed on the real system, but the attacker believes it
+                // did.
+                blocked.push(step.flip.addr);
             }
-        }
-        let (addr, _) = best.expect("non-empty candidates");
-        let flip = model.flip_bit(addr);
-        attempted += 1;
-        if protected.contains(&addr) {
-            // The defense refreshed the row before T_RH: the flip never
-            // landed on the real system, but the attacker believes it did.
-            blocked.push(flip);
-        } else {
-            landed += 1;
-        }
-
-        if (iter + 1) % config.record_every.max(1) == 0 {
+            if !attempted.is_multiple_of(config.record_every.max(1)) {
+                return false;
+            }
             let acc = real_accuracy(model, data, &blocked);
             trajectory.push((attempted, acc));
-            if acc <= config.target_accuracy {
-                break;
-            }
-        }
-    }
+            acc <= config.target_accuracy
+        },
+    );
 
     let final_accuracy = real_accuracy(model, data, &blocked);
 
     ProtectedAttackReport {
         threat: ThreatModel::SemiWhiteBox,
         attempted_flips: attempted,
-        landed_flips: landed,
+        landed_flips: attempted - blocked.len(),
         clean_accuracy,
         final_accuracy,
         trajectory,
     }
 }
 
-/// Evaluate the real (defended) system: the belief model minus the flips
-/// the defense blocked.
-fn real_accuracy(model: &mut QModel, data: &AttackData, blocked: &[BitFlip]) -> f32 {
-    for flip in blocked.iter().rev() {
-        model.unflip(*flip);
+/// Eval-batch accuracy of the *real* (defended) system: the attacker's
+/// belief model minus the flips the defense `blocked`. Bit flips commute
+/// (XOR), so toggling each blocked address out and back in is exact even
+/// when the search hit one bit repeatedly; the model is left as it was.
+pub fn real_accuracy(model: &mut QModel, data: &AttackData, blocked: &[BitAddr]) -> f32 {
+    for &addr in blocked {
+        model.flip_bit(addr);
     }
     let acc = model.accuracy(&data.eval_images, &data.eval_labels);
-    for flip in blocked {
-        model.flip_bit(flip.addr);
+    for &addr in blocked {
+        model.flip_bit(addr);
     }
     acc
 }

@@ -11,6 +11,10 @@
 //!
 //! The search maximizes Eqn. 1 while keeping the Hamming distance to the
 //! clean weights minimal (one committed flip per iteration).
+//!
+//! This module holds the only copy of that loop. Every attacker and the
+//! defender's profiling run it (see the crate docs); T-BFA
+//! ([`crate::tbfa`]) runs it downhill, toward its malicious labels.
 
 use std::collections::HashSet;
 
@@ -96,7 +100,7 @@ impl AttackData {
 // The loop indexes are semantic (bit/param addresses), not mere
 // positions; iterator rewrites would obscure that.
 #[allow(clippy::needless_range_loop)]
-pub fn intra_layer_candidates(
+fn intra_layer_candidates(
     model: &QModel,
     grads: &[Tensor],
     skip: &HashSet<BitAddr>,
@@ -133,6 +137,90 @@ pub fn intra_layer_candidates(
     out
 }
 
+/// Which way the search pushes the search-batch loss.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    /// Raise the loss on the true labels (BFA, Eqn. 1).
+    Ascend,
+    /// Lower the loss on malicious labels (T-BFA).
+    Descend,
+}
+
+impl Direction {
+    /// Whether a candidate's exact `loss` beats the best one so far.
+    fn improves(self, loss: f32, best: f32) -> bool {
+        match self {
+            Direction::Ascend => loss > best,
+            Direction::Descend => loss < best,
+        }
+    }
+}
+
+/// The progressive bit search: up to `config.max_flips` committed flips
+/// on the search images against `labels`, never flipping a bit in `skip`.
+///
+/// Every committed flip goes to `on_step` as an [`AttackStep`] with
+/// `accuracy: None`; the callback sees the model in its attacked state
+/// and returns whether to stop. The search also stops once no bit is
+/// left to flip.
+///
+/// Descending negates the gradient once per step. Negation is exact, so
+/// every first-order gain is the exact negation of the ascending gain on
+/// the same gradient, and the one ranking loop serves both directions;
+/// only the exact candidate losses compare the other way round.
+pub(crate) fn progressive_search(
+    model: &mut QModel,
+    images: &Tensor,
+    labels: &[usize],
+    direction: Direction,
+    config: &AttackConfig,
+    skip: &HashSet<BitAddr>,
+    mut on_step: impl FnMut(&mut QModel, AttackStep) -> bool,
+) {
+    // The search loss of the model as it stands. After a commit that is
+    // the committed candidate's `loss_after`: `flip_bit` and `unflip`
+    // re-sync each weight from its quantized value, so the committed
+    // model is bit for bit the one that loss was measured on.
+    let mut current_loss = None;
+    for _ in 0..config.max_flips {
+        let loss_before = current_loss.unwrap_or_else(|| model.loss(images, labels));
+        let mut grads = model.weight_grads(images, labels);
+        if direction == Direction::Descend {
+            for grad in &mut grads {
+                grad.as_mut_slice().iter_mut().for_each(|g| *g = -*g);
+            }
+        }
+        let mut candidates = intra_layer_candidates(model, &grads, skip);
+        if candidates.is_empty() {
+            break;
+        }
+        // Inter-layer search: evaluate the top-k candidates exactly.
+        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        candidates.truncate(config.evaluate_top_k.max(1));
+        let mut best: Option<(BitAddr, f32)> = None;
+        for &(addr, _) in &candidates {
+            let flip = model.flip_bit(addr);
+            let loss = model.loss(images, labels);
+            model.unflip(flip);
+            if best.is_none_or(|(_, bl)| direction.improves(loss, bl)) {
+                best = Some((addr, loss));
+            }
+        }
+        let (addr, loss_after) = best.expect("candidates were non-empty");
+        let flip = model.flip_bit(addr);
+        current_loss = Some(loss_after);
+        let step = AttackStep {
+            flip,
+            loss_before,
+            loss_after,
+            accuracy: None,
+        };
+        if on_step(model, step) {
+            break;
+        }
+    }
+}
+
 /// Run the progressive bit search, skipping any bit in `skip`.
 ///
 /// The model is left in its attacked state; callers that need the clean
@@ -147,56 +235,23 @@ pub fn run_bfa(
     let mut steps = Vec::new();
     let mut final_accuracy = clean_accuracy;
     let mut reached_target = false;
-    // The search loss of the model as it stands. After a commit that is
-    // the committed candidate's `loss_after`: `flip_bit` and `unflip`
-    // re-sync each weight from its quantized value, so the committed
-    // model is bit for bit the one that loss was measured on.
-    let mut current_loss = None;
-
-    for iter in 0..config.max_flips {
-        let loss_before =
-            current_loss.unwrap_or_else(|| model.loss(&data.search_images, &data.search_labels));
-        let grads = model.weight_grads(&data.search_images, &data.search_labels);
-        let mut candidates = intra_layer_candidates(model, &grads, skip);
-        if candidates.is_empty() {
-            break;
-        }
-        // Inter-layer search: evaluate the top-k candidates exactly.
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(config.evaluate_top_k.max(1));
-        let mut best: Option<(BitAddr, f32)> = None;
-        for &(addr, _) in &candidates {
-            let flip = model.flip_bit(addr);
-            let loss = model.loss(&data.search_images, &data.search_labels);
-            model.unflip(flip);
-            if best.is_none_or(|(_, bl)| loss > bl) {
-                best = Some((addr, loss));
+    progressive_search(
+        model,
+        &data.search_images,
+        &data.search_labels,
+        Direction::Ascend,
+        config,
+        skip,
+        |model, mut step| {
+            if (steps.len() + 1).is_multiple_of(config.record_every.max(1)) {
+                final_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+                step.accuracy = Some(final_accuracy);
             }
-        }
-        let (addr, loss_after) = best.expect("candidates were non-empty");
-        let flip = model.flip_bit(addr);
-        current_loss = Some(loss_after);
-
-        let record = (iter + 1) % config.record_every.max(1) == 0;
-        let accuracy = if record {
-            let acc = model.accuracy(&data.eval_images, &data.eval_labels);
-            final_accuracy = acc;
-            Some(acc)
-        } else {
-            None
-        };
-        steps.push(AttackStep {
-            flip,
-            loss_before,
-            loss_after,
-            accuracy,
-        });
-
-        if final_accuracy <= config.target_accuracy {
-            reached_target = true;
-            break;
-        }
-    }
+            steps.push(step);
+            reached_target = final_accuracy <= config.target_accuracy;
+            reached_target
+        },
+    );
 
     if !steps.is_empty() && steps.last().unwrap().accuracy.is_none() {
         final_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);

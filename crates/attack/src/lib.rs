@@ -9,7 +9,15 @@
 //!   produces the priority secured-bit list (§4);
 //! * [`adaptive`] — attacks against a protected model: defense-blind
 //!   (semi-white-box) and defense-aware (white-box, Fig. 9);
+//! * [`tbfa`] — the targeted variant, T-BFA (Rakin et al., TPAMI 2021);
 //! * [`threat`] — threat-model and search configuration (§3, Table 1).
+//!
+//! The bit search exists once, in [`bfa`]. BFA, profiling (round by
+//! round through [`run_bfa`]), both adaptive attackers and T-BFA all run
+//! that one engine; each entry point fixes its search labels, its
+//! direction (raise the loss on the true labels, or lower it toward
+//! T-BFA's malicious labels) and a per-step callback that records
+//! accuracy, tracks blocked flips and decides when to stop.
 //!
 //! All attacks operate on a [`dd_qnn::QModel`] and leave RowHammer
 //! physics to the `dd-dram` / `dnn-defender` crates: this crate answers
@@ -27,9 +35,9 @@ pub mod tbfa;
 pub(crate) mod testutil;
 pub mod threat;
 
-pub use adaptive::{attack_protected, ProtectedAttackReport};
+pub use adaptive::{attack_protected, real_accuracy, ProtectedAttackReport};
 pub use bfa::{run_bfa, AttackData, AttackReport, AttackStep};
 pub use profile::{multi_round_profile, ProfileReport};
-pub use random_attack::{run_random_attack, RandomAttackReport};
+pub use random_attack::{random_bit, run_random_attack, RandomAttackReport};
 pub use tbfa::{run_tbfa, TbfaGoal, TbfaReport};
 pub use threat::{AttackConfig, ThreatModel};

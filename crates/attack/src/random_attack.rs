@@ -19,6 +19,23 @@ pub struct RandomAttackReport {
     pub final_accuracy: f32,
 }
 
+/// Draw one uniformly random weight bit of `model`: a weight uniform over
+/// every quantized weight, then a bit uniform within it. Two draws from
+/// `rng`, in that order.
+pub fn random_bit(model: &QModel, rng: &mut impl Rng) -> BitAddr {
+    let total: usize = (0..model.num_qparams())
+        .map(|p| model.qtensor(p).len())
+        .sum();
+    let mut index = rng.gen_range(0..total);
+    let mut param = 0;
+    while index >= model.qtensor(param).len() {
+        index -= model.qtensor(param).len();
+        param += 1;
+    }
+    let bit = rng.gen_range(0..dd_qnn::WEIGHT_BITS);
+    BitAddr { param, index, bit }
+}
+
 /// Flip `flips` uniformly random bits, recording accuracy every
 /// `record_every` flips.
 pub fn run_random_attack(
@@ -33,25 +50,8 @@ pub fn run_random_attack(
     let mut trajectory = vec![(0usize, clean)];
     let mut final_accuracy = clean;
 
-    // Build the cumulative weight counts for uniform sampling over params.
-    let weights_per_param: Vec<usize> = (0..model.num_qparams())
-        .map(|p| model.qtensor(p).len())
-        .collect();
-    let total_weights: usize = weights_per_param.iter().sum();
-
     for i in 1..=flips {
-        let mut w = rng.gen_range(0..total_weights);
-        let mut param = 0;
-        while w >= weights_per_param[param] {
-            w -= weights_per_param[param];
-            param += 1;
-        }
-        let bit = rng.gen_range(0..dd_qnn::WEIGHT_BITS);
-        model.flip_bit(BitAddr {
-            param,
-            index: w,
-            bit,
-        });
+        model.flip_bit(random_bit(model, rng));
         if i % record_every.max(1) == 0 || i == flips {
             final_accuracy = model.accuracy(eval_images, eval_labels);
             trajectory.push((i, final_accuracy));

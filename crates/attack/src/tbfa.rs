@@ -3,20 +3,19 @@
 //!
 //! Instead of destroying accuracy outright, T-BFA flips bits so that
 //! inputs (optionally only those of a source class) are classified as an
-//! attacker-chosen target class. It reuses the progressive search but
-//! *descends* the cross-entropy toward the target labels. DNN-Defender's
-//! protection argument is attack-agnostic — it secures whichever bits
-//! the profiling search surfaces — so this module also doubles as an
-//! extension workload for the defense.
+//! attacker-chosen target class. It runs the one progressive search of
+//! [`crate::bfa`], *descending* the cross-entropy toward the target
+//! labels. DNN-Defender's protection argument is attack-agnostic — it
+//! secures whichever bits the profiling search surfaces — so this module
+//! also doubles as an extension workload for the defense.
 
 use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
-use dd_nn::Tensor;
 use dd_qnn::{BitAddr, BitFlip, QModel};
 
-use crate::bfa::AttackData;
+use crate::bfa::{progressive_search, AttackData, Direction};
 use crate::threat::AttackConfig;
 
 /// What the targeted attack tries to achieve.
@@ -46,6 +45,9 @@ pub struct TbfaReport {
     pub final_accuracy: f32,
 }
 
+/// Attack success rate at which T-BFA stops searching.
+pub const TBFA_STOP_ASR: f32 = 0.95;
+
 fn attack_success_rate(model: &mut QModel, data: &AttackData, goal: TbfaGoal) -> f32 {
     let logits = model.forward(&data.eval_images);
     let preds = logits.argmax_rows();
@@ -64,34 +66,14 @@ fn attack_success_rate(model: &mut QModel, data: &AttackData, goal: TbfaGoal) ->
     }
 }
 
-/// Gradient of the *targeted* loss (cross-entropy toward the target
-/// labels, restricted to in-scope samples) w.r.t. quantizable weights.
-fn targeted_grads(model: &mut QModel, data: &AttackData, goal: TbfaGoal) -> Vec<Tensor> {
-    // Build the malicious label vector: in-scope samples get the target
-    // class; out-of-scope samples keep their true label so the attack
-    // stays stealthy on them.
-    let labels: Vec<usize> = data
-        .search_labels
-        .iter()
-        .map(|&l| {
-            if goal.source_class.is_none_or(|s| l == s) {
-                goal.target_class
-            } else {
-                l
-            }
-        })
-        .collect();
-    model.weight_grads(&data.search_images, &labels)
-}
-
 /// Run the targeted progressive bit search.
 ///
-/// Each iteration flips the bit with the most *negative* first-order
-/// effect on the targeted loss (we want the malicious labels to become
-/// likely), evaluating the top-k candidates exactly.
-// The loop indexes are semantic (bit/param addresses), not mere
-// positions; iterator rewrites would obscure that.
-#[allow(clippy::needless_range_loop)]
+/// The shared search descends the cross-entropy toward the malicious
+/// labels: in-scope samples carry the target class, out-of-scope samples
+/// keep their true label so the attack stays stealthy on them. The search
+/// stops once the attack success rate on the eval batch reaches
+/// [`TBFA_STOP_ASR`] or `config.max_flips` flips are committed;
+/// `config.target_accuracy` and `config.record_every` play no part.
 pub fn run_tbfa(
     model: &mut QModel,
     data: &AttackData,
@@ -112,61 +94,18 @@ pub fn run_tbfa(
         })
         .collect();
     let mut flips = Vec::new();
-
-    for _ in 0..config.max_flips {
-        let grads = targeted_grads(model, data, goal);
-        // Most-negative flip gain per parameter = steepest descent toward
-        // the malicious labels.
-        let mut candidates: Vec<(BitAddr, f32)> = Vec::new();
-        for param in 0..model.num_qparams() {
-            let qt = model.qtensor(param);
-            let scale = qt.quant_params().scale;
-            let g = grads[param].as_slice();
-            let mut best: Option<(BitAddr, f32)> = None;
-            for index in 0..qt.len() {
-                if g[index] == 0.0 {
-                    continue;
-                }
-                let q = qt.get(index);
-                for bit in 0..dd_qnn::WEIGHT_BITS {
-                    let gain = g[index] * scale * dd_qnn::flip_delta(q, bit) as f32;
-                    if gain >= 0.0 {
-                        continue;
-                    }
-                    let addr = BitAddr { param, index, bit };
-                    if skip.contains(&addr) {
-                        continue;
-                    }
-                    if best.is_none_or(|(_, bg)| gain < bg) {
-                        best = Some((addr, gain));
-                    }
-                }
-            }
-            if let Some(b) = best {
-                candidates.push(b);
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(config.evaluate_top_k.max(1));
-        let mut best: Option<(BitAddr, f32)> = None;
-        for &(addr, _) in &candidates {
-            let flip = model.flip_bit(addr);
-            let loss = model.loss(&data.search_images, &malicious_labels);
-            model.unflip(flip);
-            if best.is_none_or(|(_, bl)| loss < bl) {
-                best = Some((addr, loss));
-            }
-        }
-        let (addr, _) = best.expect("non-empty candidates");
-        flips.push(model.flip_bit(addr));
-
-        if attack_success_rate(model, data, goal) >= 0.95 {
-            break;
-        }
-    }
+    progressive_search(
+        model,
+        &data.search_images,
+        &malicious_labels,
+        Direction::Descend,
+        config,
+        skip,
+        |model, step| {
+            flips.push(step.flip);
+            attack_success_rate(model, data, goal) >= TBFA_STOP_ASR
+        },
+    );
 
     let final_asr = attack_success_rate(model, data, goal);
     let final_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
@@ -267,6 +206,86 @@ mod tests {
         let second = run_tbfa(&mut model, &data, &config, goal, &found);
         for f in &second.flips {
             assert!(!found.contains(&f.addr));
+        }
+    }
+
+    /// Flat `(param, index, bit, old, new)` view of a flip list.
+    fn flat(flips: &[BitFlip]) -> Vec<(usize, usize, u8, i8, i8)> {
+        flips
+            .iter()
+            .map(|f| (f.addr.param, f.addr.index, f.addr.bit, f.old, f.new))
+            .collect()
+    }
+
+    /// No artifact shows which bits T-BFA flips, so its choices are pinned
+    /// here: for two goals, once open and once skipping the open run's
+    /// bits.
+    #[test]
+    fn flip_lists_are_pinned() {
+        let (mut model, data, _) = trained_victim();
+        let clean = model.snapshot_q();
+        let config = AttackConfig {
+            target_accuracy: 0.0,
+            max_flips: 20,
+            ..Default::default()
+        };
+        let all_to_two = TbfaGoal {
+            source_class: None,
+            target_class: 2,
+        };
+        let zero_to_one = TbfaGoal {
+            source_class: Some(0),
+            target_class: 1,
+        };
+        let pinned = [
+            (
+                all_to_two,
+                vec![
+                    (2, 94, 7, -82, 46),
+                    (2, 87, 7, -27, 101),
+                    (2, 70, 7, -121, 7),
+                    (2, 68, 7, -122, 6),
+                    (2, 55, 7, 72, -56),
+                    (2, 119, 7, 62, -66),
+                ],
+                vec![
+                    (1, 262, 7, 51, -77),
+                    (2, 30, 7, 69, -59),
+                    (1, 433, 7, 41, -87),
+                    (2, 62, 7, 79, -49),
+                    (1, 283, 7, 58, -70),
+                    (2, 84, 7, -16, 112),
+                    (2, 98, 7, 72, -56),
+                    (1, 316, 7, 107, -21),
+                    (1, 390, 7, 36, -92),
+                    (2, 52, 7, 77, -51),
+                    (1, 1478, 7, 18, -110),
+                    (2, 115, 7, 45, -83),
+                    (2, 94, 6, -82, -18),
+                ],
+            ),
+            (
+                zero_to_one,
+                vec![
+                    (2, 30, 7, 69, -59),
+                    (2, 41, 7, -45, 83),
+                    (1, 1524, 7, -4, 124),
+                ],
+                vec![
+                    (2, 9, 7, 19, -109),
+                    (2, 54, 7, -7, 121),
+                    (2, 49, 7, -45, 83),
+                ],
+            ),
+        ];
+        for (goal, open_flips, skipped_flips) in pinned {
+            let open = run_tbfa(&mut model, &data, &config, goal, &HashSet::new());
+            model.restore_q(&clean);
+            assert_eq!(flat(&open.flips), open_flips, "{goal:?} open");
+            let skip: HashSet<BitAddr> = open.flips.iter().map(|f| f.addr).collect();
+            let skipped = run_tbfa(&mut model, &data, &config, goal, &skip);
+            model.restore_q(&clean);
+            assert_eq!(flat(&skipped.flips), skipped_flips, "{goal:?} skipped");
         }
     }
 }

@@ -25,10 +25,13 @@ impl ThreatModel {
     }
 }
 
-/// Knobs common to all attack loops.
+/// Knobs of the progressive bit search, shared by every attacker that
+/// runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AttackConfig {
     /// Stop once eval accuracy falls to this level (e.g. random-guess).
+    /// T-BFA ignores it: it stops once its attack success rate reaches
+    /// [`crate::tbfa::TBFA_STOP_ASR`].
     pub target_accuracy: f32,
     /// Hard cap on committed bit flips.
     pub max_flips: usize,
@@ -39,7 +42,8 @@ pub struct AttackConfig {
     /// selection behaviour — set to `usize::MAX` for the exact search).
     pub evaluate_top_k: usize,
     /// Record accuracy on the eval batch every `record_every` flips
-    /// (1 = every flip).
+    /// (1 = every flip). T-BFA ignores it: it measures its attack
+    /// success rate after every flip.
     pub record_every: usize,
 }
 

@@ -40,10 +40,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use dd_attack::{run_bfa, run_tbfa, AttackConfig, AttackData, TbfaGoal, ThreatModel};
+use dd_attack::{
+    random_bit, real_accuracy, run_bfa, run_tbfa, AttackConfig, AttackData, TbfaGoal, ThreatModel,
+};
 use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, Nanos, TraceMode};
 use dd_nn::data::{Dataset, SyntheticSpec};
 use dd_nn::train::{train, TrainConfig};
@@ -1249,28 +1251,9 @@ impl ScenarioMatrix {
                 })
             }
             // Random flips draw from the cell's own RNG: never shared.
-            AttackerKind::Random { flips } => {
-                let weights: Vec<usize> = (0..model.num_qparams())
-                    .map(|p| model.qtensor(p).len())
-                    .collect();
-                let total: usize = weights.iter().sum();
-                (0..*flips)
-                    .map(|_| {
-                        let mut w = rng.gen_range(0..total);
-                        let mut param = 0;
-                        while w >= weights[param] {
-                            w -= weights[param];
-                            param += 1;
-                        }
-                        let bit = rng.gen_range(0..dd_qnn::WEIGHT_BITS);
-                        model.flip_bit(BitAddr {
-                            param,
-                            index: w,
-                            bit,
-                        })
-                    })
-                    .collect()
-            }
+            AttackerKind::Random { flips } => (0..*flips)
+                .map(|_| model.flip_bit(random_bit(&model, &mut rng)))
+                .collect(),
         };
 
         // Replay each selected campaign mechanistically through the
@@ -1805,20 +1788,6 @@ fn pseudo_bit_in_row(addr: BitAddr, config: &DramConfig) -> usize {
     (addr.index % config.row_bytes) * 8 + addr.bit as usize
 }
 
-/// Accuracy of the *real* system: the belief model minus the blocked
-/// flips. Bit flips commute (XOR), so toggling each blocked address out
-/// and back in is exact even when the search hit one bit repeatedly.
-fn real_accuracy(model: &mut QModel, data: &AttackData, blocked: &[BitAddr]) -> f32 {
-    for &addr in blocked {
-        model.flip_bit(addr);
-    }
-    let acc = model.accuracy(&data.eval_images, &data.eval_labels);
-    for &addr in blocked {
-        model.flip_bit(addr);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1833,6 +1802,45 @@ mod tests {
         ScenarioMatrix::new(VictimSpec::tiny_mlp(2002))
             .attack_config(attack)
             .budget(20)
+    }
+
+    /// Which bits a random cell draws from its RNG, pinned: the cell
+    /// report of an undefended tiny MLP does not move under a few random
+    /// flips, so it cannot show a changed draw.
+    #[test]
+    fn random_cell_draws_are_pinned() {
+        let attacker = AttackerKind::Random { flips: 9 };
+        let matrix = quick_matrix()
+            .attacker(attacker)
+            .defense("Baseline", |_, _| Box::new(Undefended::named("Baseline")));
+        let state = matrix
+            .cell_setup(
+                0,
+                &attacker,
+                &matrix.effective_dram()[0],
+                matrix.effective_loads()[0],
+                &RunMemo::default(),
+            )
+            .expect("cell setup");
+        let drawn: Vec<(usize, usize, u8, i8, i8)> = state
+            .flips
+            .iter()
+            .map(|f| (f.addr.param, f.addr.index, f.addr.bit, f.old, f.new))
+            .collect();
+        assert_eq!(
+            drawn,
+            [
+                (1, 1242, 4, 1, 17),
+                (0, 1032, 1, -34, -36),
+                (0, 1673, 3, -41, -33),
+                (0, 3459, 0, 42, 43),
+                (0, 3112, 7, 70, -58),
+                (0, 512, 4, -2, -18),
+                (0, 170, 2, -70, -66),
+                (0, 1136, 7, -24, 104),
+                (0, 2046, 6, -75, -11),
+            ]
+        );
     }
 
     #[test]

@@ -1,24 +1,24 @@
 //! Work-stealing threaded executor with geometry affinity.
 //!
-//! Admitted jobs are dealt into per-worker deques — round-robin
-//! ([`run_work_stealing`]) or grouped by an affinity key so same-geometry
-//! cells run back to back on one worker ([`run_work_stealing_grouped`]);
-//! each worker pops from the *front* of its own deque and, when empty,
-//! steals from the *back* of the others. The pool runs on `std::thread::scope`, so
-//! borrowed job data needs no `'static` bound and the pool can never
-//! outlive a request. Every job is executed exactly once: a job index
-//! exists in exactly one deque, and popping happens under that deque's
-//! mutex (a property test in `tests/scheduler_props.rs` drives this under
-//! random worker counts and interleavings).
+//! Admitted jobs are dealt into per-worker deques, grouped by an affinity
+//! key so same-geometry cells run back to back on one worker
+//! ([`run_work_stealing_grouped_isolated`]; one key per job deals them
+//! round-robin); each worker pops from the *front* of its own deque and,
+//! when empty, steals from the *back* of the others. The pool runs on
+//! `std::thread::scope`, so borrowed job data needs no `'static` bound and
+//! the pool can never outlive a request. Every job is executed exactly
+//! once: a job index exists in exactly one deque, and popping happens
+//! under that deque's mutex (a property test in `tests/scheduler_props.rs`
+//! drives this under random worker counts and interleavings).
 //!
 //! Jobs are *panic-isolated*: each execution runs under
 //! [`std::panic::catch_unwind`], so a panicking job (real bug or a
 //! `dd-chaos` injected fault) can never take down the worker thread, poison
-//! the pool, or kill the server process. The isolated entry points retry a
-//! panicked job a bounded number of times on the same worker and surface
-//! the terminal outcome as [`JobOutcome::Panicked`] for the caller to turn
-//! into a structured error (the sweep server answers `job_failed` and
-//! refunds the charge).
+//! the pool, or kill the server process. A panicked job is retried a
+//! bounded number of times on the same worker and its terminal outcome
+//! surfaces as [`JobOutcome::Panicked`] for the caller to turn into a
+//! structured error (the sweep server answers `job_failed` and refunds
+//! the charge).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,51 +83,19 @@ fn micros(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Execute jobs `0..jobs` on up to `workers` threads with work stealing;
-/// outcomes come back in job-index order. `run` must be safe to call from
-/// several threads at once (it receives distinct indices).
-pub fn run_work_stealing<T, F>(jobs: usize, workers: usize, run: F) -> Vec<JobRun<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, jobs);
-    let mut deal: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
-    for index in 0..jobs {
-        deal[index % workers].push_back(index);
-    }
-    repanic(execute(deal, 1, |index, _attempt| run(index)))
-}
-
-/// Like [`run_work_stealing`], but jobs sharing an affinity key are dealt
-/// to the same worker's deque, back to back. A worker then runs a whole
-/// same-geometry run of cells consecutively, on warm device tables. Work
-/// stealing still rebalances when a group turns out slow, so affinity is
-/// a hint, never a stall.
-pub fn run_work_stealing_grouped<T, F>(keys: &[u64], workers: usize, run: F) -> Vec<JobRun<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if keys.is_empty() {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, keys.len());
-    repanic(execute(
-        deal_grouped(keys, workers),
-        1,
-        |index, _attempt| run(index),
-    ))
-}
-
-/// Panic-isolated grouped executor: like [`run_work_stealing_grouped`], but
-/// a panicking job is caught and retried up to `attempts` times (total) on
-/// the same worker before surfacing as [`JobOutcome::Panicked`]. `run`
+/// Execute one job per entry of `keys` on up to `workers` threads with
+/// work stealing; outcomes come back in job-index order. Jobs sharing an
+/// affinity key are dealt to the same worker's deque, back to back, so a
+/// worker runs a whole same-geometry run of cells consecutively, on warm
+/// device tables. Work stealing still rebalances when a group turns out
+/// slow, so affinity is a hint, never a stall.
+///
+/// A panicking job is caught and retried up to `attempts` times (total)
+/// on the same worker before surfacing as [`JobOutcome::Panicked`]. `run`
 /// receives `(job_index, attempt)` with attempts counted from 1 so retry
-/// behaviour (and deterministic fault keys) can depend on the attempt.
+/// behaviour (and deterministic fault keys) can depend on the attempt;
+/// it must be safe to call from several threads at once (it receives
+/// distinct indices).
 pub fn run_work_stealing_grouped_isolated<T, F>(
     keys: &[u64],
     workers: usize,
@@ -143,29 +111,6 @@ where
     }
     let workers = workers.clamp(1, keys.len());
     execute(deal_grouped(keys, workers), attempts.max(1), run)
-}
-
-/// Compatibility shim for the non-isolated entry points: preserve their
-/// historical contract (a panicking job propagates out of the pool) by
-/// re-raising the caught payload.
-fn repanic<T>(runs: Vec<JobRun<JobOutcome<T>>>) -> Vec<JobRun<T>> {
-    runs.into_iter()
-        .map(|run| {
-            let output = match run.output {
-                JobOutcome::Ok(value) => value,
-                JobOutcome::Panicked { message } => panic!("{message}"),
-            };
-            JobRun {
-                index: run.index,
-                worker: run.worker,
-                stolen: run.stolen,
-                queue_micros: run.queue_micros,
-                wall_micros: run.wall_micros,
-                attempts: run.attempts,
-                output,
-            }
-        })
-        .collect()
 }
 
 /// Deal job indices into `workers` deques: one contiguous run per
@@ -192,7 +137,7 @@ fn deal_grouped(keys: &[u64], workers: usize) -> Vec<VecDeque<usize>> {
     deal
 }
 
-/// The shared worker pool behind both dealing strategies. Every job runs
+/// The worker pool. Every job runs
 /// under `catch_unwind`, retried up to `attempts` times; worker threads
 /// never die to a job panic.
 fn execute<T, F>(deal: Vec<VecDeque<usize>>, attempts: u32, run: F) -> Vec<JobRun<JobOutcome<T>>>
@@ -306,18 +251,35 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// One key per job, one attempt: jobs are dealt round-robin.
+    fn run_round_robin<T: Send>(
+        jobs: usize,
+        workers: usize,
+        run: impl Fn(usize) -> T + Sync,
+    ) -> Vec<JobRun<JobOutcome<T>>> {
+        let keys: Vec<u64> = (0..jobs as u64).collect();
+        run_work_stealing_grouped_isolated(&keys, workers, 1, |index, _attempt| run(index))
+    }
+
+    #[test]
+    fn one_key_per_job_deals_round_robin() {
+        let keys: Vec<u64> = (0..8).collect();
+        let deal: Vec<Vec<usize>> = deal_grouped(&keys, 3).into_iter().map(Vec::from).collect();
+        assert_eq!(deal, [vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]);
+    }
+
     #[test]
     fn executes_every_job_exactly_once() {
         let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        let runs = run_work_stealing(100, 7, |i| {
+        let runs = run_round_robin(100, 7, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             i * 2
         });
         assert_eq!(runs.len(), 100);
-        for (i, run) in runs.iter().enumerate() {
+        for (i, run) in runs.into_iter().enumerate() {
             assert_eq!(run.index, i);
-            assert_eq!(run.output, i * 2);
             assert!(run.worker < 7);
+            assert_eq!(run.output.ok(), Some(i * 2));
         }
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
@@ -326,9 +288,9 @@ mod tests {
 
     #[test]
     fn empty_batch_and_oversized_worker_count() {
-        let none = run_work_stealing(0, 8, |_| ());
+        let none = run_round_robin(0, 8, |_| ());
         assert!(none.is_empty());
-        let one = run_work_stealing(1, 64, |i| i);
+        let one = run_round_robin(1, 64, |i| i);
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].worker, 0);
         assert!(!one[0].stolen);
@@ -375,19 +337,19 @@ mod tests {
     fn grouped_executor_runs_every_job_exactly_once_in_index_order() {
         let keys: Vec<u64> = (0..60).map(|i| (i % 5) as u64).collect();
         let hits: Vec<AtomicU64> = (0..60).map(|_| AtomicU64::new(0)).collect();
-        let runs = run_work_stealing_grouped(&keys, 4, |i| {
+        let runs = run_work_stealing_grouped_isolated(&keys, 4, 1, |i, _attempt| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             i * 3
         });
         assert_eq!(runs.len(), 60);
-        for (i, run) in runs.iter().enumerate() {
+        for (i, run) in runs.into_iter().enumerate() {
             assert_eq!(run.index, i);
-            assert_eq!(run.output, i * 3);
+            assert_eq!(run.output.ok(), Some(i * 3));
         }
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
         }
-        assert!(run_work_stealing_grouped(&[], 4, |i| i).is_empty());
+        assert!(run_work_stealing_grouped_isolated(&[], 4, 1, |i, _attempt| i).is_empty());
     }
 
     #[test]
@@ -468,14 +430,14 @@ mod tests {
     fn uneven_jobs_get_stolen() {
         // One worker's deque gets all the slow jobs; with several workers
         // at least the batch completes and outputs stay index-aligned.
-        let runs = run_work_stealing(32, 4, |i| {
+        let runs = run_round_robin(32, 4, |i| {
             if i % 4 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
             i + 1
         });
-        for (i, run) in runs.iter().enumerate() {
-            assert_eq!(run.output, i + 1);
+        for (i, run) in runs.into_iter().enumerate() {
+            assert_eq!(run.output.ok(), Some(i + 1));
         }
     }
 }

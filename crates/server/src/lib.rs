@@ -48,10 +48,7 @@ pub mod metrics;
 pub mod server;
 pub mod spec;
 
-pub use executor::{
-    run_work_stealing, run_work_stealing_grouped, run_work_stealing_grouped_isolated, JobOutcome,
-    JobRun,
-};
+pub use executor::{run_work_stealing_grouped_isolated, JobOutcome, JobRun};
 pub use frame::{Frame, FrameReader, MAX_FRAME_BYTES};
 pub use metrics::{hist_to_json, ClientLedger, ExecutorSummary, ServerStats};
 pub use server::{

@@ -141,7 +141,8 @@ enum Slot {
     },
     Error {
         message: String,
-        /// Structured failure class: `bad_spec` (unparseable cell),
+        /// Structured failure class: `bad_spec` (unparseable cell, or
+        /// one the sweep base's victim cannot run),
         /// `job_failed` (execution failed or panicked out of retries),
         /// `duplicate_incomplete`, or `internal`.
         kind: &'static str,
@@ -556,11 +557,14 @@ impl SweepServer {
         let mut slots: Vec<Slot> = Vec::with_capacity(cells.len());
         let mut pending_keys: HashMap<u64, usize> = HashMap::new();
         for cell in cells {
-            let spec = match CellSpec::from_json(cell) {
+            let checked = CellSpec::from_json(cell)
+                .map_err(|e| e.message)
+                .and_then(|spec| base.check(&spec).map(|()| spec));
+            let spec = match checked {
                 Ok(spec) => spec,
-                Err(e) => {
+                Err(message) => {
                     slots.push(Slot::Error {
-                        message: e.message,
+                        message,
                         kind: "bad_spec",
                     });
                     continue;
@@ -1129,6 +1133,36 @@ mod tests {
         let ledger = response.field("ledger").expect("ledger");
         assert_eq!(ledger.field_u64("charged_micros"), Ok(0));
         assert_eq!(ledger.field_u64("rejected_budget"), Ok(1));
+    }
+
+    #[test]
+    fn out_of_range_tbfa_class_is_a_bad_spec_and_charges_nothing() {
+        // The served victim has 4 classes: a T-BFA goal naming class 4+
+        // as source or target is refused at admission, before pricing.
+        let mut server = test_server(1_000_000);
+        let line = submit_line(
+            "tbfa",
+            &[
+                "Baseline (undefended):T-BFA(*->7):lpddr4_small:none",
+                "Baseline (undefended):T-BFA(4->1):lpddr4_small:none",
+            ],
+        );
+        let response = Json::parse(&server.handle_line(&line)).expect("submit");
+        assert_eq!(response.field_bool("ok"), Ok(true));
+        let results = response.field_arr("results").expect("results");
+        assert_eq!(results.len(), 2);
+        for result in results {
+            assert_eq!(result.field_str("status"), Ok("error"));
+            assert_eq!(result.field_str("kind"), Ok("bad_spec"));
+            assert!(result
+                .field_str("reason")
+                .expect("reason")
+                .contains("victim has 4 classes"));
+        }
+        let ledger = response.field("ledger").expect("ledger");
+        assert_eq!(ledger.field_u64("charged_gross_micros"), Ok(0));
+        assert_eq!(ledger.field_u64("charged_micros"), Ok(0));
+        assert_eq!(server.inflight_micros(), 0);
     }
 
     #[test]

@@ -243,6 +243,27 @@ impl SweepBase {
         }
     }
 
+    /// The victim every cell attacks.
+    fn victim(&self) -> VictimSpec {
+        VictimSpec::tiny_mlp(2024)
+    }
+
+    /// Check that the base's victim can run `spec`: every T-BFA class
+    /// must be one of the victim's classes. The error is the reason.
+    pub(crate) fn check(&self, spec: &CellSpec) -> Result<(), String> {
+        let classes = self.victim().spec.classes;
+        if let AttackerKind::Tbfa(goal) = spec.attacker {
+            let highest = goal.source_class.unwrap_or(0).max(goal.target_class);
+            if highest >= classes {
+                return Err(format!(
+                    "attacker `{}` names class {highest}, but the victim has {classes} classes",
+                    spec.attacker.label()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// The single-cell matrix for one spec. `threads(1)` because the
     /// server's own executor provides the parallelism across cells.
     pub fn matrix_for(&self, spec: &CellSpec) -> ScenarioMatrix {
@@ -251,7 +272,7 @@ impl SweepBase {
             max_flips: 40,
             ..Default::default()
         };
-        ScenarioMatrix::new(VictimSpec::tiny_mlp(2024))
+        ScenarioMatrix::new(self.victim())
             .attack_config(attack)
             .budget(self.budget())
             .seed(2024)
@@ -360,6 +381,20 @@ mod tests {
     }
 
     #[test]
+    fn check_bounds_tbfa_classes_by_the_victim() {
+        let base = SweepBase::standard(true);
+        let check = |attacker: &str| {
+            let text = format!("Baseline (undefended):{attacker}:lpddr4_small:none");
+            base.check(&CellSpec::parse_compact(&text).expect("spec"))
+        };
+        assert_eq!(check("T-BFA(*->3)"), Ok(()));
+        assert_eq!(check("T-BFA(3->0)"), Ok(()));
+        assert_eq!(check("BFA"), Ok(()));
+        assert!(check("T-BFA(*->4)").is_err());
+        assert!(check("T-BFA(4->0)").is_err());
+    }
+
+    #[test]
     fn estimated_commands_monotone_in_load_and_threshold() {
         let base = SweepBase::standard(true);
         let none = base.estimated_commands(&spec("lpddr4_small", BackgroundLoad::None));
@@ -368,5 +403,27 @@ mod tests {
         assert!(none < light && light < heavy);
         let tuned = base.estimated_commands(&spec("lpddr4_small@9600", BackgroundLoad::None));
         assert!(tuned > none);
+    }
+
+    /// The served T-BFA and random cells, recorded as `CellReport` JSON:
+    /// no committed artifact covers either attacker in the matrix.
+    #[test]
+    fn served_tbfa_and_random_cells_are_pinned() {
+        let pinned = [
+            (
+                "Baseline (undefended):T-BFA(*->1):lpddr4_small:none",
+                r#"{"scenario":{"defense":"Baseline (undefended)","attacker":"T-BFA(*->1)","dram":"16b/8s/128r T_RH=4800","workload":"none","seed":"0x0a2826ad90c54a17"},"clean_accuracy":1,"post_attack_accuracy":0.5416666865348816,"attempts":4,"landed":4,"stats":{"attempts":4,"flips_resisted":0,"flips_landed":4,"defense_misses":0,"defense_ops":0,"row_clones":0,"non_target_refreshes":0}}"#,
+            ),
+            (
+                "Baseline (undefended):Random(9):lpddr4_small:none",
+                r#"{"scenario":{"defense":"Baseline (undefended)","attacker":"Random(9)","dram":"16b/8s/128r T_RH=4800","workload":"none","seed":"0x420274509bc07c71"},"clean_accuracy":1,"post_attack_accuracy":1,"attempts":9,"landed":9,"stats":{"attempts":9,"flips_resisted":0,"flips_landed":9,"defense_misses":0,"defense_ops":0,"row_clones":0,"non_target_refreshes":0}}"#,
+            ),
+        ];
+        let base = SweepBase::standard(true);
+        for (text, json) in pinned {
+            let spec = CellSpec::parse_compact(text).expect("spec");
+            let report = base.matrix_for(&spec).run().expect("cell runs");
+            assert_eq!(report.cells[0].to_json().render_compact(), json, "{text}");
+        }
     }
 }

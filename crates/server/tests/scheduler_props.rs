@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dd_server::run_work_stealing;
+use dd_server::run_work_stealing_grouped_isolated;
 use dnn_defender::{BudgetAccount, CostModel};
 use proptest::prelude::*;
 
@@ -51,16 +51,19 @@ proptest! {
         jobs in 0usize..120,
         workers in 1usize..9,
     ) {
+        // One key per job and one attempt: round-robin dealing.
+        let keys: Vec<u64> = (0..jobs as u64).collect();
         let hits: Vec<AtomicU64> = (0..jobs).map(|_| AtomicU64::new(0)).collect();
-        let runs = run_work_stealing(jobs, workers, |i| {
+        let runs = run_work_stealing_grouped_isolated(&keys, workers, 1, |i, _attempt| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             i
         });
         prop_assert_eq!(runs.len(), jobs);
-        for (i, run) in runs.iter().enumerate() {
+        for (i, run) in runs.into_iter().enumerate() {
             prop_assert_eq!(run.index, i);
-            prop_assert_eq!(run.output, i);
             prop_assert!(run.worker < workers.max(1));
+            prop_assert_eq!(run.attempts, 1);
+            prop_assert_eq!(run.output.ok(), Some(i));
         }
         for hit in &hits {
             prop_assert_eq!(hit.load(Ordering::Relaxed), 1);
