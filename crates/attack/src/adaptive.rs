@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use dd_qnn::{BitAddr, QModel};
 
-use crate::bfa::{progressive_search, run_bfa, AttackData, AttackReport, Direction};
+use crate::bfa::{run_bfa, AttackData, AttackReport, BitSearch, Direction};
 use crate::threat::{AttackConfig, ThreatModel};
 
 /// Report of an attack against a DNN-Defender-protected model.
@@ -76,19 +76,18 @@ fn semi_white_box(
     config: &AttackConfig,
     protected: &HashSet<BitAddr>,
 ) -> ProtectedAttackReport {
-    let clean_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+    let mut search = BitSearch::new(model, data);
+    let clean_accuracy = search.accuracy();
     let mut blocked: Vec<BitAddr> = Vec::new();
     let mut attempted = 0usize;
     let mut trajectory = vec![(0usize, clean_accuracy)];
 
-    progressive_search(
-        model,
-        &data.search_images,
+    search.run(
         &data.search_labels,
         Direction::Ascend,
         config,
         &HashSet::new(),
-        |model, step| {
+        |search, step| {
             attempted += 1;
             if protected.contains(&step.flip.addr) {
                 // The defense refreshed the row before T_RH: the flip never
@@ -99,13 +98,18 @@ fn semi_white_box(
             if !attempted.is_multiple_of(config.record_every.max(1)) {
                 return false;
             }
-            let acc = real_accuracy(model, data, &blocked);
+            let acc = search.real_accuracy(&blocked);
             trajectory.push((attempted, acc));
             acc <= config.target_accuracy
         },
     );
 
-    let final_accuracy = real_accuracy(model, data, &blocked);
+    // A trajectory point at the last attempt already measured the final
+    // model.
+    let final_accuracy = match trajectory.last() {
+        Some(&(at, acc)) if at == attempted => acc,
+        _ => search.real_accuracy(&blocked),
+    };
 
     ProtectedAttackReport {
         threat: ThreatModel::SemiWhiteBox,

@@ -20,6 +20,7 @@ use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
+use dd_nn::loss::cross_entropy;
 use dd_nn::Tensor;
 use dd_qnn::{BitAddr, BitFlip, QModel};
 
@@ -100,7 +101,7 @@ impl AttackData {
 // The loop indexes are semantic (bit/param addresses), not mere
 // positions; iterator rewrites would obscure that.
 #[allow(clippy::needless_range_loop)]
-fn intra_layer_candidates(
+pub(crate) fn intra_layer_candidates(
     model: &QModel,
     grads: &[Tensor],
     skip: &HashSet<BitAddr>,
@@ -148,7 +149,7 @@ pub(crate) enum Direction {
 
 impl Direction {
     /// Whether a candidate's exact `loss` beats the best one so far.
-    fn improves(self, loss: f32, best: f32) -> bool {
+    pub(crate) fn improves(self, loss: f32, best: f32) -> bool {
         match self {
             Direction::Ascend => loss > best,
             Direction::Descend => loss < best,
@@ -156,67 +157,261 @@ impl Direction {
     }
 }
 
-/// The progressive bit search: up to `config.max_flips` committed flips
-/// on the search images against `labels`, never flipping a bit in `skip`.
+/// Whether two batches hold the same images, bit for bit.
+fn same_images(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// One batch's inference pass at the quantized weights `weights`: the
+/// logits, and the input of each top-level layer up to the last one
+/// recorded (committing a flip drops the inputs after its layer).
+struct Recorded<'a> {
+    /// The batch, layer 0's input.
+    images: &'a Tensor,
+    /// The inputs of layers 1, 2, … as far as they are recorded.
+    later: Vec<Tensor>,
+    logits: Tensor,
+    weights: Vec<Vec<i8>>,
+}
+
+impl<'a> Recorded<'a> {
+    /// A full pass of `images` at the model's current weights.
+    fn new(model: &mut QModel, images: &'a Tensor) -> Self {
+        let mut later = Vec::new();
+        let logits = model
+            .network_mut()
+            .forward_from(0, images, Some(&mut later));
+        Recorded {
+            images,
+            later,
+            logits,
+            weights: model.snapshot_q(),
+        }
+    }
+
+    /// The recorded input of top-level layer `layer`.
+    fn input(&self, layer: usize) -> &Tensor {
+        match layer {
+            0 => self.images,
+            _ => &self.later[layer - 1],
+        }
+    }
+
+    /// The earliest top-level layer whose quantized weights differ, byte
+    /// for byte, from the recorded ones (the model's depth when none
+    /// does). Parameters are numbered in layer order, so the first
+    /// parameter that differs sits in that layer.
+    fn stale_from(&self, model: &QModel) -> usize {
+        (0..model.num_qparams())
+            .find(|&p| model.qtensor(p).as_q() != self.weights[p].as_slice())
+            .map_or(model.depth(), |p| model.param_layer(p))
+    }
+
+    /// Re-run the layers from `start` on at the model's current weights,
+    /// or from the last recorded input if that comes first. Returns the
+    /// layer the pass started at.
+    fn rerun(&mut self, model: &mut QModel, start: usize) -> usize {
+        let start = start.min(self.later.len());
+        let mut later = Vec::new();
+        let logits = model
+            .network_mut()
+            .forward_from(start, self.input(start), Some(&mut later));
+        self.commit(model, start, logits);
+        self.later.append(&mut later);
+        start
+    }
+
+    /// Adopt the `logits` of a pass at the model's current weights that
+    /// started at layer `start`. No weight before `start` changed, so its
+    /// recorded input still holds; the inputs after it are dropped.
+    fn commit(&mut self, model: &QModel, start: usize, logits: Tensor) {
+        self.later.truncate(start);
+        self.logits = logits;
+        for (p, weights) in self.weights.iter_mut().enumerate() {
+            weights.copy_from_slice(model.qtensor(p).as_q());
+        }
+    }
+}
+
+/// The progressive bit search over one model and one [`AttackData`].
 ///
-/// Every committed flip goes to `on_step` as an [`AttackStep`] with
-/// `accuracy: None`; the callback sees the model in its attacked state
-/// and returns whether to stop. The search also stops once no bit is
-/// left to flip.
+/// It keeps the inference pass of each batch recorded, so a forward
+/// pass re-runs only the top-level layers from the earliest one whose
+/// weights changed since the pass was recorded. Each re-run layer makes
+/// the same call on the same input as in a full forward, so every loss,
+/// gradient and accuracy is bit for bit what full passes give:
 ///
-/// Descending negates the gradient once per step. Negation is exact, so
-/// every first-order gain is the exact negation of the ascending gain on
-/// the same gradient, and the one ranking loop serves both directions;
-/// only the exact candidate losses compare the other way round.
-pub(crate) fn progressive_search(
-    model: &mut QModel,
-    images: &Tensor,
-    labels: &[usize],
-    direction: Direction,
-    config: &AttackConfig,
-    skip: &HashSet<BitAddr>,
-    mut on_step: impl FnMut(&mut QModel, AttackStep) -> bool,
-) {
-    // The search loss of the model as it stands. After a commit that is
-    // the committed candidate's `loss_after`: `flip_bit` and `unflip`
-    // re-sync each weight from its quantized value, so the committed
-    // model is bit for bit the one that loss was measured on.
-    let mut current_loss = None;
-    for _ in 0..config.max_flips {
-        let loss_before = current_loss.unwrap_or_else(|| model.loss(images, labels));
-        let mut grads = model.weight_grads(images, labels);
-        if direction == Direction::Descend {
-            for grad in &mut grads {
-                grad.as_mut_slice().iter_mut().for_each(|g| *g = -*g);
+/// * a candidate flip in parameter P changes only the layers from P's
+///   top-level layer on, so its exact loss is a forward from that
+///   layer's recorded input;
+/// * the committed candidate's logits become the search batch's, and
+///   the next gradient pass forwards only from the earliest layer whose
+///   forward cache a candidate or an eval pass overwrote since;
+/// * when the eval images are the search images, eval logits come from
+///   the search batch's record; otherwise the eval batch keeps a record
+///   of its own, brought up to date on demand.
+///
+/// The recorded weights are compared byte for byte, so a callback may
+/// flip bits (and flip them back) between steps without telling the
+/// search.
+pub(crate) struct BitSearch<'a> {
+    model: &'a mut QModel,
+    data: &'a AttackData,
+    /// The search batch's pass, at the weights of the last commit.
+    search: Recorded<'a>,
+    /// The eval batch's pass, when its images differ from the search
+    /// batch's.
+    eval: Option<Recorded<'a>>,
+    /// Leading top-level layers whose forward caches hold `search`'s pass.
+    cached: usize,
+}
+
+impl<'a> BitSearch<'a> {
+    /// Record both batches' passes on the model as it stands.
+    pub(crate) fn new(model: &'a mut QModel, data: &'a AttackData) -> Self {
+        // The eval pass runs first, so the layer caches hold the search
+        // pass that the first gradient pass backpropagates.
+        let eval = (!same_images(&data.eval_images, &data.search_images))
+            .then(|| Recorded::new(model, &data.eval_images));
+        let search = Recorded::new(model, &data.search_images);
+        let cached = model.depth();
+        BitSearch {
+            model,
+            data,
+            search,
+            eval,
+            cached,
+        }
+    }
+
+    /// Eval-batch logits at the model's current weights.
+    pub(crate) fn eval_logits(&mut self) -> &Tensor {
+        let depth = self.model.depth();
+        match &mut self.eval {
+            Some(eval) => {
+                let start = eval.stale_from(self.model);
+                if start < depth {
+                    let start = eval.rerun(self.model, start);
+                    self.cached = self.cached.min(start);
+                }
+                &eval.logits
+            }
+            None => {
+                let start = self.search.stale_from(self.model);
+                if start < depth {
+                    // The re-run layers' caches now hold the search pass;
+                    // if every layer before them did already, all do.
+                    let start = self.search.rerun(self.model, start);
+                    if self.cached >= start {
+                        self.cached = depth;
+                    }
+                }
+                &self.search.logits
             }
         }
-        let mut candidates = intra_layer_candidates(model, &grads, skip);
-        if candidates.is_empty() {
-            break;
+    }
+
+    /// Eval-batch accuracy at the model's current weights.
+    pub(crate) fn accuracy(&mut self) -> f32 {
+        let data = self.data;
+        dd_nn::loss::accuracy(self.eval_logits(), &data.eval_labels)
+    }
+
+    /// [`crate::real_accuracy`] on the recorded passes.
+    pub(crate) fn real_accuracy(&mut self, blocked: &[BitAddr]) -> f32 {
+        for &addr in blocked {
+            self.model.flip_bit(addr);
         }
-        // Inter-layer search: evaluate the top-k candidates exactly.
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(config.evaluate_top_k.max(1));
-        let mut best: Option<(BitAddr, f32)> = None;
-        for &(addr, _) in &candidates {
-            let flip = model.flip_bit(addr);
-            let loss = model.loss(images, labels);
-            model.unflip(flip);
-            if best.is_none_or(|(_, bl)| direction.improves(loss, bl)) {
-                best = Some((addr, loss));
+        let acc = self.accuracy();
+        for &addr in blocked {
+            self.model.flip_bit(addr);
+        }
+        acc
+    }
+
+    /// The progressive bit search: up to `config.max_flips` committed
+    /// flips on the search images against `labels`, never flipping a bit
+    /// in `skip`.
+    ///
+    /// Every committed flip goes to `on_step` as an [`AttackStep`] with
+    /// `accuracy: None`; the callback sees the model in its attacked state
+    /// and returns whether to stop. The search also stops once no bit is
+    /// left to flip.
+    ///
+    /// Descending negates the gradient once per step. Negation is exact,
+    /// so every first-order gain is the exact negation of the ascending
+    /// gain on the same gradient, and the one ranking loop serves both
+    /// directions; only the exact candidate losses compare the other way
+    /// round.
+    pub(crate) fn run(
+        &mut self,
+        labels: &[usize],
+        direction: Direction,
+        config: &AttackConfig,
+        skip: &HashSet<BitAddr>,
+        mut on_step: impl FnMut(&mut Self, AttackStep) -> bool,
+    ) {
+        let depth = self.model.depth();
+        for _ in 0..config.max_flips {
+            // Bring the search pass, and every layer's forward cache with
+            // it, up to the current weights.
+            let start = self.search.stale_from(self.model).min(self.cached);
+            if start < depth {
+                self.search.rerun(self.model, start);
             }
-        }
-        let (addr, loss_after) = best.expect("candidates were non-empty");
-        let flip = model.flip_bit(addr);
-        current_loss = Some(loss_after);
-        let step = AttackStep {
-            flip,
-            loss_before,
-            loss_after,
-            accuracy: None,
-        };
-        if on_step(model, step) {
-            break;
+            self.cached = depth;
+            let loss_before = cross_entropy(&self.search.logits, labels);
+            let mut grads = self.model.weight_grads_at(&self.search.logits, labels);
+            if direction == Direction::Descend {
+                for grad in &mut grads {
+                    grad.as_mut_slice().iter_mut().for_each(|g| *g = -*g);
+                }
+            }
+            let mut candidates = intra_layer_candidates(self.model, &grads, skip);
+            if candidates.is_empty() {
+                break;
+            }
+            // Inter-layer search: evaluate the top-k candidates exactly,
+            // each from its own layer on.
+            candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            candidates.truncate(config.evaluate_top_k.max(1));
+            let mut best: Option<(BitAddr, f32, usize, Tensor)> = None;
+            for &(addr, _) in &candidates {
+                let layer = self.model.param_layer(addr.param);
+                let flip = self.model.flip_bit(addr);
+                let logits =
+                    self.model
+                        .network_mut()
+                        .forward_from(layer, self.search.input(layer), None);
+                let loss = cross_entropy(&logits, labels);
+                self.model.unflip(flip);
+                self.cached = self.cached.min(layer);
+                if best
+                    .as_ref()
+                    .is_none_or(|best| direction.improves(loss, best.1))
+                {
+                    best = Some((addr, loss, layer, logits));
+                }
+            }
+            let (addr, loss_after, layer, logits) = best.expect("candidates were non-empty");
+            // `flip_bit` and `unflip` re-sync each weight from its
+            // quantized value, so the committed model is bit for bit the
+            // one the candidate's pass ran on.
+            let flip = self.model.flip_bit(addr);
+            self.search.commit(self.model, layer, logits);
+            let step = AttackStep {
+                flip,
+                loss_before,
+                loss_after,
+                accuracy: None,
+            };
+            if on_step(self, step) {
+                break;
+            }
         }
     }
 }
@@ -231,20 +426,19 @@ pub fn run_bfa(
     config: &AttackConfig,
     skip: &HashSet<BitAddr>,
 ) -> AttackReport {
-    let clean_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+    let mut search = BitSearch::new(model, data);
+    let clean_accuracy = search.accuracy();
     let mut steps = Vec::new();
     let mut final_accuracy = clean_accuracy;
     let mut reached_target = false;
-    progressive_search(
-        model,
-        &data.search_images,
+    search.run(
         &data.search_labels,
         Direction::Ascend,
         config,
         skip,
-        |model, mut step| {
+        |search, mut step| {
             if (steps.len() + 1).is_multiple_of(config.record_every.max(1)) {
-                final_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+                final_accuracy = search.accuracy();
                 step.accuracy = Some(final_accuracy);
             }
             steps.push(step);
@@ -253,8 +447,8 @@ pub fn run_bfa(
         },
     );
 
-    if !steps.is_empty() && steps.last().unwrap().accuracy.is_none() {
-        final_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+    if steps.last().is_some_and(|step| step.accuracy.is_none()) {
+        final_accuracy = search.accuracy();
     }
 
     AttackReport {

@@ -17,7 +17,11 @@
 //! that one engine; each entry point fixes its search labels, its
 //! direction (raise the loss on the true labels, or lower it toward
 //! T-BFA's malicious labels) and a per-step callback that records
-//! accuracy, tracks blocked flips and decides when to stop.
+//! accuracy, tracks blocked flips and decides when to stop. The engine
+//! keeps each batch's forward pass recorded layer by layer, so a
+//! candidate's loss or a recorded accuracy re-runs only the layers from
+//! the earliest one a flip changed; a test-only copy of the full-pass
+//! search is its bit-identity oracle.
 //!
 //! All attacks operate on a [`dd_qnn::QModel`] and leave RowHammer
 //! physics to the `dd-dram` / `dnn-defender` crates: this crate answers
@@ -30,6 +34,8 @@ pub mod adaptive;
 pub mod bfa;
 pub mod profile;
 pub mod random_attack;
+#[cfg(test)]
+mod reference;
 pub mod tbfa;
 #[cfg(test)]
 pub(crate) mod testutil;

@@ -22,7 +22,8 @@ use crate::threat::AttackConfig;
 pub struct ProfileReport {
     /// Secured bits in discovery order (round 1 first — highest priority).
     pub bits: Vec<BitAddr>,
-    /// Index ranges of each round within `bits`.
+    /// Number of bits each round found, in round order: round `r`'s bits
+    /// follow the bits of rounds `1..r` in `bits`.
     pub round_sizes: Vec<usize>,
     /// Post-attack accuracy observed at the end of each round (how far the
     /// attack got before the skip set blunted it).
@@ -59,7 +60,8 @@ pub fn multi_round_profile(
     let mut round_sizes = Vec::with_capacity(rounds);
     let mut round_final_accuracies = Vec::with_capacity(rounds);
 
-    for _round in 0..rounds {
+    for round in 1..=rounds {
+        let _span = dd_obs::span_with("attack.profile_round", || format!("round={round}"));
         let report = run_bfa(model, data, config, &skip);
         model.restore_q(&snapshot);
         if report.steps.is_empty() {

@@ -13,9 +13,10 @@ use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
+use dd_nn::Tensor;
 use dd_qnn::{BitAddr, BitFlip, QModel};
 
-use crate::bfa::{progressive_search, AttackData, Direction};
+use crate::bfa::{AttackData, BitSearch, Direction};
 use crate::threat::AttackConfig;
 
 /// What the targeted attack tries to achieve.
@@ -48,12 +49,12 @@ pub struct TbfaReport {
 /// Attack success rate at which T-BFA stops searching.
 pub const TBFA_STOP_ASR: f32 = 0.95;
 
-fn attack_success_rate(model: &mut QModel, data: &AttackData, goal: TbfaGoal) -> f32 {
-    let logits = model.forward(&data.eval_images);
+/// Share of the in-scope eval samples whose `logits` pick the target class.
+pub(crate) fn attack_success_rate(logits: &Tensor, labels: &[usize], goal: TbfaGoal) -> f32 {
     let preds = logits.argmax_rows();
     let mut hits = 0usize;
     let mut total = 0usize;
-    for (pred, &label) in preds.iter().zip(&data.eval_labels) {
+    for (pred, &label) in preds.iter().zip(labels) {
         if goal.source_class.is_none_or(|s| label == s) {
             total += 1;
             hits += usize::from(*pred == goal.target_class);
@@ -64,6 +65,21 @@ fn attack_success_rate(model: &mut QModel, data: &AttackData, goal: TbfaGoal) ->
     } else {
         hits as f32 / total as f32
     }
+}
+
+/// The labels T-BFA searches toward: in-scope samples carry the target
+/// class, out-of-scope samples keep their true label.
+pub(crate) fn malicious_labels(labels: &[usize], goal: TbfaGoal) -> Vec<usize> {
+    labels
+        .iter()
+        .map(|&l| {
+            if goal.source_class.is_none_or(|s| l == s) {
+                goal.target_class
+            } else {
+                l
+            }
+        })
+        .collect()
 }
 
 /// Run the targeted progressive bit search.
@@ -81,34 +97,26 @@ pub fn run_tbfa(
     goal: TbfaGoal,
     skip: &HashSet<BitAddr>,
 ) -> TbfaReport {
-    let clean_asr = attack_success_rate(model, data, goal);
-    let malicious_labels: Vec<usize> = data
-        .search_labels
-        .iter()
-        .map(|&l| {
-            if goal.source_class.is_none_or(|s| l == s) {
-                goal.target_class
-            } else {
-                l
-            }
-        })
-        .collect();
+    let mut search = BitSearch::new(model, data);
+    let labels = &data.eval_labels;
+    let clean_asr = attack_success_rate(search.eval_logits(), labels, goal);
     let mut flips = Vec::new();
-    progressive_search(
-        model,
-        &data.search_images,
-        &malicious_labels,
+    search.run(
+        &malicious_labels(&data.search_labels, goal),
         Direction::Descend,
         config,
         skip,
-        |model, step| {
+        |search, step| {
             flips.push(step.flip);
-            attack_success_rate(model, data, goal) >= TBFA_STOP_ASR
+            attack_success_rate(search.eval_logits(), labels, goal) >= TBFA_STOP_ASR
         },
     );
 
-    let final_asr = attack_success_rate(model, data, goal);
-    let final_accuracy = model.accuracy(&data.eval_images, &data.eval_labels);
+    // The last step's success rate (or the clean one) already measured
+    // the final model: its eval logits are still current.
+    let logits = search.eval_logits();
+    let final_asr = attack_success_rate(logits, labels, goal);
+    let final_accuracy = dd_nn::loss::accuracy(logits, labels);
     TbfaReport {
         goal,
         flips,

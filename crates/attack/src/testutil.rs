@@ -1,7 +1,7 @@
 //! Shared test fixtures for the attack crate.
 
 use dd_nn::data::{Dataset, SyntheticSpec};
-use dd_nn::init::seeded_rng;
+use dd_nn::init::{normal, seeded_rng};
 use dd_nn::train::{evaluate, train, TrainConfig};
 use dd_qnn::{build_model, Architecture, ModelConfig, QModel};
 
@@ -44,4 +44,22 @@ pub fn trained_victim() -> (QModel, AttackData, f32) {
     let batch = ds.attack_batch(64, &mut rng);
     let data = AttackData::single_batch(batch.images, batch.labels);
     (model, data, accuracy)
+}
+
+/// An untrained quantized victim of `arch` at base width 1 on 4 classes
+/// of one-channel `side`×`side` images, with a random single batch of 4
+/// images: enough for checks of bit identity, which need no training.
+pub fn untrained_victim(arch: Architecture, side: usize) -> (QModel, AttackData) {
+    let mut rng = seeded_rng(4321);
+    let config = ModelConfig {
+        arch,
+        in_channels: 1,
+        image_side: side,
+        classes: 4,
+        base_width: 1,
+    };
+    let model = QModel::from_network(build_model(&config, &mut rng));
+    let images = normal(&[4, 1, side, side], 1.0, &mut rng);
+    let labels = (0..4).collect();
+    (model, AttackData::single_batch(images, labels))
 }

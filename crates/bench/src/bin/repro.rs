@@ -36,7 +36,6 @@ use dd_bench::kernel::{
 use dd_bench::report::{render_duration, splice_section, Artifact};
 use dd_bench::serve::{run_serve, run_submit, ServeOptions, SubmitOptions};
 use dd_bench::trace::{run_trace, TraceSummary};
-use dnn_defender::Json;
 
 struct Options {
     smoke: bool,
@@ -540,15 +539,6 @@ fn run_experiments(opts: &Options, experiments: &[ExperimentId]) -> Result<(), E
             eprintln!("repro: cannot write artifact: {e}");
             return Err(ExitCode::FAILURE);
         }
-        if id == ExperimentId::Workload {
-            // Seed/extend the perf trajectory: wall-clock throughput of
-            // the run that just executed (deliberately not part of the
-            // deterministic artifact — perf varies across machines).
-            if let Err(e) = write_workload_bench(&opts.artifacts_dir, &artifact) {
-                eprintln!("repro: cannot write BENCH_workload.json: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        }
         if !opts.quiet {
             print_artifact(&artifact);
         }
@@ -827,47 +817,6 @@ fn write_artifact(dir: &Path, artifact: &Artifact) -> std::io::Result<()> {
         artifact.to_json().render_pretty(),
     )?;
     std::fs::write(stem.with_extension("csv"), artifact.to_csv())
-}
-
-/// The perf-trajectory baseline emitted by every executed `workload`
-/// run: simulated commands per wall second through the workload engine,
-/// matrix cells per second, and the cell-cache hit rate. Subsequent PRs
-/// benchmark against the committed copy.
-fn write_workload_bench(dir: &Path, artifact: &Artifact) -> std::io::Result<()> {
-    let commands = artifact
-        .raw
-        .as_ref()
-        .and_then(|raw| raw.get("total_commands"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    let wall_secs = (artifact.wall_millis as f64 / 1000.0).max(1e-3);
-    let executed = artifact
-        .cache
-        .cells
-        .saturating_sub(artifact.cache.cache_hits);
-    let json = Json::obj()
-        .with("schema_version", Json::uint(1))
-        .with("experiment", Json::str(&artifact.experiment))
-        .with("config_hash", Json::hex(artifact.config_hash))
-        .with("quick", Json::Bool(artifact.quick))
-        .with("wall_millis", Json::uint(artifact.wall_millis))
-        .with("commands", Json::uint(commands))
-        .with(
-            "commands_per_sec",
-            Json::num((commands as f64 / wall_secs).round()),
-        )
-        .with("matrix_cells", Json::uint(artifact.cache.cells as u64))
-        .with("matrix_cells_executed", Json::uint(executed as u64))
-        .with("cells_per_sec", Json::num(executed as f64 / wall_secs))
-        .with(
-            "cache_hit_rate",
-            Json::num(if artifact.cache.cells == 0 {
-                0.0
-            } else {
-                artifact.cache.cache_hits as f64 / artifact.cache.cells as f64
-            }),
-        );
-    std::fs::write(dir.join("BENCH_workload.json"), json.render_pretty())
 }
 
 /// Parse the args of `repro serve` / `repro submit` (the service

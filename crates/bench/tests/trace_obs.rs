@@ -73,8 +73,8 @@ fn deterministic_document_matches_golden_file() {
 }
 
 /// The snapshot covers every instrumented layer: per-chunk kernel spans,
-/// matrix scheduling, the executor, and the server's five submit passes
-/// with regime/shed events.
+/// matrix scheduling, DNN-Defender's profiling rounds, the executor, and
+/// the server's five submit passes with regime/shed events.
 #[test]
 fn observed_scenario_covers_the_span_taxonomy() {
     let snap = &traced().snapshot;
@@ -88,6 +88,7 @@ fn observed_scenario_covers_the_span_taxonomy() {
         "matrix.victim_build",
         "matrix.search",
         "matrix.warmup_solo",
+        "attack.profile_round",
         "executor.job",
         "server.parse",
         "server.shed",

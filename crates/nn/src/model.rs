@@ -54,6 +54,29 @@ impl Network {
         cur
     }
 
+    /// Inference forward pass (`train = false`) through the top-level
+    /// layers from `start` on, given `x`, the input of layer `start`.
+    /// With `record`, the inputs of the layers after `start` are pushed
+    /// onto it in order. Each layer makes the same call on the same input
+    /// as in [`Network::forward`], so the output is bit for bit the full
+    /// forward's when `x` is.
+    pub fn forward_from(
+        &mut self,
+        start: usize,
+        x: &Tensor,
+        mut record: Option<&mut Vec<Tensor>>,
+    ) -> Tensor {
+        let mut cur: Option<Tensor> = None;
+        for layer in &mut self.layers[start..] {
+            let next = layer.forward(cur.as_ref().unwrap_or(x), false);
+            if let (Some(record), Some(input)) = (record.as_deref_mut(), cur.take()) {
+                record.push(input);
+            }
+            cur = Some(next);
+        }
+        cur.unwrap_or_else(|| x.clone())
+    }
+
     /// Full backward pass from the loss gradient at the output.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut cur = grad_out.clone();
@@ -65,8 +88,14 @@ impl Network {
 
     /// Visit every parameter in a stable order.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
+        self.visit_layer_params(&mut |_, p| f(p));
+    }
+
+    /// [`Network::visit_params`], with the index of the top-level layer
+    /// that holds each parameter.
+    pub fn visit_layer_params(&mut self, f: &mut dyn FnMut(usize, &mut Param)) {
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            layer.visit_params(&mut |p| f(i, p));
         }
     }
 

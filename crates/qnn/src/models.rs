@@ -297,6 +297,63 @@ mod tests {
         }
     }
 
+    /// The recorded forward of every architecture: a pass from any
+    /// top-level layer at its recorded input equals the full forward bit
+    /// for bit, and flipping a parameter's weights changes the input of
+    /// the layer after the one `QModel::param_layer` names, but of none
+    /// up to it — the parameter lives in that layer.
+    #[test]
+    fn forwards_from_recorded_inputs_match_the_full_forward() {
+        for arch in ARCHS {
+            let name = arch.name();
+            let mut rng = seeded_rng(6);
+            let config = ModelConfig::new(arch, 4).with_base_width(1);
+            let mut model = crate::QModel::from_network(build_model(&config, &mut rng));
+            let x = kaiming_uniform(&[2, 3, 16, 16], 16, &mut rng);
+            let full = model.forward(&x);
+            let mut inputs = vec![x.clone()];
+            let recorded = model.network_mut().forward_from(0, &x, Some(&mut inputs));
+            assert_eq!(inputs.len(), model.depth(), "{name}");
+            assert_eq!(bits(recorded.as_slice()), bits(full.as_slice()), "{name}");
+            for (layer, input) in inputs.iter().enumerate() {
+                let out = model.network_mut().forward_from(layer, input, None);
+                assert_eq!(
+                    bits(out.as_slice()),
+                    bits(full.as_slice()),
+                    "{name} {layer}"
+                );
+            }
+            for param in 0..model.num_qparams() {
+                let layer = model.param_layer(param);
+                let sign_bits = |model: &mut crate::QModel| {
+                    for index in 0..model.qtensor(param).len() {
+                        model.flip_bit(crate::BitAddr {
+                            param,
+                            index,
+                            bit: 7,
+                        });
+                    }
+                };
+                sign_bits(&mut model);
+                let mut flipped = vec![x.clone()];
+                let out = model.network_mut().forward_from(0, &x, Some(&mut flipped));
+                sign_bits(&mut model);
+                for l in 0..=layer {
+                    assert_eq!(
+                        bits(flipped[l].as_slice()),
+                        bits(inputs[l].as_slice()),
+                        "{name}: param {param} reached layer {l}"
+                    );
+                }
+                assert_ne!(
+                    bits(flipped.get(layer + 1).unwrap_or(&out).as_slice()),
+                    bits(inputs.get(layer + 1).unwrap_or(&full).as_slice()),
+                    "{name}: param {param} left layer {layer} unchanged"
+                );
+            }
+        }
+    }
+
     #[test]
     fn resnet34_is_deeper_than_resnet18() {
         let mut rng = seeded_rng(2);

@@ -47,6 +47,8 @@ pub struct QModel {
     qtensors: Vec<QTensor>,
     /// Position of each quantizable parameter in the full visit order.
     param_positions: Vec<usize>,
+    /// Top-level network layer that holds each quantizable parameter.
+    param_layers: Vec<usize>,
 }
 
 impl QModel {
@@ -56,13 +58,15 @@ impl QModel {
     pub fn from_network(mut net: Network) -> Self {
         let mut qtensors = Vec::new();
         let mut param_positions = Vec::new();
+        let mut param_layers = Vec::new();
         let mut pos = 0;
-        net.visit_params(&mut |p| {
+        net.visit_layer_params(&mut |layer, p| {
             if p.quantizable {
                 let qt = QTensor::quantize(p.name.clone(), &p.value);
                 p.value = qt.dequantize();
                 qtensors.push(qt);
                 param_positions.push(pos);
+                param_layers.push(layer);
             }
             pos += 1;
         });
@@ -70,6 +74,7 @@ impl QModel {
             net,
             qtensors,
             param_positions,
+            param_layers,
         }
     }
 
@@ -86,6 +91,22 @@ impl QModel {
     /// Number of quantizable parameters ("layers" in attack terms).
     pub fn num_qparams(&self) -> usize {
         self.qtensors.len()
+    }
+
+    /// Number of top-level network layers.
+    pub fn depth(&self) -> usize {
+        self.net.depth()
+    }
+
+    /// The top-level network layer that holds quantizable parameter
+    /// `param`: a flip in `param` changes that layer's output and every
+    /// later layer's, but no earlier one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `param` is out of range.
+    pub fn param_layer(&self, param: usize) -> usize {
+        self.param_layers[param]
     }
 
     /// Quantized view of parameter `param`.
@@ -223,9 +244,15 @@ impl QModel {
     /// (dequantized scale), in `param` order. This is the `|∇_B L|` the
     /// BFA ranks bits by.
     pub fn weight_grads(&mut self, images: &Tensor, labels: &[usize]) -> Vec<Tensor> {
-        self.net.zero_grad();
         let logits = self.net.forward(images, false);
-        let grad = cross_entropy_grad(&logits, labels);
+        self.weight_grads_at(&logits, labels)
+    }
+
+    /// [`QModel::weight_grads`] without the forward pass: every layer's
+    /// forward cache must hold the inference pass that produced `logits`.
+    pub fn weight_grads_at(&mut self, logits: &Tensor, labels: &[usize]) -> Vec<Tensor> {
+        self.net.zero_grad();
+        let grad = cross_entropy_grad(logits, labels);
         self.net.backward(&grad);
         let mut grads = Vec::with_capacity(self.qtensors.len());
         self.net.visit_params(&mut |p| {
