@@ -1336,8 +1336,8 @@ impl ScenarioMatrix {
             let span = traffic.drive_benign_window(mem, &mut **defense, None)?;
             benign.ops += span.ops;
             benign.activations += span.activations;
-            for &row in traffic.universe() {
-                let d = mem.disturbance(row);
+            let universe = traffic.universe();
+            for (&row, d) in universe.iter().zip(mem.disturbances(universe)) {
                 benign.peak_disturbance = benign.peak_disturbance.max(d);
                 if d >= *t_rh / 2 {
                     disturbed.insert(row);
@@ -1431,11 +1431,11 @@ impl ScenarioMatrix {
             // rollover zeroes it), then cross the boundary.
             if let (Some(t), Some(b)) = (traffic.as_mut(), benign_report.as_mut()) {
                 if attempts.is_multiple_of(10) || attempts == flips.len() {
-                    for &row in t.universe() {
+                    let universe = t.universe();
+                    for (&row, d) in universe.iter().zip(mem.disturbances(universe)) {
                         if row == victim {
                             continue;
                         }
-                        let d = mem.disturbance(row);
                         b.peak_disturbance = b.peak_disturbance.max(d);
                         if d >= t_rh / 2 {
                             disturbed.insert(row);

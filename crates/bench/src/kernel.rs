@@ -51,9 +51,9 @@ pub const STREAMING_RATIO_FLOOR: f64 = 0.5;
 
 /// Default ceiling on the `dd-obs` recording overhead, in percent over
 /// the disabled baseline on the batched path. The probes are
-/// amortized per chunk (never per command), so real overhead sits well
-/// under 1%; 3% leaves room for shared-CI timing noise without letting a
-/// per-op probe regression slip through.
+/// amortized per chunk (never per command), so real overhead is one
+/// span per ~10 µs chunk, 1–2%; 3% leaves room for shared-CI timing
+/// noise without letting a per-op probe regression slip through.
 pub const OBS_OVERHEAD_CEILING_PCT: f64 = 3.0;
 
 /// Default ceiling on the `dd-chaos` fault-plane overhead, in percent
@@ -518,9 +518,9 @@ pub fn run_kernel_bench(
     };
     let overhead_pct = |ratio: f64| ((ratio - 1.0) * 10_000.0).round() / 100.0;
     collect_pairs(24, &time_fast, &mut fast_ratios);
-    // Adaptive confirmation: the true recording cost is well under 1%,
-    // so a first-round median anywhere near the ceiling is far more
-    // likely an unlucky stretch of machine noise than a regression.
+    // Adaptive confirmation: the true recording cost is 1–2%, so a
+    // first-round median near the ceiling is far more likely an
+    // unlucky stretch of machine noise than a regression.
     // Pool three times the pairs before believing it — a real per-op
     // probe regression (the failure mode this gate exists for) is a
     // 10x-100x slowdown and survives any amount of pooling.

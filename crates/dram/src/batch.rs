@@ -2,23 +2,22 @@
 //!
 //! The per-command [`crate::MemoryController`] API pays, for every benign
 //! workload op, an address re-validation, two bank/subarray lookups, a
-//! row-payload allocation (reads), and three to six per-row `HashMap`
-//! operations in the RowHammer tracker. Replaying millions of commands —
-//! the scenario matrix's background traffic and the workload driver's
-//! replay loop — spends most of its wall time there.
+//! row-payload allocation (reads), and a refresh-epoch division per
+//! activation. Replaying millions of commands — the scenario matrix's
+//! background traffic and the workload driver's replay loop — spends most
+//! of its wall time there.
 //!
 //! [`DecodedBatch`] is the fast path's front end: ops are *decoded once*
-//! (validated against the device geometry and flattened to dense row
-//! indices) when they are [pushed](DecodedBatch::push), and
+//! (validated against the device geometry and flattened to the dense row
+//! index the device's disturbance table is laid out by) when they are
+//! [pushed](DecodedBatch::push), and
 //! [`crate::MemoryController::issue_batch`] then executes the whole chunk
 //! with
 //!
-//! * structure-of-arrays disturbance counters (`count` / `epoch_tag` /
-//!   `flags`, indexed by flat row id) instead of per-row hash-map
-//!   entries, loaded lazily on first touch and flushed back once per
-//!   chunk;
+//! * disturbance written in place into the device's dense per-row table
+//!   at the precomputed index;
 //! * refresh-epoch tracking amortized to one comparison per time
-//!   advance instead of one division per disturbance event;
+//!   advance instead of one division per activation;
 //! * per-chunk (not per-command) accumulation of stats, busy time, and
 //!   trace counters.
 //!
@@ -29,8 +28,8 @@
 //! against each other by `repro kernel` (see `docs/perf.md`).
 
 use crate::error::DramError;
-use crate::geometry::{BankId, DramConfig, GlobalRowId, RowInSubarray, SubarrayId};
-use crate::rowhammer::HammerTracker;
+use crate::geometry::{DramConfig, GlobalRowId};
+use crate::rowhammer::flat_index;
 use crate::timing::Nanos;
 
 /// The canonical ops-per-chunk boundary of the batched replay plane.
@@ -78,18 +77,10 @@ pub struct BatchOp {
     pub extra: u64,
 }
 
-/// Dense per-row scratch-state flags (see [`DecodedBatch`]).
-pub(crate) const SLOT_LOADED: u8 = 1;
-pub(crate) const SLOT_PRESENT: u8 = 2;
-pub(crate) const SLOT_DIRTY: u8 = 4;
-
-/// A chunk of pre-decoded commands plus the dense counter scratch the
-/// fast path runs on.
+/// A chunk of pre-decoded commands for the fast path.
 ///
-/// Build one per device with [`DecodedBatch::new`] and reuse it across
-/// chunks — the scratch arrays are sized to the device's total row count
-/// and reset lazily (only rows actually touched by a chunk are cleaned
-/// up when the chunk is issued).
+/// Build one per device geometry with [`DecodedBatch::new`] and reuse it
+/// across chunks; issuing a chunk drains its ops and keeps the buffer.
 ///
 /// # Example
 ///
@@ -118,31 +109,16 @@ pub struct DecodedBatch {
     pub(crate) rows_per_subarray: usize,
     /// The decoded ops of the current chunk (drained by `issue_batch`).
     pub(crate) ops: Vec<BatchOp>,
-    /// Disturbance accumulated this epoch, per flat row (valid when the
-    /// row's `SLOT_LOADED` flag is set).
-    pub(crate) count: Vec<u64>,
-    /// Epoch the row's count belongs to (lazy rollover, mirroring the
-    /// hash-map tracker's tags).
-    pub(crate) epoch_tag: Vec<u64>,
-    /// Per-row `SLOT_*` state flags.
-    pub(crate) flags: Vec<u8>,
-    /// Flat indices loaded this chunk (the flush/reset worklist).
-    pub(crate) touched: Vec<u32>,
 }
 
 impl DecodedBatch {
-    /// Scratch sized for `config`'s geometry.
+    /// An empty batch decoding for `config`'s geometry.
     pub fn new(config: &DramConfig) -> Self {
-        let total = config.total_rows();
         DecodedBatch {
             banks: config.banks,
             subarrays_per_bank: config.subarrays_per_bank,
             rows_per_subarray: config.rows_per_subarray,
             ops: Vec::new(),
-            count: vec![0; total],
-            epoch_tag: vec![0; total],
-            flags: vec![0; total],
-            touched: Vec::new(),
         }
     }
 
@@ -194,8 +170,7 @@ impl DecodedBatch {
                 "batched hammer needs a positive activation count".into(),
             ));
         }
-        let flat = (row.bank.0 * self.subarrays_per_bank + row.subarray.0) * self.rows_per_subarray
-            + row.row.0;
+        let flat = flat_index(row, self.subarrays_per_bank, self.rows_per_subarray);
         self.ops.push(BatchOp {
             advance_to: advance_to.map_or(0, |n| n.0),
             row,
@@ -219,79 +194,6 @@ impl DecodedBatch {
     /// Drop any queued ops without issuing them.
     pub fn clear(&mut self) {
         self.ops.clear();
-    }
-
-    /// Lazily mirror a row's `(epoch, count)` tracker entry into the
-    /// dense arrays on its first touch this chunk.
-    #[inline]
-    fn load_slot(&mut self, hammer: &HammerTracker, flat: usize) {
-        if self.flags[flat] & SLOT_LOADED != 0 {
-            return;
-        }
-        self.touched.push(flat as u32);
-        match hammer.raw_get(self.row_of(flat)) {
-            Some((epoch, count)) => {
-                self.epoch_tag[flat] = epoch;
-                self.count[flat] = count;
-                self.flags[flat] = SLOT_LOADED | SLOT_PRESENT;
-            }
-            None => self.flags[flat] = SLOT_LOADED,
-        }
-    }
-
-    /// Dense equivalent of [`HammerTracker::disturb`]: add `n` units to
-    /// a row's count, restarting it when the entry is absent or tagged
-    /// with a stale epoch.
-    #[inline]
-    pub(crate) fn disturb_slot(&mut self, hammer: &HammerTracker, flat: usize, n: u64, epoch: u64) {
-        self.load_slot(hammer, flat);
-        let f = self.flags[flat];
-        if f & SLOT_PRESENT == 0 || self.epoch_tag[flat] != epoch {
-            self.epoch_tag[flat] = epoch;
-            self.count[flat] = n;
-        } else {
-            self.count[flat] += n;
-        }
-        self.flags[flat] = f | SLOT_PRESENT | SLOT_DIRTY;
-    }
-
-    /// Dense equivalent of [`HammerTracker::refresh`]: drop the row's
-    /// entry (an activation recharged it).
-    #[inline]
-    pub(crate) fn refresh_slot(&mut self, hammer: &HammerTracker, flat: usize) {
-        self.load_slot(hammer, flat);
-        if self.flags[flat] & SLOT_PRESENT != 0 {
-            self.flags[flat] = (self.flags[flat] | SLOT_DIRTY) & !SLOT_PRESENT;
-        }
-    }
-
-    /// Write every touched slot whose state diverged back into the
-    /// hash-map tracker and reset the scratch for the next chunk.
-    pub(crate) fn flush_slots(&mut self, hammer: &mut HammerTracker) {
-        while let Some(flat) = self.touched.pop() {
-            let flat = flat as usize;
-            let f = self.flags[flat];
-            self.flags[flat] = 0;
-            if f & SLOT_DIRTY != 0 {
-                let row = self.row_of(flat);
-                if f & SLOT_PRESENT != 0 {
-                    hammer.raw_set(row, self.epoch_tag[flat], self.count[flat]);
-                } else {
-                    hammer.raw_remove(row);
-                }
-            }
-        }
-    }
-
-    /// Reconstruct the [`GlobalRowId`] of a flat index.
-    pub(crate) fn row_of(&self, flat: usize) -> GlobalRowId {
-        let rows = self.rows_per_subarray;
-        let sub = flat / rows;
-        GlobalRowId {
-            bank: BankId(sub / self.subarrays_per_bank),
-            subarray: SubarrayId(sub % self.subarrays_per_bank),
-            row: RowInSubarray(flat % rows),
-        }
     }
 }
 
@@ -327,17 +229,16 @@ mod tests {
     }
 
     #[test]
-    fn flat_indices_round_trip() {
+    fn pushed_ops_carry_the_flat_index() {
         let config = DramConfig::lpddr4_small();
         let mut b = DecodedBatch::new(&config);
-        for row in [
-            GlobalRowId::new(0, 0, 0),
-            GlobalRowId::new(3, 5, 77),
-            GlobalRowId::new(15, 7, 127),
+        for (row, flat) in [
+            (GlobalRowId::new(0, 0, 0), 0),
+            (GlobalRowId::new(3, 5, 77), (3 * 8 + 5) * 128 + 77),
+            (GlobalRowId::new(15, 7, 127), config.total_rows() - 1),
         ] {
             b.push(row, BatchOpKind::Read, 0, None).unwrap();
-            let op = *b.ops.last().unwrap();
-            assert_eq!(b.row_of(op.flat as usize), row);
+            assert_eq!(b.ops.last().unwrap().flat as usize, flat);
         }
     }
 

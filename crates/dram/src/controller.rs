@@ -4,7 +4,10 @@
 //! All data movement, timing accounting, command tracing and RowHammer
 //! disturbance bookkeeping flow through this type, so an experiment that
 //! holds a `MemoryController` sees a consistent global clock ([`MemoryController::now`])
-//! and consistent per-row disturbance state.
+//! and consistent per-row disturbance state. That state is one dense
+//! per-row table (see [`crate::rowhammer`]), built with the device and
+//! written in place by both the per-command methods and the batched
+//! kernel ([`MemoryController::issue_batch`]).
 
 use crate::bank::Bank;
 use crate::batch::{BatchOpKind, DecodedBatch};
@@ -72,13 +75,14 @@ impl MemoryController {
             })
             .collect();
         let rh_model = RowHammerModel::from_config(&config);
+        let hammer = HammerTracker::new(&config);
         Ok(MemoryController {
             config,
             banks,
             now: Nanos::ZERO,
             stats: MemStats::new(),
             trace: CommandTrace::default(),
-            hammer: HammerTracker::new(),
+            hammer,
             rh_model,
         })
     }
@@ -167,10 +171,8 @@ impl MemoryController {
     /// is recharged, its physical neighbours each take `n` disturbance.
     fn disturb_neighbours(&mut self, row: GlobalRowId, n: u64) {
         let epoch = self.epoch();
-        self.hammer.refresh(row);
-        for victim in self.rh_model.victims_of(row) {
-            self.hammer.disturb(victim, n, epoch);
-        }
+        let flat = self.hammer.index(row);
+        self.hammer.activate(flat, row.row.0, n, epoch);
     }
 
     /// `ACT`: open a row. Advances time by `t_act` and disturbs neighbours.
@@ -352,7 +354,8 @@ impl MemoryController {
     /// Returns an out-of-range error for an invalid address.
     pub fn refresh_row(&mut self, addr: GlobalRowId) -> Result<(), DramError> {
         self.config.check_addr(addr)?;
-        self.hammer.refresh(addr);
+        let flat = self.hammer.index(addr);
+        self.hammer.refresh(flat);
         self.stats.refreshes += 1;
         self.now += self.config.timing.t_act;
         self.stats.busy += self.config.timing.t_act;
@@ -387,9 +390,19 @@ impl MemoryController {
             .unwrap_or(0))
     }
 
-    /// Current disturbance of a row in the present refresh window.
+    /// Current disturbance of a row in the present refresh window (0 for
+    /// a row outside the device geometry).
     pub fn disturbance(&self, row: GlobalRowId) -> u64 {
         self.hammer.disturbance(row, self.epoch())
+    }
+
+    /// Current disturbance of each of `rows`, in order: the bulk form of
+    /// [`MemoryController::disturbance`] for scans over a whole row set,
+    /// with the refresh epoch computed once per call instead of per row.
+    pub fn disturbances<'a>(&'a self, rows: &'a [GlobalRowId]) -> impl Iterator<Item = u64> + 'a {
+        let epoch = self.epoch();
+        rows.iter()
+            .map(move |&row| self.hammer.disturbance(row, epoch))
     }
 
     /// Attempt to flip `bits` (bit offsets within the row payload) in
@@ -422,7 +435,8 @@ impl MemoryController {
         for &bit in bits {
             row.flip_bit(bit)?;
         }
-        self.hammer.refresh(victim);
+        let flat = self.hammer.index(victim);
+        self.hammer.refresh(flat);
         Ok(FlipOutcome::Flipped {
             bits: bits.to_vec(),
         })
@@ -456,9 +470,9 @@ impl MemoryController {
     /// through (see `docs/perf.md`).
     ///
     /// On a [`TraceMode::CountersOnly`] or [`TraceMode::Disabled`]
-    /// controller the chunk runs on the batched fast path: dense
-    /// structure-of-arrays disturbance counters instead of per-row
-    /// hash-map entries, refresh-epoch checks amortized to one comparison
+    /// controller the chunk runs on the batched fast path: disturbance
+    /// written in place into the dense per-row table at each op's
+    /// pre-decoded index, refresh-epoch checks amortized to one comparison
     /// per time advance, stats/trace counters accumulated once per chunk,
     /// and no row-payload allocation on reads. On a [`TraceMode::Full`]
     /// controller the same ops replay through the ordinary per-command
@@ -483,11 +497,11 @@ impl MemoryController {
             ));
         }
         // Observability is amortized per chunk, never per command: one
-        // span plus one histogram sample here, and both are a single
-        // relaxed atomic load when the sink is disabled (the `repro
-        // kernel` overhead gate measures exactly this path).
-        let _span = dd_obs::span("chunk.issue");
-        dd_obs::observe("chunk.ops", batch.ops.len() as u64);
+        // span carrying one histogram sample, recorded in a single
+        // recorder visit when the span closes, and a single relaxed
+        // atomic load when the sink is disabled (the `repro kernel`
+        // overhead gate measures exactly this path).
+        let _span = dd_obs::span("chunk.issue").with_sample("chunk.ops", batch.ops.len() as u64);
         // Fault plane: a stall-only probe on the chunk hot path, keyed by
         // the deterministic simulated clock. Stalls never mutate state,
         // so the differential oracle (fast vs reference) holds verbatim
@@ -551,16 +565,14 @@ impl MemoryController {
         outcome
     }
 
-    /// The batched kernel: dense counters, amortized epoch checks, one
-    /// stats/trace flush per chunk. Infallible — ops were validated when
-    /// pushed and the geometry was checked by the caller.
+    /// The batched kernel: in-place disturbance at pre-decoded indices,
+    /// amortized epoch checks, one stats/trace flush per chunk.
+    /// Infallible — ops were validated when pushed and the geometry was
+    /// checked by the caller.
     fn issue_batch_fast(&mut self, batch: &mut DecodedBatch) {
-        let ops = std::mem::take(&mut batch.ops);
         let t = self.config.timing;
         let (t_act, t_pre, t_rd, t_wr, t_ref) =
             (t.t_act.0, t.t_pre.0, t.t_rd.0, t.t_wr.0, t.t_ref.0);
-        let rows_per = batch.rows_per_subarray;
-        let spb = batch.subarrays_per_bank;
         let counting = self.trace.mode() == TraceMode::CountersOnly;
         let mut now = self.now.0;
         let mut epoch = (now / t_ref) as u64;
@@ -568,14 +580,13 @@ impl MemoryController {
         let (mut acts, mut pres, mut reads, mut writes) = (0u64, 0u64, 0u64, 0u64);
         let (mut c_act, mut c_rd, mut c_wr, mut c_pre) = (0u64, 0u64, 0u64, 0u64);
         let mut busy = 0u128;
-        let mut events = 0u64;
 
-        for op in &ops {
+        for op in &batch.ops {
             if op.advance_to > now {
                 now = op.advance_to;
             }
             let flat = op.flat as usize;
-            let in_row = flat % rows_per;
+            let in_row = op.row.row.0;
             if op.kind != BatchOpKind::Hammer {
                 // The data command's ACT: the row recharges and its
                 // neighbours take one disturbance at the post-ACT
@@ -585,17 +596,8 @@ impl MemoryController {
                     epoch = (now / t_ref) as u64;
                     epoch_end = (now / t_ref + 1) * t_ref;
                 }
-                batch.refresh_slot(&self.hammer, flat);
-                if in_row > 0 {
-                    batch.disturb_slot(&self.hammer, flat - 1, 1, epoch);
-                    events += 1;
-                }
-                if in_row + 1 < rows_per {
-                    batch.disturb_slot(&self.hammer, flat + 1, 1, epoch);
-                    events += 1;
-                }
-                let sub =
-                    self.banks[flat / (spb * rows_per)].subarray_raw_mut((flat / rows_per) % spb);
+                self.hammer.activate(flat, in_row, 1, epoch);
+                let sub = self.banks[op.row.bank.0].subarray_raw_mut(op.row.subarray.0);
                 match op.kind {
                     BatchOpKind::Read => {
                         now += t_rd;
@@ -630,15 +632,7 @@ impl MemoryController {
                     epoch = (now / t_ref) as u64;
                     epoch_end = (now / t_ref + 1) * t_ref;
                 }
-                batch.refresh_slot(&self.hammer, flat);
-                if in_row > 0 {
-                    batch.disturb_slot(&self.hammer, flat - 1, op.extra, epoch);
-                    events += op.extra;
-                }
-                if in_row + 1 < rows_per {
-                    batch.disturb_slot(&self.hammer, flat + 1, op.extra, epoch);
-                    events += op.extra;
-                }
+                self.hammer.activate(flat, in_row, op.extra, epoch);
                 acts += op.extra;
                 pres += op.extra;
                 busy += t_act * u128::from(op.extra);
@@ -659,9 +653,6 @@ impl MemoryController {
             self.trace.count_n(CommandKind::Wr, c_wr);
             self.trace.count_n(CommandKind::Pre, c_pre);
         }
-        batch.flush_slots(&mut self.hammer);
-        self.hammer.raw_add_events(events);
-        batch.ops = ops;
         batch.ops.clear();
     }
 }
@@ -846,6 +837,28 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_rows_read_zero_next_to_disturbed_rows() {
+        let mut m = mem();
+        m.hammer(GlobalRowId::new(0, 1, 73), 40).unwrap();
+        m.hammer(GlobalRowId::new(1, 0, 1), 40).unwrap();
+        // On this 16 × 8 × 128 geometry an unchecked flat index would read
+        // each outside row as the disturbed row after it, and the last one
+        // past the end of the table.
+        let rows = [
+            GlobalRowId::new(0, 0, 200),
+            GlobalRowId::new(0, 1, 72),
+            GlobalRowId::new(0, 8, 0),
+            GlobalRowId::new(1, 0, 0),
+            GlobalRowId::new(16, 0, 0),
+        ];
+        assert_eq!(rows.map(|r| m.disturbance(r)), [0, 40, 0, 40, 0]);
+        assert_eq!(
+            m.disturbances(&rows).collect::<Vec<_>>(),
+            vec![0, 40, 0, 40, 0]
+        );
+    }
+
+    #[test]
     fn invalid_addresses_error() {
         let mut m = mem();
         assert!(m.activate(GlobalRowId::new(99, 0, 0)).is_err());
@@ -936,8 +949,8 @@ mod tests {
         assert!(batch.is_empty() && ref_batch.is_empty());
         assert_same_end_state(&fast, &reference);
 
-        // A second chunk on the same (already-dirty) state: the lazy
-        // slot load/flush must pick up where the hash map left off.
+        // A second chunk on the same (already-dirty) state: the kernel
+        // must pick up where the first chunk left the table.
         mixed_chunk(&mut batch);
         mixed_chunk(&mut ref_batch);
         fast.issue_batch(&mut batch).unwrap();
@@ -975,8 +988,8 @@ mod tests {
     #[test]
     fn issue_batch_preserves_defense_visible_state_across_interleaving() {
         // A chunk, then per-command defensive ops (swap + refresh), then
-        // another chunk: the flush/load cycle must stay coherent with
-        // the per-command mutations in between.
+        // another chunk: the kernel must see the per-command mutations in
+        // between.
         let mut fast = mem();
         fast.set_trace_mode(TraceMode::CountersOnly);
         let mut reference = mem();

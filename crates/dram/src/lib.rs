@@ -49,6 +49,8 @@ pub mod command;
 pub mod controller;
 pub mod error;
 pub mod geometry;
+#[cfg(test)]
+mod reference;
 pub mod refresh;
 pub mod rowhammer;
 pub mod stats;
@@ -63,7 +65,7 @@ pub use controller::MemoryController;
 pub use error::DramError;
 pub use geometry::{BankId, DramConfig, GlobalRowId, RowInSubarray, SubarrayId};
 pub use refresh::RefreshSchedule;
-pub use rowhammer::{FlipOutcome, HammerTracker, RowHammerModel};
+pub use rowhammer::{FlipOutcome, RowHammerModel};
 pub use stats::{EnergyModel, MemStats};
 pub use subarray::{RowData, Subarray};
 pub use timing::{Nanos, TimingParams};

@@ -15,97 +15,111 @@
 //! Auto-refresh is modelled lazily: each counter is tagged with the refresh
 //! window (epoch) it was accumulated in, and reads as zero once the window
 //! has rolled over.
-
-use std::collections::HashMap;
+//!
+//! The counters live in one dense table per device (`HammerTracker`, owned
+//! by [`crate::MemoryController`]): an `(epoch, count)` entry per row at
+//! the row's flat index `(bank·spb + subarray)·rows + row`, which the
+//! per-command path and the batched kernel both update in place, so every
+//! disturbance, refresh and read is a single index operation.
 
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::{DramConfig, GlobalRowId, RowInSubarray};
 use crate::timing::Nanos;
 
-/// Per-row disturbance bookkeeping.
-#[derive(Debug, Clone, Default)]
-pub struct HammerTracker {
-    /// `(epoch, accumulated neighbour activations)` per row. Rows missing
-    /// from the map have zero disturbance.
-    counts: HashMap<GlobalRowId, (u64, u64)>,
-    /// Total disturbance events recorded (diagnostic).
-    total_events: u64,
+/// Dense index of an in-range row, `(bank·spb + subarray)·rows + row`:
+/// the tracker's table slot and the batch decoder's precomputed index.
+#[inline]
+pub(crate) fn flat_index(
+    row: GlobalRowId,
+    subarrays_per_bank: usize,
+    rows_per_subarray: usize,
+) -> usize {
+    (row.bank.0 * subarrays_per_bank + row.subarray.0) * rows_per_subarray + row.row.0
+}
+
+/// Per-row disturbance bookkeeping: one `(epoch, count)` entry per row of
+/// the device.
+#[derive(Debug)]
+pub(crate) struct HammerTracker {
+    banks: usize,
+    subarrays_per_bank: usize,
+    rows_per_subarray: usize,
+    /// `(epoch, accumulated neighbour activations)` per [`flat_index`].
+    /// Untouched and refreshed rows hold `(0, 0)`, which reads as zero in
+    /// every epoch.
+    entries: Vec<(u64, u64)>,
 }
 
 impl HammerTracker {
-    /// New, empty tracker.
-    pub fn new() -> Self {
-        HammerTracker::default()
+    /// A zeroed table for `config`'s geometry. The zeros come from one
+    /// zeroed allocation, so rows never disturbed cost no resident memory.
+    pub(crate) fn new(config: &DramConfig) -> Self {
+        HammerTracker {
+            banks: config.banks,
+            subarrays_per_bank: config.subarrays_per_bank,
+            rows_per_subarray: config.rows_per_subarray,
+            entries: vec![(0, 0); config.total_rows()],
+        }
     }
 
     /// Current refresh-window index for a timestamp.
-    pub fn epoch(now: Nanos, t_ref: Nanos) -> u64 {
+    pub(crate) fn epoch(now: Nanos, t_ref: Nanos) -> u64 {
         (now.0 / t_ref.0) as u64
     }
 
-    /// Add `n` units of disturbance to `row` at time `now`.
-    pub fn disturb(&mut self, row: GlobalRowId, n: u64, epoch: u64) {
-        self.total_events += n;
-        let entry = self.counts.entry(row).or_insert((epoch, 0));
+    /// Table slot of a row the caller has validated against the geometry.
+    pub(crate) fn index(&self, row: GlobalRowId) -> usize {
+        flat_index(row, self.subarrays_per_bank, self.rows_per_subarray)
+    }
+
+    /// Add `n` units of disturbance to the row at `flat` in epoch `epoch`,
+    /// restarting its count when the entry carries a stale epoch.
+    #[inline]
+    pub(crate) fn disturb(&mut self, flat: usize, n: u64, epoch: u64) {
+        let entry = &mut self.entries[flat];
         if entry.0 != epoch {
             *entry = (epoch, 0);
         }
         entry.1 += n;
     }
 
-    /// Reset `row`'s disturbance (the row was refreshed/activated/cloned).
-    pub fn refresh(&mut self, row: GlobalRowId) {
-        self.counts.remove(&row);
+    /// Reset the disturbance of the row at `flat` (the row was
+    /// refreshed/activated/cloned).
+    #[inline]
+    pub(crate) fn refresh(&mut self, flat: usize) {
+        self.entries[flat] = (0, 0);
     }
 
-    /// Reset every row (an explicit all-bank refresh).
-    pub fn refresh_all(&mut self) {
-        self.counts.clear();
-    }
-
-    /// Current disturbance of `row` within epoch `epoch`.
-    pub fn disturbance(&self, row: GlobalRowId, epoch: u64) -> u64 {
-        match self.counts.get(&row) {
-            Some(&(e, n)) if e == epoch => n,
-            _ => 0,
+    /// Apply the RowHammer side effects of activating the row at `flat`
+    /// (row `in_row` of its subarray) `n` times: the row recharges and each
+    /// physical neighbour takes `n` units of disturbance.
+    #[inline]
+    pub(crate) fn activate(&mut self, flat: usize, in_row: usize, n: u64, epoch: u64) {
+        self.refresh(flat);
+        if in_row > 0 {
+            self.disturb(flat - 1, n, epoch);
+        }
+        if in_row + 1 < self.rows_per_subarray {
+            self.disturb(flat + 1, n, epoch);
         }
     }
 
-    /// Total disturbance events ever recorded.
-    pub fn total_events(&self) -> u64 {
-        self.total_events
-    }
-
-    /// Raw `(epoch, count)` entry of a row, if one exists — the batched
-    /// fast path's lazy slot load (see [`crate::batch::DecodedBatch`]).
-    pub(crate) fn raw_get(&self, row: GlobalRowId) -> Option<(u64, u64)> {
-        self.counts.get(&row).copied()
-    }
-
-    /// Install a raw `(epoch, count)` entry (batched flush).
-    pub(crate) fn raw_set(&mut self, row: GlobalRowId, epoch: u64, count: u64) {
-        self.counts.insert(row, (epoch, count));
-    }
-
-    /// Remove a row's entry without touching `total_events` (batched
-    /// flush of a refreshed row).
-    pub(crate) fn raw_remove(&mut self, row: GlobalRowId) {
-        self.counts.remove(&row);
-    }
-
-    /// Add `n` to the diagnostic event total (batched disturbance is
-    /// accumulated densely and credited once per chunk).
-    pub(crate) fn raw_add_events(&mut self, n: u64) {
-        self.total_events += n;
-    }
-
-    /// Number of rows currently carrying non-zero disturbance from `epoch`.
-    pub fn dirty_rows(&self, epoch: u64) -> usize {
-        self.counts
-            .values()
-            .filter(|&&(e, n)| e == epoch && n > 0)
-            .count()
+    /// Current disturbance of `row` within epoch `epoch`. A row outside
+    /// the geometry has none: each coordinate is checked, so it never
+    /// aliases another row's slot.
+    #[inline]
+    pub(crate) fn disturbance(&self, row: GlobalRowId, epoch: u64) -> u64 {
+        if row.bank.0 >= self.banks
+            || row.subarray.0 >= self.subarrays_per_bank
+            || row.row.0 >= self.rows_per_subarray
+        {
+            return 0;
+        }
+        match self.entries[self.index(row)] {
+            (e, n) if e == epoch => n,
+            _ => 0,
+        }
     }
 }
 
@@ -202,35 +216,75 @@ mod tests {
         GlobalRowId::new(0, 0, row)
     }
 
+    fn tracker() -> HammerTracker {
+        HammerTracker::new(&DramConfig::lpddr4_small())
+    }
+
     #[test]
     fn disturb_accumulates_within_epoch() {
-        let mut t = HammerTracker::new();
-        t.disturb(gid(5), 100, 0);
-        t.disturb(gid(5), 50, 0);
+        let mut t = tracker();
+        let row = t.index(gid(5));
+        t.disturb(row, 100, 0);
+        t.disturb(row, 50, 0);
         assert_eq!(t.disturbance(gid(5), 0), 150);
-        assert_eq!(t.total_events(), 150);
     }
 
     #[test]
     fn epoch_rollover_clears_counts() {
-        let mut t = HammerTracker::new();
-        t.disturb(gid(5), 100, 0);
+        let mut t = tracker();
+        let row = t.index(gid(5));
+        t.disturb(row, 100, 0);
         assert_eq!(t.disturbance(gid(5), 1), 0);
         // Writing in the new epoch restarts the count.
-        t.disturb(gid(5), 7, 1);
+        t.disturb(row, 7, 1);
         assert_eq!(t.disturbance(gid(5), 1), 7);
     }
 
     #[test]
     fn refresh_resets_single_row() {
-        let mut t = HammerTracker::new();
-        t.disturb(gid(1), 10, 0);
-        t.disturb(gid(2), 10, 0);
-        t.refresh(gid(1));
+        let mut t = tracker();
+        let (one, two) = (t.index(gid(1)), t.index(gid(2)));
+        t.disturb(one, 10, 0);
+        t.disturb(two, 10, 0);
+        t.refresh(one);
         assert_eq!(t.disturbance(gid(1), 0), 0);
         assert_eq!(t.disturbance(gid(2), 0), 10);
-        t.refresh_all();
-        assert_eq!(t.disturbance(gid(2), 0), 0);
+    }
+
+    #[test]
+    fn activate_disturbs_only_in_subarray_neighbours() {
+        let mut t = tracker();
+        for row in [gid(0), gid(1), gid(127), GlobalRowId::new(0, 1, 0)] {
+            t.disturb(t.index(row), 3, 0);
+        }
+        // Row 0 of subarray 1 follows row 127 of subarray 0 in the table
+        // but is not its physical neighbour.
+        t.activate(t.index(gid(127)), 127, 5, 0);
+        assert_eq!(t.disturbance(gid(127), 0), 0);
+        assert_eq!(t.disturbance(gid(126), 0), 5);
+        assert_eq!(t.disturbance(GlobalRowId::new(0, 1, 0), 0), 3);
+        t.activate(t.index(gid(0)), 0, 2, 0);
+        assert_eq!(t.disturbance(gid(0), 0), 0);
+        assert_eq!(t.disturbance(gid(1), 0), 5);
+    }
+
+    #[test]
+    fn flat_index_enumerates_the_device_in_order() {
+        let config = DramConfig::lpddr4_small()
+            .with_banks(3)
+            .with_subarrays_per_bank(2)
+            .with_rows_per_subarray(5);
+        let mut next = 0;
+        for bank in 0..config.banks {
+            for sub in 0..config.subarrays_per_bank {
+                for row in 0..config.rows_per_subarray {
+                    let gid = GlobalRowId::new(bank, sub, row);
+                    assert_eq!(flat_index(gid, 2, 5), next, "{gid:?}");
+                    next += 1;
+                }
+            }
+        }
+        assert_eq!(next, config.total_rows());
     }
 
     #[test]
@@ -269,14 +323,5 @@ mod tests {
         assert_eq!(m.remaining(0), 1000);
         assert_eq!(m.remaining(999), 1);
         assert_eq!(m.remaining(5000), 0);
-    }
-
-    #[test]
-    fn dirty_rows_counts_current_epoch_only() {
-        let mut t = HammerTracker::new();
-        t.disturb(gid(1), 3, 0);
-        t.disturb(gid(2), 3, 0);
-        assert_eq!(t.dirty_rows(0), 2);
-        assert_eq!(t.dirty_rows(1), 0);
     }
 }

@@ -118,6 +118,7 @@ mod tests {
         assert_eq!(sink(), ObsSink::Disabled);
         {
             let _g = span("test.noop");
+            let _sampled = span("test.noop_sampled").with_sample("test.noop_hist", 7);
             add("test.counter", 3);
             event("test.event", || "label".into());
         }
@@ -127,6 +128,7 @@ mod tests {
         assert!(snap.spans.is_empty());
         assert!(snap.events.is_empty());
         assert!(snap.counters.is_empty());
+        assert!(snap.hists.is_empty());
     }
 
     #[test]
@@ -135,6 +137,7 @@ mod tests {
         {
             let _g = span_with("test.outer", || "cell=3".to_string());
             let _inner = span("test.inner");
+            let _chunk = span("test.chunk").with_sample("test.chunk_ops", 300);
             add("test.ops", 512);
             add("test.ops", 512);
             record::observe("test.chunk_ops", 512);
@@ -142,7 +145,7 @@ mod tests {
         }
         let snap = session.finish();
         assert!(!enabled());
-        assert_eq!(snap.spans.len(), 2);
+        assert_eq!(snap.spans.len(), 3);
         let outer = snap
             .spans
             .iter()
@@ -150,9 +153,10 @@ mod tests {
             .expect("outer span");
         assert_eq!(outer.label.as_deref(), Some("cell=3"));
         assert_eq!(snap.counters.get("test.ops"), Some(&1024));
+        // The span's sample lands in the same histogram `observe` feeds.
         let hist = snap.hists.get("test.chunk_ops").expect("hist");
-        assert_eq!(hist.count, 1);
-        assert_eq!(hist.sum, 512);
+        assert_eq!(hist.count, 2);
+        assert_eq!(hist.sum, 812);
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.events[0].label, "storm");
     }

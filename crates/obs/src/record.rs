@@ -168,6 +168,7 @@ pub struct SpanGuard {
     label: Option<String>,
     start_ns: u64,
     armed: bool,
+    sample: Option<(&'static str, u64)>,
 }
 
 impl SpanGuard {
@@ -177,7 +178,20 @@ impl SpanGuard {
             label: None,
             start_ns: 0,
             armed: false,
+            sample: None,
         }
+    }
+
+    /// Also record `value` into the named log2 histogram when the span
+    /// closes — the same sample [`observe`] would record, taken in the
+    /// span's own recorder visit, so a per-chunk probe pays one recorder
+    /// lock instead of two. Inert on a disarmed guard.
+    #[inline]
+    pub fn with_sample(mut self, hist: &'static str, value: u64) -> Self {
+        if self.armed {
+            self.sample = Some((hist, value));
+        }
+        self
     }
 }
 
@@ -194,7 +208,13 @@ impl Drop for SpanGuard {
             dur_ns: end.saturating_sub(self.start_ns),
             tid: 0,
         };
-        with_recorder(|r| r.push_span(span));
+        let sample = self.sample;
+        with_recorder(|r| {
+            r.push_span(span);
+            if let Some((hist, value)) = sample {
+                r.hists.entry(hist).or_default().record(value);
+            }
+        });
     }
 }
 
@@ -209,6 +229,7 @@ pub fn span(name: &'static str) -> SpanGuard {
         label: None,
         start_ns: now_ns(),
         armed: true,
+        sample: None,
     }
 }
 
@@ -225,6 +246,7 @@ pub fn span_with(name: &'static str, label: impl FnOnce() -> String) -> SpanGuar
         label: Some(label()),
         start_ns: now_ns(),
         armed: true,
+        sample: None,
     }
 }
 

@@ -705,11 +705,11 @@ pub fn run_workload(
                   attacked: &HashSet<GlobalRowId>,
                   disturbed: &mut HashSet<GlobalRowId>,
                   peak: &mut u64| {
-        for &row in traffic.universe() {
+        let universe = traffic.universe();
+        for (&row, d) in universe.iter().zip(mem.disturbances(universe)) {
             if attacked.contains(&row) {
                 continue;
             }
-            let d = mem.disturbance(row);
             *peak = (*peak).max(d);
             if d >= t_rh / 2 {
                 disturbed.insert(row);

@@ -92,7 +92,9 @@ pub(crate) fn record_fields(op: &WorkloadOp) -> (u8, u16, u16, u32) {
     (kind, bank, subarray, row)
 }
 
-/// Shared inverse of [`record_fields`].
+/// Shared inverse of [`record_fields`]. Always inlined: each chunk
+/// decoder calls it once per op, where a call costs as much as its body.
+#[inline(always)]
 pub(crate) fn record_op(
     kind: u8,
     bank: u16,

@@ -99,6 +99,10 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Read an LEB128 varint, rejecting truncation and >64-bit values.
+///
+/// Always inlined: the streaming decoder calls it three times per op, and
+/// an out-of-line call costs more than the decode itself.
+#[inline(always)]
 fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
     let mut value = 0u64;
     let mut shift = 0u32;
