@@ -4,15 +4,13 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use dd_qnn::{BitAddr, QModel};
 
 use crate::bfa::{run_bfa, AttackData, AttackReport, BitSearch, Direction};
 use crate::threat::{AttackConfig, ThreatModel};
 
 /// Report of an attack against a DNN-Defender-protected model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtectedAttackReport {
     /// Threat model used.
     pub threat: ThreatModel,

@@ -18,8 +18,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use dd_nn::loss::cross_entropy;
 use dd_nn::Tensor;
 use dd_qnn::{BitAddr, BitFlip, QModel};
@@ -27,7 +25,7 @@ use dd_qnn::{BitAddr, BitFlip, QModel};
 use crate::threat::AttackConfig;
 
 /// One committed attack iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackStep {
     /// The committed flip.
     pub flip: BitFlip,
@@ -41,7 +39,7 @@ pub struct AttackStep {
 }
 
 /// Outcome of an attack run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttackReport {
     /// Every committed iteration in order.
     pub steps: Vec<AttackStep>,

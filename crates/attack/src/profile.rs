@@ -10,15 +10,13 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use dd_qnn::{BitAddr, QModel};
 
 use crate::bfa::{run_bfa, AttackData};
 use crate::threat::AttackConfig;
 
 /// Result of a profiling campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProfileReport {
     /// Secured bits in discovery order (round 1 first — highest priority).
     pub bits: Vec<BitAddr>,

@@ -5,13 +5,12 @@
 //! 100+ flips; reproducing that gap is the headline motivation figure.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dd_nn::Tensor;
 use dd_qnn::{BitAddr, QModel};
 
 /// Report of a random-flip campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomAttackReport {
     /// `(flips, accuracy)` trajectory including the clean point.
     pub trajectory: Vec<(usize, f32)>,

@@ -11,8 +11,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use dd_nn::Tensor;
 use dd_qnn::{BitAddr, BitFlip, QModel};
 
@@ -20,7 +18,7 @@ use crate::bfa::{AttackData, BitSearch, Direction};
 use crate::threat::AttackConfig;
 
 /// What the targeted attack tries to achieve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TbfaGoal {
     /// Only samples of this class are redirected (`None` = all samples,
     /// the "all-to-one" variant).
@@ -30,7 +28,7 @@ pub struct TbfaGoal {
 }
 
 /// Report of a targeted campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TbfaReport {
     /// The goal attacked.
     pub goal: TbfaGoal,

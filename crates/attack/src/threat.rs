@@ -1,13 +1,11 @@
 //! Threat-model configuration (§3 and Table 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// What the attacker knows about the defense.
 ///
 /// In both variants the attacker has white-box knowledge of the *model*
 /// (architecture, parameters, bit representation, DRAM addresses); the
 /// distinction is knowledge of the *defense* (§3, §5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThreatModel {
     /// The attacker is unaware of DNN-Defender: it runs the stock BFA and
     /// cannot observe that flips on protected rows never land (it has no
@@ -27,7 +25,7 @@ impl ThreatModel {
 
 /// Knobs of the progressive bit search, shared by every attacker that
 /// runs it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackConfig {
     /// Stop once eval accuracy falls to this level (e.g. random-guess).
     /// T-BFA ignores it: it stops once its attack success rate reaches

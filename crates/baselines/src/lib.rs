@@ -22,7 +22,8 @@
 //!
 //! and the [`scenario`] harness — [`scenario::ScenarioMatrix`] — that
 //! sweeps attacker × defense × device grids under the common BFA
-//! protocol, in parallel, from one entry point.
+//! protocol, in parallel on the [`pool`] that the sweep server shares,
+//! from one entry point.
 //!
 //! ## Quickstart
 //!
@@ -53,6 +54,7 @@
 
 pub mod counters;
 pub mod graphene;
+pub mod pool;
 pub mod scenario;
 pub mod shadow;
 pub mod software;
@@ -61,6 +63,7 @@ pub mod swap_based;
 pub use counters::{CounterPerRow, HydraTracker, TwiceTable};
 pub use dd_workload::BackgroundLoad;
 pub use graphene::{GrapheneDefense, MisraGries};
+pub use pool::run_indexed;
 pub use scenario::{
     dram_label, fig8_rows, AttackerKind, BenignReport, CellProgress, CellReport, DefenseFactory,
     DefenseKind, Fig8Row, MatrixReport, MatrixRunSummary, RunMemo, Scenario, ScenarioMatrix,

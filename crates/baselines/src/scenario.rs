@@ -6,9 +6,9 @@
 //! recipe, a list of attackers ([`AttackerKind`]), a list of defense
 //! *factories* (so each cell gets a fresh, per-cell-seeded instance), and
 //! a list of [`DramConfig`]s. [`ScenarioMatrix::run`] executes every cell
-//! of the cross product in parallel (a `std::thread::scope` worker pool —
-//! the build environment has no rayon, see `vendor/`) with a
-//! deterministic per-cell RNG seed, and returns the Table 3 rows.
+//! of the cross product in parallel (on [`run_indexed`], the one worker
+//! pool) with a deterministic per-cell RNG seed, and returns the Table 3
+//! rows.
 //!
 //! ## Protocol
 //!
@@ -41,7 +41,6 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use dd_attack::{
     random_bit, real_accuracy, run_bfa, run_tbfa, AttackConfig, AttackData, TbfaGoal, ThreatModel,
@@ -59,12 +58,13 @@ use dnn_defender::defense::{
 use dnn_defender::{DefenseOp, Json, JsonError, SecurityModel, StableHash, StableHasher};
 
 use crate::graphene::GrapheneDefense;
+use crate::pool::run_indexed;
 use crate::shadow::ShadowMechanism;
 use crate::software::{SoftwareDefense, SoftwareKind};
 use crate::swap_based::{RowSwapMechanism, SwapScheme};
 
 /// Which attacker a scenario cell runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackerKind {
     /// The stock progressive bit search (Rakin et al. 2019).
     Bfa,
@@ -179,7 +179,7 @@ pub const CELL_PROTOCOL_VERSION: u64 = 3;
 /// compares, as a closed enum so the scenario matrix, the artifacts, and
 /// the rendered report all draw row labels (and factories) from one
 /// place instead of ad-hoc strings at each call site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefenseKind {
     /// Undefended DRAM (the Table 3 baseline row).
     Undefended,
@@ -397,7 +397,7 @@ impl StableHash for VictimSpec {
 pub type DefenseFactory = Box<dyn Fn(u64, &DramConfig) -> DynDefense + Send + Sync>;
 
 /// One fully-resolved cell of the matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// Defense row label.
     pub defense: String,
@@ -413,7 +413,7 @@ pub struct Scenario {
 
 /// What the benign traffic sharing a cell's device experienced and
 /// provoked (present only for cells with a background load).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BenignReport {
     /// Benign ops executed across the cell's windows.
     pub ops: u64,
@@ -462,7 +462,7 @@ impl BenignReport {
 }
 
 /// One evaluated cell: the Table 3 row plus the defense's bookkeeping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellReport {
     /// The cell that produced this row.
     pub scenario: Scenario,
@@ -481,7 +481,7 @@ pub struct CellReport {
 }
 
 /// Every cell of one matrix run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatrixReport {
     /// Cell rows in deterministic (defense-major) order.
     pub cells: Vec<CellReport>,
@@ -587,7 +587,7 @@ impl MatrixReport {
 
 /// One row of the Fig. 8 analytical comparison emitted next to the
 /// matrix: time-to-break and capacity at a RowHammer threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Row {
     /// RowHammer threshold.
     pub t_rh: u64,
@@ -1073,8 +1073,8 @@ impl ScenarioMatrix {
             .collect();
         let total = cells.len();
 
-        let slots: Vec<Mutex<Option<Result<CellReport, DramError>>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
+        let mut slots: Vec<Option<Result<CellReport, DramError>>> =
+            cells.iter().map(|_| None).collect();
         let done = AtomicUsize::new(0);
 
         let mut pending: Vec<usize> = Vec::new();
@@ -1085,7 +1085,7 @@ impl ScenarioMatrix {
                 Some(hit) => {
                     cache_hits += 1;
                     dd_obs::add("matrix.cache_hits", 1);
-                    *slots[i].lock().expect("cell slot") = Some(Ok(hit.clone()));
+                    slots[i] = Some(Ok(hit.clone()));
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if let Some(observe) = progress {
                         observe(&CellProgress {
@@ -1101,68 +1101,48 @@ impl ScenarioMatrix {
             }
         }
 
-        if !pending.is_empty() {
-            let workers = self
-                .threads
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                })
-                .min(pending.len())
-                .max(1);
-
-            // Each worker takes the next pending cell and runs it start to
-            // finish on its own thread: setup, warmup, attack. Worker 0 is
-            // the calling thread; only the other workers get a thread of
-            // their own, so a one-worker run spawns none.
-            let next = AtomicUsize::new(0);
-            let worker = || {
-                while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let (d, a, m, l) = cells[i];
-                    let name: &str = &self.defenses[d].0;
-                    let started = Instant::now();
-                    let result = {
-                        let _span = dd_obs::span_with("matrix.cell_setup", || {
-                            format!("defense={name} cell={i}")
-                        });
-                        self.cell_setup(d, &attackers[a], &drams[m], loads[l], memo)
-                    }
-                    .and_then(|mut state| {
-                        self.cell_warmup(&mut state)?;
-                        let _span = dd_obs::span_with("matrix.cell_attack", || {
-                            format!("defense={name} cell={i}")
-                        });
-                        self.cell_attack(state)
-                    });
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let (Some(observe), Ok(cell)) = (progress, &result) {
-                        observe(&CellProgress {
-                            done: n,
-                            total,
-                            scenario: cell.scenario.clone(),
-                            cache_hit: false,
-                            millis: started.elapsed().as_millis() as u64,
-                        });
-                    }
-                    *slots[i].lock().expect("cell slot") = Some(result);
-                }
-            };
-            std::thread::scope(|scope| {
-                for _ in 1..workers {
-                    scope.spawn(worker);
-                }
-                worker();
+        let workers = self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        // Each worker takes the next pending cell and runs it start to
+        // finish on its own thread: setup, warmup, attack.
+        let computed = run_indexed(pending.len(), workers, |_, j| {
+            let i = pending[j];
+            let (d, a, m, l) = cells[i];
+            let name: &str = &self.defenses[d].0;
+            let started = Instant::now();
+            let result = {
+                let _span =
+                    dd_obs::span_with("matrix.cell_setup", || format!("defense={name} cell={i}"));
+                self.cell_setup(d, &attackers[a], &drams[m], loads[l], memo)
+            }
+            .and_then(|mut state| {
+                self.cell_warmup(&mut state)?;
+                let _span =
+                    dd_obs::span_with("matrix.cell_attack", || format!("defense={name} cell={i}"));
+                self.cell_attack(state)
             });
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if let (Some(observe), Ok(cell)) = (progress, &result) {
+                observe(&CellProgress {
+                    done: n,
+                    total,
+                    scenario: cell.scenario.clone(),
+                    cache_hit: false,
+                    millis: started.elapsed().as_millis() as u64,
+                });
+            }
+            result
+        });
+        for (i, result) in pending.into_iter().zip(computed) {
+            slots[i] = Some(result);
         }
 
         let mut out = Vec::with_capacity(total);
         for slot in slots {
-            out.push(
-                slot.into_inner()
-                    .expect("cell slot")
-                    .expect("cell executed")?,
-            );
+            out.push(slot.expect("cell executed")?);
         }
         Ok((
             MatrixReport { cells: out },

@@ -21,7 +21,6 @@
 //! (no training, no accuracy drop).
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use dd_dram::DramError;
 use dd_nn::data::Dataset;
@@ -79,7 +78,7 @@ pub fn binarize_weights(net: &mut Network) {
 }
 
 /// Statistics of a repair pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairReport {
     /// Weights pulled back into range.
     pub repaired: usize,
@@ -139,7 +138,7 @@ pub fn mean_abs_weight(net: &mut Network) -> f32 {
 }
 
 /// Which training-side transform a [`SoftwareDefense`] applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SoftwareKind {
     /// Piece-wise clustering, approximated by symmetric weight clipping
     /// plus a recovery fine-tune.

@@ -18,14 +18,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, RowInSubarray};
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats, FlipAttempt};
 use dnn_defender::overhead::{overhead_table, OverheadEntry};
 
 /// Which swap-based scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwapScheme {
     /// Randomized Row-Swap: per-row counters, swap at trip point.
     Rrs,
@@ -55,7 +54,7 @@ impl SwapScheme {
 }
 
 /// What the attacker tracks between swaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackerTracking {
     /// Blind/aggressor-focused attacker: it keeps hammering the *data* it
     /// chose as aggressor, following it to its new random location —
@@ -67,7 +66,7 @@ pub enum AttackerTracking {
 }
 
 /// Outcome of one attacker campaign against a swap-based mitigation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapCampaignOutcome {
     /// Whether the victim bit flipped.
     pub flipped: bool,

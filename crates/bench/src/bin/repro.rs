@@ -15,6 +15,7 @@
 //! repro all --force            # ignore caches, recompute everything
 //! repro report                 # re-render EXPERIMENTS.md from artifacts
 //! repro report --check         # exit non-zero if EXPERIMENTS.md would change
+//!                              # or an artifact's config hash is stale
 //! repro kernel                 # batched-vs-reference perf gate -> BENCH_kernel.json
 //! repro serve --socket S.sock  # resident sweep server (matrix-as-a-service)
 //! repro submit --socket S.sock DnnDefender:BFA:lpddr4_small:none
@@ -71,7 +72,7 @@ fn usage(code: u8) -> ExitCode {
          \x20                broken invariant\n\
          \x20 serve          resident sweep server (line-delimited JSON on stdio,\n\
          \x20                --socket <S>, or --tcp <host:port>; budget-accounted,\n\
-         \x20                work-stealing, cell-cached; --read-timeout-ms <N>)\n\
+         \x20                cell-cached; --read-timeout-ms <N>)\n\
          \x20 submit         submit cell specs (defense:attacker:device:load[:priority])\n\
          \x20                to a server (--socket <S> / --tcp <A>, else in-process);\n\
          \x20                --client <C>, --grant-micros <N>, --out <F>, --check-batch,\n\
@@ -82,7 +83,8 @@ fn usage(code: u8) -> ExitCode {
          \x20 --smoke              smoke-sized experiments (sets DD_QUICK=1)\n\
          \x20 --jobs <N>           cap scenario-matrix worker threads\n\
          \x20 --force              ignore artifact and cell caches, recompute\n\
-         \x20 --check              with `report`: fail instead of writing on drift\n\
+         \x20 --check              with `report`: fail instead of writing on drift or on\n\
+         \x20                      an artifact whose config hash is stale\n\
          \x20 --quiet              suppress table output (summary lines only)\n\
          \x20 --artifacts-dir <D>  artifact directory (default: artifacts)"
     );
@@ -620,6 +622,7 @@ fn run_report(opts: &Options) -> ExitCode {
     };
     let mut doc = original.clone();
     let mut spliced = 0usize;
+    let mut stale = 0usize;
     for id in ExperimentId::ALL {
         let json_path = artifacts_dir.join(format!("{}.json", id.name()));
         let Some(artifact) = load_artifact(&json_path) else {
@@ -642,6 +645,21 @@ fn run_report(opts: &Options) -> ExitCode {
             );
             continue;
         };
+        // An artifact whose config hash the current code no longer
+        // produces would not be reused by a rerun: its numbers may be out
+        // of date even when its rendered section still matches.
+        let expected = id.config_hash(artifact.quick);
+        if opts.check && artifact.config_hash != expected {
+            eprintln!(
+                "repro: `{}` artifact is stale: config {:#018x}, current config {:#018x} — \
+                 run `repro {}` and commit artifacts/",
+                id.name(),
+                artifact.config_hash,
+                expected,
+                id.name(),
+            );
+            stale += 1;
+        }
         match splice_section(&doc, id.name(), &artifact.render_markdown()) {
             Ok(updated) => {
                 doc = updated;
@@ -760,6 +778,10 @@ fn run_report(opts: &Options) -> ExitCode {
              (or pass --artifacts-dir)",
             artifacts_dir.display()
         );
+        return ExitCode::FAILURE;
+    }
+    if stale > 0 {
+        eprintln!("repro: {stale} artifact(s) are stale against the current config");
         return ExitCode::FAILURE;
     }
     if doc == original {

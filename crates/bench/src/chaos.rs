@@ -394,19 +394,8 @@ fn parse_specs(specs: &[&str]) -> Result<Vec<CellSpec>, String> {
     specs.iter().map(|s| CellSpec::parse_compact(s)).collect()
 }
 
-fn submit_request(client: &str, specs: &[CellSpec]) -> Json {
-    Json::obj()
-        .with("op", Json::str("submit"))
-        .with("client", Json::str(client))
-        .with("quick", Json::Bool(true))
-        .with(
-            "cells",
-            Json::Arr(specs.iter().map(CellSpec::to_json).collect()),
-        )
-}
-
 fn submit_inline(server: &mut SweepServer, client: &str, specs: &[CellSpec]) -> Option<Json> {
-    let line = submit_request(client, specs).render_compact();
+    let line = SweepServer::submit_request(client, true, specs).render_compact();
     Json::parse(&server.handle_line(&line)).ok()
 }
 
@@ -653,7 +642,11 @@ fn phase_client_transient() -> PhaseReport {
     let mut client = ServiceClient::local(campaign_server(), policy);
     let specs = parse_specs(&[SPEC_C]).expect("campaign specs parse");
     let hello = client.request("{\"op\":\"hello\"}");
-    let submit = client.request_json(&submit_request("transient-client", &specs));
+    let submit = client.request_json(&SweepServer::submit_request(
+        "transient-client",
+        true,
+        &specs,
+    ));
     let chaos = session.finish();
     phase.absorb(&chaos);
     phase.check(
@@ -742,7 +735,7 @@ fn phase_connection_faults() -> PhaseReport {
         .with("txn", Json::str("chaos-wire-grant"));
     let granted = client.request_json(&grant);
     let specs = parse_specs(&[SPEC_A, SPEC_D]).expect("campaign specs parse");
-    let submit = client.request_json(&submit_request("wire-client", &specs));
+    let submit = client.request_json(&SweepServer::submit_request("wire-client", true, &specs));
     let stats = client.request("{\"op\":\"stats\"}");
     let chaos = session.finish();
     phase.absorb(&chaos);
@@ -866,9 +859,9 @@ fn phase_concurrent_stress(smoke: bool) -> PhaseReport {
                             .with("client", Json::str(name.clone()))
                             .with("grant_micros", Json::uint(100_000_000))
                             .with("txn", Json::str(format!("chaos-stress-{name}")));
-                        let submit = client
-                            .request_json(&grant)
-                            .and_then(|_| client.request_json(&submit_request(&name, &specs)));
+                        let submit = client.request_json(&grant).and_then(|_| {
+                            client.request_json(&SweepServer::submit_request(&name, true, &specs))
+                        });
                         (name, submit, set)
                     })
                 })

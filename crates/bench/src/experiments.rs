@@ -1365,14 +1365,7 @@ pub(crate) fn server_roundtrip(server: &mut SweepServer, request: &Json) -> Json
 }
 
 pub(crate) fn server_submit(server: &mut SweepServer, client: &str, specs: &[CellSpec]) -> Json {
-    let request = Json::obj()
-        .with("op", Json::str("submit"))
-        .with("client", Json::str(client))
-        .with("quick", Json::Bool(server.sweep_base().quick()))
-        .with(
-            "cells",
-            Json::Arr(specs.iter().map(CellSpec::to_json).collect()),
-        );
+    let request = SweepServer::submit_request(client, server.sweep_base().quick(), specs);
     server_roundtrip(server, &request)
 }
 

@@ -175,8 +175,7 @@ pub struct KernelBench {
 }
 
 impl KernelBench {
-    /// Serialize (the hand-rolled deterministic JSON tree — the vendored
-    /// serde is a no-op stub).
+    /// Serialize.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .with("schema_version", Json::uint(self.schema_version))

@@ -816,14 +816,7 @@ pub fn run_submit(opts: &SubmitOptions) -> Result<(), String> {
         expect_ok(&response)?;
     }
 
-    let request = Json::obj()
-        .with("op", Json::str("submit"))
-        .with("client", Json::str(opts.client.clone()))
-        .with("quick", Json::Bool(opts.quick))
-        .with(
-            "cells",
-            Json::Arr(specs.iter().map(CellSpec::to_json).collect()),
-        );
+    let request = SweepServer::submit_request(&opts.client, opts.quick, &specs);
     let response = client.request_json(&request)?;
     expect_ok(&response)?;
 
@@ -948,14 +941,7 @@ pub fn submit_specs(
     specs: &[CellSpec],
     quick: bool,
 ) -> Result<Json, String> {
-    let request = Json::obj()
-        .with("op", Json::str("submit"))
-        .with("client", Json::str(client))
-        .with("quick", Json::Bool(quick))
-        .with(
-            "cells",
-            Json::Arr(specs.iter().map(CellSpec::to_json).collect()),
-        );
+    let request = SweepServer::submit_request(client, quick, specs);
     let response = parse_response(&server.handle_line(&request.render_compact()))?;
     expect_ok(&response)?;
     Ok(response)

@@ -326,7 +326,7 @@ pub fn run_trace(quick: bool, jobs: Option<usize>) -> Result<TraceOutcome, DramE
 }
 
 /// The deterministic aggregates: span counts by *name only* (executor
-/// labels carry run-varying worker/steal attribution), event counts by
+/// labels carry run-varying worker ids), event counts by
 /// `(name, label)` (server events label only deterministic estimates),
 /// every counter and histogram (the instrumentation layer only records
 /// deterministic values into those), and the drop count.
@@ -366,7 +366,7 @@ fn deterministic_json(snap: &Snapshot) -> Json {
 
 /// The machine-dependent half: wall time, total nanoseconds per span
 /// name, recorder-thread count, and the server's full stats reply
-/// (executor utilization/steals, queue/wall histograms, ledgers).
+/// (executor utilization, queue/wall histograms, ledgers).
 fn timing_json(snap: &Snapshot, wall_millis: u64, server_stats: Json) -> Json {
     let names: BTreeSet<&str> = snap.spans.iter().map(|s| s.name).collect();
     let mut totals = Json::obj();

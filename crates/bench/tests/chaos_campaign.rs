@@ -84,18 +84,9 @@ proptest! {
                 seed: plan_seed,
             },
         );
-        let request = Json::obj()
-            .with("op", Json::str("submit"))
-            .with("client", Json::str("prop"))
-            .with("quick", Json::Bool(true))
-            .with(
-                "cells",
-                Json::Arr(vec![CellSpec::parse_compact(
-                    "Baseline (undefended):BFA:lpddr4_small:none",
-                )
-                .expect("spec")
-                .to_json()]),
-            );
+        let cell = CellSpec::parse_compact("Baseline (undefended):BFA:lpddr4_small:none")
+            .expect("spec");
+        let request = SweepServer::submit_request("prop", true, &[cell]);
         let submitted = client.request_json(&request);
         let report = session.finish();
 

@@ -24,7 +24,7 @@ fn traced() -> &'static TraceOutcome {
 /// The determinism law: two independent runs of the full observed
 /// scenario — fresh matrix, fresh driver, fresh server, fresh threads —
 /// produce byte-identical deterministic documents. Durations, thread
-/// ids, and steal attribution are excluded by construction; span/event
+/// ids, and worker ids are excluded by construction; span/event
 /// counts, counters, and histograms are all included.
 #[test]
 fn determinism_law_two_runs_agree_byte_for_byte() {
@@ -172,8 +172,8 @@ fn perfetto_export_parses_and_carries_the_timeline() {
     }
 }
 
-/// Satellite: the executor utilization summary (jobs, steals, queue
-/// delay, per-worker busy fractions) reaches the timing section through
+/// Satellite: the executor utilization summary (jobs, queue delay,
+/// per-worker busy fractions) reaches the timing section through
 /// the server's stats reply, wired from the same `JobRun` records the
 /// scheduler already returns.
 #[test]

@@ -20,10 +20,10 @@
 //! Crucially there is **no global counter** in the decision: two runs that
 //! check the same `(site, key)` pairs draw the same faults regardless of
 //! thread interleaving, so a scripted campaign (`repro chaos`) is exactly
-//! reproducible even though the sweep executor schedules jobs with work
-//! stealing. Callers pick keys that are stable across runs (request
-//! sequence numbers, job indices, attempt counters, connection/line ids —
-//! never wall-clock time or addresses).
+//! reproducible even though the sweep server's workers take jobs in
+//! whatever order they free up. Callers pick keys that are stable across
+//! runs (request sequence numbers, job indices, attempt counters,
+//! connection/line ids — never wall-clock time or addresses).
 //!
 //! Per-site check/fire counts accumulate while armed and drain through
 //! [`ChaosSession::finish`]; every fire also emits a `chaos.fire` event
@@ -165,7 +165,8 @@ fn decision_word(seed: u64, site: &str, key: u64, salt: u64) -> u64 {
 /// `key` is the caller's stable identity for the probe (job index ⊕ request
 /// sequence ⊕ attempt, connection-id/line-id pair, …). The decision is a
 /// pure function of the armed plan's seed, the site name, and `key` — never
-/// of call order — so campaigns are deterministic under work stealing.
+/// of call order — so campaigns are deterministic whichever worker runs a
+/// job.
 ///
 /// Disarmed this is one relaxed load; armed it takes the plan lock, counts
 /// the check, and (on fire) emits a `chaos.fire` event into `dd-obs`.

@@ -22,11 +22,10 @@
 //! operation costs, saturation of latency — is structural.
 
 use dd_dram::{DramConfig, Nanos, TimingParams};
-use serde::{Deserialize, Serialize};
 
 /// Per-row defense operation cost of a mitigation, used to compare
 /// DNN-Defender against SHADOW on equal footing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefenseOp {
     /// DNN-Defender four-step swap, amortized `3 × T_AAP`.
     DnnDefenderSwap,
@@ -56,7 +55,7 @@ impl DefenseOp {
 }
 
 /// The analytical model, parameterized by device geometry and timing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecurityModel {
     /// Number of banks (defense parallelism units).
     pub banks: u64,
@@ -154,7 +153,7 @@ impl SecurityModel {
 }
 
 /// One row of the Fig. 1(a) RowHammer-threshold survey \[23\].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RhThresholdPoint {
     /// DRAM generation label.
     pub generation: &'static str,

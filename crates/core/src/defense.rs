@@ -24,7 +24,6 @@ use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use dd_attack::{multi_round_profile, AttackConfig, AttackData};
 use dd_dram::rowhammer::preferred_aggressor;
@@ -38,7 +37,7 @@ use crate::overhead::OverheadEntry;
 use crate::swap::SwapEngine;
 
 /// Outcome of one attacker campaign against one bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlipAttempt {
     /// The bit flipped in DRAM (and the live model).
     Landed,
@@ -61,7 +60,7 @@ impl FlipAttempt {
 /// Invariant (checked by the conformance suite):
 /// `flips_resisted + flips_landed == attempts` and
 /// `defense_misses <= flips_landed`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefenseStats {
     /// Attacker campaigns observed.
     pub attempts: u64,
@@ -99,8 +98,7 @@ impl DefenseStats {
             && self.defense_misses <= self.flips_landed
     }
 
-    /// Serialize for the artifact pipeline (the vendored `serde` is a
-    /// no-op stub, so artifacts go through [`crate::json::Json`]).
+    /// Serialize for the artifact pipeline.
     pub fn to_json(&self) -> crate::json::Json {
         crate::json::Json::obj()
             .with("attempts", crate::json::Json::uint(self.attempts))
@@ -377,7 +375,7 @@ impl DefenseMechanism for Undefended {
 }
 
 /// Defense policy knobs for DNN-Defender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DefenseConfig {
     /// Master switch: disabled = baseline undefended DRAM.
     pub enabled: bool,

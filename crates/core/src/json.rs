@@ -1,10 +1,8 @@
 //! A minimal JSON tree for the artifact pipeline.
 //!
-//! The build environment has no crates.io access and the vendored `serde`
-//! is a no-op marker stub (see `vendor/serde`), so the experiment
-//! artifacts (`artifacts/*.json`) are produced and consumed through this
-//! hand-rolled value type instead. It covers exactly what the pipeline
-//! needs and no more:
+//! The experiment artifacts (`artifacts/*.json`), the cell cache and the
+//! sweep server's wire protocol are produced and consumed through this
+//! hand-rolled value type. It covers exactly what they need and no more:
 //!
 //! * objects preserve **insertion order** (a `Vec` of pairs), so
 //!   serialization is deterministic and artifacts diff cleanly;
@@ -14,9 +12,7 @@
 //! * rendering is stable: the same tree always produces the same bytes
 //!   (float formatting uses Rust's shortest round-trip `Display`).
 //!
-//! Swapping the real `serde`/`serde_json` back in can replace this module
-//! wholesale; the artifact schema (documented in `docs/artifacts.md`)
-//! does not change.
+//! The artifact schema is documented in `docs/artifacts.md`.
 
 use std::fmt::Write as _;
 

@@ -12,10 +12,9 @@ use std::collections::HashMap;
 
 use dd_dram::{DramConfig, GlobalRowId};
 use dd_qnn::{BitAddr, QModel};
-use serde::{Deserialize, Serialize};
 
 /// One contiguous chunk of a parameter stored in one DRAM row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowSlot {
     /// The physical row.
     pub row: GlobalRowId,
@@ -28,7 +27,7 @@ pub struct RowSlot {
 }
 
 /// Physical location of one weight bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitLocation {
     /// Row holding the weight byte.
     pub row: GlobalRowId,

@@ -6,10 +6,9 @@
 //! carry the numbers reported by the respective papers.
 
 use dd_dram::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// Kind of storage a mitigation occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemKind {
     /// Commodity DRAM capacity.
     Dram,
@@ -31,7 +30,7 @@ impl MemKind {
 }
 
 /// One capacity-overhead component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CapacityCost {
     /// A known cost in mebibytes of a given memory kind.
     Mb(f64, MemKind),
@@ -63,7 +62,7 @@ impl CapacityCost {
 }
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadEntry {
     /// Framework name.
     pub framework: &'static str,

@@ -9,12 +9,11 @@
 //! simulator uses.
 
 use dd_dram::{DramConfig, EnergyModel};
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::{DefenseOp, SecurityModel};
 
 /// A mitigation's power profile at a given operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerProfile {
     /// Mitigation name.
     pub name: String,

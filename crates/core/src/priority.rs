@@ -11,14 +11,13 @@ use std::collections::HashSet;
 
 use dd_dram::GlobalRowId;
 use dd_qnn::{BitAddr, QModel};
-use serde::{Deserialize, Serialize};
 
 use dd_attack::{multi_round_profile, AttackConfig, AttackData, ProfileReport};
 
 use crate::mapping::WeightMap;
 
 /// The defender's standing plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtectionPlan {
     /// Secured bits in priority order (round 1 of profiling first).
     pub secured_bits: Vec<BitAddr>,

@@ -8,10 +8,9 @@
 //! from. Swaps in different banks proceed in parallel.
 
 use dd_dram::{Nanos, TimingParams};
-use serde::{Deserialize, Serialize};
 
 /// Latency accounting for a batch of swaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapSchedule {
     /// Swaps in the chain.
     pub swaps: u64,

@@ -18,12 +18,11 @@
 //! interesting to it.
 
 use dd_dram::{DramError, GlobalRowId, MemoryController, RowInSubarray};
-use serde::{Deserialize, Serialize};
 
 use crate::mapping::WeightMap;
 
 /// Result of one four-step swap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapOutcome {
     /// Where the target data now lives.
     pub new_target_row: GlobalRowId,

@@ -8,17 +8,15 @@
 //! RowHammer possible in practice; here both sides of the simulation get
 //! it from the same [`AddressMapping`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 use crate::geometry::{DramConfig, GlobalRowId};
 
 /// A physical byte address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysAddr(pub u64);
 
 /// Decoded coordinates of a physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedAddr {
     /// Row coordinates.
     pub row: GlobalRowId,
@@ -32,7 +30,7 @@ pub struct DecodedAddr {
 /// `bank_xor = bank ⊕ (low row bits)` when hashing is enabled — the
 /// standard trick that makes consecutive rows of one bank land in
 /// different banks from the OS's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
     column_bits: u32,
     bank_bits: u32,

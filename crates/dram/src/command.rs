@@ -6,13 +6,11 @@
 //! swaps are built from. A bounded [`CommandTrace`] records issued commands
 //! for inspection in tests and experiments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::GlobalRowId;
 use crate::timing::Nanos;
 
 /// The kind of a DRAM bus command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Activate a row (open it into the row buffer).
     Act,
@@ -29,7 +27,7 @@ pub enum CommandKind {
 }
 
 /// One issued command with its target and issue timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramCommand {
     /// What was issued.
     pub kind: CommandKind,
@@ -45,24 +43,21 @@ pub struct DramCommand {
 ///
 /// Tracing exists for tests and experiment forensics; replaying millions
 /// of workload commands must not pay for it. The controller checks the
-/// mode *before* building a [`DramCommand`], so [`TraceMode::Disabled`]
-/// and [`TraceMode::CountersOnly`] skip the struct construction entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// mode *before* building a [`DramCommand`], so
+/// [`TraceMode::CountersOnly`] skips the struct construction entirely.
+/// The scenario matrix and the workload driver replay in that mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// Retain the most recent commands in the ring (the default).
     Full,
     /// Keep only per-kind issue counters — no commands are retained.
     CountersOnly,
-    /// Record nothing, count nothing. The cheapest mode; used by the
-    /// scenario matrix and the workload driver for bulk replay runs.
-    Disabled,
 }
 
 /// A bounded ring of recently issued commands.
 ///
 /// Keeps the last `capacity` commands; older entries are dropped. The
-/// total issued count keeps counting regardless (unless the trace is
-/// [`TraceMode::Disabled`]).
+/// total issued count keeps counting regardless.
 #[derive(Debug, Clone)]
 pub struct CommandTrace {
     buf: Vec<DramCommand>,
@@ -87,11 +82,11 @@ impl CommandTrace {
         }
     }
 
-    /// Create a counters-only or disabled trace (no ring allocation).
+    /// Create a trace in `mode` (a counters-only trace allocates no ring).
     pub fn with_mode(mode: TraceMode) -> Self {
         let mut trace = CommandTrace::new(match mode {
             TraceMode::Full => 4096,
-            TraceMode::CountersOnly | TraceMode::Disabled => 0,
+            TraceMode::CountersOnly => 0,
         });
         trace.mode = mode;
         trace
@@ -112,12 +107,6 @@ impl CommandTrace {
         self.mode = mode;
     }
 
-    /// Whether [`CommandTrace::record`] currently does any work — the
-    /// controller's cheap pre-check before building a command struct.
-    pub fn is_recording(&self) -> bool {
-        self.mode != TraceMode::Disabled
-    }
-
     /// Count one issued command of `kind` without retaining it (the
     /// [`TraceMode::CountersOnly`] fast path).
     pub fn count(&mut self, kind: CommandKind) {
@@ -134,16 +123,8 @@ impl CommandTrace {
 
     /// Record a command.
     pub fn record(&mut self, cmd: DramCommand) {
-        match self.mode {
-            TraceMode::Disabled => return,
-            TraceMode::CountersOnly => {
-                self.count(cmd.kind);
-                return;
-            }
-            TraceMode::Full => {}
-        }
         self.count(cmd.kind);
-        if self.capacity == 0 {
+        if self.mode == TraceMode::CountersOnly || self.capacity == 0 {
             return;
         }
         if self.buf.len() < self.capacity {
@@ -181,7 +162,7 @@ impl CommandTrace {
     }
 
     /// Total commands of `kind` issued over the lifetime of the trace
-    /// (maintained in every mode except [`TraceMode::Disabled`]).
+    /// (maintained in every mode).
     pub fn issued_of(&self, kind: CommandKind) -> u64 {
         self.kind_counts[kind as usize]
     }
@@ -237,16 +218,6 @@ mod tests {
         assert_eq!(tr.issued_of(CommandKind::Act), 5);
         assert_eq!(tr.issued_of(CommandKind::Rd), 1);
         assert!(tr.is_empty());
-        assert!(tr.is_recording());
-    }
-
-    #[test]
-    fn disabled_mode_records_nothing() {
-        let mut tr = CommandTrace::with_mode(TraceMode::Disabled);
-        tr.record(cmd(CommandKind::Act, 0));
-        assert_eq!(tr.issued(), 0);
-        assert!(tr.is_empty());
-        assert!(!tr.is_recording());
     }
 
     #[test]

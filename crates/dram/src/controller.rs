@@ -150,10 +150,9 @@ impl MemoryController {
     }
 
     fn record(&mut self, kind: CommandKind, target: GlobalRowId, aux: Option<GlobalRowId>) {
-        // Cheap pre-check: in counters-only/disabled mode, never build
-        // the command struct at all (the per-command hot path).
+        // Cheap pre-check: in counters-only mode, never build the command
+        // struct at all (the per-command hot path).
         match self.trace.mode() {
-            TraceMode::Disabled => {}
             TraceMode::CountersOnly => self.trace.count(kind),
             TraceMode::Full => {
                 let at = self.now;
@@ -469,15 +468,15 @@ impl MemoryController {
     /// background traffic and the workload driver's replay loop issue
     /// through (see `docs/perf.md`).
     ///
-    /// On a [`TraceMode::CountersOnly`] or [`TraceMode::Disabled`]
-    /// controller the chunk runs on the batched fast path: disturbance
-    /// written in place into the dense per-row table at each op's
-    /// pre-decoded index, refresh-epoch checks amortized to one comparison
-    /// per time advance, stats/trace counters accumulated once per chunk,
-    /// and no row-payload allocation on reads. On a [`TraceMode::Full`]
-    /// controller the same ops replay through the ordinary per-command
-    /// methods ([`MemoryController::issue_batch_reference`]) so the
-    /// command ring stays exact.
+    /// On a [`TraceMode::CountersOnly`] controller the chunk runs on the
+    /// batched fast path: disturbance written in place into the dense
+    /// per-row table at each op's pre-decoded index, refresh-epoch checks
+    /// amortized to one comparison per time advance, stats/trace counters
+    /// accumulated once per chunk, and no row-payload allocation on reads.
+    /// On a [`TraceMode::Full`] controller the same ops replay through the
+    /// ordinary per-command methods
+    /// ([`MemoryController::issue_batch_reference`]) so the command ring
+    /// stays exact.
     ///
     /// Both paths leave the controller in the *identical* end state —
     /// simulated clock, [`MemStats`], trace counters, per-row disturbance
@@ -511,7 +510,7 @@ impl MemoryController {
         }
         match self.trace.mode() {
             TraceMode::Full => self.issue_batch_reference(batch),
-            TraceMode::CountersOnly | TraceMode::Disabled => {
+            TraceMode::CountersOnly => {
                 self.issue_batch_fast(batch);
                 Ok(())
             }

@@ -7,21 +7,19 @@
 //! two rows of the *same* subarray, and what makes physically adjacent rows
 //! RowHammer victims of each other.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 
 /// Index of a bank inside the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BankId(pub usize);
 
 /// Index of a subarray inside a bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubarrayId(pub usize);
 
 /// Physical row index *within one subarray* (0-based from the subarray's
 /// first wordline). Adjacency at this granularity is what RowHammer exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowInSubarray(pub usize);
 
 impl RowInSubarray {
@@ -40,7 +38,7 @@ impl RowInSubarray {
 }
 
 /// Fully qualified physical row address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalRowId {
     /// Bank holding the row.
     pub bank: BankId,
@@ -67,7 +65,7 @@ impl GlobalRowId {
 /// [`DramConfig::lpddr4_small`]) or the builder-style setters to construct a
 /// custom device, then validate with [`DramConfig::validate`] (done
 /// automatically by [`crate::MemoryController::try_new`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     /// Number of banks in the device (16 for the paper's DDR4 setup).
     pub banks: usize,

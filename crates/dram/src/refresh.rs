@@ -10,13 +10,11 @@
 //! account for *which rows refresh when* and what the refresh traffic
 //! costs).
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::DramConfig;
 use crate::timing::Nanos;
 
 /// Distributed-refresh schedule parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshSchedule {
     /// Refresh interval over which every row is refreshed once.
     pub t_ref: Nanos,

@@ -22,8 +22,6 @@
 //! per-command path and the batched kernel both update in place, so every
 //! disturbance, refresh and read is a single index operation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::{DramConfig, GlobalRowId, RowInSubarray};
 use crate::timing::Nanos;
 
@@ -124,7 +122,7 @@ impl HammerTracker {
 }
 
 /// Outcome of an attempted RowHammer bit-flip on a victim row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlipOutcome {
     /// The victim's disturbance reached `T_RH`; the listed bit offsets were
     /// flipped in the row payload.
@@ -150,7 +148,7 @@ impl FlipOutcome {
 }
 
 /// Static RowHammer parameters derived from a [`DramConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowHammerModel {
     /// Activation threshold `T_RH`.
     pub threshold: u64,

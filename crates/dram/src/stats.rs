@@ -1,11 +1,9 @@
 //! Memory operation statistics and the analytical energy model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::timing::Nanos;
 
 /// Counters for every class of DRAM operation plus accumulated busy time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Row activations issued (including those inside fused ops).
     pub acts: u64,
@@ -53,7 +51,7 @@ impl MemStats {
 /// Default numbers follow the RowClone paper's relative costs: an in-DRAM
 /// copy consumes roughly 74× less energy than moving a row over the memory
 /// channel, which is what gives DNN-Defender its negligible energy overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy per activation (pJ).
     pub e_act: f64,

@@ -4,13 +4,11 @@
 //! the RowHammer blast radius — and (b) RowClone can copy a whole row in
 //! one ACT–ACT pair because the rows share sense amplifiers (§2.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 use crate::geometry::RowInSubarray;
 
 /// The payload of one DRAM row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowData {
     bytes: Vec<u8>,
 }

@@ -11,17 +11,13 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A duration in nanoseconds.
 ///
 /// A newtype is used instead of `std::time::Duration` because simulated DRAM
 /// time is arithmetic-heavy (scaled, divided into windows) and we want
 /// integer-exact behaviour plus `u128` headroom for multi-year
 /// time-to-break computations.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(pub u128);
 
 impl Nanos {
@@ -128,7 +124,7 @@ impl fmt::Display for Nanos {
 }
 
 /// DRAM timing parameters used by the simulator and the analytical models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingParams {
     /// Row activation-to-activation time (`tRC`-like): the minimum time
     /// between two hammering activations of the same aggressor. Bounds the

@@ -8,13 +8,12 @@
 //! leaving a non-trivial decision boundary for the BFA to attack.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::init::normal;
 use crate::tensor::Tensor;
 
 /// Specification of a synthetic dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticSpec {
     /// Number of classes.
     pub classes: usize,

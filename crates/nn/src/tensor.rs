@@ -5,10 +5,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Dense row-major tensor of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -1,7 +1,6 @@
 //! Training and evaluation loops.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::data::{Dataset, Split};
 use crate::loss::{accuracy, cross_entropy, cross_entropy_grad};
@@ -10,7 +9,7 @@ use crate::optim::Sgd;
 use crate::tensor::Tensor;
 
 /// Hyper-parameters for [`train`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of epochs over the training split.
     pub epochs: usize,

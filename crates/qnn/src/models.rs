@@ -6,14 +6,13 @@
 //! substitution table in DESIGN.md). `base_width` scales every stage.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dd_nn::layers::{ChannelNorm, Conv2d, Flatten, GlobalAvgPool, Layer, Linear, Relu};
 use dd_nn::model::{Network, ResidualBlock};
 use dd_nn::ops::ConvGeometry;
 
 /// Which victim architecture to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// Two-layer MLP (sanity-check victim).
     Mlp,
@@ -41,7 +40,7 @@ impl Architecture {
 }
 
 /// Model-construction options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Architecture to build.
     pub arch: Architecture,

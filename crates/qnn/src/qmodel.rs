@@ -6,8 +6,6 @@
 //! DRAM), so a bit flip in the quantized store immediately affects
 //! accuracy once synced.
 
-use serde::{Deserialize, Serialize};
-
 use crate::qtensor::QTensor;
 use crate::quant::{flip_delta, WEIGHT_BITS};
 use dd_nn::loss::{cross_entropy, cross_entropy_grad};
@@ -19,7 +17,7 @@ use dd_nn::Tensor;
 /// `param` indexes the quantizable parameters in network visit order (the
 /// "layer" of the paper's `(l, k)` notation), `index` the weight within
 /// that parameter, `bit` the bit position (0 = LSB, 7 = sign).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BitAddr {
     /// Quantizable-parameter index (layer).
     pub param: usize,
@@ -30,7 +28,7 @@ pub struct BitAddr {
 }
 
 /// Record of one applied bit flip (enough to undo it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitFlip {
     /// Where.
     pub addr: BitAddr,

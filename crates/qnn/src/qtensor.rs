@@ -1,12 +1,10 @@
 //! A quantized parameter tensor: `i8` storage + scale + bit addressing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::quant::{flip_weight_bit, hamming_distance, weight_bit, QuantParams, WEIGHT_BITS};
 use dd_nn::Tensor;
 
 /// One quantized weight tensor of a model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTensor {
     name: String,
     shape: Vec<usize>,

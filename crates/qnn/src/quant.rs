@@ -6,13 +6,11 @@
 //! `scale = max|w| / 127`, and expose the raw bit view the RowHammer
 //! attacker manipulates.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bits per quantized weight.
 pub const WEIGHT_BITS: u8 = 8;
 
 /// Scale factor of a symmetric 8-bit quantizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     /// Dequantization scale: `w ≈ scale * q`.
     pub scale: f32,

@@ -4,17 +4,18 @@
 //! long-running sweep engine that accepts cell specs over a line-delimited
 //! JSON protocol (stdin/stdout or a Unix socket), prices every job with a
 //! throughput-calibrated cost model *before* admission, charges it against
-//! a per-client budget, and executes admitted jobs on a work-stealing
-//! threaded executor — shedding the lowest-priority work first under
-//! overload instead of wedging.
+//! a per-client budget, and executes admitted jobs on the worker pool the
+//! scenario matrix runs its cells on ([`dd_baselines::run_indexed`]) —
+//! shedding the lowest-priority work first under overload instead of
+//! wedging.
 //!
 //! Module map:
 //!
 //! * [`spec`] — [`spec::CellSpec`] (defense × attacker × device × load)
 //!   and [`spec::SweepBase`], the fixed sweep base whose cells share
 //!   content-addressed cache keys with the batch `repro workload` path;
-//! * [`executor`] — the per-worker-deque work-stealing thread pool, with
-//!   per-job `catch_unwind` isolation and bounded panic retry;
+//! * [`executor`] — the shared pool's per-job wrapper: `catch_unwind`
+//!   isolation, bounded panic retry, the `executor.job` span and timing;
 //! * [`server`] — [`server::SweepServer`]: the protocol handler with
 //!   admission control, budget accounting, Calm/PreStorm/Storm regime
 //!   switching (offered + in-flight load), and incremental cache
@@ -48,7 +49,7 @@ pub mod metrics;
 pub mod server;
 pub mod spec;
 
-pub use executor::{run_work_stealing_grouped_isolated, JobOutcome, JobRun};
+pub use executor::{run_isolated, JobOutcome, JobRun};
 pub use frame::{Frame, FrameReader, MAX_FRAME_BYTES};
 pub use metrics::{hist_to_json, ClientLedger, ExecutorSummary, ServerStats};
 pub use server::{
@@ -62,4 +63,7 @@ pub use spec::{CellSpec, DeviceBase, DeviceSpec, SweepBase};
 /// structured error `kind`s (`job_failed` et al.), cumulative
 /// `charged_gross_micros`/`refunded_micros` ledger counters, idempotent
 /// `budget` grants via `txn`, and `shed`/`shutting_down` drain semantics.
-pub const SERVER_PROTOCOL_VERSION: u64 = 2;
+/// v3: `done` results drop their per-job steal flag and the `stats`
+/// reply's executor summary its steal count, because jobs run on the
+/// shared worker pool, which has no per-worker queues.
+pub const SERVER_PROTOCOL_VERSION: u64 = 3;

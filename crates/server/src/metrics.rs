@@ -114,15 +114,13 @@ pub fn hist_to_json(hist: &Hist64) -> Json {
         .with("buckets", Json::Arr(buckets))
 }
 
-/// Executor utilization accumulated across every submit's work-stealing
-/// batch: how many jobs ran, how many were stolen, the worst queue
-/// delay, and per-worker busy time against the summed batch makespans.
+/// Executor utilization accumulated across every submit's batch: how
+/// many jobs ran, the worst queue delay, and per-worker busy time
+/// against the summed batch makespans.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutorSummary {
     /// Jobs executed.
     pub jobs: u64,
-    /// Jobs that ran on a worker other than the one they were dealt to.
-    pub stolen: u64,
     /// Largest queue delay any job saw, in microseconds.
     pub max_queue_micros: u64,
     /// Summed makespan of every executed batch (the time base for
@@ -143,9 +141,6 @@ impl ExecutorSummary {
         self.elapsed_micros += makespan;
         for run in runs {
             self.jobs += 1;
-            if run.stolen {
-                self.stolen += 1;
-            }
             self.max_queue_micros = self.max_queue_micros.max(run.queue_micros);
             if self.busy_micros.len() <= run.worker {
                 self.busy_micros.resize(run.worker + 1, 0);
@@ -186,7 +181,6 @@ impl ExecutorSummary {
             .collect();
         Json::obj()
             .with("jobs", Json::uint(self.jobs))
-            .with("stolen", Json::uint(self.stolen))
             .with("max_queue_micros", Json::uint(self.max_queue_micros))
             .with("elapsed_micros", Json::uint(self.elapsed_micros))
             .with("workers", Json::Arr(workers))
@@ -358,7 +352,6 @@ mod tests {
             JobRun {
                 index: 0,
                 worker: 0,
-                stolen: false,
                 queue_micros: 10,
                 wall_micros: 90,
                 attempts: 1,
@@ -367,7 +360,6 @@ mod tests {
             JobRun {
                 index: 1,
                 worker: 2,
-                stolen: true,
                 queue_micros: 40,
                 wall_micros: 60,
                 attempts: 1,
@@ -377,7 +369,6 @@ mod tests {
         let mut summary = ExecutorSummary::default();
         summary.absorb(&runs);
         assert_eq!(summary.jobs, 2);
-        assert_eq!(summary.stolen, 1);
         assert_eq!(summary.max_queue_micros, 40);
         assert_eq!(summary.elapsed_micros, 100);
         assert_eq!(summary.busy_micros, vec![90, 0, 60]);
@@ -386,7 +377,6 @@ mod tests {
         assert!((fractions[2] - 0.6).abs() < 1e-9);
         let json = summary.to_json();
         assert_eq!(json.field_u64("jobs"), Ok(2));
-        assert_eq!(json.field_u64("stolen"), Ok(1));
         // Empty summary: no division by zero.
         let empty = ExecutorSummary::default();
         assert!(empty.busy_fractions().is_empty());

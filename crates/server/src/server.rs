@@ -24,7 +24,7 @@
 //!    [`Regime`]; a storm sheds the lowest-priority pending cells (newest
 //!    first among ties, always keeping at least one so the server makes
 //!    progress), refunding each and answering `shed`/`storm_overload`;
-//! 5. survivors run on the work-stealing executor and land in the cache.
+//! 5. survivors run on the shared worker pool and land in the cache.
 //!
 //! ## Concurrency and failure semantics
 //!
@@ -52,7 +52,7 @@ use std::sync::Arc;
 use dd_baselines::{dram_label, CellReport, RunMemo, Scenario};
 use dnn_defender::{CostModel, Json, Regime};
 
-use crate::executor::{run_work_stealing_grouped_isolated, JobOutcome, JobRun};
+use crate::executor::{run_isolated, JobOutcome, JobRun};
 use crate::metrics::{ClientLedger, ServerStats};
 use crate::spec::{CellSpec, DeviceSpec, SweepBase};
 use crate::SERVER_PROTOCOL_VERSION;
@@ -66,7 +66,7 @@ pub const MAX_JOB_ATTEMPTS: u32 = 3;
 pub struct ServerConfig {
     /// Quick (smoke) mode: smaller attempt budgets, same protocol.
     pub quick: bool,
-    /// Executor worker threads per submit.
+    /// Executor workers per submit (worker 0 is the submitting thread).
     pub workers: usize,
     /// Planning capacity in estimated microseconds: the backlog level the
     /// regime classification calls "full". Backlog ≤ capacity is Calm,
@@ -123,7 +123,6 @@ enum Slot {
         queue_micros: u64,
         wall_micros: u64,
         worker: usize,
-        stolen: bool,
         cell: Box<CellReport>,
     },
     Rejected {
@@ -196,7 +195,6 @@ pub struct PreparedSubmit {
     pending_micros: u64,
     slots: Vec<Slot>,
     jobs: Vec<ExecJob>,
-    affinity: Vec<u64>,
     workers: usize,
     base: SweepBase,
     memo: Arc<RunMemo>,
@@ -509,6 +507,19 @@ impl SweepServer {
             .with("cache_cells", Json::uint(self.cache.len() as u64))
     }
 
+    /// The `submit` request that admission parses: `cells` for `client`,
+    /// declared in quick (smoke) mode or not.
+    pub fn submit_request(client: &str, quick: bool, cells: &[CellSpec]) -> Json {
+        Json::obj()
+            .with("op", Json::str("submit"))
+            .with("client", Json::str(client))
+            .with("quick", Json::Bool(quick))
+            .with(
+                "cells",
+                Json::Arr(cells.iter().map(CellSpec::to_json).collect()),
+            )
+    }
+
     /// Passes 1–2 of the submit pipeline: parse, key, price, charge the
     /// live ledger, classify the regime against offered + in-flight load,
     /// shed under storm. Runs under the server lock; returns the prepared
@@ -585,7 +596,6 @@ impl SweepServer {
                     queue_micros: 0,
                     wall_micros: 0,
                     worker: 0,
-                    stolen: false,
                     cell: Box::new(hit.clone()),
                 });
                 continue;
@@ -709,9 +719,9 @@ impl SweepServer {
             Regime::Storm => self.stats.storm_requests += 1,
         }
 
-        // Hand off to execution: collect surviving pending cells with
-        // their geometry-affinity keys, and account their estimates as
-        // in-flight until `complete`/`abort` settles them.
+        // Hand off to execution: collect surviving pending cells, and
+        // account their estimates as in-flight until `complete`/`abort`
+        // settles them.
         drop(pass_span);
         let jobs: Vec<ExecJob> = slots
             .iter()
@@ -729,21 +739,6 @@ impl SweepServer {
                     key: *key,
                 }),
                 _ => None,
-            })
-            .collect();
-        let mut geometries: Vec<String> = Vec::new();
-        let affinity: Vec<u64> = jobs
-            .iter()
-            .map(|job| {
-                let label = job.spec.device.label();
-                let key = match geometries.iter().position(|g| *g == label) {
-                    Some(i) => i,
-                    None => {
-                        geometries.push(label);
-                        geometries.len() - 1
-                    }
-                };
-                key as u64
             })
             .collect();
         let pending_micros: u64 = slots
@@ -765,32 +760,30 @@ impl SweepServer {
             pending_micros,
             slots,
             jobs,
-            affinity,
             workers: self.config.workers,
             base,
             memo: Arc::clone(&self.memo),
         })
     }
 
-    /// Pass 3 — execute the surviving pending cells on the work-stealing
-    /// executor, co-scheduling same-geometry jobs onto one worker (warm
-    /// device tables). Every cell runs as a one-cell matrix against the
-    /// server's [`RunMemo`], so the victim is trained and each distinct
-    /// search runs once per server, not once per cell. Takes no `&self`:
-    /// callers run this outside the server lock. Jobs are panic-isolated
-    /// with bounded retry (a panic mid-computation leaves its memo entry
-    /// empty for the retry); `dd-chaos` injects worker panics
+    /// Pass 3 — execute the surviving pending cells on the shared worker
+    /// pool ([`run_isolated`]). Every cell runs as a one-cell matrix
+    /// against the server's [`RunMemo`], so the victim is trained and each
+    /// distinct search runs once per server, not once per cell. Takes no
+    /// `&self`: callers run this outside the server lock. Jobs are
+    /// panic-isolated with bounded retry (a panic mid-computation leaves
+    /// its memo entry empty for the retry); `dd-chaos` injects worker panics
     /// (`executor.job_panic`) and stalls (`executor.job_stall`) here,
     /// keyed on (cell key, request sequence, attempt) so campaigns are
-    /// deterministic under work stealing.
+    /// deterministic whichever worker takes a job.
     pub fn execute_prepared(prepared: PreparedSubmit) -> ExecutedSubmit {
         let span = dd_obs::span_with("server.execute", || format!("client={}", prepared.client));
         let base = prepared.base;
         let seq = prepared.request_seq;
         let jobs = &prepared.jobs;
         let memo = &*prepared.memo;
-        let runs = run_work_stealing_grouped_isolated(
-            &prepared.affinity,
+        let runs = run_isolated(
+            jobs.len(),
             prepared.workers,
             MAX_JOB_ATTEMPTS,
             |j, attempt| {
@@ -888,7 +881,6 @@ impl SweepServer {
                         queue_micros: run.queue_micros,
                         wall_micros: run.wall_micros,
                         worker: run.worker,
-                        stolen: run.stolen,
                         cell: Box::new(cell),
                     };
                 }
@@ -935,7 +927,6 @@ impl SweepServer {
                         queue_micros: 0,
                         wall_micros: 0,
                         worker: 0,
-                        stolen: false,
                         cell: Box::new(cell.clone()),
                     },
                     None => Slot::Error {
@@ -963,7 +954,6 @@ impl SweepServer {
                     queue_micros,
                     wall_micros,
                     worker,
-                    stolen,
                     cell,
                 } => {
                     if *cache_hit {
@@ -985,7 +975,6 @@ impl SweepServer {
                         .with("queue_micros", Json::uint(*queue_micros))
                         .with("wall_micros", Json::uint(*wall_micros))
                         .with("worker", Json::uint(*worker as u64))
-                        .with("stolen", Json::Bool(*stolen))
                         .with("cell", cell.to_json())
                 }
                 Slot::Rejected {

@@ -4,15 +4,16 @@
 //!
 //! * **budget safety** — whatever interleaving of grants, charges, and
 //!   refunds a client's ledger sees, `charged ≤ granted` always holds;
-//! * **exactly-once drain** — the work-stealing executor runs every
-//!   admitted job exactly once, for random batch sizes and worker counts
-//!   (interleavings vary run-to-run with OS scheduling);
+//! * **exactly-once drain** — the executor (the per-job wrapper over the
+//!   shared worker pool) runs every admitted job exactly once, in one
+//!   attempt, and returns them in index order, for random batch sizes and
+//!   worker counts (interleavings vary run-to-run with OS scheduling);
 //! * **cost monotonicity** — the admission price is monotone in
 //!   `commands × device_rows`, for random calibrations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dd_server::run_work_stealing_grouped_isolated;
+use dd_server::run_isolated;
 use dnn_defender::{BudgetAccount, CostModel};
 use proptest::prelude::*;
 
@@ -51,17 +52,15 @@ proptest! {
         jobs in 0usize..120,
         workers in 1usize..9,
     ) {
-        // One key per job and one attempt: round-robin dealing.
-        let keys: Vec<u64> = (0..jobs as u64).collect();
         let hits: Vec<AtomicU64> = (0..jobs).map(|_| AtomicU64::new(0)).collect();
-        let runs = run_work_stealing_grouped_isolated(&keys, workers, 1, |i, _attempt| {
+        let runs = run_isolated(jobs, workers, 1, |i, _attempt| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             i
         });
         prop_assert_eq!(runs.len(), jobs);
         for (i, run) in runs.into_iter().enumerate() {
             prop_assert_eq!(run.index, i);
-            prop_assert!(run.worker < workers.max(1));
+            prop_assert!(run.worker < workers.min(jobs));
             prop_assert_eq!(run.attempts, 1);
             prop_assert_eq!(run.output.ok(), Some(i));
         }
