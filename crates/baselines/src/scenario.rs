@@ -1254,8 +1254,12 @@ impl ScenarioMatrix {
         // The cell's background traffic: zipfian serving over a 64-row
         // "hot" working set spread across the device, scans over the
         // rest (on the scratch device there is no deployed weight image,
-        // so the working set is a geometric stand-in for one).
-        let traffic = {
+        // so the working set is a geometric stand-in for one). The row
+        // universe is listed only for a load that has traffic: on
+        // `ddr4_32gb` it is 4 Mi rows.
+        let traffic = if load == BackgroundLoad::None {
+            None
+        } else {
             let cold = all_data_rows(dram);
             let hot: Vec<GlobalRowId> = cold
                 .iter()
@@ -1821,6 +1825,25 @@ mod tests {
                 (0, 2046, 6, -75, -11),
             ]
         );
+    }
+
+    /// A full-size `ddr4_32gb` cell (16 banks × 512 subarrays × 512 rows
+    /// of 8 KiB): building the device allocates no row payloads and the
+    /// cell lists no row universe without a load, so it runs in a test
+    /// process instead of needing 32 GiB, and its campaign replays as on
+    /// any device.
+    #[test]
+    fn a_full_ddr4_32gb_cell_replays_its_campaign() {
+        let report = quick_matrix()
+            .dram_config(DramConfig::ddr4_32gb())
+            .defense("Baseline", |_, _| Box::new(Undefended::named("Baseline")))
+            .run()
+            .expect("matrix");
+        let cell = &report.cells[0];
+        assert_eq!(cell.scenario.dram, dram_label(&DramConfig::ddr4_32gb()));
+        assert!(cell.attempts > 0);
+        assert_eq!(cell.landed, cell.attempts);
+        assert!(cell.post_attack_accuracy < cell.clean_accuracy - 0.2);
     }
 
     #[test]

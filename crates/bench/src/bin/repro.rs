@@ -14,8 +14,9 @@
 //! repro all --jobs 4           # cap matrix worker threads
 //! repro all --force            # ignore caches, recompute everything
 //! repro report                 # re-render EXPERIMENTS.md from artifacts
-//! repro report --check         # exit non-zero if EXPERIMENTS.md would change
-//!                              # or an artifact's config hash is stale
+//! repro report --check         # exit non-zero if EXPERIMENTS.md would change,
+//!                              # an artifact's config hash is stale, or the
+//!                              # trace records another server protocol
 //! repro kernel                 # batched-vs-reference perf gate -> BENCH_kernel.json
 //! repro serve --socket S.sock  # resident sweep server (matrix-as-a-service)
 //! repro submit --socket S.sock DnnDefender:BFA:lpddr4_small:none
@@ -37,6 +38,7 @@ use dd_bench::kernel::{
 use dd_bench::report::{render_duration, splice_section, Artifact};
 use dd_bench::serve::{run_serve, run_submit, ServeOptions, SubmitOptions};
 use dd_bench::trace::{run_trace, TraceSummary};
+use dd_server::SERVER_PROTOCOL_VERSION;
 
 struct Options {
     smoke: bool,
@@ -83,8 +85,9 @@ fn usage(code: u8) -> ExitCode {
          \x20 --smoke              smoke-sized experiments (sets DD_QUICK=1)\n\
          \x20 --jobs <N>           cap scenario-matrix worker threads\n\
          \x20 --force              ignore artifact and cell caches, recompute\n\
-         \x20 --check              with `report`: fail instead of writing on drift or on\n\
-         \x20                      an artifact whose config hash is stale\n\
+         \x20 --check              with `report`: fail instead of writing on drift, on\n\
+         \x20                      an artifact whose config hash is stale, or on a\n\
+         \x20                      trace summary from another server protocol\n\
          \x20 --quiet              suppress table output (summary lines only)\n\
          \x20 --artifacts-dir <D>  artifact directory (default: artifacts)"
     );
@@ -679,16 +682,31 @@ fn run_report(opts: &Options) -> ExitCode {
         .ok()
         .and_then(|text| TraceSummary::parse(&text).ok())
     {
-        Some(summary) => match splice_section(&doc, "trace", &summary.render_markdown()) {
-            Ok(updated) => {
-                doc = updated;
-                spliced += 1;
+        Some(summary) => {
+            // The timing half holds the server's `stats` reply: a summary
+            // from another wire protocol predates the server it describes.
+            let protocol = summary.server_protocol();
+            if opts.check && protocol != Some(SERVER_PROTOCOL_VERSION) {
+                eprintln!(
+                    "repro: {} is stale: server protocol {}, current protocol {} — \
+                     run `repro trace` and commit artifacts/",
+                    trace_path.display(),
+                    protocol.map_or_else(|| "missing".to_string(), |p| p.to_string()),
+                    SERVER_PROTOCOL_VERSION,
+                );
+                stale += 1;
             }
-            Err(e) => {
-                eprintln!("repro: {} in {}", e, docs_path.display());
-                return ExitCode::FAILURE;
+            match splice_section(&doc, "trace", &summary.render_markdown()) {
+                Ok(updated) => {
+                    doc = updated;
+                    spliced += 1;
+                }
+                Err(e) => {
+                    eprintln!("repro: {} in {}", e, docs_path.display());
+                    return ExitCode::FAILURE;
+                }
             }
-        },
+        }
         None if opts.check => {
             eprintln!(
                 "repro: cannot verify `trace`: {} missing or unreadable — \

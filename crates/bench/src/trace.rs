@@ -81,6 +81,12 @@ impl TraceSummary {
             .with("deterministic", self.deterministic.clone())
     }
 
+    /// The wire protocol of the server whose `stats` reply the timing
+    /// section holds, if it holds one.
+    pub fn server_protocol(&self) -> Option<u64> {
+        self.timing.get("server_stats")?.get("protocol")?.as_u64()
+    }
+
     /// Parse a `TRACE_summary.json` document.
     ///
     /// # Errors

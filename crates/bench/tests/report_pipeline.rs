@@ -252,3 +252,19 @@ fn analytical_artifact_feeds_the_docs_splice() {
         spliced
     );
 }
+
+#[test]
+fn committed_trace_summary_records_the_current_server_protocol() {
+    // `repro report --check` fails on a trace whose server `stats` reply
+    // came from another wire protocol; the committed one must pass.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../artifacts/TRACE_summary.json"
+    );
+    let text = std::fs::read_to_string(path).expect("committed TRACE_summary.json exists");
+    let summary = dd_bench::trace::TraceSummary::parse(&text).expect("trace summary parses");
+    assert_eq!(
+        summary.server_protocol(),
+        Some(dd_server::SERVER_PROTOCOL_VERSION)
+    );
+}

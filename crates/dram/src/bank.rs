@@ -3,6 +3,7 @@
 //! tracks target relocation at the mapping-file level).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::DramError;
 use crate::geometry::{RowInSubarray, SubarrayId};
@@ -17,9 +18,10 @@ pub struct Bank {
 impl Bank {
     /// Create a bank of `subarrays` zero-initialized subarrays.
     pub fn new(subarrays: usize, rows_per_subarray: usize, row_bytes: usize) -> Self {
+        let zero_row: Arc<[u8]> = vec![0; row_bytes].into();
         Bank {
             subarrays: (0..subarrays)
-                .map(|_| Subarray::new(rows_per_subarray, row_bytes))
+                .map(|_| Subarray::sharing(rows_per_subarray, zero_row.clone()))
                 .collect(),
         }
     }

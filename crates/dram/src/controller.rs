@@ -231,12 +231,7 @@ impl MemoryController {
             row,
         };
         self.activate(addr)?;
-        let data = self
-            .bank_ref(bank)?
-            .subarray(subarray)?
-            .row(row)?
-            .as_bytes()
-            .to_vec();
+        let data = self.bank_ref(bank)?.subarray(subarray)?.row(row)?.to_vec();
         self.now += self.config.timing.t_rd;
         self.stats.reads += 1;
         self.stats.busy += self.config.timing.t_rd;
@@ -285,11 +280,7 @@ impl MemoryController {
         subarray: SubarrayId,
         row: RowInSubarray,
     ) -> Result<&[u8], DramError> {
-        Ok(self
-            .bank_ref(bank)?
-            .subarray(subarray)?
-            .row(row)?
-            .as_bytes())
+        self.bank_ref(bank)?.subarray(subarray)?.row(row)
     }
 
     /// Zero-time counterpart of [`MemoryController::write_row`] for test
@@ -427,12 +418,9 @@ impl MemoryController {
                 threshold: self.rh_model.threshold,
             });
         }
-        let row = self
-            .bank_mut(victim.bank)?
-            .subarray_mut(victim.subarray)?
-            .row_mut(victim.row)?;
+        let sub = self.bank_mut(victim.bank)?.subarray_mut(victim.subarray)?;
         for &bit in bits {
-            row.flip_bit(bit)?;
+            sub.flip_bit(victim.row, bit)?;
         }
         let flat = self.hammer.index(victim);
         self.hammer.refresh(flat);

@@ -67,5 +67,5 @@ pub use geometry::{BankId, DramConfig, GlobalRowId, RowInSubarray, SubarrayId};
 pub use refresh::RefreshSchedule;
 pub use rowhammer::{FlipOutcome, RowHammerModel};
 pub use stats::{EnergyModel, MemStats};
-pub use subarray::{RowData, Subarray};
+pub use subarray::Subarray;
 pub use timing::{Nanos, TimingParams};

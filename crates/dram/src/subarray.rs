@@ -4,87 +4,25 @@
 //! the RowHammer blast radius — and (b) RowClone can copy a whole row in
 //! one ACT–ACT pair because the rows share sense amplifiers (§2.1).
 
+use std::sync::Arc;
+
 use crate::error::DramError;
 use crate::geometry::RowInSubarray;
 
-/// The payload of one DRAM row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowData {
-    bytes: Vec<u8>,
-}
-
-impl RowData {
-    /// An all-zero row of `len` bytes.
-    pub fn zeroed(len: usize) -> Self {
-        RowData {
-            bytes: vec![0; len],
-        }
-    }
-
-    /// Wrap an existing byte buffer.
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        RowData { bytes }
-    }
-
-    /// Byte view.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Mutable byte view.
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the row holds zero bytes.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Read bit `bit` (LSB-first within each byte).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::BitOutOfRange`] when `bit >= 8 * len()`.
-    pub fn bit(&self, bit: usize) -> Result<bool, DramError> {
-        let byte = bit / 8;
-        if byte >= self.bytes.len() {
-            return Err(DramError::BitOutOfRange {
-                bit,
-                bits: self.bytes.len() * 8,
-            });
-        }
-        Ok(self.bytes[byte] >> (bit % 8) & 1 == 1)
-    }
-
-    /// Flip bit `bit`, returning its new value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::BitOutOfRange`] when `bit >= 8 * len()`.
-    pub fn flip_bit(&mut self, bit: usize) -> Result<bool, DramError> {
-        let byte = bit / 8;
-        if byte >= self.bytes.len() {
-            return Err(DramError::BitOutOfRange {
-                bit,
-                bits: self.bytes.len() * 8,
-            });
-        }
-        self.bytes[byte] ^= 1 << (bit % 8);
-        Ok(self.bytes[byte] >> (bit % 8) & 1 == 1)
-    }
-}
-
 /// One DRAM subarray: a stack of physically adjacent rows plus a row buffer.
+///
+/// The rows' payloads are one `rows × row_bytes` block, allocated zeroed
+/// on the subarray's first write. Until then every row reads as zeros from
+/// one zero row, shared with the bank's other subarrays, so building a
+/// device costs no payload memory (a full `ddr4_32gb` device would need
+/// 32 GiB of it).
 #[derive(Debug, Clone)]
 pub struct Subarray {
-    rows: Vec<RowData>,
-    row_bytes: usize,
+    /// Row payloads, row-major; empty until the first write.
+    data: Vec<u8>,
+    /// One all-zero row: what every row reads before the first write.
+    zero_row: Arc<[u8]>,
+    rows: usize,
     /// Currently open row, if any (the row latched in the sense amplifiers).
     open_row: Option<RowInSubarray>,
 }
@@ -92,21 +30,27 @@ pub struct Subarray {
 impl Subarray {
     /// Create a zero-initialized subarray of `rows` rows × `row_bytes` bytes.
     pub fn new(rows: usize, row_bytes: usize) -> Self {
+        Subarray::sharing(rows, vec![0; row_bytes].into())
+    }
+
+    /// [`Subarray::new`], reading unwritten rows from `zero_row`.
+    pub(crate) fn sharing(rows: usize, zero_row: Arc<[u8]>) -> Self {
         Subarray {
-            rows: (0..rows).map(|_| RowData::zeroed(row_bytes)).collect(),
-            row_bytes,
+            data: Vec::new(),
+            zero_row,
+            rows,
             open_row: None,
         }
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.rows.len()
+        self.rows
     }
 
     /// Row payload size in bytes.
     pub fn row_bytes(&self) -> usize {
-        self.row_bytes
+        self.zero_row.len()
     }
 
     /// The row currently latched in the row buffer, if any.
@@ -115,14 +59,24 @@ impl Subarray {
     }
 
     fn check(&self, row: RowInSubarray) -> Result<(), DramError> {
-        if row.0 >= self.rows.len() {
+        if row.0 >= self.rows {
             Err(DramError::RowOutOfRange {
                 row,
-                rows: self.rows.len(),
+                rows: self.rows,
             })
         } else {
             Ok(())
         }
+    }
+
+    /// The payload of a pre-validated row, allocating the block on the
+    /// subarray's first write.
+    fn row_bytes_mut(&mut self, row: usize) -> &mut [u8] {
+        let len = self.row_bytes();
+        if self.data.is_empty() {
+            self.data = vec![0; self.rows * len];
+        }
+        &mut self.data[row * len..][..len]
     }
 
     /// `ACT`: open `row` into the row buffer.
@@ -144,28 +98,38 @@ impl Subarray {
     /// Fill a pre-validated row with one byte value (the batched write
     /// path; the deterministic tenant payloads are single-byte fills).
     pub(crate) fn fill_row_raw(&mut self, row: usize, byte: u8) {
-        self.rows[row].as_bytes_mut().fill(byte);
+        self.row_bytes_mut(row).fill(byte);
     }
 
-    /// Immutable access to a row's payload.
+    /// A row's payload.
     ///
     /// # Errors
     ///
     /// Returns [`DramError::RowOutOfRange`] for an invalid row.
-    pub fn row(&self, row: RowInSubarray) -> Result<&RowData, DramError> {
+    pub fn row(&self, row: RowInSubarray) -> Result<&[u8], DramError> {
         self.check(row)?;
-        Ok(&self.rows[row.0])
+        if self.data.is_empty() {
+            return Ok(&self.zero_row);
+        }
+        Ok(&self.data[row.0 * self.row_bytes()..][..self.row_bytes()])
     }
 
-    /// Mutable access to a row's payload (models a full-row write through
-    /// the row buffer).
+    /// Flip bit `bit` of a row (LSB-first within each byte), returning its
+    /// new value.
     ///
     /// # Errors
     ///
-    /// Returns [`DramError::RowOutOfRange`] for an invalid row.
-    pub fn row_mut(&mut self, row: RowInSubarray) -> Result<&mut RowData, DramError> {
+    /// Returns [`DramError::RowOutOfRange`] for an invalid row and
+    /// [`DramError::BitOutOfRange`] when `bit >= 8 * row_bytes()`.
+    pub fn flip_bit(&mut self, row: RowInSubarray, bit: usize) -> Result<bool, DramError> {
         self.check(row)?;
-        Ok(&mut self.rows[row.0])
+        let bits = self.row_bytes() * 8;
+        if bit >= bits {
+            return Err(DramError::BitOutOfRange { bit, bits });
+        }
+        let byte = &mut self.row_bytes_mut(row.0)[bit / 8];
+        *byte ^= 1 << (bit % 8);
+        Ok(*byte >> (bit % 8) & 1 == 1)
     }
 
     /// Overwrite a row's payload.
@@ -176,13 +140,13 @@ impl Subarray {
     /// [`DramError::RowSizeMismatch`] when `data` is not exactly one row.
     pub fn write_row(&mut self, row: RowInSubarray, data: &[u8]) -> Result<(), DramError> {
         self.check(row)?;
-        if data.len() != self.row_bytes {
+        if data.len() != self.row_bytes() {
             return Err(DramError::RowSizeMismatch {
-                expected: self.row_bytes,
+                expected: self.row_bytes(),
                 got: data.len(),
             });
         }
-        self.rows[row.0].as_bytes_mut().copy_from_slice(data);
+        self.row_bytes_mut(row.0).copy_from_slice(data);
         Ok(())
     }
 
@@ -197,9 +161,11 @@ impl Subarray {
     pub fn row_clone(&mut self, src: RowInSubarray, dst: RowInSubarray) -> Result<(), DramError> {
         self.check(src)?;
         self.check(dst)?;
-        if src != dst {
-            let data = self.rows[src.0].clone();
-            self.rows[dst.0] = data;
+        // Before the first write both rows are zeros already.
+        if src != dst && !self.data.is_empty() {
+            let len = self.row_bytes();
+            self.data
+                .copy_within(src.0 * len..(src.0 + 1) * len, dst.0 * len);
         }
         self.open_row = Some(dst);
         Ok(())
@@ -215,7 +181,12 @@ impl Subarray {
     pub fn swap_rows(&mut self, a: RowInSubarray, b: RowInSubarray) -> Result<(), DramError> {
         self.check(a)?;
         self.check(b)?;
-        self.rows.swap(a.0, b.0);
+        if a != b && !self.data.is_empty() {
+            let len = self.row_bytes();
+            let (lo, hi) = (a.0.min(b.0), a.0.max(b.0));
+            let (head, tail) = self.data.split_at_mut(hi * len);
+            head[lo * len..][..len].swap_with_slice(&mut tail[..len]);
+        }
         Ok(())
     }
 }
@@ -225,15 +196,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rowdata_bit_ops() {
-        let mut r = RowData::zeroed(2);
-        assert!(!r.bit(0).unwrap());
-        assert!(r.flip_bit(0).unwrap());
-        assert!(r.bit(0).unwrap());
-        assert!(r.flip_bit(9).unwrap());
-        assert_eq!(r.as_bytes(), &[0b1, 0b10]);
-        assert!(r.bit(16).is_err());
-        assert!(r.flip_bit(16).is_err());
+    fn flip_bit_addresses_lsb_first() {
+        let mut s = Subarray::new(2, 2);
+        assert!(s.flip_bit(RowInSubarray(1), 0).unwrap());
+        assert!(s.flip_bit(RowInSubarray(1), 9).unwrap());
+        assert!(!s.flip_bit(RowInSubarray(1), 0).unwrap());
+        assert_eq!(s.row(RowInSubarray(1)).unwrap(), &[0, 0b10]);
+        assert_eq!(s.row(RowInSubarray(0)).unwrap(), &[0, 0]);
+        assert!(s.flip_bit(RowInSubarray(1), 16).is_err());
+        assert!(s.flip_bit(RowInSubarray(2), 0).is_err());
+    }
+
+    #[test]
+    fn rows_read_zero_until_the_first_write() {
+        let mut s = Subarray::new(4, 3);
+        assert_eq!(s.row(RowInSubarray(3)).unwrap(), &[0, 0, 0]);
+        s.row_clone(RowInSubarray(0), RowInSubarray(1)).unwrap();
+        s.swap_rows(RowInSubarray(2), RowInSubarray(3)).unwrap();
+        assert!(s.data.is_empty(), "no payload block before a write");
+        s.write_row(RowInSubarray(2), &[1, 2, 3]).unwrap();
+        assert_eq!(s.row(RowInSubarray(2)).unwrap(), &[1, 2, 3]);
+        assert_eq!(s.row(RowInSubarray(3)).unwrap(), &[0, 0, 0]);
     }
 
     #[test]
@@ -252,9 +235,9 @@ mod tests {
         let mut s = Subarray::new(8, 4);
         s.write_row(RowInSubarray(1), &[1, 2, 3, 4]).unwrap();
         s.row_clone(RowInSubarray(1), RowInSubarray(5)).unwrap();
-        assert_eq!(s.row(RowInSubarray(5)).unwrap().as_bytes(), &[1, 2, 3, 4]);
+        assert_eq!(s.row(RowInSubarray(5)).unwrap(), &[1, 2, 3, 4]);
         // Source unchanged.
-        assert_eq!(s.row(RowInSubarray(1)).unwrap().as_bytes(), &[1, 2, 3, 4]);
+        assert_eq!(s.row(RowInSubarray(1)).unwrap(), &[1, 2, 3, 4]);
         // Destination left open (second ACT of the AAP pair).
         assert_eq!(s.open_row(), Some(RowInSubarray(5)));
     }
@@ -264,7 +247,7 @@ mod tests {
         let mut s = Subarray::new(4, 2);
         s.write_row(RowInSubarray(0), &[9, 9]).unwrap();
         s.row_clone(RowInSubarray(0), RowInSubarray(0)).unwrap();
-        assert_eq!(s.row(RowInSubarray(0)).unwrap().as_bytes(), &[9, 9]);
+        assert_eq!(s.row(RowInSubarray(0)).unwrap(), &[9, 9]);
     }
 
     #[test]
@@ -285,7 +268,7 @@ mod tests {
         s.write_row(RowInSubarray(0), &[7]).unwrap();
         s.write_row(RowInSubarray(2), &[8]).unwrap();
         s.swap_rows(RowInSubarray(0), RowInSubarray(2)).unwrap();
-        assert_eq!(s.row(RowInSubarray(0)).unwrap().as_bytes(), &[8]);
-        assert_eq!(s.row(RowInSubarray(2)).unwrap().as_bytes(), &[7]);
+        assert_eq!(s.row(RowInSubarray(0)).unwrap(), &[8]);
+        assert_eq!(s.row(RowInSubarray(2)).unwrap(), &[7]);
     }
 }

@@ -1,13 +1,13 @@
-//! 2-D convolution layer over a transposed patch matrix.
+//! 2-D convolution layer over a zero-padded copy of its input.
 //!
-//! The forward pass unfolds the input into the patch matrix
-//! `colT: [c·k·k, n·oh·ow]` and keeps it for the backward pass's
-//! grad-weight; the next forward reuses its allocation. See
-//! [`crate::ops::conv2d_forward`] and [`crate::ops::conv2d_backward`]
-//! for the kernels and their summation order.
+//! The forward pass keeps the padded input it convolved for the backward
+//! pass's grad-weight; the next forward reuses its allocation. See
+//! [`crate::ops::conv2d_forward`], [`crate::ops::conv2d_weight_grads`] and
+//! [`crate::ops::conv2d_input_grad`] for the kernels and their summation
+//! order.
 
 use crate::layers::{Layer, Param};
-use crate::ops::{conv2d_backward, conv2d_forward, ConvGeometry};
+use crate::ops::{conv2d_forward, conv2d_input_grad, conv2d_weight_grads, ConvGeometry};
 use crate::tensor::Tensor;
 
 /// Square-kernel 2-D convolution over NCHW batches.
@@ -17,7 +17,7 @@ pub struct Conv2d {
     geometry: ConvGeometry,
     weight: Param,
     bias: Param,
-    cached_cols: Option<Tensor>,
+    cached_input: Option<Tensor>,
     cached_in_hw: (usize, usize),
 }
 
@@ -46,7 +46,7 @@ impl Conv2d {
             bias: Param::new(format!("{name}.bias"), bias, false),
             name,
             geometry,
-            cached_cols: None,
+            cached_input: None,
             cached_in_hw: (0, 0),
         }
     }
@@ -73,29 +73,33 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
         let (h, w) = (x.shape()[2], x.shape()[3]);
         let scratch = self
-            .cached_cols
+            .cached_input
             .take()
             .map_or_else(Vec::new, Tensor::into_vec);
-        let (y, cols) = conv2d_forward(
+        let (y, padded) = conv2d_forward(
             x,
             &self.weight.value,
             &self.bias.value,
             &self.geometry,
             scratch,
         );
-        self.cached_cols = Some(cols);
+        self.cached_input = Some(padded);
         self.cached_in_hw = (h, w);
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cols = self.cached_cols.as_ref().expect("backward before forward");
+        self.backward_params(grad_out);
         let (h, w) = self.cached_in_hw;
-        let (gx, gw, gb) =
-            conv2d_backward(grad_out, cols, &self.weight.value, &self.geometry, h, w);
+        conv2d_input_grad(grad_out, &self.weight.value, &self.geometry, h, w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let padded = self.cached_input.as_ref().expect("backward before forward");
+        let (h, w) = self.cached_in_hw;
+        let (gw, gb) = conv2d_weight_grads(grad_out, padded, &self.geometry, h, w);
         self.weight.grad.axpy(1.0, &gw);
         self.bias.grad.axpy(1.0, &gb);
-        gx
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -109,7 +113,7 @@ impl Layer for Conv2d {
             geometry: self.geometry,
             weight: self.weight.clone(),
             bias: self.bias.clone(),
-            cached_cols: None,
+            cached_input: None,
             cached_in_hw: (0, 0),
         })
     }

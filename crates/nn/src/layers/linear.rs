@@ -70,6 +70,12 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dx[n, in] = grad_out[n, out] × W[out, in]
+        matmul(grad_out, &self.weight.value)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self.cached_input.as_ref().expect("backward before forward");
         // dW[out, in] = grad_outᵀ[out, n] × x[n, in]
         let gw = matmul_tn(grad_out, x);
@@ -81,8 +87,6 @@ impl Layer for Linear {
                 *g += v;
             }
         }
-        // dx[n, in] = grad_out[n, out] × W[out, in]
-        matmul(grad_out, &self.weight.value)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -72,6 +72,13 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Implementations may panic if called before any `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads:
+    /// accumulate the parameter gradients and stop. The default runs the
+    /// full backward and drops the input gradient.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
+
     /// Visit every parameter in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 

@@ -8,8 +8,11 @@
 //! `y = γ·(x−μ)/σ + β`.
 //!
 //! Every pass walks the input as contiguous runs, one per
-//! `(batch, channel)`, so each channel's sums see its elements in index
-//! order.
+//! `(batch, channel)`. Each channel's sums see its elements in index
+//! order, with the chains of up to eight channels advanced side by side
+//! ([`channel_sums`]), so the sums are not bound by one add's latency.
+
+use std::ops::Add;
 
 use crate::layers::{Layer, Param};
 use crate::tensor::Tensor;
@@ -78,16 +81,11 @@ impl Layer for ChannelNorm {
         let (mean, var) = if train {
             // Batch statistics per channel, each summed in index order.
             let count = (x.len() / c).max(1) as f64;
-            let mut sum = vec![0.0f64; c];
-            let mut sumsq = vec![0.0f64; c];
-            for (vals, ch) in runs() {
-                let (mut s, mut sq) = (sum[ch], sumsq[ch]);
-                for &v in vals {
-                    s += v as f64;
-                    sq += (v as f64) * (v as f64);
-                }
-                (sum[ch], sumsq[ch]) = (s, sq);
-            }
+            let xv = x.as_slice();
+            let (sum, sumsq) = channel_sums(c, run, x.len(), |i| {
+                let v = xv[i] as f64;
+                (v, v * v)
+            });
             let mean: Vec<f32> = sum.iter().map(|s| (s / count) as f32).collect();
             let var: Vec<f32> = sumsq
                 .iter()
@@ -138,16 +136,11 @@ impl Layer for ChannelNorm {
 
         // Parameter gradients (same in both modes), each channel summed
         // in index order.
-        let mut sum_g = vec![0.0f32; c];
-        let mut sum_gh = vec![0.0f32; c];
-        for ((g_run, h_run), ch) in runs() {
-            let (mut s, mut sh) = (sum_g[ch], sum_gh[ch]);
-            for (&g, &h) in g_run.iter().zip(h_run) {
-                s += g;
-                sh += g * h;
-            }
-            (sum_g[ch], sum_gh[ch]) = (s, sh);
-        }
+        let (gv_out, hv) = (grad_out.as_slice(), xhat.as_slice());
+        let (sum_g, sum_gh) = channel_sums(c, run, grad_out.len(), |i| {
+            let g = gv_out[i];
+            (g, g * hv[i])
+        });
         for ch in 0..c {
             self.gamma.grad.as_mut_slice()[ch] += sum_gh[ch];
             self.beta.grad.as_mut_slice()[ch] += sum_g[ch];
@@ -203,6 +196,54 @@ impl Layer for ChannelNorm {
     fn name(&self) -> &str {
         &self.name
     }
+}
+
+/// The two per-channel sums `(Σ a, Σ b)` of an NC or NCHW tensor of
+/// `len` elements in runs of `run` per `(batch, channel)`, where
+/// `terms(i) = (a, b)` for element `i`. Each channel's sums run from `0.0`
+/// over its elements in index order; blocks of 8, 4, 2 or 1 channels
+/// advance their chains side by side.
+fn channel_sums<T: Copy + Default + Add<Output = T>>(
+    c: usize,
+    run: usize,
+    len: usize,
+    terms: impl Fn(usize) -> (T, T),
+) -> (Vec<T>, Vec<T>) {
+    let images = len / (c * run).max(1);
+    let mut sums = (vec![T::default(); c], vec![T::default(); c]);
+    let mut ch0 = 0;
+    while ch0 < c {
+        let block = (ch0, c, run, images);
+        ch0 += match c - ch0 {
+            8.. => sums_block::<T, 8>(block, &terms, &mut sums),
+            4..=7 => sums_block::<T, 4>(block, &terms, &mut sums),
+            2..=3 => sums_block::<T, 2>(block, &terms, &mut sums),
+            _ => sums_block::<T, 1>(block, &terms, &mut sums),
+        };
+    }
+    sums
+}
+
+/// [`channel_sums`] for the channels `ch0..ch0 + B`, returning `B`.
+#[inline(always)]
+fn sums_block<T: Copy + Default + Add<Output = T>, const B: usize>(
+    (ch0, c, run, images): (usize, usize, usize, usize),
+    terms: &impl Fn(usize) -> (T, T),
+    sums: &mut (Vec<T>, Vec<T>),
+) -> usize {
+    let (mut a, mut b) = ([T::default(); B], [T::default(); B]);
+    for image in 0..images {
+        for pos in 0..run {
+            let at = (image * c + ch0) * run + pos;
+            for (i, (a, b)) in a.iter_mut().zip(&mut b).enumerate() {
+                let (ta, tb) = terms(at + i * run);
+                (*a, *b) = (*a + ta, *b + tb);
+            }
+        }
+    }
+    sums.0[ch0..ch0 + B].copy_from_slice(&a);
+    sums.1[ch0..ch0 + B].copy_from_slice(&b);
+    B
 }
 
 #[cfg(test)]

@@ -77,13 +77,35 @@ impl Network {
         cur.unwrap_or_else(|| x.clone())
     }
 
-    /// Full backward pass from the loss gradient at the output.
+    /// Full backward pass from the loss gradient at the output, returning
+    /// the gradient of the network's input.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut cur = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {
             cur = layer.backward(&cur);
         }
         cur
+    }
+
+    /// [`Network::backward`] without the input gradient, for training and
+    /// weight-gradient passes: the first layer that holds parameters
+    /// stops at their gradients ([`Layer::backward_params`]), and the
+    /// layers before it are not visited. Every parameter gradient is the
+    /// full backward's, bit for bit.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let holds_params = |layer: &mut Box<dyn Layer>| {
+            let mut any = false;
+            layer.visit_params(&mut |_| any = true);
+            any
+        };
+        let Some(first) = self.layers.iter_mut().position(holds_params) else {
+            return;
+        };
+        let mut cur = grad_out.clone();
+        for layer in self.layers[first + 1..].iter_mut().rev() {
+            cur = layer.backward(&cur);
+        }
+        self.layers[first].backward_params(&cur);
     }
 
     /// Visit every parameter in a stable order.

@@ -1,17 +1,17 @@
-//! Dense numeric kernels: matmul, GEMM-shaped convolution, pooling.
+//! Dense numeric kernels: matmul, direct convolution, pooling.
 //!
 //! These free functions are shared between the float training path
 //! (`dd-nn` layers) and the quantized inference path (`dd-qnn`), which
 //! dequantizes weights and calls the same kernels.
 //!
-//! The convolution works on a transposed patch matrix
-//! `colT: [c·k·k, n·oh·ow]` ([`conv2d_forward`]), so its forward and
-//! grad-input GEMMs run along contiguous columns in register blocks and
-//! its grad-weight is a set of row dot products. Every float is summed
-//! in the order, and multiplied in the operand order, of the row-major
-//! `im2col` → [`matmul_nt`] forward and [`matmul_tn`] / [`matmul`] /
-//! col2im backward it replaced, so results are bit-identical to that
-//! path (see `docs/perf.md`, "nn kernels").
+//! The convolution reads a zero-padded copy of its input
+//! ([`conv2d_forward`] returns it for [`conv2d_weight_grads`]); no patch
+//! matrix is built. Every float is summed in the order, and multiplied in
+//! the operand order, of the row-major `im2col` → [`matmul_nt`] forward
+//! and [`matmul_tn`] / [`matmul`] / col2im backward, so results are
+//! bit-identical to that path. Each conv kernel is compiled twice, for the
+//! default target and with AVX2, and every call runs the best build the
+//! host supports (see `docs/perf.md`, "nn kernels").
 
 use std::ops::Range;
 
@@ -125,13 +125,620 @@ impl ConvGeometry {
     }
 }
 
-/// Columns per block of the conv GEMMs: a block of one output row is
-/// four SSE registers.
+/// An instruction-set build of the conv kernels. Each kernel body is
+/// compiled once per variant and the public functions run the best one
+/// the host supports, checked on every call. Both builds sum every float
+/// in the same order, so they agree bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The default target's instructions (SSE2 on x86-64).
+    Generic,
+    /// The same bodies compiled with AVX2 enabled.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx2,
+}
+
+impl Isa {
+    /// The build this host runs best.
+    fn host() -> Isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Generic
+    }
+
+    /// Every build this host can run.
+    #[cfg(test)]
+    pub(crate) fn available() -> Vec<Isa> {
+        let mut isas = vec![Isa::Generic];
+        if Isa::host() != Isa::Generic {
+            isas.push(Isa::host());
+        }
+        isas
+    }
+}
+
+/// Defines `fn $name(isa: Isa, args..) -> ret`, which runs the
+/// `#[inline(always)]` function `$body` compiled for `isa`. Every helper
+/// the body calls in its inner loops must be `#[inline(always)]` too, or
+/// it is compiled only once, for the generic target.
+macro_rules! isa_dispatch {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty => $body:ident) => {
+        $(#[$doc])*
+        pub(crate) fn $name(isa: Isa, $($arg: $ty),*) -> $ret {
+            match isa {
+                Isa::Generic => $body($($arg),*),
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                Isa::Avx2 => {
+                    #[target_feature(enable = "avx2")]
+                    fn avx2($($arg: $ty),*) -> $ret {
+                        $body($($arg),*)
+                    }
+                    assert!(is_x86_feature_detected!("avx2"), "the host lacks AVX2");
+                    // SAFETY: the host supports AVX2, checked just above.
+                    unsafe { avx2($($arg),*) }
+                }
+            }
+        }
+    };
+}
+
+/// Kernel taps one grad-weight load covers: the `kx` taps of one kernel
+/// row, read as one run of the padded input.
+const LANES: usize = 4;
+
+/// The shapes of one convolution call. The padded input is
+/// `[n, c, ph, pw]`: the input plane at rows and columns `padding..`,
+/// `+0.0` everywhere else, and wide enough that a [`LANES`]-wide run from
+/// any output column's first tap stays inside its row.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    n: usize,
+    c: usize,
+    oc: usize,
+    k: usize,
+    s: usize,
+    pad: usize,
+    h: usize,
+    w: usize,
+    ph: usize,
+    pw: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Shape {
+    fn new(g: &ConvGeometry, n: usize, c: usize, h: usize, w: usize) -> Shape {
+        let (oh, ow) = (g.out_side(h), g.out_side(w));
+        let (k, s, pad) = (g.kernel, g.stride, g.padding);
+        Shape {
+            n,
+            c,
+            oc: g.out_channels,
+            k,
+            s,
+            pad,
+            h,
+            w,
+            ph: h + 2 * pad,
+            pw: (w + 2 * pad).max((ow - 1) * s + LANES),
+            oh,
+            ow,
+        }
+    }
+
+    fn plane(&self) -> usize {
+        self.ph * self.pw
+    }
+
+    /// Offset of tap `p = (ch, ky, kx)` from an output pixel's first tap
+    /// in an image's padded input, for every `p` in order.
+    fn tap_offsets(&self) -> Vec<usize> {
+        let k = self.k;
+        (0..self.c * k * k)
+            .map(|p| p / (k * k) * self.plane() + p / k % k * self.pw + p % k)
+            .collect()
+    }
+
+    /// Offset of output pixel `(oy, ox)`'s first tap in an image's padded
+    /// input.
+    #[inline(always)]
+    fn origin(&self, oy: usize, ox: usize) -> usize {
+        (oy * self.pw + ox) * self.s
+    }
+}
+
+/// The input plane of a convolution: the padded copy of `x` that
+/// [`conv2d_forward`] reads and returns.
+fn pad_input(x: &Tensor, sh: &Shape, buf: Vec<f32>) -> Vec<f32> {
+    let mut xp = buf;
+    xp.clear();
+    xp.resize(sh.n * sh.c * sh.plane(), 0.0);
+    let (hw, pad) = (sh.h * sh.w, sh.pad);
+    let planes = x.as_slice().chunks_exact(hw.max(1));
+    for (src, dst) in planes.zip(xp.chunks_exact_mut(sh.plane())) {
+        let rows = dst[pad * sh.pw..].chunks_exact_mut(sh.pw);
+        for (src_row, dst_row) in src.chunks_exact(sh.w.max(1)).zip(rows) {
+            dst_row[pad..pad + sh.w].copy_from_slice(src_row);
+        }
+    }
+    xp
+}
+
+/// One row of `w` pixels in pieces of 16, 8, 4, 2 and 1: each piece's
+/// `(x0, width)`. (Block lists, not callbacks, walk the kernels' blocks:
+/// a closure would be compiled once, outside the AVX2 build.)
+fn row_pieces(w: usize) -> Vec<(usize, usize)> {
+    let mut pieces = Vec::new();
+    let mut x0 = 0;
+    while x0 < w {
+        let width = [16, 8, 4, 2, 1]
+            .into_iter()
+            .find(|&b| b <= w - x0)
+            .unwrap_or(1);
+        pieces.push((x0, width));
+        x0 += width;
+    }
+    pieces
+}
+
+/// Tiles an `h × w` plane into blocks of 16 pixels (two rows of 8 or
+/// four rows of 4) where the width allows, otherwise into
+/// [`row_pieces`]: every block's `(y0, x0, width, rows)`, in order.
+fn pixel_blocks(h: usize, w: usize) -> Vec<(usize, usize, usize, usize)> {
+    let pieces = row_pieces(w);
+    let mut blocks = Vec::new();
+    let mut y0 = 0;
+    while y0 < h {
+        let rows = match w {
+            8 if h - y0 >= 2 => 2,
+            4 if h - y0 >= 4 => 4,
+            _ => 1,
+        };
+        blocks.extend(pieces.iter().map(|&(x0, width)| (y0, x0, width, rows)));
+        y0 += rows;
+    }
+    blocks
+}
+
+/// Convolution forward. `x: [n, c, h, w]`, `weight: [oc, c·k·k]`,
+/// `bias: [oc]` → `[n, oc, oh, ow]`. Also returns the zero-padded input,
+/// built in `scratch`'s allocation, for [`conv2d_weight_grads`].
+///
+/// Output `(b, j, oy, ox)` is `Σ_p x_p · w[j][p]`, `p = (ch, ky, kx)`
+/// ascending from `+0.0`, plus `bias[j]`, where `x_p` is the padded
+/// input under tap `p` — `+0.0` for a padding tap, as in `im2col`.
+///
+/// # Panics
+///
+/// Panics if `weight` is not `[oc, c·k·k]` for `x`'s channel count.
+pub fn conv2d_forward(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    g: &ConvGeometry,
+    scratch: Vec<f32>,
+) -> (Tensor, Tensor) {
+    forward_on(Isa::host(), x, weight, bias, g, scratch)
+}
+
+isa_dispatch! {
+    /// [`conv2d_forward`] on the `isa` build.
+    fn forward_on(
+        x: &Tensor,
+        weight: &Tensor,
+        bias: &Tensor,
+        g: &ConvGeometry,
+        scratch: Vec<f32>,
+    ) -> (Tensor, Tensor) => forward_body
+}
+
+#[inline(always)]
+fn forward_body(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    g: &ConvGeometry,
+    scratch: Vec<f32>,
+) -> (Tensor, Tensor) {
+    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (oc, patch) = (weight.shape()[0], weight.shape()[1]);
+    let kk = c * g.kernel * g.kernel;
+    assert_eq!(
+        patch, kk,
+        "conv weight rows hold {patch} taps, patches {kk}"
+    );
+    let sh = Shape {
+        oc,
+        ..Shape::new(g, n, c, h, w)
+    };
+    let xp = pad_input(x, &sh, scratch);
+    let w_t = transpose(weight.as_slice(), oc, patch);
+    let (taps, pieces) = (sh.tap_offsets(), row_pieces(sh.ow));
+    let ohw = sh.oh * sh.ow;
+    let mut out = vec![0.0f32; n * oc * ohw];
+    let images = xp
+        .chunks_exact(c * sh.plane())
+        .zip(out.chunks_exact_mut(oc * ohw));
+    for (image, out_b) in images {
+        let mut j0 = 0;
+        while j0 < oc {
+            let f = Forward {
+                sh: &sh,
+                image,
+                taps: &taps,
+                pieces: &pieces,
+                w_t: &w_t,
+                bias: bias.as_slice(),
+                j0,
+            };
+            j0 += match (oc - j0, sh.s) {
+                (4.., 1) => f.blocks::<4, true>(out_b),
+                (2..=3, 1) => f.blocks::<2, true>(out_b),
+                (_, 1) => f.blocks::<1, true>(out_b),
+                (4.., _) => f.blocks::<4, false>(out_b),
+                (2..=3, _) => f.blocks::<2, false>(out_b),
+                _ => f.blocks::<1, false>(out_b),
+            };
+        }
+    }
+    (
+        Tensor::from_vec(&[n, oc, sh.oh, sh.ow], out),
+        Tensor::from_vec(&[n, c, sh.ph, sh.pw], xp),
+    )
+}
+
+/// `m[c][r]` for the row-major `m: [r][c]`.
+fn transpose(m: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..cols)
+        .flat_map(|c| (0..rows).map(move |r| m[r * cols + c]))
+        .collect()
+}
+
+/// One image's forward for the output channels `j0..j0 + J`.
+struct Forward<'a> {
+    sh: &'a Shape,
+    image: &'a [f32],
+    taps: &'a [usize],
+    /// The [`row_pieces`] of an output row.
+    pieces: &'a [(usize, usize)],
+    /// The weights `[c·k·k][oc]`.
+    w_t: &'a [f32],
+    bias: &'a [f32],
+    j0: usize,
+}
+
+impl Forward<'_> {
+    /// Write the channels' output planes into the image's `out_b`,
+    /// returning `J`. `S1`: the stride is 1, so a row of taps is one run.
+    #[inline(always)]
+    fn blocks<const J: usize, const S1: bool>(&self, out_b: &mut [f32]) -> usize {
+        for y0 in 0..self.sh.oh {
+            for &(x0, width) in self.pieces {
+                let at = (y0, x0);
+                match width {
+                    16 => self.block::<J, 16, S1>(at, out_b),
+                    8 => self.block::<J, 8, S1>(at, out_b),
+                    4 => self.block::<J, 4, S1>(at, out_b),
+                    2 => self.block::<J, 2, S1>(at, out_b),
+                    _ => self.block::<J, 1, S1>(at, out_b),
+                }
+            }
+        }
+        J
+    }
+
+    /// The `J` channels' outputs at the `W` pixels from `(y0, x0)`: each
+    /// tap's input run is loaded once and multiplied into all `J`
+    /// channels' sums.
+    #[inline(always)]
+    fn block<const J: usize, const W: usize, const S1: bool>(
+        &self,
+        (y0, x0): (usize, usize),
+        out_b: &mut [f32],
+    ) {
+        let sh = self.sh;
+        let (oc, s) = (sh.oc, sh.s);
+        let mut acc = [[0.0f32; W]; J];
+        let origin = sh.origin(y0, x0);
+        for (&tap, w_p) in self.taps.iter().zip(self.w_t.chunks_exact(oc)) {
+            let coef: [f32; J] = std::array::from_fn(|j| w_p[self.j0 + j]);
+            let src = &self.image[tap + origin..];
+            let run: [f32; W] = if S1 {
+                src[..W].try_into().unwrap()
+            } else {
+                std::array::from_fn(|t| src[t * s])
+            };
+            for (acc_j, &c) in acc.iter_mut().zip(&coef) {
+                for (a, &v) in acc_j.iter_mut().zip(&run) {
+                    *a += v * c;
+                }
+            }
+        }
+        let ohw = sh.oh * sh.ow;
+        for (j, acc_j) in acc.iter().enumerate() {
+            let b = self.bias[self.j0 + j];
+            let dst = &mut out_b[(self.j0 + j) * ohw + y0 * sh.ow + x0..][..W];
+            for (o, &a) in dst.iter_mut().zip(acc_j) {
+                *o = a + b;
+            }
+        }
+    }
+}
+
+/// Grad-weight and grad-bias of a convolution over an `in_h × in_w`
+/// input, from the upstream gradient `grad_out: [n, oc, oh, ow]` and the
+/// padded input [`conv2d_forward`] returned. With `g[j][m]` the upstream
+/// gradient, `m = (b, oy, ox)`, and `x_p(m)` the padded input under tap
+/// `p` of output pixel `m`:
+///
+/// - grad-weight `Σ_m g[j][m] · x_p(m)`, `m` ascending from `+0.0`, zero
+///   `g` skipped, as `matmul_tn` skips them;
+/// - grad-bias `Σ_m g[j][m]`, `m` ascending from `+0.0`.
+///
+/// # Panics
+///
+/// Panics if `grad_out` or `padded` does not match the geometry.
+pub fn conv2d_weight_grads(
+    grad_out: &Tensor,
+    padded: &Tensor,
+    g: &ConvGeometry,
+    in_h: usize,
+    in_w: usize,
+) -> (Tensor, Tensor) {
+    weight_grads_on(Isa::host(), grad_out, padded, g, in_h, in_w)
+}
+
+isa_dispatch! {
+    /// [`conv2d_weight_grads`] on the `isa` build.
+    fn weight_grads_on(
+        grad_out: &Tensor,
+        padded: &Tensor,
+        g: &ConvGeometry,
+        in_h: usize,
+        in_w: usize,
+    ) -> (Tensor, Tensor) => weight_grads_body
+}
+
+#[inline(always)]
+fn weight_grads_body(
+    grad_out: &Tensor,
+    padded: &Tensor,
+    g: &ConvGeometry,
+    in_h: usize,
+    in_w: usize,
+) -> (Tensor, Tensor) {
+    let (n, c) = (padded.shape()[0], padded.shape()[1]);
+    let sh = Shape::new(g, n, c, in_h, in_w);
+    let (k, oc) = (sh.k, sh.oc);
+    assert_eq!(
+        padded.shape(),
+        &[n, c, sh.ph, sh.pw],
+        "padded input does not match the geometry"
+    );
+    assert_eq!(
+        grad_out.shape(),
+        &[n, oc, sh.oh, sh.ow],
+        "grad_out does not match the padded input"
+    );
+    let xp = padded.as_slice();
+    // Whether every padded value of each input channel is finite.
+    let finite: Vec<bool> = (0..c)
+        .map(|ch| {
+            let planes = xp.chunks_exact(sh.plane()).skip(ch).step_by(c);
+            planes.flatten().fold(true, |ok, v| ok & v.is_finite())
+        })
+        .collect();
+    // The kernel rows `(ch, ky)` in `p` order, three to a tile.
+    let rows: Vec<(usize, usize)> = (0..c)
+        .flat_map(|ch| (0..k).map(move |ky| (ch, ky)))
+        .collect();
+    let mut gw = vec![0.0f32; oc * c * k * k];
+    let mut gb = vec![0.0f32; oc];
+    let t = WeightGrads {
+        sh: &sh,
+        xp,
+        gy: grad_out.as_slice(),
+    };
+    let mut j0 = 0;
+    while j0 < oc {
+        let jn = match oc - j0 {
+            4.. => 4,
+            2..=3 => 2,
+            _ => 1,
+        };
+        for (i, tile) in rows.chunks(3).enumerate() {
+            let out = (&mut gw[..], &mut gb[..], i == 0);
+            if k > LANES || !tile.iter().all(|&(ch, _)| finite[ch]) {
+                t.exact(j0..j0 + jn, tile, out);
+                continue;
+            }
+            match (jn, tile.len()) {
+                (4, 3) => t.tile::<4, 3>(j0, tile, out),
+                (4, 2) => t.tile::<4, 2>(j0, tile, out),
+                (4, _) => t.tile::<4, 1>(j0, tile, out),
+                (2, 3) => t.tile::<2, 3>(j0, tile, out),
+                (2, 2) => t.tile::<2, 2>(j0, tile, out),
+                (2, _) => t.tile::<2, 1>(j0, tile, out),
+                (_, 3) => t.tile::<1, 3>(j0, tile, out),
+                (_, 2) => t.tile::<1, 2>(j0, tile, out),
+                _ => t.tile::<1, 1>(j0, tile, out),
+            }
+        }
+        j0 += jn;
+    }
+    (
+        Tensor::from_vec(&[oc, c * k * k], gw),
+        Tensor::from_vec(&[oc], gb),
+    )
+}
+
+/// The grad-weight output: `gw: [oc][c·k·k]`, `gb: [oc]`, and whether
+/// this tile also sums the grad-bias.
+type GradsOut<'a> = (&'a mut [f32], &'a mut [f32], bool);
+
+/// The inputs of a grad-weight pass.
+struct WeightGrads<'a> {
+    sh: &'a Shape,
+    /// The padded input.
+    xp: &'a [f32],
+    /// The upstream gradient, NCHW.
+    gy: &'a [f32],
+}
+
+impl WeightGrads<'_> {
+    /// Offset of kernel row `(ch, ky)`'s first tap in an image's padded
+    /// input.
+    fn row_offset(&self, (ch, ky): (usize, usize)) -> usize {
+        ch * self.sh.plane() + ky * self.sh.pw
+    }
+
+    /// The chains of output channels `j0..j0 + J` × the `R` kernel rows
+    /// `rows`, in one pass over `m`. Each `m` loads every row's [`LANES`]
+    /// taps as one run and adds `g[j][m] · x` to all `J × R` runs of
+    /// sums; the lanes past the kernel read the next padded values and
+    /// are dropped.
+    ///
+    /// Zero-gradient terms are added, not skipped: every tap value here
+    /// is finite, so each such term is `±0.0`, and a sum started at
+    /// `+0.0` is never `-0.0`, so adding it changes nothing.
+    #[inline(always)]
+    fn tile<const J: usize, const R: usize>(
+        &self,
+        j0: usize,
+        rows: &[(usize, usize)],
+        (gw, gb, bias): GradsOut,
+    ) {
+        let sh = self.sh;
+        let ohw = sh.oh * sh.ow;
+        let offsets: [usize; R] = std::array::from_fn(|r| self.row_offset(rows[r]));
+        let mut acc = [[[0.0f32; LANES]; R]; J];
+        let mut acc_b = [0.0f32; J];
+        let images = self.xp.chunks_exact(sh.c * sh.plane());
+        for (image, g_b) in images.zip(self.gy.chunks_exact(sh.oc * ohw)) {
+            let g_j: [&[f32]; J] = std::array::from_fn(|j| &g_b[(j0 + j) * ohw..][..ohw]);
+            for oy in 0..sh.oh {
+                for ox in 0..sh.ow {
+                    let (pos, at) = (oy * sh.ow + ox, sh.origin(oy, ox));
+                    let x: [[f32; LANES]; R] = std::array::from_fn(|r| {
+                        image[offsets[r] + at..][..LANES].try_into().unwrap()
+                    });
+                    for ((acc_j, b), g) in acc.iter_mut().zip(&mut acc_b).zip(&g_j) {
+                        let gv = g[pos];
+                        if bias {
+                            *b += gv;
+                        }
+                        for (acc_r, x_r) in acc_j.iter_mut().zip(&x) {
+                            for (a, &v) in acc_r.iter_mut().zip(x_r) {
+                                *a += gv * v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let (k, patch) = (sh.k, sh.c * sh.k * sh.k);
+        for (j, (acc_j, &b)) in acc.iter().zip(&acc_b).enumerate() {
+            for (&(ch, ky), acc_r) in rows.iter().zip(acc_j) {
+                gw[(j0 + j) * patch + (ch * k + ky) * k..][..k].copy_from_slice(&acc_r[..k]);
+            }
+            if bias {
+                gb[j0 + j] = b;
+            }
+        }
+    }
+
+    /// [`WeightGrads::tile`]'s chains one at a time, skipping zero-gradient
+    /// terms: the path for kernel rows whose channel holds a non-finite
+    /// value, where such a term would be NaN, and for kernels wider than
+    /// [`LANES`].
+    fn exact(&self, js: Range<usize>, rows: &[(usize, usize)], (gw, gb, bias): GradsOut) {
+        let sh = self.sh;
+        let ohw = sh.oh * sh.ow;
+        let (k, patch) = (sh.k, sh.c * sh.k * sh.k);
+        let images = self.xp.chunks_exact(sh.c * sh.plane());
+        let pairs = || images.clone().zip(self.gy.chunks_exact(sh.oc * ohw));
+        for j in js {
+            for &row in rows {
+                for kx in 0..k {
+                    let off = self.row_offset(row) + kx;
+                    let mut acc = 0.0f32;
+                    for (image, g_b) in pairs() {
+                        let g = &g_b[j * ohw..][..ohw];
+                        for (pos, &gv) in g.iter().enumerate() {
+                            if gv != 0.0 {
+                                acc += gv * image[off + sh.origin(pos / sh.ow, pos % sh.ow)];
+                            }
+                        }
+                    }
+                    gw[j * patch + (row.0 * k + row.1) * k + kx] = acc;
+                }
+            }
+            if bias {
+                gb[j] = pairs()
+                    .flat_map(|(_, g_b)| &g_b[j * ohw..][..ohw])
+                    .fold(0.0, |s, &v| s + v);
+            }
+        }
+    }
+}
+
+/// Grad-input of a convolution over an `in_h × in_w` input, from the
+/// upstream gradient `grad_out: [n, oc, oh, ow]` and the weights. Every
+/// input pixel adds the grad-cols values `Σ_j g[j][m] · w[j][p]` (`j`
+/// ascending from `+0.0`) of its taps in descending `p = (ch, ky, kx)`,
+/// which is ascending `(oy, ox)` order, col2im's. Zero `g` is not skipped
+/// here, which is exact for finite weights.
+pub fn conv2d_input_grad(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    g: &ConvGeometry,
+    in_h: usize,
+    in_w: usize,
+) -> Tensor {
+    input_grad_on(Isa::host(), grad_out, weight, g, in_h, in_w)
+}
+
+isa_dispatch! {
+    /// [`conv2d_input_grad`] on the `isa` build.
+    fn input_grad_on(
+        grad_out: &Tensor,
+        weight: &Tensor,
+        g: &ConvGeometry,
+        in_h: usize,
+        in_w: usize,
+    ) -> Tensor => input_grad_body
+}
+
+#[inline(always)]
+fn input_grad_body(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    g: &ConvGeometry,
+    in_h: usize,
+    in_w: usize,
+) -> Tensor {
+    let (oc, patch) = (weight.shape()[0], weight.shape()[1]);
+    let w_t = transpose(weight.as_slice(), oc, patch);
+    // The direct kernel reads the gradient padded by `kernel - 1 - padding`
+    // at stride 1; every other geometry folds grad-cols rows.
+    let grad_input = if g.stride == 1 && g.padding < g.kernel {
+        grad_input_stride1(grad_out, &w_t, g, in_h, in_w)
+    } else {
+        grad_input_folded(grad_out, &w_t, g, in_h, in_w)
+    };
+    let n = grad_out.shape()[0];
+    Tensor::from_vec(&[n, g.in_channels, in_h, in_w], grad_input)
+}
+
+/// Columns per block of the folded grad-input's GEMM: a block of one
+/// grad-cols row is four SSE registers.
 const BLOCK: usize = 16;
 
-/// Where patch-matrix row `p = (ch, ky, kx)` reads the input: the
-/// output rows and columns whose tap lands inside the input plane (the
-/// rest are padding taps).
+/// Where tap `p = (ch, ky, kx)` reads the unpadded input: the output rows
+/// and columns whose tap lands inside the input plane (the rest are
+/// padding taps).
 struct Tap {
     ch: usize,
     ky: usize,
@@ -140,8 +747,7 @@ struct Tap {
     ox: Range<usize>,
 }
 
-/// The [`Tap`] of every patch-matrix row, in row order, for `c` input
-/// channels of `h × w`.
+/// The [`Tap`] of every `p`, in order, for `c` input channels of `h × w`.
 fn taps(g: &ConvGeometry, c: usize, h: usize, w: usize) -> Vec<Tap> {
     let k = g.kernel;
     // The output positions along one axis whose tap at kernel offset
@@ -162,68 +768,6 @@ fn taps(g: &ConvGeometry, c: usize, h: usize, w: usize) -> Vec<Tap> {
             Tap { ch, ky, kx, oy, ox }
         })
         .collect()
-}
-
-/// Fill image `b`'s columns of the transposed patch matrix
-/// `colT: [c·k·k, n·oh·ow]` (row `p = (ch, ky, kx)`, column
-/// `m = (b, oy, ox)`, `m_total` columns per row) from `x: [n, c, h, w]`,
-/// with `+0.0` for padding taps.
-///
-/// When the output row is as wide as the input row (stride 1, "same"
-/// padding), a row segment is the input plane shifted by a constant
-/// offset: one slice copy, then the padding taps zeroed. Otherwise each
-/// output row is a slice copy (stride 1) or a strided gather.
-fn fill_patches(
-    x: &Tensor,
-    g: &ConvGeometry,
-    taps: &[Tap],
-    b: usize,
-    cols_t: &mut [f32],
-    m_total: usize,
-) {
-    let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (oh, ow) = (g.out_side(h), g.out_side(w));
-    let (s, pad) = (g.stride, g.padding);
-    let image = &x.as_slice()[b * c * h * w..][..c * h * w];
-    for (p, tap) in taps.iter().enumerate() {
-        let plane = &image[tap.ch * h * w..][..h * w];
-        let seg = &mut cols_t[p * m_total + b * oh * ow..][..oh * ow];
-        if tap.oy.is_empty() || tap.ox.is_empty() {
-            seg.fill(0.0);
-        } else if s == 1 && ow == w {
-            // seg[t] = plane[t + off] wherever the tap is inside the
-            // plane; the copy's other positions are padding taps.
-            let off = (tap.ky * w + tap.kx) as isize - (pad * w + pad) as isize;
-            let lo = (tap.oy.start * ow).max(off.min(0).unsigned_abs());
-            let hi = (tap.oy.end * ow).min((h * w).saturating_add_signed(-off));
-            seg[..lo].fill(0.0);
-            seg[hi..].fill(0.0);
-            seg[lo..hi].copy_from_slice(&plane[lo.saturating_add_signed(off)..][..hi - lo]);
-            for ox in (0..tap.ox.start).chain(tap.ox.end..ow) {
-                for oy in tap.oy.clone() {
-                    seg[oy * ow + ox] = 0.0;
-                }
-            }
-        } else {
-            for (oy, dst) in seg.chunks_exact_mut(ow).enumerate() {
-                if !tap.oy.contains(&oy) {
-                    dst.fill(0.0);
-                    continue;
-                }
-                let src = &plane[(oy * s + tap.ky - pad) * w..][tap.ox.start * s + tap.kx - pad..];
-                dst[..tap.ox.start].fill(0.0);
-                dst[tap.ox.end..].fill(0.0);
-                let dst = &mut dst[tap.ox.clone()];
-                if s == 1 {
-                    dst.copy_from_slice(&src[..dst.len()]);
-                } else {
-                    for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
-                        *d = v;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// One output row of a conv GEMM over the column block `m0..m0 + len`:
@@ -258,232 +802,6 @@ fn gemm_block_any(
     }
 }
 
-/// A patch-matrix view: row `p` is `cols[p * stride..][..len]`.
-#[derive(Clone, Copy)]
-struct Rows<'a> {
-    cols: &'a [f32],
-    stride: usize,
-    len: usize,
-}
-
-impl<'a> Rows<'a> {
-    fn row(&self, p: usize) -> &'a [f32] {
-        &self.cols[p * self.stride..][..self.len]
-    }
-}
-
-/// The `J × R` dot products
-/// `gw[j0 + j][p0 + r] = Σ_t g(j0 + j)[t] · cols(p0 + r)[t]`, `t`
-/// ascending from `+0.0`, `gw` holding rows of `patch`: `J × R`
-/// independent chains, each gathered patch column serving all `J`
-/// gradient rows.
-#[inline(always)]
-fn dot_tile<const J: usize, const R: usize>(
-    gw: &mut [f32],
-    patch: usize,
-    (j0, p0): (usize, usize),
-    g: Rows,
-    cols: Rows,
-) {
-    let g: [&[f32]; J] = std::array::from_fn(|j| g.row(j0 + j));
-    let rows: [&[f32]; R] = std::array::from_fn(|r| cols.row(p0 + r));
-    let mut acc = [[0.0f32; R]; J];
-    for t in 0..cols.len {
-        let col: [f32; R] = std::array::from_fn(|r| rows[r][t]);
-        for (acc_j, g_j) in acc.iter_mut().zip(&g) {
-            for (a, &c) in acc_j.iter_mut().zip(&col) {
-                *a += g_j[t] * c;
-            }
-        }
-    }
-    for (j, acc_j) in acc.iter().enumerate() {
-        gw[(j0 + j) * patch + p0..][..R].copy_from_slice(acc_j);
-    }
-}
-
-/// Grad-weight `gw[j][p] = Σ_m g[j][m] · cols[p][m]`, `m` ascending
-/// from `+0.0`, `gw: [oc][patch]`, a tile of patch rows at a time.
-///
-/// Terms with `g == 0` are skipped, as [`matmul_tn`] skips them. Where a
-/// tile's patch values are all finite, adding those terms instead
-/// changes nothing — each is `±0.0`, and a sum started at `+0.0` is
-/// never `-0.0` — so the tiled loop adds them without a branch.
-fn weight_grads(gw: &mut [f32], patch: usize, g: Rows, cols: Rows) {
-    let oc = gw.len() / patch;
-    let mut p0 = 0;
-    while p0 < patch {
-        // Tiles of 8 rows, then 4, 2, 1 for the rest.
-        let r = [8, 4, 2, 1]
-            .into_iter()
-            .find(|&r| r <= patch - p0)
-            .unwrap_or(1);
-        let finite =
-            (p0..p0 + r).all(|p| cols.row(p).iter().fold(true, |ok, v| ok & v.is_finite()));
-        for j0 in (0..oc).step_by(2) {
-            let at = (j0, p0);
-            match (finite, oc - j0 >= 2, r) {
-                (false, _, _) => {
-                    for j in j0..oc.min(j0 + 2) {
-                        for p in p0..p0 + r {
-                            let acc = &mut gw[j * patch + p];
-                            for (&gv, &c) in g.row(j).iter().zip(cols.row(p)) {
-                                if gv != 0.0 {
-                                    *acc += gv * c;
-                                }
-                            }
-                        }
-                    }
-                }
-                (true, true, 8) => dot_tile::<2, 8>(gw, patch, at, g, cols),
-                (true, true, 4) => dot_tile::<2, 4>(gw, patch, at, g, cols),
-                (true, true, 2) => dot_tile::<2, 2>(gw, patch, at, g, cols),
-                (true, true, _) => dot_tile::<2, 1>(gw, patch, at, g, cols),
-                (true, false, 8) => dot_tile::<1, 8>(gw, patch, at, g, cols),
-                (true, false, 4) => dot_tile::<1, 4>(gw, patch, at, g, cols),
-                (true, false, 2) => dot_tile::<1, 2>(gw, patch, at, g, cols),
-                (true, false, _) => dot_tile::<1, 1>(gw, patch, at, g, cols),
-            }
-        }
-        p0 += r;
-    }
-}
-
-/// Convolution forward. `x: [n, c, h, w]`, `weight: [oc, c·k·k]`,
-/// `bias: [oc]` → `[n, oc, oh, ow]`. Also returns the transposed patch
-/// matrix `colT: [c·k·k, n·oh·ow]`, built in `scratch`'s allocation,
-/// for [`conv2d_backward`].
-///
-/// Output `(j, m)` is `Σ_p colT[p][m] · w[j][p]`, `p` ascending from
-/// `+0.0`, plus `bias[j]`. Images are filled and multiplied in groups of
-/// at least 16 columns, a 16-column block at a time, each block
-/// written straight into NCHW as per-image runs.
-///
-/// # Panics
-///
-/// Panics if `weight` is not `[oc, c·k·k]` for `x`'s channel count.
-pub fn conv2d_forward(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    g: &ConvGeometry,
-    scratch: Vec<f32>,
-) -> (Tensor, Tensor) {
-    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (oh, ow) = (g.out_side(h), g.out_side(w));
-    let (oc, patch) = (weight.shape()[0], weight.shape()[1]);
-    let kk = c * g.kernel * g.kernel;
-    assert_eq!(
-        patch, kk,
-        "conv weight rows hold {patch} taps, patches {kk}"
-    );
-    let (ohw, m) = (oh * ow, n * oh * ow);
-    let mut cols_t = scratch;
-    cols_t.resize(patch * m, 0.0);
-    let (wv, bv) = (weight.as_slice(), bias.as_slice());
-    let mut out = vec![0.0f32; n * oc * ohw];
-    let taps = taps(g, c, h, w);
-    let group = BLOCK.div_ceil(ohw);
-    let mut runs = Vec::with_capacity(BLOCK);
-    for b0 in (0..n).step_by(group) {
-        let images = b0..(b0 + group).min(n);
-        for b in images.clone() {
-            fill_patches(x, g, &taps, b, &mut cols_t, m);
-        }
-        for m0 in (images.start * ohw..images.end * ohw).step_by(BLOCK) {
-            let len = BLOCK.min(images.end * ohw - m0);
-            // The block's columns as runs within one image:
-            // (offset of output channel 0, start in the block, length).
-            runs.clear();
-            let (mut b, mut pos, mut t) = (m0 / ohw, m0 % ohw, 0);
-            while t < len {
-                let run = (ohw - pos).min(len - t);
-                runs.push((b * oc * ohw + pos, t, run));
-                (b, pos, t) = (b + 1, 0, t + run);
-            }
-            for (j, wrow) in wv.chunks_exact(patch).enumerate() {
-                let acc = gemm_block_any(&cols_t, m, m0, len, wrow);
-                for &(base, t, run) in &runs {
-                    let dst = &mut out[base + j * ohw..][..run];
-                    for (o, &a) in dst.iter_mut().zip(&acc[t..t + run]) {
-                        *o = a + bv[j];
-                    }
-                }
-            }
-        }
-    }
-    (
-        Tensor::from_vec(&[n, oc, oh, ow], out),
-        Tensor::from_vec(&[patch, m], cols_t),
-    )
-}
-
-/// Convolution backward.
-///
-/// Returns `(grad_input, grad_weight, grad_bias)` given the upstream
-/// gradient `grad_out: [n, oc, oh, ow]`, the patch matrix `colT`
-/// returned by [`conv2d_forward`] and the weight matrix. With `g[j][m]`
-/// the upstream gradient:
-///
-/// - grad-bias `Σ_m g[j][m]` and grad-weight `Σ_m g[j][m] · colT[p][m]`,
-///   `m` ascending from `+0.0`, zero `g` skipped;
-/// - grad-input: every input pixel adds the grad-cols values
-///   `gcolT[p][m] = Σ_j g[j][m] · w[j][p]` (`j` ascending from `+0.0`)
-///   of its taps in descending `p = (ch, ky, kx)`, which is ascending
-///   `(oy, ox)` order. Zero `g` is not skipped here, which is exact for
-///   finite weights.
-pub fn conv2d_backward(
-    grad_out: &Tensor,
-    cols_t: &Tensor,
-    weight: &Tensor,
-    g: &ConvGeometry,
-    in_h: usize,
-    in_w: usize,
-) -> (Tensor, Tensor, Tensor) {
-    let (n, oc, oh, ow) = (
-        grad_out.shape()[0],
-        grad_out.shape()[1],
-        grad_out.shape()[2],
-        grad_out.shape()[3],
-    );
-    let (patch, m) = (cols_t.shape()[0], cols_t.shape()[1]);
-    let ohw = oh * ow;
-    assert_eq!(m, n * ohw, "patch matrix does not match grad_out");
-    // The upstream gradient channel-major: g_t[j][m].
-    let mut g_t = vec![0.0f32; oc * m];
-    for (i, plane) in grad_out.as_slice().chunks_exact(ohw).enumerate() {
-        let (b, j) = (i / oc, i % oc);
-        g_t[j * m + b * ohw..][..ohw].copy_from_slice(plane);
-    }
-    let grad_bias: Vec<f32> = (0..oc)
-        .map(|j| g_t[j * m..(j + 1) * m].iter().fold(0.0, |s, &v| s + v))
-        .collect();
-
-    let mut grad_weight = vec![0.0f32; oc * patch];
-    let rows = |cols| Rows {
-        cols,
-        stride: m,
-        len: m,
-    };
-    weight_grads(&mut grad_weight, patch, rows(&g_t), rows(cols_t.as_slice()));
-
-    let wv = weight.as_slice();
-    let w_t: Vec<f32> = (0..patch)
-        .flat_map(|p| (0..oc).map(move |j| wv[j * patch + p]))
-        .collect();
-    // The direct kernel reads the gradient padded by `kernel - 1 - padding`
-    // at stride 1; every other geometry folds grad-cols rows.
-    let grad_input = if g.stride == 1 && g.padding < g.kernel {
-        grad_input_stride1(grad_out, &w_t, g, in_h, in_w)
-    } else {
-        grad_input_folded(&g_t, &w_t, g, n, in_h, in_w)
-    };
-    (
-        Tensor::from_vec(&[n, g.in_channels, in_h, in_w], grad_input),
-        Tensor::from_vec(&[oc, patch], grad_weight),
-        Tensor::from_vec(&[oc], grad_bias),
-    )
-}
-
 /// Grad-input of a stride-1 convolution with `padding < kernel`, straight
 /// from the upstream gradient zero-padded by `kernel - 1 - padding` on
 /// every side. For a block of input pixels, each tap in descending
@@ -492,6 +810,7 @@ pub fn conv2d_backward(
 /// in the padding sums `0 · w` terms to `+0.0`, and adding `+0.0` leaves
 /// a pixel's sum (never `-0.0`) unchanged, so the result is the fold of
 /// the grad-cols matrix.
+#[inline(always)]
 fn grad_input_stride1(
     grad_out: &Tensor,
     w_t: &[f32],
@@ -522,56 +841,36 @@ fn grad_input_stride1(
         }
     }
     let mut gx = vec![0.0f32; n * c * h * w];
+    let blocks = pixel_blocks(h, w);
     let images = padded
         .chunks_exact(oc * ph * pw)
         .zip(gx.chunks_exact_mut(c * h * w));
     for (image, gx_b) in images {
-        for (ch, gx_c) in gx_b.chunks_exact_mut(h * w).enumerate() {
-            let w_t = &w_t[ch * k * k * oc..][..k * k * oc];
-            let block = Block {
-                image,
-                plane: ph * pw,
-                pw,
-                w_t,
-                oc,
-                k,
+        let block = Block {
+            image,
+            plane: ph * pw,
+            pw,
+            w_t,
+            oc,
+            k,
+            h,
+            w,
+        };
+        let mut ch0 = 0;
+        while ch0 < c {
+            ch0 += if c - ch0 >= 2 {
+                block.channels::<2>(ch0, &blocks, gx_b)
+            } else {
+                block.channels::<1>(ch0, &blocks, gx_b)
             };
-            let mut y0 = 0;
-            while y0 < h {
-                // 16-pixel blocks: one row of 16, two rows of 8 or four
-                // rows of 4; otherwise one row in 16/8/4/2/1 pieces.
-                let rows = match w {
-                    8 if h - y0 >= 2 => 2,
-                    4 if h - y0 >= 4 => 4,
-                    _ => 1,
-                };
-                let mut x0 = 0;
-                while x0 < w {
-                    let width = [16, 8, 4, 2, 1]
-                        .into_iter()
-                        .find(|&b| b <= w - x0)
-                        .unwrap_or(1);
-                    let at = (y0, x0);
-                    match (width, rows) {
-                        (8, 2) => block.store::<8, 2>(at, gx_c, w),
-                        (4, 4) => block.store::<4, 4>(at, gx_c, w),
-                        (16, _) => block.store::<16, 1>(at, gx_c, w),
-                        (8, _) => block.store::<8, 1>(at, gx_c, w),
-                        (4, _) => block.store::<4, 1>(at, gx_c, w),
-                        (2, _) => block.store::<2, 1>(at, gx_c, w),
-                        _ => block.store::<1, 1>(at, gx_c, w),
-                    }
-                    x0 += width;
-                }
-                y0 += rows;
-            }
         }
     }
     gx
 }
 
-/// One input channel's view for [`grad_input_stride1`]: the image's
-/// padded gradient planes and the channel's weights `[k·k][oc]`.
+/// One image's view for [`grad_input_stride1`]: its padded gradient
+/// planes, every input channel's weights `[c][k·k][oc]` and the input
+/// plane's `h × w`.
 struct Block<'a> {
     image: &'a [f32],
     plane: usize,
@@ -579,67 +878,110 @@ struct Block<'a> {
     w_t: &'a [f32],
     oc: usize,
     k: usize,
+    h: usize,
+    w: usize,
 }
 
 impl Block<'_> {
-    /// Write the grad-input of the `R × W` pixels from `(y0, x0)` into the
-    /// channel plane `gx` of row width `w`.
+    /// Write the grad-input planes of the input channels `ch0..ch0 + C`
+    /// into the image's `gx_b`, returning `C`.
     #[inline(always)]
-    fn store<const W: usize, const R: usize>(
+    fn channels<const C: usize>(
         &self,
-        (y0, x0): (usize, usize),
-        gx: &mut [f32],
-        w: usize,
+        ch0: usize,
+        blocks: &[(usize, usize, usize, usize)],
+        gx_b: &mut [f32],
+    ) -> usize {
+        for &(y0, x0, width, rows) in blocks {
+            let at = (ch0, y0, x0);
+            match (width, rows) {
+                (8, 2) => self.store::<C, 8, 2>(at, gx_b),
+                (4, 4) => self.store::<C, 4, 4>(at, gx_b),
+                (16, _) => self.store::<C, 16, 1>(at, gx_b),
+                (8, _) => self.store::<C, 8, 1>(at, gx_b),
+                (4, _) => self.store::<C, 4, 1>(at, gx_b),
+                (2, _) => self.store::<C, 2, 1>(at, gx_b),
+                _ => self.store::<C, 1, 1>(at, gx_b),
+            }
+        }
+        C
+    }
+
+    /// Write the grad-input of the `R × W` pixels from `(y0, x0)` of the
+    /// `C` channels from `ch0` into `gx_b`: each tap's gradient runs are
+    /// loaded once for all `C` channels.
+    #[inline(always)]
+    fn store<const C: usize, const W: usize, const R: usize>(
+        &self,
+        (ch0, y0, x0): (usize, usize, usize),
+        gx_b: &mut [f32],
     ) {
-        let (k, oc) = (self.k, self.oc);
-        let mut acc = [[0.0f32; W]; R];
+        let (k, oc, w) = (self.k, self.oc, self.w);
+        let mut acc = [[[0.0f32; W]; R]; C];
         for ky in (0..k).rev() {
             for kx in (0..k).rev() {
-                let coef = &self.w_t[(ky * k + kx) * oc..][..oc];
+                let coef: [&[f32]; C] = std::array::from_fn(|i| {
+                    &self.w_t[(((ch0 + i) * k + ky) * k + kx) * oc..][..oc]
+                });
                 let at = |r: usize| (y0 + r + k - 1 - ky) * self.pw + x0 + k - 1 - kx;
-                let mut col = [[0.0f32; W]; R];
-                for (j, &wj) in coef.iter().enumerate() {
-                    for (r, col_r) in col.iter_mut().enumerate() {
-                        let src = &self.image[j * self.plane + at(r)..][..W];
-                        for (c, &v) in col_r.iter_mut().zip(src) {
-                            *c += v * wj;
+                let mut col = [[[0.0f32; W]; R]; C];
+                for (j, plane) in self.image.chunks_exact(self.plane).enumerate() {
+                    let wj: [f32; C] = std::array::from_fn(|i| coef[i][j]);
+                    for r in 0..R {
+                        let src = &plane[at(r)..][..W];
+                        for (col_i, &wi) in col.iter_mut().zip(&wj) {
+                            for (c, &v) in col_i[r].iter_mut().zip(src) {
+                                *c += v * wi;
+                            }
                         }
                     }
                 }
-                for (acc_r, col_r) in acc.iter_mut().zip(&col) {
-                    for (a, &c) in acc_r.iter_mut().zip(col_r) {
-                        *a += c;
+                for (acc_i, col_i) in acc.iter_mut().zip(&col) {
+                    for (acc_r, col_r) in acc_i.iter_mut().zip(col_i) {
+                        for (a, &c) in acc_r.iter_mut().zip(col_r) {
+                            *a += c;
+                        }
                     }
                 }
             }
         }
-        for (r, acc_r) in acc.iter().enumerate() {
-            gx[(y0 + r) * w + x0..][..W].copy_from_slice(acc_r);
+        let hw = self.h * w;
+        for (i, acc_i) in acc.iter().enumerate() {
+            for (r, acc_r) in acc_i.iter().enumerate() {
+                gx_b[(ch0 + i) * hw + (y0 + r) * w + x0..][..W].copy_from_slice(acc_r);
+            }
         }
     }
 }
 
-/// Grad-input from the channel-major upstream gradient `g_t: [oc][m]`:
-/// each grad-cols row `gcolT[p][m] = Σ_j g_t[j][m] · w[j][p]` (`j`
-/// ascending from `+0.0`) is made over the whole batch, in descending
-/// `p`, and folded into the input gradient ([`fold_row`]).
+/// Grad-input by folding: each grad-cols row
+/// `gcolT[p][m] = Σ_j g[j][m] · w[j][p]` (`j` ascending from `+0.0`) is
+/// made over the whole batch, in descending `p`, from the channel-major
+/// upstream gradient, and folded into the input gradient ([`fold_row`]).
+#[inline(always)]
 fn grad_input_folded(
-    g_t: &[f32],
+    grad_out: &Tensor,
     w_t: &[f32],
     g: &ConvGeometry,
-    n: usize,
     h: usize,
     w: usize,
 ) -> Vec<f32> {
+    let (n, oc) = (grad_out.shape()[0], grad_out.shape()[1]);
     let (ohw, hw) = (g.out_side(h) * g.out_side(w), h * w);
     let m = n * ohw;
+    // The upstream gradient channel-major: g_t[j][m].
+    let mut g_t = vec![0.0f32; oc * m];
+    for (i, plane) in grad_out.as_slice().chunks_exact(ohw).enumerate() {
+        let (b, j) = (i / oc, i % oc);
+        g_t[j * m + b * ohw..][..ohw].copy_from_slice(plane);
+    }
     let mut gx = vec![0.0f32; n * g.in_channels * hw];
     let mut gcol_row = vec![0.0f32; m];
     let taps = taps(g, g.in_channels, h, w);
-    for (tap, coef) in taps.iter().zip(w_t.chunks_exact(g.out_channels)).rev() {
+    for (tap, coef) in taps.iter().zip(w_t.chunks_exact(oc)).rev() {
         for m0 in (0..m).step_by(BLOCK) {
             let len = BLOCK.min(m - m0);
-            let acc = gemm_block_any(g_t, m, m0, len, coef);
+            let acc = gemm_block_any(&g_t, m, m0, len, coef);
             gcol_row[m0..][..len].copy_from_slice(&acc[..len]);
         }
         for (b, row) in gcol_row.chunks_exact(ohw).enumerate() {
@@ -651,7 +993,8 @@ fn grad_input_folded(
 }
 
 /// Add one grad-cols row `[oh·ow]` into its input plane `[h, w]` at the
-/// tap's pixels (the reverse of [`fill_patches`]), skipping padding taps.
+/// tap's pixels, skipping padding taps.
+#[inline(always)]
 fn fold_row(row: &[f32], tap: &Tap, g: &ConvGeometry, plane: &mut [f32], w: usize) {
     let (s, pad, ow) = (g.stride, g.padding, g.out_side(w));
     if tap.ox.is_empty() {
@@ -841,9 +1184,10 @@ mod tests {
             // Loss = sum of squares / 2.
             y.as_slice().iter().map(|v| v * v).sum::<f32>() / 2.0
         };
-        let (y, cols) = conv2d_forward(&x, &wt, &b, &g, Vec::new());
+        let (y, padded) = conv2d_forward(&x, &wt, &b, &g, Vec::new());
         let grad_out = y.clone(); // dL/dy = y for L = ||y||^2/2
-        let (gx, gw, gb) = conv2d_backward(&grad_out, &cols, &wt, &g, h, w);
+        let gx = conv2d_input_grad(&grad_out, &wt, &g, h, w);
+        let (gw, gb) = conv2d_weight_grads(&grad_out, &padded, &g, h, w);
 
         let eps = 1e-2;
         // Check a few weight coordinates.
@@ -887,10 +1231,11 @@ mod tests {
             let o = g.out_side(side);
             let x = Tensor::zeros(&[0, 2, side, side]);
             let w = Tensor::full(&[3, 2 * kernel * kernel], 1.0);
-            let (y, cols) = conv2d_forward(&x, &w, &Tensor::zeros(&[3]), &g, Vec::new());
+            let (y, padded) = conv2d_forward(&x, &w, &Tensor::zeros(&[3]), &g, Vec::new());
             assert_eq!(y.shape(), &[0, 3, o, o]);
             let gy = Tensor::zeros(&[0, 3, o, o]);
-            let (gx, gw, gb) = conv2d_backward(&gy, &cols, &w, &g, side, side);
+            let gx = conv2d_input_grad(&gy, &w, &g, side, side);
+            let (gw, gb) = conv2d_weight_grads(&gy, &padded, &g, side, side);
             assert_eq!(gx.shape(), &[0, 2, side, side]);
             assert!(gw.as_slice().iter().chain(gb.as_slice()).all(|&v| v == 0.0));
         }

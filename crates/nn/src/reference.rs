@@ -2,18 +2,18 @@
 //!
 //! The row-major convolution (`im2col` → [`matmul_nt`] forward,
 //! [`matmul_tn`] / [`matmul`] / `col2im` backward) and the per-element
-//! `ChannelNorm` loops that the GEMM-shaped kernels replaced, kept as
-//! references: the property tests below require the production kernels
-//! to reproduce them bit for bit (`f32::to_bits`) over random
-//! geometries, signed zeros, infinite activations and zero upstream
-//! gradients.
+//! `ChannelNorm` loops that the production kernels replaced, kept as
+//! references: the property tests below require the production kernels,
+//! every instruction-set build of them ([`Isa`]), to reproduce them bit for
+//! bit (`f32::to_bits`) over random geometries, signed zeros, infinite
+//! activations and zero upstream gradients.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::layers::{ChannelNorm, Conv2d, Layer};
-use crate::ops::{self, matmul, matmul_nt, matmul_tn, ConvGeometry};
+use crate::ops::{self, matmul, matmul_nt, matmul_tn, ConvGeometry, Isa};
 use crate::tensor::Tensor;
 
 /// im2col: unfold `[n, c, h, w]` into `[n * oh * ow, c * k * k]` patches.
@@ -325,11 +325,11 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Check the GEMM-shaped conv against the row-major reference on one
+/// Check the conv kernels against the row-major reference on one
 /// geometry: forward output, grad-input, grad-weight and grad-bias, bit
-/// for bit, through the ops and through a `Conv2d` whose patch buffer was
-/// left by a forward on a larger batch. Weights are finite, as the
-/// grad-input's missing zero skip requires.
+/// for bit, on every build this host runs, and through a `Conv2d` whose
+/// padded-input buffer was left by a forward on a larger batch. Weights
+/// are finite, as the grad-input's missing zero skip requires.
 fn check_conv(g: ConvGeometry, n: usize, h: usize, w: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let patch = g.in_channels * g.kernel * g.kernel;
@@ -348,32 +348,29 @@ fn check_conv(g: ConvGeometry, n: usize, h: usize, w: usize, seed: u64) {
         values(&mut rng, g.out_channels * patch, 0.1),
     );
     let b = Tensor::from_vec(&[g.out_channels], values(&mut rng, g.out_channels, 0.2));
-    let gy = Tensor::from_vec(
-        &[n, g.out_channels, oh, ow],
-        values(&mut rng, n * g.out_channels * oh * ow, 0.4),
-    );
+    let mut gy = values(&mut rng, n * g.out_channels * oh * ow, 0.4);
+    // For one seed in four, output channel 0's gradient is all `-0.0`:
+    // its grad-bias and grad-weight sums must still come out `+0.0`.
+    if seed.is_multiple_of(4) {
+        for plane in gy.chunks_exact_mut(oh * ow).step_by(g.out_channels) {
+            plane.fill(-0.0);
+        }
+    }
+    let gy = Tensor::from_vec(&[n, g.out_channels, oh, ow], gy);
 
     let (want_y, cols) = conv2d_forward(&x, &wt, &b, &g);
     let (want_gx, want_gw, want_gb) = conv2d_backward(&gy, &cols, &wt, &g, h, w);
 
-    let (y, cols_t) = ops::conv2d_forward(&x, &wt, &b, &g, Vec::new());
-    let (gx, gw, gb) = ops::conv2d_backward(&gy, &cols_t, &wt, &g, h, w);
-    assert_eq!(bits(&y), bits(&want_y), "forward {g:?} n={n} h={h} w={w}");
-    assert_eq!(
-        bits(&gx),
-        bits(&want_gx),
-        "grad-input {g:?} n={n} h={h} w={w}"
-    );
-    assert_eq!(
-        bits(&gw),
-        bits(&want_gw),
-        "grad-weight {g:?} n={n} h={h} w={w}"
-    );
-    assert_eq!(
-        bits(&gb),
-        bits(&want_gb),
-        "grad-bias {g:?} n={n} h={h} w={w}"
-    );
+    for isa in Isa::available() {
+        let (y, padded) = ops::forward_on(isa, &x, &wt, &b, &g, Vec::new());
+        let gx = ops::input_grad_on(isa, &gy, &wt, &g, h, w);
+        let (gw, gb) = ops::weight_grads_on(isa, &gy, &padded, &g, h, w);
+        let case = format!("{isa:?} {g:?} n={n} h={h} w={w}");
+        assert_eq!(bits(&y), bits(&want_y), "forward {case}");
+        assert_eq!(bits(&gx), bits(&want_gx), "grad-input {case}");
+        assert_eq!(bits(&gw), bits(&want_gw), "grad-weight {case}");
+        assert_eq!(bits(&gb), bits(&want_gb), "grad-bias {case}");
+    }
 
     let mut conv = Conv2d::new("c", g, wt, b);
     let wider = Tensor::from_vec(
@@ -391,10 +388,15 @@ fn check_conv(g: ConvGeometry, n: usize, h: usize, w: usize, seed: u64) {
         bits(&want_gx),
         "layer grad-input {g:?}"
     );
-    let mut grads = Vec::new();
-    conv.visit_params(&mut |p| grads.push(p.grad.clone()));
-    assert_eq!(bits(&grads[0]), bits(&want_gw), "layer grad-weight {g:?}");
-    assert_eq!(bits(&grads[1]), bits(&want_gb), "layer grad-bias {g:?}");
+    // The full backward, then the parameter-only one from zeroed grads.
+    for pass in ["backward", "backward_params"] {
+        let mut grads = Vec::new();
+        conv.visit_params(&mut |p| grads.push(p.grad.clone()));
+        assert_eq!(bits(&grads[0]), bits(&want_gw), "{pass} grad-weight {g:?}");
+        assert_eq!(bits(&grads[1]), bits(&want_gb), "{pass} grad-bias {g:?}");
+        conv.visit_params(&mut |p| p.zero_grad());
+        conv.backward_params(&gy);
+    }
 }
 
 /// Check `ChannelNorm` against the per-element reference: one training
@@ -492,24 +494,30 @@ proptest! {
 #[test]
 fn conv_edge_geometries_match_the_reference() {
     // Every kernel/stride/padding combination at the smallest sides the
-    // kernel fits, sides equal to the kernel, and odd sides.
+    // kernel fits, sides equal to the kernel, 1×1, 2×2 and 4×4 output
+    // planes and odd sides. Kernel 5 is wider than a grad-weight run. The
+    // channel counts take every output-channel block (4, 2 and 1) and
+    // every grad-weight tile height (3, 2 and 1 kernel rows); the
+    // batches are 2 and 16.
     let mut seed = 0;
-    for kernel in [1, 3] {
-        for stride in [1, 2] {
-            for padding in [0, 1] {
-                for side in [1, 2, 3, 4, 5, 17] {
-                    if side + 2 * padding < kernel {
-                        continue;
+    for (in_channels, out_channels, n) in [(2, 3, 2), (1, 7, 16)] {
+        for kernel in [1, 3, 5] {
+            for stride in [1, 2] {
+                for padding in [0, 1] {
+                    for side in [1, 2, 3, 4, 5, 8, 17] {
+                        if side + 2 * padding < kernel {
+                            continue;
+                        }
+                        let g = ConvGeometry {
+                            in_channels,
+                            out_channels,
+                            kernel,
+                            stride,
+                            padding,
+                        };
+                        seed += 1;
+                        check_conv(g, n, side, side.max(kernel), seed);
                     }
-                    let g = ConvGeometry {
-                        in_channels: 2,
-                        out_channels: 3,
-                        kernel,
-                        stride,
-                        padding,
-                    };
-                    seed += 1;
-                    check_conv(g, 2, side, side.max(kernel), seed);
                 }
             }
         }

@@ -63,7 +63,7 @@ pub fn train(
             let loss = cross_entropy(&logits, &batch.labels);
             let grad = cross_entropy_grad(&logits, &batch.labels);
             net.zero_grad();
-            net.backward(&grad);
+            net.backward_params(&grad);
             opt.step(net);
             total_loss += loss;
             batches += 1;

@@ -390,6 +390,31 @@ mod tests {
         assert_eq!(gx.shape(), x.shape());
     }
 
+    /// Training and the bit search stop the backward pass at the
+    /// parameters; every parameter gradient must equal the full
+    /// backward's, bit for bit, on every architecture.
+    #[test]
+    fn backward_params_matches_the_full_backward() {
+        let bits = |net: &mut Network| {
+            let mut out = Vec::new();
+            net.visit_params(&mut |p| out.extend(p.grad.as_slice().iter().map(|v| v.to_bits())));
+            out
+        };
+        for arch in ARCHS {
+            let mut rng = seeded_rng(6);
+            let config = ModelConfig::new(arch, 4).with_base_width(2);
+            let mut net = build_model(&config, &mut rng);
+            let x = kaiming_uniform(&[3, 3, 16, 16], 16, &mut rng);
+            let grad = cross_entropy_grad(&net.forward(&x, true), &[0, 1, 2]);
+            net.zero_grad();
+            net.backward(&grad);
+            let full = bits(&mut net);
+            net.zero_grad();
+            net.backward_params(&grad);
+            assert_eq!(bits(&mut net), full, "{}", arch.name());
+        }
+    }
+
     #[test]
     fn names_are_stable() {
         assert_eq!(Architecture::Vgg11.name(), "vgg11");

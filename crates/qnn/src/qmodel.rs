@@ -251,7 +251,7 @@ impl QModel {
     pub fn weight_grads_at(&mut self, logits: &Tensor, labels: &[usize]) -> Vec<Tensor> {
         self.net.zero_grad();
         let grad = cross_entropy_grad(logits, labels);
-        self.net.backward(&grad);
+        self.net.backward_params(&grad);
         let mut grads = Vec::with_capacity(self.qtensors.len());
         self.net.visit_params(&mut |p| {
             if p.quantizable {
