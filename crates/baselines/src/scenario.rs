@@ -45,7 +45,7 @@ use rand::SeedableRng;
 use dd_attack::{
     random_bit, real_accuracy, run_bfa, run_tbfa, AttackConfig, AttackData, TbfaGoal, ThreatModel,
 };
-use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, Nanos, TraceMode};
+use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, Nanos};
 use dd_nn::data::{Dataset, SyntheticSpec};
 use dd_nn::train::{train, TrainConfig};
 use dd_nn::Network;
@@ -1240,15 +1240,7 @@ impl ScenarioMatrix {
         // defense on a scratch device, one refresh window per campaign.
         // Bit flips commute (XOR), so blocked flips are tracked as
         // addresses and reverted by toggling.
-        let mut mem = MemoryController::try_new(dram.clone())?;
-        // Bulk replay: counters-only tracing (see `TraceMode`). This is
-        // also what routes the cell's background traffic through the
-        // batched simulation kernel — `BenignTraffic::drive_span` under
-        // `IssuePath::Auto` issues counters-only devices via
-        // `MemoryController::issue_batch`, bit-identical to the
-        // per-command path (docs/perf.md), so cached cell reports and
-        // artifact numbers are unchanged.
-        mem.set_trace_mode(TraceMode::CountersOnly);
+        let mem = MemoryController::try_new(dram.clone())?;
         let t_rh = dram.rowhammer_threshold;
 
         // The cell's background traffic: zipfian serving over a 64-row

@@ -29,7 +29,7 @@ use std::collections::HashSet;
 use std::io::Cursor;
 
 use dd_baselines::DefenseKind;
-use dd_dram::{DramConfig, MemStats, MemoryController, TraceMode};
+use dd_dram::{DramConfig, MemStats, MemoryController};
 use dd_workload::{
     decode_any, encode, encode_v2, run_workload, BenignTraffic, DiurnalProfile, DriverConfig,
     StreamingReplay, StreamingTraceReader, WorkloadOp,
@@ -363,7 +363,6 @@ fn replay_run(
 ) -> Result<(u64, u64, u64, MemStats, DefenseStats), dd_dram::DramError> {
     let config = DramConfig::lpddr4_small();
     let mut mem = MemoryController::try_new(config.clone())?;
-    mem.set_trace_mode(TraceMode::CountersOnly);
     let model = serving_model(CORPUS_SEED);
     let mut map = WeightMap::layout(&model, &config);
     let mut defense = kind.build(defense_seed(kind), &config);
@@ -471,7 +470,6 @@ pub fn run_corpus_campaign(smoke: bool) -> Result<CorpusReport, dd_dram::DramErr
         // every phase, so defense state (swap tables, counters) sees the
         // full diurnal arc.
         let mut mem = MemoryController::try_new(config.clone())?;
-        mem.set_trace_mode(TraceMode::CountersOnly);
         let model = serving_model(CORPUS_SEED);
         let mut map = WeightMap::layout(&model, &config);
         let mut defense = kind.build(defense_seed(kind), &config);

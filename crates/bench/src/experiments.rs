@@ -20,7 +20,7 @@ use dd_attack::{attack_protected, run_bfa, run_random_attack, AttackConfig, Thre
 use dd_baselines::{
     CellProgress, CellReport, DefenseKind, MatrixRunSummary, ScenarioMatrix, VictimSpec,
 };
-use dd_dram::{DramConfig, DramError, MemoryController, TraceMode};
+use dd_dram::{DramConfig, DramError, MemoryController};
 use dd_nn::init::seeded_rng;
 use dd_nn::layers::{Flatten, Linear};
 use dd_nn::model::Network;
@@ -1055,7 +1055,6 @@ pub(crate) fn workload_run(
 ) -> Result<DriverReport, DramError> {
     let config = DramConfig::lpddr4_small();
     let mut mem = MemoryController::try_new(config.clone())?;
-    mem.set_trace_mode(TraceMode::CountersOnly);
 
     let model = serving_model(p.seed);
     let mut map = WeightMap::layout(&model, &config);

@@ -25,9 +25,9 @@
 use std::io::Cursor;
 use std::time::Instant;
 
-use dd_dram::{DecodedBatch, DramConfig, GlobalRowId, MemoryController, TraceMode};
+use dd_dram::{DecodedBatch, DramConfig, DramError, GlobalRowId, MemoryController};
 use dd_workload::{
-    all_data_rows, batch_op_kind, encode_v2, OpKind, StreamingScan, StreamingTraceReader,
+    all_data_rows, batch_op_kind, encode_v2, StreamingScan, StreamingTraceReader,
     WorkloadGenerator, WorkloadOp, ZipfianServing,
 };
 use dnn_defender::{Json, JsonError};
@@ -273,10 +273,8 @@ pub fn kernel_trace(config: &DramConfig, ops: usize, seed: u64) -> Vec<WorkloadO
         .collect()
 }
 
-fn counters_only_device(config: &DramConfig) -> MemoryController {
-    let mut mem = MemoryController::try_new(config.clone()).expect("preset config is valid");
-    mem.set_trace_mode(TraceMode::CountersOnly);
-    mem
+fn device(config: &DramConfig) -> MemoryController {
+    MemoryController::try_new(config.clone()).expect("preset config is valid")
 }
 
 fn total_commands(mem: &MemoryController) -> u64 {
@@ -284,38 +282,18 @@ fn total_commands(mem: &MemoryController) -> u64 {
     s.acts + s.pres + s.reads + s.writes + s.refreshes + s.row_clones
 }
 
-/// Replay the trace through the per-command reference path.
-fn run_reference(config: &DramConfig, ops: &[WorkloadOp], batch_factor: u64) -> MemoryController {
-    let mut mem = counters_only_device(config);
-    let mut fill = vec![0u8; config.row_bytes];
-    for op in ops {
-        match op.kind {
-            OpKind::Read => {
-                mem.read_row(op.row.bank, op.row.subarray, op.row.row)
-                    .expect("trace rows are valid");
-            }
-            OpKind::Write => {
-                fill.fill(dd_workload::tenant_fill(op.row.row));
-                mem.write_row(op.row.bank, op.row.subarray, op.row.row, &fill)
-                    .expect("trace rows are valid");
-            }
-        }
-        if batch_factor > 1 {
-            mem.hammer(op.row, batch_factor - 1)
-                .expect("trace rows are valid");
-        }
-    }
-    mem
-}
-
-/// Replay the trace through the batched kernel in `chunk`-sized pieces.
-fn run_batched(
+/// Replay the trace in `chunk`-sized pieces, each issued by `issue`:
+/// [`MemoryController::issue_batch`] (the batched kernel) or
+/// [`MemoryController::issue_batch_reference`] (the per-command
+/// reference).
+fn replay(
     config: &DramConfig,
     ops: &[WorkloadOp],
     batch_factor: u64,
     chunk: usize,
+    issue: fn(&mut MemoryController, &mut DecodedBatch) -> Result<(), DramError>,
 ) -> MemoryController {
-    let mut mem = counters_only_device(config);
+    let mut mem = device(config);
     let mut kernel = DecodedBatch::new(config);
     for piece in ops.chunks(chunk.max(1)) {
         for &op in piece {
@@ -323,7 +301,7 @@ fn run_batched(
                 .push(op.row, batch_op_kind(op), batch_factor - 1, None)
                 .expect("trace rows are valid");
         }
-        mem.issue_batch(&mut kernel).expect("matching geometry");
+        issue(&mut mem, &mut kernel).expect("matching geometry");
     }
     mem
 }
@@ -335,7 +313,7 @@ fn run_batched(
 /// chunk is read. This is the resident server's replay shape — a fleet
 /// trace far larger than RAM costs one chunk of memory.
 fn run_streaming(config: &DramConfig, bytes: &[u8], batch_factor: u64) -> MemoryController {
-    let mut mem = counters_only_device(config);
+    let mut mem = device(config);
     let mut kernel = DecodedBatch::new(config);
     let mut reader =
         StreamingTraceReader::open(Cursor::new(bytes)).expect("bench container is valid");
@@ -398,11 +376,13 @@ pub fn run_kernel_bench(
     let p = KernelParams::new(quick);
     let config = DramConfig::lpddr4_small();
     let trace = kernel_trace(&config, p.ops, p.seed);
+    let reference = MemoryController::issue_batch_reference;
+    let batched = MemoryController::issue_batch;
 
     // Warm-up + equivalence check (untimed): batched vs per-command
     // reference.
-    let warm_fast = run_batched(&config, &trace, p.batch_factor, p.chunk);
-    let warm_ref = run_reference(&config, &trace, p.batch_factor);
+    let warm_fast = replay(&config, &trace, p.batch_factor, p.chunk, batched);
+    let warm_ref = replay(&config, &trace, p.batch_factor, p.chunk, reference);
     assert_equivalent(&warm_fast, &warm_ref, &trace);
     let commands = total_commands(&warm_ref);
 
@@ -418,12 +398,12 @@ pub fn run_kernel_bench(
     let mut best_streaming = u128::MAX;
     for _ in 0..p.rounds.max(1) {
         let started = Instant::now();
-        let mem = run_reference(&config, &trace, p.batch_factor);
+        let mem = replay(&config, &trace, p.batch_factor, p.chunk, reference);
         best_ref = best_ref.min(started.elapsed().as_micros().max(1));
         std::hint::black_box(mem.stats());
 
         let started = Instant::now();
-        let mem = run_batched(&config, &trace, p.batch_factor, p.chunk);
+        let mem = replay(&config, &trace, p.batch_factor, p.chunk, batched);
         best_fast = best_fast.min(started.elapsed().as_micros().max(1));
         std::hint::black_box(mem.stats());
 
@@ -458,7 +438,7 @@ pub fn run_kernel_bench(
         let session = enabled.then(dd_obs::session);
         let started = Instant::now();
         for _ in 0..reps_fast {
-            let mem = run_batched(&config, &trace, p.batch_factor, p.chunk);
+            let mem = replay(&config, &trace, p.batch_factor, p.chunk, batched);
             std::hint::black_box(mem.stats());
         }
         let micros = started.elapsed().as_micros().max(1);
@@ -478,7 +458,7 @@ pub fn run_kernel_bench(
         let session = armed.then(|| dd_chaos::arm(dd_chaos::ChaosPlan::inert(p.seed)));
         let started = Instant::now();
         for _ in 0..reps_fast {
-            let mem = run_batched(&config, &trace, p.batch_factor, p.chunk);
+            let mem = replay(&config, &trace, p.batch_factor, p.chunk, batched);
             std::hint::black_box(mem.stats());
         }
         let micros = started.elapsed().as_micros().max(1);
@@ -566,6 +546,7 @@ pub fn run_kernel_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dd_workload::OpKind;
 
     #[test]
     fn kernel_trace_is_deterministic() {
@@ -582,8 +563,14 @@ mod tests {
     fn bench_paths_agree_on_small_traces() {
         let config = DramConfig::lpddr4_small();
         let trace = kernel_trace(&config, 2_000, 11);
-        let fast = run_batched(&config, &trace, 16, 128);
-        let reference = run_reference(&config, &trace, 16);
+        let fast = replay(&config, &trace, 16, 128, MemoryController::issue_batch);
+        let reference = replay(
+            &config,
+            &trace,
+            16,
+            128,
+            MemoryController::issue_batch_reference,
+        );
         assert_equivalent(&fast, &reference, &trace);
         assert!(total_commands(&reference) > 2_000);
     }
@@ -594,7 +581,7 @@ mod tests {
         let trace = kernel_trace(&config, 1_300, 17);
         let container = encode_v2(&trace, true);
         let streaming = run_streaming(&config, &container, 16);
-        let batched = run_batched(&config, &trace, 16, 512);
+        let batched = replay(&config, &trace, 16, 512, MemoryController::issue_batch);
         assert_equivalent(&streaming, &batched, &trace);
     }
 

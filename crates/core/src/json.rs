@@ -291,11 +291,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] with a byte offset on malformed input
-    /// (including trailing garbage and non-finite numbers).
+    /// (including trailing garbage, non-finite numbers and arrays or
+    /// objects nested more than 128 deep).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -336,9 +338,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one request line
+/// overflow a thread's stack; the deepest committed document nests 8.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -376,8 +385,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => err(format!(
                 "unexpected `{}` at byte {}",
@@ -386,6 +395,23 @@ impl Parser<'_> {
             )),
             None => err("unexpected end of input"),
         }
+    }
+
+    /// Parse one array or object, one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -591,6 +617,19 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("1e999").is_err());
+    }
+
+    #[test]
+    fn rejects_documents_nested_too_deep() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(e.message, "nesting deeper than 128 at byte 128");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Depth is nesting, not a count of containers.
+        let wide = format!("[{}]", vec!["[[]]"; 4 * MAX_DEPTH].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //! * refresh-epoch tracking amortized to one comparison per time
 //!   advance instead of one division per activation;
 //! * per-chunk (not per-command) accumulation of stats, busy time, and
-//!   trace counters.
+//!   issue counters.
 //!
-//! The slow path stays authoritative: `issue_batch` on a
-//! [`crate::TraceMode::Full`] controller replays the same ops through the
-//! ordinary per-command methods, and the two paths are proven
-//! bit-identical by `tests/kernel_differential.rs` and benchmarked
-//! against each other by `repro kernel` (see `docs/perf.md`).
+//! This is every controller's default. The per-command path stays the
+//! reference: `issue_batch` on a [`crate::TraceMode::Full`] controller
+//! replays the same ops through the ordinary per-command methods, and
+//! the two paths are proven bit-identical by
+//! `tests/kernel_differential.rs` and benchmarked against each other by
+//! `repro kernel` (see `docs/perf.md`).
 
 use crate::error::DramError;
 use crate::geometry::{DramConfig, GlobalRowId};
@@ -85,12 +86,11 @@ pub struct BatchOp {
 /// # Example
 ///
 /// ```
-/// use dd_dram::{BatchOpKind, DecodedBatch, DramConfig, GlobalRowId, MemoryController, TraceMode};
+/// use dd_dram::{BatchOpKind, DecodedBatch, DramConfig, GlobalRowId, MemoryController};
 ///
 /// # fn main() -> Result<(), dd_dram::DramError> {
 /// let config = DramConfig::lpddr4_small();
 /// let mut mem = MemoryController::try_new(config.clone())?;
-/// mem.set_trace_mode(TraceMode::CountersOnly);
 /// let mut batch = DecodedBatch::new(&config);
 /// batch.push(GlobalRowId::new(0, 0, 10), BatchOpKind::Read, 15, None)?;
 /// batch.push(GlobalRowId::new(0, 0, 12), BatchOpKind::Write(0xA5), 15, None)?;

@@ -1,7 +1,7 @@
 //! The memory controller: the single entry point through which attackers
 //! and defenses drive the simulated device.
 //!
-//! All data movement, timing accounting, command tracing and RowHammer
+//! All data movement, timing accounting, command counting and RowHammer
 //! disturbance bookkeeping flow through this type, so an experiment that
 //! holds a `MemoryController` sees a consistent global clock ([`MemoryController::now`])
 //! and consistent per-row disturbance state. That state is one dense
@@ -11,7 +11,7 @@
 
 use crate::bank::Bank;
 use crate::batch::{BatchOpKind, DecodedBatch};
-use crate::command::{CommandKind, CommandTrace, DramCommand, TraceMode};
+use crate::command::{CommandKind, CommandTrace, TraceMode};
 use crate::error::DramError;
 use crate::geometry::{BankId, DramConfig, GlobalRowId, RowInSubarray, SubarrayId};
 use crate::rowhammer::{FlipOutcome, HammerTracker, RowHammerModel};
@@ -47,6 +47,7 @@ pub struct MemoryController {
     now: Nanos,
     stats: MemStats,
     trace: CommandTrace,
+    mode: TraceMode,
     hammer: HammerTracker,
     rh_model: RowHammerModel,
 }
@@ -82,6 +83,7 @@ impl MemoryController {
             now: Nanos::ZERO,
             stats: MemStats::new(),
             trace: CommandTrace::default(),
+            mode: TraceMode::default(),
             hammer,
             rh_model,
         })
@@ -107,22 +109,21 @@ impl MemoryController {
         self.stats
     }
 
-    /// The bounded command trace.
+    /// The per-kind command issue counters.
     pub fn trace(&self) -> &CommandTrace {
         &self.trace
     }
 
-    /// Set the tracing effort (see [`TraceMode`]). Matrix and workload
-    /// runs use [`TraceMode::CountersOnly`] so replaying millions of
-    /// commands does not pay per-command ring maintenance; tests that
-    /// inspect issued commands keep the default [`TraceMode::Full`].
+    /// Set how bulk replay issues commands (see [`TraceMode`]). Only the
+    /// differential tests leave the default: they set
+    /// [`TraceMode::Full`] to run the per-command reference.
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
-        self.trace.set_mode(mode);
+        self.mode = mode;
     }
 
-    /// The tracing effort currently in force.
+    /// The issue mode currently in force.
     pub fn trace_mode(&self) -> TraceMode {
-        self.trace.mode()
+        self.mode
     }
 
     /// Current refresh-window epoch.
@@ -149,23 +150,6 @@ impl MemoryController {
         })
     }
 
-    fn record(&mut self, kind: CommandKind, target: GlobalRowId, aux: Option<GlobalRowId>) {
-        // Cheap pre-check: in counters-only mode, never build the command
-        // struct at all (the per-command hot path).
-        match self.trace.mode() {
-            TraceMode::CountersOnly => self.trace.count(kind),
-            TraceMode::Full => {
-                let at = self.now;
-                self.trace.record(DramCommand {
-                    kind,
-                    target,
-                    aux,
-                    at,
-                });
-            }
-        }
-    }
-
     /// Apply the RowHammer side effects of activating `row`: the row itself
     /// is recharged, its physical neighbours each take `n` disturbance.
     fn disturb_neighbours(&mut self, row: GlobalRowId, n: u64) {
@@ -187,7 +171,7 @@ impl MemoryController {
         self.now += self.config.timing.t_act;
         self.stats.acts += 1;
         self.stats.busy += self.config.timing.t_act;
-        self.record(CommandKind::Act, addr, None);
+        self.trace.count(CommandKind::Act);
         self.disturb_neighbours(addr, 1);
         Ok(())
     }
@@ -202,15 +186,7 @@ impl MemoryController {
         self.now += self.config.timing.t_pre;
         self.stats.pres += 1;
         self.stats.busy += self.config.timing.t_pre;
-        self.record(
-            CommandKind::Pre,
-            GlobalRowId {
-                bank,
-                subarray,
-                row: RowInSubarray(0),
-            },
-            None,
-        );
+        self.trace.count(CommandKind::Pre);
         Ok(())
     }
 
@@ -235,7 +211,7 @@ impl MemoryController {
         self.now += self.config.timing.t_rd;
         self.stats.reads += 1;
         self.stats.busy += self.config.timing.t_rd;
-        self.record(CommandKind::Rd, addr, None);
+        self.trace.count(CommandKind::Rd);
         self.precharge(bank, subarray)?;
         Ok(data)
     }
@@ -265,7 +241,7 @@ impl MemoryController {
         self.now += self.config.timing.t_wr;
         self.stats.writes += 1;
         self.stats.busy += self.config.timing.t_wr;
-        self.record(CommandKind::Wr, addr, None);
+        self.trace.count(CommandKind::Wr);
         self.precharge(bank, subarray)?;
         Ok(())
     }
@@ -331,7 +307,7 @@ impl MemoryController {
         self.stats.acts += 2;
         self.stats.pres += 1;
         self.stats.busy += self.config.timing.t_aap;
-        self.record(CommandKind::RowClone, src_addr, Some(dst_addr));
+        self.trace.count(CommandKind::RowClone);
         self.disturb_neighbours(src_addr, 1);
         self.disturb_neighbours(dst_addr, 1);
         Ok(())
@@ -349,7 +325,7 @@ impl MemoryController {
         self.stats.refreshes += 1;
         self.now += self.config.timing.t_act;
         self.stats.busy += self.config.timing.t_act;
-        self.record(CommandKind::Refresh, addr, None);
+        self.trace.count(CommandKind::Refresh);
         Ok(())
     }
 
@@ -369,7 +345,7 @@ impl MemoryController {
         self.stats.acts += count;
         self.stats.pres += count;
         self.stats.busy += self.config.timing.t_act * u128::from(count);
-        self.record(CommandKind::Act, aggressor, None);
+        self.trace.count(CommandKind::Act);
         self.disturb_neighbours(aggressor, count);
         let epoch = self.epoch();
         Ok(self
@@ -456,18 +432,18 @@ impl MemoryController {
     /// background traffic and the workload driver's replay loop issue
     /// through (see `docs/perf.md`).
     ///
-    /// On a [`TraceMode::CountersOnly`] controller the chunk runs on the
-    /// batched fast path: disturbance written in place into the dense
-    /// per-row table at each op's pre-decoded index, refresh-epoch checks
-    /// amortized to one comparison per time advance, stats/trace counters
-    /// accumulated once per chunk, and no row-payload allocation on reads.
-    /// On a [`TraceMode::Full`] controller the same ops replay through the
+    /// By default the chunk runs on the batched kernel: disturbance
+    /// written in place into the dense per-row table at each op's
+    /// pre-decoded index, refresh-epoch checks amortized to one
+    /// comparison per time advance, stats and issue counters accumulated
+    /// once per chunk, and no row-payload allocation on reads. On a
+    /// [`TraceMode::Full`] controller the same ops replay through the
     /// ordinary per-command methods
-    /// ([`MemoryController::issue_batch_reference`]) so the command ring
-    /// stays exact.
+    /// ([`MemoryController::issue_batch_reference`]), the reference the
+    /// kernel is checked against.
     ///
     /// Both paths leave the controller in the *identical* end state —
-    /// simulated clock, [`MemStats`], trace counters, per-row disturbance
+    /// simulated clock, [`MemStats`], issue counters, per-row disturbance
     /// and row payloads — a contract enforced by the differential oracle
     /// in `tests/kernel_differential.rs`.
     ///
@@ -496,7 +472,7 @@ impl MemoryController {
         if dd_chaos::fires("kernel.chunk_stall", self.now.0 as u64) {
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
-        match self.trace.mode() {
+        match self.mode {
             TraceMode::Full => self.issue_batch_reference(batch),
             TraceMode::CountersOnly => {
                 self.issue_batch_fast(batch);
@@ -553,14 +529,13 @@ impl MemoryController {
     }
 
     /// The batched kernel: in-place disturbance at pre-decoded indices,
-    /// amortized epoch checks, one stats/trace flush per chunk.
+    /// amortized epoch checks, one stats/counter flush per chunk.
     /// Infallible — ops were validated when pushed and the geometry was
     /// checked by the caller.
     fn issue_batch_fast(&mut self, batch: &mut DecodedBatch) {
         let t = self.config.timing;
         let (t_act, t_pre, t_rd, t_wr, t_ref) =
             (t.t_act.0, t.t_pre.0, t.t_rd.0, t.t_wr.0, t.t_ref.0);
-        let counting = self.trace.mode() == TraceMode::CountersOnly;
         let mut now = self.now.0;
         let mut epoch = (now / t_ref) as u64;
         let mut epoch_end = (now / t_ref + 1) * t_ref;
@@ -634,12 +609,10 @@ impl MemoryController {
         self.stats.reads += reads;
         self.stats.writes += writes;
         self.stats.busy += Nanos(busy);
-        if counting {
-            self.trace.count_n(CommandKind::Act, c_act);
-            self.trace.count_n(CommandKind::Rd, c_rd);
-            self.trace.count_n(CommandKind::Wr, c_wr);
-            self.trace.count_n(CommandKind::Pre, c_pre);
-        }
+        self.trace.count_n(CommandKind::Act, c_act);
+        self.trace.count_n(CommandKind::Rd, c_rd);
+        self.trace.count_n(CommandKind::Wr, c_wr);
+        self.trace.count_n(CommandKind::Pre, c_pre);
         batch.ops.clear();
     }
 }
@@ -807,18 +780,17 @@ mod tests {
     }
 
     #[test]
-    fn counters_only_controller_tracks_issue_counts() {
+    fn controller_tracks_issue_counts() {
         let mut m = mem();
-        m.set_trace_mode(TraceMode::CountersOnly);
         m.write_row(BankId(0), SubarrayId(0), RowInSubarray(3), &[0u8; 64])
             .unwrap();
         m.read_row(BankId(0), SubarrayId(0), RowInSubarray(3))
             .unwrap();
-        assert!(m.trace().is_empty(), "counters-only mode retained commands");
         assert_eq!(m.trace().issued_of(CommandKind::Wr), 1);
         assert_eq!(m.trace().issued_of(CommandKind::Rd), 1);
         assert_eq!(m.trace().issued_of(CommandKind::Act), 2);
-        // Simulation results are identical regardless of trace mode.
+        assert_eq!(m.trace().issued_of(CommandKind::Pre), 2);
+        assert_eq!(m.trace().issued(), 6);
         assert_eq!(m.stats().reads, 1);
         assert_eq!(m.stats().writes, 1);
     }
@@ -922,9 +894,7 @@ mod tests {
     #[test]
     fn issue_batch_fast_path_matches_reference() {
         let mut fast = mem();
-        fast.set_trace_mode(TraceMode::CountersOnly);
         let mut reference = mem();
-        reference.set_trace_mode(TraceMode::CountersOnly);
 
         let mut batch = DecodedBatch::new(fast.config());
         mixed_chunk(&mut batch);
@@ -947,23 +917,46 @@ mod tests {
 
     #[test]
     fn issue_batch_full_mode_replays_per_command() {
-        let mut m = mem();
-        assert_eq!(m.trace_mode(), TraceMode::Full);
-        let mut batch = DecodedBatch::new(m.config());
-        batch
-            .push(gid(10), crate::batch::BatchOpKind::Read, 2, None)
-            .unwrap();
-        m.issue_batch(&mut batch).unwrap();
-        // Full mode keeps the command ring: ACT, RD, PRE, bulk ACT.
-        assert_eq!(m.trace().len(), 4);
-        assert_eq!(m.stats().reads, 1);
-        assert_eq!(m.stats().acts, 3);
+        // The mixed chunk plus a last read of row 60 whose pre-decoded
+        // index is row 100's: the kernel disturbs rows 99 and 101, the
+        // per-command replay (which addresses by `row`) rows 59 and 61.
+        // The end state thus shows which path `issue_batch` took.
+        fn rigged_chunk(batch: &mut DecodedBatch) {
+            use crate::batch::BatchOpKind as K;
+            mixed_chunk(batch);
+            batch.push(gid(100), K::Read, 0, None).unwrap();
+            let decoy = batch.ops.pop().unwrap().flat;
+            batch.push(gid(60), K::Read, 0, None).unwrap();
+            batch.ops.last_mut().unwrap().flat = decoy;
+        }
+        let mut reference = mem();
+        let mut batch = DecodedBatch::new(reference.config());
+        rigged_chunk(&mut batch);
+        reference.issue_batch_reference(&mut batch).unwrap();
+
+        let mut full = mem();
+        full.set_trace_mode(TraceMode::Full);
+        rigged_chunk(&mut batch);
+        full.issue_batch(&mut batch).unwrap();
+        assert!(batch.is_empty());
+        assert_same_end_state(&full, &reference);
+
+        let mut kernel = mem();
+        assert_eq!(kernel.trace_mode(), TraceMode::CountersOnly);
+        rigged_chunk(&mut batch);
+        kernel.issue_batch(&mut batch).unwrap();
+        for row in [59, 61] {
+            assert_eq!(
+                kernel.disturbance(gid(row)) + 1,
+                reference.disturbance(gid(row)),
+                "the default mode did not run the kernel"
+            );
+        }
     }
 
     #[test]
     fn issue_batch_rejects_foreign_geometry() {
         let mut m = mem();
-        m.set_trace_mode(TraceMode::CountersOnly);
         let other = DramConfig::lpddr4_small().with_rows_per_subarray(64);
         let mut batch = DecodedBatch::new(&other);
         batch
@@ -978,9 +971,7 @@ mod tests {
         // another chunk: the kernel must see the per-command mutations in
         // between.
         let mut fast = mem();
-        fast.set_trace_mode(TraceMode::CountersOnly);
         let mut reference = mem();
-        reference.set_trace_mode(TraceMode::CountersOnly);
         let mut batch = DecodedBatch::new(fast.config());
         let mut ref_batch = DecodedBatch::new(reference.config());
 

@@ -60,7 +60,7 @@ pub mod timing;
 pub use addressing::{AddressMapping, DecodedAddr, PhysAddr};
 pub use bank::Bank;
 pub use batch::{BatchOp, BatchOpKind, DecodedBatch, BATCH_CHUNK_OPS};
-pub use command::{CommandKind, CommandTrace, DramCommand, TraceMode};
+pub use command::{CommandKind, CommandTrace, TraceMode};
 pub use controller::MemoryController;
 pub use error::DramError;
 pub use geometry::{BankId, DramConfig, GlobalRowId, RowInSubarray, SubarrayId};

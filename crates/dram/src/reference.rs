@@ -18,7 +18,6 @@ use crate::controller::MemoryController;
 use crate::geometry::{DramConfig, GlobalRowId};
 use crate::rowhammer::HammerTracker;
 use crate::timing::Nanos;
-use crate::TraceMode;
 
 /// The hash-map tracker the dense table replaced.
 #[derive(Debug, Default)]
@@ -152,7 +151,6 @@ proptest! {
         probes.extend(outside_rows(&config));
         let rows = &probes[..config.total_rows()];
         let mut mem = MemoryController::try_new(config.clone()).expect("valid config");
-        mem.set_trace_mode(TraceMode::CountersOnly);
         let mut reference = HashMapTracker::default();
         let t_ref = config.timing.t_ref.0;
         let check = |mem: &MemoryController, reference: &HashMapTracker| {

@@ -13,7 +13,10 @@
 //! * **committed corpus** — the regression corpus under `tests/corpus/`
 //!   replays hostile frames that previously mattered (malformed JSON,
 //!   wrong field types, unknown ops, raw control bytes) so a future
-//!   parser rewrite cannot silently lose the hardening.
+//!   parser rewrite cannot silently lose the hardening;
+//! * **frame-sized nesting** — two generated lines as long as a frame
+//!   may be, one of `[` and one of `{"a":`, whose unbounded recursion
+//!   once overflowed a connection thread's stack.
 //!
 //! [`FrameReader`] gets its own property: random byte streams with
 //! random frame caps always terminate, never panic, keep every decoded
@@ -22,7 +25,7 @@
 
 use std::io::BufReader;
 
-use dd_server::{Frame, FrameReader, ServerConfig, SweepServer};
+use dd_server::{Frame, FrameReader, ServerConfig, SweepServer, MAX_FRAME_BYTES};
 use dnn_defender::{CostModel, Json};
 use proptest::prelude::*;
 
@@ -194,6 +197,35 @@ fn corpus_replays_cleanly() {
             Ok(true),
             "server wedged after {}",
             path.display()
+        );
+    }
+}
+
+/// A request line of nothing but openers, as long as a frame may be,
+/// gets a structured `bad request line` error instead of recursing the
+/// parser through the thread's stack, and the server still answers
+/// `hello`. Generated here: each line is 1 MiB, too big for the corpus.
+#[test]
+fn frame_sized_nesting_gets_a_structured_error() {
+    let mut server = test_server();
+    for unit in ["[", "{\"a\":"] {
+        let line = unit.repeat((MAX_FRAME_BYTES - 1) / unit.len());
+        assert_eq!(
+            line.len(),
+            MAX_FRAME_BYTES - 1,
+            "{unit} must tile the frame"
+        );
+        let response = server.handle_line(&line);
+        assert_structured_response(unit, &response);
+        let response = Json::parse(&response).expect("response parses");
+        assert_eq!(response.field_bool("ok"), Ok(false), "{unit}");
+        let error = response.field_str("error").expect("error message");
+        assert!(error.starts_with("bad request line"), "{unit}: {error}");
+        let hello = Json::parse(&server.handle_line("{\"op\":\"hello\"}")).expect("hello parses");
+        assert_eq!(
+            hello.field_bool("ok"),
+            Ok(true),
+            "server wedged after {unit}"
         );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! [`BenignTraffic`] merges one or more generator streams on the
 //! simulated clock (a min-heap of per-stream next-fire times, rates
-//! proportional to stream weights) and executes each op through the
-//! [`MemoryController`], giving the installed
+//! proportional to stream weights) and issues the ops through the
+//! [`MemoryController`]'s batched kernel, giving the installed
 //! [`DefenseMechanism`] its command-stream tap
 //! ([`DefenseMechanism::observe_activation`]) after every op.
 //! [`run_workload`] layers the attack on top: a benign-only measurement
@@ -31,39 +31,16 @@ use dnn_defender::WeightMap;
 
 use crate::generator::{batch_op_kind, BackgroundLoad, OpKind, WorkloadGenerator, WorkloadOp};
 
-/// Ops per [`dd_dram::DecodedBatch`] chunk on the batched path (when the
-/// installed defense has no online tap that must run per-op). This is
-/// the shared [`dd_dram::BATCH_CHUNK_OPS`] boundary, which the v2 trace
-/// container also frames its chunks to — one streamed chunk, one batch.
+/// Ops per [`dd_dram::DecodedBatch`] chunk, unless the installed
+/// defense's online tap or a [`TraceMode::Full`] device asks for one op
+/// per flush. This is the shared [`dd_dram::BATCH_CHUNK_OPS`] boundary,
+/// which the v2 trace container also frames its chunks to — one
+/// streamed chunk, one batch.
 const BATCH_CHUNK: usize = BATCH_CHUNK_OPS;
-
-/// Which command-issue path [`BenignTraffic::drive_span`] uses.
-///
-/// The two paths are bit-identical by contract — same device end state,
-/// same [`DefenseStats`], same
-/// [`DefenseMechanism::observe_activation`] call sequence — which the
-/// differential oracle in `tests/kernel_differential.rs` enforces across
-/// every defense, device, and load. See `docs/perf.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IssuePath {
-    /// Pick automatically: the batched kernel whenever the controller is
-    /// not retaining a full command trace ([`TraceMode::Full`] keeps the
-    /// per-command path so the command ring stays exact). This is what
-    /// the scenario matrix and the workload experiment run under.
-    #[default]
-    Auto,
-    /// Always the per-command reference path (the oracle).
-    Reference,
-    /// Always the batched driver loop (under [`TraceMode::Full`] the
-    /// chunk itself replays per-command inside
-    /// [`MemoryController::issue_batch`]).
-    Batched,
-}
 
 /// The event-driven merge schedule over the traffic's streams: a min-heap
 /// of per-stream next-fire times with rates proportional to stream
-/// weights. Shared verbatim by the reference and batched paths so their
-/// op sequences cannot drift.
+/// weights.
 struct StreamSchedule {
     heap: BinaryHeap<Reverse<(u128, usize)>>,
     span: u128,
@@ -139,9 +116,8 @@ pub struct BenignTraffic {
     ops_per_window: u64,
     batch: u64,
     universe: Vec<GlobalRowId>,
-    scratch_row: Vec<u8>,
+    row_bytes: u64,
     recorded: Option<Vec<WorkloadOp>>,
-    issue_path: IssuePath,
     /// The batched kernel's decoded-op/dense-counter scratch, built
     /// lazily for the first device driven and reused across chunks.
     kernel: Option<DecodedBatch>,
@@ -167,23 +143,10 @@ impl BenignTraffic {
             ops_per_window,
             batch: batch.max(1),
             universe,
-            scratch_row: vec![0u8; config.row_bytes],
+            row_bytes: config.row_bytes as u64,
             recorded: None,
-            issue_path: IssuePath::Auto,
             kernel: None,
         }
-    }
-
-    /// Force a command-issue path (differential tests and the `kernel`
-    /// benchmark pin [`IssuePath::Reference`] / [`IssuePath::Batched`];
-    /// everything else should leave the default [`IssuePath::Auto`]).
-    pub fn set_issue_path(&mut self, path: IssuePath) {
-        self.issue_path = path;
-    }
-
-    /// The command-issue path in force.
-    pub fn issue_path(&self) -> IssuePath {
-        self.issue_path
     }
 
     /// Assemble the canonical traffic for a [`BackgroundLoad`] level.
@@ -311,11 +274,15 @@ impl BenignTraffic {
     /// after every op. Idle gaps advance the simulated clock; on return
     /// the clock sits at `span_end`.
     ///
-    /// Under the default [`IssuePath::Auto`] the ops are issued through
-    /// the batched kernel ([`MemoryController::issue_batch`]) whenever
-    /// the controller is not keeping a full command trace; the
-    /// per-command reference path remains available (and bit-identical)
-    /// via [`IssuePath::Reference`].
+    /// Ops are decoded into the kernel chunk as the schedule emits them,
+    /// with the simulated clock tracked locally (every op's cost is
+    /// deterministic), and each chunk executes in one
+    /// [`MemoryController::issue_batch`] call before the deferred
+    /// [`DefenseMechanism::observe_activation`] calls run in op order.
+    /// A chunk holds one op when the defense has an online tap (the tap
+    /// must see the device exactly as the per-command path would show
+    /// it) or when the device is the per-command reference
+    /// ([`TraceMode::Full`]), and [`BATCH_CHUNK_OPS`] ops otherwise.
     ///
     /// # Errors
     ///
@@ -337,49 +304,8 @@ impl BenignTraffic {
             return Ok(traffic);
         }
         let mut sched = StreamSchedule::new(&self.streams, start, span_end - start, ops);
-        let batched = match self.issue_path {
-            IssuePath::Reference => false,
-            IssuePath::Batched => true,
-            IssuePath::Auto => mem.trace_mode() != TraceMode::Full,
-        };
-        if batched {
-            self.drive_span_batched(mem, defense, map, span_end, &mut sched, &mut traffic)?;
-        } else {
-            for _ in 0..ops {
-                let (at, idx) = sched.pop();
-                if at > mem.now().0 && at < span_end.0 {
-                    mem.advance(Nanos(at) - mem.now());
-                }
-                let op = self.streams[idx].0.next_op();
-                self.execute(mem, defense, map.as_deref_mut(), op, &mut traffic)?;
-                sched.reschedule(at, idx, u64::from(self.streams[idx].1));
-            }
-        }
-        if span_end > mem.now() {
-            mem.advance(span_end - mem.now());
-        }
-        Ok(traffic)
-    }
-
-    /// The batched issue loop: ops are decoded into the kernel chunk as
-    /// the schedule emits them, with the simulated clock tracked locally
-    /// (every op's cost is deterministic), and each chunk executes in one
-    /// [`MemoryController::issue_batch`] call before the deferred
-    /// [`DefenseMechanism::observe_activation`] calls run in op order.
-    /// Defenses with an online tap flush every op (the tap must see the
-    /// device exactly as the per-command path would show it); defenses
-    /// without one batch [`BATCH_CHUNK`] ops per flush.
-    fn drive_span_batched(
-        &mut self,
-        mem: &mut MemoryController,
-        defense: &mut dyn DefenseMechanism,
-        mut map: Option<&mut WeightMap>,
-        span_end: Nanos,
-        sched: &mut StreamSchedule,
-        traffic: &mut SpanTraffic,
-    ) -> Result<(), DramError> {
-        let tapped = defense.has_online_tap();
-        let chunk_cap = if tapped { 1 } else { BATCH_CHUNK };
+        let per_op = defense.has_online_tap() || mem.trace_mode() == TraceMode::Full;
+        let chunk_cap = if per_op { 1 } else { BATCH_CHUNK };
         if self
             .kernel
             .as_ref()
@@ -397,14 +323,14 @@ impl BenignTraffic {
         let mut vnow = mem.now().0;
         let mut failed: Option<DramError> = None;
 
-        // Per-chunk decode spans, re-armed after every flush. Tapped
-        // defenses flush every op, so a decode span there would be a
-        // per-op span — exactly what the overhead contract forbids; they
-        // run unobserved and are attributed at the matrix layer instead.
-        dd_obs::add("driver.ops", sched.ops);
-        let mut decode_span = (!tapped && dd_obs::enabled()).then(|| dd_obs::span("chunk.decode"));
+        // Per-chunk decode spans, re-armed after every flush. Per-op
+        // flushing makes a decode span a per-op span — exactly what the
+        // overhead contract forbids; those runs go unobserved and are
+        // attributed at the matrix layer instead.
+        dd_obs::add("driver.ops", ops);
+        let mut decode_span = (!per_op && dd_obs::enabled()).then(|| dd_obs::span("chunk.decode"));
 
-        for _ in 0..sched.ops {
+        for _ in 0..ops {
             let (at, idx) = sched.pop();
             let advance_to = if at > vnow && at < span_end.0 {
                 vnow = at;
@@ -414,9 +340,8 @@ impl BenignTraffic {
             };
             let op = self.streams[idx].0.next_op();
             if let Err(e) = kernel.push(op.row, batch_op_kind(op), extra, advance_to) {
-                // Same surface as the per-command loop: everything before
-                // the invalid op executes (flushed below), the error then
-                // propagates.
+                // Everything before the invalid op executes (flushed
+                // below), the error then propagates.
                 failed = Some(e);
                 break;
             }
@@ -428,27 +353,43 @@ impl BenignTraffic {
             sched.reschedule(at, idx, u64::from(self.streams[idx].1));
             if pending.len() >= chunk_cap {
                 drop(decode_span.take());
-                if let Err(e) =
-                    self.flush_chunk(mem, defense, &mut map, &mut kernel, &mut pending, traffic)
-                {
+                if let Err(e) = self.flush_chunk(
+                    mem,
+                    defense,
+                    &mut map,
+                    &mut kernel,
+                    &mut pending,
+                    &mut traffic,
+                ) {
                     failed = Some(e);
                     break;
                 }
                 debug_assert!(
-                    tapped || mem.now().0 == vnow,
+                    per_op || mem.now().0 == vnow,
                     "batched clock prediction diverged"
                 );
                 vnow = mem.now().0;
-                decode_span = (!tapped && dd_obs::enabled()).then(|| dd_obs::span("chunk.decode"));
+                decode_span = (!per_op && dd_obs::enabled()).then(|| dd_obs::span("chunk.decode"));
             }
         }
         drop(decode_span.take());
-        let last = self.flush_chunk(mem, defense, &mut map, &mut kernel, &mut pending, traffic);
+        let last = self.flush_chunk(
+            mem,
+            defense,
+            &mut map,
+            &mut kernel,
+            &mut pending,
+            &mut traffic,
+        );
         self.kernel = Some(kernel);
-        match failed {
-            Some(e) => Err(e),
-            None => last,
+        if let Some(e) = failed {
+            return Err(e);
         }
+        last?;
+        if span_end > mem.now() {
+            mem.advance(span_end - mem.now());
+        }
+        Ok(traffic)
     }
 
     /// Issue the queued chunk, then run the deferred per-op accounting
@@ -468,14 +409,12 @@ impl BenignTraffic {
         }
         mem.issue_batch(kernel)?;
         // Deferred defense observations: spanned only for real chunks
-        // (len > 1). Tapped defenses flush one op at a time and must not
-        // pay a per-op span.
+        // (len > 1). Per-op flushes must not pay a per-op span.
         let _span = (pending.len() > 1).then(|| dd_obs::span("chunk.observe"));
-        let bytes = self.scratch_row.len() as u64;
         for op in pending.drain(..) {
             traffic.ops += 1;
             traffic.activations += self.batch;
-            traffic.bytes += bytes;
+            traffic.bytes += self.row_bytes;
             defense.observe_activation(mem, map.as_deref_mut(), op.row, self.batch)?;
             if let Some(recorded) = &mut self.recorded {
                 recorded.push(op);
@@ -570,41 +509,6 @@ impl BenignTraffic {
         )?);
         online_ops += defense.stats().defense_ops - before;
         Ok((traffic, online_ops, outcome))
-    }
-
-    fn execute(
-        &mut self,
-        mem: &mut MemoryController,
-        defense: &mut dyn DefenseMechanism,
-        map: Option<&mut WeightMap>,
-        op: WorkloadOp,
-        traffic: &mut SpanTraffic,
-    ) -> Result<(), DramError> {
-        let row = op.row;
-        match op.kind {
-            OpKind::Read => {
-                mem.read_row(row.bank, row.subarray, row.row)?;
-            }
-            OpKind::Write => {
-                // Deterministic tenant payload; writes are confined to
-                // non-weight rows by the generator recipes.
-                self.scratch_row
-                    .fill(crate::generator::tenant_fill(row.row));
-                mem.write_row(row.bank, row.subarray, row.row, &self.scratch_row)?;
-            }
-        }
-        if self.batch > 1 {
-            // The remaining activations this sampled op stands for.
-            mem.hammer(row, self.batch - 1)?;
-        }
-        traffic.ops += 1;
-        traffic.activations += self.batch;
-        traffic.bytes += self.scratch_row.len() as u64;
-        defense.observe_activation(mem, map, row, self.batch)?;
-        if let Some(recorded) = &mut self.recorded {
-            recorded.push(op);
-        }
-        Ok(())
     }
 }
 
@@ -802,13 +706,10 @@ pub fn run_workload(
 mod tests {
     use super::*;
     use crate::generator::all_data_rows;
-    use dd_dram::TraceMode;
     use dnn_defender::Undefended;
 
     fn device() -> MemoryController {
-        let mut mem = MemoryController::try_new(DramConfig::lpddr4_small()).expect("valid config");
-        mem.set_trace_mode(TraceMode::CountersOnly);
-        mem
+        MemoryController::try_new(DramConfig::lpddr4_small()).expect("valid config")
     }
 
     fn light_traffic(config: &DramConfig) -> BenignTraffic {
@@ -893,16 +794,14 @@ mod tests {
         assert!(heavy.benign_ops > light.benign_ops);
     }
 
-    /// The full run_workload surface under one issue path, against a
-    /// deterministic mix, for the path-equivalence tests below.
-    fn run_with_path(path: IssuePath, load: BackgroundLoad) -> (DriverReport, MemoryController) {
+    /// The full run_workload surface on `mem`, against a deterministic
+    /// mix, for the path-equivalence test below.
+    fn run_on(mut mem: MemoryController, load: BackgroundLoad) -> (DriverReport, MemoryController) {
         let config = DramConfig::lpddr4_small();
-        let mut mem = device();
         let mut defense = Undefended::new();
         let cold = all_data_rows(&config);
         let hot: Vec<GlobalRowId> = cold.iter().copied().take(64).collect();
         let mut traffic = BenignTraffic::for_load(load, 17, &config, &hot, &cold).expect("traffic");
-        traffic.set_issue_path(path);
         let cfg = DriverConfig {
             benign_windows: 2,
             attack_windows: 0,
@@ -920,8 +819,10 @@ mod tests {
             BackgroundLoad::Heavy,
             BackgroundLoad::MultiTenant,
         ] {
-            let (ref_report, ref_mem) = run_with_path(IssuePath::Reference, load);
-            let (fast_report, fast_mem) = run_with_path(IssuePath::Batched, load);
+            let mut full = device();
+            full.set_trace_mode(TraceMode::Full);
+            let (ref_report, ref_mem) = run_on(full, load);
+            let (fast_report, fast_mem) = run_on(device(), load);
             assert_eq!(ref_report.benign_ops, fast_report.benign_ops, "{load}");
             assert_eq!(ref_report.benign_bytes, fast_report.benign_bytes);
             assert_eq!(ref_report.commands, fast_report.commands, "{load}");
@@ -936,17 +837,6 @@ mod tests {
             assert_eq!(ref_mem.stats(), fast_mem.stats(), "{load}");
             assert_eq!(ref_mem.now(), fast_mem.now());
         }
-    }
-
-    #[test]
-    fn auto_path_batches_on_counters_only_devices() {
-        // Same outcome as the explicit paths: Auto on a counters-only
-        // device takes the batched loop and must match the reference.
-        let (ref_report, _) = run_with_path(IssuePath::Reference, BackgroundLoad::Light);
-        let (auto_report, _) = run_with_path(IssuePath::Auto, BackgroundLoad::Light);
-        assert_eq!(ref_report.commands, auto_report.commands);
-        assert_eq!(ref_report.sim_nanos, auto_report.sim_nanos);
-        assert_eq!(ref_report.trace, auto_report.trace);
     }
 
     #[test]

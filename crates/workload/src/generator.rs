@@ -39,21 +39,14 @@ pub struct WorkloadOp {
     pub row: GlobalRowId,
 }
 
-/// The deterministic single-byte tenant payload a benign write fills its
-/// row with. One definition on purpose: the per-command and batched
-/// issue paths (and the `repro kernel` benchmark) must agree on the
-/// exact bytes a replayed write produces, or row payloads diverge.
-pub fn tenant_fill(row: dd_dram::RowInSubarray) -> u8 {
-    row.0 as u8 ^ 0xA5
-}
-
-/// The batched kernel's form of a benign op: a read, or a write of the
-/// row's [`tenant_fill`] payload. The driver's batched loop and the
-/// `repro kernel` benchmark both decode through this one function.
+/// The batched kernel's form of a benign op: a read, or a write filling
+/// the row with a deterministic single-byte tenant payload. The driver
+/// and the `repro kernel` benchmark both decode through this one
+/// function, so a replayed write produces the same bytes on every path.
 pub fn batch_op_kind(op: WorkloadOp) -> BatchOpKind {
     match op.kind {
         OpKind::Read => BatchOpKind::Read,
-        OpKind::Write => BatchOpKind::Write(tenant_fill(op.row.row)),
+        OpKind::Write => BatchOpKind::Write(op.row.row.0 as u8 ^ 0xA5),
     }
 }
 
@@ -455,6 +448,17 @@ mod tests {
 
     fn universe(n: usize) -> Vec<GlobalRowId> {
         (0..n).map(|r| GlobalRowId::new(0, 0, r)).collect()
+    }
+
+    #[test]
+    fn batch_op_kind_reads_and_writes_the_tenant_fill() {
+        let row = GlobalRowId::new(1, 2, 0x13);
+        let op = |kind| WorkloadOp { kind, row };
+        assert_eq!(batch_op_kind(op(OpKind::Read)), BatchOpKind::Read);
+        assert_eq!(
+            batch_op_kind(op(OpKind::Write)),
+            BatchOpKind::Write(0x13 ^ 0xA5)
+        );
     }
 
     #[test]

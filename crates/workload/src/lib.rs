@@ -23,14 +23,13 @@
 //! ## Example
 //!
 //! ```
-//! use dd_dram::{DramConfig, MemoryController, TraceMode};
+//! use dd_dram::{DramConfig, MemoryController};
 //! use dd_workload::{all_data_rows, BackgroundLoad, BenignTraffic, DriverConfig, run_workload};
 //! use dnn_defender::Undefended;
 //!
 //! # fn main() -> Result<(), dd_dram::DramError> {
 //! let config = DramConfig::lpddr4_small();
 //! let mut mem = MemoryController::try_new(config.clone())?;
-//! mem.set_trace_mode(TraceMode::CountersOnly); // bulk replay: skip the ring
 //!
 //! let rows = all_data_rows(&config);
 //! let mut traffic = BenignTraffic::for_load(
@@ -64,12 +63,11 @@ pub const WORKLOAD_PROTOCOL_VERSION: u64 = 1;
 
 pub use corpus::{CorpusPhase, DiurnalProfile, PhaseShape};
 pub use driver::{
-    next_window_boundary, run_workload, BenignTraffic, DriverConfig, DriverReport, IssuePath,
-    SpanTraffic,
+    next_window_boundary, run_workload, BenignTraffic, DriverConfig, DriverReport, SpanTraffic,
 };
 pub use generator::{
-    all_data_rows, batch_op_kind, tenant_fill, tenant_rows, BackgroundLoad, OpKind, PointerChase,
-    StreamingScan, TenantMix, WorkloadGenerator, WorkloadOp, ZipfianServing,
+    all_data_rows, batch_op_kind, tenant_rows, BackgroundLoad, OpKind, PointerChase, StreamingScan,
+    TenantMix, WorkloadGenerator, WorkloadOp, ZipfianServing,
 };
 pub use trace::{
     decode, decode_any, encode, encode_v2, StreamingReplay, StreamingTraceReader, TraceError,

@@ -4,8 +4,11 @@
 //! driver's chunked loop) is only trustworthy because the per-command
 //! path survives as a reference implementation — this suite is the
 //! contract between them. Every test runs the *same* traffic twice,
-//! once with `IssuePath::Reference` and once with `IssuePath::Batched`,
-//! and asserts the two runs are indistinguishable:
+//! once on a `TraceMode::Full` device (the per-command reference: the
+//! driver flushes after every op and each op replays through
+//! `MemoryController::issue_batch_reference`) and once on a device in
+//! its default mode (the batched kernel), and asserts the two runs are
+//! indistinguishable:
 //!
 //! * identical [`DefenseStats`] (including false/online defensive ops),
 //! * identical activation counters — device [`dd_dram::MemStats`],
@@ -16,7 +19,8 @@
 //!
 //! Coverage: all 9 [`DefenseKind`]s, every [`BackgroundLoad`], multiple
 //! device geometries/thresholds, and proptest-generated random command
-//! streams replayed through `BenignTraffic::from_trace`.
+//! streams replayed through `BenignTraffic::from_trace`. A last test
+//! checks that the oracle catches a defense that hides its online tap.
 
 use proptest::prelude::*;
 
@@ -29,17 +33,18 @@ use dd_nn::layers::{Flatten, Linear};
 use dd_nn::model::Network;
 use dd_qnn::{BitAddr, QModel};
 use dd_workload::{
-    all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig, IssuePath, OpKind,
-    WorkloadOp,
+    all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig, OpKind, WorkloadOp,
 };
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats, FlipAttempt};
 use dnn_defender::{DynDefense, WeightMap};
 
 /// Wrapper that records every `observe_activation` call so the oracle
-/// can compare the exact tap sequences the two paths deliver.
+/// can compare the exact tap sequences the two paths deliver. With
+/// `hide_tap` it also denies the inner defense's online tap.
 struct Recording {
     inner: DynDefense,
     calls: Vec<(GlobalRowId, u64)>,
+    hide_tap: bool,
 }
 
 impl Recording {
@@ -47,6 +52,7 @@ impl Recording {
         Recording {
             inner,
             calls: Vec::new(),
+            hide_tap: false,
         }
     }
 }
@@ -72,13 +78,32 @@ impl DefenseMechanism for Recording {
         self.inner.observe_activation(mem, map, row, n)
     }
     fn has_online_tap(&self) -> bool {
-        self.inner.has_online_tap()
+        !self.hide_tap && self.inner.has_online_tap()
     }
     fn on_hammer_window(&mut self, epoch: u64) {
         self.inner.on_hammer_window(epoch);
     }
     fn stats(&self) -> DefenseStats {
         self.inner.stats()
+    }
+}
+
+/// The two sides of the oracle.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    /// A `TraceMode::Full` device: the per-command reference.
+    Reference,
+    /// A device in its default mode: the batched kernel.
+    Batched,
+}
+
+impl Side {
+    fn device(self, config: &DramConfig) -> MemoryController {
+        let mut mem = MemoryController::try_new(config.clone()).expect("device");
+        if let Side::Reference = self {
+            mem.set_trace_mode(TraceMode::Full);
+        }
+        mem
     }
 }
 
@@ -165,16 +190,32 @@ fn outcome_of(
 }
 
 /// One full driver run — benign windows, then attacked windows with a
-/// real campaign racing mid-window — under the given issue path.
+/// real campaign racing mid-window — on the given side of the oracle.
 fn run_driver(
     kind: DefenseKind,
     config: &DramConfig,
     load: BackgroundLoad,
     seed: u64,
-    path: IssuePath,
+    side: Side,
 ) -> Outcome {
-    let mut mem = MemoryController::try_new(config.clone()).expect("device");
-    mem.set_trace_mode(TraceMode::CountersOnly);
+    run_recorded(
+        Recording::new(kind.build(seed, config)),
+        config,
+        load,
+        seed,
+        side,
+    )
+}
+
+/// [`run_driver`] with the defense already wrapped.
+fn run_recorded(
+    mut recording: Recording,
+    config: &DramConfig,
+    load: BackgroundLoad,
+    seed: u64,
+    side: Side,
+) -> Outcome {
+    let mut mem = side.device(config);
     let model = serving_model(seed);
     let mut map = WeightMap::layout(&model, config);
     let hot: Vec<GlobalRowId> = map.slots().iter().map(|s| s.row).collect();
@@ -184,13 +225,11 @@ fn run_driver(
         .filter(|r| !hot_set.contains(r))
         .collect();
 
-    let mut recording = Recording::new(kind.build(seed, config));
     let bits = spread_bits(&model, 8);
     recording.secure_bits(&bits, Some(&map));
 
     let mut traffic = BenignTraffic::for_load(load, seed ^ 0x6f2d, config, &hot, &cold)
         .unwrap_or_else(|| BenignTraffic::new(Vec::new(), load.label(), 0, 1, Vec::new(), config));
-    traffic.set_issue_path(path);
     let universe = traffic.universe().to_vec();
 
     let report = run_workload(
@@ -216,8 +255,8 @@ fn all_defenses_devices_and_loads_are_path_identical() {
     for config in devices() {
         for kind in DefenseKind::TABLE3 {
             for load in BackgroundLoad::ALL {
-                let reference = run_driver(kind, &config, load, 2024, IssuePath::Reference);
-                let batched = run_driver(kind, &config, load, 2024, IssuePath::Batched);
+                let reference = run_driver(kind, &config, load, 2024, Side::Reference);
+                let batched = run_driver(kind, &config, load, 2024, Side::Batched);
                 assert_eq!(
                     reference, batched,
                     "paths diverged for {kind:?} under {load} on {}b/{}s/{}r",
@@ -239,7 +278,7 @@ fn oracle_traffic_reaches_the_online_taps() {
         &config,
         BackgroundLoad::Heavy,
         2024,
-        IssuePath::Batched,
+        Side::Batched,
     );
     assert!(
         !graphene.calls.is_empty(),
@@ -254,7 +293,7 @@ fn oracle_traffic_reaches_the_online_taps() {
         &config,
         BackgroundLoad::Heavy,
         2024,
-        IssuePath::Batched,
+        Side::Batched,
     );
     assert!(
         dd.stats.defense_ops > 0,
@@ -271,17 +310,15 @@ fn run_trace(
     ops_per_window: u64,
     batch: u64,
     seed: u64,
-    path: IssuePath,
+    side: Side,
 ) -> Outcome {
-    let mut mem = MemoryController::try_new(config.clone()).expect("device");
-    mem.set_trace_mode(TraceMode::CountersOnly);
+    let mut mem = side.device(config);
     let model = serving_model(seed);
     let mut map = WeightMap::layout(&model, config);
     let mut recording = Recording::new(kind.build(seed, config));
     let bits = spread_bits(&model, 4);
     recording.secure_bits(&bits, Some(&map));
     let mut traffic = BenignTraffic::from_trace(ops, ops_per_window, batch, config);
-    traffic.set_issue_path(path);
     let universe = traffic.universe().to_vec();
     let report = run_workload(
         &mut mem,
@@ -328,8 +365,53 @@ proptest! {
                 ),
             })
             .collect();
-        let reference = run_trace(kind, &config, ops.clone(), ops_per_window, batch, seed, IssuePath::Reference);
-        let batched = run_trace(kind, &config, ops, ops_per_window, batch, seed, IssuePath::Batched);
+        let reference = run_trace(kind, &config, ops.clone(), ops_per_window, batch, seed, Side::Reference);
+        let batched = run_trace(kind, &config, ops, ops_per_window, batch, seed, Side::Batched);
         prop_assert_eq!(reference, batched);
+    }
+}
+
+/// `DefenseMechanism::has_online_tap` promises that this oracle catches a
+/// mechanism that hides its tap: the batched side then defers the tap's
+/// observations across a chunk while the reference side still flushes
+/// every op. Pinned on DNN-Defender under the multi-tenant load on the
+/// odd 4-bank × 2-subarray × 64-row device, where a release build
+/// diverges; a debug build may stop earlier at the driver's clock
+/// assertion, which counts as the same catch.
+#[test]
+fn oracle_catches_a_hidden_tap() {
+    let config = devices()[2].clone();
+    let load = BackgroundLoad::MultiTenant;
+    let hidden = |side| {
+        let mut recording = Recording::new(DefenseKind::DnnDefender.build(2024, &config));
+        recording.hide_tap = true;
+        run_recorded(recording, &config, load, 2024, side)
+    };
+    let reference = hidden(Side::Reference);
+    // The reference side never trusts the claim: hidden or not, it
+    // matches the honest run.
+    assert_eq!(
+        reference,
+        run_driver(
+            DefenseKind::DnnDefender,
+            &config,
+            load,
+            2024,
+            Side::Reference
+        )
+    );
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hidden(Side::Batched))) {
+        Ok(batched) => assert_ne!(reference, batched, "the oracle missed a hidden tap"),
+        Err(panic) => {
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(
+                message.contains("batched clock prediction diverged"),
+                "unexpected panic: {message}"
+            );
+        }
     }
 }
