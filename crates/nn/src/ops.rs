@@ -283,19 +283,19 @@ fn row_pieces(w: usize) -> Vec<(usize, usize)> {
     pieces
 }
 
-/// Tiles an `h × w` plane into blocks of 16 pixels (two rows of 8 or
-/// four rows of 4) where the width allows, otherwise into
-/// [`row_pieces`]: every block's `(y0, x0, width, rows)`, in order.
-fn pixel_blocks(h: usize, w: usize) -> Vec<(usize, usize, usize, usize)> {
+/// Tiles an `h × w` plane into blocks: `rows` rows at a time for the
+/// first `(width, rows)` of `tall` with `width == w` whose rows fit, and
+/// one row at a time otherwise, each band cut into [`row_pieces`]: every
+/// block's `(y0, x0, width, rows)`, in order.
+fn pixel_blocks(h: usize, w: usize, tall: &[(usize, usize)]) -> Vec<(usize, usize, usize, usize)> {
     let pieces = row_pieces(w);
     let mut blocks = Vec::new();
     let mut y0 = 0;
     while y0 < h {
-        let rows = match w {
-            8 if h - y0 >= 2 => 2,
-            4 if h - y0 >= 4 => 4,
-            _ => 1,
-        };
+        let rows = tall
+            .iter()
+            .find(|&&(width, rows)| width == w && h - y0 >= rows)
+            .map_or(1, |&(_, rows)| rows);
         blocks.extend(pieces.iter().map(|&(x0, width)| (y0, x0, width, rows)));
         y0 += rows;
     }
@@ -355,7 +355,10 @@ fn forward_body(
     };
     let xp = pad_input(x, &sh, scratch);
     let w_t = transpose(weight.as_slice(), oc, patch);
-    let (taps, pieces) = (sh.tap_offsets(), row_pieces(sh.ow));
+    // Stride-1 planes 4 wide run in blocks of 4 × 4 pixels; everything
+    // else in one-row pieces.
+    let tall: &[(usize, usize)] = if sh.s == 1 { &[(4, 4)] } else { &[] };
+    let (taps, blocks) = (sh.tap_offsets(), pixel_blocks(sh.oh, sh.ow, tall));
     let ohw = sh.oh * sh.ow;
     let mut out = vec![0.0f32; n * oc * ohw];
     let images = xp
@@ -368,7 +371,7 @@ fn forward_body(
                 sh: &sh,
                 image,
                 taps: &taps,
-                pieces: &pieces,
+                blocks: &blocks,
                 w_t: &w_t,
                 bias: bias.as_slice(),
                 j0,
@@ -401,8 +404,8 @@ struct Forward<'a> {
     sh: &'a Shape,
     image: &'a [f32],
     taps: &'a [usize],
-    /// The [`row_pieces`] of an output row.
-    pieces: &'a [(usize, usize)],
+    /// The [`pixel_blocks`] of an output plane.
+    blocks: &'a [(usize, usize, usize, usize)],
     /// The weights `[c·k·k][oc]`.
     w_t: &'a [f32],
     bias: &'a [f32],
@@ -414,42 +417,46 @@ impl Forward<'_> {
     /// returning `J`. `S1`: the stride is 1, so a row of taps is one run.
     #[inline(always)]
     fn blocks<const J: usize, const S1: bool>(&self, out_b: &mut [f32]) -> usize {
-        for y0 in 0..self.sh.oh {
-            for &(x0, width) in self.pieces {
-                let at = (y0, x0);
-                match width {
-                    16 => self.block::<J, 16, S1>(at, out_b),
-                    8 => self.block::<J, 8, S1>(at, out_b),
-                    4 => self.block::<J, 4, S1>(at, out_b),
-                    2 => self.block::<J, 2, S1>(at, out_b),
-                    _ => self.block::<J, 1, S1>(at, out_b),
-                }
+        for &(y0, x0, width, rows) in self.blocks {
+            let at = (y0, x0);
+            match (width, rows) {
+                (4, 4) => self.block::<J, 16, 4, S1>(at, out_b),
+                (16, _) => self.block::<J, 16, 16, S1>(at, out_b),
+                (8, _) => self.block::<J, 8, 8, S1>(at, out_b),
+                (4, _) => self.block::<J, 4, 4, S1>(at, out_b),
+                (2, _) => self.block::<J, 2, 2, S1>(at, out_b),
+                _ => self.block::<J, 1, 1, S1>(at, out_b),
             }
         }
         J
     }
 
-    /// The `J` channels' outputs at the `W` pixels from `(y0, x0)`: each
-    /// tap's input run is loaded once and multiplied into all `J`
-    /// channels' sums.
+    /// The `J` channels' outputs at the `N` pixels from `(y0, x0)`, in
+    /// rows of `W`: each tap's input runs are loaded once, side by side,
+    /// and multiplied into all `J` channels' sums.
     #[inline(always)]
-    fn block<const J: usize, const W: usize, const S1: bool>(
+    fn block<const J: usize, const N: usize, const W: usize, const S1: bool>(
         &self,
         (y0, x0): (usize, usize),
         out_b: &mut [f32],
     ) {
         let sh = self.sh;
         let (oc, s) = (sh.oc, sh.s);
-        let mut acc = [[0.0f32; W]; J];
+        let mut acc = [[0.0f32; N]; J];
         let origin = sh.origin(y0, x0);
         for (&tap, w_p) in self.taps.iter().zip(self.w_t.chunks_exact(oc)) {
             let coef: [f32; J] = std::array::from_fn(|j| w_p[self.j0 + j]);
-            let src = &self.image[tap + origin..];
-            let run: [f32; W] = if S1 {
-                src[..W].try_into().unwrap()
-            } else {
-                std::array::from_fn(|t| src[t * s])
-            };
+            let mut run = [0.0f32; N];
+            for r in 0..N / W {
+                let src = &self.image[tap + origin + r * s * sh.pw..];
+                if S1 {
+                    run[r * W..][..W].copy_from_slice(&src[..W]);
+                } else {
+                    for t in 0..W {
+                        run[r * W + t] = src[t * s];
+                    }
+                }
+            }
             for (acc_j, &c) in acc.iter_mut().zip(&coef) {
                 for (a, &v) in acc_j.iter_mut().zip(&run) {
                     *a += v * c;
@@ -459,9 +466,11 @@ impl Forward<'_> {
         let ohw = sh.oh * sh.ow;
         for (j, acc_j) in acc.iter().enumerate() {
             let b = self.bias[self.j0 + j];
-            let dst = &mut out_b[(self.j0 + j) * ohw + y0 * sh.ow + x0..][..W];
-            for (o, &a) in dst.iter_mut().zip(acc_j) {
-                *o = a + b;
+            for (r, acc_r) in acc_j.chunks_exact(W).enumerate() {
+                let dst = &mut out_b[(self.j0 + j) * ohw + (y0 + r) * sh.ow + x0..][..W];
+                for (o, &a) in dst.iter_mut().zip(acc_r) {
+                    *o = a + b;
+                }
             }
         }
     }
@@ -530,10 +539,12 @@ fn weight_grads_body(
             planes.flatten().fold(true, |ok, v| ok & v.is_finite())
         })
         .collect();
-    // The kernel rows `(ch, ky)` in `p` order, three to a tile.
-    let rows: Vec<(usize, usize)> = (0..c)
+    // The kernel rows `(ch, ky)` in `p` order: the tiles take the rows of
+    // channels holding only finite values, the exact path the rest, and
+    // every row of a kernel wider than [`LANES`].
+    let (tiled, exact): (Vec<_>, Vec<_>) = (0..c)
         .flat_map(|ch| (0..k).map(move |ky| (ch, ky)))
-        .collect();
+        .partition(|&(ch, _)| k <= LANES && finite[ch]);
     let mut gw = vec![0.0f32; oc * c * k * k];
     let mut gb = vec![0.0f32; oc];
     let t = WeightGrads {
@@ -548,23 +559,31 @@ fn weight_grads_body(
             2..=3 => 2,
             _ => 1,
         };
-        for (i, tile) in rows.chunks(3).enumerate() {
-            let out = (&mut gw[..], &mut gb[..], i == 0);
-            if k > LANES || !tile.iter().all(|&(ch, _)| finite[ch]) {
-                t.exact(j0..j0 + jn, tile, out);
-                continue;
-            }
-            match (jn, tile.len()) {
-                (4, 3) => t.tile::<4, 3>(j0, tile, out),
-                (4, 2) => t.tile::<4, 2>(j0, tile, out),
-                (4, _) => t.tile::<4, 1>(j0, tile, out),
-                (2, 3) => t.tile::<2, 3>(j0, tile, out),
-                (2, 2) => t.tile::<2, 2>(j0, tile, out),
-                (2, _) => t.tile::<2, 1>(j0, tile, out),
-                (_, 3) => t.tile::<1, 3>(j0, tile, out),
-                (_, 2) => t.tile::<1, 2>(j0, tile, out),
-                _ => t.tile::<1, 1>(j0, tile, out),
-            }
+        // Each pass over `m` holds up to 12 four-wide sums: 3 kernel rows
+        // of 4 channels or 6 of 2 (1 channel keeps 3). The first pass
+        // also sums the grad-bias.
+        let mut bias = true;
+        let mut rest = &tiled[..];
+        while !rest.is_empty() {
+            let out = (&mut gw[..], &mut gb[..], bias);
+            let taken = match (jn, rest.len()) {
+                (4, 3..) => t.tile::<4, 3>(j0, rest, out),
+                (4, 2) => t.tile::<4, 2>(j0, rest, out),
+                (4, _) => t.tile::<4, 1>(j0, rest, out),
+                (2, 6..) => t.tile::<2, 6>(j0, rest, out),
+                (2, 3..) => t.tile::<2, 3>(j0, rest, out),
+                (2, 2) => t.tile::<2, 2>(j0, rest, out),
+                (2, _) => t.tile::<2, 1>(j0, rest, out),
+                (_, 3..) => t.tile::<1, 3>(j0, rest, out),
+                (_, 2) => t.tile::<1, 2>(j0, rest, out),
+                _ => t.tile::<1, 1>(j0, rest, out),
+            };
+            rest = &rest[taken..];
+            bias = false;
+        }
+        // The exact path sums the grad-bias when no pass did.
+        if bias || !exact.is_empty() {
+            t.exact(j0..j0 + jn, &exact, (&mut gw[..], &mut gb[..], bias));
         }
         j0 += jn;
     }
@@ -594,11 +613,13 @@ impl WeightGrads<'_> {
         ch * self.sh.plane() + ky * self.sh.pw
     }
 
-    /// The chains of output channels `j0..j0 + J` × the `R` kernel rows
-    /// `rows`, in one pass over `m`. Each `m` loads every row's [`LANES`]
-    /// taps as one run and adds `g[j][m] · x` to all `J × R` runs of
-    /// sums; the lanes past the kernel read the next padded values and
-    /// are dropped.
+    /// The chains of output channels `j0..j0 + J` × the first `R` kernel
+    /// rows of `rows`, in one pass over `m`, returning `R`. Each `m` loads
+    /// every row's [`LANES`] taps as one run and adds `g[j][m] · x` to all
+    /// `J × R` runs of sums; the lanes past the kernel read the next
+    /// padded values and are dropped. A kernel row's sums for the `J`
+    /// channels lie side by side, so they advance as one run of
+    /// `J × LANES` (two 8-wide registers for 4 channels under AVX2).
     ///
     /// Zero-gradient terms are added, not skipped: every tap value here
     /// is finite, so each such term is `±0.0`, and a sum started at
@@ -609,44 +630,40 @@ impl WeightGrads<'_> {
         j0: usize,
         rows: &[(usize, usize)],
         (gw, gb, bias): GradsOut,
-    ) {
+    ) -> usize {
         let sh = self.sh;
-        let ohw = sh.oh * sh.ow;
-        let offsets: [usize; R] = std::array::from_fn(|r| self.row_offset(rows[r]));
-        let mut acc = [[[0.0f32; LANES]; R]; J];
+        let (ohw, ow) = (sh.oh * sh.ow, sh.ow);
+        let mut offsets = [0; R];
+        for (offset, &row) in offsets.iter_mut().zip(rows) {
+            *offset = self.row_offset(row);
+        }
+        let mut acc = [[[0.0f32; LANES]; J]; R];
         let mut acc_b = [0.0f32; J];
         let images = self.xp.chunks_exact(sh.c * sh.plane());
         for (image, g_b) in images.zip(self.gy.chunks_exact(sh.oc * ohw)) {
-            let g_j: [&[f32]; J] = std::array::from_fn(|j| &g_b[(j0 + j) * ohw..][..ohw]);
             for oy in 0..sh.oh {
-                for ox in 0..sh.ow {
-                    let (pos, at) = (oy * sh.ow + ox, sh.origin(oy, ox));
-                    let x: [[f32; LANES]; R] = std::array::from_fn(|r| {
-                        image[offsets[r] + at..][..LANES].try_into().unwrap()
-                    });
-                    for ((acc_j, b), g) in acc.iter_mut().zip(&mut acc_b).zip(&g_j) {
-                        let gv = g[pos];
-                        if bias {
-                            *b += gv;
-                        }
-                        for (acc_r, x_r) in acc_j.iter_mut().zip(&x) {
-                            for (a, &v) in acc_r.iter_mut().zip(x_r) {
-                                *a += gv * v;
-                            }
-                        }
-                    }
+                let at = sh.origin(oy, 0);
+                let mut runs: [&[f32]; R] = [&[]; R];
+                for (run, &offset) in runs.iter_mut().zip(&offsets) {
+                    *run = &image[offset + at..];
                 }
+                let mut g: [&[f32]; J] = [&[]; J];
+                for (j, g_j) in g.iter_mut().enumerate() {
+                    *g_j = &g_b[(j0 + j) * ohw + oy * ow..];
+                }
+                add_output_row(runs, g, (ow, sh.s), &mut acc, bias.then_some(&mut acc_b));
             }
         }
         let (k, patch) = (sh.k, sh.c * sh.k * sh.k);
-        for (j, (acc_j, &b)) in acc.iter().zip(&acc_b).enumerate() {
-            for (&(ch, ky), acc_r) in rows.iter().zip(acc_j) {
-                gw[(j0 + j) * patch + (ch * k + ky) * k..][..k].copy_from_slice(&acc_r[..k]);
-            }
-            if bias {
-                gb[j0 + j] = b;
+        for (&(ch, ky), acc_r) in rows.iter().zip(&acc) {
+            for (j, acc_j) in acc_r.iter().enumerate() {
+                gw[(j0 + j) * patch + (ch * k + ky) * k..][..k].copy_from_slice(&acc_j[..k]);
             }
         }
+        if bias {
+            gb[j0..j0 + J].copy_from_slice(&acc_b);
+        }
+        R
     }
 
     /// [`WeightGrads::tile`]'s chains one at a time, skipping zero-gradient
@@ -679,6 +696,68 @@ impl WeightGrads<'_> {
                 gb[j] = pairs()
                     .flat_map(|(_, g_b)| &g_b[j * ohw..][..ohw])
                     .fold(0.0, |s, &v| s + v);
+            }
+        }
+    }
+}
+
+/// Add one output row's terms to a grad-weight tile's sums `acc` and,
+/// when given, its grad-bias sums `acc_b`, pixels `ox` ascending.
+/// `runs[r]` starts at kernel row `r`'s first tap under the row's pixel 0
+/// and `g[j]` at output channel `j`'s gradient of that pixel; each is
+/// sliced once, at the exact length the row reads, so the pixel loop
+/// loads without a check.
+#[inline(always)]
+fn add_output_row<const J: usize, const R: usize>(
+    mut runs: [&[f32]; R],
+    mut g: [&[f32]; J],
+    (ow, s): (usize, usize),
+    acc: &mut [[[f32; LANES]; J]; R],
+    mut acc_b: Option<&mut [f32; J]>,
+) {
+    // Pixel `ox` reads `LANES` values from `ox·s`, so the row reads
+    // `(ow − 1)·s + LANES`.
+    let span = ow
+        .checked_sub(1)
+        .and_then(|last| last.checked_mul(s))
+        .and_then(|first| first.checked_add(LANES));
+    let Some(span) = span else { return };
+    for run in &mut runs {
+        *run = &run[..span];
+    }
+    for g_j in &mut g {
+        *g_j = &g_j[..ow];
+    }
+    for ox in 0..ow {
+        // Each channel's gradient in all its lanes, so that a kernel
+        // row's sums for all `J` channels advance as one run of
+        // `J × LANES`.
+        let mut gv = [[0.0f32; LANES]; J];
+        for (v, g_j) in gv.iter_mut().zip(&g) {
+            *v = [g_j[ox]; LANES];
+        }
+        if let Some(acc_b) = &mut acc_b {
+            for (b, v) in acc_b.iter_mut().zip(&gv) {
+                *b += v[0];
+            }
+        }
+        for (run, acc_r) in runs.iter().zip(acc.iter_mut()) {
+            // SAFETY: `run` holds exactly `span = (ow − 1)·s + LANES`
+            // values (the checked slice above panics otherwise, and the
+            // checked arithmetic rules out a wrapped `span`), and `ox < ow`,
+            // so `ox·s + LANES <= span`: the `LANES` values read from `ox·s`
+            // lie inside `run`. `[f32; LANES]` has no alignment beyond
+            // `f32`'s, and `read_unaligned` asks for none.
+            let x = unsafe {
+                run.as_ptr()
+                    .add(ox * s)
+                    .cast::<[f32; LANES]>()
+                    .read_unaligned()
+            };
+            let xs = [x; J];
+            let terms = gv.as_flattened().iter().zip(xs.as_flattened());
+            for (a, (&gj, &v)) in acc_r.as_flattened_mut().iter_mut().zip(terms) {
+                *a += gj * v;
             }
         }
     }
@@ -841,7 +920,7 @@ fn grad_input_stride1(
         }
     }
     let mut gx = vec![0.0f32; n * c * h * w];
-    let blocks = pixel_blocks(h, w);
+    let blocks = pixel_blocks(h, w, &[(8, 2), (4, 4)]);
     let images = padded
         .chunks_exact(oc * ph * pw)
         .zip(gx.chunks_exact_mut(c * h * w));

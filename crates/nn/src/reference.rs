@@ -8,6 +8,8 @@
 //! bit (`f32::to_bits`) over random geometries, signed zeros, infinite
 //! activations and zero upstream gradients.
 
+use std::ops::Range;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -329,16 +331,17 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// geometry: forward output, grad-input, grad-weight and grad-bias, bit
 /// for bit, on every build this host runs, and through a `Conv2d` whose
 /// padded-input buffer was left by a forward on a larger batch. Weights
-/// are finite, as the grad-input's missing zero skip requires.
-fn check_conv(g: ConvGeometry, n: usize, h: usize, w: usize, seed: u64) {
+/// are finite, as the grad-input's missing zero skip requires. The input
+/// channels `infs` may hold infinite activations.
+fn check_conv(g: ConvGeometry, n: usize, (h, w): (usize, usize), seed: u64, infs: Range<usize>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let patch = g.in_channels * g.kernel * g.kernel;
     let (oh, ow) = (g.out_side(h), g.out_side(w));
     let mut x = values(&mut rng, n * g.in_channels * h * w, 0.25);
     // A few infinite activations: the grad-weight must skip their terms
     // where the upstream gradient is zero, as `matmul_tn` does.
-    for v in x.iter_mut().filter(|v| **v != 0.0) {
-        if rng.gen_bool(0.02) {
+    for (i, v) in x.iter_mut().enumerate() {
+        if infs.contains(&(i / (h * w) % g.in_channels)) && *v != 0.0 && rng.gen_bool(0.02) {
             *v = v.signum() * f32::INFINITY;
         }
     }
@@ -476,7 +479,7 @@ proptest! {
         // discarding) makes sides equal to the kernel common.
         let min_side = kernel.saturating_sub(2 * padding).max(1);
         let g = ConvGeometry { in_channels, out_channels, kernel, stride, padding };
-        check_conv(g, n, h.max(min_side), w.max(min_side), seed);
+        check_conv(g, n, (h.max(min_side), w.max(min_side)), seed, 0..in_channels);
     }
 
     #[test]
@@ -516,10 +519,58 @@ fn conv_edge_geometries_match_the_reference() {
                             padding,
                         };
                         seed += 1;
-                        check_conv(g, n, side, side.max(kernel), seed);
+                        check_conv(g, n, (side, side.max(kernel)), seed, 0..in_channels);
                     }
                 }
             }
         }
+    }
+}
+
+#[test]
+fn conv_kernel_arms_match_the_reference() {
+    // Geometries that select each grad-weight pass and forward block. A
+    // channel with an infinite activation sends its kernel rows to the
+    // exact path, and large planes would almost surely hold one, so only
+    // the channels in the last column do.
+    // (in, out, kernel, stride, padding, (h, w), batch, infinite channels)
+    let cases = [
+        // The smoke ResNet-20's stage-1 conv: one pass of 2 output
+        // channels × 6 kernel rows.
+        (2, 2, 3, 1, 1, (16, 16), 4, 0..0),
+        // Its stem: 9 kernel rows, a pass of 6 and then one of 3.
+        (3, 2, 3, 1, 1, (16, 16), 4, 0..0),
+        // The stem with channel 2 infinite: its 3 rows go exact, and the
+        // other 6 make one pass.
+        (3, 2, 3, 1, 1, (16, 16), 2, 2..3),
+        // The last stage, 4 × 4: the forward's 4 × 4 blocks of 4 output
+        // channels, and grad-weight passes of 4 channels × 3 rows.
+        (8, 8, 3, 1, 1, (4, 4), 4, 0..0),
+        // Planes 4 wide whose height is a multiple of the 4-row block (8)
+        // and is not (5, 6, 7: one to three one-row bands after the
+        // blocks), for blocks of 4, 2 and 1 output channels.
+        (2, 7, 3, 1, 1, (8, 4), 2, 0..0),
+        (2, 7, 3, 1, 1, (5, 4), 2, 0..0),
+        (2, 7, 3, 1, 1, (6, 4), 2, 0..0),
+        (2, 7, 3, 1, 1, (7, 4), 2, 0..0),
+        // Padding 0: a 6-wide input makes the 4-wide plane.
+        (2, 5, 3, 1, 0, (10, 6), 2, 0..0),
+        // Kernel 1, one row per channel: 4 output channels take passes of
+        // 3 + 2 rows (5 channels) and 3 + 1 (4), 2 take 6 + 1 (7) and 2
+        // (2), and a single one 3 + 1 and 2.
+        (5, 4, 1, 1, 0, (3, 3), 2, 0..0),
+        (4, 5, 1, 1, 0, (3, 3), 2, 0..0),
+        (7, 2, 1, 1, 0, (3, 3), 2, 0..0),
+        (2, 3, 1, 1, 0, (3, 3), 2, 0..0),
+    ];
+    for (seed, (c, oc, kernel, stride, padding, sides, n, infs)) in cases.into_iter().enumerate() {
+        let g = ConvGeometry {
+            in_channels: c,
+            out_channels: oc,
+            kernel,
+            stride,
+            padding,
+        };
+        check_conv(g, n, sides, 1000 + seed as u64, infs);
     }
 }

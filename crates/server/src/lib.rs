@@ -55,7 +55,9 @@ pub use metrics::{hist_to_json, ClientLedger, ExecutorSummary, ServerStats};
 pub use server::{
     ExecutedSubmit, LineOutcome, PreparedSubmit, ServerConfig, SweepServer, MAX_JOB_ATTEMPTS,
 };
-pub use spec::{CellSpec, DeviceBase, DeviceSpec, SweepBase};
+pub use spec::{
+    CellSpec, DeviceBase, DeviceSpec, SweepBase, MAX_SERVED_RANDOM_FLIPS, MAX_SERVED_T_RH,
+};
 
 /// Version of the line-delimited JSON wire protocol. Every response
 /// carries it; bump on any incompatible change to request or response

@@ -1155,6 +1155,38 @@ mod tests {
     }
 
     #[test]
+    fn hostile_threshold_and_flip_count_are_bad_specs_and_charge_nothing() {
+        // Each label once ran or priced wrongly: a wrapped price, an
+        // unreadable disturbance count, a device the simulator refuses
+        // only after training, draws that held a worker for seconds, and
+        // an empty draw priced at nothing that still deployed its defense.
+        let mut server = test_server(1_000_000);
+        let labels = [
+            "Baseline (undefended):BFA:lpddr4_small@9223372036854775809:none",
+            "DNN-Defender:BFA:lpddr4_small@18446744073709551615:light",
+            "Baseline (undefended):BFA:lpddr4_small@0:none",
+            "Baseline (undefended):Random(10000000):lpddr4_small:none",
+            "Baseline (undefended):Random(1000000):lpddr4_small:none",
+            "DNN-Defender:Random(0):lpddr4_small@7:none",
+        ];
+        let line = submit_line("hostile", &labels);
+        let response = Json::parse(&server.handle_line(&line)).expect("submit");
+        assert_eq!(response.field_bool("ok"), Ok(true));
+        let results = response.field_arr("results").expect("results");
+        assert_eq!(results.len(), labels.len());
+        for (result, label) in results.iter().zip(labels) {
+            assert_eq!(result.field_str("status"), Ok("error"), "{label}");
+            assert_eq!(result.field_str("kind"), Ok("bad_spec"), "{label}");
+        }
+        let ledger = response.field("ledger").expect("ledger");
+        assert_eq!(ledger.field_u64("charged_gross_micros"), Ok(0));
+        assert_eq!(ledger.field_u64("charged_micros"), Ok(0));
+        assert_eq!(server.inflight_micros(), 0);
+        let hello = Json::parse(&server.handle_line("{\"op\":\"hello\"}")).expect("hello");
+        assert_eq!(hello.field_bool("ok"), Ok(true));
+    }
+
+    #[test]
     fn storm_sheds_lowest_priority_newest_first_but_keeps_one() {
         // Capacity below a single cell's price: the offered 3-cell batch
         // storms; two get shed (lowest priority, newest first), one

@@ -211,6 +211,20 @@ impl CellSpec {
     }
 }
 
+/// The highest RowHammer threshold a served device may set (`@t_rh`;
+/// the lowest is 1, since a device needs one). At most `u32::MAX`, every
+/// count a served cell derives from it, such as the priced commands or a
+/// row's disturbance, stays below 2^53, the largest integer the wire's
+/// JSON numbers hold exactly.
+pub const MAX_SERVED_T_RH: u64 = u32::MAX as u64;
+
+/// The most flips a served `Random(n)` cell may draw (the fewest is 1:
+/// a `Random(0)` cell would be priced at nothing yet still deploy its
+/// defense). The cell replays every flip as its own campaign, so `n`
+/// sets its cost: a `Random(4096)` cell took 0.09 s without background
+/// load and 0.38 s under heavy load on a 2-vCPU Xeon VM.
+pub const MAX_SERVED_RANDOM_FLIPS: usize = 4096;
+
 /// The fixed sweep base every server cell runs under.
 ///
 /// Byte-for-byte the same constants as `dd_bench::workload_matrix` —
@@ -248,16 +262,36 @@ impl SweepBase {
         VictimSpec::tiny_mlp(2024)
     }
 
-    /// Check that the base's victim can run `spec`: every T-BFA class
-    /// must be one of the victim's classes. The error is the reason.
+    /// Check that the base can run and price `spec`: every T-BFA class
+    /// must be one of the victim's classes, a device's `T_RH` override
+    /// must lie in `1..=`[`MAX_SERVED_T_RH`], and a `Random(n)` attacker's
+    /// `n` in `1..=`[`MAX_SERVED_RANDOM_FLIPS`]. Both lower ends keep
+    /// every admitted cell's price above zero. The error is the reason.
     pub(crate) fn check(&self, spec: &CellSpec) -> Result<(), String> {
         let classes = self.victim().spec.classes;
-        if let AttackerKind::Tbfa(goal) = spec.attacker {
-            let highest = goal.source_class.unwrap_or(0).max(goal.target_class);
-            if highest >= classes {
+        match spec.attacker {
+            AttackerKind::Tbfa(goal) => {
+                let highest = goal.source_class.unwrap_or(0).max(goal.target_class);
+                if highest >= classes {
+                    return Err(format!(
+                        "attacker `{}` names class {highest}, but the victim has {classes} classes",
+                        spec.attacker.label()
+                    ));
+                }
+            }
+            AttackerKind::Random { flips } if !(1..=MAX_SERVED_RANDOM_FLIPS).contains(&flips) => {
                 return Err(format!(
-                    "attacker `{}` names class {highest}, but the victim has {classes} classes",
+                    "attacker `{}` draws {flips} flips, outside 1..={MAX_SERVED_RANDOM_FLIPS}",
                     spec.attacker.label()
+                ));
+            }
+            _ => {}
+        }
+        if let Some(t_rh) = spec.device.t_rh {
+            if !(1..=MAX_SERVED_T_RH).contains(&t_rh) {
+                return Err(format!(
+                    "device `{}` sets T_RH {t_rh}, outside 1..={MAX_SERVED_T_RH}",
+                    spec.device.label()
                 ));
             }
         }
@@ -296,19 +330,30 @@ impl SweepBase {
     /// Deterministic estimate of the DRAM commands the cell will simulate:
     /// the attack campaigns (≈ `T_RH` activations per attempt) plus the
     /// benign traffic replayed around them (`ops × (1 + batch)` commands
-    /// per window, over the attempts plus two warm-up windows). An
-    /// *estimate* for admission pricing — the simulator does not promise
-    /// this count — but monotone in budget, threshold, and load level.
+    /// per window, over the attempts plus two warm-up windows). The
+    /// attempts are the budget, or a `Random(n)` attacker's `n` flips,
+    /// each of which is replayed. An *estimate* for admission pricing —
+    /// the simulator does not promise this count — but monotone in
+    /// attempts, threshold, and load level, and saturating rather than
+    /// wrapping for a spec outside the served ranges
+    /// ([`MAX_SERVED_T_RH`], [`MAX_SERVED_RANDOM_FLIPS`]), which
+    /// admission refuses before pricing.
     pub fn estimated_commands(&self, spec: &CellSpec) -> u64 {
-        let attempts = self.budget() as u64;
+        let attempts = match spec.attacker {
+            AttackerKind::Random { flips } => flips as u64,
+            _ => self.budget() as u64,
+        };
         let t_rh = spec.device.config().rowhammer_threshold;
         let warmup = if spec.load == BackgroundLoad::None {
             0
         } else {
             2
         };
-        let windows = attempts + warmup;
-        attempts * t_rh + windows * spec.load.ops_per_window() * (1 + spec.load.batch())
+        let windows = attempts.saturating_add(warmup);
+        let per_window = spec.load.ops_per_window() * (1 + spec.load.batch());
+        attempts
+            .saturating_mul(t_rh)
+            .saturating_add(windows.saturating_mul(per_window))
     }
 }
 
@@ -392,6 +437,56 @@ mod tests {
         assert_eq!(check("BFA"), Ok(()));
         assert!(check("T-BFA(*->4)").is_err());
         assert!(check("T-BFA(4->0)").is_err());
+    }
+
+    #[test]
+    fn check_bounds_the_threshold_at_both_ends() {
+        let base = SweepBase::standard(true);
+        let check = |device: &str| base.check(&spec(device, BackgroundLoad::None));
+        assert_eq!(check("lpddr4_small"), Ok(()));
+        assert_eq!(check("lpddr4_small@1"), Ok(()));
+        assert_eq!(check(&format!("lpddr4_small@{MAX_SERVED_T_RH}")), Ok(()));
+        assert!(check("lpddr4_small@0").is_err());
+        assert!(check(&format!("ddr4_32gb@{}", MAX_SERVED_T_RH + 1)).is_err());
+        assert!(check(&format!("lpddr4_small@{}", u64::MAX)).is_err());
+    }
+
+    #[test]
+    fn check_bounds_random_flips_and_pricing_counts_them() {
+        let base = SweepBase::standard(true);
+        let random = |flips: usize| CellSpec {
+            attacker: AttackerKind::Random { flips },
+            ..spec("lpddr4_small", BackgroundLoad::Light)
+        };
+        assert!(base.check(&random(0)).is_err());
+        assert_eq!(base.check(&random(1)), Ok(()));
+        assert_eq!(base.check(&random(9)), Ok(()));
+        assert_eq!(base.check(&random(MAX_SERVED_RANDOM_FLIPS)), Ok(()));
+        assert!(base.check(&random(MAX_SERVED_RANDOM_FLIPS + 1)).is_err());
+        assert!(base.check(&random(usize::MAX)).is_err());
+        // Every flip is a campaign: the estimate grows with `n`, and the
+        // budget-sized draw costs what a budget-sized search does.
+        let estimate = |flips| base.estimated_commands(&random(flips));
+        assert!(estimate(9) < estimate(10) && estimate(10) < estimate(MAX_SERVED_RANDOM_FLIPS));
+        // The cheapest admitted cell, one flip on the lowest threshold
+        // with no background load, still has a price.
+        let cheapest = CellSpec {
+            load: BackgroundLoad::None,
+            device: DeviceSpec::parse("lpddr4_small@1").expect("device"),
+            ..random(1)
+        };
+        assert_eq!(base.check(&cheapest), Ok(()));
+        assert_eq!(base.estimated_commands(&cheapest), 1);
+        let bfa = base.estimated_commands(&spec("lpddr4_small", BackgroundLoad::Light));
+        assert_eq!(estimate(base.budget()), bfa);
+        // The largest admitted cell's count stays exact on the wire.
+        let largest = CellSpec {
+            load: BackgroundLoad::Heavy,
+            device: DeviceSpec::parse(&format!("ddr4_32gb@{MAX_SERVED_T_RH}")).expect("device"),
+            ..random(MAX_SERVED_RANDOM_FLIPS)
+        };
+        assert_eq!(base.check(&largest), Ok(()));
+        assert!(base.estimated_commands(&largest) < 1 << 53);
     }
 
     #[test]

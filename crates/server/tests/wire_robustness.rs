@@ -16,7 +16,10 @@
 //!   parser rewrite cannot silently lose the hardening;
 //! * **frame-sized nesting** — two generated lines as long as a frame
 //!   may be, one of `[` and one of `{"a":`, whose unbounded recursion
-//!   once overflowed a connection thread's stack.
+//!   once overflowed a connection thread's stack;
+//! * **served ranges** — `T_RH` overrides and `Random(n)` draws outside
+//!   the ranges the sweep base serves, drawn from the whole integer
+//!   range, get `bad_spec` before pricing and charge nothing.
 //!
 //! [`FrameReader`] gets its own property: random byte streams with
 //! random frame caps always terminate, never panic, keep every decoded
@@ -25,7 +28,10 @@
 
 use std::io::BufReader;
 
-use dd_server::{Frame, FrameReader, ServerConfig, SweepServer, MAX_FRAME_BYTES};
+use dd_server::{
+    Frame, FrameReader, ServerConfig, SweepServer, MAX_FRAME_BYTES, MAX_SERVED_RANDOM_FLIPS,
+    MAX_SERVED_T_RH,
+};
 use dnn_defender::{CostModel, Json};
 use proptest::prelude::*;
 
@@ -62,7 +68,67 @@ fn assert_structured_response(line: &str, response: &str) {
     }
 }
 
+/// Submit one cell and require a `bad_spec` refusal that charged
+/// nothing, after which the server still answers `hello`.
+fn assert_refused_free(cell: Json) {
+    let mut server = test_server();
+    let line = Json::obj()
+        .with("op", Json::str("submit"))
+        .with("client", Json::str("hostile"))
+        .with("cells", Json::Arr(vec![cell]))
+        .render_compact();
+    let response = Json::parse(&server.handle_line(&line)).expect("response parses");
+    assert_eq!(response.field_bool("ok"), Ok(true), "{line}");
+    let results = response.field_arr("results").expect("results");
+    assert_eq!(results[0].field_str("kind"), Ok("bad_spec"), "{line}");
+    let ledger = response.field("ledger").expect("ledger");
+    assert_eq!(ledger.field_u64("charged_gross_micros"), Ok(0), "{line}");
+    let hello = Json::parse(&server.handle_line("{\"op\":\"hello\"}")).expect("hello parses");
+    assert_eq!(
+        hello.field_bool("ok"),
+        Ok(true),
+        "server wedged after {line}"
+    );
+}
+
+fn cell(attacker: &str, device: &str) -> Json {
+    Json::obj()
+        .with("defense", Json::str("DNN-Defender"))
+        .with("attacker", Json::str(attacker))
+        .with("device", Json::str(device))
+        .with("load", Json::str("light"))
+}
+
 proptest! {
+    /// A device's `T_RH` override outside `1..=MAX_SERVED_T_RH`, drawn
+    /// from the whole `u64` range, is refused before pricing: once, the
+    /// price of `attempts × T_RH` overflowed.
+    #[test]
+    fn out_of_range_thresholds_are_refused_before_pricing(
+        zero in any::<bool>(),
+        raw in any::<u64>(),
+    ) {
+        let t_rh = if zero { 0 } else { MAX_SERVED_T_RH + 1 + raw % (u64::MAX - MAX_SERVED_T_RH) };
+        assert_refused_free(cell("BFA", &format!("lpddr4_small@{t_rh}")));
+    }
+
+    /// A `Random(n)` draw outside `1..=MAX_SERVED_RANDOM_FLIPS`, drawn
+    /// from the whole `usize` range, is refused before pricing: the cell
+    /// replays every flip, so a large `n` once held a worker for
+    /// minutes, and `n = 0` would be priced at nothing.
+    #[test]
+    fn out_of_range_flip_counts_are_refused_before_pricing(
+        zero in any::<bool>(),
+        raw in any::<usize>(),
+    ) {
+        let flips = if zero {
+            0
+        } else {
+            MAX_SERVED_RANDOM_FLIPS + 1 + raw % (usize::MAX - MAX_SERVED_RANDOM_FLIPS)
+        };
+        assert_refused_free(cell(&format!("Random({flips})"), "lpddr4_small"));
+    }
+
     /// Arbitrary bytes (decoded lossily, like the socket path does via
     /// `FrameReader`) never panic the request handler and always get a
     /// structured response.
