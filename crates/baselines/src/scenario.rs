@@ -23,15 +23,16 @@
 //! *real* system state (belief minus blocked flips). Bit flips commute,
 //! so the belief/real bookkeeping is exact.
 //!
-//! A [`RunMemo`] trains each victim width once and runs each distinct
-//! search once, handing every other cell an exact copy (a cloned
-//! [`Network`], replayed flips). Its owner picks its lifetime:
-//! [`ScenarioMatrix::run_with_cache`] makes one per call, and a sweep
-//! server keeps one across all the one-cell matrices it serves
-//! ([`ScenarioMatrix::run_with_memo`]). Entries are keyed by everything
-//! their computation reads — the victim recipe, the attack config, the
-//! deployed model compared bit for bit — so sharing never changes a cell
-//! (docs/perf.md, "Run memo").
+//! A [`RunMemo`] trains each victim width once, runs each distinct
+//! search once and profiles each deployed model once per profiling
+//! defense, handing every other cell an exact copy (a cloned
+//! [`Network`], replayed flips, installed secured bits). Its owner picks
+//! its lifetime: [`ScenarioMatrix::run_with_cache`] makes one per call,
+//! and a sweep server keeps one across all the one-cell matrices it
+//! serves ([`ScenarioMatrix::run_with_memo`]). Entries are keyed by
+//! everything their computation reads — the victim recipe, the attack
+//! config, the deployed model compared bit for bit — so sharing never
+//! changes a cell (docs/perf.md, "Run memo").
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -1153,10 +1154,11 @@ impl ScenarioMatrix {
         ))
     }
 
-    /// Phase 1 of a cell: deploy the memo's trained victim, run the
-    /// attacker's search (both shared through `memo`), assemble the
-    /// scratch device and its background traffic — everything up to (but
-    /// excluding) the warmup windows.
+    /// Phase 1 of a cell: deploy the memo's trained victim under the
+    /// defense, run the attacker's search (victim, profile and search
+    /// shared through `memo`), assemble the scratch device and its
+    /// background traffic — everything up to (but excluding) the warmup
+    /// windows.
     fn cell_setup(
         &self,
         defense_idx: usize,
@@ -1191,7 +1193,26 @@ impl ScenarioMatrix {
             max_flips: budget,
             ..self.attack
         };
-        defense.on_deploy(&mut model, &data, &profile_cfg);
+        {
+            let _span = dd_obs::span_with("matrix.deploy", || format!("defense={name}"));
+            match defense.profile_rounds() {
+                0 => defense.on_deploy(&mut model, &data, &profile_cfg),
+                // A profile is shared like a search: every cell deploying
+                // this model under this defense gets the same bits.
+                rounds => {
+                    let key = ProfileKey {
+                        defense: name.clone(),
+                        rounds,
+                        width,
+                        recipe: Recipe::search(&self.victim, &profile_cfg),
+                        model: ModelImage::of(&mut model),
+                    };
+                    memo.profile(key, &mut defense, |defense| {
+                        defense.on_deploy(&mut model, &data, &profile_cfg);
+                    });
+                }
+            }
+        }
         let clean = model.accuracy(&data.eval_images, &data.eval_labels);
 
         // The attacker's search runs on its belief model (flips applied).
@@ -1252,6 +1273,7 @@ impl ScenarioMatrix {
         let traffic = if load == BackgroundLoad::None {
             None
         } else {
+            let _span = dd_obs::span_with("matrix.traffic_build", || format!("defense={name}"));
             let cold = all_data_rows(dram);
             let hot: Vec<GlobalRowId> = cold
                 .iter()
@@ -1445,9 +1467,10 @@ impl ScenarioMatrix {
     }
 }
 
-/// The defense-independent stages of a cell — trained victims and
-/// attacker searches — computed once and copied exactly into every other
-/// cell that needs them.
+/// The shared stages of a cell — trained victims, attacker searches,
+/// and the deployment profiles of defenses that profile
+/// ([`DefenseMechanism::profile_rounds`]) — computed once and copied
+/// exactly into every other cell that needs them.
 ///
 /// Its owner chooses its lifetime. [`ScenarioMatrix::run`] and
 /// [`ScenarioMatrix::run_with_cache`] make one per call; a long-lived
@@ -1455,7 +1478,11 @@ impl ScenarioMatrix {
 /// every matrix through [`ScenarioMatrix::run_with_memo`]. Entries are
 /// keyed on everything their computation reads, the victim recipe and
 /// the attack config included, and keys compare exactly, never by hash,
-/// so matrices that differ in either never share an entry.
+/// so matrices that differ in either never share an entry. A profile's
+/// key also holds the defense label and its rounds, and a cell that
+/// finds one installs the stored bits with `secure_bits`, which the
+/// [`DefenseMechanism::profile_rounds`] contract makes equal to running
+/// `on_deploy`.
 ///
 /// The first cell to need an entry computes it; concurrent cells wait
 /// for that computation instead of repeating it. A computation that
@@ -1473,6 +1500,8 @@ pub struct RunMemo {
     victims: Lru<VictimEntry>,
     /// Attacker searches.
     searches: Lru<SearchEntry>,
+    /// Deployment profiles: the bits a profiling defense secured.
+    profiles: Lru<ProfileEntry>,
 }
 
 /// Memo entries, least recently used first.
@@ -1484,6 +1513,9 @@ type VictimEntry = Entry<(usize, Recipe), (Network, Dataset)>;
 /// The flips of one attacker search.
 type SearchEntry = Entry<SearchKey, Vec<BitFlip>>;
 
+/// The secured bits of one deployment profile, sorted.
+type ProfileEntry = Entry<ProfileKey, Vec<BitAddr>>;
+
 /// Most trained victims a [`RunMemo`] keeps.
 const VICTIM_CAP: usize = 8;
 
@@ -1491,6 +1523,11 @@ const VICTIM_CAP: usize = 8;
 /// shared keys a sweep serves, and about 2 MB of model images for the
 /// sweep server's tiny victim (~32 KB per key).
 const SEARCH_CAP: usize = 64;
+
+/// Most deployment profiles a [`RunMemo`] keeps: a profiling defense
+/// deploys the shared victim unchanged, so a sweep needs one profile per
+/// budget and recipe.
+const PROFILE_CAP: usize = 16;
 
 /// One memo entry: its exact key and the value the first cell that
 /// needs it computes.
@@ -1549,6 +1586,18 @@ struct SearchKey {
     budget: usize,
     recipe: Recipe,
     skip: HashSet<BitAddr>,
+    model: ModelImage,
+}
+
+/// Everything a profiling defense's `on_deploy` reads: the defense, its
+/// rounds, the deployed model, and the recipe and profiling config,
+/// which fix the data and the search's knobs (the budget among them).
+#[derive(PartialEq)]
+struct ProfileKey {
+    defense: String,
+    rounds: usize,
+    width: usize,
+    recipe: Recipe,
     model: ModelImage,
 }
 
@@ -1675,6 +1724,35 @@ impl RunMemo {
             }
         }
         flips.clone()
+    }
+
+    /// Deploy `defense` with the profile for `key`. The first cell with
+    /// this key runs `deploy` (the defense's own `on_deploy`) and stores
+    /// the bits it secured; every other cell installs them with
+    /// `secure_bits(&bits, None)`, which leaves a profiling defense as its
+    /// `on_deploy` would (the contract of
+    /// [`DefenseMechanism::profile_rounds`]).
+    fn profile(
+        &self,
+        key: ProfileKey,
+        defense: &mut DynDefense,
+        deploy: impl FnOnce(&mut DynDefense),
+    ) {
+        let entry = lookup(&self.profiles, key, PROFILE_CAP);
+        let (bits, computed) = entry.get_or_compute("matrix.profile_reuse", || {
+            deploy(defense);
+            let mut bits: Vec<BitAddr> = defense
+                .secured_bits()
+                .into_iter()
+                .flatten()
+                .copied()
+                .collect();
+            bits.sort_unstable();
+            bits
+        });
+        if !computed {
+            defense.secure_bits(bits, None);
+        }
     }
 }
 

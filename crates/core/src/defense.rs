@@ -180,6 +180,21 @@ pub trait DefenseMechanism: Send {
     /// attacker-grade data. Priority schemes run their profiling here.
     fn on_deploy(&mut self, _model: &mut QModel, _data: &AttackData, _config: &AttackConfig) {}
 
+    /// Rounds of vulnerable-bit profiling [`DefenseMechanism::on_deploy`]
+    /// runs; 0 (the default) for a defense that does not profile.
+    ///
+    /// A defense that returns more than 0 promises that `on_deploy` reads
+    /// nothing but the model, the data, the config and these rounds,
+    /// leaves the model as it found it, and leaves the defense exactly as
+    /// `secure_bits(&bits, None)` would, `bits` being the set it then
+    /// reports through [`DefenseMechanism::secured_bits`]. The scenario
+    /// matrix relies on this to profile a deployed model once: other
+    /// cells that deploy the same model get the stored bits through
+    /// `secure_bits` and skip `on_deploy`.
+    fn profile_rounds(&self) -> usize {
+        0
+    }
+
     /// Install an explicit secured-bit set (priority schemes). `map`
     /// translates bits to rows when a model image is deployed.
     fn secure_bits(&mut self, _bits: &[BitAddr], _map: Option<&WeightMap>) {}
@@ -269,6 +284,9 @@ impl DefenseMechanism for DynDefense {
     }
     fn on_deploy(&mut self, model: &mut QModel, data: &AttackData, config: &AttackConfig) {
         (**self).on_deploy(model, data, config);
+    }
+    fn profile_rounds(&self) -> usize {
+        (**self).profile_rounds()
     }
     fn secure_bits(&mut self, bits: &[BitAddr], map: Option<&WeightMap>) {
         (**self).secure_bits(bits, map);
@@ -521,6 +539,10 @@ impl DefenseMechanism for DnnDefenderDefense {
         self.secured = profile.bits.iter().copied().collect();
         self.protected_rows.clear();
         self.rows_stale = true;
+    }
+
+    fn profile_rounds(&self) -> usize {
+        self.profile_rounds
     }
 
     fn secure_bits(&mut self, bits: &[BitAddr], map: Option<&WeightMap>) {
@@ -912,5 +934,12 @@ mod tests {
         };
         assert!(boxed.filter_flip(view).unwrap().landed());
         assert_eq!(boxed.stats().attempts, 1);
+        assert_eq!(boxed.profile_rounds(), 0);
+        let profiling: DynDefense = Box::new(DnnDefenderDefense::with_profiling(
+            DefenseConfig::default(),
+            2,
+            9,
+        ));
+        assert_eq!(profiling.profile_rounds(), 2);
     }
 }

@@ -176,6 +176,19 @@ impl DramConfig {
         self.banks * self.subarrays_per_bank * self.rows_per_subarray
     }
 
+    /// Dense index of `row` in `0..total_rows()`,
+    /// `(bank·spb + subarray)·rows + row` — the slot the RowHammer table
+    /// and the batch decoder use — or `None` for a row outside this
+    /// geometry.
+    pub fn flat_row_index(&self, row: GlobalRowId) -> Option<usize> {
+        self.check_addr(row).ok()?;
+        Some(crate::rowhammer::flat_index(
+            row,
+            self.subarrays_per_bank,
+            self.rows_per_subarray,
+        ))
+    }
+
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
         self.total_rows() * self.row_bytes

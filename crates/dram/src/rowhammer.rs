@@ -278,11 +278,16 @@ mod tests {
                 for row in 0..config.rows_per_subarray {
                     let gid = GlobalRowId::new(bank, sub, row);
                     assert_eq!(flat_index(gid, 2, 5), next, "{gid:?}");
+                    assert_eq!(config.flat_row_index(gid), Some(next), "{gid:?}");
                     next += 1;
                 }
             }
         }
         assert_eq!(next, config.total_rows());
+        for outside in [(3, 0, 0), (0, 2, 0), (0, 0, 5), (usize::MAX, 0, 0)] {
+            let gid = GlobalRowId::new(outside.0, outside.1, outside.2);
+            assert_eq!(config.flat_row_index(gid), None, "{gid:?}");
+        }
     }
 
     #[test]

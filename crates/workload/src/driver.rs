@@ -90,6 +90,33 @@ impl StreamSchedule {
     }
 }
 
+/// The distinct rows of `rows` in first-occurrence order: a traffic's
+/// benign-row universe. Rows inside `config`'s geometry are marked in a
+/// bitset over [`DramConfig::flat_row_index`], one bit per device row,
+/// so the dedup hashes nothing; a replayed trace may hold rows outside
+/// the geometry, and those are kept once through a hash set.
+fn distinct_rows(rows: impl Iterator<Item = GlobalRowId>, config: &DramConfig) -> Vec<GlobalRowId> {
+    let mut seen = vec![0u64; config.total_rows().div_ceil(64)];
+    let mut outside = HashSet::new();
+    // Without rows outside the geometry there is at most one per device row.
+    let mut universe = Vec::with_capacity(rows.size_hint().0.min(config.total_rows()));
+    for row in rows {
+        let first = match config.flat_row_index(row) {
+            Some(i) => {
+                let (word, bit) = (&mut seen[i / 64], 1u64 << (i % 64));
+                let first = *word & bit == 0;
+                *word |= bit;
+                first
+            }
+            None => outside.insert(row),
+        };
+        if first {
+            universe.push(row);
+        }
+    }
+    universe
+}
+
 /// Traffic issued by one [`BenignTraffic::drive_span`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanTraffic {
@@ -163,19 +190,12 @@ impl BenignTraffic {
         if streams.is_empty() {
             return None;
         }
-        let mut universe: Vec<GlobalRowId> = Vec::with_capacity(hot.len() + cold.len());
-        let mut seen = HashSet::new();
-        for &row in hot.iter().chain(cold) {
-            if seen.insert(row) {
-                universe.push(row);
-            }
-        }
         Some(BenignTraffic::new(
             streams,
             load.label(),
             load.ops_per_window(),
             load.batch(),
-            universe,
+            distinct_rows(hot.iter().chain(cold).copied(), config),
             config,
         ))
     }
@@ -187,13 +207,7 @@ impl BenignTraffic {
         batch: u64,
         config: &DramConfig,
     ) -> Self {
-        let mut universe = Vec::new();
-        let mut seen = HashSet::new();
-        for op in &ops {
-            if seen.insert(op.row) {
-                universe.push(op.row);
-            }
-        }
+        let universe = distinct_rows(ops.iter().map(|op| op.row), config);
         BenignTraffic::new(
             vec![(
                 Box::new(crate::trace::TraceReplay::new(ops)) as Box<dyn WorkloadGenerator>,
@@ -707,6 +721,79 @@ mod tests {
     use super::*;
     use crate::generator::all_data_rows;
     use dnn_defender::Undefended;
+    use proptest::prelude::*;
+
+    /// The reference dedup: a hash set of seen rows, each row kept at its
+    /// first occurrence.
+    fn hash_set_universe(rows: &[GlobalRowId]) -> Vec<GlobalRowId> {
+        let mut seen = HashSet::new();
+        rows.iter()
+            .copied()
+            .filter(|&row| seen.insert(row))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The bitset dedup keeps the hash set's rows in the hash set's
+        /// order on both presets, with repeated rows and with rows just
+        /// outside the geometry or far beyond it, as a trace may hold.
+        #[test]
+        fn distinct_rows_match_the_hash_set_universe(
+            ddr4 in any::<bool>(),
+            coords in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 0..200),
+            repeats in proptest::collection::vec(any::<usize>(), 0..200),
+            far in 0usize..4,
+        ) {
+            let config = if ddr4 {
+                DramConfig::ddr4_32gb()
+            } else {
+                DramConfig::lpddr4_small()
+            };
+            let mut rows: Vec<GlobalRowId> = coords
+                .iter()
+                .map(|&(b, s, r)| {
+                    GlobalRowId::new(
+                        b % (config.banks + 1),
+                        s % (config.subarrays_per_bank + 1),
+                        r % (config.rows_per_subarray + 1),
+                    )
+                })
+                .collect();
+            let drawn = rows.len();
+            if drawn > 0 {
+                rows.extend(repeats.iter().map(|&i| rows[i % drawn]).collect::<Vec<_>>());
+            }
+            rows.extend((0..far).map(|i| GlobalRowId::new(usize::MAX - i % 2, 0, i)));
+            let expected = hash_set_universe(&rows);
+            prop_assert_eq!(distinct_rows(rows.iter().copied(), &config), expected.clone());
+            let ops = rows
+                .iter()
+                .map(|&row| WorkloadOp { kind: OpKind::Read, row })
+                .collect();
+            let replay = BenignTraffic::from_trace(ops, 64, 1, &config);
+            prop_assert_eq!(replay.universe(), &expected[..]);
+        }
+    }
+
+    #[test]
+    fn for_load_universe_matches_the_hash_set_universe() {
+        let config = DramConfig::lpddr4_small();
+        let cold = all_data_rows(&config);
+        // The driver tests' working set and the scenario matrix's.
+        let first: Vec<GlobalRowId> = cold.iter().copied().take(64).collect();
+        let spread: Vec<GlobalRowId> = cold.iter().copied().step_by(cold.len() / 64).collect();
+        for hot in [first, spread] {
+            let expected = hash_set_universe(&[hot.clone(), cold.clone()].concat());
+            for load in BackgroundLoad::ALL {
+                match BenignTraffic::for_load(load, 11, &config, &hot, &cold) {
+                    Some(traffic) => assert_eq!(traffic.universe(), &expected[..], "{load}"),
+                    None => assert_eq!(load, BackgroundLoad::None),
+                }
+            }
+        }
+    }
 
     fn device() -> MemoryController {
         MemoryController::try_new(DramConfig::lpddr4_small()).expect("valid config")
