@@ -10,7 +10,7 @@
 //! ```text
 //! repro all                    # every experiment (reuses fresh artifacts)
 //! repro table3 fig8a           # a subset
-//! repro all --smoke            # smoke-sized (DD_QUICK=1) scaling
+//! repro all --smoke            # smoke-sized scaling
 //! repro all --jobs 4           # cap matrix worker threads
 //! repro all --force            # ignore caches, recompute everything
 //! repro report                 # re-render EXPERIMENTS.md from artifacts
@@ -82,7 +82,7 @@ fn usage(code: u8) -> ExitCode {
          \x20 fig1a | fig1b | table2 | table3 | fig8a | fig8b | fig9 | power | workload | server\n\
          \n\
          options:\n\
-         \x20 --smoke              smoke-sized experiments (sets DD_QUICK=1)\n\
+         \x20 --smoke              smoke-sized experiments (fewer epochs, smaller budgets)\n\
          \x20 --jobs <N>           cap scenario-matrix worker threads\n\
          \x20 --force              ignore artifact and cell caches, recompute\n\
          \x20 --check              with `report`: fail instead of writing on drift, on\n\
@@ -154,11 +154,6 @@ fn main() -> ExitCode {
         Ok(opts) => opts,
         Err(code) => return code,
     };
-    if opts.smoke {
-        // The experiment implementations scale off DD_QUICK; set it
-        // before any threads.
-        std::env::set_var("DD_QUICK", "1");
-    }
 
     let mut experiments = Vec::new();
     let mut want_report = false;
@@ -227,13 +222,12 @@ fn run_trace_cmd(opts: &Options) -> Result<(), ExitCode> {
         eprintln!("repro: cannot create {}: {e}", opts.artifacts_dir.display());
         return Err(ExitCode::FAILURE);
     }
-    let quick = dd_bench::quick_mode();
     println!(
         "[trace] observed run ({} sizing): matrix slice + solo driver run + scripted \
          server session under dd-obs...",
-        if quick { "smoke" } else { "full" }
+        if opts.smoke { "smoke" } else { "full" }
     );
-    let outcome = match run_trace(quick, opts.jobs) {
+    let outcome = match run_trace(opts.smoke, opts.jobs) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("repro: trace scenario failed: {e:?}");
@@ -273,13 +267,12 @@ fn run_chaos_cmd(opts: &Options) -> Result<(), ExitCode> {
         eprintln!("repro: cannot create {}: {e}", opts.artifacts_dir.display());
         return Err(ExitCode::FAILURE);
     }
-    let smoke = dd_bench::quick_mode();
     println!(
         "[chaos] fault-injection campaign ({} sizing): executor, kernel, cache, \
          wire, and client faults under seeded dd-chaos plans...",
-        if smoke { "smoke" } else { "full" }
+        if opts.smoke { "smoke" } else { "full" }
     );
-    let report = match run_chaos_campaign(smoke) {
+    let report = match run_chaos_campaign(opts.smoke) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("repro: chaos campaign harness failed: {e}");
@@ -323,14 +316,13 @@ fn run_corpus_cmd(opts: &Options) -> Result<(), ExitCode> {
         eprintln!("repro: cannot create {}: {e}", opts.artifacts_dir.display());
         return Err(ExitCode::FAILURE);
     }
-    let smoke = dd_bench::quick_mode();
     println!(
         "[corpus] fleet-scale diurnal sweep ({} sizing): one compressed fleet day \
          (load ramp, tenant churn, hot-key shift) through every defense, plus \
          streaming-vs-materialized replay bit-identity...",
-        if smoke { "smoke" } else { "full" }
+        if opts.smoke { "smoke" } else { "full" }
     );
-    let report = match run_corpus_campaign(smoke) {
+    let report = match run_corpus_campaign(opts.smoke) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("repro: corpus campaign harness failed: {e:?}");
@@ -400,13 +392,18 @@ fn run_kernel(opts: &Options) -> Result<(), ExitCode> {
                 CHAOS_OVERHEAD_CEILING_PCT,
             ));
 
-    let quick = dd_bench::quick_mode();
     println!(
         "[kernel] racing the batched kernel against the per-command reference path \
          ({} sizing; equivalence is asserted before timing)...",
-        if quick { "smoke" } else { "full" }
+        if opts.smoke { "smoke" } else { "full" }
     );
-    let bench = run_kernel_bench(quick, floor, streaming_floor, obs_ceiling, chaos_ceiling);
+    let bench = run_kernel_bench(
+        opts.smoke,
+        floor,
+        streaming_floor,
+        obs_ceiling,
+        chaos_ceiling,
+    );
     if let Err(e) = std::fs::write(&path, bench.to_json().render_pretty()) {
         eprintln!("repro: cannot write {}: {e}", path.display());
         return Err(ExitCode::FAILURE);
@@ -498,11 +495,10 @@ fn run_experiments(opts: &Options, experiments: &[ExperimentId]) -> Result<(), E
     } else {
         loaded.clone()
     };
-    let quick = dd_bench::quick_mode();
     let mut tally = CacheTally::default();
 
     for &id in experiments {
-        let hash = id.config_hash(quick);
+        let hash = id.config_hash(opts.smoke);
         let json_path = opts.artifacts_dir.join(format!("{}.json", id.name()));
         if !opts.force {
             if let Some(existing) = load_artifact(&json_path) {
@@ -526,7 +522,7 @@ fn run_experiments(opts: &Options, experiments: &[ExperimentId]) -> Result<(), E
         }
 
         let mut ctx = RunContext {
-            quick,
+            quick: opts.smoke,
             jobs: opts.jobs,
             cells: &mut cells,
             verbose: !opts.quiet,

@@ -10,8 +10,9 @@
 //!
 //! * the per-defense sweep rows (benign ops, false defensive operations,
 //!   online-tap activity, benign-row disturbance, device commands);
-//! * the trace-plane numbers for the same corpus sample — v1 vs v2
-//!   encoded size, delta-chunk compression ratio, chunk count;
+//! * the trace-plane numbers for the same corpus sample — the delta
+//!   container's size against what the retired fixed-record v1 format
+//!   would take, their ratio, and the chunk count;
 //! * the asserted invariants, chief among them that **streaming replay
 //!   is bit-identical to materialized replay for every defense**: the
 //!   same v2 container drives each mechanism twice, once through
@@ -31,8 +32,8 @@ use std::io::Cursor;
 use dd_baselines::DefenseKind;
 use dd_dram::{DramConfig, MemStats, MemoryController};
 use dd_workload::{
-    decode_any, encode, encode_v2, run_workload, BenignTraffic, DiurnalProfile, DriverConfig,
-    StreamingReplay, StreamingTraceReader, WorkloadOp,
+    decode, encode, run_workload, BenignTraffic, DiurnalProfile, DriverConfig, StreamingReplay,
+    StreamingTraceReader, WorkloadOp, HEADER_BYTES, TRACE_CHUNK_OPS,
 };
 use dnn_defender::defense::DefenseStats;
 use dnn_defender::{Json, JsonError, WeightMap};
@@ -50,6 +51,10 @@ pub const CORPUS_SEED: u64 = 0x0dac_2024;
 /// Secured bits for the corpus runs (matches the workload experiment's
 /// full sizing).
 const CORPUS_SECURED_BITS: usize = 96;
+
+/// Bytes per record in the retired fixed-record trace format v1, the
+/// baseline the report sizes the delta container against.
+const V1_RECORD_BYTES: usize = 9;
 
 /// One phase of the swept day, as run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +95,8 @@ pub struct DefenseRow {
 pub struct TraceStats {
     /// Records in the sample.
     pub records: u64,
-    /// v1 (monolithic) encoded size in bytes.
+    /// The size in bytes of the retired fixed-record format v1: the
+    /// header plus 9 bytes per record.
     pub v1_bytes: u64,
     /// v2 (chunked, delta) encoded size in bytes.
     pub v2_bytes: u64,
@@ -415,8 +421,8 @@ pub fn run_corpus_campaign(smoke: bool) -> Result<CorpusReport, dd_dram::DramErr
     // --- trace plane: the corpus sample, v1 vs v2 ---------------------
     let per_phase = if smoke { 256 } else { 1024 };
     let sample: Vec<WorkloadOp> = profile.sample_ops(&config, per_phase);
-    let v1_bytes = encode(&sample);
-    let v2_bytes = encode_v2(&sample, true);
+    let v1_bytes = (HEADER_BYTES + V1_RECORD_BYTES * sample.len()) as u64;
+    let v2_bytes = encode(&sample);
     let chunks = match StreamingTraceReader::open(Cursor::new(&v2_bytes[..])) {
         Ok(reader) => {
             check(
@@ -433,19 +439,19 @@ pub fn run_corpus_campaign(smoke: bool) -> Result<CorpusReport, dd_dram::DramErr
     };
     check(
         "v2 container round-trips the corpus sample",
-        decode_any(&v2_bytes).as_deref() == Ok(&sample[..]),
+        decode(&v2_bytes).as_deref() == Ok(&sample[..]),
     );
     check(
         "delta chunks compress below the v1 encoding",
-        v2_bytes.len() < v1_bytes.len(),
+        (v2_bytes.len() as u64) < v1_bytes,
     );
     check(
         "chunks sized to the batch boundary",
-        chunks == (sample.len() as u64).div_ceil(512),
+        chunks == sample.len().div_ceil(TRACE_CHUNK_OPS) as u64,
     );
     let trace = TraceStats {
         records: sample.len() as u64,
-        v1_bytes: v1_bytes.len() as u64,
+        v1_bytes,
         v2_bytes: v2_bytes.len() as u64,
         chunks,
     };
@@ -513,7 +519,7 @@ pub fn run_corpus_campaign(smoke: bool) -> Result<CorpusReport, dd_dram::DramErr
         let materialized = replay_run(
             kind,
             &mut BenignTraffic::from_trace(
-                decode_any(&v2_bytes).expect("validated above"),
+                decode(&v2_bytes).expect("validated above"),
                 replay_ops_per_window,
                 32,
                 &config,

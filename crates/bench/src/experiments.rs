@@ -275,7 +275,7 @@ impl ExperimentId {
 
 /// Shared state of one pipeline invocation.
 pub struct RunContext<'a> {
-    /// Quick (smoke) scaling — mirrors [`crate::quick_mode`].
+    /// Quick (smoke) scaling: `repro --smoke`.
     pub quick: bool,
     /// Worker-thread cap for scenario-matrix cells (`None` = one per
     /// core).

@@ -27,8 +27,8 @@ use std::time::Instant;
 
 use dd_dram::{DecodedBatch, DramConfig, DramError, GlobalRowId, MemoryController};
 use dd_workload::{
-    all_data_rows, batch_op_kind, encode_v2, StreamingScan, StreamingTraceReader,
-    WorkloadGenerator, WorkloadOp, ZipfianServing,
+    all_data_rows, batch_op_kind, encode, StreamingScan, StreamingTraceReader, WorkloadGenerator,
+    WorkloadOp, ZipfianServing,
 };
 use dnn_defender::{Json, JsonError};
 
@@ -389,7 +389,7 @@ pub fn run_kernel_bench(
     // The streaming path replays the same trace off its v2 delta
     // container; the container's 512-op chunks coincide with the
     // batched path's chunking, so the end states must be bit-identical.
-    let container = encode_v2(&trace, true);
+    let container = encode(&trace);
     let warm_streaming = run_streaming(&config, &container, p.batch_factor);
     assert_equivalent(&warm_streaming, &warm_ref, &trace);
 
@@ -579,7 +579,7 @@ mod tests {
     fn streaming_path_agrees_with_batched() {
         let config = DramConfig::lpddr4_small();
         let trace = kernel_trace(&config, 1_300, 17);
-        let container = encode_v2(&trace, true);
+        let container = encode(&trace);
         let streaming = run_streaming(&config, &container, 16);
         let batched = replay(&config, &trace, 16, 512, MemoryController::issue_batch);
         assert_equivalent(&streaming, &batched, &trace);

@@ -9,9 +9,8 @@
 //! corpus campaigns, the sweep server). See EXPERIMENTS.md for the
 //! paper-vs-measured record.
 //!
-//! Set `DD_QUICK=1` (or pass `--smoke` to `repro`) to shrink every
-//! experiment (fewer training epochs, smaller attack budgets) for smoke
-//! runs.
+//! Pass `--smoke` to `repro` to shrink every experiment (fewer training
+//! epochs, smaller attack budgets) for smoke runs.
 
 use dd_attack::AttackData;
 use dd_nn::data::{Dataset, SyntheticSpec};
@@ -27,11 +26,6 @@ pub mod kernel;
 pub mod report;
 pub mod serve;
 pub mod trace;
-
-/// Whether quick (smoke-test) mode is active.
-pub fn quick_mode() -> bool {
-    std::env::var("DD_QUICK").map(|v| v == "1").unwrap_or(false)
-}
 
 /// Which synthetic dataset a victim trains on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +80,8 @@ pub struct Victim {
 /// `base_width` controls the channel scaling (see DESIGN.md); the
 /// experiment binaries use 4 to keep full paper sweeps tractable on CPU.
 /// `quick` selects the smoke-sized schedule — pass the same flag that
-/// keyed the experiment's config hash (a [`quick_mode`] mismatch here
-/// would mis-label cached artifacts).
+/// keyed the experiment's config hash (a mismatch here would mis-label
+/// cached artifacts).
 pub fn prepare_victim(
     arch: Architecture,
     dataset_kind: DatasetKind,

@@ -236,8 +236,8 @@ impl DiurnalProfile {
     /// Draw `per_phase` ops from every phase, concatenated in diurnal
     /// order, without touching a simulated device — a deterministic
     /// weighted-round-robin over each phase's streams. This is what
-    /// pins the golden `corpus_v2.trace` and sizes the v1-vs-v2
-    /// comparison in the corpus report.
+    /// pins the golden `corpus_v2.trace` and the trace-size comparison
+    /// in the corpus report.
     pub fn sample_ops(&self, config: &DramConfig, per_phase: usize) -> Vec<WorkloadOp> {
         let mut ops = Vec::with_capacity(self.phases.len() * per_phase);
         for phase in 0..self.phases.len() {

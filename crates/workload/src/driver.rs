@@ -221,7 +221,7 @@ impl BenignTraffic {
         )
     }
 
-    /// Replay a v2 trace container *without materializing it*: the
+    /// Replay a trace container *without materializing it*: the
     /// [`crate::trace::StreamingReplay`] holds at most one chunk
     /// ([`dd_dram::BATCH_CHUNK_OPS`] ops) in memory and cycles like
     /// [`crate::trace::TraceReplay`]. The benign-row universe is the
@@ -249,8 +249,8 @@ impl BenignTraffic {
         )
     }
 
-    /// Start (or stop) capturing every executed op for later
-    /// [`crate::trace::encode`].
+    /// Start (or stop) capturing every executed op, for
+    /// [`crate::trace::encode`] to write as a trace container.
     pub fn set_recording(&mut self, on: bool) {
         self.recorded = if on { Some(Vec::new()) } else { None };
     }
@@ -1021,7 +1021,7 @@ mod tests {
         let original =
             run_workload(&mut mem, &mut defense, None, &mut traffic, &[], &cfg).expect("record");
         let ops = original.trace.clone().expect("trace captured");
-        let bytes = crate::trace::encode_v2(&ops, true);
+        let bytes = crate::trace::encode(&ops);
 
         let run = |mut traffic: BenignTraffic| {
             let mut mem = device();
@@ -1042,7 +1042,7 @@ mod tests {
         };
 
         let materialized = BenignTraffic::from_trace(
-            crate::trace::decode_any(&bytes).expect("decode"),
+            crate::trace::decode(&bytes).expect("decode"),
             traffic.ops_per_window(),
             traffic.batch(),
             &config,

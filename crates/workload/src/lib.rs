@@ -8,9 +8,9 @@
 //!   (zipfian inference serving, streaming scans, pointer chasing, a
 //!   multi-tenant mix with bank affinity) and the [`BackgroundLoad`]
 //!   axis the scenario matrix sweeps;
-//! * [`trace`] — the compact versioned binary trace formats: any run can
-//!   be captured and replayed byte-identically, either materialized (v1)
-//!   or streamed chunk-by-chunk from the indexed v2 container;
+//! * [`trace`] — the compact versioned binary trace format: any run can
+//!   be captured and replayed byte-identically, either materialized or
+//!   streamed chunk-by-chunk from the indexed container;
 //! * [`corpus`] — diurnal fleet profiles composed from the seeded
 //!   generators (load ramps, tenant churn, hot-key shifts) for
 //!   corpus-scale defense sweeps;
@@ -70,7 +70,6 @@ pub use generator::{
     TenantMix, WorkloadGenerator, WorkloadOp, ZipfianServing,
 };
 pub use trace::{
-    decode, decode_any, encode, encode_v2, StreamingReplay, StreamingTraceReader, TraceError,
-    TraceReplay, HEADER_BYTES, RECORD_BYTES, TRACE_CHUNK_OPS, TRACE_MAGIC, TRACE_VERSION,
-    TRACE_VERSION_V2,
+    decode, encode, StreamingReplay, StreamingTraceReader, TraceError, TraceReplay, HEADER_BYTES,
+    TRACE_CHUNK_OPS, TRACE_MAGIC, TRACE_VERSION,
 };

@@ -1,19 +1,19 @@
-//! Trace format v2: chunked, indexed, streamable.
+//! The trace container: chunked, indexed, streamable.
 //!
-//! The fleet-scale layout. Records are framed into chunks sized to the
-//! batched kernel's [`dd_dram::BATCH_CHUNK_OPS`] boundary, so one
-//! streamed chunk maps 1:1 onto one `DecodedBatch` issue, and a chunk
-//! index footer makes the container seekable without scanning:
+//! Records are framed into chunks sized to the batched kernel's
+//! [`dd_dram::BATCH_CHUNK_OPS`] boundary, so one streamed chunk maps 1:1
+//! onto one `DecodedBatch` issue, and a chunk index footer makes the
+//! container seekable without scanning:
 //!
 //! ```text
 //! offset          size   field
-//! 0               4      magic  b"DDWT"            (shared with v1)
+//! 0               4      magic  b"DDWT"
 //! 4               2      version (LE u16, 2)
-//! 6               2      flags (LE u16; bit 0 = delta encoding used)
+//! 6               2      flags (LE u16; bit 0 = delta encoding, always set)
 //! 8               8      total record count (LE u64)
 //! 16              ...    chunks, back to back:
 //!                          u32 LE  record count (1 ..= TRACE_CHUNK_OPS)
-//!                          u8      encoding (0 = raw, 1 = delta varint)
+//!                          u8      encoding (1 = delta varint)
 //!                          bytes   payload
 //! index_offset    24*c   chunk index, one entry per chunk:
 //!                          u64 LE  absolute chunk offset
@@ -25,30 +25,36 @@
 //!                          4       footer magic b"DDX2"
 //! ```
 //!
-//! Raw chunk payloads repeat the v1 record layout (9 bytes per op).
-//! Delta payloads store, per record, the `kind` byte followed by
-//! zigzag-LEB128 varints of the `(bank, subarray, row)` deltas against
-//! the previous record; the "previous record" resets to `(0, 0, 0)` at
-//! each chunk start, so every chunk decodes independently — that is
-//! what makes the index seekable. Benign traffic revisits nearby rows
-//! constantly, so deltas are small and most records shrink from 9
-//! bytes to 4.
+//! A payload stores, per record, the `kind` byte (0 = read, 1 = write)
+//! followed by zigzag-LEB128 varints of the `(bank, subarray, row)`
+//! deltas against the previous record; the "previous record" resets to
+//! `(0, 0, 0)` at each chunk start, so every chunk decodes independently
+//! — that is what makes the index seekable. Benign traffic revisits
+//! nearby rows constantly, so deltas are small and most records take 4
+//! bytes. Version 1 (fixed 9-byte records, no chunks) and the raw chunk
+//! encoding (byte 0) are retired: both are refused like any unknown
+//! version or encoding.
 //!
-//! Like v1, decoding treats every length and count in the container as
-//! hostile: offsets and counts are cross-checked against the actual
-//! byte ranges with overflow-checked arithmetic before any allocation,
-//! and no allocation exceeds what the validated bytes can hold.
+//! Decoding treats every length and count in the container as hostile:
+//! offsets and counts are cross-checked against the actual byte ranges
+//! with overflow-checked arithmetic before any allocation, and no
+//! allocation exceeds what the validated bytes can hold.
 
 use std::io::{Cursor, Read, Seek, SeekFrom};
 
 use dd_dram::{GlobalRowId, BATCH_CHUNK_OPS};
 
-use super::v1::{HEADER_BYTES, RECORD_BYTES, TRACE_MAGIC};
-use super::{err, record_fields, record_op, TraceError};
-use crate::generator::{WorkloadGenerator, WorkloadOp};
+use super::{err, TraceError};
+use crate::generator::{OpKind, WorkloadGenerator, WorkloadOp};
 
-/// The v2 format version.
-pub const TRACE_VERSION_V2: u16 = 2;
+/// File magic: "DNN-Defender Workload Trace".
+pub const TRACE_MAGIC: [u8; 4] = *b"DDWT";
+
+/// The container format version.
+pub const TRACE_VERSION: u16 = 2;
+
+/// Header size in bytes: magic, version, flags, total record count.
+pub const HEADER_BYTES: usize = 16;
 
 /// Records per chunk: the batched replay plane's chunk boundary, so a
 /// streamed chunk feeds exactly one `DecodedBatch` issue.
@@ -66,12 +72,45 @@ const TRAILER_BYTES: usize = 20;
 /// Per-chunk header: LE u32 record count + encoding byte.
 const CHUNK_HEADER_BYTES: usize = 5;
 
-/// Flag bit 0: at least one chunk uses delta encoding.
+/// The smallest encoded record: the kind byte and three one-byte
+/// varints.
+const MIN_RECORD_BYTES: usize = 4;
+
+/// Flag bit 0: the chunks are delta-encoded.
 const FLAG_DELTA: u16 = 1;
 
-/// Chunk payload encodings.
-const ENC_RAW: u8 = 0;
+/// The one chunk payload encoding.
 const ENC_DELTA: u8 = 1;
+
+// --- record fields ----------------------------------------------------
+
+/// Split an op into its record fields, panicking as [`encode`]
+/// documents when an address does not fit.
+fn record_fields(op: &WorkloadOp) -> (u8, u16, u16, u32) {
+    let bank = u16::try_from(op.row.bank.0).expect("bank exceeds trace format (u16)");
+    let subarray = u16::try_from(op.row.subarray.0).expect("subarray exceeds trace format (u16)");
+    let row = u32::try_from(op.row.row.0).expect("row exceeds trace format (u32)");
+    let kind = match op.kind {
+        OpKind::Read => 0,
+        OpKind::Write => 1,
+    };
+    (kind, bank, subarray, row)
+}
+
+/// Inverse of [`record_fields`]. Always inlined: the chunk decoder
+/// calls it once per op, where a call costs as much as its body.
+#[inline(always)]
+fn record_op(kind: u8, bank: u16, subarray: u16, row: u32) -> Result<WorkloadOp, TraceError> {
+    let kind = match kind {
+        0 => OpKind::Read,
+        1 => OpKind::Write,
+        k => return Err(err(format!("invalid op kind {k}"))),
+    };
+    Ok(WorkloadOp {
+        kind,
+        row: GlobalRowId::new(bank as usize, subarray as usize, row as usize),
+    })
+}
 
 // --- varint codec -----------------------------------------------------
 
@@ -124,47 +163,36 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
 
 // --- encoder ----------------------------------------------------------
 
-/// Encode an op stream into the chunked v2 container.
-///
-/// With `delta` set, each chunk's addresses are zigzag-varint encoded
-/// against the previous record (reset per chunk); otherwise chunks hold
-/// raw v1-layout records. Both forms decode to the identical op stream.
+/// Encode an op stream into the chunked container, each chunk's
+/// addresses zigzag-varint encoded against the previous record (reset
+/// per chunk).
 ///
 /// # Panics
 ///
-/// Panics when an address does not fit the record layout, exactly like
-/// [`super::v1::encode`].
-pub fn encode_v2(ops: &[WorkloadOp], delta: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + ops.len() * RECORD_BYTES + TRAILER_BYTES);
+/// Panics when an address does not fit the record layout (bank or
+/// subarray ≥ 2¹⁶, row ≥ 2³²) — silently truncating would break the
+/// round-trip guarantee, and no simulated device is anywhere near these
+/// bounds.
+pub fn encode(ops: &[WorkloadOp]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_BYTES + ops.len() * MIN_RECORD_BYTES + TRAILER_BYTES);
     out.extend_from_slice(&TRACE_MAGIC);
-    out.extend_from_slice(&TRACE_VERSION_V2.to_le_bytes());
-    let flags: u16 = if delta { FLAG_DELTA } else { 0 };
-    out.extend_from_slice(&flags.to_le_bytes());
+    out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
+    out.extend_from_slice(&FLAG_DELTA.to_le_bytes());
     out.extend_from_slice(&(ops.len() as u64).to_le_bytes());
 
     let mut index: Vec<(u64, u64, u64)> = Vec::new();
     for chunk in ops.chunks(TRACE_CHUNK_OPS) {
         let start = out.len();
         out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-        out.push(if delta { ENC_DELTA } else { ENC_RAW });
-        if delta {
-            let (mut pb, mut ps, mut pr) = (0i64, 0i64, 0i64);
-            for op in chunk {
-                let (kind, bank, subarray, row) = record_fields(op);
-                out.push(kind);
-                put_varint(&mut out, zigzag(i64::from(bank) - pb));
-                put_varint(&mut out, zigzag(i64::from(subarray) - ps));
-                put_varint(&mut out, zigzag(i64::from(row) - pr));
-                (pb, ps, pr) = (i64::from(bank), i64::from(subarray), i64::from(row));
-            }
-        } else {
-            for op in chunk {
-                let (kind, bank, subarray, row) = record_fields(op);
-                out.push(kind);
-                out.extend_from_slice(&bank.to_le_bytes());
-                out.extend_from_slice(&subarray.to_le_bytes());
-                out.extend_from_slice(&row.to_le_bytes());
-            }
+        out.push(ENC_DELTA);
+        let (mut pb, mut ps, mut pr) = (0i64, 0i64, 0i64);
+        for op in chunk {
+            let (kind, bank, subarray, row) = record_fields(op);
+            out.push(kind);
+            put_varint(&mut out, zigzag(i64::from(bank) - pb));
+            put_varint(&mut out, zigzag(i64::from(subarray) - ps));
+            put_varint(&mut out, zigzag(i64::from(row) - pr));
+            (pb, ps, pr) = (i64::from(bank), i64::from(subarray), i64::from(row));
         }
         index.push((start as u64, (out.len() - start) as u64, chunk.len() as u64));
     }
@@ -191,7 +219,7 @@ struct ChunkEntry {
     count: u64,
 }
 
-/// Streaming decoder for the v2 container.
+/// Streaming decoder for the trace container.
 ///
 /// `open` reads only the header, trailer, and chunk index — O(chunks),
 /// not O(records) — and validates every offset and count against the
@@ -215,7 +243,7 @@ impl<R: Read + Seek> StreamingTraceReader<R> {
     /// # Errors
     ///
     /// Returns a [`TraceError`] on IO failure, bad magic (header or
-    /// footer), a non-v2 version, unknown flag bits, or any
+    /// footer), an unsupported version, unknown flag bits, or any
     /// inconsistency between the chunk index and the byte ranges it
     /// describes (out-of-bounds or overlapping chunks, counts over the
     /// chunk cap, or a count sum that disagrees with the header).
@@ -236,9 +264,9 @@ impl<R: Read + Seek> StreamingTraceReader<R> {
             return Err(err("bad magic (not a DDWT trace)"));
         }
         let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != TRACE_VERSION_V2 {
+        if version != TRACE_VERSION {
             return Err(err(format!(
-                "unsupported trace version {version} (expected {TRACE_VERSION_V2})"
+                "unsupported trace version {version} (expected {TRACE_VERSION})"
             )));
         }
         let flags = u16::from_le_bytes([header[6], header[7]]);
@@ -373,61 +401,42 @@ impl<R: Read + Seek> StreamingTraceReader<R> {
             )));
         }
         let encoding = self.scratch[4];
+        if encoding != ENC_DELTA {
+            return Err(err(format!("unknown chunk encoding {encoding}")));
+        }
         let payload = &self.scratch[CHUNK_HEADER_BYTES..];
         let count = entry.count as usize;
         out.reserve(count.min(TRACE_CHUNK_OPS));
-        match encoding {
-            ENC_RAW => {
-                let expected = count
-                    .checked_mul(RECORD_BYTES)
-                    .ok_or_else(|| err("raw chunk size overflows"))?;
-                if payload.len() != expected {
-                    return Err(err(format!(
-                        "raw chunk payload is {} bytes, expected {expected}",
-                        payload.len()
-                    )));
-                }
-                for record in payload.chunks_exact(RECORD_BYTES) {
-                    let bank = u16::from_le_bytes([record[1], record[2]]);
-                    let subarray = u16::from_le_bytes([record[3], record[4]]);
-                    let row = u32::from_le_bytes(record[5..9].try_into().expect("4 bytes"));
-                    out.push(record_op(record[0], bank, subarray, row)?);
-                }
-            }
-            ENC_DELTA => {
-                let mut pos = 0usize;
-                let (mut pb, mut ps, mut pr) = (0i64, 0i64, 0i64);
-                for _ in 0..count {
-                    let &kind = payload
-                        .get(pos)
-                        .ok_or_else(|| err("truncated record in delta chunk"))?;
-                    pos += 1;
-                    let db = unzigzag(get_varint(payload, &mut pos)?);
-                    let ds = unzigzag(get_varint(payload, &mut pos)?);
-                    let dr = unzigzag(get_varint(payload, &mut pos)?);
-                    let bank = pb
-                        .checked_add(db)
-                        .and_then(|v| u16::try_from(v).ok())
-                        .ok_or_else(|| err("delta walks bank out of range"))?;
-                    let subarray = ps
-                        .checked_add(ds)
-                        .and_then(|v| u16::try_from(v).ok())
-                        .ok_or_else(|| err("delta walks subarray out of range"))?;
-                    let row = pr
-                        .checked_add(dr)
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or_else(|| err("delta walks row out of range"))?;
-                    out.push(record_op(kind, bank, subarray, row)?);
-                    (pb, ps, pr) = (i64::from(bank), i64::from(subarray), i64::from(row));
-                }
-                if pos != payload.len() {
-                    return Err(err(format!(
-                        "delta chunk has {} trailing bytes",
-                        payload.len() - pos
-                    )));
-                }
-            }
-            other => return Err(err(format!("unknown chunk encoding {other}"))),
+        let mut pos = 0usize;
+        let (mut pb, mut ps, mut pr) = (0i64, 0i64, 0i64);
+        for _ in 0..count {
+            let &kind = payload
+                .get(pos)
+                .ok_or_else(|| err("truncated record in delta chunk"))?;
+            pos += 1;
+            let db = unzigzag(get_varint(payload, &mut pos)?);
+            let ds = unzigzag(get_varint(payload, &mut pos)?);
+            let dr = unzigzag(get_varint(payload, &mut pos)?);
+            let bank = pb
+                .checked_add(db)
+                .and_then(|v| u16::try_from(v).ok())
+                .ok_or_else(|| err("delta walks bank out of range"))?;
+            let subarray = ps
+                .checked_add(ds)
+                .and_then(|v| u16::try_from(v).ok())
+                .ok_or_else(|| err("delta walks subarray out of range"))?;
+            let row = pr
+                .checked_add(dr)
+                .and_then(|v| u32::try_from(v).ok())
+                .ok_or_else(|| err("delta walks row out of range"))?;
+            out.push(record_op(kind, bank, subarray, row)?);
+            (pb, ps, pr) = (i64::from(bank), i64::from(subarray), i64::from(row));
+        }
+        if pos != payload.len() {
+            return Err(err(format!(
+                "delta chunk has {} trailing bytes",
+                payload.len() - pos
+            )));
         }
         Ok(true)
     }
@@ -446,20 +455,20 @@ fn read_at<R: Read + Seek>(reader: &mut R, offset: u64, buf: &mut [u8]) -> Resul
     })
 }
 
-/// Materialize a full v2 container (the non-streaming path used by
-/// [`super::decode_any`]).
+/// Decode a whole container into memory: a materializing pass of
+/// [`StreamingTraceReader`], so `decode(&encode(ops)) == ops`.
 ///
 /// # Errors
 ///
 /// Returns any [`StreamingTraceReader`] decode error.
-pub fn decode_v2(bytes: &[u8]) -> Result<Vec<WorkloadOp>, TraceError> {
+pub fn decode(bytes: &[u8]) -> Result<Vec<WorkloadOp>, TraceError> {
     let mut reader = StreamingTraceReader::open(Cursor::new(bytes))?;
     // total_records was validated against the per-chunk sums, which are
     // themselves bounded by real on-disk chunk bytes.
     let mut ops = Vec::with_capacity(
         usize::try_from(reader.total_records())
             .unwrap_or(usize::MAX)
-            .min(bytes.len() / 4),
+            .min(bytes.len() / MIN_RECORD_BYTES),
     );
     let mut chunk = Vec::new();
     while reader.next_chunk(&mut chunk)? {
@@ -470,7 +479,7 @@ pub fn decode_v2(bytes: &[u8]) -> Result<Vec<WorkloadOp>, TraceError> {
 
 // --- streaming replay -------------------------------------------------
 
-/// Replay a v2 container as a [`WorkloadGenerator`] without ever
+/// Replay a trace container as a [`WorkloadGenerator`] without ever
 /// materializing it — the streaming counterpart of
 /// [`super::TraceReplay`], bit-identical over the same op stream.
 ///
@@ -488,7 +497,7 @@ pub struct StreamingReplay<R: Read + Seek> {
 }
 
 impl<R: Read + Seek> StreamingReplay<R> {
-    /// Open and fully validate a v2 container for replay.
+    /// Open and fully validate a container for replay.
     ///
     /// # Errors
     ///
@@ -577,7 +586,6 @@ impl<R: Read + Seek + Send> WorkloadGenerator for StreamingReplay<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::OpKind;
     use crate::trace::TraceReplay;
 
     fn big_ops(n: usize) -> Vec<WorkloadOp> {
@@ -594,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_both_encodings_across_chunk_boundaries() {
+    fn round_trips_across_chunk_boundaries() {
         for n in [
             0,
             1,
@@ -604,40 +612,35 @@ mod tests {
             1300,
         ] {
             let ops = big_ops(n);
-            for delta in [false, true] {
-                let bytes = encode_v2(&ops, delta);
-                assert_eq!(
-                    decode_v2(&bytes).expect("decode"),
-                    ops,
-                    "n={n} delta={delta}"
-                );
-            }
+            assert_eq!(decode(&encode(&ops)).expect("decode"), ops, "n={n}");
         }
     }
 
     #[test]
-    fn delta_encoding_is_smaller_on_local_traffic() {
-        // Benign-like traffic: small address deltas.
+    fn local_traffic_takes_four_bytes_a_record() {
+        // Benign-like traffic: every delta fits one varint byte, except
+        // each chunk's first row (100 from the reset predictor), which
+        // takes two.
         let ops: Vec<WorkloadOp> = (0..2000)
             .map(|i| WorkloadOp {
                 kind: OpKind::Read,
                 row: GlobalRowId::new(0, 0, 100 + (i % 7)),
             })
             .collect();
-        let raw = encode_v2(&ops, false);
-        let delta = encode_v2(&ops, true);
-        assert!(
-            delta.len() < raw.len(),
-            "delta ({}) not smaller than raw ({})",
-            delta.len(),
-            raw.len()
+        let chunks = ops.len().div_ceil(TRACE_CHUNK_OPS);
+        assert_eq!(
+            encode(&ops).len(),
+            HEADER_BYTES
+                + ops.len() * MIN_RECORD_BYTES
+                + chunks * (CHUNK_HEADER_BYTES + 1 + INDEX_ENTRY_BYTES)
+                + TRAILER_BYTES
         );
     }
 
     #[test]
     fn streaming_reader_yields_batch_sized_chunks() {
         let ops = big_ops(TRACE_CHUNK_OPS * 2 + 17);
-        let bytes = encode_v2(&ops, true);
+        let bytes = encode(&ops);
         let mut reader = StreamingTraceReader::open(Cursor::new(&bytes[..])).expect("open");
         assert_eq!(reader.total_records(), ops.len() as u64);
         assert_eq!(reader.chunk_count(), 3);
@@ -659,9 +662,9 @@ mod tests {
     #[test]
     fn streaming_replay_matches_materialized_replay() {
         let ops = big_ops(TRACE_CHUNK_OPS + 100);
-        let bytes = encode_v2(&ops, true);
+        let bytes = encode(&ops);
         let mut streaming = StreamingReplay::open(Cursor::new(bytes.clone())).expect("open");
-        let mut materialized = TraceReplay::from_bytes(&bytes).expect("decode");
+        let mut materialized = TraceReplay::new(decode(&bytes).expect("decode"));
         assert_eq!(streaming.len(), ops.len() as u64);
         assert!(!streaming.is_empty());
         // Two full laps plus a bit: cycling must agree too.
@@ -687,7 +690,7 @@ mod tests {
                 row: GlobalRowId::new(1, 0, 5),
             },
         ];
-        let replay = StreamingReplay::open(Cursor::new(encode_v2(&ops, false))).expect("open");
+        let replay = StreamingReplay::open(Cursor::new(encode(&ops))).expect("open");
         assert_eq!(
             replay.rows(),
             &[GlobalRowId::new(1, 0, 5), GlobalRowId::new(0, 0, 9)]
@@ -696,56 +699,112 @@ mod tests {
 
     #[test]
     fn empty_container_round_trips_but_cannot_replay() {
-        let bytes = encode_v2(&[], true);
-        assert_eq!(decode_v2(&bytes).expect("decode"), vec![]);
+        let bytes = encode(&[]);
+        assert_eq!(decode(&bytes).expect("decode"), vec![]);
         assert!(StreamingReplay::open(Cursor::new(bytes)).is_err());
     }
 
     #[test]
     fn corrupt_containers_are_rejected() {
         let ops = big_ops(700);
-        let good = encode_v2(&ops, true);
+        let good = encode(&ops);
+        let refused_at_open =
+            |bytes: &[u8]| StreamingTraceReader::open(Cursor::new(bytes)).is_err();
 
         // Truncated chunk index / trailer.
         for cut in [1, TRAILER_BYTES, TRAILER_BYTES + 10] {
-            let truncated = &good[..good.len() - cut];
             assert!(
-                StreamingTraceReader::open(Cursor::new(truncated)).is_err(),
+                refused_at_open(&good[..good.len() - cut]),
                 "cut {cut} accepted"
             );
         }
 
-        // Footer magic damaged.
+        // Trailing bytes after the trailer.
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(refused_at_open(&trailing), "trailing byte accepted");
+
+        // Header or footer magic damaged.
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        assert!(refused_at_open(&bad_magic), "bad magic accepted");
         let mut bad_footer = good.clone();
         let n = bad_footer.len();
         bad_footer[n - 1] = b'?';
-        assert!(StreamingTraceReader::open(Cursor::new(bad_footer)).is_err());
+        assert!(refused_at_open(&bad_footer), "bad footer accepted");
 
         // High-byte version (256 + 2): the low-byte-only check would
         // miss this.
         let mut high_version = good.clone();
         high_version[5] = 1;
-        assert!(StreamingTraceReader::open(Cursor::new(high_version)).is_err());
+        assert!(refused_at_open(&high_version), "version 258 accepted");
 
         // Header count disagrees with the index.
         let mut bad_count = good.clone();
         bad_count[8..16].copy_from_slice(&9999u64.to_le_bytes());
-        assert!(StreamingTraceReader::open(Cursor::new(bad_count)).is_err());
+        assert!(refused_at_open(&bad_count), "header count accepted");
 
         // Unknown flag bits.
         let mut bad_flags = good.clone();
         bad_flags[6] = 0xfe;
-        assert!(StreamingTraceReader::open(Cursor::new(bad_flags)).is_err());
+        assert!(refused_at_open(&bad_flags), "unknown flags accepted");
 
-        // Unknown chunk encoding byte (first chunk header at offset 16).
-        let mut bad_enc = good.clone();
-        bad_enc[HEADER_BYTES + 4] = 9;
-        let mut r = StreamingTraceReader::open(Cursor::new(bad_enc)).expect("framing ok");
-        assert!(r.next_chunk(&mut Vec::new()).is_err());
+        // Unknown chunk encodings, the retired raw encoding (0)
+        // included, and an invalid op kind: the framing is intact, so
+        // the first chunk fails to decode.
+        let first_record = HEADER_BYTES + CHUNK_HEADER_BYTES;
+        for (at, byte) in [
+            (HEADER_BYTES + 4, 0),
+            (HEADER_BYTES + 4, 9),
+            (first_record, 7),
+        ] {
+            let mut bad = good.clone();
+            bad[at] = byte;
+            let mut r = StreamingTraceReader::open(Cursor::new(&bad[..])).expect("framing ok");
+            assert!(
+                r.next_chunk(&mut Vec::new()).is_err(),
+                "byte {byte} at {at} accepted"
+            );
+            assert!(decode(&bad).is_err(), "byte {byte} at {at} decoded");
+        }
 
         // Zero-length container and bare header.
-        assert!(StreamingTraceReader::open(Cursor::new(Vec::new())).is_err());
-        assert!(StreamingTraceReader::open(Cursor::new(good[..HEADER_BYTES].to_vec())).is_err());
+        assert!(refused_at_open(&[]));
+        assert!(refused_at_open(&good[..HEADER_BYTES]));
+    }
+
+    #[test]
+    fn raw_chunks_are_refused() {
+        // A well-framed container holding one chunk in the retired raw
+        // encoding (byte 0, fixed 9-byte records), as earlier writers
+        // produced it.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&TRACE_MAGIC);
+        bytes.extend_from_slice(&TRACE_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&[1, 3, 0, 1, 0, 42, 0, 0, 0]);
+        let index_offset = bytes.len() as u64;
+        let chunk_len = index_offset - HEADER_BYTES as u64;
+        for field in [HEADER_BYTES as u64, chunk_len, 1, index_offset, 1] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        bytes.extend_from_slice(&TRACE_INDEX_MAGIC);
+
+        let mut reader = StreamingTraceReader::open(Cursor::new(&bytes[..])).expect("framing ok");
+        assert!(reader.next_chunk(&mut Vec::new()).is_err());
+        assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "row exceeds trace format")]
+    fn encode_rejects_rows_beyond_the_record_layout() {
+        encode(&[WorkloadOp {
+            kind: OpKind::Read,
+            row: GlobalRowId::new(0, 0, 1 << 33),
+        }]);
     }
 
     #[test]
