@@ -2,18 +2,21 @@
 //!
 //! Every family implements the [`dnn_defender::defense::DefenseMechanism`]
 //! trait, so they are interchangeable in
-//! [`dnn_defender::ProtectedSystem`] and in the [`scenario`] matrix.
+//! [`dnn_defender::ProtectedSystem`] and in the [`scenario`] matrix. Each
+//! is one type with one campaign race; the scratch device and a deployed
+//! model image differ only where a relocating mechanism must keep the
+//! weight map coherent.
 //!
 //! Hardware baselines (Table 2 / Table 3):
 //!
 //! * [`graphene`] — counter-based victim refresh with a Misra–Gries
 //!   frequent-items table (Graphene, MICRO 2020);
-//! * [`swap_based`] — aggressor-focused randomized row swaps (RRS,
-//!   ASPLOS 2022; SRS 2022), including the white-box failure mode the
-//!   paper builds its case on;
-//! * [`shadow`] — intra-subarray victim shuffling (SHADOW, HPCA 2023),
-//!   the strongest prior scheme and the head-to-head comparison in
-//!   Fig. 8;
+//! * [`swap_based`] — [`RowSwapMechanism`]: aggressor-focused randomized
+//!   row swaps (RRS, ASPLOS 2022; SRS 2022), including the white-box
+//!   failure mode the paper builds its case on;
+//! * [`shadow`] — [`ShadowMechanism`]: intra-subarray victim shuffling
+//!   (SHADOW, HPCA 2023), the strongest prior scheme and the head-to-head
+//!   comparison in Fig. 8;
 //!
 //! Software baselines (Table 3):
 //!
@@ -69,10 +72,8 @@ pub use scenario::{
     DefenseKind, Fig8Row, MatrixReport, MatrixRunSummary, RunMemo, Scenario, ScenarioMatrix,
     VictimSpec, CELL_PROTOCOL_VERSION,
 };
-pub use shadow::{ShadowDefense, ShadowMechanism};
+pub use shadow::ShadowMechanism;
 pub use software::{
     binarize_weights, clip_weights, record_max_abs, repair_outliers, SoftwareDefense, SoftwareKind,
 };
-pub use swap_based::{
-    AttackerTracking, RowSwapDefense, RowSwapMechanism, SwapCampaignOutcome, SwapScheme,
-};
+pub use swap_based::{AttackerTracking, RowSwapMechanism, SwapScheme};

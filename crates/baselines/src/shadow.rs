@@ -19,30 +19,34 @@ use dd_dram::rowhammer::preferred_aggressor;
 use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, RowInSubarray};
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats, FlipAttempt};
 use dnn_defender::overhead::{overhead_table, OverheadEntry};
+use dnn_defender::WeightMap;
 
-/// SHADOW defense state.
+/// Disturbance fraction of `T_RH` at which SHADOW's tracker shuffles.
+const TRIP_FRACTION: f64 = 0.75;
+
+/// SHADOW behind the [`DefenseMechanism`] API: a per-window shuffle
+/// budget and its own RNG. On a deployed image each shuffle is a
+/// data-preserving exchange that keeps the weight map coherent.
 #[derive(Debug)]
-pub struct ShadowDefense {
-    /// Disturbance fraction of `T_RH` at which the shuffle triggers.
-    pub trip_fraction: f64,
-    /// Shuffles performed.
-    pub shuffles: u64,
+pub struct ShadowMechanism {
     /// Shuffle budget per refresh window (generic protection must cover
     /// the whole device; exceeding it lets flips through).
-    pub budget_per_window: u64,
+    budget_per_window: u64,
     epoch: u64,
     used_this_window: u64,
+    rng: StdRng,
+    stats: DefenseStats,
 }
 
-impl ShadowDefense {
-    /// Defense with the given per-window shuffle budget.
-    pub fn new(budget_per_window: u64) -> Self {
-        ShadowDefense {
-            trip_fraction: 0.75,
-            shuffles: 0,
+impl ShadowMechanism {
+    /// Mechanism with the given per-window shuffle budget.
+    pub fn new(budget_per_window: u64, seed: u64) -> Self {
+        ShadowMechanism {
             budget_per_window,
             epoch: 0,
             used_this_window: 0,
+            rng: StdRng::seed_from_u64(seed),
+            stats: DefenseStats::default(),
         }
     }
 
@@ -55,155 +59,67 @@ impl ShadowDefense {
         self.used_this_window < self.budget_per_window
     }
 
-    /// Record one shuffle against the per-window budget (used by the
-    /// map-coherent [`ShadowMechanism`] campaign).
-    fn note_shuffle(&mut self) {
-        self.shuffles += 1;
-        self.used_this_window += 1;
-    }
-
-    /// One attacker campaign against `victim` with SHADOW watching.
+    /// One attacker campaign against `victim`, returning whether the bit
+    /// flipped (defense lost).
     ///
-    /// Returns `true` when the bit flipped (defense lost).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DramError`] from memory operations.
-    pub fn run_campaign(
+    /// The attacker hammers adjacently; SHADOW's in-DRAM tracker trips
+    /// when the victim's disturbance crosses the trip point and shuffles
+    /// the row elsewhere in its subarray, spending ~4 × `T_AAP`, for up to
+    /// four windows while budget remains. Out of budget, the attacker
+    /// finishes the window.
+    fn run_campaign(
         &mut self,
         mem: &mut MemoryController,
+        mut map: Option<&mut WeightMap>,
         victim: GlobalRowId,
         bit_in_row: usize,
-        rng: &mut impl Rng,
     ) -> Result<bool, DramError> {
         let t_rh = mem.config().rowhammer_threshold;
-        let trip = ((t_rh as f64) * self.trip_fraction) as u64;
+        let trip = ((t_rh as f64) * TRIP_FRACTION) as u64;
         let rows = mem.config().rows_per_subarray;
         let mut current = victim;
-
-        // The attacker hammers adjacently; SHADOW's in-DRAM tracker trips
-        // when the victim's disturbance crosses the trip point and
-        // shuffles the row (if budget remains).
-        let mut remaining_windows = 4u32;
-        while remaining_windows > 0 {
-            let aggressor = dd_dram::rowhammer::preferred_aggressor(current, rows);
+        for _ in 0..4 {
             let to_trip = trip.saturating_sub(mem.disturbance(current)).max(1);
-            mem.hammer(aggressor, to_trip)?;
-            if mem.disturbance(current) >= t_rh {
-                let outcome = mem.attempt_flip(current, &[bit_in_row])?;
-                if outcome.flipped() {
-                    return Ok(true);
-                }
+            mem.hammer(preferred_aggressor(current, rows), to_trip)?;
+            if mem.disturbance(current) >= t_rh
+                && mem.attempt_flip(current, &[bit_in_row])?.flipped()
+            {
+                return Ok(true);
             }
-            if self.budget_available(mem) {
-                // Shuffle: move the row elsewhere in the subarray (the
-                // clone recharges it), spending ~4 × T_AAP.
-                let dest = RowInSubarray(rng.gen_range(0..mem.config().data_rows_per_subarray()));
-                if dest != current.row {
-                    mem.row_clone(current.bank, current.subarray, current.row, dest)?;
-                    // Metadata maintenance costs another partial copy.
-                    mem.advance(mem.config().timing.t_aap);
-                    current = GlobalRowId {
-                        bank: current.bank,
-                        subarray: current.subarray,
-                        row: dest,
-                    };
-                    self.shuffles += 1;
-                    self.used_this_window += 1;
-                }
-                remaining_windows -= 1;
-            } else {
-                // Out of budget: the attacker finishes the window.
-                let aggressor = dd_dram::rowhammer::preferred_aggressor(current, rows);
+            if !self.budget_available(mem) {
                 let need = t_rh.saturating_sub(mem.disturbance(current)).max(1);
-                mem.hammer(aggressor, need)?;
-                let outcome = mem.attempt_flip(current, &[bit_in_row])?;
-                return Ok(outcome.flipped());
+                mem.hammer(preferred_aggressor(current, rows), need)?;
+                return Ok(mem.attempt_flip(current, &[bit_in_row])?.flipped());
             }
-        }
-        Ok(false)
-    }
-}
-
-/// SHADOW behind the [`DefenseMechanism`] API: owns its RNG and keeps a
-/// deployed weight map coherent by shuffling via a data-preserving
-/// exchange when one is present.
-#[derive(Debug)]
-pub struct ShadowMechanism {
-    inner: ShadowDefense,
-    rng: StdRng,
-    stats: DefenseStats,
-}
-
-impl ShadowMechanism {
-    /// Mechanism with the given per-window shuffle budget.
-    pub fn new(budget_per_window: u64, seed: u64) -> Self {
-        ShadowMechanism {
-            inner: ShadowDefense::new(budget_per_window),
-            rng: StdRng::seed_from_u64(seed),
-            stats: DefenseStats::default(),
-        }
-    }
-
-    /// The wrapped defense state.
-    pub fn inner(&self) -> &ShadowDefense {
-        &self.inner
-    }
-
-    /// Map-coherent campaign: same trip logic as
-    /// [`ShadowDefense::run_campaign`], but each shuffle is realized as an
-    /// exchange through the reserved row (3 RowClones + metadata
-    /// maintenance ≈ the paper's `4 × T_AAP` shuffle cost) so the
-    /// displaced row's weights survive and the map can follow the move.
-    fn run_campaign_mapped(
-        &mut self,
-        mem: &mut MemoryController,
-        map: &mut dnn_defender::WeightMap,
-        victim: GlobalRowId,
-        bit_in_row: usize,
-    ) -> Result<bool, DramError> {
-        let t_rh = mem.config().rowhammer_threshold;
-        let trip = ((t_rh as f64) * self.inner.trip_fraction) as u64;
-        let rows = mem.config().rows_per_subarray;
-        let reserved = RowInSubarray(mem.config().first_reserved_row());
-        let mut current = victim;
-
-        let mut remaining_windows = 4u32;
-        while remaining_windows > 0 {
-            let aggressor = preferred_aggressor(current, rows);
-            let to_trip = trip.saturating_sub(mem.disturbance(current)).max(1);
-            mem.hammer(aggressor, to_trip)?;
-            if mem.disturbance(current) >= t_rh {
-                let outcome = mem.attempt_flip(current, &[bit_in_row])?;
-                if outcome.flipped() {
-                    return Ok(true);
-                }
+            let dest = RowInSubarray(self.rng.gen_range(0..mem.config().data_rows_per_subarray()));
+            if dest == current.row {
+                continue;
             }
-            if self.inner.budget_available(mem) {
-                let dest =
-                    RowInSubarray(self.rng.gen_range(0..mem.config().data_rows_per_subarray()));
-                if dest != current.row && dest != reserved {
-                    mem.swap_rows_via(current.bank, current.subarray, current.row, dest, reserved)?;
+            let (bank, subarray) = (current.bank, current.subarray);
+            let moved = GlobalRowId {
+                bank,
+                subarray,
+                row: dest,
+            };
+            match map.as_deref_mut() {
+                // A deployed image: exchange through the reserved row (3
+                // RowClones) so the displaced row's weights survive and
+                // the map can follow the move.
+                Some(map) => {
+                    let reserved = RowInSubarray(mem.config().first_reserved_row());
+                    mem.swap_rows_via(bank, subarray, current.row, dest, reserved)?;
                     self.stats.row_clones += 3;
-                    // Metadata maintenance costs another partial copy.
-                    mem.advance(mem.config().timing.t_aap);
-                    let dest_addr = GlobalRowId {
-                        bank: current.bank,
-                        subarray: current.subarray,
-                        row: dest,
-                    };
-                    map.relocate(current, dest_addr);
-                    current = dest_addr;
-                    self.inner.note_shuffle();
+                    map.relocate(current, moved);
                 }
-                remaining_windows -= 1;
-            } else {
-                let aggressor = preferred_aggressor(current, rows);
-                let need = t_rh.saturating_sub(mem.disturbance(current)).max(1);
-                mem.hammer(aggressor, need)?;
-                let outcome = mem.attempt_flip(current, &[bit_in_row])?;
-                return Ok(outcome.flipped());
+                // The scratch device: one clone moves (and recharges) the
+                // row.
+                None => mem.row_clone(bank, subarray, current.row, dest)?,
             }
+            // Metadata maintenance costs another partial copy.
+            mem.advance(mem.config().timing.t_aap);
+            current = moved;
+            self.used_this_window += 1;
+            self.stats.defense_ops += 1;
         }
         Ok(false)
     }
@@ -215,22 +131,7 @@ impl DefenseMechanism for ShadowMechanism {
     }
 
     fn filter_flip(&mut self, view: CampaignView<'_>) -> Result<FlipAttempt, DramError> {
-        let CampaignView {
-            mem,
-            map,
-            victim,
-            bit_in_row,
-            ..
-        } = view;
-        let before = self.inner.shuffles;
-        let flipped = match map {
-            Some(map) => self.run_campaign_mapped(mem, map, victim, bit_in_row)?,
-            None => self
-                .inner
-                .run_campaign(mem, victim, bit_in_row, &mut self.rng)?,
-        };
-        self.stats.defense_ops += self.inner.shuffles - before;
-        let attempt = if flipped {
+        let attempt = if self.run_campaign(view.mem, view.map, view.victim, view.bit_in_row)? {
             FlipAttempt::Landed
         } else {
             FlipAttempt::Resisted
@@ -253,27 +154,44 @@ impl DefenseMechanism for ShadowMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_nn::init::seeded_rng;
+    use dd_qnn::BitAddr;
+
+    /// One scratch-device campaign against `row` of bank 0, subarray 0;
+    /// whether the flip landed.
+    fn campaign(shadow: &mut ShadowMechanism, mem: &mut MemoryController, row: usize) -> bool {
+        let view = CampaignView {
+            mem,
+            map: None,
+            victim: GlobalRowId::new(0, 0, row),
+            bit_in_row: 0,
+            addr: BitAddr {
+                param: 0,
+                index: 0,
+                bit: 0,
+            },
+        };
+        shadow.filter_flip(view).unwrap().landed()
+    }
 
     #[test]
     fn shadow_with_budget_protects() {
         let mut mem = MemoryController::try_new(DramConfig::lpddr4_small()).expect("valid config");
-        let mut shadow = ShadowDefense::new(1000);
-        let mut rng = seeded_rng(4);
-        let victim = GlobalRowId::new(0, 0, 10);
-        let flipped = shadow.run_campaign(&mut mem, victim, 0, &mut rng).unwrap();
-        assert!(!flipped, "SHADOW with ample budget should protect");
-        assert!(shadow.shuffles > 0);
+        let mut shadow = ShadowMechanism::new(1000, 4);
+        assert!(
+            !campaign(&mut shadow, &mut mem, 10),
+            "SHADOW with ample budget should protect"
+        );
+        assert!(shadow.stats().defense_ops > 0);
     }
 
     #[test]
     fn shadow_without_budget_fails() {
         let mut mem = MemoryController::try_new(DramConfig::lpddr4_small()).expect("valid config");
-        let mut shadow = ShadowDefense::new(0);
-        let mut rng = seeded_rng(5);
-        let victim = GlobalRowId::new(0, 0, 10);
-        let flipped = shadow.run_campaign(&mut mem, victim, 0, &mut rng).unwrap();
-        assert!(flipped, "budget-exhausted SHADOW should lose");
+        let mut shadow = ShadowMechanism::new(0, 5);
+        assert!(
+            campaign(&mut shadow, &mut mem, 10),
+            "budget-exhausted SHADOW should lose"
+        );
     }
 
     #[test]
@@ -291,11 +209,10 @@ mod tests {
     #[test]
     fn budget_resets_each_window() {
         let mut mem = MemoryController::try_new(DramConfig::lpddr4_small()).expect("valid config");
-        let mut shadow = ShadowDefense::new(2);
-        let mut rng = seeded_rng(6);
-        let victim = GlobalRowId::new(0, 0, 20);
+        let mut shadow = ShadowMechanism::new(2, 6);
         // Exhaust budget in window 0.
-        let _ = shadow.run_campaign(&mut mem, victim, 0, &mut rng).unwrap();
+        let _ = campaign(&mut shadow, &mut mem, 20);
+        assert!(!shadow.budget_available(&mem));
         mem.advance(dd_dram::Nanos::from_millis(65));
         // New window: budget is back.
         assert!(shadow.budget_available(&mem));

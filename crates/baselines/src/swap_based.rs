@@ -65,29 +65,38 @@ pub enum AttackerTracking {
     FollowsVictimAdjacency,
 }
 
-/// Outcome of one attacker campaign against a swap-based mitigation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwapCampaignOutcome {
-    /// Whether the victim bit flipped.
-    pub flipped: bool,
-    /// Aggressor swaps the mitigation performed during the campaign.
-    pub swaps: u64,
-}
-
-/// RRS/SRS defense state.
+/// RRS/SRS behind the [`DefenseMechanism`] API: owns its RNG and models a
+/// fixed attacker-tracking assumption per instance.
+///
+/// The standard BFA attacker of the common protocol is blind to the
+/// mitigation and chases its chosen aggressor *data*
+/// ([`AttackerTracking::FollowsAggressorData`]) — the attacker RRS was
+/// designed against, and the calibration the Table 3 comparison uses.
+/// The paper's white-box attacker
+/// ([`AttackerTracking::FollowsVictimAdjacency`]) defeats the mechanism;
+/// the tests and the `mitigation_zoo` example exercise that case (the
+/// Fig. 9 experiment attacks DNN-Defender, not RRS).
 #[derive(Debug)]
-pub struct RowSwapDefense {
+pub struct RowSwapMechanism {
     scheme: SwapScheme,
-    /// Swaps performed in total.
-    pub total_swaps: u64,
+    tracking: AttackerTracking,
+    rng: StdRng,
+    stats: DefenseStats,
 }
 
-impl RowSwapDefense {
-    /// New defense of the given scheme.
-    pub fn new(scheme: SwapScheme) -> Self {
-        RowSwapDefense {
+impl RowSwapMechanism {
+    /// Mechanism under the standard (aggressor-data-tracking) attacker.
+    pub fn new(scheme: SwapScheme, seed: u64) -> Self {
+        RowSwapMechanism::with_tracking(scheme, AttackerTracking::FollowsAggressorData, seed)
+    }
+
+    /// Mechanism under an explicit attacker-tracking assumption.
+    pub fn with_tracking(scheme: SwapScheme, tracking: AttackerTracking, seed: u64) -> Self {
+        RowSwapMechanism {
             scheme,
-            total_swaps: 0,
+            tracking,
+            rng: StdRng::seed_from_u64(seed),
+            stats: DefenseStats::default(),
         }
     }
 
@@ -96,26 +105,20 @@ impl RowSwapDefense {
         self.scheme
     }
 
-    /// Play one full campaign: the attacker needs `T_RH` disturbance on
-    /// `victim`; the mitigation swaps the aggressor row every time its
-    /// activation count reaches the trip point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DramError`] from the memory operations.
-    pub fn run_campaign(
+    /// Play one full campaign, returning whether the bit flipped: the
+    /// attacker needs `T_RH` disturbance on `victim`; the mitigation swaps
+    /// the aggressor row every time its activation count reaches the trip
+    /// point.
+    fn run_campaign(
         &mut self,
         mem: &mut MemoryController,
         victim: GlobalRowId,
         bit_in_row: usize,
-        tracking: AttackerTracking,
-        rng: &mut impl Rng,
-    ) -> Result<SwapCampaignOutcome, DramError> {
+    ) -> Result<bool, DramError> {
         let t_rh = mem.config().rowhammer_threshold;
         let trip = ((t_rh as f64) * self.scheme.trip_fraction()) as u64;
         let rows = mem.config().rows_per_subarray;
         let mut aggressor = dd_dram::rowhammer::preferred_aggressor(victim, rows);
-        let mut swaps = 0u64;
 
         // The campaign proceeds in bursts of `trip` activations; after each
         // burst the mitigation swaps the aggressor away.
@@ -124,20 +127,14 @@ impl RowSwapDefense {
             let burst = trip.min(t_rh * 4 - hammered);
             mem.hammer(aggressor, burst)?;
             hammered += burst;
-            if mem.disturbance(victim) >= t_rh {
-                let outcome = mem.attempt_flip(victim, &[bit_in_row])?;
-                if outcome.flipped() {
-                    self.total_swaps += swaps;
-                    return Ok(SwapCampaignOutcome {
-                        flipped: true,
-                        swaps,
-                    });
-                }
+            if mem.disturbance(victim) >= t_rh && mem.attempt_flip(victim, &[bit_in_row])?.flipped()
+            {
+                return Ok(true);
             }
             // Mitigation: swap the aggressor row's *data* to a random row.
-            let dest = RowInSubarray(rng.gen_range(0..mem.config().data_rows_per_subarray()));
-            swaps += 1;
-            match tracking {
+            let dest = RowInSubarray(self.rng.gen_range(0..mem.config().data_rows_per_subarray()));
+            self.stats.defense_ops += 1;
+            match self.tracking {
                 AttackerTracking::FollowsAggressorData => {
                     // The attacker chases its chosen data to `dest`, whose
                     // neighbours are unrelated rows: the victim stops
@@ -171,75 +168,20 @@ impl RowSwapDefense {
             }
         }
         // Final attempt with whatever disturbance accumulated.
-        let outcome = mem.attempt_flip(victim, &[bit_in_row])?;
-        self.total_swaps += swaps;
-        Ok(SwapCampaignOutcome {
-            flipped: outcome.flipped(),
-            swaps,
-        })
-    }
-}
-
-/// RRS/SRS behind the [`DefenseMechanism`] API: owns its RNG and models a
-/// fixed attacker-tracking assumption per instance.
-///
-/// The standard BFA attacker of the common protocol is blind to the
-/// mitigation and chases its chosen aggressor *data*
-/// ([`AttackerTracking::FollowsAggressorData`]) — the attacker RRS was
-/// designed against, and the calibration the Table 3 comparison uses. The
-/// paper's white-box refutation (Fig. 9 / §5.1) instantiates the
-/// mechanism with [`AttackerTracking::FollowsVictimAdjacency`] instead.
-#[derive(Debug)]
-pub struct RowSwapMechanism {
-    inner: RowSwapDefense,
-    tracking: AttackerTracking,
-    rng: StdRng,
-    stats: DefenseStats,
-}
-
-impl RowSwapMechanism {
-    /// Mechanism under the standard (aggressor-data-tracking) attacker.
-    pub fn new(scheme: SwapScheme, seed: u64) -> Self {
-        RowSwapMechanism::with_tracking(scheme, AttackerTracking::FollowsAggressorData, seed)
-    }
-
-    /// Mechanism under an explicit attacker-tracking assumption.
-    pub fn with_tracking(scheme: SwapScheme, tracking: AttackerTracking, seed: u64) -> Self {
-        RowSwapMechanism {
-            inner: RowSwapDefense::new(scheme),
-            tracking,
-            rng: StdRng::seed_from_u64(seed),
-            stats: DefenseStats::default(),
-        }
-    }
-
-    /// The wrapped scheme.
-    pub fn scheme(&self) -> SwapScheme {
-        self.inner.scheme()
+        Ok(mem.attempt_flip(victim, &[bit_in_row])?.flipped())
     }
 }
 
 impl DefenseMechanism for RowSwapMechanism {
     fn name(&self) -> &str {
-        self.inner.scheme().name()
+        self.scheme.name()
     }
 
     /// One campaign through the mechanistic RRS/SRS simulation. The
     /// mitigation's swaps are virtual (aggressor re-aim bookkeeping, no
     /// data movement), so a deployed weight map stays coherent.
     fn filter_flip(&mut self, view: CampaignView<'_>) -> Result<FlipAttempt, DramError> {
-        let CampaignView {
-            mem,
-            victim,
-            bit_in_row,
-            ..
-        } = view;
-        let before = self.inner.total_swaps;
-        let outcome =
-            self.inner
-                .run_campaign(mem, victim, bit_in_row, self.tracking, &mut self.rng)?;
-        self.stats.defense_ops += self.inner.total_swaps - before;
-        let attempt = if outcome.flipped {
+        let attempt = if self.run_campaign(view.mem, view.victim, view.bit_in_row)? {
             FlipAttempt::Landed
         } else {
             FlipAttempt::Resisted
@@ -253,43 +195,49 @@ impl DefenseMechanism for RowSwapMechanism {
     }
 
     fn overhead(&self, config: &DramConfig) -> Option<OverheadEntry> {
-        let framework = match self.inner.scheme() {
-            SwapScheme::Rrs => "RRS",
-            SwapScheme::Srs => "SRS",
-        };
         overhead_table(config)
             .into_iter()
-            .find(|e| e.framework == framework)
+            .find(|e| e.framework == self.scheme.name())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_nn::init::seeded_rng;
+    use dd_qnn::BitAddr;
 
     fn setup() -> (MemoryController, GlobalRowId) {
         let mem = MemoryController::try_new(DramConfig::lpddr4_small()).expect("valid config");
         (mem, GlobalRowId::new(0, 0, 10))
     }
 
+    /// One scratch-device campaign; whether the flip landed.
+    fn campaign(
+        defense: &mut RowSwapMechanism,
+        mem: &mut MemoryController,
+        victim: GlobalRowId,
+    ) -> bool {
+        let view = CampaignView {
+            mem,
+            map: None,
+            victim,
+            bit_in_row: 0,
+            addr: BitAddr {
+                param: 0,
+                index: 0,
+                bit: 0,
+            },
+        };
+        defense.filter_flip(view).unwrap().landed()
+    }
+
     #[test]
     fn rrs_defeats_blind_attacker() {
         let (mut mem, victim) = setup();
-        let mut defense = RowSwapDefense::new(SwapScheme::Rrs);
-        let mut rng = seeded_rng(1);
+        let mut defense = RowSwapMechanism::new(SwapScheme::Rrs, 1);
         let mut flips = 0;
         for _ in 0..10 {
-            let out = defense
-                .run_campaign(
-                    &mut mem,
-                    victim,
-                    0,
-                    AttackerTracking::FollowsAggressorData,
-                    &mut rng,
-                )
-                .unwrap();
-            flips += u32::from(out.flipped);
+            flips += u32::from(campaign(&mut defense, &mut mem, victim));
             mem.advance(dd_dram::Nanos::from_millis(65)); // next window
         }
         // The blind attacker almost never wins (it can only win if the
@@ -300,51 +248,34 @@ mod tests {
     #[test]
     fn rrs_fails_against_victim_tracking_attacker() {
         let (mut mem, victim) = setup();
-        let mut defense = RowSwapDefense::new(SwapScheme::Rrs);
-        let mut rng = seeded_rng(2);
-        let out = defense
-            .run_campaign(
-                &mut mem,
-                victim,
-                0,
-                AttackerTracking::FollowsVictimAdjacency,
-                &mut rng,
-            )
-            .unwrap();
-        assert!(out.flipped, "white-box attacker should defeat RRS");
-        assert!(out.swaps >= 1, "mitigation never fired");
+        let mut defense = RowSwapMechanism::with_tracking(
+            SwapScheme::Rrs,
+            AttackerTracking::FollowsVictimAdjacency,
+            2,
+        );
+        assert!(
+            campaign(&mut defense, &mut mem, victim),
+            "white-box attacker should defeat RRS"
+        );
+        assert!(defense.stats().defense_ops >= 1, "mitigation never fired");
     }
 
     #[test]
     fn srs_swaps_less_than_rrs() {
-        let (mut mem, victim) = setup();
-        let mut rng = seeded_rng(3);
-        let mut rrs = RowSwapDefense::new(SwapScheme::Rrs);
-        let r = rrs
-            .run_campaign(
-                &mut mem,
-                victim,
-                0,
+        let white_box = |scheme| {
+            let (mut mem, victim) = setup();
+            let mut defense = RowSwapMechanism::with_tracking(
+                scheme,
                 AttackerTracking::FollowsVictimAdjacency,
-                &mut rng,
-            )
-            .unwrap();
-        let (mut mem2, victim2) = setup();
-        let mut srs = RowSwapDefense::new(SwapScheme::Srs);
-        let s = srs
-            .run_campaign(
-                &mut mem2,
-                victim2,
-                0,
-                AttackerTracking::FollowsVictimAdjacency,
-                &mut rng,
-            )
-            .unwrap();
+                3,
+            );
+            campaign(&mut defense, &mut mem, victim);
+            defense.stats().defense_ops
+        };
+        let (r, s) = (white_box(SwapScheme::Rrs), white_box(SwapScheme::Srs));
         assert!(
-            s.swaps <= r.swaps,
-            "SRS should swap at most as often (srs {} vs rrs {})",
-            s.swaps,
-            r.swaps
+            s <= r,
+            "SRS should swap at most as often (srs {s} vs rrs {r})"
         );
     }
 

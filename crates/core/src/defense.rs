@@ -34,7 +34,7 @@ use dd_qnn::{BitAddr, QModel};
 
 use crate::mapping::WeightMap;
 use crate::overhead::OverheadEntry;
-use crate::swap::SwapEngine;
+use crate::swap::four_step_swap;
 
 /// Outcome of one attacker campaign against one bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,8 @@ pub enum FlipAttempt {
     /// The defense neutralized the campaign; no single physical location
     /// accumulated `T_RH` disturbance.
     Resisted,
-    /// The defense was enabled but out of capacity; the flip landed.
+    /// The bit was protected but the defense was out of capacity; the flip
+    /// landed.
     DefenseMissed,
 }
 
@@ -395,8 +396,6 @@ impl DefenseMechanism for Undefended {
 /// Defense policy knobs for DNN-Defender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DefenseConfig {
-    /// Master switch: disabled = baseline undefended DRAM.
-    pub enabled: bool,
     /// Refresh the opposite-side victim row with swap step 4.
     pub refresh_non_targets: bool,
     /// Optional cap on swaps per refresh window (per device). When the
@@ -409,7 +408,6 @@ pub struct DefenseConfig {
 impl Default for DefenseConfig {
     fn default() -> Self {
         DefenseConfig {
-            enabled: true,
             refresh_non_targets: true,
             swap_budget_per_window: None,
         }
@@ -430,7 +428,6 @@ pub struct DnnDefenderDefense {
     /// `protected_rows` needs recomputing from the deployment map (the
     /// secured set changed while no map was in reach).
     rows_stale: bool,
-    engine: SwapEngine,
     rng: StdRng,
     stats: DefenseStats,
     window_epoch: u64,
@@ -446,7 +443,6 @@ impl DnnDefenderDefense {
             secured: HashSet::new(),
             protected_rows: HashSet::new(),
             rows_stale: false,
-            engine: SwapEngine::new(),
             rng: StdRng::seed_from_u64(seed),
             stats: DefenseStats::default(),
             window_epoch: 0,
@@ -524,6 +520,62 @@ impl DnnDefenderDefense {
         };
         other.filter(|r| r.0 < mem.config().data_rows_per_subarray())
     }
+
+    /// Resolve `protected_rows` through `map` if the secured set changed
+    /// while no map was in reach (e.g. deployment-time profiling).
+    fn resolve_stale_rows(&mut self, map: Option<&WeightMap>) {
+        if self.rows_stale {
+            if let Some(map) = map {
+                self.protected_rows = map.target_rows(self.secured.iter()).into_iter().collect();
+                self.rows_stale = false;
+            }
+        }
+    }
+
+    /// Swap the protected `victim` out of `aggressor`'s reach, per
+    /// Algorithm 1, and return the row that now holds its data. With a
+    /// deployed `map`, the four-step swap keeps the map coherent and the
+    /// protected rows follow it; on the scratch device the victim is
+    /// exchanged with the random row through the reserved slot — the same
+    /// three RowClones and recharge — followed by step 4's refresh.
+    fn swap(
+        &mut self,
+        mem: &mut MemoryController,
+        map: Option<&mut WeightMap>,
+        victim: GlobalRowId,
+        aggressor: GlobalRowId,
+    ) -> Result<GlobalRowId, DramError> {
+        let reserved = RowInSubarray(mem.config().first_reserved_row());
+        let non_target = self.non_target_row(mem, aggressor, victim);
+        let random = self.pick_random_row(mem, victim, non_target);
+        let moved = match map {
+            Some(map) => {
+                let outcome = four_step_swap(mem, map, victim, random, reserved, non_target)?;
+                self.stats.row_clones += u64::from(outcome.row_clones);
+                self.protected_rows = map.target_rows(self.secured.iter()).into_iter().collect();
+                outcome.new_target_row
+            }
+            None => {
+                mem.swap_rows_via(victim.bank, victim.subarray, victim.row, random, reserved)?;
+                self.stats.row_clones += 3;
+                if let Some(nt) = non_target {
+                    mem.row_clone(victim.bank, victim.subarray, nt, reserved)?;
+                    self.stats.row_clones += 1;
+                }
+                GlobalRowId {
+                    bank: victim.bank,
+                    subarray: victim.subarray,
+                    row: random,
+                }
+            }
+        };
+        self.swaps_this_window += 1;
+        self.stats.defense_ops += 1;
+        if non_target.is_some() {
+            self.stats.non_target_refreshes += 1;
+        }
+        Ok(moved)
+    }
 }
 
 impl DefenseMechanism for DnnDefenderDefense {
@@ -564,20 +616,17 @@ impl DefenseMechanism for DnnDefenderDefense {
     }
 
     fn is_secured(&self, addr: BitAddr, map: Option<&WeightMap>) -> bool {
-        self.config.enabled
-            && match map {
-                // Row-level: protecting one bit protects its whole row.
-                Some(map) if !self.rows_stale => {
-                    self.protected_rows.contains(&map.locate(addr).row)
-                }
-                Some(map) => {
-                    // Secured set changed before a map was in reach (e.g.
-                    // deployment-time profiling): resolve rows on the fly.
-                    let row = map.locate(addr).row;
-                    self.secured.iter().any(|&b| map.locate(b).row == row)
-                }
-                None => self.secured.contains(&addr),
+        match map {
+            // Row-level: protecting one bit protects its whole row.
+            Some(map) if !self.rows_stale => self.protected_rows.contains(&map.locate(addr).row),
+            Some(map) => {
+                // Secured set changed before a map was in reach (e.g.
+                // deployment-time profiling): resolve rows on the fly.
+                let row = map.locate(addr).row;
+                self.secured.iter().any(|&b| map.locate(b).row == row)
             }
+            None => self.secured.contains(&addr),
+        }
     }
 
     fn filter_flip(&mut self, view: CampaignView<'_>) -> Result<FlipAttempt, DramError> {
@@ -588,37 +637,20 @@ impl DefenseMechanism for DnnDefenderDefense {
             bit_in_row,
             addr,
         } = view;
-        let t_rh = mem.config().rowhammer_threshold;
-        let rows = mem.config().rows_per_subarray;
-        if self.rows_stale {
-            if let Some(map) = &map {
-                self.protected_rows = map.target_rows(self.secured.iter()).into_iter().collect();
-                self.rows_stale = false;
-            }
-        }
-        let protected = self.config.enabled
-            && match &map {
-                Some(_) => self.protected_rows.contains(&victim),
-                None => self.secured.contains(&addr),
-            };
-
-        if !protected {
-            let outcome = if hammer_to_flip(mem, victim, bit_in_row)? {
-                FlipAttempt::Landed
-            } else {
-                // Auto-refresh happened to rescue the row (window rolled).
-                FlipAttempt::Resisted
-            };
-            self.stats.record(outcome);
-            return Ok(outcome);
-        }
-
-        if !self.window_budget_available(mem) {
-            // Capacity exceeded: the defense cannot reach this row in time.
-            let outcome = if hammer_to_flip(mem, victim, bit_in_row)? {
-                FlipAttempt::DefenseMissed
-            } else {
-                FlipAttempt::Resisted
+        self.resolve_stale_rows(map.as_deref());
+        let protected = match &map {
+            Some(_) => self.protected_rows.contains(&victim),
+            None => self.secured.contains(&addr),
+        };
+        if !protected || !self.window_budget_available(mem) {
+            // Unprotected, or over capacity: the defense cannot reach this
+            // row in time. A flip that lands on a protected row is a miss;
+            // one that does not was rescued by auto-refresh (the window
+            // rolled).
+            let outcome = match (hammer_to_flip(mem, victim, bit_in_row)?, protected) {
+                (false, _) => FlipAttempt::Resisted,
+                (true, false) => FlipAttempt::Landed,
+                (true, true) => FlipAttempt::DefenseMissed,
             };
             self.stats.record(outcome);
             return Ok(outcome);
@@ -626,52 +658,16 @@ impl DefenseMechanism for DnnDefenderDefense {
 
         // The attacker hammers; the defender's swap fires before the
         // window closes (one swap per protected row per window, §5.1).
+        let t_rh = mem.config().rowhammer_threshold;
+        let rows = mem.config().rows_per_subarray;
         let aggressor = preferred_aggressor(victim, rows);
         mem.hammer(aggressor, t_rh / 2)?;
-
-        let reserved = RowInSubarray(mem.config().first_reserved_row());
-        let non_target = self.non_target_row(mem, aggressor, victim);
-        let random = self.pick_random_row(mem, victim, non_target);
-
-        let new_victim = match map {
-            Some(map) => {
-                // Four-step swap keeping the deployed weight map coherent.
-                let outcome = self
-                    .engine
-                    .four_step_swap(mem, map, victim, random, reserved, non_target)?;
-                self.stats.row_clones += u64::from(outcome.row_clones);
-                self.protected_rows = map.target_rows(self.secured.iter()).into_iter().collect();
-                map.locate(addr).row
-            }
-            None => {
-                // Scratch device (no weight image): exchange the victim
-                // with the random row through the reserved slot — same
-                // three RowClones, same recharge effect.
-                mem.swap_rows_via(victim.bank, victim.subarray, victim.row, random, reserved)?;
-                self.stats.row_clones += 3;
-                if let Some(nt) = non_target {
-                    mem.row_clone(victim.bank, victim.subarray, nt, reserved)?;
-                    self.stats.row_clones += 1;
-                }
-                GlobalRowId {
-                    bank: victim.bank,
-                    subarray: victim.subarray,
-                    row: random,
-                }
-            }
-        };
-        self.swaps_this_window += 1;
-        self.stats.defense_ops += 1;
-        if non_target.is_some() {
-            self.stats.non_target_refreshes += 1;
-        }
+        let moved = self.swap(mem, map, victim, aggressor)?;
 
         // The attacker tracks the move and resumes hammering at the new
         // location for the rest of its window.
-        let new_aggressor = preferred_aggressor(new_victim, rows);
-        mem.hammer(new_aggressor, t_rh - t_rh / 2)?;
-        let outcome = mem.attempt_flip(new_victim, &[bit_in_row])?;
-        let attempt = if outcome.flipped() {
+        mem.hammer(preferred_aggressor(moved, rows), t_rh - t_rh / 2)?;
+        let attempt = if mem.attempt_flip(moved, &[bit_in_row])?.flipped() {
             // Should not happen: no location saw a full window.
             FlipAttempt::Landed
         } else {
@@ -694,15 +690,7 @@ impl DefenseMechanism for DnnDefenderDefense {
         row: GlobalRowId,
         _n: u64,
     ) -> Result<(), DramError> {
-        if !self.config.enabled {
-            return Ok(());
-        }
-        if self.rows_stale {
-            if let Some(map) = map.as_deref() {
-                self.protected_rows = map.target_rows(self.secured.iter()).into_iter().collect();
-                self.rows_stale = false;
-            }
-        }
+        self.resolve_stale_rows(map.as_deref());
         if self.protected_rows.is_empty() {
             return Ok(());
         }
@@ -717,39 +705,11 @@ impl DefenseMechanism for DnnDefenderDefense {
             if mem.disturbance(victim) < watermark || !self.window_budget_available(mem) {
                 continue;
             }
-            let reserved = RowInSubarray(mem.config().first_reserved_row());
-            let non_target = self.non_target_row(mem, row, victim);
-            let random = self.pick_random_row(mem, victim, non_target);
-            match map.as_deref_mut() {
-                Some(map) => {
-                    let outcome = self
-                        .engine
-                        .four_step_swap(mem, map, victim, random, reserved, non_target)?;
-                    self.stats.row_clones += u64::from(outcome.row_clones);
-                    self.protected_rows =
-                        map.target_rows(self.secured.iter()).into_iter().collect();
-                }
-                None => {
-                    mem.swap_rows_via(victim.bank, victim.subarray, victim.row, random, reserved)?;
-                    self.stats.row_clones += 3;
-                    if let Some(nt) = non_target {
-                        // Step 4's opportunistic refresh, same as the
-                        // map-less campaign path in `filter_flip`.
-                        mem.row_clone(victim.bank, victim.subarray, nt, reserved)?;
-                        self.stats.row_clones += 1;
-                    }
-                    self.protected_rows.remove(&victim);
-                    self.protected_rows.insert(GlobalRowId {
-                        bank: victim.bank,
-                        subarray: victim.subarray,
-                        row: random,
-                    });
-                }
-            }
-            self.swaps_this_window += 1;
-            self.stats.defense_ops += 1;
-            if non_target.is_some() {
-                self.stats.non_target_refreshes += 1;
+            let moved = self.swap(mem, map.as_deref_mut(), victim, row)?;
+            if map.is_none() {
+                // No map to resolve rows through: follow the move.
+                self.protected_rows.remove(&victim);
+                self.protected_rows.insert(moved);
             }
         }
         Ok(())

@@ -15,7 +15,8 @@
 //!   mitigation (DNN-Defender and the `dd-baselines` families) implements,
 //!   plus the unified [`defense::DefenseStats`] bookkeeping;
 //! * [`mapping`] — the weight→DRAM mapping file (Fig. 4);
-//! * [`swap`] — the four-step RowClone swap (Algorithm 1, Fig. 5);
+//! * [`swap`] — [`swap::four_step_swap`], the four-step RowClone swap
+//!   (Algorithm 1, Fig. 5) that keeps a deployed weight map coherent;
 //! * [`schedule`] — the pipelined swap timeline (Fig. 6);
 //! * [`priority`] — priority protection planning (§4);
 //! * [`system`] — [`system::ProtectedSystem`]: model + DRAM + defense,
@@ -91,5 +92,5 @@ pub use power::{power_table, saving_versus, PowerProfile};
 pub use priority::ProtectionPlan;
 pub use schedule::{chain_schedule, parallel_schedule, SwapSchedule};
 pub use stablehash::{stable_digest, StableHash, StableHasher};
-pub use swap::{SwapEngine, SwapOutcome};
+pub use swap::SwapOutcome;
 pub use system::ProtectedSystem;

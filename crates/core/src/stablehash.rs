@@ -259,15 +259,6 @@ impl StableHash for dd_nn::train::TrainConfig {
     }
 }
 
-impl StableHash for crate::defense::DefenseConfig {
-    fn stable_hash(&self, hasher: &mut StableHasher) {
-        hasher.write_str("DefenseConfig");
-        hasher.write(&self.enabled);
-        hasher.write(&self.refresh_non_targets);
-        hasher.write(&self.swap_budget_per_window);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,90 +33,62 @@ pub struct SwapOutcome {
     pub row_clones: u32,
 }
 
-/// Executes four-step swaps against a [`MemoryController`], keeping the
-/// [`WeightMap`] coherent.
-#[derive(Debug, Default)]
-pub struct SwapEngine {
-    swaps: u64,
-    row_clones: u64,
-}
+/// Perform one four-step swap, keeping the [`WeightMap`] coherent.
+///
+/// All four rows must live in the same bank + subarray as `target`
+/// (RowClone cannot cross subarrays). `non_target` is optional: pass
+/// `None` when the subarray has no other victim row worth refreshing
+/// (the swap then costs 3 copies).
+///
+/// # Errors
+///
+/// Returns a [`DramError`] if any row address is invalid or a
+/// cross-subarray copy is requested.
+pub fn four_step_swap(
+    mem: &mut MemoryController,
+    map: &mut WeightMap,
+    target: GlobalRowId,
+    random: RowInSubarray,
+    reserved: RowInSubarray,
+    non_target: Option<RowInSubarray>,
+) -> Result<SwapOutcome, DramError> {
+    if random == target.row || reserved == target.row || random == reserved {
+        return Err(DramError::InvalidConfig(
+            "swap rows must be distinct (target/random/reserved)".into(),
+        ));
+    }
+    let (bank, subarray) = (target.bank, target.subarray);
+    let random_addr = GlobalRowId {
+        bank,
+        subarray,
+        row: random,
+    };
 
-impl SwapEngine {
-    /// New engine.
-    pub fn new() -> Self {
-        SwapEngine::default()
+    // Step 1: reserved <- random.
+    mem.row_clone(bank, subarray, random, reserved)?;
+    // Step 2: random <- target (refreshes the target data; the copy in
+    // the random slot is now the live one).
+    mem.row_clone(bank, subarray, target.row, random)?;
+    // Step 3: target's old location <- reserved (old random content).
+    mem.row_clone(bank, subarray, reserved, target.row)?;
+    let mut clones = 3;
+    // Step 4: reserved <- non-target victim (refresh + next pipeline
+    // stage).
+    if let Some(nt) = non_target {
+        mem.row_clone(bank, subarray, nt, reserved)?;
+        clones += 1;
     }
 
-    /// Total swaps performed.
-    pub fn swaps(&self) -> u64 {
-        self.swaps
-    }
+    // The mapping file now points the target's weights at the random
+    // row's location; whatever data lived there moved to the target's
+    // old address.
+    map.relocate(target, random_addr);
 
-    /// Total RowClone copies issued.
-    pub fn row_clones(&self) -> u64 {
-        self.row_clones
-    }
-
-    /// Perform one four-step swap.
-    ///
-    /// All four rows must live in the same bank + subarray as `target`
-    /// (RowClone cannot cross subarrays). `non_target` is optional: pass
-    /// `None` when the subarray has no other victim row worth refreshing
-    /// (the swap then costs 3 copies).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DramError`] if any row address is invalid or a
-    /// cross-subarray copy is requested.
-    pub fn four_step_swap(
-        &mut self,
-        mem: &mut MemoryController,
-        map: &mut WeightMap,
-        target: GlobalRowId,
-        random: RowInSubarray,
-        reserved: RowInSubarray,
-        non_target: Option<RowInSubarray>,
-    ) -> Result<SwapOutcome, DramError> {
-        if random == target.row || reserved == target.row || random == reserved {
-            return Err(DramError::InvalidConfig(
-                "swap rows must be distinct (target/random/reserved)".into(),
-            ));
-        }
-        let (bank, subarray) = (target.bank, target.subarray);
-        let random_addr = GlobalRowId {
-            bank,
-            subarray,
-            row: random,
-        };
-
-        // Step 1: reserved <- random.
-        mem.row_clone(bank, subarray, random, reserved)?;
-        // Step 2: random <- target (refreshes the target data; the copy in
-        // the random slot is now the live one).
-        mem.row_clone(bank, subarray, target.row, random)?;
-        // Step 3: target's old location <- reserved (old random content).
-        mem.row_clone(bank, subarray, reserved, target.row)?;
-        let mut clones = 3;
-        // Step 4: reserved <- non-target victim (refresh + next pipeline
-        // stage).
-        if let Some(nt) = non_target {
-            mem.row_clone(bank, subarray, nt, reserved)?;
-            clones += 1;
-        }
-
-        // The mapping file now points the target's weights at the random
-        // row's location; whatever data lived there moved to the target's
-        // old address.
-        map.relocate(target, random_addr);
-
-        self.swaps += 1;
-        self.row_clones += u64::from(clones);
-        Ok(SwapOutcome {
-            new_target_row: random_addr,
-            vacated_row: target,
-            row_clones: clones,
-        })
-    }
+    Ok(SwapOutcome {
+        new_target_row: random_addr,
+        vacated_row: target,
+        row_clones: clones,
+    })
 }
 
 #[cfg(test)]
@@ -165,10 +137,8 @@ mod tests {
         let sub_rows = mem.config().rows_per_subarray;
         let reserved = RowInSubarray(sub_rows - 1);
         let random = RowInSubarray(sub_rows - 10);
-        let mut engine = SwapEngine::new();
-        let outcome = engine
-            .four_step_swap(&mut mem, &mut map, before.row, random, reserved, None)
-            .unwrap();
+        let outcome =
+            four_step_swap(&mut mem, &mut map, before.row, random, reserved, None).unwrap();
 
         // Data followed the map.
         let after = map.locate(addr);
@@ -177,8 +147,8 @@ mod tests {
             .peek_row(after.row.bank, after.row.subarray, after.row.row)
             .unwrap();
         assert_eq!(moved, &target_data[..]);
-        assert_eq!(engine.swaps(), 1);
-        assert_eq!(engine.row_clones(), 3);
+        assert_eq!(outcome.row_clones, 3);
+        assert_eq!(mem.stats().row_clones, 3);
         let _ = model;
     }
 
@@ -199,17 +169,15 @@ mod tests {
         assert!(mem.disturbance(loc.row) > 0);
 
         let sub_rows = mem.config().rows_per_subarray;
-        let mut engine = SwapEngine::new();
-        engine
-            .four_step_swap(
-                &mut mem,
-                &mut map,
-                loc.row,
-                RowInSubarray(sub_rows - 10),
-                RowInSubarray(sub_rows - 1),
-                None,
-            )
-            .unwrap();
+        four_step_swap(
+            &mut mem,
+            &mut map,
+            loc.row,
+            RowInSubarray(sub_rows - 10),
+            RowInSubarray(sub_rows - 1),
+            None,
+        )
+        .unwrap();
         // The target data moved away; its new row carries no disturbance
         // from the old campaign (it was recharged by the clone).
         let new_loc = map.locate(addr);
@@ -226,17 +194,15 @@ mod tests {
         };
         let loc = map.locate(addr);
         let sub_rows = mem.config().rows_per_subarray;
-        let mut engine = SwapEngine::new();
-        let outcome = engine
-            .four_step_swap(
-                &mut mem,
-                &mut map,
-                loc.row,
-                RowInSubarray(sub_rows - 10),
-                RowInSubarray(sub_rows - 1),
-                Some(RowInSubarray(loc.row.row.0 + 1)),
-            )
-            .unwrap();
+        let outcome = four_step_swap(
+            &mut mem,
+            &mut map,
+            loc.row,
+            RowInSubarray(sub_rows - 10),
+            RowInSubarray(sub_rows - 1),
+            Some(RowInSubarray(loc.row.row.0 + 1)),
+        )
+        .unwrap();
         assert_eq!(outcome.row_clones, 4);
         assert_eq!(mem.stats().row_clones, 4);
     }
@@ -250,8 +216,7 @@ mod tests {
             bit: 0,
         };
         let loc = map.locate(addr);
-        let mut engine = SwapEngine::new();
-        let err = engine.four_step_swap(
+        let err = four_step_swap(
             &mut mem,
             &mut map,
             loc.row,
@@ -272,29 +237,26 @@ mod tests {
         };
         let home = map.locate(addr);
         let sub_rows = mem.config().rows_per_subarray;
-        let mut engine = SwapEngine::new();
-        let first = engine
-            .four_step_swap(
-                &mut mem,
-                &mut map,
-                home.row,
-                RowInSubarray(sub_rows - 10),
-                RowInSubarray(sub_rows - 1),
-                None,
-            )
-            .unwrap();
+        let first = four_step_swap(
+            &mut mem,
+            &mut map,
+            home.row,
+            RowInSubarray(sub_rows - 10),
+            RowInSubarray(sub_rows - 1),
+            None,
+        )
+        .unwrap();
         // Swap again from the new location back using the vacated row as
         // the random destination.
-        engine
-            .four_step_swap(
-                &mut mem,
-                &mut map,
-                first.new_target_row,
-                first.vacated_row.row,
-                RowInSubarray(sub_rows - 1),
-                None,
-            )
-            .unwrap();
+        four_step_swap(
+            &mut mem,
+            &mut map,
+            first.new_target_row,
+            first.vacated_row.row,
+            RowInSubarray(sub_rows - 1),
+            None,
+        )
+        .unwrap();
         assert_eq!(map.locate(addr).row, home.row);
         let slot = map.slot_at(home.row).unwrap();
         assert_eq!(slot.param, 0);
@@ -306,7 +268,6 @@ mod tests {
         // reproduce the model's quantized bytes.
         let (mut mem, mut map, model) = setup();
         let sub_rows = mem.config().rows_per_subarray;
-        let mut engine = SwapEngine::new();
         // Swap three different target rows.
         for index in [0usize, 64, 128] {
             let loc = map.locate(BitAddr {
@@ -314,16 +275,15 @@ mod tests {
                 index,
                 bit: 0,
             });
-            engine
-                .four_step_swap(
-                    &mut mem,
-                    &mut map,
-                    loc.row,
-                    RowInSubarray(sub_rows - 10),
-                    RowInSubarray(sub_rows - 1),
-                    None,
-                )
-                .unwrap();
+            four_step_swap(
+                &mut mem,
+                &mut map,
+                loc.row,
+                RowInSubarray(sub_rows - 10),
+                RowInSubarray(sub_rows - 1),
+                None,
+            )
+            .unwrap();
         }
         for slot in map.slots() {
             let bytes = model.qtensor(slot.param).to_bytes();

@@ -74,16 +74,6 @@ impl<D: DefenseMechanism> ProtectedSystem<D> {
         })
     }
 
-    /// Run the defense's deployment hook (priority profiling) against the
-    /// deployed model with the attacker-grade `data`.
-    pub fn deploy_defense(
-        &mut self,
-        data: &dd_attack::AttackData,
-        config: &dd_attack::AttackConfig,
-    ) {
-        self.defense.on_deploy(&mut self.model, data, config);
-    }
-
     /// Install the secured-bit set (from a
     /// [`crate::priority::ProtectionPlan`]).
     pub fn protect(&mut self, bits: impl IntoIterator<Item = BitAddr>) {
@@ -94,11 +84,6 @@ impl<D: DefenseMechanism> ProtectedSystem<D> {
     /// The installed defense.
     pub fn defense(&self) -> &D {
         &self.defense
-    }
-
-    /// Mutable access to the installed defense.
-    pub fn defense_mut(&mut self) -> &mut D {
-        &mut self.defense
     }
 
     /// Rows currently classified as protection targets.
@@ -241,12 +226,17 @@ mod tests {
         (sys, ds)
     }
 
+    fn undefended() -> (ProtectedSystem<Undefended>, Dataset) {
+        let (model, ds) = victim();
+        let sys =
+            ProtectedSystem::deploy_with(model, DramConfig::lpddr4_small(), Undefended::new())
+                .expect("deploy");
+        (sys, ds)
+    }
+
     #[test]
     fn undefended_flip_lands_and_corrupts_model() {
-        let (mut sys, ds) = system(DefenseConfig {
-            enabled: false,
-            ..Default::default()
-        });
+        let (mut sys, ds) = undefended();
         let addr = BitAddr {
             param: 0,
             index: 0,
@@ -352,10 +342,7 @@ mod tests {
 
     #[test]
     fn campaign_accuracy_drops_only_when_undefended() {
-        let (mut sys_off, ds) = system(DefenseConfig {
-            enabled: false,
-            ..Default::default()
-        });
+        let (mut sys_off, ds) = undefended();
         let (mut sys_on, _) = system(DefenseConfig::default());
         let eval = ds.test.take(48);
 
@@ -411,10 +398,7 @@ mod tests {
 
     #[test]
     fn generic_system_accepts_any_mechanism() {
-        let (model, _ds) = victim();
-        let mut sys =
-            ProtectedSystem::deploy_with(model, DramConfig::lpddr4_small(), Undefended::new())
-                .expect("deploy");
+        let (mut sys, _ds) = undefended();
         let addr = BitAddr {
             param: 0,
             index: 0,

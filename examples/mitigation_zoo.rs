@@ -6,18 +6,40 @@
 //! Run with: `cargo run --release --example mitigation_zoo`
 
 use dd_baselines::{
-    AttackerTracking, CounterPerRow, GrapheneDefense, HydraTracker, RowSwapDefense, ShadowDefense,
-    SwapScheme, TwiceTable,
+    AttackerTracking, CounterPerRow, GrapheneDefense, HydraTracker, RowSwapMechanism,
+    ShadowMechanism, SwapScheme, TwiceTable,
 };
-use dd_dram::{DramConfig, GlobalRowId, MemoryController, Nanos};
-use dd_nn::init::seeded_rng;
+use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController};
+use dd_qnn::BitAddr;
+use dnn_defender::defense::{CampaignView, DefenseMechanism};
 
 fn fresh() -> (MemoryController, GlobalRowId, GlobalRowId) {
     let mem = MemoryController::try_new(DramConfig::lpddr4_small()).expect("valid config");
     (mem, GlobalRowId::new(0, 0, 10), GlobalRowId::new(0, 0, 11))
 }
 
-fn main() -> Result<(), dd_dram::DramError> {
+/// One attacker campaign against bit 0 of `victim`, with `defense`
+/// playing the race; whether the flip landed.
+fn campaign(
+    defense: &mut impl DefenseMechanism,
+    mem: &mut MemoryController,
+    victim: GlobalRowId,
+) -> Result<bool, DramError> {
+    let view = CampaignView {
+        mem,
+        map: None,
+        victim,
+        bit_in_row: 0,
+        addr: BitAddr {
+            param: 0,
+            index: 0,
+            bit: 0,
+        },
+    };
+    Ok(defense.filter_flip(view)?.landed())
+}
+
+fn main() -> Result<(), DramError> {
     let t_rh = DramConfig::lpddr4_small().rowhammer_threshold;
     println!("device: LPDDR4-small, T_RH = {t_rh}\n");
 
@@ -110,33 +132,31 @@ fn main() -> Result<(), dd_dram::DramError> {
     );
 
     // RRS against both attacker types.
-    let mut rng = seeded_rng(5);
     for tracking in [
         AttackerTracking::FollowsAggressorData,
         AttackerTracking::FollowsVictimAdjacency,
     ] {
         let (mut mem, victim, _) = fresh();
-        let mut rrs = RowSwapDefense::new(SwapScheme::Rrs);
-        let out = rrs.run_campaign(&mut mem, victim, 0, tracking, &mut rng)?;
+        let mut rrs = RowSwapMechanism::with_tracking(SwapScheme::Rrs, tracking, 5);
+        let landed = campaign(&mut rrs, &mut mem, victim)?;
         println!(
             "rrs vs {:<28}: flip {}, {} aggressor swaps",
             format!("{tracking:?}"),
-            if out.flipped { "LANDED" } else { "resisted" },
-            out.swaps
+            if landed { "LANDED" } else { "resisted" },
+            rrs.stats().defense_ops
         );
     }
 
     // SHADOW with and without budget.
     for budget in [1000u64, 0] {
         let (mut mem, victim, _) = fresh();
-        let mut shadow = ShadowDefense::new(budget);
-        let flipped = shadow.run_campaign(&mut mem, victim, 0, &mut rng)?;
+        let mut shadow = ShadowMechanism::new(budget, 5);
+        let landed = campaign(&mut shadow, &mut mem, victim)?;
         println!(
             "shadow (budget {budget:>4}) : flip {}, {} shuffles",
-            if flipped { "LANDED" } else { "resisted" },
-            shadow.shuffles
+            if landed { "LANDED" } else { "resisted" },
+            shadow.stats().defense_ops
         );
-        mem.advance(Nanos::from_millis(65));
     }
 
     println!(

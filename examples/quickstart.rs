@@ -27,12 +27,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Quantize to 8-bit and deploy into simulated LPDDR4 (each run
     //    below rebuilds the same weights deterministically).
     let eval = dataset.test.take(96);
-    for (enabled, label) in [(false, "UNDEFENDED"), (true, "DNN-DEFENDER")] {
-        let defense = DefenseConfig {
-            enabled,
-            ..DefenseConfig::default()
-        };
-        let mut system = ProtectedSystem::deploy(
+    let runs: [(&str, DynDefense); 2] = [
+        ("UNDEFENDED", Box::new(Undefended::new())),
+        (
+            "DNN-DEFENDER",
+            Box::new(DnnDefenderDefense::new(DefenseConfig::default(), 42)),
+        ),
+    ];
+    for (label, defense) in runs {
+        let mut system = ProtectedSystem::deploy_with(
             // Re-deploy a fresh copy each time (deterministic rebuild).
             {
                 let mut rng = seeded_rng(7);
@@ -42,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
             DramConfig::lpddr4_small(),
             defense,
-            42,
         )?;
 
         // 3. Secure the classifier sign bits (a stand-in for the profiled

@@ -68,43 +68,41 @@ fn table3_ordering_holds() {
 
 #[test]
 fn rrs_vs_white_box_fails_but_blind_succeeds() {
-    use dd_baselines::{AttackerTracking, RowSwapDefense};
+    use dd_baselines::AttackerTracking;
     use dd_dram::GlobalRowId;
+    use dnn_defender::defense::CampaignView;
 
-    let mut rng = seeded_rng(3);
-    let victim_row = GlobalRowId::new(0, 0, 30);
+    // One campaign on a fresh scratch device; whether the flip landed.
+    let landed = |mut rrs: RowSwapMechanism| {
+        let mut mem = MemoryController::try_new(DramConfig::lpddr4_small()).expect("mem");
+        let view = CampaignView {
+            mem: &mut mem,
+            map: None,
+            victim: GlobalRowId::new(0, 0, 30),
+            bit_in_row: 3,
+            addr: BitAddr {
+                param: 0,
+                index: 0,
+                bit: 3,
+            },
+        };
+        rrs.filter_flip(view).expect("campaign").landed()
+    };
 
     // White-box victim tracking defeats RRS.
-    let mut mem = MemoryController::try_new(DramConfig::lpddr4_small()).expect("mem");
-    let mut rrs = RowSwapDefense::new(SwapScheme::Rrs);
-    let white = rrs
-        .run_campaign(
-            &mut mem,
-            victim_row,
-            3,
+    assert!(
+        landed(RowSwapMechanism::with_tracking(
+            SwapScheme::Rrs,
             AttackerTracking::FollowsVictimAdjacency,
-            &mut rng,
-        )
-        .expect("campaign");
-    assert!(white.flipped, "white-box attacker should defeat RRS");
+            3,
+        )),
+        "white-box attacker should defeat RRS"
+    );
 
     // The blind attacker is (almost always) defeated.
-    let mut wins = 0;
-    for seed in 0..8u64 {
-        let mut mem = MemoryController::try_new(DramConfig::lpddr4_small()).expect("mem");
-        let mut rrs = RowSwapDefense::new(SwapScheme::Rrs);
-        let mut rng = seeded_rng(seed);
-        let out = rrs
-            .run_campaign(
-                &mut mem,
-                victim_row,
-                3,
-                AttackerTracking::FollowsAggressorData,
-                &mut rng,
-            )
-            .expect("campaign");
-        wins += u32::from(out.flipped);
-    }
+    let wins = (0..8u64)
+        .filter(|&seed| landed(RowSwapMechanism::new(SwapScheme::Rrs, seed)))
+        .count();
     assert!(wins <= 1, "blind attacker beat RRS {wins}/8 times");
 }
 

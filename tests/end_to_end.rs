@@ -104,16 +104,9 @@ fn undefended_system_collapses_under_the_same_campaign() {
     };
     let profile = multi_round_profile(&mut model, &data, &profile_cfg, 3);
 
-    let mut system = ProtectedSystem::deploy(
-        model,
-        DramConfig::lpddr4_small(),
-        DefenseConfig {
-            enabled: false,
-            ..Default::default()
-        },
-        77,
-    )
-    .expect("deploy");
+    let mut system =
+        ProtectedSystem::deploy_with(model, DramConfig::lpddr4_small(), Undefended::new())
+            .expect("deploy");
     let clean = system.accuracy(&data.eval_images, &data.eval_labels);
     let outcomes = system.run_campaign(&profile.bits).expect("campaign");
     assert!(

@@ -27,11 +27,10 @@ proptest! {
         let model = tiny_model(seed);
         prop_assume!(index < model.qtensor(0).len());
         let addr = BitAddr { param: 0, index, bit };
-        let mut system = ProtectedSystem::deploy(
+        let mut system = ProtectedSystem::deploy_with(
             model,
             DramConfig::lpddr4_small(),
-            DefenseConfig { enabled: false, ..Default::default() },
-            seed,
+            Undefended::new(),
         ).expect("deploy");
         let before = system.model_mut().qtensor(0).get(index);
         let out = system.attack_bit(addr).expect("attack");
