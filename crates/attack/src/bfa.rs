@@ -96,44 +96,133 @@ impl AttackData {
 /// Find the best (highest first-order gain) non-skipped bit of every
 /// parameter: the intra-layer search. Returns `(addr, gain)` per parameter
 /// that has at least one allowed bit.
-// The loop indexes are semantic (bit/param addresses), not mere
-// positions; iterator rewrites would obscure that.
-#[allow(clippy::needless_range_loop)]
+///
+/// Bit `b` of a weight gains `grad · scale · Δq_b`, and a parameter's
+/// candidate is the first bit, in `(index, bit)` order, whose gain beats
+/// every earlier positive one. Since `Δq_b` is `±2^b` below the sign bit
+/// and `∓128` on it, a weight whose `grad · scale · 128` is finite has its
+/// gains exact and distinct, and its best one is read off its bits (see
+/// [`best_bit`]); a weight with any bit in `skip`, or a non-finite gain,
+/// is ranked bit by bit. Either way the winner and its gain are the ones
+/// the bit-by-bit loop over every weight finds (`docs/perf.md`, "`Linear`
+/// forward and intra-layer ranking").
 pub(crate) fn intra_layer_candidates(
     model: &QModel,
     grads: &[Tensor],
     skip: &HashSet<BitAddr>,
 ) -> Vec<(BitAddr, f32)> {
-    let mut out = Vec::with_capacity(model.num_qparams());
-    for param in 0..model.num_qparams() {
-        let qt = model.qtensor(param);
-        let scale = qt.quant_params().scale;
-        let g = grads[param].as_slice();
-        let mut best: Option<(BitAddr, f32)> = None;
-        for index in 0..qt.len() {
-            let grad = g[index];
-            if grad == 0.0 {
-                continue;
-            }
-            let q = qt.get(index);
-            for bit in 0..dd_qnn::WEIGHT_BITS {
-                let gain = grad * scale * dd_qnn::flip_delta(q, bit) as f32;
-                if gain <= 0.0 {
-                    continue;
-                }
-                if best.is_none_or(|(_, bg)| gain > bg) {
-                    let addr = BitAddr { param, index, bit };
-                    if !skip.contains(&addr) {
-                        best = Some((addr, gain));
-                    }
-                }
-            }
+    // Each parameter's weights with a skipped bit.
+    let mut skipped = vec![Vec::new(); model.num_qparams()];
+    for addr in skip {
+        if let Some(indices) = skipped.get_mut(addr.param) {
+            indices.push(addr.index);
         }
-        if let Some(b) = best {
-            out.push(b);
+    }
+    let mut out = Vec::with_capacity(model.num_qparams());
+    for (param, indices) in skipped.iter_mut().enumerate() {
+        indices.sort_unstable();
+        indices.dedup();
+        let qt = model.qtensor(param);
+        let ranking = Ranking {
+            param,
+            q: qt.as_q(),
+            grads: grads[param].as_slice(),
+            scale: qt.quant_params().scale,
+            skip,
+        };
+        if let Some(best) = ranking.best(indices) {
+            out.push(best);
         }
     }
     out
+}
+
+/// The bit of `q` whose flip gains the most when `grad · scale` is
+/// `gs`, if `gs · 128` is finite: the sign bit when flipping it moves `q`
+/// toward `gs`'s sign, else the highest lower bit whose flip does. With
+/// the sign bit inverted, the bits whose flip moves `q` up are `q`'s
+/// clear bits, and those that move it down its set bits. When no bit
+/// gains, the bit returned loses, or gains `±0.0` if `gs` is zero.
+#[inline(always)]
+fn best_bit(q: i8, gs: f32) -> u8 {
+    let toward = (q as u8 ^ 0x80) ^ if gs > 0.0 { 0xff } else { 0 };
+    7 - (toward | 1).leading_zeros() as u8
+}
+
+/// One parameter's intra-layer search.
+struct Ranking<'a> {
+    param: usize,
+    q: &'a [i8],
+    grads: &'a [f32],
+    scale: f32,
+    skip: &'a HashSet<BitAddr>,
+}
+
+impl Ranking<'_> {
+    /// The parameter's candidate, given the sorted, distinct indices of
+    /// its weights with a skipped bit.
+    fn best(&self, skipped: &[usize]) -> Option<(BitAddr, f32)> {
+        let mut best = None;
+        // The gain to beat: the best one's, or 0 while there is none (the
+        // bit-by-bit loop takes only positive gains, or NaN ones).
+        let mut bar = 0.0f32;
+        let mut from = 0;
+        let len = self.q.len();
+        let stops = skipped.iter().copied().take_while(|&i| i < len);
+        for until in stops.chain([len]) {
+            let weights = self.q[from..until].iter().zip(&self.grads[from..until]);
+            for (index, (&q, &grad)) in (from..).zip(weights) {
+                let gs = grad * self.scale;
+                if !(gs * 128.0).is_finite() {
+                    self.rank_bits(index, &mut best);
+                    bar = best.map_or(0.0, |(_, gain)| gain);
+                    continue;
+                }
+                let bit = best_bit(q, gs);
+                let gain = grad * self.scale * dd_qnn::flip_delta(q, bit) as f32;
+                if gain > bar {
+                    best = Some((self.addr(index, bit), gain));
+                    bar = gain;
+                }
+            }
+            if until < len {
+                self.rank_bits(until, &mut best);
+                bar = best.map_or(0.0, |(_, gain)| gain);
+            }
+            from = until + 1;
+        }
+        best
+    }
+
+    /// Rank weight `index` bit by bit against `best`, leaving out skipped
+    /// bits.
+    fn rank_bits(&self, index: usize, best: &mut Option<(BitAddr, f32)>) {
+        let grad = self.grads[index];
+        if grad == 0.0 {
+            return;
+        }
+        let q = self.q[index];
+        for bit in 0..dd_qnn::WEIGHT_BITS {
+            let gain = grad * self.scale * dd_qnn::flip_delta(q, bit) as f32;
+            if gain <= 0.0 {
+                continue;
+            }
+            if best.is_none_or(|(_, bg)| gain > bg) {
+                let addr = self.addr(index, bit);
+                if !self.skip.contains(&addr) {
+                    *best = Some((addr, gain));
+                }
+            }
+        }
+    }
+
+    fn addr(&self, index: usize, bit: u8) -> BitAddr {
+        BitAddr {
+            param: self.param,
+            index,
+            bit,
+        }
+    }
 }
 
 /// Which way the search pushes the search-batch loss.

@@ -21,7 +21,7 @@
 //! keeps each batch's forward pass recorded layer by layer, so a
 //! candidate's loss or a recorded accuracy re-runs only the layers from
 //! the earliest one a flip changed; a test-only copy of the full-pass
-//! search is its bit-identity oracle.
+//! search, ranking bit by bit, is its bit-identity oracle.
 //!
 //! All attacks operate on a [`dd_qnn::QModel`] and leave RowHammer
 //! physics to the `dd-dram` / `dnn-defender` crates: this crate answers

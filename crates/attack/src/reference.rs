@@ -1,12 +1,13 @@
-//! Bit-identity oracle for the incremental bit search.
+//! Bit-identity oracle for the incremental bit search and its ranking.
 //!
 //! The progressive search as it ran before [`crate::bfa::BitSearch`]
 //! recorded any pass — a full forward for every loss, gradient and
-//! accuracy — together with the entry points that drove it, kept as
-//! references: the tests below require every [`AttackStep`], every
-//! recorded measurement and every report of the incremental search to
-//! equal theirs bit for bit (`f32::to_bits`), on an MLP, a ResNet and a
-//! VGG victim.
+//! accuracy, and candidates ranked bit by bit — together with the entry
+//! points that drove it, kept as references: the tests below require
+//! every [`AttackStep`], every recorded measurement and every report of
+//! the incremental search to equal theirs bit for bit (`f32::to_bits`),
+//! on an MLP, a ResNet and a VGG victim, and the production ranking to
+//! pick the same candidates with the same gains as the bit-by-bit one.
 
 use std::collections::HashSet;
 
@@ -14,9 +15,52 @@ use dd_nn::Tensor;
 use dd_qnn::{BitAddr, QModel};
 
 use crate::adaptive::{real_accuracy, ProtectedAttackReport};
-use crate::bfa::{intra_layer_candidates, AttackData, AttackReport, AttackStep, Direction};
+use crate::bfa::{AttackData, AttackReport, AttackStep, Direction};
 use crate::tbfa::{attack_success_rate, malicious_labels, TbfaGoal, TbfaReport, TBFA_STOP_ASR};
 use crate::threat::{AttackConfig, ThreatModel};
+
+/// The intra-layer search bit by bit: every bit of every weight with a
+/// nonzero gradient, in `(index, bit)` order, the first highest positive
+/// gain winning.
+// The loop indexes are semantic (bit/param addresses), not mere
+// positions; iterator rewrites would obscure that.
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn intra_layer_candidates(
+    model: &QModel,
+    grads: &[Tensor],
+    skip: &HashSet<BitAddr>,
+) -> Vec<(BitAddr, f32)> {
+    let mut out = Vec::with_capacity(model.num_qparams());
+    for param in 0..model.num_qparams() {
+        let qt = model.qtensor(param);
+        let scale = qt.quant_params().scale;
+        let g = grads[param].as_slice();
+        let mut best: Option<(BitAddr, f32)> = None;
+        for index in 0..qt.len() {
+            let grad = g[index];
+            if grad == 0.0 {
+                continue;
+            }
+            let q = qt.get(index);
+            for bit in 0..dd_qnn::WEIGHT_BITS {
+                let gain = grad * scale * dd_qnn::flip_delta(q, bit) as f32;
+                if gain <= 0.0 {
+                    continue;
+                }
+                if best.is_none_or(|(_, bg)| gain > bg) {
+                    let addr = BitAddr { param, index, bit };
+                    if !skip.contains(&addr) {
+                        best = Some((addr, gain));
+                    }
+                }
+            }
+        }
+        if let Some(b) = best {
+            out.push(b);
+        }
+    }
+    out
+}
 
 /// The progressive search with a full forward pass per measurement.
 pub(crate) fn progressive_search(
@@ -194,7 +238,12 @@ mod tests {
     use crate::bfa::{run_bfa as bfa, BitSearch};
     use crate::tbfa::run_tbfa as tbfa;
     use crate::testutil::{trained_victim, untrained_victim};
+    use dd_nn::layers::Linear;
+    use dd_nn::model::Network;
     use dd_qnn::{Architecture, BitFlip};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Which entry point a case drives.
     #[derive(Debug, Clone, Copy)]
@@ -518,5 +567,163 @@ mod tests {
     fn incremental_search_matches_the_reference_on_a_vgg() {
         let (mut model, data) = untrained_victim(Architecture::Vgg11, 16);
         check(&mut model, &data, 3);
+    }
+
+    /// Gradients for the ranking oracle: values of every magnitude
+    /// (`±2^-30..2^30`), with a `special_share` of `±0.0`, subnormals,
+    /// NaN, `±inf`, and values within `2^8` of `f32::MAX`, whose
+    /// `grad · scale · 128` overflows at most scales.
+    fn ranking_grads(rng: &mut StdRng, len: usize, special_share: f64) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                let sign = if rng.gen_bool(0.5) { 1.0f32 } else { -1.0 };
+                let magnitude = if rng.gen_bool(special_share) {
+                    match rng.gen_range(0..5) {
+                        0 => 0.0,
+                        1 => f32::from_bits(rng.gen_range(1u32..0x80_0000)),
+                        2 => f32::NAN,
+                        3 => f32::INFINITY,
+                        _ => f32::MAX / (rng.gen_range(0i32..9) as f32).exp2(),
+                    }
+                } else {
+                    rng.gen_range(0.5f32..1.0) * (rng.gen_range(-30i32..31) as f32).exp2()
+                };
+                sign * magnitude
+            })
+            .collect()
+    }
+
+    /// A two-layer model for the ranking oracle: `fc0`'s 16 × 32 weights
+    /// hold every `q` in `-128..=127` twice, 256 apart, and `fc1`'s 4 × 16
+    /// random ones; each layer's scale is its `max_abs / 127`.
+    fn ranking_model(rng: &mut StdRng, max_abs: [f32; 2]) -> QModel {
+        let mut layer = |name: &str, (rows, cols): (usize, usize), max_abs: f32| {
+            let mut w: Vec<f32> = (0..rows * cols)
+                .map(|_| rng.gen_range(-1.0f32..1.0) * max_abs)
+                .collect();
+            w[0] = max_abs;
+            Linear::new(
+                name,
+                Tensor::from_vec(&[rows, cols], w),
+                Tensor::zeros(&[rows]),
+            )
+        };
+        let net = Network::new("ranking")
+            .push(layer("fc0", (16, 32), max_abs[0]))
+            .push(layer("fc1", (4, 16), max_abs[1]));
+        let mut model = QModel::from_network(net);
+        let offset = rng.gen_range(0..256);
+        let every_q = (0..512).map(|i| ((i + offset) % 256) as u8 as i8).collect();
+        let random_q = (0..64).map(|_| rng.gen_range(-128i32..128) as i8).collect();
+        model.restore_q(&[every_q, random_q]);
+        model
+    }
+
+    /// The bit the per-bit loop picks for one weight on its own.
+    fn own_best_bit(
+        model: &QModel,
+        grads: &[Tensor],
+        param: usize,
+        index: usize,
+    ) -> Option<BitAddr> {
+        let mut best: Option<(BitAddr, f32)> = None;
+        for bit in 0..dd_qnn::WEIGHT_BITS {
+            let addr = BitAddr { param, index, bit };
+            let gain = model.flip_gain(grads, addr);
+            let gains = gain > 0.0 || gain.is_nan();
+            if gains && best.is_none_or(|(_, bg)| gain > bg) {
+                best = Some((addr, gain));
+            }
+        }
+        best.map(|(addr, _)| addr)
+    }
+
+    /// Skip sets for the ranking oracle: none; each parameter's candidate
+    /// over three rounds, as profiling grows its skip set; every weight's
+    /// own best bit; and that of one weight in three, with random bits and
+    /// addresses past the model's end.
+    fn skip_sets(model: &QModel, grads: &[Tensor], rng: &mut StdRng) -> Vec<HashSet<BitAddr>> {
+        let mut rounds = HashSet::new();
+        for _ in 0..3 {
+            let found = intra_layer_candidates(model, grads, &rounds);
+            rounds.extend(found.into_iter().map(|(addr, _)| addr));
+        }
+        let weights = (0..model.num_qparams())
+            .flat_map(|param| (0..model.qtensor(param).len()).map(move |index| (param, index)));
+        let every: HashSet<BitAddr> = weights
+            .filter_map(|(param, index)| own_best_bit(model, grads, param, index))
+            .collect();
+        let mut some: HashSet<BitAddr> = every
+            .iter()
+            .copied()
+            .filter(|_| rng.gen_bool(1.0 / 3.0))
+            .collect();
+        for _ in 0..32 {
+            some.insert(BitAddr {
+                param: rng.gen_range(0..3),
+                index: rng.gen_range(0..600),
+                bit: rng.gen_range(0..8),
+            });
+        }
+        vec![HashSet::new(), rounds, every, some]
+    }
+
+    /// Candidates with their gains as bit patterns, every NaN made one
+    /// (Rust leaves a NaN result's sign and payload unspecified).
+    fn ranked(candidates: Vec<(BitAddr, f32)>) -> Vec<(BitAddr, u32)> {
+        let bits = |g: f32| {
+            if g.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                g.to_bits()
+            }
+        };
+        candidates
+            .into_iter()
+            .map(|(addr, g)| (addr, bits(g)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The production ranking against the bit-by-bit loop, on every
+        /// `q`, scales from subnormal to near `f32::MAX`, special
+        /// gradients, equal gains on the two copies of a `q` (one
+        /// gradient in four is copied across), four kinds of skip set,
+        /// and both search directions (T-BFA negates the gradient).
+        #[test]
+        fn intra_layer_ranking_matches_the_per_bit_loop(
+            scales in (0usize..6, 0usize..6),
+            special in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let max_abs = [1e-40f32, 1e-20, 0.05, 1.0, 1e20, 3e38];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let model = ranking_model(&mut rng, [max_abs[scales.0], max_abs[scales.1]]);
+            let share = [0.0, 0.05, 0.25, 0.9][special];
+            let mut g0 = ranking_grads(&mut rng, 512, share);
+            for i in 0..256 {
+                if rng.gen_bool(0.25) {
+                    g0[i + 256] = g0[i];
+                }
+            }
+            let g1 = ranking_grads(&mut rng, 64, share);
+            let ascend = vec![
+                Tensor::from_vec(&[16, 32], g0),
+                Tensor::from_vec(&[4, 16], g1),
+            ];
+            let descend: Vec<Tensor> = ascend
+                .iter()
+                .map(|g| Tensor::from_vec(g.shape(), g.as_slice().iter().map(|v| -v).collect()))
+                .collect();
+            for grads in [&ascend, &descend] {
+                for skip in skip_sets(&model, grads, &mut rng) {
+                    let got = ranked(crate::bfa::intra_layer_candidates(&model, grads, &skip));
+                    let want = ranked(intra_layer_candidates(&model, grads, &skip));
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 }

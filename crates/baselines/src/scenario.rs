@@ -1179,7 +1179,10 @@ impl ScenarioMatrix {
         let victim = memo.victim(&self.victim, width);
         let (trained, dataset) = victim.value.get().expect("trained by RunMemo::victim");
         let mut net = trained.clone();
-        defense.prepare_victim(&mut net, dataset, &mut rng);
+        {
+            let _span = dd_obs::span_with("matrix.prepare", || format!("defense={name}"));
+            defense.prepare_victim(&mut net, dataset, &mut rng);
+        }
         let mut model = QModel::from_network(net);
         let mut data_rng = StdRng::seed_from_u64(self.victim.seed ^ 0x5eed_da7a);
         let batch = dataset.attack_batch(self.victim.batch.min(dataset.test.len()), &mut data_rng);

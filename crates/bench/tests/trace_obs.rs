@@ -86,6 +86,7 @@ fn observed_scenario_covers_the_span_taxonomy() {
         "matrix.cell_setup",
         "matrix.cell_attack",
         "matrix.victim_build",
+        "matrix.prepare",
         "matrix.search",
         "matrix.warmup_solo",
         "attack.profile_round",

@@ -9,9 +9,10 @@
 //! matrix is built. Every float is summed in the order, and multiplied in
 //! the operand order, of the row-major `im2col` → [`matmul_nt`] forward
 //! and [`matmul_tn`] / [`matmul`] / col2im backward, so results are
-//! bit-identical to that path. Each conv kernel is compiled twice, for the
-//! default target and with AVX2, and every call runs the best build the
-//! host supports (see `docs/perf.md`, "nn kernels").
+//! bit-identical to that path. Each conv kernel and [`matmul_nt`] is
+//! compiled twice, for the default target and with AVX2, and every call
+//! runs the best build the host supports (see `docs/perf.md`, "nn
+//! kernels").
 
 use std::ops::Range;
 
@@ -70,29 +71,6 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(&[m, n], out)
 }
 
-/// `C = A × Bᵀ` for `A: [m, k]`, `B: [n, k]`.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (n, kb) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, kb, "matmul_nt inner dimensions differ: {k} vs {kb}");
-    let mut out = vec![0.0f32; m * n];
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    for i in 0..m {
-        let arow = &av[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let brow = &bv[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&x, &y) in arow.iter().zip(brow) {
-                acc += x * y;
-            }
-            *o = acc;
-        }
-    }
-    Tensor::from_vec(&[m, n], out)
-}
-
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvGeometry {
@@ -125,10 +103,10 @@ impl ConvGeometry {
     }
 }
 
-/// An instruction-set build of the conv kernels. Each kernel body is
-/// compiled once per variant and the public functions run the best one
-/// the host supports, checked on every call. Both builds sum every float
-/// in the same order, so they agree bit for bit.
+/// An instruction-set build of the conv and `matmul_nt` kernels. Each
+/// kernel body is compiled once per variant and the public functions run
+/// the best one the host supports, checked on every call. Both builds sum
+/// every float in the same order, so they agree bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Isa {
     /// The default target's instructions (SSE2 on x86-64).
@@ -182,6 +160,104 @@ macro_rules! isa_dispatch {
             }
         }
     };
+}
+
+/// `C = A × Bᵀ` for `A: [m, k]`, `B: [n, k]`: the `Linear` forward.
+///
+/// Output `(i, j)` is `Σ_p a[i][p] · b[j][p]`, `p` ascending from
+/// `+0.0`, the dot-product loop's order, with no zero skip. A block of 4
+/// rows (or one row) × 16, 8, 4 or 1 output columns is summed in
+/// registers from `B` transposed once per call (see `docs/perf.md`,
+/// "`Linear` forward and intra-layer ranking").
+///
+/// # Panics
+///
+/// Panics on dimension mismatch.
+pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_nt_on(Isa::host(), a, b)
+}
+
+isa_dispatch! {
+    /// [`matmul_nt`] on the `isa` build.
+    fn matmul_nt_on(a: &Tensor, b: &Tensor) -> Tensor => matmul_nt_body
+}
+
+/// Rows of `A` one [`matmul_nt`] block sums at a time.
+const NT_ROWS: usize = 4;
+
+#[inline(always)]
+fn matmul_nt_body(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k) = (a.shape()[0], a.shape()[1]);
+    let (n, kb) = (b.shape()[0], b.shape()[1]);
+    assert_eq!(k, kb, "matmul_nt inner dimensions differ: {k} vs {kb}");
+    let mut out = vec![0.0f32; m * n];
+    let b_t = transpose(b.as_slice(), n, k);
+    // Blocks of `NT_ROWS` rows, then the rows left over one at a time.
+    let tall = m - m % NT_ROWS;
+    let blocks = (0..tall)
+        .step_by(NT_ROWS)
+        .map(|i0| (i0, NT_ROWS))
+        .chain((tall..m).map(|i0| (i0, 1)));
+    // The block's rows of `A`, interleaved: `[k][rows]`.
+    let mut rows_t = Vec::with_capacity(NT_ROWS * k);
+    for (i0, rows) in blocks {
+        transpose_into(&a.as_slice()[i0 * k..], rows, k, &mut rows_t);
+        let nt = NtBlock {
+            rows_t: &rows_t,
+            b_t: &b_t,
+            n,
+        };
+        let out_rows = &mut out[i0 * n..(i0 + rows) * n];
+        let mut j0 = 0;
+        while j0 < n {
+            j0 += match (rows, n - j0) {
+                (NT_ROWS, 16..) => nt.sum::<NT_ROWS, 16>(j0, out_rows),
+                (NT_ROWS, 8..) => nt.sum::<NT_ROWS, 8>(j0, out_rows),
+                (NT_ROWS, 4..) => nt.sum::<NT_ROWS, 4>(j0, out_rows),
+                (NT_ROWS, _) => nt.sum::<NT_ROWS, 1>(j0, out_rows),
+                (_, 16..) => nt.sum::<1, 16>(j0, out_rows),
+                (_, 8..) => nt.sum::<1, 8>(j0, out_rows),
+                (_, 4..) => nt.sum::<1, 4>(j0, out_rows),
+                _ => nt.sum::<1, 1>(j0, out_rows),
+            };
+        }
+    }
+    Tensor::from_vec(&[m, n], out)
+}
+
+/// One block of rows of a [`matmul_nt`] call.
+struct NtBlock<'a> {
+    /// The block's rows of `A`, `[k][rows]`.
+    rows_t: &'a [f32],
+    /// `Bᵀ`, `[k][n]`.
+    b_t: &'a [f32],
+    n: usize,
+}
+
+impl NtBlock<'_> {
+    /// Sum the `R` rows' outputs at columns `j0..j0 + J` into `out_rows`,
+    /// returning `J`. `R` must be the block's row count.
+    #[inline(always)]
+    fn sum<const R: usize, const J: usize>(&self, j0: usize, out_rows: &mut [f32]) -> usize {
+        let mut acc = [[0.0f32; J]; R];
+        for (a_p, b_p) in self
+            .rows_t
+            .chunks_exact(R)
+            .zip(self.b_t.chunks_exact(self.n))
+        {
+            let a_p: &[f32; R] = a_p.try_into().expect("a chunk of R rows");
+            let b_p: &[f32; J] = b_p[j0..j0 + J].try_into().expect("J columns");
+            for (acc_r, &x) in acc.iter_mut().zip(a_p) {
+                for (s, &y) in acc_r.iter_mut().zip(b_p) {
+                    *s += x * y;
+                }
+            }
+        }
+        for (acc_r, out_r) in acc.iter().zip(out_rows.chunks_exact_mut(self.n)) {
+            out_r[j0..j0 + J].copy_from_slice(acc_r);
+        }
+        J
+    }
 }
 
 /// Kernel taps one grad-weight load covers: the `kx` taps of one kernel
@@ -394,9 +470,21 @@ fn forward_body(
 
 /// `m[c][r]` for the row-major `m: [r][c]`.
 fn transpose(m: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    (0..cols)
-        .flat_map(|c| (0..rows).map(move |r| m[r * cols + c]))
-        .collect()
+    let mut t = Vec::new();
+    transpose_into(m, rows, cols, &mut t);
+    t
+}
+
+/// [`transpose`] into `t`'s allocation.
+#[inline(always)]
+fn transpose_into(m: &[f32], rows: usize, cols: usize, t: &mut Vec<f32>) {
+    t.clear();
+    t.resize(rows * cols, 0.0);
+    for c in 0..cols {
+        for r in 0..rows {
+            t[c * rows + r] = m[r * cols + c];
+        }
+    }
 }
 
 /// One image's forward for the output channels `j0..j0 + J`.

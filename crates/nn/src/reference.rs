@@ -1,12 +1,13 @@
-//! Bit-identity oracle for the conv and normalization kernels.
+//! Bit-identity oracle for the matmul, conv and normalization kernels.
 //!
-//! The row-major convolution (`im2col` → [`matmul_nt`] forward,
-//! [`matmul_tn`] / [`matmul`] / `col2im` backward) and the per-element
-//! `ChannelNorm` loops that the production kernels replaced, kept as
-//! references: the property tests below require the production kernels,
-//! every instruction-set build of them ([`Isa`]), to reproduce them bit for
-//! bit (`f32::to_bits`) over random geometries, signed zeros, infinite
-//! activations and zero upstream gradients.
+//! The dot-product [`matmul_nt`] loop, the row-major convolution
+//! (`im2col` → that [`matmul_nt`] forward, [`matmul_tn`] / [`matmul`] /
+//! `col2im` backward) and the per-element `ChannelNorm` loops that the
+//! production kernels replaced, kept as references: the property tests
+//! below require the production kernels, every instruction-set build of
+//! them ([`Isa`]), to reproduce them bit for bit (`f32::to_bits`) over
+//! random shapes and geometries, signed zeros, subnormals, infinite and
+//! NaN operands, and zero upstream gradients.
 
 use std::ops::Range;
 
@@ -14,9 +15,33 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::layers::{ChannelNorm, Conv2d, Layer};
-use crate::ops::{self, matmul, matmul_nt, matmul_tn, ConvGeometry, Isa};
+use crate::layers::{ChannelNorm, Conv2d, Layer, Linear};
+use crate::ops::{self, matmul, matmul_tn, ConvGeometry, Isa};
 use crate::tensor::Tensor;
+
+/// `C = A × Bᵀ` for `A: [m, k]`, `B: [n, k]`: one dot product per
+/// output, `p` ascending from `+0.0`.
+fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k) = (a.shape()[0], a.shape()[1]);
+    let (n, kb) = (b.shape()[0], b.shape()[1]);
+    assert_eq!(k, kb, "matmul_nt inner dimensions differ: {k} vs {kb}");
+    let mut out = vec![0.0f32; m * n];
+    let av = a.as_slice();
+    let bv = b.as_slice();
+    for i in 0..m {
+        let arow = &av[i * k..(i + 1) * k];
+        let orow = &mut out[i * n..(i + 1) * n];
+        for (j, o) in orow.iter_mut().enumerate() {
+            let brow = &bv[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            for (&x, &y) in arow.iter().zip(brow) {
+                acc += x * y;
+            }
+            *o = acc;
+        }
+    }
+    Tensor::from_vec(&[m, n], out)
+}
 
 /// im2col: unfold `[n, c, h, w]` into `[n * oh * ow, c * k * k]` patches.
 fn im2col(x: &Tensor, g: &ConvGeometry) -> Tensor {
@@ -462,8 +487,105 @@ fn check_norm(shape: &[usize], train: bool, seed: u64) {
     assert_eq!(buffers[1], to_bits(&reference.running_var), "running var");
 }
 
+/// Matmul operands: values in `[-2, 2)` scaled by `2^-8..2^8`, so that
+/// summing in another order rounds differently, with a `special_share`
+/// of `±0.0`, subnormals, `±inf` and NaN mixed in.
+fn operands(rng: &mut StdRng, len: usize, special_share: f64) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            let sign = if rng.gen_bool(0.5) { 1.0f32 } else { -1.0 };
+            if !rng.gen_bool(special_share) {
+                return rng.gen_range(-2.0f32..2.0) * (rng.gen_range(-8i32..9) as f32).exp2();
+            }
+            match rng.gen_range(0..4) {
+                0 => sign * 0.0,
+                1 => sign * f32::from_bits(rng.gen_range(1u32..0x80_0000)),
+                2 => sign * f32::INFINITY,
+                _ => f32::NAN,
+            }
+        })
+        .collect()
+}
+
+/// Bit patterns with every NaN made one: Rust leaves a NaN result's sign
+/// and payload unspecified, and LLVM may swap a product's operands, so
+/// NaN results compare as NaN.
+fn nan_bits(t: &Tensor) -> Vec<u32> {
+    let canonical = f32::NAN.to_bits();
+    t.as_slice()
+        .iter()
+        .map(|v| if v.is_nan() { canonical } else { v.to_bits() })
+        .collect()
+}
+
+/// Check `matmul_nt` against the dot-product loop on `[m, k] × [n, k]ᵀ`,
+/// on every build this host runs.
+fn check_matmul_nt((m, n, k): (usize, usize, usize), seed: u64, special_share: f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = Tensor::from_vec(&[m, k], operands(&mut rng, m * k, special_share));
+    let b = Tensor::from_vec(&[n, k], operands(&mut rng, n * k, special_share));
+    let want = nan_bits(&matmul_nt(&a, &b));
+    for isa in Isa::available() {
+        let got = nan_bits(&ops::matmul_nt_on(isa, &a, &b));
+        assert_eq!(got, want, "{isa:?} m={m} n={n} k={k} seed={seed}");
+    }
+}
+
+/// Check a `Linear` layer's forward against the dot-product loop plus
+/// the bias, and its backward against `matmul` and `matmul_tn`.
+fn check_linear((m, n, k): (usize, usize, usize), seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let w = Tensor::from_vec(&[n, k], values(&mut rng, n * k, 0.1));
+    let b = Tensor::from_vec(&[n], values(&mut rng, n, 0.2));
+    let x = Tensor::from_vec(&[m, k], values(&mut rng, m * k, 0.25));
+    let gy = Tensor::from_vec(&[m, n], values(&mut rng, m * n, 0.4));
+    let mut want_y = matmul_nt(&x, &w);
+    for row in want_y.as_mut_slice().chunks_mut(n) {
+        for (v, &bias) in row.iter_mut().zip(b.as_slice()) {
+            *v += bias;
+        }
+    }
+    let mut want_gb = vec![0.0f32; n];
+    for row in gy.as_slice().chunks(n) {
+        for (g, &v) in want_gb.iter_mut().zip(row) {
+            *g += v;
+        }
+    }
+    let mut layer = Linear::new("fc", w.clone(), b);
+    let case = format!("m={m} n={n} k={k}");
+    assert_eq!(
+        bits(&layer.forward(&x, true)),
+        bits(&want_y),
+        "forward {case}"
+    );
+    let gx = layer.backward(&gy);
+    assert_eq!(bits(&gx), bits(&matmul(&gy, &w)), "grad-input {case}");
+    let mut grads = Vec::new();
+    layer.visit_params(&mut |p| grads.push(bits(&p.grad)));
+    assert_eq!(grads[0], bits(&matmul_tn(&gy, &x)), "grad-weight {case}");
+    let want_gb = Tensor::from_vec(&[n], want_gb);
+    assert_eq!(grads[1], bits(&want_gb), "grad-bias {case}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn matmul_nt_matches_the_dot_product_loop(
+        shape in (0usize..41, 0usize..41, 0usize..41),
+        special in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        check_matmul_nt(shape, seed, [0.0, 0.01, 0.05, 0.3][special]);
+    }
+
+    #[test]
+    fn linear_matches_the_reference(
+        shape in (1usize..20, 1usize..41, 1usize..41),
+        seed in any::<u64>(),
+    ) {
+        check_linear(shape, seed);
+    }
 
     #[test]
     fn conv_kernels_match_the_row_major_reference(
@@ -491,6 +613,22 @@ proptest! {
         let ((channels, batch, four_d, train), (h, w)) = (layout, sides);
         let shape = if four_d { vec![batch, channels, h, w] } else { vec![batch, channels] };
         check_norm(&shape, train, seed);
+    }
+}
+
+#[test]
+fn matmul_nt_block_remainders_match_the_reference() {
+    // Every row remainder of a 4-row block (m = 0..9) against every
+    // column remainder of the 16/8/4/1 blocks (n = 0..40), at k = 0, 1
+    // and 7: each output block shape, each remainder and the empty sum.
+    let mut seed = 0;
+    for k in [0, 1, 7] {
+        for m in 0..10 {
+            for n in 0..41 {
+                seed += 1;
+                check_matmul_nt((m, n, k), seed, 0.05);
+            }
+        }
     }
 }
 
