@@ -668,17 +668,6 @@ pub struct MatrixRunSummary {
     pub cache_hits: usize,
 }
 
-impl MatrixRunSummary {
-    /// Fraction of cells served from the cache (1.0 for an empty matrix).
-    pub fn hit_rate(&self) -> f64 {
-        if self.cells == 0 {
-            1.0
-        } else {
-            self.cache_hits as f64 / self.cells as f64
-        }
-    }
-}
-
 /// Builder for attacker × defense × device × background-load sweeps.
 pub struct ScenarioMatrix {
     victim: VictimSpec,
@@ -2378,8 +2367,8 @@ mod tests {
         let (warm, summary) = matrix
             .run_with_cache(&cache, Some(&observe))
             .expect("warm run");
+        assert_eq!(summary.cells, 2);
         assert_eq!(summary.cache_hits, 2);
-        assert!((summary.hit_rate() - 1.0).abs() < f64::EPSILON);
         assert_eq!(events.lock().unwrap().as_slice(), &[(1, true), (2, true)]);
         for (a, b) in report.cells.iter().zip(&warm.cells) {
             assert_eq!(a.scenario, b.scenario);

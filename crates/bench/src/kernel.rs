@@ -337,24 +337,17 @@ fn run_streaming(config: &DramConfig, bytes: &[u8], batch_factor: u64) -> Memory
 fn assert_equivalent(fast: &MemoryController, reference: &MemoryController, trace: &[WorkloadOp]) {
     assert_eq!(fast.now(), reference.now(), "kernel clock diverged");
     assert_eq!(fast.stats(), reference.stats(), "kernel stats diverged");
-    for kind in [
-        dd_dram::CommandKind::Act,
-        dd_dram::CommandKind::Pre,
-        dd_dram::CommandKind::Rd,
-        dd_dram::CommandKind::Wr,
-    ] {
-        assert_eq!(
-            fast.trace().issued_of(kind),
-            reference.trace().issued_of(kind),
-            "kernel issue counters diverged for {kind:?}"
-        );
-    }
     for op in trace {
+        let row = op.row;
         assert_eq!(
-            fast.disturbance(op.row),
-            reference.disturbance(op.row),
-            "kernel disturbance diverged at {:?}",
-            op.row
+            fast.disturbance(row),
+            reference.disturbance(row),
+            "kernel disturbance diverged at {row:?}"
+        );
+        assert_eq!(
+            fast.peek_row(row.bank, row.subarray, row.row),
+            reference.peek_row(row.bank, row.subarray, row.row),
+            "kernel row payload diverged at {row:?}"
         );
     }
 }

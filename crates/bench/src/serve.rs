@@ -967,11 +967,3 @@ pub fn response_cells(response: &Json) -> Result<Vec<CellReport>, String> {
         })
         .collect()
 }
-
-/// Merge a server's computed cells into a batch-side cell cache (used by
-/// the `server` experiment to share cells with `repro workload`).
-pub fn merge_server_cache(server: SweepServer, cells: &mut HashMap<u64, CellReport>) {
-    for (key, cell) in server.into_cache() {
-        cells.insert(key, cell);
-    }
-}

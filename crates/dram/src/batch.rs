@@ -18,8 +18,7 @@
 //!   at the precomputed index;
 //! * refresh-epoch tracking amortized to one comparison per time
 //!   advance instead of one division per activation;
-//! * per-chunk (not per-command) accumulation of stats, busy time, and
-//!   issue counters.
+//! * per-chunk (not per-command) accumulation of stats and busy time.
 //!
 //! This is every controller's default. The per-command path stays the
 //! reference: `issue_batch` on a [`crate::TraceMode::Full`] controller

@@ -11,12 +11,31 @@
 
 use crate::bank::Bank;
 use crate::batch::{BatchOpKind, DecodedBatch};
-use crate::command::{CommandKind, CommandTrace, TraceMode};
 use crate::error::DramError;
 use crate::geometry::{BankId, DramConfig, GlobalRowId, RowInSubarray, SubarrayId};
 use crate::rowhammer::{FlipOutcome, HammerTracker, RowHammerModel};
 use crate::stats::MemStats;
 use crate::timing::Nanos;
+
+/// How bulk replay issues its commands.
+///
+/// The mode selects the path of [`MemoryController::issue_batch`] and of
+/// the workload driver that feeds it. Both paths leave the device in the
+/// identical end state, which `tests/kernel_differential.rs` checks by
+/// running every case on a [`TraceMode::Full`] device and on a default
+/// one. Neither retains the commands themselves; both tally them in
+/// [`MemStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TraceMode {
+    /// The per-command reference: every batched op replays through the
+    /// ordinary per-command methods
+    /// ([`MemoryController::issue_batch_reference`]), and the workload
+    /// driver flushes after every op.
+    Full,
+    /// The batched kernel (the default).
+    #[default]
+    CountersOnly,
+}
 
 /// The simulated memory controller.
 ///
@@ -46,7 +65,6 @@ pub struct MemoryController {
     banks: Vec<Bank>,
     now: Nanos,
     stats: MemStats,
-    trace: CommandTrace,
     mode: TraceMode,
     hammer: HammerTracker,
     rh_model: RowHammerModel,
@@ -56,9 +74,7 @@ impl MemoryController {
     /// Build a controller over a freshly zeroed device.
     ///
     /// This is the single construction path: configurations are validated
-    /// and the error surfaced, never panicked over. (An infallible `new`
-    /// used to exist; it was removed so that the two construction idioms
-    /// cannot drift apart again.)
+    /// and the error surfaced, never panicked over.
     ///
     /// # Errors
     ///
@@ -82,7 +98,6 @@ impl MemoryController {
             banks,
             now: Nanos::ZERO,
             stats: MemStats::new(),
-            trace: CommandTrace::default(),
             mode: TraceMode::default(),
             hammer,
             rh_model,
@@ -107,11 +122,6 @@ impl MemoryController {
     /// Operation statistics so far.
     pub fn stats(&self) -> MemStats {
         self.stats
-    }
-
-    /// The per-kind command issue counters.
-    pub fn trace(&self) -> &CommandTrace {
-        &self.trace
     }
 
     /// Set how bulk replay issues commands (see [`TraceMode`]). Only the
@@ -171,7 +181,6 @@ impl MemoryController {
         self.now += self.config.timing.t_act;
         self.stats.acts += 1;
         self.stats.busy += self.config.timing.t_act;
-        self.trace.count(CommandKind::Act);
         self.disturb_neighbours(addr, 1);
         Ok(())
     }
@@ -186,7 +195,6 @@ impl MemoryController {
         self.now += self.config.timing.t_pre;
         self.stats.pres += 1;
         self.stats.busy += self.config.timing.t_pre;
-        self.trace.count(CommandKind::Pre);
         Ok(())
     }
 
@@ -211,7 +219,6 @@ impl MemoryController {
         self.now += self.config.timing.t_rd;
         self.stats.reads += 1;
         self.stats.busy += self.config.timing.t_rd;
-        self.trace.count(CommandKind::Rd);
         self.precharge(bank, subarray)?;
         Ok(data)
     }
@@ -241,7 +248,6 @@ impl MemoryController {
         self.now += self.config.timing.t_wr;
         self.stats.writes += 1;
         self.stats.busy += self.config.timing.t_wr;
-        self.trace.count(CommandKind::Wr);
         self.precharge(bank, subarray)?;
         Ok(())
     }
@@ -307,7 +313,6 @@ impl MemoryController {
         self.stats.acts += 2;
         self.stats.pres += 1;
         self.stats.busy += self.config.timing.t_aap;
-        self.trace.count(CommandKind::RowClone);
         self.disturb_neighbours(src_addr, 1);
         self.disturb_neighbours(dst_addr, 1);
         Ok(())
@@ -325,14 +330,15 @@ impl MemoryController {
         self.stats.refreshes += 1;
         self.now += self.config.timing.t_act;
         self.stats.busy += self.config.timing.t_act;
-        self.trace.count(CommandKind::Refresh);
         Ok(())
     }
 
     /// Hammer: issue `count` activate/precharge pairs against `aggressor`
     /// as fast as timing allows. This is the attacker's primitive.
     ///
-    /// Returns the disturbance each neighbour of the aggressor now carries.
+    /// Returns the disturbance that one victim now carries: the
+    /// aggressor's first in-subarray neighbour, `row - 1` (or row 1 when
+    /// the aggressor is row 0). The other neighbour is not reported.
     ///
     /// # Errors
     ///
@@ -345,7 +351,6 @@ impl MemoryController {
         self.stats.acts += count;
         self.stats.pres += count;
         self.stats.busy += self.config.timing.t_act * u128::from(count);
-        self.trace.count(CommandKind::Act);
         self.disturb_neighbours(aggressor, count);
         let epoch = self.epoch();
         Ok(self
@@ -435,16 +440,16 @@ impl MemoryController {
     /// By default the chunk runs on the batched kernel: disturbance
     /// written in place into the dense per-row table at each op's
     /// pre-decoded index, refresh-epoch checks amortized to one
-    /// comparison per time advance, stats and issue counters accumulated
-    /// once per chunk, and no row-payload allocation on reads. On a
+    /// comparison per time advance, stats accumulated once per chunk,
+    /// and no row-payload allocation on reads. On a
     /// [`TraceMode::Full`] controller the same ops replay through the
     /// ordinary per-command methods
     /// ([`MemoryController::issue_batch_reference`]), the reference the
     /// kernel is checked against.
     ///
     /// Both paths leave the controller in the *identical* end state —
-    /// simulated clock, [`MemStats`], issue counters, per-row disturbance
-    /// and row payloads — a contract enforced by the differential oracle
+    /// simulated clock, [`MemStats`], per-row disturbance and row
+    /// payloads — a contract enforced by the differential oracle
     /// in `tests/kernel_differential.rs`.
     ///
     /// # Errors
@@ -529,7 +534,7 @@ impl MemoryController {
     }
 
     /// The batched kernel: in-place disturbance at pre-decoded indices,
-    /// amortized epoch checks, one stats/counter flush per chunk.
+    /// amortized epoch checks, one stats flush per chunk.
     /// Infallible — ops were validated when pushed and the geometry was
     /// checked by the caller.
     fn issue_batch_fast(&mut self, batch: &mut DecodedBatch) {
@@ -540,7 +545,6 @@ impl MemoryController {
         let mut epoch = (now / t_ref) as u64;
         let mut epoch_end = (now / t_ref + 1) * t_ref;
         let (mut acts, mut pres, mut reads, mut writes) = (0u64, 0u64, 0u64, 0u64);
-        let (mut c_act, mut c_rd, mut c_wr, mut c_pre) = (0u64, 0u64, 0u64, 0u64);
         let mut busy = 0u128;
 
         for op in &batch.ops {
@@ -564,14 +568,12 @@ impl MemoryController {
                     BatchOpKind::Read => {
                         now += t_rd;
                         reads += 1;
-                        c_rd += 1;
                         busy += t_act + t_rd + t_pre;
                     }
                     BatchOpKind::Write(fill) => {
                         sub.fill_row_raw(in_row, fill);
                         now += t_wr;
                         writes += 1;
-                        c_wr += 1;
                         busy += t_act + t_wr + t_pre;
                     }
                     BatchOpKind::Hammer => unreachable!("guarded above"),
@@ -581,8 +583,6 @@ impl MemoryController {
                 now += t_pre;
                 acts += 1;
                 pres += 1;
-                c_act += 1;
-                c_pre += 1;
             }
             if op.extra > 0 {
                 // The bulk ACT storm (`hammer`): time advances for the
@@ -598,8 +598,6 @@ impl MemoryController {
                 acts += op.extra;
                 pres += op.extra;
                 busy += t_act * u128::from(op.extra);
-                // `hammer` records one bulk ACT regardless of count.
-                c_act += 1;
             }
         }
 
@@ -609,10 +607,6 @@ impl MemoryController {
         self.stats.reads += reads;
         self.stats.writes += writes;
         self.stats.busy += Nanos(busy);
-        self.trace.count_n(CommandKind::Act, c_act);
-        self.trace.count_n(CommandKind::Rd, c_rd);
-        self.trace.count_n(CommandKind::Wr, c_wr);
-        self.trace.count_n(CommandKind::Pre, c_pre);
         batch.ops.clear();
     }
 }
@@ -786,13 +780,11 @@ mod tests {
             .unwrap();
         m.read_row(BankId(0), SubarrayId(0), RowInSubarray(3))
             .unwrap();
-        assert_eq!(m.trace().issued_of(CommandKind::Wr), 1);
-        assert_eq!(m.trace().issued_of(CommandKind::Rd), 1);
-        assert_eq!(m.trace().issued_of(CommandKind::Act), 2);
-        assert_eq!(m.trace().issued_of(CommandKind::Pre), 2);
-        assert_eq!(m.trace().issued(), 6);
-        assert_eq!(m.stats().reads, 1);
-        assert_eq!(m.stats().writes, 1);
+        let stats = m.stats();
+        assert_eq!(stats.acts, 2);
+        assert_eq!(stats.pres, 2);
+        assert_eq!(stats.reads, 1);
+        assert_eq!(stats.writes, 1);
     }
 
     #[test]
@@ -859,18 +851,6 @@ mod tests {
     fn assert_same_end_state(fast: &MemoryController, reference: &MemoryController) {
         assert_eq!(fast.now(), reference.now(), "clock diverged");
         assert_eq!(fast.stats(), reference.stats(), "stats diverged");
-        for kind in [
-            CommandKind::Act,
-            CommandKind::Pre,
-            CommandKind::Rd,
-            CommandKind::Wr,
-        ] {
-            assert_eq!(
-                fast.trace().issued_of(kind),
-                reference.trace().issued_of(kind),
-                "issue counter diverged for {kind:?}"
-            );
-        }
         let config = fast.config().clone();
         for bank in 0..config.banks {
             for sub in 0..config.subarrays_per_bank {

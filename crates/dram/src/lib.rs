@@ -5,7 +5,7 @@
 //! RowHammer attack/defense studies:
 //!
 //! * the bank / subarray / row hierarchy and the command protocol
-//!   (`ACT` / `PRE` / `RD` / `WR`) — [`geometry`], [`command`], [`bank`],
+//!   (`ACT` / `PRE` / `RD` / `WR`) — [`geometry`], [`bank`],
 //!   [`subarray`], [`controller`];
 //! * **RowClone** in-DRAM bulk copy (two back-to-back `ACT`s, no `PRE`
 //!   in between) used by DNN-Defender's swap operations — [`subarray`];
@@ -42,29 +42,23 @@
 
 #![deny(missing_docs)]
 
-pub mod addressing;
 pub mod bank;
 pub mod batch;
-pub mod command;
 pub mod controller;
 pub mod error;
 pub mod geometry;
 #[cfg(test)]
 mod reference;
-pub mod refresh;
 pub mod rowhammer;
 pub mod stats;
 pub mod subarray;
 pub mod timing;
 
-pub use addressing::{AddressMapping, DecodedAddr, PhysAddr};
 pub use bank::Bank;
 pub use batch::{BatchOp, BatchOpKind, DecodedBatch, BATCH_CHUNK_OPS};
-pub use command::{CommandKind, CommandTrace, TraceMode};
-pub use controller::MemoryController;
+pub use controller::{MemoryController, TraceMode};
 pub use error::DramError;
 pub use geometry::{BankId, DramConfig, GlobalRowId, RowInSubarray, SubarrayId};
-pub use refresh::RefreshSchedule;
 pub use rowhammer::{FlipOutcome, RowHammerModel};
 pub use stats::{EnergyModel, MemStats};
 pub use subarray::Subarray;

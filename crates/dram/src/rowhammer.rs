@@ -178,12 +178,6 @@ impl RowHammerModel {
             .collect()
     }
 
-    /// Aggressor rows able to disturb a victim (the same ±1 set).
-    pub fn aggressors_of(&self, victim: GlobalRowId) -> Vec<GlobalRowId> {
-        // Adjacency is symmetric.
-        self.victims_of(victim)
-    }
-
     /// The hammer count an attacker must still apply to `victim` given its
     /// current disturbance.
     pub fn remaining(&self, disturbance: u64) -> u64 {
@@ -306,7 +300,6 @@ mod tests {
             rows_per_subarray: 128,
         };
         assert_eq!(m.victims_of(gid(10)), vec![gid(9), gid(11)]);
-        assert_eq!(m.aggressors_of(gid(10)), vec![gid(9), gid(11)]);
         assert_eq!(m.victims_of(gid(0)), vec![gid(1)]);
         assert_eq!(m.victims_of(gid(127)), vec![gid(126)]);
     }

@@ -83,16 +83,6 @@ impl EnergyModel {
         }
     }
 
-    /// Total energy (pJ) for a set of operation counts.
-    pub fn energy_pj(&self, stats: &MemStats) -> f64 {
-        stats.acts as f64 * self.e_act
-            + stats.pres as f64 * self.e_pre
-            + stats.reads as f64 * self.e_rd
-            + stats.writes as f64 * self.e_wr
-            + stats.row_clones as f64 * self.e_row_clone
-            + stats.refreshes as f64 * self.e_refresh
-    }
-
     /// Energy (pJ) of copying one row via the memory channel
     /// (read + write), for comparison against [`EnergyModel::e_row_clone`].
     pub fn channel_copy_pj(&self) -> f64 {
@@ -131,18 +121,5 @@ mod tests {
     fn rowclone_is_much_cheaper_than_channel_copy() {
         let e = EnergyModel::ddr4();
         assert!(e.channel_copy_pj() / e.e_row_clone > 20.0);
-    }
-
-    #[test]
-    fn energy_accumulates_per_op() {
-        let e = EnergyModel::ddr4();
-        let s = MemStats {
-            acts: 2,
-            pres: 1,
-            row_clones: 3,
-            ..MemStats::new()
-        };
-        let expected = 2.0 * e.e_act + e.e_pre + 3.0 * e.e_row_clone;
-        assert!((e.energy_pj(&s) - expected).abs() < 1e-9);
     }
 }

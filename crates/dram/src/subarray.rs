@@ -170,25 +170,6 @@ impl Subarray {
         self.open_row = Some(dst);
         Ok(())
     }
-
-    /// Swap the payloads of two rows (three RowClone copies through a
-    /// scratch location are modelled at the controller level; this is the
-    /// end state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::RowOutOfRange`] when either row is invalid.
-    pub fn swap_rows(&mut self, a: RowInSubarray, b: RowInSubarray) -> Result<(), DramError> {
-        self.check(a)?;
-        self.check(b)?;
-        if a != b && !self.data.is_empty() {
-            let len = self.row_bytes();
-            let (lo, hi) = (a.0.min(b.0), a.0.max(b.0));
-            let (head, tail) = self.data.split_at_mut(hi * len);
-            head[lo * len..][..len].swap_with_slice(&mut tail[..len]);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +193,6 @@ mod tests {
         let mut s = Subarray::new(4, 3);
         assert_eq!(s.row(RowInSubarray(3)).unwrap(), &[0, 0, 0]);
         s.row_clone(RowInSubarray(0), RowInSubarray(1)).unwrap();
-        s.swap_rows(RowInSubarray(2), RowInSubarray(3)).unwrap();
         assert!(s.data.is_empty(), "no payload block before a write");
         s.write_row(RowInSubarray(2), &[1, 2, 3]).unwrap();
         assert_eq!(s.row(RowInSubarray(2)).unwrap(), &[1, 2, 3]);
@@ -260,15 +240,5 @@ mod tests {
                 got: 2
             })
         ));
-    }
-
-    #[test]
-    fn swap_rows_exchanges_payloads() {
-        let mut s = Subarray::new(4, 1);
-        s.write_row(RowInSubarray(0), &[7]).unwrap();
-        s.write_row(RowInSubarray(2), &[8]).unwrap();
-        s.swap_rows(RowInSubarray(0), RowInSubarray(2)).unwrap();
-        assert_eq!(s.row(RowInSubarray(0)).unwrap(), &[8]);
-        assert_eq!(s.row(RowInSubarray(2)).unwrap(), &[7]);
     }
 }

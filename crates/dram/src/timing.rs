@@ -49,11 +49,6 @@ impl Nanos {
         self.0 as f64 / 1e9
     }
 
-    /// Value in (fractional) days — used for time-to-break reporting.
-    pub fn as_days_f64(self) -> f64 {
-        self.as_secs_f64() / 86_400.0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
@@ -214,7 +209,6 @@ mod tests {
     fn nanos_conversions() {
         assert_eq!(Nanos::from_millis(64).0, 64_000_000);
         assert_eq!(Nanos::from_secs(1), Nanos::from_millis(1000));
-        assert!((Nanos::from_secs(86_400).as_days_f64() - 1.0).abs() < 1e-12);
     }
 
     #[test]

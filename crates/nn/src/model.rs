@@ -140,38 +140,6 @@ impl Network {
         self.visit_params(&mut |p| n += p.value.len());
         n
     }
-
-    /// Number of scalar parameters subject to weight quantization.
-    pub fn quantizable_param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| {
-            if p.quantizable {
-                n += p.value.len()
-            }
-        });
-        n
-    }
-
-    /// Snapshot all parameter values (for restore-after-attack workflows).
-    pub fn snapshot(&mut self) -> Vec<Tensor> {
-        let mut out = Vec::new();
-        self.visit_params(&mut |p| out.push(p.value.clone()));
-        out
-    }
-
-    /// Restore a snapshot taken with [`Network::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot does not match the parameter structure.
-    pub fn restore(&mut self, snapshot: &[Tensor]) {
-        let mut i = 0;
-        self.visit_params(&mut |p| {
-            p.value = snapshot[i].clone();
-            i += 1;
-        });
-        assert_eq!(i, snapshot.len(), "snapshot length mismatch");
-    }
 }
 
 /// Clones parameters and running statistics layer by layer
@@ -320,21 +288,6 @@ mod tests {
         let mut net = tiny_net();
         // fc1: 4*8+8, fc2: 8*3+3
         assert_eq!(net.param_count(), 32 + 8 + 24 + 3);
-        assert_eq!(net.quantizable_param_count(), 32 + 24);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let mut net = tiny_net();
-        let snap = net.snapshot();
-        net.visit_params(&mut |p| p.value.scale(0.0));
-        let zeroed = net.forward(&Tensor::full(&[1, 4], 1.0), false);
-        assert!(zeroed.as_slice().iter().all(|&v| v == 0.0));
-        net.restore(&snap);
-        let restored = net.snapshot();
-        for (a, b) in snap.iter().zip(&restored) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl Tensor {
         }
     }
 
-    /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        self.data.iter_mut().for_each(|x| *x = f(*x));
-    }
-
     /// Elementwise addition.
     ///
     /// # Panics

@@ -6,7 +6,6 @@ use crate::data::{Dataset, Split};
 use crate::loss::{accuracy, cross_entropy, cross_entropy_grad};
 use crate::model::Network;
 use crate::optim::Sgd;
-use crate::tensor::Tensor;
 
 /// Hyper-parameters for [`train`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,18 +90,13 @@ pub fn evaluate(net: &mut Network, split: &Split, batch_size: usize) -> f32 {
     correct / seen as f32
 }
 
-/// Loss of `net` on a batch (used by attack loops).
-pub fn batch_loss(net: &mut Network, images: &Tensor, labels: &[usize]) -> f32 {
-    let logits = net.forward(images, false);
-    cross_entropy(&logits, labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::SyntheticSpec;
     use crate::init::seeded_rng;
     use crate::layers::{Flatten, Linear, Relu};
+    use crate::tensor::Tensor;
 
     #[test]
     fn mlp_learns_synthetic_data() {

@@ -180,17 +180,6 @@ impl QModel {
         });
     }
 
-    /// Overwrite the quantized store of parameter `param` from a byte
-    /// image (e.g. read back from simulated DRAM) and resync.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn load_param_bytes(&mut self, param: usize, bytes: &[u8]) {
-        self.qtensors[param].load_bytes(bytes);
-        self.sync_param(param);
-    }
-
     /// Snapshot the full quantized state.
     pub fn snapshot_q(&self) -> Vec<Vec<i8>> {
         self.qtensors.iter().map(|qt| qt.as_q().to_vec()).collect()
@@ -385,20 +374,6 @@ mod tests {
         qm.flip_bit(best);
         let after = qm.loss(&x, &labels);
         assert!(after > base, "predicted-harmful flip did not increase loss");
-    }
-
-    #[test]
-    fn load_param_bytes_syncs_float_net() {
-        let mut qm = tiny_qmodel();
-        let (x, _) = batch();
-        let before = qm.forward(&x);
-        let mut bytes = qm.qtensor(0).to_bytes();
-        for b in bytes.iter_mut().take(16) {
-            *b ^= 0x80; // flip sign bits
-        }
-        qm.load_param_bytes(0, &bytes);
-        let after = qm.forward(&x);
-        assert_ne!(before.as_slice(), after.as_slice());
     }
 
     #[test]

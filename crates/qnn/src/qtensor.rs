@@ -1,6 +1,6 @@
 //! A quantized parameter tensor: `i8` storage + scale + bit addressing.
 
-use crate::quant::{flip_weight_bit, hamming_distance, weight_bit, QuantParams, WEIGHT_BITS};
+use crate::quant::{flip_weight_bit, weight_bit, QuantParams, WEIGHT_BITS};
 use dd_nn::Tensor;
 
 /// One quantized weight tensor of a model.
@@ -109,15 +109,6 @@ impl QTensor {
         self.params.dequantize(self.q[index])
     }
 
-    /// Hamming distance from another quantized state of the same tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn hamming_to(&self, other: &QTensor) -> u64 {
-        hamming_distance(&self.q, &other.q)
-    }
-
     /// Pack the quantized weights into bytes for storage in DRAM rows.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.q.iter().map(|&v| v as u8).collect()
@@ -175,15 +166,5 @@ mod tests {
         qt.flip_bit(2, 3);
         qt.load_bytes(&bytes);
         assert_eq!(qt, orig);
-    }
-
-    #[test]
-    fn hamming_counts_flips() {
-        let a = sample();
-        let mut b = sample();
-        assert_eq!(a.hamming_to(&b), 0);
-        b.flip_bit(0, 0);
-        b.flip_bit(1, 5);
-        assert_eq!(a.hamming_to(&b), 2);
     }
 }

@@ -44,6 +44,7 @@ impl QuantParams {
 /// # Panics
 ///
 /// Panics if `bit >= 8`.
+#[inline]
 pub fn weight_bit(q: i8, bit: u8) -> bool {
     assert!(bit < WEIGHT_BITS, "bit index out of range");
     (q as u8 >> bit) & 1 == 1
@@ -62,6 +63,7 @@ pub fn flip_weight_bit(q: i8, bit: u8) -> i8 {
 /// Signed change in the integer value caused by flipping `bit` of `q`:
 /// `flip(q) - q` without actually flipping. Used for gradient-based bit
 /// ranking (`∂L/∂b ≈ g_w · scale · Δq`).
+#[inline]
 pub fn flip_delta(q: i8, bit: u8) -> i32 {
     let magnitude: i32 = if bit == 7 { -128 } else { 1 << bit };
     if weight_bit(q, bit) {

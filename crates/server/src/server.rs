@@ -42,9 +42,9 @@
 //! Execution is panic-isolated: a worker panic (real or `dd-chaos`
 //! injected) retries up to [`MAX_JOB_ATTEMPTS`] times and then comes back
 //! as a structured `job_failed` error with the admission charge refunded —
-//! never process death. A submit admitted before a `shutdown` op can be
-//! drained normally or aborted with [`SweepServer::abort_submit`], which
-//! refunds every pending cell (`shed`/`shutting_down`).
+//! never process death. A `shutdown` op refuses every later submit
+//! (`shutting_down`); a submit admitted before it still runs and
+//! completes, so connection loops drain what is in flight.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -104,7 +104,7 @@ pub struct SweepServer {
     last_regime: Option<Regime>,
     shutdown: bool,
     /// Estimated microseconds admitted but not yet completed (submits
-    /// between `begin_line` and `complete_submit`/`abort_submit`). Later
+    /// between `begin_line` and `complete_submit`). Later
     /// admissions classify their regime against `offered + inflight`.
     inflight_micros: u64,
     /// Trained victims and attacker searches, shared by every cell this
@@ -136,7 +136,6 @@ enum Slot {
         key: u64,
         estimate_micros: u64,
         priority: i64,
-        reason: &'static str,
     },
     Error {
         message: String,
@@ -184,8 +183,8 @@ struct ExecJob {
 /// A submit request that passed admission (passes 1–2) and is ready to
 /// execute. Produced by [`SweepServer::begin_line`] under the server lock;
 /// the caller runs [`SweepServer::execute_prepared`] *without* the lock and
-/// finishes with [`SweepServer::complete_submit`] (or
-/// [`SweepServer::abort_submit`] on shutdown).
+/// finishes with [`SweepServer::complete_submit`], also when a `shutdown`
+/// landed in between.
 pub struct PreparedSubmit {
     client: String,
     request_seq: u64,
@@ -257,8 +256,8 @@ impl SweepServer {
     }
 
     /// Estimated microseconds admitted but not yet completed (non-zero
-    /// only between `begin_line` and `complete_submit`/`abort_submit` on
-    /// concurrent connections).
+    /// only between `begin_line` and `complete_submit` on concurrent
+    /// connections).
     pub fn inflight_micros(&self) -> u64 {
         self.inflight_micros
     }
@@ -337,39 +336,6 @@ impl SweepServer {
     /// the server state and build the response (under the lock again).
     pub fn complete_submit(&mut self, executed: ExecutedSubmit) -> Json {
         self.complete(executed)
-    }
-
-    /// Abort a prepared submit whose jobs never ran (e.g. a `shutdown`
-    /// landed between admission and execution): every pending cell is
-    /// refunded and answered `shed`/`shutting_down`; already-resolved
-    /// slots (cache hits, rejections) are reported normally.
-    pub fn abort_submit(&mut self, prepared: PreparedSubmit) -> Json {
-        let mut prepared = prepared;
-        for job in std::mem::take(&mut prepared.jobs) {
-            let ExecJob {
-                slot,
-                spec,
-                spec_label,
-                key,
-            } = job;
-            let estimate = match &prepared.slots[slot] {
-                Slot::Pending {
-                    estimate_micros, ..
-                } => *estimate_micros,
-                _ => 0,
-            };
-            prepared.slots[slot] = Slot::Shed {
-                spec_label,
-                key,
-                estimate_micros: estimate,
-                priority: spec.priority,
-                reason: "shutting_down",
-            };
-        }
-        self.complete(ExecutedSubmit {
-            prepared,
-            runs: Vec::new(),
-        })
     }
 
     fn op_hello(&self) -> Json {
@@ -709,7 +675,6 @@ impl SweepServer {
                     key,
                     estimate_micros: estimate,
                     priority: spec.priority,
-                    reason: "storm_overload",
                 };
             }
         }
@@ -720,8 +685,8 @@ impl SweepServer {
         }
 
         // Hand off to execution: collect surviving pending cells, and
-        // account their estimates as in-flight until `complete`/`abort`
-        // settles them.
+        // account their estimates as in-flight until `complete` settles
+        // them.
         drop(pass_span);
         let jobs: Vec<ExecJob> = slots
             .iter()
@@ -998,23 +963,13 @@ impl SweepServer {
                     key,
                     estimate_micros,
                     priority,
-                    reason,
                 } => {
                     ledger.shed += 1;
-                    if *reason == "storm_overload" {
-                        // The storm shed loop already refunded the charge.
-                        self.stats.record_shed(regime, *estimate_micros);
-                    } else {
-                        // Shutdown-abort sheds refund here; they are not a
-                        // regime outcome, so `shed_by_regime` (a storm-only
-                        // breakdown by construction) is left alone.
-                        ledger.account.refund(*estimate_micros);
-                        self.stats.shed += 1;
-                        self.stats.record_refund(regime, *estimate_micros);
-                    }
+                    // The storm shed loop already refunded the charge.
+                    self.stats.record_shed(regime, *estimate_micros);
                     Json::obj()
                         .with("status", Json::str("shed"))
-                        .with("reason", Json::str(*reason))
+                        .with("reason", Json::str("storm_overload"))
                         .with("spec", Json::str(spec_label.clone()))
                         .with("key", Json::hex(*key))
                         .with("estimate_micros", Json::uint(*estimate_micros))
@@ -1237,14 +1192,6 @@ mod tests {
         assert_eq!(all.field_u64("evicted"), Ok(0));
     }
 
-    fn ledger_balances(ledger: &Json) -> bool {
-        let granted = ledger.field_u64("granted_micros").expect("granted");
-        let refunded = ledger.field_u64("refunded_micros").expect("refunded");
-        let gross = ledger.field_u64("charged_gross_micros").expect("gross");
-        let remaining = ledger.field_u64("remaining_micros").expect("remaining");
-        granted + refunded == gross + remaining
-    }
-
     #[test]
     fn warm_inflight_backlog_flips_calm_to_pre_storm() {
         // Size the capacity to one cell's estimate: a lone submit is Calm,
@@ -1306,25 +1253,12 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_aborts_prepared_submit_with_refunds_and_refuses_new_work() {
+    fn shutdown_refuses_new_work() {
         let mut server = test_server(1_000_000);
         let line = submit_line("drain", &["Baseline (undefended):BFA:lpddr4_small:none"]);
-        let LineOutcome::Submit(prepared) = server.begin_line(&line) else {
-            panic!("submit should pass admission");
-        };
-        assert!(server.inflight_micros() > 0);
-        // Shutdown lands while the submit is admitted but unexecuted.
         let bye = Json::parse(&server.handle_line("{\"op\":\"shutdown\"}")).expect("bye");
         assert_eq!(bye.field_bool("ok"), Ok(true));
-        let response = server.abort_submit(*prepared);
-        let results = response.field_arr("results").expect("results");
-        assert_eq!(results[0].field_str("status"), Ok("shed"));
-        assert_eq!(results[0].field_str("reason"), Ok("shutting_down"));
-        let ledger = response.field("ledger").expect("ledger");
-        assert_eq!(ledger.field_u64("charged_micros"), Ok(0));
-        assert!(ledger.field_u64("refunded_micros").expect("refunded") > 0);
-        assert!(ledger_balances(ledger));
-        assert_eq!(server.inflight_micros(), 0);
+        assert!(server.is_shutdown());
 
         // New submits are refused with a structured shutting_down error.
         let refused = Json::parse(&server.handle_line(&line)).expect("refused");

@@ -437,23 +437,6 @@ impl BenignTraffic {
         Ok(())
     }
 
-    /// [`BenignTraffic::drive_span`] over the remainder of the current
-    /// refresh window, at the mix's full per-window op budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DramError`] from device or defense operations.
-    pub fn drive_window(
-        &mut self,
-        mem: &mut MemoryController,
-        defense: &mut dyn DefenseMechanism,
-        map: Option<&mut WeightMap>,
-    ) -> Result<SpanTraffic, DramError> {
-        let end = next_window_boundary(mem);
-        let ops = self.ops_per_window;
-        self.drive_span(mem, defense, map, end, ops)
-    }
-
     /// One *benign-only* measurement window: window-rollover
     /// notification, then the full per-window op budget, stopping 1 ns
     /// short of the epoch boundary so the caller can sample disturbance

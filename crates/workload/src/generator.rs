@@ -250,11 +250,6 @@ impl TenantMix {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-
-    /// Number of tenants in the mix.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
 }
 
 impl WorkloadGenerator for TenantMix {

@@ -11,8 +11,9 @@
 //! indistinguishable:
 //!
 //! * identical [`DefenseStats`] (including false/online defensive ops),
-//! * identical activation counters — device [`dd_dram::MemStats`],
-//!   per-kind issue counters, and per-row disturbance,
+//! * identical activation counters — device [`dd_dram::MemStats`] and
+//!   per-row disturbance,
+//! * identical row payloads (a digest of every row of the device),
 //! * identical `observe_activation` call sequences (recorded by a
 //!   wrapper defense),
 //! * identical simulated clock and campaign outcomes.
@@ -25,9 +26,7 @@
 use proptest::prelude::*;
 
 use dd_baselines::DefenseKind;
-use dd_dram::{
-    CommandKind, DramConfig, DramError, GlobalRowId, MemStats, MemoryController, TraceMode,
-};
+use dd_dram::{DramConfig, DramError, GlobalRowId, MemStats, MemoryController, TraceMode};
 use dd_nn::init::seeded_rng;
 use dd_nn::layers::{Flatten, Linear};
 use dd_nn::model::Network;
@@ -36,7 +35,7 @@ use dd_workload::{
     all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig, OpKind, WorkloadOp,
 };
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats, FlipAttempt};
-use dnn_defender::{DynDefense, WeightMap};
+use dnn_defender::{DynDefense, StableHasher, WeightMap};
 
 /// Wrapper that records every `observe_activation` call so the oracle
 /// can compare the exact tap sequences the two paths deliver. With
@@ -113,7 +112,7 @@ struct Outcome {
     stats: DefenseStats,
     mem: MemStats,
     now: u128,
-    issued: Vec<u64>,
+    payload: u64,
     calls: Vec<(GlobalRowId, u64)>,
     false_defense_ops: u64,
     online_defense_ops: u64,
@@ -157,6 +156,24 @@ fn spread_bits(model: &QModel, n: usize) -> Vec<BitAddr> {
         .collect()
 }
 
+/// A digest of every row's payload, in address order.
+fn payload_digest(mem: &MemoryController) -> u64 {
+    let config = mem.config();
+    let mut hasher = StableHasher::new();
+    for bank in 0..config.banks {
+        for subarray in 0..config.subarrays_per_bank {
+            for row in 0..config.rows_per_subarray {
+                let row = GlobalRowId::new(bank, subarray, row);
+                let payload = mem
+                    .peek_row(row.bank, row.subarray, row.row)
+                    .expect("row in range");
+                hasher.write_bytes(payload);
+            }
+        }
+    }
+    hasher.finish()
+}
+
 fn outcome_of(
     mem: MemoryController,
     recording: Recording,
@@ -167,17 +184,7 @@ fn outcome_of(
         stats: report.stats,
         mem: mem.stats(),
         now: mem.now().0,
-        issued: [
-            CommandKind::Act,
-            CommandKind::Pre,
-            CommandKind::Rd,
-            CommandKind::Wr,
-            CommandKind::RowClone,
-            CommandKind::Refresh,
-        ]
-        .into_iter()
-        .map(|k| mem.trace().issued_of(k))
-        .collect(),
+        payload: payload_digest(&mem),
         calls: recording.calls,
         false_defense_ops: report.false_defense_ops,
         online_defense_ops: report.online_defense_ops,
