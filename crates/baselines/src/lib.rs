@@ -18,10 +18,13 @@
 //!   (SHADOW, HPCA 2023), the strongest prior scheme and the head-to-head
 //!   comparison in Fig. 8;
 //!
+//! Table 2's counter-per-row, Hydra and TWiCe rows are storage figures
+//! ([`dnn_defender::overhead`]); no tracker here simulates them.
+//!
 //! Software baselines (Table 3):
 //!
 //! * [`software`] — piece-wise clustering (weight clipping), binary
-//!   weights, post-attack weight reconstruction, capacity scaling;
+//!   weights, capacity scaling;
 //!
 //! and the [`scenario`] harness — [`scenario::ScenarioMatrix`] — that
 //! sweeps attacker × defense × device grids under the common BFA
@@ -55,7 +58,6 @@
 
 #![deny(missing_docs)]
 
-pub mod counters;
 pub mod graphene;
 pub mod pool;
 pub mod scenario;
@@ -63,7 +65,6 @@ pub mod shadow;
 pub mod software;
 pub mod swap_based;
 
-pub use counters::{CounterPerRow, HydraTracker, TwiceTable};
 pub use dd_workload::BackgroundLoad;
 pub use graphene::{GrapheneDefense, MisraGries};
 pub use pool::run_indexed;
@@ -73,7 +74,5 @@ pub use scenario::{
     VictimSpec, CELL_PROTOCOL_VERSION,
 };
 pub use shadow::ShadowMechanism;
-pub use software::{
-    binarize_weights, clip_weights, record_max_abs, repair_outliers, SoftwareDefense, SoftwareKind,
-};
+pub use software::{binarize_weights, clip_weights, SoftwareDefense, SoftwareKind};
 pub use swap_based::{AttackerTracking, RowSwapMechanism, SwapScheme};

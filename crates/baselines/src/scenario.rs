@@ -789,16 +789,6 @@ impl ScenarioMatrix {
         })
     }
 
-    /// Add the Table 3 defense roster ([`DefenseKind::TABLE3`]): the
-    /// undefended baseline, the three software defenses, and the four
-    /// hardware families (Graphene, RRS/SRS, SHADOW) plus DNN-Defender
-    /// with 2-round priority profiling.
-    pub fn with_table3_defenses(self) -> Self {
-        DefenseKind::TABLE3
-            .into_iter()
-            .fold(self, |matrix, kind| matrix.defense_kind(kind))
-    }
-
     fn effective_attackers(&self) -> Vec<AttackerKind> {
         if self.attackers.is_empty() {
             vec![AttackerKind::Bfa]

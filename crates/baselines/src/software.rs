@@ -10,9 +10,6 @@
 //! * **Binary weights** [He et al. 2020 / RA-BNN] — weights become
 //!   `±α` per layer; a bit flip can only negate one weight, so far more
 //!   flips are needed for the same damage.
-//! * **Weight reconstruction** [Li et al., DAC 2020] — post-attack
-//!   repair; approximated by clamping statistical outliers back into the
-//!   clean weight range.
 //! * **Model capacity ×k** [RA-BNN observation] — a wider model dilutes
 //!   each weight's influence.
 //!
@@ -77,66 +74,6 @@ pub fn binarize_weights(net: &mut Network) {
     });
 }
 
-/// Statistics of a repair pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Weights pulled back into range.
-    pub repaired: usize,
-}
-
-/// Post-attack weight reconstruction: clamp any weight whose magnitude
-/// exceeds the recorded clean maximum of its parameter (bit flips in high
-/// bits create exactly such outliers).
-pub fn repair_outliers(net: &mut Network, clean_max_abs: &[f32]) -> RepairReport {
-    let mut repaired = 0;
-    let mut idx = 0;
-    net.visit_params(&mut |p| {
-        if !p.quantizable {
-            return;
-        }
-        let bound = clean_max_abs[idx];
-        idx += 1;
-        for w in p.value.as_mut_slice() {
-            if w.abs() > bound {
-                *w = w.signum() * bound;
-                repaired += 1;
-            }
-        }
-    });
-    RepairReport { repaired }
-}
-
-/// Record the per-parameter clean `max |w|` needed by
-/// [`repair_outliers`].
-pub fn record_max_abs(net: &mut Network) -> Vec<f32> {
-    let mut out = Vec::new();
-    net.visit_params(&mut |p| {
-        if p.quantizable {
-            out.push(p.value.max_abs());
-        }
-    });
-    out
-}
-
-/// Mean absolute weight value of the quantizable parameters (diagnostic
-/// used in tests and the Table 3 harness).
-pub fn mean_abs_weight(net: &mut Network) -> f32 {
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    net.visit_params(&mut |p| {
-        if p.quantizable {
-            sum += p
-                .value
-                .as_slice()
-                .iter()
-                .map(|w| w.abs() as f64)
-                .sum::<f64>();
-            count += p.value.len();
-        }
-    });
-    (sum / count.max(1) as f64) as f32
-}
-
 /// Which training-side transform a [`SoftwareDefense`] applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SoftwareKind {
@@ -168,8 +105,8 @@ impl SoftwareKind {
 #[derive(Debug)]
 pub struct SoftwareDefense {
     kind: SoftwareKind,
-    /// Epochs for each recovery fine-tune pass (0 = transform only).
-    pub recovery_epochs: usize,
+    /// Epochs for each recovery fine-tune pass.
+    recovery_epochs: usize,
     stats: DefenseStats,
 }
 
@@ -215,16 +152,6 @@ impl DefenseMechanism for SoftwareDefense {
     /// transform-train-transform pattern approximating the training-time
     /// versions of these defenses).
     fn prepare_victim(&mut self, net: &mut Network, dataset: &Dataset, rng: &mut StdRng) {
-        if self.recovery_epochs == 0 {
-            match self.kind {
-                SoftwareKind::Clustering => {
-                    clip_weights(net, 2.0);
-                }
-                SoftwareKind::BinaryWeights => binarize_weights(net),
-                SoftwareKind::CapacityX2 => {}
-            }
-            return;
-        }
         let ft = TrainConfig {
             epochs: self.recovery_epochs,
             batch_size: 64,
@@ -279,6 +206,17 @@ mod tests {
             .push(Linear::kaiming("fc", 16, 8, &mut rng))
     }
 
+    /// `max |w|` of the first quantizable parameter.
+    fn first_max_abs(net: &mut Network) -> f32 {
+        let mut out = None;
+        net.visit_params(&mut |p| {
+            if p.quantizable && out.is_none() {
+                out = Some(p.value.max_abs());
+            }
+        });
+        out.expect("a quantizable parameter")
+    }
+
     #[test]
     fn clipping_reduces_max_abs() {
         let mut net = toy_net();
@@ -288,9 +226,9 @@ mod tests {
                 p.value.as_mut_slice()[0] = 100.0;
             }
         });
-        let before = record_max_abs(&mut net)[0];
+        let before = first_max_abs(&mut net);
         let clipped = clip_weights(&mut net, 2.0);
-        let after = record_max_abs(&mut net)[0];
+        let after = first_max_abs(&mut net);
         assert!(clipped >= 1);
         assert!(after < before);
     }
@@ -309,33 +247,5 @@ mod tests {
                     .all(|w| (w.abs() - alpha).abs() < 1e-6));
             }
         });
-    }
-
-    #[test]
-    fn repair_restores_bounds() {
-        let mut net = toy_net();
-        let clean = record_max_abs(&mut net);
-        // Simulate an MSB-flip outlier.
-        net.visit_params(&mut |p| {
-            if p.quantizable {
-                p.value.as_mut_slice()[3] = -50.0;
-            }
-        });
-        let report = repair_outliers(&mut net, &clean);
-        assert_eq!(report.repaired, 1);
-        let after = record_max_abs(&mut net);
-        assert!(after[0] <= clean[0] + 1e-6);
-    }
-
-    #[test]
-    fn binarization_bounds_flip_damage() {
-        // After binarization + quantization, the largest possible change
-        // to any weight from one flip is 2α-ish; in the float domain the
-        // weights live on ±α so mean|w| is exactly α.
-        let mut net = toy_net();
-        binarize_weights(&mut net);
-        let m = mean_abs_weight(&mut net);
-        let maxabs = record_max_abs(&mut net)[0];
-        assert!((m - maxabs).abs() < 1e-6);
     }
 }

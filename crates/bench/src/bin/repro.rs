@@ -448,8 +448,8 @@ fn run_kernel(opts: &Options) -> Result<(), ExitCode> {
     if bench.obs_overhead_batch_pct > bench.obs_overhead_ceiling_pct {
         eprintln!(
             "repro: dd-obs instrumentation overhead (batch {:+.2}%) exceeds the committed \
-             ceiling {:.2}% — the disabled-sink fast path is no longer cheap enough on a \
-             kernel hot loop (see docs/observability.md)",
+             ceiling {:.2}% — recording with the sink enabled costs too much on a kernel hot \
+             loop, measured against paired disabled-sink runs (see docs/observability.md)",
             bench.obs_overhead_batch_pct, bench.obs_overhead_ceiling_pct,
         );
         return Err(ExitCode::FAILURE);

@@ -13,12 +13,13 @@
 //!
 //! * [`defense`] — the [`defense::DefenseMechanism`] trait every
 //!   mitigation (DNN-Defender and the `dd-baselines` families) implements,
-//!   plus the unified [`defense::DefenseStats`] bookkeeping;
+//!   plus the unified [`defense::DefenseStats`] bookkeeping; priority
+//!   protection (§4) is [`defense::DnnDefenderDefense`]'s deployment-time
+//!   profiling;
 //! * [`mapping`] — the weight→DRAM mapping file (Fig. 4);
 //! * [`swap`] — [`swap::four_step_swap`], the four-step RowClone swap
 //!   (Algorithm 1, Fig. 5) that keeps a deployed weight map coherent;
 //! * [`schedule`] — the pipelined swap timeline (Fig. 6);
-//! * [`priority`] — priority protection planning (§4);
 //! * [`system`] — [`system::ProtectedSystem`]: model + DRAM + defense,
 //!   generic over the installed [`defense::DefenseMechanism`], with the
 //!   attacker-vs-defense race played out on the simulator;
@@ -73,7 +74,6 @@ pub mod json;
 pub mod mapping;
 pub mod overhead;
 pub mod power;
-pub mod priority;
 pub mod schedule;
 pub mod stablehash;
 pub mod swap;
@@ -89,7 +89,6 @@ pub use json::{Json, JsonError};
 pub use mapping::{BitLocation, RowSlot, WeightMap};
 pub use overhead::{overhead_table, CapacityCost, MemKind, OverheadEntry};
 pub use power::{power_table, saving_versus, PowerProfile};
-pub use priority::ProtectionPlan;
 pub use schedule::{chain_schedule, parallel_schedule, SwapSchedule};
 pub use stablehash::{stable_digest, StableHash, StableHasher};
 pub use swap::SwapOutcome;

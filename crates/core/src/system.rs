@@ -74,8 +74,8 @@ impl<D: DefenseMechanism> ProtectedSystem<D> {
         })
     }
 
-    /// Install the secured-bit set (from a
-    /// [`crate::priority::ProtectionPlan`]).
+    /// Install the secured-bit set, e.g. the bits of a
+    /// [`dd_attack::multi_round_profile`] run.
     pub fn protect(&mut self, bits: impl IntoIterator<Item = BitAddr>) {
         let bits: Vec<BitAddr> = bits.into_iter().collect();
         self.defense.secure_bits(&bits, Some(&self.map));

@@ -336,14 +336,10 @@ impl MemoryController {
     /// Hammer: issue `count` activate/precharge pairs against `aggressor`
     /// as fast as timing allows. This is the attacker's primitive.
     ///
-    /// Returns the disturbance that one victim now carries: the
-    /// aggressor's first in-subarray neighbour, `row - 1` (or row 1 when
-    /// the aggressor is row 0). The other neighbour is not reported.
-    ///
     /// # Errors
     ///
     /// Returns an out-of-range error for an invalid address.
-    pub fn hammer(&mut self, aggressor: GlobalRowId, count: u64) -> Result<u64, DramError> {
+    pub fn hammer(&mut self, aggressor: GlobalRowId, count: u64) -> Result<(), DramError> {
         self.config.check_addr(aggressor)?;
         // Bulk-model the ACT storm instead of issuing `count` commands:
         // identical end state, O(1) work.
@@ -352,13 +348,7 @@ impl MemoryController {
         self.stats.pres += count;
         self.stats.busy += self.config.timing.t_act * u128::from(count);
         self.disturb_neighbours(aggressor, count);
-        let epoch = self.epoch();
-        Ok(self
-            .rh_model
-            .victims_of(aggressor)
-            .first()
-            .map(|v| self.hammer.disturbance(*v, epoch))
-            .unwrap_or(0))
+        Ok(())
     }
 
     /// Current disturbance of a row in the present refresh window (0 for
@@ -518,7 +508,7 @@ impl MemoryController {
             }
             .and_then(|()| {
                 if op.extra > 0 {
-                    self.hammer(op.row, op.extra).map(|_| ())
+                    self.hammer(op.row, op.extra)
                 } else {
                     Ok(())
                 }

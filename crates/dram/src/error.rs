@@ -40,8 +40,6 @@ pub enum DramError {
         /// The buffer size that was passed.
         got: usize,
     },
-    /// RowClone requires source and destination in the same subarray.
-    CrossSubarrayClone,
     /// A bit offset exceeded the number of bits in a row.
     BitOutOfRange {
         /// The offending bit offset.
@@ -81,9 +79,6 @@ impl fmt::Display for DramError {
                     "row buffer size mismatch: expected {expected} bytes, got {got}"
                 )
             }
-            DramError::CrossSubarrayClone => {
-                write!(f, "rowclone source and destination must share a subarray")
-            }
             DramError::BitOutOfRange { bit, bits } => {
                 write!(f, "bit offset {bit} out of range (row holds {bits} bits)")
             }
@@ -120,7 +115,6 @@ mod tests {
                 expected: 8192,
                 got: 64,
             },
-            DramError::CrossSubarrayClone,
             DramError::BitOutOfRange {
                 bit: 1 << 20,
                 bits: 65536,

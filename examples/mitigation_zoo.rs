@@ -1,13 +1,11 @@
-//! Tour of the baseline RowHammer mitigations on the raw DRAM simulator:
-//! counter-per-row, Hydra, TWiCe, Graphene, RRS (against both attacker
-//! types) and SHADOW — the systems DNN-Defender is compared against in
-//! Tables 2–3.
+//! Tour of the hardware RowHammer mitigations on the raw DRAM simulator:
+//! Graphene, RRS (against both attacker types) and SHADOW — the systems
+//! DNN-Defender is compared against in Table 3.
 //!
 //! Run with: `cargo run --release --example mitigation_zoo`
 
 use dd_baselines::{
-    AttackerTracking, CounterPerRow, GrapheneDefense, HydraTracker, RowSwapMechanism,
-    ShadowMechanism, SwapScheme, TwiceTable,
+    AttackerTracking, GrapheneDefense, RowSwapMechanism, ShadowMechanism, SwapScheme,
 };
 use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController};
 use dd_qnn::BitAddr;
@@ -53,65 +51,6 @@ fn main() -> Result<(), DramError> {
         } else {
             "resisted"
         }
-    );
-
-    // Counter-per-row.
-    let (mut mem, victim, aggressor) = fresh();
-    let mut cpr = CounterPerRow::new();
-    for _ in 0..10 {
-        mem.hammer(aggressor, t_rh / 10)?;
-        cpr.on_activations(&mut mem, aggressor, t_rh / 10, t_rh / 2)?;
-    }
-    println!(
-        "counter-per-row   : flip {}, {} refreshes, {} live counters",
-        if mem.attempt_flip(victim, &[0])?.flipped() {
-            "LANDED"
-        } else {
-            "resisted"
-        },
-        cpr.refreshes,
-        cpr.live_counters()
-    );
-
-    // Hydra two-level tracking.
-    let (mut mem, victim, aggressor) = fresh();
-    let mut hydra = HydraTracker::new(16, t_rh / 6);
-    for _ in 0..10 {
-        mem.hammer(aggressor, t_rh / 10)?;
-        hydra.on_activations(&mut mem, aggressor, t_rh / 10, t_rh / 2)?;
-    }
-    println!(
-        "hydra             : flip {}, {} refreshes, {} spilled row counters",
-        if mem.attempt_flip(victim, &[0])?.flipped() {
-            "LANDED"
-        } else {
-            "resisted"
-        },
-        hydra.refreshes,
-        hydra.spilled_rows
-    );
-
-    // TWiCe pruned table.
-    let (mut mem, victim, aggressor) = fresh();
-    let mut twice = TwiceTable::new();
-    for noise_row in 40..60 {
-        mem.hammer(GlobalRowId::new(0, 0, noise_row), 2)?;
-        twice.on_activations(&mut mem, GlobalRowId::new(0, 0, noise_row), 2, t_rh / 2, 4)?;
-    }
-    for _ in 0..10 {
-        mem.hammer(aggressor, t_rh / 10)?;
-        twice.on_activations(&mut mem, aggressor, t_rh / 10, t_rh / 2, 4)?;
-    }
-    println!(
-        "twice             : flip {}, {} refreshes, {} pruned, {} live entries",
-        if mem.attempt_flip(victim, &[0])?.flipped() {
-            "LANDED"
-        } else {
-            "resisted"
-        },
-        twice.refreshes,
-        twice.pruned,
-        twice.live_entries()
     );
 
     // Graphene Misra-Gries.
@@ -160,7 +99,7 @@ fn main() -> Result<(), DramError> {
     }
 
     println!(
-        "\nTakeaway: counter schemes work but pay Table-2 storage; RRS only \
+        "\nTakeaway: Graphene's counters stop the flip but pay Table-2 storage; RRS only \
          stops the attacker that chases its aggressor data; SHADOW and \
          DNN-Defender both relocate the *victim* — see the quickstart and \
          priority_protection examples for DNN-Defender itself."

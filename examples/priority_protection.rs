@@ -1,6 +1,7 @@
 //! The full DNN-Defender flow: profile vulnerable bits with the
-//! attacker's own search, install the priority protection plan, and
-//! compare semi-white-box vs adaptive white-box attacks (§4, §5.2).
+//! attacker's own search, map them to the target rows DNN-Defender
+//! protects, and compare semi-white-box vs adaptive white-box attacks
+//! (§4, §5.2).
 //!
 //! Run with: `cargo run --release --example priority_protection`
 
@@ -40,19 +41,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let rounds = 4;
     let map = dnn_defender::WeightMap::layout(&model, &DramConfig::lpddr4_small());
-    let plan = ProtectionPlan::profile(&mut model, &data, &profile_cfg, rounds, &map);
+    let profile = multi_round_profile(&mut model, &data, &profile_cfg, rounds);
     println!(
         "profiled {} secured bits over {rounds} rounds -> {} target rows \
          ({:.3}% of model bits)",
-        plan.secured_bit_count(),
-        plan.target_rows.len(),
-        plan.secured_fraction(&model) * 100.0
+        profile.bits.len(),
+        map.target_rows(&profile.bits).len(),
+        profile.bits.len() as f64 / model.total_bits() as f64 * 100.0
     );
-    for (i, size) in plan.profile.round_sizes.iter().enumerate() {
+    for (i, size) in profile.round_sizes.iter().enumerate() {
         println!(
             "  round {}: {size} bits, attack bottomed out at {:.1}%",
             i + 1,
-            plan.profile.round_final_accuracies[i] * 100.0
+            profile.round_final_accuracies[i] * 100.0
         );
     }
 
@@ -62,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_flips: 40,
         ..Default::default()
     };
-    let secured = plan.secured_set();
+    let secured = profile.all();
     for threat in [ThreatModel::SemiWhiteBox, ThreatModel::WhiteBox] {
         let snapshot = model.snapshot_q();
         let outcome = attack_protected(&mut model, &data, &attack_cfg, &secured, threat);

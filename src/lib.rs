@@ -46,6 +46,6 @@ pub mod prelude {
     pub use dd_qnn::{build_model, Architecture, BitAddr, ModelConfig, QModel};
     pub use dnn_defender::{
         DefenseConfig, DefenseMechanism, DefenseOp, DefenseStats, DnnDefenderDefense, DynDefense,
-        FlipAttempt, ProtectedSystem, ProtectionPlan, SecurityModel, Undefended,
+        FlipAttempt, ProtectedSystem, SecurityModel, Undefended,
     };
 }

@@ -95,6 +95,32 @@ fn full_defense_pipeline_holds_accuracy() {
 }
 
 #[test]
+fn deploy_time_profiling_secures_the_profiled_bits() {
+    let (mut model, data, _) = victim();
+    let clean = model.snapshot_q();
+    let cfg = AttackConfig {
+        target_accuracy: 0.3,
+        max_flips: 10,
+        ..Default::default()
+    };
+    let profiled = multi_round_profile(&mut model, &data, &cfg, 2).all();
+    assert!(!profiled.is_empty());
+
+    let mut defense = DnnDefenderDefense::with_profiling(DefenseConfig::default(), 2, 77);
+    defense.on_deploy(&mut model, &data, &cfg);
+    assert_eq!(defense.secured_bits(), Some(&profiled));
+    assert_eq!(model.hamming_from(&clean), 0, "profiling left flips behind");
+
+    let map = dnn_defender::WeightMap::layout(&model, &DramConfig::lpddr4_small());
+    let target_rows = map.target_rows(&profiled).len();
+    let system =
+        ProtectedSystem::deploy_with(model, DramConfig::lpddr4_small(), defense).expect("deploy");
+    assert!(profiled.iter().all(|&bit| system.is_protected(bit)));
+    assert_eq!(system.protected_row_count(), target_rows);
+    assert!((1..=profiled.len()).contains(&target_rows));
+}
+
+#[test]
 fn undefended_system_collapses_under_the_same_campaign() {
     let (mut model, data, _) = victim();
     let profile_cfg = AttackConfig {
