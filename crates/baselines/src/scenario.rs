@@ -51,7 +51,9 @@ use dd_nn::data::{Dataset, SyntheticSpec};
 use dd_nn::train::{train, TrainConfig};
 use dd_nn::Network;
 use dd_qnn::{build_model, Architecture, BitAddr, BitFlip, ModelConfig, QModel};
-use dd_workload::{all_data_rows, BackgroundLoad, BenignTraffic, WORKLOAD_PROTOCOL_VERSION};
+use dd_workload::{
+    all_data_rows, BackgroundLoad, BenignTraffic, RowSet, WORKLOAD_PROTOCOL_VERSION,
+};
 use dnn_defender::defense::{
     CampaignView, DefenseConfig, DefenseMechanism, DefenseStats, DnnDefenderDefense, DynDefense,
     Undefended,
@@ -1247,22 +1249,17 @@ impl ScenarioMatrix {
         let t_rh = dram.rowhammer_threshold;
 
         // The cell's background traffic: zipfian serving over a 64-row
-        // "hot" working set spread across the device, scans over the
-        // rest (on the scratch device there is no deployed weight image,
-        // so the working set is a geometric stand-in for one). The row
-        // universe is listed only for a load that has traffic: on
-        // `ddr4_32gb` it is 4 Mi rows.
+        // "hot" working set spread across the device, scans over every
+        // data row (on the scratch device there is no deployed weight
+        // image, so the working set is a geometric stand-in for one).
+        // Only the hot set is listed, 4 bytes a row; the scans compute
+        // their rows, and the universe is one bit per device row.
         let traffic = if load == BackgroundLoad::None {
             None
         } else {
             let _span = dd_obs::span_with("matrix.traffic_build", || format!("defense={name}"));
             let cold = all_data_rows(dram);
-            let hot: Vec<GlobalRowId> = cold
-                .iter()
-                .copied()
-                .step_by((cold.len() / 64).max(1))
-                .take(64)
-                .collect();
+            let hot = cold.spread(64);
             BenignTraffic::for_load(
                 load,
                 self.traffic_seed(attacker, dram, load),
@@ -1283,7 +1280,7 @@ impl ScenarioMatrix {
             mem,
             traffic,
             benign,
-            disturbed: HashSet::new(),
+            disturbed: RowSet::new(dram),
             clean_accuracy: clean,
             t_rh,
             false_ops_base,
@@ -1316,13 +1313,13 @@ impl ScenarioMatrix {
             let span = traffic.drive_benign_window(mem, &mut **defense, None)?;
             benign.ops += span.ops;
             benign.activations += span.activations;
-            let universe = traffic.universe();
-            for (&row, d) in universe.iter().zip(mem.disturbances(universe)) {
-                benign.peak_disturbance = benign.peak_disturbance.max(d);
-                if d >= *t_rh / 2 {
-                    disturbed.insert(row);
-                }
-            }
+            mem.disturbances(traffic.universe().iter())
+                .for_each(|(row, d)| {
+                    benign.peak_disturbance = benign.peak_disturbance.max(d);
+                    if d >= *t_rh / 2 {
+                        disturbed.insert(row);
+                    }
+                });
             mem.advance(Nanos(1));
         }
         benign.false_defense_ops = defense.stats().defense_ops - *false_ops_base;
@@ -1411,16 +1408,15 @@ impl ScenarioMatrix {
             // rollover zeroes it), then cross the boundary.
             if let (Some(t), Some(b)) = (traffic.as_mut(), benign_report.as_mut()) {
                 if attempts.is_multiple_of(10) || attempts == flips.len() {
-                    let universe = t.universe();
-                    for (&row, d) in universe.iter().zip(mem.disturbances(universe)) {
-                        if row == victim {
-                            continue;
-                        }
-                        b.peak_disturbance = b.peak_disturbance.max(d);
-                        if d >= t_rh / 2 {
-                            disturbed.insert(row);
-                        }
-                    }
+                    let victim = dram.flat_row_index(victim);
+                    mem.disturbances(t.universe().iter())
+                        .filter(|&(row, _)| Some(row) != victim)
+                        .for_each(|(row, d)| {
+                            b.peak_disturbance = b.peak_disturbance.max(d);
+                            if d >= t_rh / 2 {
+                                disturbed.insert(row);
+                            }
+                        });
                 }
                 mem.advance(Nanos(1));
             }
@@ -1787,7 +1783,7 @@ struct CellState {
     mem: MemoryController,
     traffic: Option<BenignTraffic>,
     benign: Option<BenignReport>,
-    disturbed: HashSet<GlobalRowId>,
+    disturbed: RowSet,
     clean_accuracy: f32,
     t_rh: u64,
     /// Defense-op counter at the end of setup; the warmup windows'

@@ -211,7 +211,12 @@ mod tests {
         let mut out = None;
         net.visit_params(&mut |p| {
             if p.quantizable && out.is_none() {
-                out = Some(p.value.max_abs());
+                out = Some(
+                    p.value
+                        .as_slice()
+                        .iter()
+                        .fold(0.0f32, |m, &w| m.max(w.abs())),
+                );
             }
         });
         out.expect("a quantizable parameter")

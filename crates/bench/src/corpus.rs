@@ -529,7 +529,8 @@ pub fn run_corpus_campaign(smoke: bool) -> Result<CorpusReport, dd_dram::DramErr
         let streaming = replay_run(
             kind,
             &mut BenignTraffic::from_streaming(
-                StreamingReplay::open(Cursor::new(v2_bytes.clone())).expect("validated above"),
+                StreamingReplay::open(Cursor::new(v2_bytes.clone()), &config)
+                    .expect("validated above"),
                 replay_ops_per_window,
                 32,
                 &config,

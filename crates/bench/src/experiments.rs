@@ -27,8 +27,8 @@ use dd_nn::model::Network;
 use dd_qnn::{Architecture, BitAddr, QModel};
 use dd_server::{CellSpec, ServerConfig, SweepBase, SweepServer, SERVER_PROTOCOL_VERSION};
 use dd_workload::{
-    all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig, DriverReport,
-    WORKLOAD_PROTOCOL_VERSION,
+    all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig, DriverReport, RowSet,
+    Rows, WORKLOAD_PROTOCOL_VERSION,
 };
 use dnn_defender::budget::DEFAULT_COMMANDS_PER_SEC;
 use dnn_defender::{
@@ -1058,12 +1058,14 @@ pub(crate) fn workload_run(
 
     let model = serving_model(p.seed);
     let mut map = WeightMap::layout(&model, &config);
-    let hot: Vec<_> = map.slots().iter().map(|s| s.row).collect();
-    let hot_set: std::collections::HashSet<_> = hot.iter().copied().collect();
-    let cold: Vec<_> = all_data_rows(&config)
-        .into_iter()
-        .filter(|row| !hot_set.contains(row))
-        .collect();
+    let hot_set: std::collections::HashSet<_> = map.slots().iter().map(|s| s.row).collect();
+    let hot = Rows::listed(&config, map.slots().iter().map(|s| s.row));
+    let cold = Rows::listed(
+        &config,
+        all_data_rows(&config)
+            .iter()
+            .filter(|row| !hot_set.contains(row)),
+    );
 
     // The benign traffic is seeded per *mix only*: every defense row of
     // one mix faces the identical op stream, so false-op and disturbance
@@ -1084,7 +1086,16 @@ pub(crate) fn workload_run(
         .unwrap_or_else(
             // BackgroundLoad::None: an empty stream set that only rolls the
             // clock, so the attack-only baseline runs through the same path.
-            || BenignTraffic::new(Vec::new(), load.label(), 0, 1, Vec::new(), &config),
+            || {
+                BenignTraffic::new(
+                    Vec::new(),
+                    load.label(),
+                    0,
+                    1,
+                    RowSet::new(&config),
+                    &config,
+                )
+            },
         );
     run_workload(
         &mut mem,

@@ -25,7 +25,7 @@
 use std::io::Cursor;
 use std::time::Instant;
 
-use dd_dram::{DecodedBatch, DramConfig, DramError, GlobalRowId, MemoryController};
+use dd_dram::{DecodedBatch, DramConfig, DramError, MemoryController};
 use dd_workload::{
     all_data_rows, batch_op_kind, encode, StreamingScan, StreamingTraceReader, WorkloadGenerator,
     WorkloadOp, ZipfianServing,
@@ -254,13 +254,7 @@ impl KernelBench {
 /// `(ops, seed)`.
 pub fn kernel_trace(config: &DramConfig, ops: usize, seed: u64) -> Vec<WorkloadOp> {
     let rows = all_data_rows(config);
-    let hot: Vec<GlobalRowId> = rows
-        .iter()
-        .copied()
-        .step_by((rows.len() / 64).max(1))
-        .take(64)
-        .collect();
-    let mut zipf = ZipfianServing::new(hot, 1.0, seed);
+    let mut zipf = ZipfianServing::new(rows.spread(64), 1.0, seed);
     let mut scan = StreamingScan::new(rows, 16);
     (0..ops)
         .map(|i| {

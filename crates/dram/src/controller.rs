@@ -357,13 +357,20 @@ impl MemoryController {
         self.hammer.disturbance(row, self.epoch())
     }
 
-    /// Current disturbance of each of `rows`, in order: the bulk form of
+    /// Each of `rows`, flat row indices ([`DramConfig::flat_row_index`]),
+    /// paired with its current disturbance, in order: the bulk form of
     /// [`MemoryController::disturbance`] for scans over a whole row set,
     /// with the refresh epoch computed once per call instead of per row.
-    pub fn disturbances<'a>(&'a self, rows: &'a [GlobalRowId]) -> impl Iterator<Item = u64> + 'a {
+    /// An index past the device's last row reads 0, as a row outside the
+    /// geometry does.
+    pub fn disturbances<'a, I>(&'a self, rows: I) -> impl Iterator<Item = (usize, u64)> + 'a
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: 'a,
+    {
         let epoch = self.epoch();
-        rows.iter()
-            .map(move |&row| self.hammer.disturbance(row, epoch))
+        rows.into_iter()
+            .map(move |flat| (flat, self.hammer.disturbance_at(flat, epoch)))
     }
 
     /// Attempt to flip `bits` (bit offsets within the row payload) in
@@ -793,9 +800,12 @@ mod tests {
             GlobalRowId::new(16, 0, 0),
         ];
         assert_eq!(rows.map(|r| m.disturbance(r)), [0, 40, 0, 40, 0]);
+        // The bulk read takes flat indices: an undisturbed row, the two
+        // disturbed rows, and the first index past the end of the table.
+        let flat = [0, 128 + 72, 8 * 128, 16 * 8 * 128];
         assert_eq!(
-            m.disturbances(&rows).collect::<Vec<_>>(),
-            vec![0, 40, 0, 40, 0]
+            m.disturbances(flat).map(|(_, d)| d).collect::<Vec<_>>(),
+            vec![0, 40, 40, 0]
         );
     }
 

@@ -8,7 +8,8 @@
 //! every subarray and on the last bank and subarray, and require every
 //! read to agree, out-of-range rows included. A second property checks
 //! [`MemoryController::disturbances`] against per-row reads and against
-//! the reference on both sides of a refresh-window boundary.
+//! the reference on both sides of a refresh-window boundary, over every
+//! flat row index and past the table's end.
 
 use std::collections::HashMap;
 
@@ -154,12 +155,23 @@ proptest! {
         let mut reference = HashMapTracker::default();
         let t_ref = config.timing.t_ref.0;
         let check = |mem: &MemoryController, reference: &HashMapTracker| {
-            let bulk: Vec<u64> = mem.disturbances(&probes).collect();
-            let single: Vec<u64> = probes.iter().map(|&r| mem.disturbance(r)).collect();
-            let oracle: Vec<u64> =
-                probes.iter().map(|&r| reference.disturbance(r, mem.epoch())).collect();
+            // Every flat index in order, then two past the table's end,
+            // which read 0 as the rows outside the geometry do.
+            let bulk: Vec<(usize, u64)> = mem.disturbances(0..rows.len() + 2).collect();
+            let beyond = [0, 0].into_iter();
+            let single: Vec<(usize, u64)> =
+                rows.iter().map(|&r| mem.disturbance(r)).chain(beyond.clone()).enumerate().collect();
+            let oracle: Vec<(usize, u64)> = rows
+                .iter()
+                .map(|&r| reference.disturbance(r, mem.epoch()))
+                .chain(beyond)
+                .enumerate()
+                .collect();
             assert_eq!(bulk, single, "bulk vs per-row at {:?}", mem.now());
             assert_eq!(bulk, oracle, "dense vs reference at {:?}", mem.now());
+            for &r in &probes[rows.len()..] {
+                assert_eq!(mem.disturbance(r), reference.disturbance(r, mem.epoch()), "{r:?}");
+            }
         };
         for (kind, pick, n) in ops {
             let row = rows[pick % rows.len()];

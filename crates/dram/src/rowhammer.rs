@@ -103,6 +103,16 @@ impl HammerTracker {
         }
     }
 
+    /// Current disturbance of the row at `flat` within epoch `epoch`; an
+    /// index past the table's end reads 0.
+    #[inline]
+    pub(crate) fn disturbance_at(&self, flat: usize, epoch: u64) -> u64 {
+        match self.entries.get(flat) {
+            Some(&(e, n)) if e == epoch => n,
+            _ => 0,
+        }
+    }
+
     /// Current disturbance of `row` within epoch `epoch`. A row outside
     /// the geometry has none: each coordinate is checked, so it never
     /// aliases another row's slot.
@@ -114,10 +124,7 @@ impl HammerTracker {
         {
             return 0;
         }
-        match self.entries[self.index(row)] {
-            (e, n) if e == epoch => n,
-            _ => 0,
-        }
+        self.disturbance_at(self.index(row), epoch)
     }
 }
 

@@ -355,7 +355,14 @@ mod tests {
         net.zero_grad();
         net.backward(&y);
         let mut any_nonzero = false;
-        net.visit_params(&mut |p| any_nonzero |= p.grad.max_abs() > 0.0);
+        net.visit_params(&mut |p| {
+            any_nonzero |= p
+                .grad
+                .as_slice()
+                .iter()
+                .fold(0.0f32, |m, &g| m.max(g.abs()))
+                > 0.0;
+        });
         assert!(any_nonzero);
     }
 }

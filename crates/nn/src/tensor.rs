@@ -154,11 +154,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Maximum absolute value (0 for empty tensors).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
     /// Index of the maximum element along the last axis for each row of a
     /// 2-D `[n, k]` tensor — the predicted class per sample.
     ///
@@ -239,12 +234,6 @@ mod tests {
     fn argmax_rows_picks_class() {
         let t = Tensor::from_vec(&[2, 3], vec![0.1, 0.9, 0.0, 0.3, 0.1, 0.6]);
         assert_eq!(t.argmax_rows(), vec![1, 2]);
-    }
-
-    #[test]
-    fn max_abs_handles_negatives() {
-        let t = Tensor::from_vec(&[3], vec![-5.0, 2.0, 4.0]);
-        assert_eq!(t.max_abs(), 5.0);
     }
 
     #[test]

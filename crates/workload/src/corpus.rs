@@ -17,13 +17,14 @@
 //!
 //! [`BackgroundLoad`]: crate::generator::BackgroundLoad
 
-use dd_dram::{DramConfig, GlobalRowId};
+use dd_dram::DramConfig;
 
 use crate::driver::BenignTraffic;
 use crate::generator::{
     all_data_rows, tenant_rows, PointerChase, StreamingScan, TenantMix, WorkloadGenerator,
     WorkloadOp, ZipfianServing,
 };
+use crate::rows::RowSet;
 
 /// Which generator recipe a phase composes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,12 +159,7 @@ impl DiurnalProfile {
         let spec = &self.phases[phase];
         let seed = self.phase_seed(phase);
         let rows = all_data_rows(config);
-        let hot: Vec<GlobalRowId> = rows
-            .iter()
-            .copied()
-            .step_by((rows.len() / HOT_ROWS).max(1))
-            .take(HOT_ROWS)
-            .collect();
+        let hot = rows.spread(HOT_ROWS);
         match spec.shape {
             PhaseShape::ScanHeavy => vec![
                 (
@@ -185,18 +181,24 @@ impl DiurnalProfile {
             ],
             PhaseShape::PeakChurn => {
                 let tenants = PEAK_TENANTS.min(config.banks);
-                let mix: Vec<(Box<dyn WorkloadGenerator>, u32)> = (0..tenants)
-                    .map(|t| {
+                let mut streams: Vec<ZipfianServing> = Vec::with_capacity(tenants);
+                for t in 0..tenants {
+                    let rows = tenant_rows(config, t, tenants);
+                    let tenant_seed = seed.wrapping_add(t as u64);
+                    streams.push(match streams.first() {
+                        Some(first) => first.sibling(rows, tenant_seed),
+                        None => ZipfianServing::new(rows, 1.0, tenant_seed),
+                    });
+                }
+                let mix: Vec<(Box<dyn WorkloadGenerator>, u32)> = streams
+                    .into_iter()
+                    .enumerate()
+                    .map(|(t, stream)| {
                         // Rotate the weight schedule by the phase seed:
                         // which tenant dominates changes with the seed,
                         // modeling churn in who is loud at peak.
                         let weight = [4u32, 3, 2, 1][(t + seed as usize) % tenants.max(1)];
-                        let rows = tenant_rows(config, t, tenants);
-                        (
-                            Box::new(ZipfianServing::new(rows, 1.0, seed.wrapping_add(t as u64)))
-                                as Box<dyn WorkloadGenerator>,
-                            weight,
-                        )
+                        (Box::new(stream) as Box<dyn WorkloadGenerator>, weight)
                     })
                     .collect();
                 vec![(Box::new(TenantMix::new(mix, seed)), 1)]
@@ -215,20 +217,22 @@ impl DiurnalProfile {
     }
 
     /// Build the [`BenignTraffic`] of phase `phase`, ready for the
-    /// driver. The universe is the full device address space, so
-    /// defense state carries across phases of the same day.
+    /// driver. The universe is every data row of the device, so defense
+    /// state carries across phases of the same day.
     ///
     /// # Panics
     ///
     /// Panics when `phase` is out of range.
     pub fn traffic(&self, phase: usize, config: &DramConfig) -> BenignTraffic {
         let spec = &self.phases[phase];
+        let mut universe = RowSet::new(config);
+        universe.insert_rows(&all_data_rows(config));
         BenignTraffic::new(
             self.phase_streams(phase, config),
             format!("{}/{}", self.label, spec.name),
             spec.ops_per_window,
             spec.batch,
-            all_data_rows(config),
+            universe,
             config,
         )
     }

@@ -19,17 +19,17 @@
 //! without simulating every command. See `docs/workloads.md`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use dd_dram::{
-    DecodedBatch, DramConfig, DramError, GlobalRowId, MemoryController, Nanos, TraceMode,
-    BATCH_CHUNK_OPS,
+    DecodedBatch, DramConfig, DramError, MemoryController, Nanos, TraceMode, BATCH_CHUNK_OPS,
 };
 use dd_qnn::BitAddr;
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats};
 use dnn_defender::WeightMap;
 
 use crate::generator::{batch_op_kind, BackgroundLoad, OpKind, WorkloadGenerator, WorkloadOp};
+use crate::rows::{RowSet, Rows};
 
 /// Ops per [`dd_dram::DecodedBatch`] chunk, unless the installed
 /// defense's online tap or a [`TraceMode::Full`] device asks for one op
@@ -90,33 +90,6 @@ impl StreamSchedule {
     }
 }
 
-/// The distinct rows of `rows` in first-occurrence order: a traffic's
-/// benign-row universe. Rows inside `config`'s geometry are marked in a
-/// bitset over [`DramConfig::flat_row_index`], one bit per device row,
-/// so the dedup hashes nothing; a replayed trace may hold rows outside
-/// the geometry, and those are kept once through a hash set.
-fn distinct_rows(rows: impl Iterator<Item = GlobalRowId>, config: &DramConfig) -> Vec<GlobalRowId> {
-    let mut seen = vec![0u64; config.total_rows().div_ceil(64)];
-    let mut outside = HashSet::new();
-    // Without rows outside the geometry there is at most one per device row.
-    let mut universe = Vec::with_capacity(rows.size_hint().0.min(config.total_rows()));
-    for row in rows {
-        let first = match config.flat_row_index(row) {
-            Some(i) => {
-                let (word, bit) = (&mut seen[i / 64], 1u64 << (i % 64));
-                let first = *word & bit == 0;
-                *word |= bit;
-                first
-            }
-            None => outside.insert(row),
-        };
-        if first {
-            universe.push(row);
-        }
-    }
-    universe
-}
-
 /// Traffic issued by one [`BenignTraffic::drive_span`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanTraffic {
@@ -142,7 +115,7 @@ pub struct BenignTraffic {
     label: String,
     ops_per_window: u64,
     batch: u64,
-    universe: Vec<GlobalRowId>,
+    universe: RowSet,
     row_bytes: u64,
     recorded: Option<Vec<WorkloadOp>>,
     /// The batched kernel's decoded-op/dense-counter scratch, built
@@ -161,7 +134,7 @@ impl BenignTraffic {
         label: impl Into<String>,
         ops_per_window: u64,
         batch: u64,
-        universe: Vec<GlobalRowId>,
+        universe: RowSet,
         config: &DramConfig,
     ) -> Self {
         BenignTraffic {
@@ -179,35 +152,45 @@ impl BenignTraffic {
     /// Assemble the canonical traffic for a [`BackgroundLoad`] level.
     /// Returns `None` for [`BackgroundLoad::None`]. `hot` is the serving
     /// working set (weight rows); `cold` rows absorb scans and writes.
+    /// The universe is both.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `hot` or `cold` were listed for another geometry than
+    /// `config`'s.
     pub fn for_load(
         load: BackgroundLoad,
         seed: u64,
         config: &DramConfig,
-        hot: &[GlobalRowId],
-        cold: &[GlobalRowId],
+        hot: &Rows,
+        cold: &Rows,
     ) -> Option<Self> {
         let streams = load.build_streams(seed, config, hot, cold);
         if streams.is_empty() {
             return None;
         }
+        let mut universe = RowSet::new(config);
+        universe.insert_rows(hot);
+        universe.insert_rows(cold);
         Some(BenignTraffic::new(
             streams,
             load.label(),
             load.ops_per_window(),
             load.batch(),
-            distinct_rows(hot.iter().chain(cold).copied(), config),
+            universe,
             config,
         ))
     }
 
-    /// Replay a recorded op stream at the given rate and intensity.
+    /// Replay a recorded op stream at the given rate and intensity. The
+    /// universe is every row the stream names.
     pub fn from_trace(
         ops: Vec<WorkloadOp>,
         ops_per_window: u64,
         batch: u64,
         config: &DramConfig,
     ) -> Self {
-        let universe = distinct_rows(ops.iter().map(|op| op.row), config);
+        let universe = RowSet::of(config, ops.iter().map(|op| op.row));
         BenignTraffic::new(
             vec![(
                 Box::new(crate::trace::TraceReplay::new(ops)) as Box<dyn WorkloadGenerator>,
@@ -225,10 +208,10 @@ impl BenignTraffic {
     /// [`crate::trace::StreamingReplay`] holds at most one chunk
     /// ([`dd_dram::BATCH_CHUNK_OPS`] ops) in memory and cycles like
     /// [`crate::trace::TraceReplay`]. The benign-row universe is the
-    /// trace's first-touch row set, collected during the replay's
-    /// validating open pass — identical to what [`Self::from_trace`]
-    /// derives from the materialized ops, so the two constructions
-    /// produce bit-identical runs over the same trace.
+    /// trace's row set, collected on `config`'s geometry during the
+    /// replay's validating open pass — identical to what
+    /// [`Self::from_trace`] derives from the materialized ops, so the two
+    /// constructions produce bit-identical runs over the same trace.
     pub fn from_streaming<Rd>(
         replay: crate::trace::StreamingReplay<Rd>,
         ops_per_window: u64,
@@ -238,7 +221,7 @@ impl BenignTraffic {
     where
         Rd: std::io::Read + std::io::Seek + Send + 'static,
     {
-        let universe = replay.rows().to_vec();
+        let universe = replay.rows().clone();
         BenignTraffic::new(
             vec![(Box::new(replay) as Box<dyn WorkloadGenerator>, 1)],
             "trace-replay",
@@ -279,7 +262,7 @@ impl BenignTraffic {
     }
 
     /// The rows this traffic may touch (the disturbance-scan universe).
-    pub fn universe(&self) -> &[GlobalRowId] {
+    pub fn universe(&self) -> &RowSet {
         &self.universe
     }
 
@@ -555,7 +538,9 @@ pub struct DriverReport {
     /// Campaigns that corrupted memory.
     pub landed: u64,
     /// Distinct benign-universe rows whose disturbance ever reached half
-    /// the RowHammer threshold (excluding rows under direct attack).
+    /// the RowHammer threshold (excluding rows under direct attack). A
+    /// row outside the geometry reads 0, so it counts only when half the
+    /// threshold is 0.
     pub disturbed_rows: u64,
     /// Peak disturbance observed on any non-attacked benign row.
     pub peak_benign_disturbance: u64,
@@ -580,7 +565,10 @@ fn total_commands(mem: &MemoryController) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates [`DramError`] from device or defense operations.
+/// Returns [`DramError::InvalidConfig`] when `traffic` was built for
+/// another device geometry than `mem`'s, whose flat row indices its
+/// universe does not share, and propagates [`DramError`] from device or
+/// defense operations.
 pub fn run_workload(
     mem: &mut MemoryController,
     defense: &mut dyn DefenseMechanism,
@@ -589,7 +577,13 @@ pub fn run_workload(
     attack_bits: &[BitAddr],
     cfg: &DriverConfig,
 ) -> Result<DriverReport, DramError> {
-    let t_rh = mem.config().rowhammer_threshold;
+    let config = mem.config().clone();
+    if !traffic.universe().is_for(&config) {
+        return Err(DramError::InvalidConfig(
+            "the benign traffic was built for another device geometry".into(),
+        ));
+    }
+    let t_rh = config.rowhammer_threshold;
     let started = mem.now();
     let busy_start = mem.stats().busy;
     let commands_start = total_commands(mem);
@@ -598,24 +592,25 @@ pub fn run_workload(
     }
 
     let mut benign = SpanTraffic::default();
-    let mut disturbed: HashSet<GlobalRowId> = HashSet::new();
-    let mut attacked: HashSet<GlobalRowId> = HashSet::new();
+    let mut disturbed = RowSet::new(&config);
+    // Rows under direct attack: a weight map lays out rows inside the
+    // geometry.
+    let mut attacked = RowSet::new(&config);
     let mut peak = 0u64;
     let sample = |mem: &MemoryController,
                   traffic: &BenignTraffic,
-                  attacked: &HashSet<GlobalRowId>,
-                  disturbed: &mut HashSet<GlobalRowId>,
+                  attacked: &RowSet,
+                  disturbed: &mut RowSet,
                   peak: &mut u64| {
-        let universe = traffic.universe();
-        for (&row, d) in universe.iter().zip(mem.disturbances(universe)) {
-            if attacked.contains(&row) {
-                continue;
-            }
-            *peak = (*peak).max(d);
-            if d >= t_rh / 2 {
-                disturbed.insert(row);
-            }
-        }
+        // `for_each` walks each run of consecutive rows as one counted
+        // loop.
+        mem.disturbances(traffic.universe().difference(attacked))
+            .for_each(|(row, d)| {
+                *peak = (*peak).max(d);
+                if d >= t_rh / 2 {
+                    disturbed.insert(row);
+                }
+            });
     };
 
     // Phase 1: benign-only. Every defensive op fired here is a false
@@ -648,7 +643,9 @@ pub fn run_workload(
                 }
                 let addr = attack_bits[(w as usize) % attack_bits.len()];
                 let loc = m.locate(addr);
-                attacked_ref.insert(loc.row);
+                if let Some(flat) = config.flat_row_index(loc.row) {
+                    attacked_ref.insert(flat);
+                }
                 let view = CampaignView {
                     mem,
                     map: map.as_deref_mut(),
@@ -665,7 +662,9 @@ pub fn run_workload(
                     // The campaign may have relocated the victim; the row
                     // now holding the bit is the attacked one going
                     // forward.
-                    attacked_ref.insert(m.locate(addr).row);
+                    if let Some(flat) = config.flat_row_index(m.locate(addr).row) {
+                        attacked_ref.insert(flat);
+                    }
                 }
                 Ok(())
             },
@@ -676,6 +675,14 @@ pub fn run_workload(
         mem.advance(Nanos(1));
     }
 
+    // Every window sampled the universe; its rows outside the geometry
+    // read 0 there.
+    let sampled = cfg.benign_windows + cfg.attack_windows > 0;
+    let outside_disturbed = if sampled && t_rh / 2 == 0 {
+        traffic.universe().outside()
+    } else {
+        0
+    };
     Ok(DriverReport {
         load: traffic.label().to_string(),
         benign_ops: benign.ops,
@@ -688,7 +695,7 @@ pub fn run_workload(
         online_defense_ops,
         attempts,
         landed,
-        disturbed_rows: disturbed.len() as u64,
+        disturbed_rows: (disturbed.len() + outside_disturbed) as u64,
         peak_benign_disturbance: peak,
         stats: defense.stats(),
         trace: if cfg.record {
@@ -703,38 +710,26 @@ pub fn run_workload(
 mod tests {
     use super::*;
     use crate::generator::all_data_rows;
+    use dd_dram::GlobalRowId;
     use dnn_defender::Undefended;
     use proptest::prelude::*;
 
-    /// The reference dedup: a hash set of seen rows, each row kept at its
-    /// first occurrence.
-    fn hash_set_universe(rows: &[GlobalRowId]) -> Vec<GlobalRowId> {
-        let mut seen = HashSet::new();
-        rows.iter()
-            .copied()
-            .filter(|&row| seen.insert(row))
-            .collect()
-    }
-
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The bitset dedup keeps the hash set's rows in the hash set's
-        /// order on both presets, with repeated rows and with rows just
-        /// outside the geometry or far beyond it, as a trace may hold.
+        /// A replayed trace's universe is every row it names, those
+        /// outside the geometry included, on both presets.
         #[test]
-        fn distinct_rows_match_the_hash_set_universe(
+        fn trace_universe_is_the_row_set_of_its_ops(
             ddr4 in any::<bool>(),
-            coords in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 0..200),
-            repeats in proptest::collection::vec(any::<usize>(), 0..200),
-            far in 0usize..4,
+            coords in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 1..100),
         ) {
             let config = if ddr4 {
                 DramConfig::ddr4_32gb()
             } else {
                 DramConfig::lpddr4_small()
             };
-            let mut rows: Vec<GlobalRowId> = coords
+            let rows: Vec<GlobalRowId> = coords
                 .iter()
                 .map(|&(b, s, r)| {
                     GlobalRowId::new(
@@ -744,38 +739,101 @@ mod tests {
                     )
                 })
                 .collect();
-            let drawn = rows.len();
-            if drawn > 0 {
-                rows.extend(repeats.iter().map(|&i| rows[i % drawn]).collect::<Vec<_>>());
-            }
-            rows.extend((0..far).map(|i| GlobalRowId::new(usize::MAX - i % 2, 0, i)));
-            let expected = hash_set_universe(&rows);
-            prop_assert_eq!(distinct_rows(rows.iter().copied(), &config), expected.clone());
             let ops = rows
                 .iter()
                 .map(|&row| WorkloadOp { kind: OpKind::Read, row })
                 .collect();
             let replay = BenignTraffic::from_trace(ops, 64, 1, &config);
-            prop_assert_eq!(replay.universe(), &expected[..]);
+            prop_assert_eq!(replay.universe(), &RowSet::of(&config, rows));
         }
     }
 
     #[test]
-    fn for_load_universe_matches_the_hash_set_universe() {
+    fn for_load_universe_is_the_hot_and_cold_rows() {
         let config = DramConfig::lpddr4_small();
         let cold = all_data_rows(&config);
+        let half = Rows::listed(&config, cold.iter().filter(|r| r.bank.0 % 2 == 1));
         // The driver tests' working set and the scenario matrix's.
-        let first: Vec<GlobalRowId> = cold.iter().copied().take(64).collect();
-        let spread: Vec<GlobalRowId> = cold.iter().copied().step_by(cold.len() / 64).collect();
-        for hot in [first, spread] {
-            let expected = hash_set_universe(&[hot.clone(), cold.clone()].concat());
+        let first = Rows::listed(&config, cold.iter().take(64));
+        for (hot, cold) in [
+            (first, &cold),
+            (cold.spread(64), &cold),
+            (cold.spread(64), &half),
+        ] {
+            let expected = RowSet::of(&config, hot.iter().chain(cold.iter()));
             for load in BackgroundLoad::ALL {
-                match BenignTraffic::for_load(load, 11, &config, &hot, &cold) {
-                    Some(traffic) => assert_eq!(traffic.universe(), &expected[..], "{load}"),
+                match BenignTraffic::for_load(load, 11, &config, &hot, cold) {
+                    Some(traffic) => assert_eq!(traffic.universe(), &expected, "{load}"),
                     None => assert_eq!(load, BackgroundLoad::None),
                 }
             }
         }
+    }
+
+    /// A trace may name rows outside the geometry past the ops a run
+    /// replays. Those universe rows read 0: they count as disturbed when
+    /// half the threshold is 0, as every row inside it then does, and
+    /// never otherwise.
+    #[test]
+    fn rows_outside_the_geometry_count_only_at_a_zero_half_threshold() {
+        let inside = (0..64).map(|r| GlobalRowId::new(0, 1, r));
+        let outside = [
+            GlobalRowId::new(16, 0, 0),
+            GlobalRowId::new(0, 8, 0),
+            GlobalRowId::new(0, 0, 128),
+        ];
+        let ops: Vec<WorkloadOp> = inside
+            .chain(outside)
+            .map(|row| WorkloadOp {
+                kind: OpKind::Read,
+                row,
+            })
+            .collect();
+        // Two windows replay rows 0..64 of one subarray in order, so rows
+        // 0..63 end a window next to a read: disturbed at 1.
+        for (t_rh, disturbed) in [(1, 67), (2, 63), (4800, 0)] {
+            let config = DramConfig::lpddr4_small().with_rowhammer_threshold(t_rh);
+            let mut mem = MemoryController::try_new(config.clone()).expect("valid config");
+            let mut traffic = BenignTraffic::from_trace(ops.clone(), 32, 1, &config);
+            assert_eq!(traffic.universe().outside(), 3);
+            let report = run_workload(
+                &mut mem,
+                &mut Undefended::new(),
+                None,
+                &mut traffic,
+                &[],
+                &DriverConfig {
+                    benign_windows: 2,
+                    attack_windows: 0,
+                    record: false,
+                },
+            )
+            .expect("the replayed ops lie inside the geometry");
+            assert_eq!(report.disturbed_rows, disturbed, "T_RH {t_rh}");
+            assert_eq!(report.peak_benign_disturbance, 1, "T_RH {t_rh}");
+        }
+    }
+
+    #[test]
+    fn traffic_of_another_geometry_is_refused() {
+        let mut traffic = light_traffic(&DramConfig::lpddr4_small());
+        let config = DramConfig::lpddr4_small()
+            .with_banks(8)
+            .with_subarrays_per_bank(16);
+        let mut mem = MemoryController::try_new(config).expect("valid config");
+        let run = run_workload(
+            &mut mem,
+            &mut Undefended::new(),
+            None,
+            &mut traffic,
+            &[],
+            &DriverConfig {
+                benign_windows: 1,
+                attack_windows: 0,
+                record: false,
+            },
+        );
+        assert!(matches!(run, Err(DramError::InvalidConfig(_))));
     }
 
     fn device() -> MemoryController {
@@ -784,7 +842,7 @@ mod tests {
 
     fn light_traffic(config: &DramConfig) -> BenignTraffic {
         let cold = all_data_rows(config);
-        let hot: Vec<GlobalRowId> = cold.iter().copied().take(64).collect();
+        let hot = Rows::listed(config, cold.iter().take(64));
         BenignTraffic::for_load(BackgroundLoad::Light, 11, config, &hot, &cold)
             .expect("light builds traffic")
     }
@@ -843,7 +901,7 @@ mod tests {
             let mut mem = device();
             let mut defense = Undefended::new();
             let cold = all_data_rows(&config);
-            let hot: Vec<GlobalRowId> = cold.iter().copied().take(64).collect();
+            let hot = Rows::listed(&config, cold.iter().take(64));
             let mut traffic =
                 BenignTraffic::for_load(load, 11, &config, &hot, &cold).expect("traffic");
             let cfg = DriverConfig {
@@ -870,7 +928,7 @@ mod tests {
         let config = DramConfig::lpddr4_small();
         let mut defense = Undefended::new();
         let cold = all_data_rows(&config);
-        let hot: Vec<GlobalRowId> = cold.iter().copied().take(64).collect();
+        let hot = Rows::listed(&config, cold.iter().take(64));
         let mut traffic = BenignTraffic::for_load(load, 17, &config, &hot, &cold).expect("traffic");
         let cfg = DriverConfig {
             benign_windows: 2,
@@ -1031,7 +1089,8 @@ mod tests {
             &config,
         );
         let streaming = BenignTraffic::from_streaming(
-            crate::trace::StreamingReplay::open(std::io::Cursor::new(bytes)).expect("open"),
+            crate::trace::StreamingReplay::open(std::io::Cursor::new(bytes), &config)
+                .expect("open"),
             traffic.ops_per_window(),
             traffic.batch(),
             &config,

@@ -1,9 +1,9 @@
 //! Synthetic benign-traffic generators.
 //!
 //! Every generator is a deterministic, seeded stream of row-granular
-//! memory operations ([`WorkloadOp`]) over an explicit row universe, so a
-//! run is reproducible bit-for-bit from `(generator config, seed)` alone
-//! — and capturable/replayable through [`crate::trace`]. The catalogue
+//! memory operations ([`WorkloadOp`]) over a [`Rows`] universe, so a run
+//! is reproducible bit-for-bit from `(generator config, seed)` alone —
+//! and capturable/replayable through [`crate::trace`]. The catalogue
 //! models the serving traffic the paper's defense must coexist with:
 //!
 //! * [`ZipfianServing`] — skewed read traffic over the rows holding
@@ -16,10 +16,14 @@
 //!   each confined to its own bank slice ([`tenant_rows`]), modelling
 //!   co-located tenants with placement affinity.
 
+use std::sync::Arc;
+
 use dd_dram::{BatchOpKind, DramConfig, GlobalRowId};
 use dnn_defender::{StableHash, StableHasher};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::rows::Rows;
 
 /// What a benign memory operation does to its row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,6 +69,8 @@ pub trait WorkloadGenerator: Send {
 }
 
 /// Fisher–Yates shuffle with the vendored RNG (deterministic per seed).
+/// Each swap draws a `usize` position whatever `T` is, so the draws do
+/// not depend on how the items are stored.
 fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
     for i in (1..items.len()).rev() {
         let j = rng.gen_range(0..=i);
@@ -79,11 +85,19 @@ fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
 /// serving reads weights far more than anything else writes them, so the
 /// stream is read-only.
 pub struct ZipfianServing {
-    rows: Vec<GlobalRowId>,
-    /// Cumulative (unnormalized) popularity, aligned with `rows`.
+    /// The rows in rank order.
+    rows: Rows,
+    popularity: Arc<Popularity>,
+    rng: StdRng,
+}
+
+/// Zipf popularity by rank, `1/(k+1)^s` for rank `k`.
+#[derive(Debug)]
+struct Popularity {
+    exponent: f64,
+    /// Cumulative (unnormalized) popularity, one entry per rank.
     cdf: Vec<f64>,
     total: f64,
-    rng: StdRng,
 }
 
 impl ZipfianServing {
@@ -92,27 +106,50 @@ impl ZipfianServing {
     /// # Panics
     ///
     /// Panics when `rows` is empty.
-    pub fn new(mut rows: Vec<GlobalRowId>, exponent: f64, seed: u64) -> Self {
-        assert!(!rows.is_empty(), "zipfian universe must be non-empty");
-        let mut rng = StdRng::seed_from_u64(seed);
-        shuffle(&mut rows, &mut rng);
+    pub fn new(rows: Rows, exponent: f64, seed: u64) -> Self {
         let mut cdf = Vec::with_capacity(rows.len());
         let mut total = 0.0;
         for k in 0..rows.len() {
             total += 1.0 / ((k + 1) as f64).powf(exponent);
             cdf.push(total);
         }
-        ZipfianServing {
-            rows,
+        let popularity = Popularity {
+            exponent,
             cdf,
             total,
+        };
+        ZipfianServing::ranked(rows, Arc::new(popularity), seed)
+    }
+
+    /// Build over `rows` with this stream's exponent and a permutation of
+    /// its own, sharing this stream's popularity when `rows` is as long:
+    /// co-located tenants' streams over equal bank slices compute it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` is empty.
+    pub fn sibling(&self, rows: Rows, seed: u64) -> Self {
+        if rows.len() == self.rows.len() {
+            ZipfianServing::ranked(rows, Arc::clone(&self.popularity), seed)
+        } else {
+            ZipfianServing::new(rows, self.popularity.exponent, seed)
+        }
+    }
+
+    fn ranked(rows: Rows, popularity: Arc<Popularity>, seed: u64) -> Self {
+        assert!(!rows.is_empty(), "zipfian universe must be non-empty");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = rows.permuted(|flat| shuffle(flat, &mut rng));
+        ZipfianServing {
+            rows,
+            popularity,
             rng,
         }
     }
 
     /// The hottest `n` rows (rank order), for tests and diagnostics.
-    pub fn hottest(&self, n: usize) -> &[GlobalRowId] {
-        &self.rows[..n.min(self.rows.len())]
+    pub fn hottest(&self, n: usize) -> impl Iterator<Item = GlobalRowId> + '_ {
+        self.rows.iter().take(n)
     }
 }
 
@@ -122,18 +159,19 @@ impl WorkloadGenerator for ZipfianServing {
     }
 
     fn next_op(&mut self) -> WorkloadOp {
-        let u = self.rng.gen_range(0.0..self.total);
-        let idx = self.cdf.partition_point(|&c| c <= u);
+        let u = self.rng.gen_range(0.0..self.popularity.total);
+        let idx = self.popularity.cdf.partition_point(|&c| c <= u);
         WorkloadOp {
             kind: OpKind::Read,
-            row: self.rows[idx.min(self.rows.len() - 1)],
+            row: self.rows.row(idx.min(self.rows.len() - 1)),
         }
     }
 }
 
-/// Sequential sweep over a row universe with periodic writes.
+/// Sequential sweep over a row universe with periodic writes. Over a
+/// bank slice each row is computed from the scan position, not listed.
 pub struct StreamingScan {
-    rows: Vec<GlobalRowId>,
+    rows: Rows,
     pos: usize,
     /// Every `write_every`-th op is a write (0 = read-only scan).
     write_every: u64,
@@ -146,7 +184,7 @@ impl StreamingScan {
     /// # Panics
     ///
     /// Panics when `rows` is empty.
-    pub fn new(rows: Vec<GlobalRowId>, write_every: u64) -> Self {
+    pub fn new(rows: Rows, write_every: u64) -> Self {
         assert!(!rows.is_empty(), "scan universe must be non-empty");
         StreamingScan {
             rows,
@@ -163,7 +201,7 @@ impl WorkloadGenerator for StreamingScan {
     }
 
     fn next_op(&mut self) -> WorkloadOp {
-        let row = self.rows[self.pos];
+        let row = self.rows.row(self.pos);
         self.pos = (self.pos + 1) % self.rows.len();
         let kind = if self.write_every > 0 && self.issued % self.write_every == self.write_every - 1
         {
@@ -180,32 +218,30 @@ impl WorkloadGenerator for StreamingScan {
 /// universe: each op's target is determined by the previous one, like an
 /// index or linked-structure traversal. Read-only.
 pub struct PointerChase {
-    rows: Vec<GlobalRowId>,
-    /// `next_of[i]` is the index visited after index `i` (one full cycle).
-    next_of: Vec<usize>,
-    pos: usize,
+    rows: Rows,
+    /// The cycle: the universe positions in visiting order, 4 bytes each.
+    cycle: Vec<u32>,
+    /// Where in `cycle` the chase stands.
+    at: usize,
 }
 
 impl PointerChase {
-    /// Build a chase over `rows` with a seed-determined cycle.
+    /// Build a chase over `rows` with a seed-determined cycle, starting
+    /// after the universe's first row.
     ///
     /// # Panics
     ///
     /// Panics when `rows` is empty.
-    pub fn new(rows: Vec<GlobalRowId>, seed: u64) -> Self {
+    pub fn new(rows: Rows, seed: u64) -> Self {
         assert!(!rows.is_empty(), "chase universe must be non-empty");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        shuffle(&mut order, &mut rng);
-        let mut next_of = vec![0usize; rows.len()];
-        for (i, &at) in order.iter().enumerate() {
-            next_of[at] = order[(i + 1) % order.len()];
-        }
-        PointerChase {
-            rows,
-            next_of,
-            pos: 0,
-        }
+        let mut cycle: Vec<u32> = (0..rows.len()).map(|i| i as u32).collect();
+        shuffle(&mut cycle, &mut rng);
+        let at = cycle
+            .iter()
+            .position(|&i| i == 0)
+            .expect("the cycle visits every position");
+        PointerChase { rows, cycle, at }
     }
 }
 
@@ -215,10 +251,10 @@ impl WorkloadGenerator for PointerChase {
     }
 
     fn next_op(&mut self) -> WorkloadOp {
-        self.pos = self.next_of[self.pos];
+        self.at = (self.at + 1) % self.cycle.len();
         WorkloadOp {
             kind: OpKind::Read,
-            row: self.rows[self.pos],
+            row: self.rows.row(self.cycle[self.at] as usize),
         }
     }
 }
@@ -271,31 +307,23 @@ impl WorkloadGenerator for TenantMix {
 
 /// The data rows of the banks assigned to `tenant` out of `tenants`
 /// co-located tenants (banks striped round-robin: tenant `t` owns every
-/// bank `b` with `b % tenants == t`). This is the placement-affinity
-/// universe for [`TenantMix`] sub-streams.
+/// bank `b` with `b % tenants == t`), in address order and computed, not
+/// listed. This is the placement-affinity universe for [`TenantMix`]
+/// sub-streams.
 ///
 /// # Panics
 ///
 /// Panics when `tenants` is zero or exceeds the bank count.
-pub fn tenant_rows(config: &DramConfig, tenant: usize, tenants: usize) -> Vec<GlobalRowId> {
+pub fn tenant_rows(config: &DramConfig, tenant: usize, tenants: usize) -> Rows {
     assert!(
         tenants > 0 && tenants <= config.banks,
         "tenant count must be in 1..=banks"
     );
-    let data_rows = config.data_rows_per_subarray();
-    let mut rows = Vec::new();
-    for bank in (tenant % tenants..config.banks).step_by(tenants) {
-        for subarray in 0..config.subarrays_per_bank {
-            for row in 0..data_rows {
-                rows.push(GlobalRowId::new(bank, subarray, row));
-            }
-        }
-    }
-    rows
+    Rows::banks(config, tenant % tenants, tenants)
 }
 
 /// Every data row of the device, in address order.
-pub fn all_data_rows(config: &DramConfig) -> Vec<GlobalRowId> {
+pub fn all_data_rows(config: &DramConfig) -> Rows {
     tenant_rows(config, 0, 1)
 }
 
@@ -378,25 +406,24 @@ impl BackgroundLoad {
         self,
         seed: u64,
         config: &DramConfig,
-        hot: &[GlobalRowId],
-        cold: &[GlobalRowId],
+        hot: &Rows,
+        cold: &Rows,
     ) -> Vec<(Box<dyn WorkloadGenerator>, u32)> {
         let hot = if hot.is_empty() { cold } else { hot };
         match self {
             BackgroundLoad::None => Vec::new(),
             BackgroundLoad::Light => vec![(
-                Box::new(ZipfianServing::new(hot.to_vec(), 1.0, seed))
-                    as Box<dyn WorkloadGenerator>,
+                Box::new(ZipfianServing::new(hot.clone(), 1.0, seed)) as Box<dyn WorkloadGenerator>,
                 1,
             )],
             BackgroundLoad::Heavy => vec![
                 (
-                    Box::new(ZipfianServing::new(hot.to_vec(), 1.0, seed))
+                    Box::new(ZipfianServing::new(hot.clone(), 1.0, seed))
                         as Box<dyn WorkloadGenerator>,
                     4,
                 ),
-                (Box::new(StreamingScan::new(cold.to_vec(), 16)), 2),
-                (Box::new(PointerChase::new(cold.to_vec(), seed ^ 0xc4a5)), 1),
+                (Box::new(StreamingScan::new(cold.clone(), 16)), 2),
+                (Box::new(PointerChase::new(cold.clone(), seed ^ 0xc4a5)), 1),
             ],
             BackgroundLoad::MultiTenant => {
                 let tenants: Vec<(Box<dyn WorkloadGenerator>, u32)> = (0..4)
@@ -405,7 +432,7 @@ impl BackgroundLoad {
                         let stream: Box<dyn WorkloadGenerator> = match t {
                             // Tenant 0 serves the model; the rest run
                             // their own mixes inside their bank slices.
-                            0 => Box::new(ZipfianServing::new(hot.to_vec(), 1.0, seed)),
+                            0 => Box::new(ZipfianServing::new(hot.clone(), 1.0, seed)),
                             1 => Box::new(StreamingScan::new(affinity, 8)),
                             2 => Box::new(ZipfianServing::new(affinity, 0.8, seed ^ 0x7e2a)),
                             _ => Box::new(PointerChase::new(affinity, seed ^ 0x11d7)),
@@ -441,8 +468,11 @@ impl StableHash for BackgroundLoad {
 mod tests {
     use super::*;
 
-    fn universe(n: usize) -> Vec<GlobalRowId> {
-        (0..n).map(|r| GlobalRowId::new(0, 0, r)).collect()
+    fn universe(n: usize) -> Rows {
+        Rows::listed(
+            &DramConfig::lpddr4_small(),
+            (0..n).map(|r| GlobalRowId::new(0, 0, r)),
+        )
     }
 
     #[test]
@@ -467,12 +497,25 @@ mod tests {
             *counts.entry(oa.row).or_insert(0u64) += 1;
             assert_eq!(oa.kind, OpKind::Read);
         }
-        let hottest = counts[&a.hottest(1)[0]];
-        let median_row = a.hottest(64)[32];
+        let hottest = counts[&a.hottest(1).next().expect("a row")];
+        let median_row = a.hottest(64).nth(32).expect("64 rows");
         assert!(
             hottest > 8 * counts.get(&median_row).copied().unwrap_or(0).max(1) / 2,
             "zipf skew missing: hottest={hottest}"
         );
+    }
+
+    #[test]
+    fn a_sibling_streams_as_a_fresh_build_does() {
+        let config = DramConfig::lpddr4_small();
+        let first = ZipfianServing::new(tenant_rows(&config, 0, 4), 0.9, 1);
+        for rows in [tenant_rows(&config, 1, 4), universe(40)] {
+            let mut shared = first.sibling(rows.clone(), 8);
+            let mut fresh = ZipfianServing::new(rows, 0.9, 8);
+            for _ in 0..2000 {
+                assert_eq!(shared.next_op(), fresh.next_op());
+            }
+        }
     }
 
     #[test]
@@ -494,6 +537,29 @@ mod tests {
         assert_eq!(writes, 4, "one write per write_every ops");
     }
 
+    /// The chase walks the cycle that the successor table `next_of`
+    /// (`next_of[order[i]] = order[i + 1]` over the shuffled positions)
+    /// spells out, starting from position 0.
+    #[test]
+    fn pointer_chase_walks_the_successor_table() {
+        for (n, seed) in [(1, 3), (2, 9), (16, 5), (64, 0xc4a5)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut order: Vec<usize> = (0..n).collect();
+            shuffle(&mut order, &mut rng);
+            let mut next_of = vec![0usize; n];
+            for (i, &at) in order.iter().enumerate() {
+                next_of[at] = order[(i + 1) % n];
+            }
+            let rows = universe(n);
+            let mut chase = PointerChase::new(rows.clone(), seed);
+            let mut pos = 0;
+            for _ in 0..3 * n {
+                pos = next_of[pos];
+                assert_eq!(chase.next_op().row, rows.row(pos), "n = {n}");
+            }
+        }
+    }
+
     #[test]
     fn pointer_chase_visits_every_row_once_per_cycle() {
         let mut c = PointerChase::new(universe(16), 5);
@@ -509,7 +575,7 @@ mod tests {
         let config = DramConfig::lpddr4_small();
         let mut all = std::collections::HashSet::new();
         for t in 0..4 {
-            for row in tenant_rows(&config, t, 4) {
+            for row in tenant_rows(&config, t, 4).iter() {
                 assert_eq!(row.bank.0 % 4, t, "row outside tenant's bank slice");
                 assert!(all.insert(row), "tenant universes overlap");
             }
@@ -536,7 +602,7 @@ mod tests {
     #[test]
     fn multi_tenant_mix_draws_from_all_tenants() {
         let config = DramConfig::lpddr4_small();
-        let hot: Vec<GlobalRowId> = tenant_rows(&config, 0, 4).into_iter().take(64).collect();
+        let hot = Rows::listed(&config, tenant_rows(&config, 0, 4).iter().take(64));
         let cold = all_data_rows(&config);
         let mut streams = BackgroundLoad::MultiTenant.build_streams(3, &config, &hot, &cold);
         let (gen, _) = &mut streams[0];

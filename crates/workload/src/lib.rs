@@ -8,6 +8,8 @@
 //!   (zipfian inference serving, streaming scans, pointer chasing, a
 //!   multi-tenant mix with bank affinity) and the [`BackgroundLoad`]
 //!   axis the scenario matrix sweeps;
+//! * [`rows`] — the row universes those generators draw from and the
+//!   driver scans, as 4-byte flat row indices and one-bit-per-row sets;
 //! * [`trace`] — the compact versioned binary trace format: any run can
 //!   be captured and replayed byte-identically, either materialized or
 //!   streamed chunk-by-chunk from the indexed container;
@@ -33,7 +35,7 @@
 //!
 //! let rows = all_data_rows(&config);
 //! let mut traffic = BenignTraffic::for_load(
-//!     BackgroundLoad::Light, 7, &config, &rows[..64], &rows,
+//!     BackgroundLoad::Light, 7, &config, &rows.spread(64), &rows,
 //! ).expect("light load builds traffic");
 //! let mut defense = Undefended::new();
 //! let report = run_workload(
@@ -51,6 +53,7 @@
 pub mod corpus;
 pub mod driver;
 pub mod generator;
+pub mod rows;
 pub mod trace;
 
 /// Version of the workload *behavior*: the generator recipes behind each
@@ -69,6 +72,7 @@ pub use generator::{
     all_data_rows, batch_op_kind, tenant_rows, BackgroundLoad, OpKind, PointerChase, StreamingScan,
     TenantMix, WorkloadGenerator, WorkloadOp, ZipfianServing,
 };
+pub use rows::{RowSet, Rows};
 pub use trace::{
     decode, encode, StreamingReplay, StreamingTraceReader, TraceError, TraceReplay, HEADER_BYTES,
     TRACE_CHUNK_OPS, TRACE_MAGIC, TRACE_VERSION,

@@ -42,10 +42,11 @@
 
 use std::io::{Cursor, Read, Seek, SeekFrom};
 
-use dd_dram::{GlobalRowId, BATCH_CHUNK_OPS};
+use dd_dram::{DramConfig, GlobalRowId, BATCH_CHUNK_OPS};
 
 use super::{err, TraceError};
 use crate::generator::{OpKind, WorkloadGenerator, WorkloadOp};
+use crate::rows::RowSet;
 
 /// File magic: "DNN-Defender Workload Trace".
 pub const TRACE_MAGIC: [u8; 4] = *b"DDWT";
@@ -484,8 +485,8 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<WorkloadOp>, TraceError> {
 /// [`super::TraceReplay`], bit-identical over the same op stream.
 ///
 /// Construction makes one full validating pass over every chunk (also
-/// collecting the distinct rows touched, in first-touch order, so a
-/// driver can derive the benign universe), then rewinds; after that,
+/// collecting the set of rows touched, so a driver can derive the benign
+/// universe), then rewinds; after that,
 /// [`Self::next_op`] holds at most one chunk in memory and cycles when
 /// the trace is exhausted.
 pub struct StreamingReplay<R: Read + Seek> {
@@ -493,17 +494,18 @@ pub struct StreamingReplay<R: Read + Seek> {
     buf: Vec<WorkloadOp>,
     pos: usize,
     laps: u64,
-    rows: Vec<GlobalRowId>,
+    rows: RowSet,
 }
 
 impl<R: Read + Seek> StreamingReplay<R> {
-    /// Open and fully validate a container for replay.
+    /// Open and fully validate a container for replay on `config`'s
+    /// device.
     ///
     /// # Errors
     ///
     /// Returns a [`TraceError`] when the container fails to decode
     /// (any [`StreamingTraceReader`] error) or holds no records.
-    pub fn open(reader: R) -> Result<Self, TraceError> {
+    pub fn open(reader: R, config: &DramConfig) -> Result<Self, TraceError> {
         let mut reader = StreamingTraceReader::open(reader)?;
         if reader.total_records() == 0 {
             return Err(err("trace holds no records"));
@@ -511,14 +513,11 @@ impl<R: Read + Seek> StreamingReplay<R> {
         // Validating pass: decode every chunk once so replay can treat
         // later decode failures as impossible, and collect the row
         // universe while we are at it.
-        let mut rows = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut rows = RowSet::new(config);
         let mut chunk = Vec::new();
         while reader.next_chunk(&mut chunk)? {
             for op in &chunk {
-                if seen.insert(op.row) {
-                    rows.push(op.row);
-                }
+                rows.insert_row(config, op.row);
             }
         }
         reader.rewind();
@@ -531,8 +530,8 @@ impl<R: Read + Seek> StreamingReplay<R> {
         })
     }
 
-    /// Distinct rows the trace touches, in first-touch order.
-    pub fn rows(&self) -> &[GlobalRowId] {
+    /// The rows the trace touches.
+    pub fn rows(&self) -> &RowSet {
         &self.rows
     }
 
@@ -663,7 +662,9 @@ mod tests {
     fn streaming_replay_matches_materialized_replay() {
         let ops = big_ops(TRACE_CHUNK_OPS + 100);
         let bytes = encode(&ops);
-        let mut streaming = StreamingReplay::open(Cursor::new(bytes.clone())).expect("open");
+        let mut streaming =
+            StreamingReplay::open(Cursor::new(bytes.clone()), &DramConfig::lpddr4_small())
+                .expect("open");
         let mut materialized = TraceReplay::new(decode(&bytes).expect("decode"));
         assert_eq!(streaming.len(), ops.len() as u64);
         assert!(!streaming.is_empty());
@@ -675,33 +676,32 @@ mod tests {
     }
 
     #[test]
-    fn streaming_replay_collects_first_touch_row_universe() {
-        let ops = vec![
-            WorkloadOp {
-                kind: OpKind::Read,
-                row: GlobalRowId::new(1, 0, 5),
-            },
-            WorkloadOp {
-                kind: OpKind::Write,
-                row: GlobalRowId::new(0, 0, 9),
-            },
-            WorkloadOp {
-                kind: OpKind::Read,
-                row: GlobalRowId::new(1, 0, 5),
-            },
+    fn streaming_replay_collects_the_trace_row_set() {
+        let config = DramConfig::lpddr4_small();
+        let rows = [
+            GlobalRowId::new(1, 0, 5),
+            GlobalRowId::new(0, 0, 9),
+            GlobalRowId::new(1, 0, 5),
+            GlobalRowId::new(0, 0, 128),
         ];
-        let replay = StreamingReplay::open(Cursor::new(encode(&ops))).expect("open");
-        assert_eq!(
-            replay.rows(),
-            &[GlobalRowId::new(1, 0, 5), GlobalRowId::new(0, 0, 9)]
-        );
+        let ops: Vec<WorkloadOp> = rows
+            .iter()
+            .map(|&row| WorkloadOp {
+                kind: OpKind::Read,
+                row,
+            })
+            .collect();
+        let replay = StreamingReplay::open(Cursor::new(encode(&ops)), &config).expect("open");
+        assert_eq!(replay.rows(), &RowSet::of(&config, rows));
+        assert_eq!(replay.rows().len(), 3);
+        assert_eq!(replay.rows().outside(), 1);
     }
 
     #[test]
     fn empty_container_round_trips_but_cannot_replay() {
         let bytes = encode(&[]);
         assert_eq!(decode(&bytes).expect("decode"), vec![]);
-        assert!(StreamingReplay::open(Cursor::new(bytes)).is_err());
+        assert!(StreamingReplay::open(Cursor::new(bytes), &DramConfig::lpddr4_small()).is_err());
     }
 
     #[test]

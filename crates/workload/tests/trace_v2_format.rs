@@ -97,7 +97,8 @@ fn golden_corpus_trace_decodes_and_streams() {
     // included.
     let mut materialized = TraceReplay::new(ops.clone());
     let mut streaming =
-        StreamingReplay::open(Cursor::new(bytes.to_vec())).expect("streaming replay");
+        StreamingReplay::open(Cursor::new(bytes.to_vec()), &DramConfig::lpddr4_small())
+            .expect("streaming replay");
     for i in 0..(ops.len() + 99) {
         assert_eq!(streaming.next_op(), materialized.next_op(), "op {i}");
     }

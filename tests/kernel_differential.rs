@@ -32,7 +32,8 @@ use dd_nn::layers::{Flatten, Linear};
 use dd_nn::model::Network;
 use dd_qnn::{BitAddr, QModel};
 use dd_workload::{
-    all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig, OpKind, WorkloadOp,
+    all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig, OpKind, RowSet, Rows,
+    WorkloadOp,
 };
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats, FlipAttempt};
 use dnn_defender::{DynDefense, StableHasher, WeightMap};
@@ -178,7 +179,7 @@ fn outcome_of(
     mem: MemoryController,
     recording: Recording,
     report: dd_workload::DriverReport,
-    universe: &[GlobalRowId],
+    universe: &RowSet,
 ) -> Outcome {
     Outcome {
         stats: report.stats,
@@ -192,7 +193,7 @@ fn outcome_of(
         landed: report.landed,
         disturbed_rows: report.disturbed_rows,
         peak_disturbance: report.peak_benign_disturbance,
-        disturbance: universe.iter().map(|&r| mem.disturbance(r)).collect(),
+        disturbance: mem.disturbances(universe.iter()).map(|(_, d)| d).collect(),
     }
 }
 
@@ -225,19 +226,24 @@ fn run_recorded(
     let mut mem = side.device(config);
     let model = serving_model(seed);
     let mut map = WeightMap::layout(&model, config);
-    let hot: Vec<GlobalRowId> = map.slots().iter().map(|s| s.row).collect();
-    let hot_set: std::collections::HashSet<GlobalRowId> = hot.iter().copied().collect();
-    let cold: Vec<GlobalRowId> = all_data_rows(config)
-        .into_iter()
-        .filter(|r| !hot_set.contains(r))
-        .collect();
+    let hot_set: std::collections::HashSet<GlobalRowId> =
+        map.slots().iter().map(|s| s.row).collect();
+    let hot = Rows::listed(config, map.slots().iter().map(|s| s.row));
+    let cold = Rows::listed(
+        config,
+        all_data_rows(config)
+            .iter()
+            .filter(|r| !hot_set.contains(r)),
+    );
 
     let bits = spread_bits(&model, 8);
     recording.secure_bits(&bits, Some(&map));
 
     let mut traffic = BenignTraffic::for_load(load, seed ^ 0x6f2d, config, &hot, &cold)
-        .unwrap_or_else(|| BenignTraffic::new(Vec::new(), load.label(), 0, 1, Vec::new(), config));
-    let universe = traffic.universe().to_vec();
+        .unwrap_or_else(|| {
+            BenignTraffic::new(Vec::new(), load.label(), 0, 1, RowSet::new(config), config)
+        });
+    let universe = traffic.universe().clone();
 
     let report = run_workload(
         &mut mem,
@@ -326,7 +332,7 @@ fn run_trace(
     let bits = spread_bits(&model, 4);
     recording.secure_bits(&bits, Some(&map));
     let mut traffic = BenignTraffic::from_trace(ops, ops_per_window, batch, config);
-    let universe = traffic.universe().to_vec();
+    let universe = traffic.universe().clone();
     let report = run_workload(
         &mut mem,
         &mut recording,

@@ -22,7 +22,7 @@ use dd_nn::init::seeded_rng;
 use dd_nn::layers::{Flatten, Linear};
 use dd_nn::model::Network;
 use dd_qnn::{BitAddr, QModel};
-use dd_workload::{all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig};
+use dd_workload::{all_data_rows, run_workload, BackgroundLoad, BenignTraffic, DriverConfig, Rows};
 use dnn_defender::defense::{
     CampaignView, DefenseConfig, DefenseMechanism, DefenseStats, DnnDefenderDefense, DynDefense,
     FlipAttempt,
@@ -340,10 +340,13 @@ fn driver(mut defense: DynDefense, load: BackgroundLoad) -> Run {
     let model = serving_model();
     let (mut mem, mut map) = deploy(&model, &config);
     let hot: Vec<GlobalRowId> = map.slots().iter().map(|s| s.row).collect();
-    let cold: Vec<GlobalRowId> = all_data_rows(&config)
-        .into_iter()
-        .filter(|row| !hot.contains(row))
-        .collect();
+    let cold = Rows::listed(
+        &config,
+        all_data_rows(&config)
+            .iter()
+            .filter(|row| !hot.contains(row)),
+    );
+    let hot = Rows::listed(&config, hot);
     let bits = secured_bits(&model);
     defense.secure_bits(&bits, Some(&map));
     let mut traffic =
