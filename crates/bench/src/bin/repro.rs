@@ -31,14 +31,10 @@ use dd_bench::cache::{load_cell_cache, save_cell_cache};
 use dd_bench::chaos::{run_chaos_campaign, ChaosCampaignReport};
 use dd_bench::corpus::{run_corpus_campaign, CorpusReport};
 use dd_bench::experiments::{print_artifact, ExperimentId, RunContext};
-use dd_bench::kernel::{
-    run_kernel_bench, KernelBench, CHAOS_OVERHEAD_CEILING_PCT, KERNEL_SPEEDUP_FLOOR,
-    OBS_OVERHEAD_CEILING_PCT, STREAMING_RATIO_FLOOR,
-};
-use dd_bench::report::{render_duration, splice_section, Artifact};
+use dd_bench::kernel::run_kernel_bench;
+use dd_bench::report::{render_duration, splice_section, Artifact, Report};
 use dd_bench::serve::{run_serve, run_submit, ServeOptions, SubmitOptions};
-use dd_bench::trace::{run_trace, TraceSummary};
-use dd_server::SERVER_PROTOCOL_VERSION;
+use dd_bench::trace::{run_trace, TraceSummary, PERFETTO_FILE};
 
 struct Options {
     smoke: bool,
@@ -156,19 +152,10 @@ fn main() -> ExitCode {
     };
 
     let mut experiments = Vec::new();
-    let mut want_report = false;
-    let mut want_kernel = false;
-    let mut want_trace = false;
-    let mut want_chaos = false;
-    let mut want_corpus = false;
     for command in &opts.commands {
         match command.as_str() {
             "all" => experiments.extend(ExperimentId::ALL),
-            "report" => want_report = true,
-            "kernel" => want_kernel = true,
-            "trace" => want_trace = true,
-            "chaos" => want_chaos = true,
-            "corpus" => want_corpus = true,
+            "report" | "kernel" | "trace" | "chaos" | "corpus" => {}
             name => match ExperimentId::parse(name) {
                 Some(id) => experiments.push(id),
                 None => {
@@ -183,290 +170,121 @@ fn main() -> ExitCode {
     let mut seen = std::collections::HashSet::new();
     experiments.retain(|id| seen.insert(id.name()));
 
+    match run_commands(&opts, &experiments) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+/// The experiments, then the report commands in a fixed order: the
+/// kernel perf gate, the observed trace, the chaos campaign, the corpus
+/// sweep, and last the EXPERIMENTS.md splice. Stops at the first that
+/// fails.
+fn run_commands(opts: &Options, experiments: &[ExperimentId]) -> Result<(), ExitCode> {
     if !experiments.is_empty() {
-        if let Err(code) = run_experiments(&opts, &experiments) {
-            return code;
-        }
+        run_experiments(opts, experiments)?;
     }
-    if want_kernel {
-        if let Err(code) = run_kernel(&opts) {
-            return code;
-        }
+    let wants = |command: &str| opts.commands.iter().any(|c| c == command);
+    let sizing = if opts.smoke { "smoke" } else { "full" };
+    if wants("kernel") {
+        let banner = format!(
+            "[kernel] racing the batched kernel against the per-command reference path \
+             ({sizing} sizing; equivalence is asserted before timing)..."
+        );
+        run_report_command(opts, &banner, || Ok((run_kernel_bench(opts.smoke), None)))?;
     }
-    if want_trace {
-        if let Err(code) = run_trace_cmd(&opts) {
-            return code;
-        }
+    if wants("trace") {
+        let banner = format!(
+            "[trace] observed run ({sizing} sizing): matrix slice + solo driver run + scripted \
+             server session under dd-obs..."
+        );
+        run_report_command(opts, &banner, || {
+            let outcome = run_trace(opts.smoke, opts.jobs)
+                .map_err(|e| format!("trace scenario failed: {e:?}"))?;
+            Ok((outcome.summary, Some(outcome.perfetto)))
+        })?;
     }
-    if want_chaos {
-        if let Err(code) = run_chaos_cmd(&opts) {
-            return code;
-        }
+    if wants("chaos") {
+        let banner = format!(
+            "[chaos] fault-injection campaign ({sizing} sizing): executor, kernel, cache, \
+             wire, and client faults under seeded dd-chaos plans..."
+        );
+        run_report_command(opts, &banner, || {
+            run_chaos_campaign(opts.smoke)
+                .map(|report| (report, None))
+                .map_err(|e| format!("chaos campaign harness failed: {e}"))
+        })?;
     }
-    if want_corpus {
-        if let Err(code) = run_corpus_cmd(&opts) {
-            return code;
-        }
+    if wants("corpus") {
+        let banner = format!(
+            "[corpus] fleet-scale diurnal sweep ({sizing} sizing): one compressed fleet day \
+             (load ramp, tenant churn, hot-key shift) through every defense, plus \
+             streaming-vs-materialized replay bit-identity..."
+        );
+        run_report_command(opts, &banner, || {
+            run_corpus_campaign(opts.smoke)
+                .map(|report| (report, None))
+                .map_err(|e| format!("corpus campaign harness failed: {e:?}"))
+        })?;
     }
-    if want_report {
-        return run_report(&opts);
+    if wants("report") {
+        run_report(opts)?;
     }
-    ExitCode::SUCCESS
-}
-
-/// The `trace` subcommand: one observed smoke scenario through every
-/// instrumented layer, exported as the deterministic summary artifact
-/// and a Perfetto-loadable timeline.
-fn run_trace_cmd(opts: &Options) -> Result<(), ExitCode> {
-    if let Err(e) = std::fs::create_dir_all(&opts.artifacts_dir) {
-        eprintln!("repro: cannot create {}: {e}", opts.artifacts_dir.display());
-        return Err(ExitCode::FAILURE);
-    }
-    println!(
-        "[trace] observed run ({} sizing): matrix slice + solo driver run + scripted \
-         server session under dd-obs...",
-        if opts.smoke { "smoke" } else { "full" }
-    );
-    let outcome = match run_trace(opts.smoke, opts.jobs) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("repro: trace scenario failed: {e:?}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    let summary_path = opts.artifacts_dir.join("TRACE_summary.json");
-    let perfetto_path = opts.artifacts_dir.join("TRACE_perfetto.json");
-    if let Err(e) = std::fs::write(&summary_path, outcome.summary.to_json().render_pretty()) {
-        eprintln!("repro: cannot write {}: {e}", summary_path.display());
-        return Err(ExitCode::FAILURE);
-    }
-    if let Err(e) = std::fs::write(&perfetto_path, &outcome.perfetto) {
-        eprintln!("repro: cannot write {}: {e}", perfetto_path.display());
-        return Err(ExitCode::FAILURE);
-    }
-    println!(
-        "[trace] {} spans, {} events, {} counters, {} histograms across the session -> {}",
-        outcome.snapshot.spans.len(),
-        outcome.snapshot.events.len(),
-        outcome.snapshot.counters.len(),
-        outcome.snapshot.hists.len(),
-        summary_path.display(),
-    );
-    println!(
-        "[trace] timeline -> {} (load at https://ui.perfetto.dev)",
-        perfetto_path.display(),
-    );
     Ok(())
 }
 
-/// The `chaos` subcommand: the scripted fault-injection campaign.
-/// Writes `CHAOS_report.json` and fails when any resilience invariant
-/// broke or any injection site never fired.
-fn run_chaos_cmd(opts: &Options) -> Result<(), ExitCode> {
-    if let Err(e) = std::fs::create_dir_all(&opts.artifacts_dir) {
+fn create_artifacts_dir(opts: &Options) -> Result<(), ExitCode> {
+    std::fs::create_dir_all(&opts.artifacts_dir).map_err(|e| {
         eprintln!("repro: cannot create {}: {e}", opts.artifacts_dir.display());
-        return Err(ExitCode::FAILURE);
-    }
-    println!(
-        "[chaos] fault-injection campaign ({} sizing): executor, kernel, cache, \
-         wire, and client faults under seeded dd-chaos plans...",
-        if opts.smoke { "smoke" } else { "full" }
-    );
-    let report = match run_chaos_campaign(opts.smoke) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("repro: chaos campaign harness failed: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    let path = opts.artifacts_dir.join("CHAOS_report.json");
-    if let Err(e) = std::fs::write(&path, report.to_json().render_pretty()) {
-        eprintln!("repro: cannot write {}: {e}", path.display());
-        return Err(ExitCode::FAILURE);
-    }
-    let invariants: usize = report.phases.iter().map(|p| p.invariants.len()).sum();
-    println!(
-        "[chaos] {} phases, {} invariants, {}/{} sites fired -> {}",
-        report.phases.len(),
-        invariants,
-        report.sites_covered.len(),
-        dd_bench::chaos::CHAOS_SITES.len(),
-        path.display(),
-    );
-    if !report.all_pass() {
-        for (phase, invariant) in report.failed_invariants() {
-            eprintln!("repro: chaos invariant FAILED [{phase}] {invariant}");
-        }
-        for site in report.sites_missing() {
-            eprintln!("repro: chaos site never fired: {site}");
-        }
-        eprintln!("repro: chaos campaign FAILED — see {}", path.display());
-        return Err(ExitCode::FAILURE);
-    }
-    println!("[chaos] every invariant held; zero server deaths");
-    Ok(())
+        ExitCode::FAILURE
+    })
 }
 
-/// The `corpus` subcommand: the fleet-scale diurnal corpus sweep.
-/// Writes `CORPUS_report.json` and fails when any invariant broke —
-/// above all, when streaming replay diverged from materialized replay
-/// for any defense.
-fn run_corpus_cmd(opts: &Options) -> Result<(), ExitCode> {
-    if let Err(e) = std::fs::create_dir_all(&opts.artifacts_dir) {
-        eprintln!("repro: cannot create {}: {e}", opts.artifacts_dir.display());
-        return Err(ExitCode::FAILURE);
+/// Write `report` into the artifacts directory, with a companion file
+/// next to it when it has one (an artifact's CSV, a trace's Perfetto
+/// timeline); returns the report's path.
+fn write_report<R: Report>(
+    opts: &Options,
+    report: &R,
+    companion: Option<(PathBuf, String)>,
+) -> Result<PathBuf, ExitCode> {
+    let path = opts.artifacts_dir.join(R::file_name(report.name()));
+    for (file, text) in [(path.clone(), report.to_json().render_pretty())]
+        .into_iter()
+        .chain(companion)
+    {
+        std::fs::write(&file, text).map_err(|e| {
+            eprintln!("repro: cannot write {}: {e}", file.display());
+            ExitCode::FAILURE
+        })?;
     }
-    println!(
-        "[corpus] fleet-scale diurnal sweep ({} sizing): one compressed fleet day \
-         (load ramp, tenant churn, hot-key shift) through every defense, plus \
-         streaming-vs-materialized replay bit-identity...",
-        if opts.smoke { "smoke" } else { "full" }
-    );
-    let report = match run_corpus_campaign(opts.smoke) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("repro: corpus campaign harness failed: {e:?}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    let path = opts.artifacts_dir.join("CORPUS_report.json");
-    if let Err(e) = std::fs::write(&path, report.to_json().render_pretty()) {
-        eprintln!("repro: cannot write {}: {e}", path.display());
-        return Err(ExitCode::FAILURE);
-    }
-    println!(
-        "[corpus] {} phases x {} defenses, {} invariants; sample {} records, \
-         v2/v1 {:.0}% -> {}",
-        report.phases.len(),
-        report.defenses.len(),
-        report.invariants.len(),
-        report.trace.records,
-        if report.trace.v1_bytes == 0 {
-            0.0
-        } else {
-            100.0 * report.trace.v2_bytes as f64 / report.trace.v1_bytes as f64
-        },
-        path.display(),
-    );
-    if !report.all_pass() {
-        for name in report.failed_invariants() {
-            eprintln!("repro: corpus invariant FAILED: {name}");
-        }
-        eprintln!("repro: corpus campaign FAILED — see {}", path.display());
-        return Err(ExitCode::FAILURE);
-    }
-    println!("[corpus] every invariant held; streaming replay bit-identical across the roster");
-    Ok(())
+    Ok(path)
 }
 
-/// The `kernel` perf gate: benchmark the batched kernel against the
-/// per-command reference path (equivalence-checked first), write
-/// `BENCH_kernel.json`, and fail when the measured speedup regresses
-/// below the committed floor.
-fn run_kernel(opts: &Options) -> Result<(), ExitCode> {
-    if let Err(e) = std::fs::create_dir_all(&opts.artifacts_dir) {
-        eprintln!("repro: cannot create {}: {e}", opts.artifacts_dir.display());
-        return Err(ExitCode::FAILURE);
-    }
-    let path = opts.artifacts_dir.join("BENCH_kernel.json");
-    // The floors and the overhead ceilings travel in the committed
-    // artifact: prefer the target dir's copy, fall back to the repo's
-    // committed one, then to the built-in defaults.
-    let (floor, streaming_floor, obs_ceiling, chaos_ceiling) =
-        [path.clone(), PathBuf::from("artifacts/BENCH_kernel.json")]
-            .iter()
-            .find_map(|p| {
-                let text = std::fs::read_to_string(p).ok()?;
-                let committed = KernelBench::parse(&text).ok()?;
-                Some((
-                    committed.floor,
-                    committed.streaming_floor,
-                    committed.obs_overhead_ceiling_pct,
-                    committed.chaos_overhead_ceiling_pct,
-                ))
-            })
-            .unwrap_or((
-                KERNEL_SPEEDUP_FLOOR,
-                STREAMING_RATIO_FLOOR,
-                OBS_OVERHEAD_CEILING_PCT,
-                CHAOS_OVERHEAD_CEILING_PCT,
-            ));
-
-    println!(
-        "[kernel] racing the batched kernel against the per-command reference path \
-         ({} sizing; equivalence is asserted before timing)...",
-        if opts.smoke { "smoke" } else { "full" }
-    );
-    let bench = run_kernel_bench(
-        opts.smoke,
-        floor,
-        streaming_floor,
-        obs_ceiling,
-        chaos_ceiling,
-    );
-    if let Err(e) = std::fs::write(&path, bench.to_json().render_pretty()) {
-        eprintln!("repro: cannot write {}: {e}", path.display());
-        return Err(ExitCode::FAILURE);
-    }
-    println!(
-        "[kernel] reference {:.1}M cmd/s vs batch {:.1}M cmd/s -> {:.2}x speedup \
-         (floor {:.2}x) -> {}",
-        bench.reference.commands_per_sec / 1e6,
-        bench.batch.commands_per_sec / 1e6,
-        bench.speedup,
-        bench.floor,
-        path.display(),
-    );
-    if bench.speedup < bench.floor {
-        eprintln!(
-            "repro: kernel speedup {:.2}x regressed below the committed floor {:.2}x — \
-             the batched fast path lost its advantage (see docs/perf.md)",
-            bench.speedup, bench.floor
-        );
-        return Err(ExitCode::FAILURE);
-    }
-    println!(
-        "[kernel] streaming v2 replay {:.1}M cmd/s -> {:.2}x of the batched path \
-         (floor {:.2}x)",
-        bench.streaming.commands_per_sec / 1e6,
-        bench.streaming_ratio,
-        bench.streaming_floor,
-    );
-    if bench.streaming_ratio < bench.streaming_floor {
-        eprintln!(
-            "repro: streaming replay throughput fell to {:.2}x of the batched path, below \
-             the committed floor {:.2}x — chunked container decode regressed \
-             (see docs/perf.md)",
-            bench.streaming_ratio, bench.streaming_floor
-        );
-        return Err(ExitCode::FAILURE);
-    }
-    println!(
-        "[kernel] dd-obs overhead: batch {:+.2}% with recording enabled (ceiling {:.2}%)",
-        bench.obs_overhead_batch_pct, bench.obs_overhead_ceiling_pct,
-    );
-    if bench.obs_overhead_batch_pct > bench.obs_overhead_ceiling_pct {
-        eprintln!(
-            "repro: dd-obs instrumentation overhead (batch {:+.2}%) exceeds the committed \
-             ceiling {:.2}% — recording with the sink enabled costs too much on a kernel hot \
-             loop, measured against paired disabled-sink runs (see docs/observability.md)",
-            bench.obs_overhead_batch_pct, bench.obs_overhead_ceiling_pct,
-        );
-        return Err(ExitCode::FAILURE);
-    }
-    println!(
-        "[kernel] dd-chaos fault-plane overhead: batch {:+.2}% with an armed inert plan \
-         (ceiling {:.2}%)",
-        bench.chaos_overhead_batch_pct, bench.chaos_overhead_ceiling_pct,
-    );
-    if bench.chaos_overhead_batch_pct > bench.chaos_overhead_ceiling_pct {
-        eprintln!(
-            "repro: dd-chaos fault-plane overhead (batch {:+.2}%) exceeds the committed \
-             ceiling {:.2}% — the fault-injection probes are no longer cheap enough on a \
-             kernel hot loop (see docs/resilience.md)",
-            bench.chaos_overhead_batch_pct, bench.chaos_overhead_ceiling_pct,
-        );
-        return Err(ExitCode::FAILURE);
+/// One report command: print its banner, run it, write the report (and
+/// a trace's Perfetto timeline), and print the report's summary, exiting
+/// 1 after the first line that reveals a failure.
+fn run_report_command<R: Report>(
+    opts: &Options,
+    banner: &str,
+    run: impl FnOnce() -> Result<(R, Option<String>), String>,
+) -> Result<(), ExitCode> {
+    create_artifacts_dir(opts)?;
+    println!("{banner}");
+    let (report, timeline) = run().map_err(|e| {
+        eprintln!("repro: {e}");
+        ExitCode::FAILURE
+    })?;
+    let timeline = timeline.map(|text| (opts.artifacts_dir.join(PERFETTO_FILE), text));
+    let path = write_report(opts, &report, timeline)?;
+    for (line, failures) in report.summary(&path) {
+        println!("{line}");
+        if !failures.is_empty() {
+            for failure in failures {
+                eprintln!("repro: {failure}");
+            }
+            return Err(ExitCode::FAILURE);
+        }
     }
     Ok(())
 }
@@ -481,12 +299,9 @@ struct CacheTally {
 }
 
 fn run_experiments(opts: &Options, experiments: &[ExperimentId]) -> Result<(), ExitCode> {
-    if let Err(e) = std::fs::create_dir_all(&opts.artifacts_dir) {
-        eprintln!("repro: cannot create {}: {e}", opts.artifacts_dir.display());
-        return Err(ExitCode::FAILURE);
-    }
+    create_artifacts_dir(opts)?;
     let cache_path = opts.artifacts_dir.join("cache").join("cells.json");
-    let loaded = load_cell_cache(&cache_path);
+    let loaded = load_cell_cache(&cache_path).cells;
     // `--force` hides the loaded entries from lookup so everything
     // recomputes, but they are merged back before saving — a forced
     // partial run must not discard cells it didn't recompute.
@@ -499,9 +314,9 @@ fn run_experiments(opts: &Options, experiments: &[ExperimentId]) -> Result<(), E
 
     for &id in experiments {
         let hash = id.config_hash(opts.smoke);
-        let json_path = opts.artifacts_dir.join(format!("{}.json", id.name()));
+        let json_path = opts.artifacts_dir.join(Artifact::file_name(id.name()));
         if !opts.force {
-            if let Some(existing) = load_artifact(&json_path) {
+            if let Some(existing) = load::<Artifact>(&json_path, true) {
                 // The config hash is the whole reuse decision: it already
                 // encodes quick/full mode for the experiments whose
                 // numbers depend on it (the analytical ones are
@@ -527,19 +342,14 @@ fn run_experiments(opts: &Options, experiments: &[ExperimentId]) -> Result<(), E
             cells: &mut cells,
             verbose: !opts.quiet,
         };
-        let artifact = match id.run(&mut ctx) {
-            Ok(artifact) => artifact,
-            Err(e) => {
-                eprintln!("repro: {} failed: {e:?}", id.name());
-                return Err(ExitCode::FAILURE);
-            }
-        };
+        let artifact = id.run(&mut ctx).map_err(|e| {
+            eprintln!("repro: {} failed: {e:?}", id.name());
+            ExitCode::FAILURE
+        })?;
         tally.units += artifact.cache.cells.max(1);
         tally.hits += artifact.cache.cache_hits;
-        if let Err(e) = write_artifact(&opts.artifacts_dir, &artifact) {
-            eprintln!("repro: cannot write artifact: {e}");
-            return Err(ExitCode::FAILURE);
-        }
+        let csv = (json_path.with_extension("csv"), artifact.to_csv());
+        write_report(opts, &artifact, Some(csv))?;
         if !opts.quiet {
             print_artifact(&artifact);
         }
@@ -594,13 +404,10 @@ fn run_experiments(opts: &Options, experiments: &[ExperimentId]) -> Result<(), E
     Ok(())
 }
 
-fn run_report(opts: &Options) -> ExitCode {
-    let docs_path = match locate_experiments_md() {
-        Some(path) => path,
-        None => {
-            eprintln!("repro: cannot locate EXPERIMENTS.md (run from the repo root)");
-            return ExitCode::FAILURE;
-        }
+fn run_report(opts: &Options) -> Result<(), ExitCode> {
+    let Some(docs_path) = locate_experiments_md() else {
+        eprintln!("repro: cannot locate EXPERIMENTS.md (run from the repo root)");
+        return Err(ExitCode::FAILURE);
     };
     // When the docs were found via the manifest fallback (running from
     // outside the repo root) and the artifacts dir was left at its
@@ -612,178 +419,25 @@ fn run_report(opts: &Options) -> ExitCode {
             artifacts_dir = root.join("artifacts");
         }
     }
-    let original = match std::fs::read_to_string(&docs_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("repro: cannot read {}: {e}", docs_path.display());
-            return ExitCode::FAILURE;
-        }
+    let original = std::fs::read_to_string(&docs_path).map_err(|e| {
+        eprintln!("repro: cannot read {}: {e}", docs_path.display());
+        ExitCode::FAILURE
+    })?;
+    let mut splice = Splice {
+        check: opts.check,
+        artifacts_dir: &artifacts_dir,
+        docs_path: &docs_path,
+        doc: original.clone(),
+        spliced: 0,
+        stale: 0,
     };
-    let mut doc = original.clone();
-    let mut spliced = 0usize;
-    let mut stale = 0usize;
     for id in ExperimentId::ALL {
-        let json_path = artifacts_dir.join(format!("{}.json", id.name()));
-        let Some(artifact) = load_artifact(&json_path) else {
-            if opts.check {
-                // A section that cannot be re-rendered cannot be verified
-                // against its artifact — the drift gate must not pass it.
-                eprintln!(
-                    "repro: cannot verify `{}`: {} missing or unreadable — \
-                     run `repro {}` (or `repro all`) and commit artifacts/",
-                    id.name(),
-                    json_path.display(),
-                    id.name(),
-                );
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "[report] no artifact for `{}` ({} missing or unreadable) — section left as-is",
-                id.name(),
-                json_path.display()
-            );
-            continue;
-        };
-        // An artifact whose config hash the current code no longer
-        // produces would not be reused by a rerun: its numbers may be out
-        // of date even when its rendered section still matches.
-        let expected = id.config_hash(artifact.quick);
-        if opts.check && artifact.config_hash != expected {
-            eprintln!(
-                "repro: `{}` artifact is stale: config {:#018x}, current config {:#018x} — \
-                 run `repro {}` and commit artifacts/",
-                id.name(),
-                artifact.config_hash,
-                expected,
-                id.name(),
-            );
-            stale += 1;
-        }
-        match splice_section(&doc, id.name(), &artifact.render_markdown()) {
-            Ok(updated) => {
-                doc = updated;
-                spliced += 1;
-            }
-            Err(e) => {
-                eprintln!("repro: {} in {}", e, docs_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        splice.section::<Artifact>(id.name(), true)?;
     }
-    // The observability trace section renders from TRACE_summary.json
-    // (deterministic aggregates only, so the splice is machine-independent
-    // like the experiment sections).
-    let trace_path = artifacts_dir.join("TRACE_summary.json");
-    match std::fs::read_to_string(&trace_path)
-        .ok()
-        .and_then(|text| TraceSummary::parse(&text).ok())
-    {
-        Some(summary) => {
-            // The timing half holds the server's `stats` reply: a summary
-            // from another wire protocol predates the server it describes.
-            let protocol = summary.server_protocol();
-            if opts.check && protocol != Some(SERVER_PROTOCOL_VERSION) {
-                eprintln!(
-                    "repro: {} is stale: server protocol {}, current protocol {} — \
-                     run `repro trace` and commit artifacts/",
-                    trace_path.display(),
-                    protocol.map_or_else(|| "missing".to_string(), |p| p.to_string()),
-                    SERVER_PROTOCOL_VERSION,
-                );
-                stale += 1;
-            }
-            match splice_section(&doc, "trace", &summary.render_markdown()) {
-                Ok(updated) => {
-                    doc = updated;
-                    spliced += 1;
-                }
-                Err(e) => {
-                    eprintln!("repro: {} in {}", e, docs_path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None if opts.check => {
-            eprintln!(
-                "repro: cannot verify `trace`: {} missing or unreadable — \
-                 run `repro trace` and commit artifacts/",
-                trace_path.display(),
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            println!(
-                "[report] no artifact for `trace` ({} missing or unreadable) — section left as-is",
-                trace_path.display()
-            );
-        }
-    }
-    // The resilience section renders from CHAOS_report.json (run-stable
-    // fields only — rule sets, invariant outcomes, site coverage — so the
-    // splice is machine-independent).
-    let chaos_path = artifacts_dir.join("CHAOS_report.json");
-    match std::fs::read_to_string(&chaos_path)
-        .ok()
-        .and_then(|text| ChaosCampaignReport::parse(&text).ok())
-    {
-        Some(report) => match splice_section(&doc, "chaos", &report.render_markdown()) {
-            Ok(updated) => {
-                doc = updated;
-                spliced += 1;
-            }
-            Err(e) => {
-                eprintln!("repro: {} in {}", e, docs_path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None if opts.check => {
-            eprintln!(
-                "repro: cannot verify `chaos`: {} missing or unreadable — \
-                 run `repro chaos` and commit artifacts/",
-                chaos_path.display(),
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            println!(
-                "[report] no artifact for `chaos` ({} missing or unreadable) — section left as-is",
-                chaos_path.display()
-            );
-        }
-    }
-    // The corpus section renders from CORPUS_report.json (deterministic
-    // simulated counts only, so the splice is machine-independent).
-    let corpus_path = artifacts_dir.join("CORPUS_report.json");
-    match std::fs::read_to_string(&corpus_path)
-        .ok()
-        .and_then(|text| CorpusReport::parse(&text).ok())
-    {
-        Some(report) => match splice_section(&doc, "corpus", &report.render_markdown()) {
-            Ok(updated) => {
-                doc = updated;
-                spliced += 1;
-            }
-            Err(e) => {
-                eprintln!("repro: {} in {}", e, docs_path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None if opts.check => {
-            eprintln!(
-                "repro: cannot verify `corpus`: {} missing or unreadable — \
-                 run `repro corpus` and commit artifacts/",
-                corpus_path.display(),
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            println!(
-                "[report] no artifact for `corpus` ({} missing or unreadable) — section left as-is",
-                corpus_path.display()
-            );
-        }
-    }
-    if spliced == 0 {
+    splice.section::<TraceSummary>("trace", false)?;
+    splice.section::<ChaosCampaignReport>("chaos", false)?;
+    splice.section::<CorpusReport>("corpus", false)?;
+    if splice.spliced == 0 {
         // "Up to date" with nothing verified would be a lie — this is a
         // misconfiguration (wrong directory, no artifacts yet), not a
         // clean result.
@@ -792,34 +446,89 @@ fn run_report(opts: &Options) -> ExitCode {
              (or pass --artifacts-dir)",
             artifacts_dir.display()
         );
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
-    if stale > 0 {
-        eprintln!("repro: {stale} artifact(s) are stale against the current config");
-        return ExitCode::FAILURE;
-    }
-    if doc == original {
-        println!(
-            "EXPERIMENTS.md is up to date ({spliced} generated sections match their artifacts)"
+    if splice.stale > 0 {
+        eprintln!(
+            "repro: {} artifact(s) are stale against the current config",
+            splice.stale
         );
-        return ExitCode::SUCCESS;
+        return Err(ExitCode::FAILURE);
+    }
+    if splice.doc == original {
+        println!(
+            "EXPERIMENTS.md is up to date ({} generated sections match their artifacts)",
+            splice.spliced
+        );
+        return Ok(());
     }
     if opts.check {
         eprintln!(
             "repro: EXPERIMENTS.md is out of date with artifacts/ — run `repro report` \
              and commit the result"
         );
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
-    if let Err(e) = std::fs::write(&docs_path, &doc) {
+    if let Err(e) = std::fs::write(&docs_path, &splice.doc) {
         eprintln!("repro: cannot write {}: {e}", docs_path.display());
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
     println!(
-        "EXPERIMENTS.md regenerated ({spliced} sections) from {}",
+        "EXPERIMENTS.md regenerated ({} sections) from {}",
+        splice.spliced,
         artifacts_dir.display()
     );
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// EXPERIMENTS.md as `repro report` splices it: the document so far and
+/// what went into it.
+struct Splice<'a> {
+    check: bool,
+    artifacts_dir: &'a Path,
+    docs_path: &'a Path,
+    doc: String,
+    spliced: usize,
+    stale: usize,
+}
+
+impl Splice<'_> {
+    /// Re-read the report `name`, count it when `--check` finds it stale,
+    /// and splice its section. An experiment's artifact names why it does
+    /// not parse, and `repro all` rewrites it too.
+    fn section<R: Report>(&mut self, name: &str, experiment: bool) -> Result<(), ExitCode> {
+        let path = self.artifacts_dir.join(R::file_name(name));
+        let Some(report) = load::<R>(&path, experiment) else {
+            if self.check {
+                // A section that cannot be re-rendered cannot be verified
+                // against its artifact — the drift gate must not pass it.
+                eprintln!(
+                    "repro: cannot verify `{name}`: {} missing or unreadable — \
+                     run `repro {name}`{} and commit artifacts/",
+                    path.display(),
+                    if experiment { " (or `repro all`)" } else { "" },
+                );
+                return Err(ExitCode::FAILURE);
+            }
+            println!(
+                "[report] no artifact for `{name}` ({} missing or unreadable) — section left as-is",
+                path.display()
+            );
+            return Ok(());
+        };
+        if let Some(why) = report.stale(&path).filter(|_| self.check) {
+            eprintln!("repro: {why} — run `repro {name}` and commit artifacts/");
+            self.stale += 1;
+        }
+        if let Some(body) = report.section() {
+            self.doc = splice_section(&self.doc, name, &body).map_err(|e| {
+                eprintln!("repro: {} in {}", e, self.docs_path.display());
+                ExitCode::FAILURE
+            })?;
+            self.spliced += 1;
+        }
+        Ok(())
+    }
 }
 
 /// EXPERIMENTS.md in the current directory (normal case: run from the
@@ -835,24 +544,17 @@ fn locate_experiments_md() -> Option<PathBuf> {
     manifest.exists().then_some(manifest)
 }
 
-fn load_artifact(path: &Path) -> Option<Artifact> {
+/// The report at `path`, or `None` when it is missing or does not parse
+/// (named on stderr when `name_errors`).
+fn load<R: Report>(path: &Path, name_errors: bool) -> Option<R> {
     let text = std::fs::read_to_string(path).ok()?;
-    match Artifact::parse(&text) {
-        Ok(artifact) => Some(artifact),
-        Err(e) => {
-            eprintln!("repro: ignoring {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-fn write_artifact(dir: &Path, artifact: &Artifact) -> std::io::Result<()> {
-    let stem = dir.join(&artifact.experiment);
-    std::fs::write(
-        stem.with_extension("json"),
-        artifact.to_json().render_pretty(),
-    )?;
-    std::fs::write(stem.with_extension("csv"), artifact.to_csv())
+    R::parse(&text)
+        .map_err(|e| {
+            if name_errors {
+                eprintln!("repro: ignoring {}: {e}", path.display());
+            }
+        })
+        .ok()
 }
 
 /// Parse the args of `repro serve` / `repro submit` (the service

@@ -38,32 +38,31 @@ pub struct CacheLoad {
     pub evicted_all: bool,
 }
 
-/// Load the cell cache, returning an empty map when the file is missing,
-/// malformed, from another container version, or stamped with a different
-/// [`CELL_PROTOCOL_VERSION`] (stale caches evict, they never error).
-pub fn load_cell_cache(path: &Path) -> HashMap<u64, CellReport> {
-    load_cell_cache_accounted(path).cells
-}
-
-/// [`load_cell_cache`] with eviction accounting. Corrupt entries are
-/// evicted individually — the rest of the file stays usable — and the
-/// eviction is reported, never a crash: a recomputed cell simply
-/// replaces the evicted one on the next save.
-pub fn load_cell_cache_accounted(path: &Path) -> CacheLoad {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return CacheLoad {
+impl CacheLoad {
+    fn evicted() -> CacheLoad {
+        CacheLoad {
             evicted_all: true,
             ..CacheLoad::default()
-        };
+        }
+    }
+}
+
+/// Load the cell cache. A file that is missing, malformed, from another
+/// container version, or stamped with a different
+/// [`CELL_PROTOCOL_VERSION`] loads empty with `evicted_all` set (stale
+/// caches evict, they never error). Corrupt entries are evicted
+/// individually — the rest of the file stays usable — and the eviction
+/// is reported, never a crash: a recomputed cell simply replaces the
+/// evicted one on the next save.
+pub fn load_cell_cache(path: &Path) -> CacheLoad {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return CacheLoad::evicted();
     };
     let Ok(json) = Json::parse(&text) else {
         eprintln!("repro: ignoring malformed cell cache {}", path.display());
-        return CacheLoad {
-            evicted_all: true,
-            ..CacheLoad::default()
-        };
+        return CacheLoad::evicted();
     };
-    let load = parse_cell_cache_accounted(&json);
+    let load = parse_cell_cache(&json);
     if load.corrupt_evicted > 0 {
         eprintln!(
             "repro: evicted {} corrupt cell-cache entr{} from {} ({} kept)",
@@ -81,30 +80,21 @@ pub fn load_cell_cache_accounted(path: &Path) -> CacheLoad {
 }
 
 /// The eviction-aware decode behind [`load_cell_cache`] (separated so the
-/// version-mismatch behavior is testable without touching the fs).
-pub fn parse_cell_cache(json: &Json) -> HashMap<u64, CellReport> {
-    parse_cell_cache_accounted(json).cells
-}
-
-/// [`parse_cell_cache`] with per-entry eviction accounting. When an
-/// armed chaos plan fires `cache.corrupt_entry` (keyed by cell key),
+/// version-mismatch behavior is testable without touching the fs). When
+/// an armed chaos plan fires `cache.corrupt_entry` (keyed by cell key),
 /// the entry's payload is replaced with garbage *before* validation, so
 /// the injected corruption exercises the same decode-and-evict path a
 /// real bit-rotted file would.
-pub fn parse_cell_cache_accounted(json: &Json) -> CacheLoad {
-    let mut load = CacheLoad::default();
-    if json.get("version").and_then(Json::as_u64) != Some(CELL_CACHE_FORMAT_VERSION) {
-        load.evicted_all = true;
-        return load;
-    }
-    if json.get("cell_protocol_version").and_then(Json::as_u64) != Some(CELL_PROTOCOL_VERSION) {
-        load.evicted_all = true;
-        return load;
-    }
-    let Some(Json::Obj(fields)) = json.get("cells") else {
-        load.evicted_all = true;
-        return load;
+pub fn parse_cell_cache(json: &Json) -> CacheLoad {
+    let stamp = |key| json.get(key).and_then(Json::as_u64);
+    let (Some(CELL_CACHE_FORMAT_VERSION), Some(CELL_PROTOCOL_VERSION), Some(Json::Obj(fields))) = (
+        stamp("version"),
+        stamp("cell_protocol_version"),
+        json.get("cells"),
+    ) else {
+        return CacheLoad::evicted();
     };
+    let mut load = CacheLoad::default();
     for (key, value) in fields {
         let parsed_key = key
             .strip_prefix("0x")
@@ -193,7 +183,7 @@ mod tests {
         );
 
         // Round trip.
-        let back = parse_cell_cache(&json);
+        let back = parse_cell_cache(&json).cells;
         assert_eq!(back.len(), 1);
         let key = *cells.keys().next().expect("key");
         assert_eq!(back[&key].scenario, cells[&key].scenario);
@@ -209,16 +199,16 @@ mod tests {
                 Json::uint(CELL_PROTOCOL_VERSION + 1),
             )
             .with("cells", cells_field.clone());
-        assert!(parse_cell_cache(&stale).is_empty());
+        assert!(parse_cell_cache(&stale).evicted_all);
         let unstamped = Json::obj()
             .with("version", Json::uint(CELL_CACHE_FORMAT_VERSION))
             .with("cells", cells_field.clone());
-        assert!(parse_cell_cache(&unstamped).is_empty());
+        assert!(parse_cell_cache(&unstamped).evicted_all);
         let old_container = Json::obj()
             .with("version", Json::uint(1))
             .with("cell_protocol_version", Json::uint(CELL_PROTOCOL_VERSION))
             .with("cells", cells_field);
-        assert!(parse_cell_cache(&old_container).is_empty());
+        assert!(parse_cell_cache(&old_container).evicted_all);
     }
 
     #[test]
@@ -226,12 +216,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dd-cache-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let missing = dir.join("nope.json");
-        assert!(load_cell_cache(&missing).is_empty());
-        assert!(load_cell_cache_accounted(&missing).evicted_all);
+        let load = load_cell_cache(&missing);
+        assert!(load.cells.is_empty() && load.evicted_all);
         let garbled = dir.join("garbled.json");
         std::fs::write(&garbled, "{not json").expect("write");
-        assert!(load_cell_cache(&garbled).is_empty());
-        assert!(load_cell_cache_accounted(&garbled).evicted_all);
+        let load = load_cell_cache(&garbled);
+        assert!(load.cells.is_empty() && load.evicted_all);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -242,7 +232,7 @@ mod tests {
         let path = dir.join("cells.json");
         let cells = one_cell();
         save_cell_cache(&path, &cells).expect("save");
-        let reloaded = load_cell_cache_accounted(&path);
+        let reloaded = load_cell_cache(&path);
         assert_eq!(reloaded.cells.len(), 1);
         assert_eq!(reloaded.corrupt_evicted, 0);
         assert!(!reloaded.evicted_all);
@@ -274,7 +264,7 @@ mod tests {
                 entries.push(("not-a-key".to_string(), Json::Null));
             }
         }
-        let load = parse_cell_cache_accounted(&Json::Obj(fields));
+        let load = parse_cell_cache(&Json::Obj(fields));
         assert_eq!(load.cells.len(), 1, "the good entry survives");
         assert_eq!(load.corrupt_evicted, 2);
         assert!(!load.evicted_all);

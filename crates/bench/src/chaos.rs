@@ -39,7 +39,7 @@
 //! coverage), never the stress phase's interleaving-dependent counts.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dd_baselines::{DefenseKind, ScenarioMatrix, VictimSpec};
@@ -47,7 +47,8 @@ use dd_chaos::{ChaosPlan, ChaosReport};
 use dd_server::{CellSpec, ServerConfig, SweepServer};
 use dnn_defender::{CostModel, Json, JsonError};
 
-use crate::cache::{load_cell_cache_accounted, save_cell_cache};
+use crate::cache::{load_cell_cache, save_cell_cache};
+use crate::report::{Invariant, Report};
 use crate::serve::{
     batch_report, response_cells, BoundListener, Endpoint, Remote, RetryPolicy, ServiceClient,
     REFERENCE_DEVICE_ROWS,
@@ -72,15 +73,6 @@ pub const CHAOS_SITES: [&str; 7] = [
     "client.submit_transient",
 ];
 
-/// One asserted resilience property and whether it held.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Invariant {
-    /// What was asserted.
-    pub name: String,
-    /// Whether it held.
-    pub pass: bool,
-}
-
 /// One campaign phase: which faults were armed, what fired, and which
 /// invariants held.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,6 +92,37 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
+    /// An empty phase. It accumulates as it runs: invariant checks
+    /// (failures are recorded and printed, never panicked) plus the chaos
+    /// accounting of the phase's armed sessions.
+    fn new(name: &str, detail: &str, injected: &[&str]) -> PhaseReport {
+        PhaseReport {
+            name: name.to_string(),
+            detail: detail.to_string(),
+            injected: injected.iter().map(|s| s.to_string()).collect(),
+            sites: BTreeMap::new(),
+            invariants: Vec::new(),
+        }
+    }
+
+    fn check(&mut self, name: &str, pass: bool) {
+        if !pass {
+            eprintln!("repro chaos: [{}] invariant FAILED: {name}", self.name);
+        }
+        self.invariants.push(Invariant {
+            name: name.to_string(),
+            pass,
+        });
+    }
+
+    fn absorb(&mut self, chaos: &ChaosReport) {
+        for (site, stats) in &chaos.sites {
+            let entry = self.sites.entry(site.clone()).or_insert((0, 0));
+            entry.0 += stats.checks;
+            entry.1 += stats.fires;
+        }
+    }
+
     fn to_json(&self) -> Json {
         let sites = self
             .sites
@@ -123,16 +146,7 @@ impl PhaseReport {
             .with("sites", Json::Obj(sites))
             .with(
                 "invariants",
-                Json::Arr(
-                    self.invariants
-                        .iter()
-                        .map(|i| {
-                            Json::obj()
-                                .with("name", Json::str(&i.name))
-                                .with("pass", Json::Bool(i.pass))
-                        })
-                        .collect(),
-                ),
+                Json::Arr(self.invariants.iter().map(Invariant::to_json).collect()),
             )
     }
 
@@ -151,22 +165,16 @@ impl PhaseReport {
             .iter()
             .filter_map(|s| s.as_str().map(str::to_string))
             .collect();
-        let invariants = value
-            .field_arr("invariants")?
-            .iter()
-            .map(|i| {
-                Ok(Invariant {
-                    name: i.field_str("name")?.to_string(),
-                    pass: i.field_bool("pass")?,
-                })
-            })
-            .collect::<Result<_, JsonError>>()?;
         Ok(PhaseReport {
             name: value.field_str("name")?.to_string(),
             detail: value.field_str("detail")?.to_string(),
             injected,
             sites,
-            invariants,
+            invariants: value
+                .field_arr("invariants")?
+                .iter()
+                .map(Invariant::from_json)
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -174,10 +182,6 @@ impl PhaseReport {
 /// The `CHAOS_report.json` payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosCampaignReport {
-    /// Schema version ([`CHAOS_REPORT_SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Always `"chaos"`.
-    pub experiment: String,
     /// Whether the campaign ran at smoke sizing.
     pub smoke: bool,
     /// The campaign seed.
@@ -214,58 +218,6 @@ impl ChaosCampaignReport {
             .copied()
             .filter(|site| !self.sites_covered.iter().any(|s| s == site))
             .collect()
-    }
-
-    /// Serialize.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("schema_version", Json::uint(self.schema_version))
-            .with("experiment", Json::str(&self.experiment))
-            .with("smoke", Json::Bool(self.smoke))
-            .with("seed", Json::uint(self.seed))
-            .with(
-                "phases",
-                Json::Arr(self.phases.iter().map(PhaseReport::to_json).collect()),
-            )
-            .with(
-                "sites_covered",
-                Json::Arr(self.sites_covered.iter().map(Json::str).collect()),
-            )
-    }
-
-    /// Parse a `CHAOS_report.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on malformed JSON, a missing/mistyped
-    /// field, or an unsupported schema version.
-    pub fn parse(text: &str) -> Result<ChaosCampaignReport, JsonError> {
-        let json = Json::parse(text)?;
-        let schema_version = json.field_u64("schema_version")?;
-        if schema_version != CHAOS_REPORT_SCHEMA_VERSION {
-            return Err(JsonError {
-                message: format!(
-                    "unsupported CHAOS_report schema v{schema_version} \
-                     (this build reads v{CHAOS_REPORT_SCHEMA_VERSION})"
-                ),
-            });
-        }
-        Ok(ChaosCampaignReport {
-            schema_version,
-            experiment: json.field_str("experiment")?.to_string(),
-            smoke: json.field_bool("smoke")?,
-            seed: json.field_u64("seed")?,
-            phases: json
-                .field_arr("phases")?
-                .iter()
-                .map(PhaseReport::from_json)
-                .collect::<Result<_, JsonError>>()?,
-            sites_covered: json
-                .field_arr("sites_covered")?
-                .iter()
-                .filter_map(|s| s.as_str().map(str::to_string))
-                .collect(),
-        })
     }
 
     /// The EXPERIMENTS.md section: run-stable fields only — the rule
@@ -320,45 +272,79 @@ impl ChaosCampaignReport {
     }
 }
 
-/// Accumulates one phase: invariant checks (failures are recorded and
-/// printed, never panicked) plus the chaos accounting of the phase's
-/// armed sessions.
-struct Phase {
-    report: PhaseReport,
-}
+impl Report for ChaosCampaignReport {
+    const SCHEMA_VERSION: u64 = CHAOS_REPORT_SCHEMA_VERSION;
+    const SCHEMA_NAME: &'static str = "CHAOS_report";
 
-impl Phase {
-    fn new(name: &str, detail: &str, injected: &[&str]) -> Phase {
-        Phase {
-            report: PhaseReport {
-                name: name.to_string(),
-                detail: detail.to_string(),
-                injected: injected.iter().map(|s| s.to_string()).collect(),
-                sites: BTreeMap::new(),
-                invariants: Vec::new(),
-            },
-        }
+    fn name(&self) -> &str {
+        "chaos"
     }
 
-    fn check(&mut self, name: &str, pass: bool) {
-        if !pass {
-            eprintln!(
-                "repro chaos: [{}] invariant FAILED: {name}",
-                self.report.name
-            );
-        }
-        self.report.invariants.push(Invariant {
-            name: name.to_string(),
-            pass,
-        });
+    fn fields(&self, doc: Json) -> Json {
+        doc.with("smoke", Json::Bool(self.smoke))
+            .with("seed", Json::uint(self.seed))
+            .with(
+                "phases",
+                Json::Arr(self.phases.iter().map(PhaseReport::to_json).collect()),
+            )
+            .with(
+                "sites_covered",
+                Json::Arr(self.sites_covered.iter().map(Json::str).collect()),
+            )
     }
 
-    fn absorb(&mut self, chaos: &ChaosReport) {
-        for (site, stats) in &chaos.sites {
-            let entry = self.report.sites.entry(site.clone()).or_insert((0, 0));
-            entry.0 += stats.checks;
-            entry.1 += stats.fires;
+    fn from_json(json: &Json) -> Result<ChaosCampaignReport, JsonError> {
+        Ok(ChaosCampaignReport {
+            smoke: json.field_bool("smoke")?,
+            seed: json.field_u64("seed")?,
+            phases: json
+                .field_arr("phases")?
+                .iter()
+                .map(PhaseReport::from_json)
+                .collect::<Result<_, JsonError>>()?,
+            sites_covered: json
+                .field_arr("sites_covered")?
+                .iter()
+                .filter_map(|s| s.as_str().map(str::to_string))
+                .collect(),
+        })
+    }
+
+    fn section(&self) -> Option<String> {
+        Some(self.render_markdown())
+    }
+
+    fn summary(&self, path: &Path) -> Vec<(String, Vec<String>)> {
+        let invariants: usize = self.phases.iter().map(|p| p.invariants.len()).sum();
+        let mut failures: Vec<String> = self
+            .failed_invariants()
+            .into_iter()
+            .map(|(phase, invariant)| format!("chaos invariant FAILED [{phase}] {invariant}"))
+            .chain(
+                self.sites_missing()
+                    .into_iter()
+                    .map(|site| format!("chaos site never fired: {site}")),
+            )
+            .collect();
+        if !failures.is_empty() {
+            failures.push(format!("chaos campaign FAILED — see {}", path.display()));
         }
+        vec![
+            (
+                format!(
+                    "[chaos] {} phases, {invariants} invariants, {}/{} sites fired -> {}",
+                    self.phases.len(),
+                    self.sites_covered.len(),
+                    CHAOS_SITES.len(),
+                    path.display(),
+                ),
+                failures,
+            ),
+            (
+                "[chaos] every invariant held; zero server deaths".to_string(),
+                Vec::new(),
+            ),
+        ]
     }
 }
 
@@ -441,7 +427,7 @@ fn served_bytes(response: &Json) -> Option<String> {
 /// `job_failed` error with the charge refunded, and the server must
 /// answer the next request normally.
 fn phase_job_panic() -> PhaseReport {
-    let mut phase = Phase::new(
+    let mut phase = PhaseReport::new(
         "job-panic",
         "every executor attempt panics; jobs fail structurally with refunds",
         &["executor.job_panic"],
@@ -486,14 +472,14 @@ fn phase_job_panic() -> PhaseReport {
         "server survives injected worker panics",
         hello.map(|h| h.field_bool("ok") == Ok(true)) == Some(true),
     );
-    phase.report
+    phase
 }
 
 /// Phase 2: every job stalls and every kernel chunk issue stalls. Time
 /// is lost, state must not be: the served cells must be byte-identical
 /// to a disarmed batch run of the same specs.
 fn phase_job_stall(smoke: bool) -> PhaseReport {
-    let mut phase = Phase::new(
+    let mut phase = PhaseReport::new(
         "job-stall",
         "every job and kernel chunk issue stalls; cells stay byte-identical",
         &["executor.job_stall", "kernel.chunk_stall"],
@@ -543,14 +529,14 @@ fn phase_job_stall(smoke: bool) -> PhaseReport {
         response.as_ref().and_then(served_bytes).is_some()
             && response.as_ref().and_then(served_bytes) == batch,
     );
-    phase.report
+    phase
 }
 
 /// Phase 3: every cell-cache entry is corrupted at load. Entries must
 /// evict individually with accounting — never a crash — and a disarmed
 /// reload of the identical file must be clean.
 fn phase_cache_corruption() -> PhaseReport {
-    let mut phase = Phase::new(
+    let mut phase = PhaseReport::new(
         "cache-corruption",
         "every cache entry is corrupted at load; eviction is accounted, reload is clean",
         &["cache.corrupt_entry"],
@@ -576,7 +562,7 @@ fn phase_cache_corruption() -> PhaseReport {
     let session = dd_chaos::arm(
         ChaosPlan::inert(CHAOS_CAMPAIGN_SEED).with_rule("cache.corrupt_entry", ALWAYS),
     );
-    let corrupted = load_cell_cache_accounted(&path);
+    let corrupted = load_cell_cache(&path);
     let chaos = session.finish();
     phase.absorb(&chaos);
 
@@ -588,20 +574,20 @@ fn phase_cache_corruption() -> PhaseReport {
         "corruption fired through the real decode path",
         chaos.fires_at("cache.corrupt_entry") == 1,
     );
-    let clean = load_cell_cache_accounted(&path);
+    let clean = load_cell_cache(&path);
     phase.check(
         "disarmed reload of the same file is clean",
         clean.cells.len() == 1 && clean.corrupt_evicted == 0,
     );
     let _ = std::fs::remove_dir_all(&dir);
-    phase.report
+    phase
 }
 
 /// Phase 4: transient failures at the client's submit path. Retry must
 /// be bounded (a structured failure once attempts are exhausted) and
 /// must absorb partial fault rates transparently.
 fn phase_client_transient() -> PhaseReport {
-    let mut phase = Phase::new(
+    let mut phase = PhaseReport::new(
         "client-transient",
         "client submit attempts fail transiently; bounded retry absorbs or fails structurally",
         &["client.submit_transient"],
@@ -666,7 +652,7 @@ fn phase_client_transient() -> PhaseReport {
             .map(ledger_balanced)
             .unwrap_or(false),
     );
-    phase.report
+    phase
 }
 
 fn temp_socket(tag: &str) -> PathBuf {
@@ -702,7 +688,7 @@ fn spawn_campaign_server(endpoint: &Endpoint) -> Result<(ServerHandle, Remote), 
 /// responses to charged work must not double-charge on retry), and the
 /// armed fault plane must be visible in the `stats` reply.
 fn phase_connection_faults() -> PhaseReport {
-    let mut phase = Phase::new(
+    let mut phase = PhaseReport::new(
         "connection-faults",
         "server drops and corrupts response frames; the retrying client converges",
         &["server.conn_drop", "server.frame_corrupt"],
@@ -711,7 +697,7 @@ fn phase_connection_faults() -> PhaseReport {
     let spawned = spawn_campaign_server(&Endpoint::Unix(socket.clone()));
     let Ok((server, remote)) = spawned else {
         phase.check("unix campaign server binds", false);
-        return phase.report;
+        return phase;
     };
     phase.check("unix campaign server binds", true);
 
@@ -780,7 +766,7 @@ fn phase_connection_faults() -> PhaseReport {
         bye.is_ok() && matches!(joined, Ok(Ok(()))),
     );
     phase.check("socket file removed on shutdown", !socket.exists());
-    phase.report
+    phase
 }
 
 /// Phase 6: concurrent stress over both transports. Several clients
@@ -790,7 +776,7 @@ fn phase_connection_faults() -> PhaseReport {
 /// conservation read from the wire, byte-identity of every served cell,
 /// and server survival.
 fn phase_concurrent_stress(smoke: bool) -> PhaseReport {
-    let mut phase = Phase::new(
+    let mut phase = PhaseReport::new(
         "concurrent-stress",
         "parallel clients over unix+tcp under drops, transients, and stalls",
         &[
@@ -914,7 +900,7 @@ fn phase_concurrent_stress(smoke: bool) -> PhaseReport {
             bye.is_ok() && matches!(joined, Ok(Ok(()))),
         );
     }
-    phase.report
+    phase
 }
 
 /// Suppress the default panic-hook backtrace spam for *injected* panics
@@ -967,8 +953,6 @@ pub fn run_chaos_campaign(smoke: bool) -> Result<ChaosCampaignReport, String> {
     covered.sort();
     covered.dedup();
     Ok(ChaosCampaignReport {
-        schema_version: CHAOS_REPORT_SCHEMA_VERSION,
-        experiment: "chaos".to_string(),
         smoke,
         seed: CHAOS_CAMPAIGN_SEED,
         phases,
@@ -982,8 +966,6 @@ mod tests {
 
     fn sample_report() -> ChaosCampaignReport {
         ChaosCampaignReport {
-            schema_version: CHAOS_REPORT_SCHEMA_VERSION,
-            experiment: "chaos".into(),
             smoke: true,
             seed: CHAOS_CAMPAIGN_SEED,
             phases: vec![PhaseReport {
@@ -1007,13 +989,6 @@ mod tests {
         let back = ChaosCampaignReport::parse(&text).expect("parse back");
         assert_eq!(back, report);
         assert_eq!(back.to_json().render_pretty(), text);
-    }
-
-    #[test]
-    fn parse_rejects_foreign_schema() {
-        let mut bad = sample_report();
-        bad.schema_version = 99;
-        assert!(ChaosCampaignReport::parse(&bad.to_json().render_pretty()).is_err());
     }
 
     #[test]

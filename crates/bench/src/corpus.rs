@@ -28,6 +28,7 @@
 
 use std::collections::HashSet;
 use std::io::Cursor;
+use std::path::Path;
 
 use dd_baselines::DefenseKind;
 use dd_dram::{DramConfig, MemStats, MemoryController};
@@ -38,8 +39,8 @@ use dd_workload::{
 use dnn_defender::defense::DefenseStats;
 use dnn_defender::{Json, JsonError, WeightMap};
 
-use crate::chaos::Invariant;
 use crate::experiments::{serving_model, workload_bits};
+use crate::report::{Invariant, Report};
 
 /// Schema version of `CORPUS_report.json`.
 pub const CORPUS_REPORT_SCHEMA_VERSION: u64 = 1;
@@ -107,10 +108,6 @@ pub struct TraceStats {
 /// The `CORPUS_report.json` payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusReport {
-    /// Schema version ([`CORPUS_REPORT_SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Always `"corpus"`.
-    pub experiment: String,
     /// Whether the campaign ran at smoke sizing.
     pub smoke: bool,
     /// The campaign seed.
@@ -142,12 +139,77 @@ impl CorpusReport {
             .collect()
     }
 
-    /// Serialize.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("schema_version", Json::uint(self.schema_version))
-            .with("experiment", Json::str(&self.experiment))
-            .with("smoke", Json::Bool(self.smoke))
+    /// The EXPERIMENTS.md section. Every rendered number is a
+    /// deterministic simulated quantity (no wall times), so the splice
+    /// is machine-independent.
+    pub fn render_markdown(&self) -> String {
+        let mut out = String::new();
+        let windows: u64 = self.phases.iter().map(|p| p.windows).sum();
+        out.push_str(&format!(
+            "Fleet-scale corpus sweep (`repro corpus`), seed `{:#x}`: the `{}` diurnal \
+             profile — {} phases, {} refresh windows per defense — drives every defense \
+             in the roster through one compressed fleet day of benign traffic (load \
+             ramp, tenant churn, hot-key shift), with the serving model's rows secured. \
+             The same corpus sample then replays through the v2 streaming path, and \
+             each defense's `DefenseStats`/`MemStats` must be bit-identical to the \
+             materialized replay.\n\n",
+            self.seed,
+            self.profile,
+            self.phases.len(),
+            windows,
+        ));
+        out.push_str("| Defense | Benign ops | False defense ops | Disturbed rows | Peak disturbance | Commands | Streaming replay |\n");
+        out.push_str("|---|---|---|---|---|---|---|\n");
+        for d in &self.defenses {
+            out.push_str(&format!(
+                "| {} | {} | {} | {} | {} | {} | {} |\n",
+                d.defense,
+                d.benign_ops,
+                d.false_defense_ops,
+                d.disturbed_rows,
+                d.peak_benign_disturbance,
+                d.commands,
+                if d.streaming_identical {
+                    "bit-identical"
+                } else {
+                    "DIVERGED"
+                },
+            ));
+        }
+        out.push_str(&format!(
+            "\nCorpus sample: {} records; v1 {} bytes \u{2192} v2 {} bytes ({:.0}% of v1, \
+             delta chunks) across {} seekable chunks of \u{2264} 512 ops.\n",
+            self.trace.records,
+            self.trace.v1_bytes,
+            self.trace.v2_bytes,
+            self.trace.v2_per_v1_pct(),
+            self.trace.chunks,
+        ));
+        out.push_str(&format!(
+            "Campaign verdict: {}.\n",
+            if self.all_pass() {
+                "every invariant held across the defense roster".to_string()
+            } else {
+                format!(
+                    "INVARIANT FAILURES ({}) — see CORPUS_report.json",
+                    self.failed_invariants().join(", ")
+                )
+            },
+        ));
+        out
+    }
+}
+
+impl Report for CorpusReport {
+    const SCHEMA_VERSION: u64 = CORPUS_REPORT_SCHEMA_VERSION;
+    const SCHEMA_NAME: &'static str = "CORPUS_report";
+
+    fn name(&self) -> &str {
+        "corpus"
+    }
+
+    fn fields(&self, doc: Json) -> Json {
+        doc.with("smoke", Json::Bool(self.smoke))
             .with("seed", Json::uint(self.seed))
             .with("profile", Json::str(&self.profile))
             .with(
@@ -195,36 +257,11 @@ impl CorpusReport {
             )
             .with(
                 "invariants",
-                Json::Arr(
-                    self.invariants
-                        .iter()
-                        .map(|i| {
-                            Json::obj()
-                                .with("name", Json::str(&i.name))
-                                .with("pass", Json::Bool(i.pass))
-                        })
-                        .collect(),
-                ),
+                Json::Arr(self.invariants.iter().map(Invariant::to_json).collect()),
             )
     }
 
-    /// Parse a `CORPUS_report.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on malformed JSON, a missing/mistyped
-    /// field, or an unsupported schema version.
-    pub fn parse(text: &str) -> Result<CorpusReport, JsonError> {
-        let json = Json::parse(text)?;
-        let schema_version = json.field_u64("schema_version")?;
-        if schema_version != CORPUS_REPORT_SCHEMA_VERSION {
-            return Err(JsonError {
-                message: format!(
-                    "unsupported CORPUS_report schema v{schema_version} \
-                     (this build reads v{CORPUS_REPORT_SCHEMA_VERSION})"
-                ),
-            });
-        }
+    fn from_json(json: &Json) -> Result<CorpusReport, JsonError> {
         let phases = json
             .field_arr("phases")?
             .iter()
@@ -251,101 +288,72 @@ impl CorpusReport {
                 })
             })
             .collect::<Result<_, JsonError>>()?;
-        let trace = json
-            .get("trace")
-            .ok_or_else(|| JsonError {
-                message: "missing field `trace`".to_string(),
-            })
-            .and_then(|t| {
-                Ok(TraceStats {
-                    records: t.field_u64("records")?,
-                    v1_bytes: t.field_u64("v1_bytes")?,
-                    v2_bytes: t.field_u64("v2_bytes")?,
-                    chunks: t.field_u64("chunks")?,
-                })
-            })?;
-        let invariants = json
-            .field_arr("invariants")?
-            .iter()
-            .map(|i| {
-                Ok(Invariant {
-                    name: i.field_str("name")?.to_string(),
-                    pass: i.field_bool("pass")?,
-                })
-            })
-            .collect::<Result<_, JsonError>>()?;
+        let trace = json.field("trace")?;
         Ok(CorpusReport {
-            schema_version,
-            experiment: json.field_str("experiment")?.to_string(),
             smoke: json.field_bool("smoke")?,
             seed: json.field_u64("seed")?,
             profile: json.field_str("profile")?.to_string(),
             phases,
             defenses,
-            trace,
-            invariants,
+            trace: TraceStats {
+                records: trace.field_u64("records")?,
+                v1_bytes: trace.field_u64("v1_bytes")?,
+                v2_bytes: trace.field_u64("v2_bytes")?,
+                chunks: trace.field_u64("chunks")?,
+            },
+            invariants: json
+                .field_arr("invariants")?
+                .iter()
+                .map(Invariant::from_json)
+                .collect::<Result<_, _>>()?,
         })
     }
 
-    /// The EXPERIMENTS.md section. Every rendered number is a
-    /// deterministic simulated quantity (no wall times), so the splice
-    /// is machine-independent.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        let windows: u64 = self.phases.iter().map(|p| p.windows).sum();
-        out.push_str(&format!(
-            "Fleet-scale corpus sweep (`repro corpus`), seed `{:#x}`: the `{}` diurnal \
-             profile — {} phases, {} refresh windows per defense — drives every defense \
-             in the roster through one compressed fleet day of benign traffic (load \
-             ramp, tenant churn, hot-key shift), with the serving model's rows secured. \
-             The same corpus sample then replays through the v2 streaming path, and \
-             each defense's `DefenseStats`/`MemStats` must be bit-identical to the \
-             materialized replay.\n\n",
-            self.seed,
-            self.profile,
-            self.phases.len(),
-            windows,
-        ));
-        out.push_str("| Defense | Benign ops | False defense ops | Disturbed rows | Peak disturbance | Commands | Streaming replay |\n");
-        out.push_str("|---|---|---|---|---|---|---|\n");
-        for d in &self.defenses {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} |\n",
-                d.defense,
-                d.benign_ops,
-                d.false_defense_ops,
-                d.disturbed_rows,
-                d.peak_benign_disturbance,
-                d.commands,
-                if d.streaming_identical {
-                    "bit-identical"
-                } else {
-                    "DIVERGED"
-                },
-            ));
+    fn section(&self) -> Option<String> {
+        Some(self.render_markdown())
+    }
+
+    fn summary(&self, path: &Path) -> Vec<(String, Vec<String>)> {
+        let mut failures: Vec<String> = self
+            .failed_invariants()
+            .into_iter()
+            .map(|name| format!("corpus invariant FAILED: {name}"))
+            .collect();
+        if !failures.is_empty() {
+            failures.push(format!("corpus campaign FAILED — see {}", path.display()));
         }
-        let ratio = if self.trace.v1_bytes == 0 {
+        vec![
+            (
+                format!(
+                    "[corpus] {} phases x {} defenses, {} invariants; sample {} records, \
+                     v2/v1 {:.0}% -> {}",
+                    self.phases.len(),
+                    self.defenses.len(),
+                    self.invariants.len(),
+                    self.trace.records,
+                    self.trace.v2_per_v1_pct(),
+                    path.display(),
+                ),
+                failures,
+            ),
+            (
+                "[corpus] every invariant held; streaming replay bit-identical across the roster"
+                    .to_string(),
+                Vec::new(),
+            ),
+        ]
+    }
+}
+
+impl TraceStats {
+    /// The v2 container's size as a percentage of the v1 encoding's (0
+    /// for an empty sample).
+    fn v2_per_v1_pct(&self) -> f64 {
+        if self.v1_bytes == 0 {
             0.0
         } else {
-            100.0 * self.trace.v2_bytes as f64 / self.trace.v1_bytes as f64
-        };
-        out.push_str(&format!(
-            "\nCorpus sample: {} records; v1 {} bytes \u{2192} v2 {} bytes ({:.0}% of v1, \
-             delta chunks) across {} seekable chunks of \u{2264} 512 ops.\n",
-            self.trace.records, self.trace.v1_bytes, self.trace.v2_bytes, ratio, self.trace.chunks,
-        ));
-        out.push_str(&format!(
-            "Campaign verdict: {}.\n",
-            if self.all_pass() {
-                "every invariant held across the defense roster".to_string()
-            } else {
-                format!(
-                    "INVARIANT FAILURES ({}) — see CORPUS_report.json",
-                    self.failed_invariants().join(", ")
-                )
-            },
-        ));
-        out
+            100.0 * self.v2_bytes as f64 / self.v1_bytes as f64
+        }
     }
 }
 
@@ -559,8 +567,6 @@ pub fn run_corpus_campaign(smoke: bool) -> Result<CorpusReport, dd_dram::DramErr
     );
 
     Ok(CorpusReport {
-        schema_version: CORPUS_REPORT_SCHEMA_VERSION,
-        experiment: "corpus".to_string(),
         smoke,
         seed: CORPUS_SEED,
         profile: profile.label.clone(),
@@ -577,8 +583,6 @@ mod tests {
 
     fn sample_report() -> CorpusReport {
         CorpusReport {
-            schema_version: CORPUS_REPORT_SCHEMA_VERSION,
-            experiment: "corpus".to_string(),
             smoke: true,
             seed: CORPUS_SEED,
             profile: "fleet-day-0xdac2024".to_string(),
@@ -614,14 +618,6 @@ mod tests {
         let report = sample_report();
         let text = report.to_json().render_pretty();
         assert_eq!(CorpusReport::parse(&text).expect("parse"), report);
-    }
-
-    #[test]
-    fn parse_rejects_foreign_schema() {
-        let mut report = sample_report();
-        report.schema_version = 99;
-        let text = report.to_json().render_pretty();
-        assert!(CorpusReport::parse(&text).is_err());
     }
 
     #[test]

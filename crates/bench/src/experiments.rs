@@ -289,7 +289,6 @@ pub struct RunContext<'a> {
 
 fn blank_artifact(id: ExperimentId, config_hash: u64, seed: u64, quick: bool) -> Artifact {
     Artifact {
-        schema_version: ARTIFACT_SCHEMA_VERSION,
         experiment: id.name().to_string(),
         title: id.title().to_string(),
         config_hash,
@@ -1638,6 +1637,7 @@ fn server_service(ctx: &mut RunContext<'_>) -> Artifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Report;
 
     #[test]
     fn experiment_ids_parse_round_trip() {

@@ -2,7 +2,8 @@
 //!
 //! Home of the `repro` artifact pipeline: [`experiments`] implements
 //! every figure/table of the paper's evaluation once, [`report`] defines
-//! the versioned artifact schema and the EXPERIMENTS.md renderer, and
+//! the versioned artifact schema, the EXPERIMENTS.md renderer, and the
+//! [`report::Report`] contract every committed report meets, and
 //! the `repro` binary ties them together with content-hash caching (see
 //! `docs/artifacts.md`). `repro <experiment>` runs any one of them;
 //! `repro --help` lists the rest (the kernel perf gate, the chaos and

@@ -14,14 +14,136 @@
 //! The schema is documented in `docs/artifacts.md`; bump
 //! [`ARTIFACT_SCHEMA_VERSION`] on any incompatible change (old artifacts
 //! are then recomputed rather than misread).
+//!
+//! The artifacts and the trace, chaos, corpus and kernel reports are all
+//! [`Report`]s: one contract for how a committed report is written,
+//! version-checked, re-read, judged and spliced.
 
 use std::fmt::Write as _;
+use std::path::Path;
 
 use dd_baselines::MatrixRunSummary;
 use dnn_defender::{Json, JsonError};
 
+use crate::experiments::ExperimentId;
+
 /// Version stamp written into every artifact.
 pub const ARTIFACT_SCHEMA_VERSION: u64 = 1;
+
+/// A committed report: one versioned JSON document under the artifacts
+/// directory that `repro` writes, re-reads with its schema checked,
+/// judges, and splices into EXPERIMENTS.md when it has a section.
+///
+/// Every document opens with `schema_version` and `experiment`; the
+/// implementor writes and reads the fields after them.
+pub trait Report: Sized {
+    /// The schema version this build writes; a document stamped with
+    /// another one does not parse.
+    const SCHEMA_VERSION: u64;
+    /// What a schema mismatch calls the document; also the file stem of
+    /// a report that has one fixed file.
+    const SCHEMA_NAME: &'static str;
+
+    /// The `experiment` field: the report's `repro` command and its
+    /// EXPERIMENTS.md section label.
+    fn name(&self) -> &str;
+
+    /// Append every field after the header to `doc`, in file order.
+    fn fields(&self, doc: Json) -> Json;
+
+    /// Decode a document whose schema version checked out.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] on a missing or mistyped field.
+    fn from_json(json: &Json) -> Result<Self, JsonError>;
+
+    /// The file under the artifacts directory that holds the report
+    /// called `name`.
+    fn file_name(_name: &str) -> String {
+        format!("{}.json", Self::SCHEMA_NAME)
+    }
+
+    /// The EXPERIMENTS.md section body, for a report that has one.
+    fn section(&self) -> Option<String> {
+        None
+    }
+
+    /// Why the report, read from `path`, is stale against the current
+    /// code: `repro report --check` refuses it.
+    fn stale(&self, _path: &Path) -> Option<String> {
+        None
+    }
+
+    /// What `repro` prints once the report is written to `path`: each
+    /// line with the failures it reveals. The command prints the
+    /// failures after their line and exits 1 there.
+    fn summary(&self, _path: &Path) -> Vec<(String, Vec<String>)> {
+        Vec::new()
+    }
+
+    /// Serialize to the on-disk JSON tree.
+    fn to_json(&self) -> Json {
+        self.fields(
+            Json::obj()
+                .with("schema_version", Json::uint(Self::SCHEMA_VERSION))
+                .with("experiment", Json::str(self.name())),
+        )
+    }
+
+    /// Parse the on-disk JSON text.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] on malformed JSON, a missing or mistyped
+    /// field, or another schema version.
+    fn parse(text: &str) -> Result<Self, JsonError> {
+        let json = Json::parse(text)?;
+        let version = json.field_u64("schema_version")?;
+        if version != Self::SCHEMA_VERSION {
+            return Err(JsonError {
+                message: format!(
+                    "unsupported {} schema v{version} (expected v{})",
+                    Self::SCHEMA_NAME,
+                    Self::SCHEMA_VERSION
+                ),
+            });
+        }
+        json.field_str("experiment")?;
+        Self::from_json(&json)
+    }
+}
+
+/// One asserted property of a campaign (chaos, corpus) and whether it
+/// held.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Invariant {
+    /// What was asserted.
+    pub name: String,
+    /// Whether it held.
+    pub pass: bool,
+}
+
+impl Invariant {
+    /// The `{"name", "pass"}` entry of a report's invariant list.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("name", Json::str(&self.name))
+            .with("pass", Json::Bool(self.pass))
+    }
+
+    /// Decode an entry written by [`Invariant::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] on a missing or mistyped field.
+    pub fn from_json(json: &Json) -> Result<Invariant, JsonError> {
+        Ok(Invariant {
+            name: json.field_str("name")?.to_string(),
+            pass: json.field_bool("pass")?,
+        })
+    }
+}
 
 /// One named table of an artifact: string cells, already formatted the
 /// way the figure/table should display them (percentages, day counts, …).
@@ -98,8 +220,6 @@ fn string_array(items: &[Json], what: &str) -> Result<Vec<String>, JsonError> {
 /// A versioned, machine-readable record of one experiment run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Artifact {
-    /// Schema version ([`ARTIFACT_SCHEMA_VERSION`] at write time).
-    pub schema_version: u64,
     /// Experiment id (`"table3"`, `"fig8a"`, …) — also the file stem.
     pub experiment: String,
     /// Human title of the figure/table.
@@ -126,12 +246,16 @@ pub struct Artifact {
     pub raw: Option<Json>,
 }
 
-impl Artifact {
-    /// Serialize to the on-disk JSON tree.
-    pub fn to_json(&self) -> Json {
-        let mut json = Json::obj()
-            .with("schema_version", Json::uint(self.schema_version))
-            .with("experiment", Json::str(&self.experiment))
+impl Report for Artifact {
+    const SCHEMA_VERSION: u64 = ARTIFACT_SCHEMA_VERSION;
+    const SCHEMA_NAME: &'static str = "artifact";
+
+    fn name(&self) -> &str {
+        &self.experiment
+    }
+
+    fn fields(&self, doc: Json) -> Json {
+        let json = doc
             .with("title", Json::str(&self.title))
             .with("config_hash", Json::hex(self.config_hash))
             .with("seed", Json::hex(self.seed))
@@ -151,30 +275,15 @@ impl Artifact {
                 "notes",
                 Json::Arr(self.notes.iter().map(Json::str).collect()),
             );
-        if let Some(raw) = &self.raw {
-            json = json.with("raw", raw.clone());
+        match &self.raw {
+            Some(raw) => json.with("raw", raw.clone()),
+            None => json,
         }
-        json
     }
 
-    /// Deserialize from the on-disk JSON tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing/mistyped fields or an
-    /// unsupported schema version.
-    pub fn from_json(value: &Json) -> Result<Artifact, JsonError> {
-        let schema_version = value.field_u64("schema_version")?;
-        if schema_version != ARTIFACT_SCHEMA_VERSION {
-            return Err(JsonError {
-                message: format!(
-                    "unsupported artifact schema v{schema_version} (expected v{ARTIFACT_SCHEMA_VERSION})"
-                ),
-            });
-        }
+    fn from_json(value: &Json) -> Result<Artifact, JsonError> {
         let cache = value.field("cache")?;
         Ok(Artifact {
-            schema_version,
             experiment: value.field_str("experiment")?.to_string(),
             title: value.field_str("title")?.to_string(),
             config_hash: value.field_hex_u64("config_hash")?,
@@ -195,15 +304,29 @@ impl Artifact {
         })
     }
 
-    /// Parse an artifact from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on malformed JSON or schema mismatch.
-    pub fn parse(text: &str) -> Result<Artifact, JsonError> {
-        Artifact::from_json(&Json::parse(text)?)
+    fn file_name(name: &str) -> String {
+        format!("{name}.json")
     }
 
+    fn section(&self) -> Option<String> {
+        Some(self.render_markdown())
+    }
+
+    /// An artifact whose config hash the current code no longer produces
+    /// would not be reused by a rerun: its numbers may be out of date
+    /// even when its rendered section still matches.
+    fn stale(&self, _path: &Path) -> Option<String> {
+        let current = ExperimentId::parse(&self.experiment)?.config_hash(self.quick);
+        (self.config_hash != current).then(|| {
+            format!(
+                "`{}` artifact is stale: config {:#018x}, current config {current:#018x}",
+                self.experiment, self.config_hash,
+            )
+        })
+    }
+}
+
+impl Artifact {
     /// The flat CSV rendering: one block per table (`# <name>` line,
     /// header row, data rows), blank-line separated.
     pub fn to_csv(&self) -> String {
@@ -254,7 +377,7 @@ impl Artifact {
         let mut footer = format!(
             "<sub>`{}` artifact v{} · config `{:#018x}` · seed {} · {} · {}",
             self.experiment,
-            self.schema_version,
+            ARTIFACT_SCHEMA_VERSION,
             self.config_hash,
             self.seed,
             mode,
@@ -308,69 +431,34 @@ fn md_row(cells: &[String]) -> String {
         .join("|")
 }
 
-/// The opening marker of an experiment's generated section.
-pub fn begin_marker(experiment: &str) -> String {
-    format!("<!-- repro:begin {experiment} -->")
-}
-
-/// The closing marker of an experiment's generated section.
-pub fn end_marker(experiment: &str) -> String {
-    format!("<!-- repro:end {experiment} -->")
-}
-
-/// Why a docs splice failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpliceError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for SpliceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "splice error: {}", self.message)
-    }
-}
-
-impl std::error::Error for SpliceError {}
-
-/// Replace the content between an experiment's markers with `body`
-/// (markers stay; `body` is bracketed by exactly one newline on each
-/// side). The document must contain the begin marker before the end
-/// marker, exactly once each.
+/// Replace the content between an experiment's
+/// `<!-- repro:begin <experiment> -->` / `<!-- repro:end <experiment> -->`
+/// markers with `body` (markers stay; `body` is bracketed by exactly one
+/// newline on each side). The document must contain the begin marker
+/// before the end marker, exactly once each.
 ///
 /// # Errors
 ///
-/// Returns a [`SpliceError`] when either marker is missing, duplicated,
-/// or out of order.
-pub fn splice_section(doc: &str, experiment: &str, body: &str) -> Result<String, SpliceError> {
-    let begin = begin_marker(experiment);
-    let end = end_marker(experiment);
-    let find_once = |needle: &str| -> Result<usize, SpliceError> {
-        let mut hits = doc.match_indices(needle).map(|(i, _)| i);
-        let first = hits.next().ok_or(SpliceError {
-            message: format!("missing `{needle}`"),
-        })?;
-        if hits.next().is_some() {
-            return Err(SpliceError {
-                message: format!("duplicated `{needle}`"),
-            });
-        }
-        Ok(first)
+/// Returns a `splice error: …` message when either marker is missing,
+/// duplicated, or out of order.
+pub fn splice_section(doc: &str, experiment: &str, body: &str) -> Result<String, String> {
+    let begin = format!("<!-- repro:begin {experiment} -->");
+    let end = format!("<!-- repro:end {experiment} -->");
+    let find_once = |needle: &str| match doc.match_indices(needle).collect::<Vec<_>>()[..] {
+        [(at, _)] => Ok(at),
+        [] => Err(format!("splice error: missing `{needle}`")),
+        _ => Err(format!("splice error: duplicated `{needle}`")),
     };
-    let begin_at = find_once(&begin)?;
-    let end_at = find_once(&end)?;
+    let (begin_at, end_at) = (find_once(&begin)?, find_once(&end)?);
     if end_at < begin_at {
-        return Err(SpliceError {
-            message: format!("`{end}` precedes `{begin}`"),
-        });
+        return Err(format!("splice error: `{end}` precedes `{begin}`"));
     }
-    let mut out = String::with_capacity(doc.len() + body.len());
-    out.push_str(&doc[..begin_at + begin.len()]);
-    out.push('\n');
-    out.push_str(body.trim_end_matches('\n'));
-    out.push('\n');
-    out.push_str(&doc[end_at..]);
-    Ok(out)
+    Ok(format!(
+        "{}\n{}\n{}",
+        &doc[..begin_at + begin.len()],
+        body.trim_end_matches('\n'),
+        &doc[end_at..]
+    ))
 }
 
 #[cfg(test)]
@@ -379,7 +467,6 @@ mod tests {
 
     fn sample() -> Artifact {
         Artifact {
-            schema_version: ARTIFACT_SCHEMA_VERSION,
             experiment: "table3".into(),
             title: "Table 3".into(),
             config_hash: 0xabcd_ef01_2345_6789,
@@ -408,16 +495,6 @@ mod tests {
         let artifact = sample();
         let text = artifact.to_json().render_pretty();
         assert_eq!(Artifact::parse(&text).expect("parse"), artifact);
-    }
-
-    #[test]
-    fn schema_version_is_enforced() {
-        let mut json = sample().to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::uint(ARTIFACT_SCHEMA_VERSION + 1);
-        }
-        let err = Artifact::from_json(&json).unwrap_err();
-        assert!(err.message.contains("unsupported artifact schema"));
     }
 
     #[test]

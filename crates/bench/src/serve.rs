@@ -47,6 +47,7 @@ use dnn_defender::{CostModel, Json};
 
 use crate::cache::load_cell_cache;
 use crate::kernel::KernelBench;
+use crate::report::Report;
 
 /// Row count of the device the kernel benchmark calibrates on
 /// (`DramConfig::lpddr4_small`): 16 banks × 8 subarrays × 128 rows.
@@ -453,7 +454,7 @@ fn build_server(opts: &ServeOptions) -> SweepServer {
         config.default_grant_micros = grant;
     }
     let cost = calibrated_cost_model(&opts.artifacts_dir);
-    let cache = load_cell_cache(&opts.artifacts_dir.join("cache").join("cells.json"));
+    let cache = load_cell_cache(&opts.artifacts_dir.join("cache").join("cells.json")).cells;
     eprintln!(
         "repro serve: protocol v{}, {} worker(s), {} cached cell(s), {} cmd/s, quick={}",
         dd_server::SERVER_PROTOCOL_VERSION,

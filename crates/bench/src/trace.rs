@@ -21,6 +21,7 @@
 //! machine-independent drift gate. See `docs/observability.md`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::path::Path;
 use std::time::Instant;
 
 use dd_attack::AttackConfig;
@@ -29,24 +30,24 @@ use dd_dram::DramError;
 use dd_obs::{chrome_trace_json, Snapshot};
 use dd_server::{hist_to_json, CellSpec, ServerConfig, SweepBase, SweepServer};
 use dd_workload::BackgroundLoad;
-use dnn_defender::Json;
+use dnn_defender::{Json, JsonError};
 
 use crate::experiments::{
     server_cost_model, server_roundtrip, server_script, server_submit, workload_run, WorkloadParams,
 };
+use crate::report::Report;
 
 /// Schema version of `TRACE_summary.json`. Bump on any incompatible
 /// change to the summary's shape (the golden test then regenerates).
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
 
-/// The `TRACE_summary.json` payload: schema header plus the
-/// deterministic and timing sections described in the module docs.
+/// The Perfetto timeline `repro trace` writes next to the summary.
+pub const PERFETTO_FILE: &str = "TRACE_perfetto.json";
+
+/// The `TRACE_summary.json` payload: the deterministic and timing
+/// sections described in the module docs, after the [`Report`] header.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
-    /// Schema version ([`TRACE_SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Always `"trace"` (the docs-splice marker label).
-    pub experiment: String,
     /// Whether the run used smoke sizing.
     pub quick: bool,
     /// Run- and machine-independent aggregates: span counts by name,
@@ -59,26 +60,82 @@ pub struct TraceSummary {
     pub timing: Json,
 }
 
-impl TraceSummary {
-    /// Serialize the full summary (deterministic + timing).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("schema_version", Json::uint(self.schema_version))
-            .with("experiment", Json::str(&self.experiment))
-            .with("quick", Json::Bool(self.quick))
+impl Report for TraceSummary {
+    const SCHEMA_VERSION: u64 = TRACE_SCHEMA_VERSION;
+    const SCHEMA_NAME: &'static str = "TRACE_summary";
+
+    fn name(&self) -> &str {
+        "trace"
+    }
+
+    fn fields(&self, doc: Json) -> Json {
+        doc.with("quick", Json::Bool(self.quick))
             .with("deterministic", self.deterministic.clone())
             .with("timing", self.timing.clone())
     }
 
+    fn from_json(json: &Json) -> Result<TraceSummary, JsonError> {
+        Ok(TraceSummary {
+            quick: json.field_bool("quick")?,
+            deterministic: json.field("deterministic")?.clone(),
+            timing: json.field("timing")?.clone(),
+        })
+    }
+
+    fn section(&self) -> Option<String> {
+        Some(self.render_markdown())
+    }
+
+    /// The timing half holds the server's `stats` reply: a summary from
+    /// another wire protocol predates the server it describes.
+    fn stale(&self, path: &Path) -> Option<String> {
+        let protocol = self.server_protocol();
+        (protocol != Some(dd_server::SERVER_PROTOCOL_VERSION)).then(|| {
+            format!(
+                "{} is stale: server protocol {}, current protocol {}",
+                path.display(),
+                protocol.map_or_else(|| "missing".to_string(), |p| p.to_string()),
+                dd_server::SERVER_PROTOCOL_VERSION,
+            )
+        })
+    }
+
+    fn summary(&self, path: &Path) -> Vec<(String, Vec<String>)> {
+        let spans: u64 = self
+            .entries("span_counts")
+            .iter()
+            .filter_map(|(_, n)| n.as_u64())
+            .sum();
+        let events: u64 = self
+            .events()
+            .iter()
+            .filter_map(|e| e.field_u64("count").ok())
+            .sum();
+        let line = format!(
+            "[trace] {spans} spans, {events} events, {} counters, {} histograms across the \
+             session -> {}",
+            self.entries("counters").len(),
+            self.entries("hists").len(),
+            path.display(),
+        );
+        let timeline = format!(
+            "[trace] timeline -> {} (load at https://ui.perfetto.dev)",
+            path.with_file_name(PERFETTO_FILE).display(),
+        );
+        vec![(line, Vec::new()), (timeline, Vec::new())]
+    }
+}
+
+impl TraceSummary {
     /// The machine-independent subset: everything except `timing`. This
     /// is what the golden file under `tests/golden/` pins and what the
     /// determinism law compares byte-for-byte.
     pub fn deterministic_document(&self) -> Json {
-        Json::obj()
-            .with("schema_version", Json::uint(self.schema_version))
-            .with("experiment", Json::str(&self.experiment))
-            .with("quick", Json::Bool(self.quick))
-            .with("deterministic", self.deterministic.clone())
+        let Json::Obj(mut fields) = self.to_json() else {
+            unreachable!("a report serializes to an object")
+        };
+        fields.retain(|(key, _)| key != "timing");
+        Json::Obj(fields)
     }
 
     /// The wire protocol of the server whose `stats` reply the timing
@@ -87,30 +144,20 @@ impl TraceSummary {
         self.timing.get("server_stats")?.get("protocol")?.as_u64()
     }
 
-    /// Parse a `TRACE_summary.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`dnn_defender::JsonError`] on malformed JSON, a
-    /// missing field, or an unsupported schema version.
-    pub fn parse(text: &str) -> Result<TraceSummary, dnn_defender::JsonError> {
-        let json = Json::parse(text)?;
-        let schema_version = json.field_u64("schema_version")?;
-        if schema_version != TRACE_SCHEMA_VERSION {
-            return Err(dnn_defender::JsonError {
-                message: format!(
-                    "unsupported TRACE_summary schema v{schema_version} \
-                     (this build reads v{TRACE_SCHEMA_VERSION})"
-                ),
-            });
+    /// The entries of the deterministic section's object `key`.
+    fn entries(&self, key: &str) -> &[(String, Json)] {
+        match self.deterministic.get(key) {
+            Some(Json::Obj(fields)) => fields,
+            _ => &[],
         }
-        Ok(TraceSummary {
-            schema_version,
-            experiment: json.field_str("experiment")?.to_string(),
-            quick: json.field_bool("quick")?,
-            deterministic: json.field("deterministic")?.clone(),
-            timing: json.field("timing")?.clone(),
-        })
+    }
+
+    /// The deterministic section's event counts.
+    fn events(&self) -> &[Json] {
+        self.deterministic
+            .get("event_counts")
+            .and_then(Json::as_arr)
+            .unwrap_or(&[])
     }
 
     /// Render the EXPERIMENTS.md section body — deterministic data only,
@@ -145,45 +192,27 @@ impl TraceSummary {
             out.push('\n');
         };
 
-        let obj_rows = |value: Option<&Json>| -> Vec<Vec<String>> {
-            match value {
-                Some(Json::Obj(fields)) => fields
-                    .iter()
-                    .map(|(k, v)| {
-                        vec![
-                            format!("`{k}`"),
-                            v.as_u64()
-                                .map_or_else(|| v.render_compact(), |n| n.to_string()),
-                        ]
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            }
+        let obj_rows = |key: &str| -> Vec<Vec<String>> {
+            self.entries(key)
+                .iter()
+                .map(|(k, v)| {
+                    let value = v
+                        .as_u64()
+                        .map_or_else(|| v.render_compact(), |n| n.to_string());
+                    vec![format!("`{k}`"), value]
+                })
+                .collect()
         };
 
         out.push_str("**Spans** (count per name, all threads merged):\n\n");
-        table(
-            &mut out,
-            &["Span", "Count"],
-            &obj_rows(self.deterministic.get("span_counts")),
-        );
+        table(&mut out, &["Span", "Count"], &obj_rows("span_counts"));
 
         out.push_str("**Counters:**\n\n");
-        table(
-            &mut out,
-            &["Counter", "Value"],
-            &obj_rows(self.deterministic.get("counters")),
-        );
+        table(&mut out, &["Counter", "Value"], &obj_rows("counters"));
 
         out.push_str("**Events** (count per name + label):\n\n");
         let event_rows: Vec<Vec<String>> = self
-            .deterministic
-            .get("event_counts")
-            .and_then(|v| match v {
-                Json::Arr(items) => Some(items.as_slice()),
-                _ => None,
-            })
-            .unwrap_or(&[])
+            .events()
             .iter()
             .map(|e| {
                 vec![
@@ -196,20 +225,18 @@ impl TraceSummary {
         table(&mut out, &["Event", "Label", "Count"], &event_rows);
 
         out.push_str("**Histograms** (log2 buckets; see `docs/observability.md`):\n\n");
-        let hist_rows: Vec<Vec<String>> = match self.deterministic.get("hists") {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .map(|(name, h)| {
-                    vec![
-                        format!("`{name}`"),
-                        h.field_u64("count").unwrap_or(0).to_string(),
-                        h.field_u64("sum").unwrap_or(0).to_string(),
-                        h.field_u64("max").unwrap_or(0).to_string(),
-                    ]
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
+        let hist_rows: Vec<Vec<String>> = self
+            .entries("hists")
+            .iter()
+            .map(|(name, h)| {
+                vec![
+                    format!("`{name}`"),
+                    h.field_u64("count").unwrap_or(0).to_string(),
+                    h.field_u64("sum").unwrap_or(0).to_string(),
+                    h.field_u64("max").unwrap_or(0).to_string(),
+                ]
+            })
+            .collect();
         table(
             &mut out,
             &["Histogram", "Samples", "Sum", "Max"],
@@ -318,8 +345,6 @@ pub fn run_trace(quick: bool, jobs: Option<usize>) -> Result<TraceOutcome, DramE
 
     let perfetto = chrome_trace_json(&snapshot, "repro trace");
     let summary = TraceSummary {
-        schema_version: TRACE_SCHEMA_VERSION,
-        experiment: "trace".to_string(),
         quick,
         deterministic: deterministic_json(&snapshot),
         timing: timing_json(&snapshot, wall_millis, stats),
@@ -393,8 +418,6 @@ mod tests {
 
     fn sample_summary() -> TraceSummary {
         TraceSummary {
-            schema_version: TRACE_SCHEMA_VERSION,
-            experiment: "trace".into(),
             quick: true,
             deterministic: Json::obj()
                 .with(
@@ -432,16 +455,6 @@ mod tests {
         let back = TraceSummary::parse(&text).expect("parse back");
         assert_eq!(back, summary);
         assert_eq!(back.to_json().render_pretty(), text);
-    }
-
-    #[test]
-    fn parse_rejects_foreign_schema() {
-        let mut bad = sample_summary().to_json();
-        let Json::Obj(fields) = &mut bad else {
-            unreachable!()
-        };
-        fields[0].1 = Json::uint(99);
-        assert!(TraceSummary::parse(&bad.render_pretty()).is_err());
     }
 
     #[test]

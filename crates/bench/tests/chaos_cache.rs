@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use dd_baselines::{DefenseKind, ScenarioMatrix, VictimSpec};
-use dd_bench::cache::{parse_cell_cache_accounted, render_cell_cache};
+use dd_bench::cache::{parse_cell_cache, render_cell_cache};
 use dnn_defender::Json;
 
 #[test]
@@ -23,13 +23,13 @@ fn chaos_corrupt_entry_fault_exercises_the_eviction_path() {
     let json = Json::parse(&render_cell_cache(&cells)).expect("cache parses");
     let session =
         dd_chaos::arm(dd_chaos::ChaosPlan::inert(7).with_rule("cache.corrupt_entry", 1_000_000));
-    let load = parse_cell_cache_accounted(&json);
+    let load = parse_cell_cache(&json);
     let report = session.finish();
     assert!(load.cells.is_empty(), "every entry was corrupted");
     assert_eq!(load.corrupt_evicted, 1);
     assert_eq!(report.fires_at("cache.corrupt_entry"), 1);
     // Disarmed, the same document loads cleanly again.
-    let clean = parse_cell_cache_accounted(&json);
+    let clean = parse_cell_cache(&json);
     assert_eq!(clean.cells.len(), 1);
     assert_eq!(clean.corrupt_evicted, 0);
 }

@@ -18,6 +18,7 @@
 //! other's plans.
 
 use dd_bench::chaos::{ledger_balanced, run_chaos_campaign, CHAOS_SITES};
+use dd_bench::report::Report;
 use dd_bench::serve::{RetryPolicy, ServiceClient, REFERENCE_DEVICE_ROWS};
 use dd_chaos::ChaosPlan;
 use dd_server::{CellSpec, ServerConfig, SweepServer};

@@ -1,10 +1,12 @@
-//! CLI contract tests for the `repro` binary (ISSUE 6 satellite).
+//! CLI contract tests for the `repro` binary.
 //!
 //! Locks the exit-code behavior scripts depend on: every unknown
 //! subcommand, unknown option, malformed value, or empty invocation must
 //! exit non-zero and print the usage text to stderr — never exit 0 with
-//! nothing done.
+//! nothing done. `repro report --check` must pass the committed tree and
+//! refuse, naming the file, every report it cannot verify.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn repro(args: &[&str]) -> Output {
@@ -16,6 +18,164 @@ fn repro(args: &[&str]) -> Output {
 
 fn stderr(output: &Output) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+fn stdout(output: &Output) -> String {
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+/// A scratch copy of the committed `artifacts/`, removed on drop.
+struct ArtifactsCopy(PathBuf);
+
+impl ArtifactsCopy {
+    fn new(tag: &str) -> ArtifactsCopy {
+        fn copy(from: &Path, to: &Path) {
+            std::fs::create_dir_all(to).expect("scratch dir");
+            for entry in std::fs::read_dir(from).expect("artifacts dir") {
+                let entry = entry.expect("dir entry");
+                let target = to.join(entry.file_name());
+                if entry.file_type().expect("file type").is_dir() {
+                    copy(&entry.path(), &target);
+                } else {
+                    std::fs::copy(entry.path(), target).expect("copy artifact");
+                }
+            }
+        }
+        let root = std::env::temp_dir().join(format!("dd-repro-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts");
+        copy(&committed, &root.join("artifacts"));
+        ArtifactsCopy(root)
+    }
+
+    fn dir(&self) -> PathBuf {
+        self.0.join("artifacts")
+    }
+
+    /// Rewrite one file of the copy; the edit must change it.
+    fn edit(&self, file: &str, edit: impl FnOnce(&str) -> String) {
+        let path = self.dir().join(file);
+        let text = std::fs::read_to_string(&path).expect("artifact exists");
+        let edited = edit(&text);
+        assert_ne!(edited, text, "the edit of {file} changed nothing");
+        std::fs::write(path, edited).expect("write edited artifact");
+    }
+
+    /// `repro report --check` against the copy.
+    fn check(&self) -> Output {
+        let dir = self.dir();
+        repro(&[
+            "report",
+            "--check",
+            "--artifacts-dir",
+            dir.to_str().expect("utf-8 path"),
+        ])
+    }
+}
+
+impl Drop for ArtifactsCopy {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn report_check_passes_on_the_committed_tree() {
+    let copy = ArtifactsCopy::new("committed");
+    let out = copy.check();
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("EXPERIMENTS.md is up to date (13 generated sections"),
+        "{}",
+        stdout(&out)
+    );
+    assert_eq!(stderr(&out), "");
+}
+
+#[test]
+fn report_check_from_the_crate_dir_finds_the_docs_and_artifacts() {
+    // No EXPERIMENTS.md and no artifacts/ here: the docs come from the
+    // manifest fallback, and the default artifacts dir follows them.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["report", "--check"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stdout(&out).contains("EXPERIMENTS.md is up to date"));
+}
+
+#[test]
+fn report_check_refuses_a_missing_report() {
+    let copy = ArtifactsCopy::new("missing");
+    std::fs::remove_file(copy.dir().join("CHAOS_report.json")).expect("remove report");
+    let out = copy.check();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.contains("cannot verify `chaos`:") && err.contains("CHAOS_report.json missing"),
+        "{err}"
+    );
+    assert!(
+        err.contains("run `repro chaos` and commit artifacts/"),
+        "{err}"
+    );
+}
+
+#[test]
+fn report_check_refuses_a_stale_config_hash() {
+    let copy = ArtifactsCopy::new("hash");
+    copy.edit("table2.json", |text| {
+        let key = "\"config_hash\": \"0x";
+        let at = text.find(key).expect("config hash") + key.len();
+        format!("{}0000000000000001{}", &text[..at], &text[at + 16..])
+    });
+    let out = copy.check();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.contains("`table2` artifact is stale: config 0x0000000000000001, current config"),
+        "{err}"
+    );
+    assert!(err.contains("1 artifact(s) are stale"), "{err}");
+}
+
+#[test]
+fn report_check_refuses_a_trace_from_another_server_protocol() {
+    let copy = ArtifactsCopy::new("protocol");
+    let current = format!("\"protocol\": {}", dd_server::SERVER_PROTOCOL_VERSION);
+    copy.edit("TRACE_summary.json", |text| {
+        text.replacen(&current, "\"protocol\": 2", 1)
+    });
+    let out = copy.check();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.contains("TRACE_summary.json is stale: server protocol 2, current protocol"),
+        "{err}"
+    );
+    assert!(
+        err.contains("run `repro trace` and commit artifacts/"),
+        "{err}"
+    );
+}
+
+#[test]
+fn report_check_refuses_a_foreign_schema_version() {
+    for (file, section) in [("fig9.json", "fig9"), ("CORPUS_report.json", "corpus")] {
+        let copy = ArtifactsCopy::new(section);
+        copy.edit(file, |text| {
+            text.replacen("\"schema_version\": 1,", "\"schema_version\": 99,", 1)
+        });
+        let out = copy.check();
+        assert_eq!(out.status.code(), Some(1), "{file}");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("cannot verify `{section}`:"))
+                && err.contains(&format!("{file} missing or unreadable")),
+            "{err}"
+        );
+    }
 }
 
 #[test]

@@ -5,12 +5,15 @@
 use std::collections::HashMap;
 
 use dd_baselines::{CellReport, MatrixRunSummary};
+use dd_bench::chaos::ChaosCampaignReport;
+use dd_bench::corpus::CorpusReport;
 use dd_bench::experiments::{table3_matrix, ExperimentId, RunContext};
 use dd_bench::kernel::{
-    KernelBench, PathMeasure, CHAOS_OVERHEAD_CEILING_PCT, KERNEL_BENCH_SCHEMA_VERSION,
+    KernelBench, PathMeasure, Spread, CHAOS_OVERHEAD_CEILING_PCT, KERNEL_BENCH_SCHEMA_VERSION,
     KERNEL_SPEEDUP_FLOOR, OBS_OVERHEAD_CEILING_PCT, STREAMING_RATIO_FLOOR,
 };
-use dd_bench::report::{splice_section, Artifact, TableArtifact, ARTIFACT_SCHEMA_VERSION};
+use dd_bench::report::{splice_section, Artifact, Report, TableArtifact};
+use dd_bench::trace::TraceSummary;
 use dnn_defender::Json;
 
 /// The fixed artifact behind the golden render — every formatting
@@ -18,7 +21,6 @@ use dnn_defender::Json;
 /// full metadata footer.
 fn golden_artifact() -> Artifact {
     Artifact {
-        schema_version: ARTIFACT_SCHEMA_VERSION,
         experiment: "table3".into(),
         title: "Table 3: BFA defense comparison (scenario matrix)".into(),
         config_hash: 0x06c2_0821_dbac_2fe6,
@@ -83,6 +85,40 @@ fn artifact_json_round_trips_with_raw_payload() {
     assert_eq!(back.to_json().render_pretty(), text);
 }
 
+/// Every kind of committed report parses under the current schema and
+/// refuses the same document stamped with another schema version: the
+/// one schema check all five share.
+#[test]
+fn parse_rejects_foreign_schema() {
+    fn check<R: Report>(name: &str) {
+        let file = R::file_name(name);
+        let path = format!("{}/../../artifacts/{file}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("committed report exists");
+        assert!(R::parse(&text).is_ok(), "{file} parses");
+        let mut json = Json::parse(&text).expect("committed report is JSON");
+        let Json::Obj(fields) = &mut json else {
+            panic!("{file} is not an object")
+        };
+        assert_eq!(fields[0].0, "schema_version", "{file}");
+        fields[0].1 = Json::uint(R::SCHEMA_VERSION + 1);
+        let Err(err) = R::parse(&json.render_pretty()) else {
+            panic!("{file}: a foreign schema version parsed")
+        };
+        let expected = format!(
+            "unsupported {} schema v{} (expected v{})",
+            R::SCHEMA_NAME,
+            R::SCHEMA_VERSION + 1,
+            R::SCHEMA_VERSION
+        );
+        assert_eq!(err.message, expected, "{file}");
+    }
+    check::<Artifact>("table3");
+    check::<TraceSummary>("trace");
+    check::<ChaosCampaignReport>("chaos");
+    check::<CorpusReport>("corpus");
+    check::<KernelBench>("kernel");
+}
+
 #[test]
 fn experiment_config_hashes_and_cell_keys_are_stable_across_runs() {
     for id in ExperimentId::ALL {
@@ -107,8 +143,6 @@ fn experiment_config_hashes_and_cell_keys_are_stable_across_runs() {
 /// field exercised once.
 fn golden_kernel_bench() -> KernelBench {
     KernelBench {
-        schema_version: KERNEL_BENCH_SCHEMA_VERSION,
-        experiment: "kernel".into(),
         quick: true,
         trace_ops: 120_000,
         batch_factor: 16,
@@ -134,8 +168,10 @@ fn golden_kernel_bench() -> KernelBench {
         streaming_floor: STREAMING_RATIO_FLOOR,
         obs_overhead_batch_pct: 0.4,
         obs_overhead_ceiling_pct: OBS_OVERHEAD_CEILING_PCT,
+        obs_spread: Spread::default(),
         chaos_overhead_batch_pct: 0.2,
         chaos_overhead_ceiling_pct: CHAOS_OVERHEAD_CEILING_PCT,
+        chaos_spread: Spread::default(),
     }
 }
 
@@ -174,8 +210,12 @@ fn committed_kernel_bench_is_a_valid_baseline() {
     );
     let text = std::fs::read_to_string(path).expect("committed BENCH_kernel.json exists");
     let bench = KernelBench::parse(&text).expect("committed baseline parses");
-    assert_eq!(bench.schema_version, KERNEL_BENCH_SCHEMA_VERSION);
-    assert_eq!(bench.experiment, "kernel");
+    let json = Json::parse(&text).expect("committed baseline is JSON");
+    assert_eq!(
+        json.field_u64("schema_version"),
+        Ok(KERNEL_BENCH_SCHEMA_VERSION)
+    );
+    assert_eq!(json.field_str("experiment"), Ok("kernel"));
     assert!(bench.floor >= 1.0, "floor must gate a real speedup");
     assert!(
         bench.speedup >= bench.floor,

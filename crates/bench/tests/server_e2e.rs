@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 use dd_baselines::{BackgroundLoad, DefenseKind, MatrixReport};
 use dd_bench::cache::{parse_cell_cache, render_cell_cache};
 use dd_bench::experiments::{workload_matrix, ExperimentId, RunContext};
-use dd_bench::report::Artifact;
+use dd_bench::report::{Artifact, Report};
 use dd_bench::serve::{
     response_cells, submit_specs, BoundListener, Endpoint, Remote, RetryPolicy, ServiceClient,
 };
@@ -288,5 +288,5 @@ fn server_artifact_schema_round_trips() {
     assert!(cells.len() >= 6, "session cells merged into the run cache");
     let rendered = render_cell_cache(&cells);
     let reloaded = parse_cell_cache(&Json::parse(&rendered).expect("cache parses"));
-    assert_eq!(reloaded.len(), cells.len());
+    assert_eq!(reloaded.cells.len(), cells.len());
 }

@@ -12,6 +12,7 @@
 
 use std::sync::OnceLock;
 
+use dd_bench::report::Report;
 use dd_bench::trace::{run_trace, TraceOutcome, TraceSummary, TRACE_SCHEMA_VERSION};
 use dnn_defender::Json;
 

@@ -115,11 +115,6 @@ impl WeightMap {
         &self.slots
     }
 
-    /// Number of DRAM rows holding weights.
-    pub fn rows_used(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Row payload size this map was laid out for.
     pub fn row_bytes(&self) -> usize {
         self.row_bytes
@@ -219,7 +214,7 @@ mod tests {
         let mapped: usize = map.slots().iter().map(|s| s.len).sum();
         assert_eq!(mapped, model.total_weights());
         // fc1 = 8192 weights / 64 B rows = 128 rows; fc2 = 1280 / 64 = 20.
-        assert_eq!(map.rows_used(), 148);
+        assert_eq!(map.slots().len(), 148);
     }
 
     #[test]

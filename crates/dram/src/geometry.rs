@@ -189,16 +189,6 @@ impl DramConfig {
         ))
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.total_rows() * self.row_bytes
-    }
-
-    /// Bits per row.
-    pub fn row_bits(&self) -> usize {
-        self.row_bytes * 8
-    }
-
     /// Check internal consistency.
     ///
     /// # Errors
@@ -279,7 +269,7 @@ mod tests {
     #[test]
     fn ddr4_preset_is_32_gib() {
         let c = DramConfig::ddr4_32gb();
-        assert_eq!(c.capacity_bytes(), 32 * (1usize << 30));
+        assert_eq!(c.total_rows() * c.row_bytes, 32 * (1usize << 30));
         c.validate().unwrap();
     }
 

@@ -7,7 +7,7 @@
 //! accuracy once synced.
 
 use crate::qtensor::QTensor;
-use crate::quant::{flip_delta, WEIGHT_BITS};
+use crate::quant::flip_delta;
 use dd_nn::loss::{cross_entropy, cross_entropy_grad};
 use dd_nn::model::Network;
 use dd_nn::Tensor;
@@ -262,18 +262,12 @@ impl QModel {
         let delta = flip_delta(qt.get(addr.index), addr.bit) as f32;
         g * qt.quant_params().scale * delta
     }
-
-    /// Iterate all bit addresses of one parameter.
-    pub fn param_bits(&self, param: usize) -> impl Iterator<Item = BitAddr> + '_ {
-        let len = self.qtensors[param].len();
-        (0..len)
-            .flat_map(move |index| (0..WEIGHT_BITS).map(move |bit| BitAddr { param, index, bit }))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::WEIGHT_BITS;
     use dd_nn::init::seeded_rng;
     use dd_nn::layers::{Flatten, Linear, Relu};
 
@@ -360,9 +354,12 @@ mod tests {
         // Find the highest-gain MSB flip in layer 0 and verify the real
         // loss moves in the predicted direction.
         let base = qm.loss(&x, &labels);
-        let best = qm
-            .param_bits(0)
-            .filter(|a| a.bit == 7)
+        let best = (0..qm.qtensors[0].len())
+            .map(|index| BitAddr {
+                param: 0,
+                index,
+                bit: 7,
+            })
             .max_by(|a, b| {
                 qm.flip_gain(&grads, *a)
                     .partial_cmp(&qm.flip_gain(&grads, *b))
@@ -379,6 +376,6 @@ mod tests {
     #[test]
     fn param_bits_enumerates_all() {
         let qm = tiny_qmodel();
-        assert_eq!(qm.param_bits(1).count(), 16 * 4 * 8);
+        assert_eq!(qm.qtensors[1].len() * usize::from(WEIGHT_BITS), 16 * 4 * 8);
     }
 }

@@ -132,11 +132,6 @@ impl DiurnalProfile {
         }
     }
 
-    /// Total driver windows across all phases (one full day).
-    pub fn total_windows(&self) -> u64 {
-        self.phases.iter().map(|p| p.windows).sum()
-    }
-
     /// The per-phase seed: the master seed FNV-mixed with the phase
     /// index, so phases draw independent streams while staying
     /// reproducible.
@@ -289,7 +284,7 @@ mod tests {
         let config = config();
         let profile = DiurnalProfile::fleet_day(20240808);
         assert_eq!(profile.phases.len(), 6);
-        assert!(profile.total_windows() >= 36);
+        assert!(profile.phases.iter().map(|p| p.windows).sum::<u64>() >= 36);
         for phase in 0..profile.phases.len() {
             let traffic = profile.traffic(phase, &config);
             assert!(
