@@ -55,7 +55,8 @@ fn usage(code: u8) -> ExitCode {
          \x20 report         regenerate the marked sections of EXPERIMENTS.md from artifacts\n\
          \x20 kernel         benchmark the batched kernel vs the per-command reference path\n\
          \x20                and streaming v2-container replay vs the decoded-in-RAM path;\n\
-         \x20                write BENCH_kernel.json, and fail below any committed floor\n\
+         \x20                write BENCH_kernel.json, and fail below its speed floors or\n\
+         \x20                above its overhead ceilings (constants in kernel.rs)\n\
          \x20 trace          run an observed smoke scenario (matrix slice + driver run +\n\
          \x20                server session) under dd-obs; write TRACE_summary.json and a\n\
          \x20                Perfetto-loadable TRACE_perfetto.json timeline\n\
@@ -516,7 +517,7 @@ impl Splice<'_> {
             );
             return Ok(());
         };
-        if let Some(why) = report.stale(&path).filter(|_| self.check) {
+        if let Some(why) = report.stale(name, &path).filter(|_| self.check) {
             eprintln!("repro: {why} — run `repro {name}` and commit artifacts/");
             self.stale += 1;
         }

@@ -199,16 +199,19 @@ mod tests {
                 Json::uint(CELL_PROTOCOL_VERSION + 1),
             )
             .with("cells", cells_field.clone());
-        assert!(parse_cell_cache(&stale).evicted_all);
+        let load = parse_cell_cache(&stale);
+        assert!(load.cells.is_empty() && load.evicted_all);
         let unstamped = Json::obj()
             .with("version", Json::uint(CELL_CACHE_FORMAT_VERSION))
             .with("cells", cells_field.clone());
-        assert!(parse_cell_cache(&unstamped).evicted_all);
+        let load = parse_cell_cache(&unstamped);
+        assert!(load.cells.is_empty() && load.evicted_all);
         let old_container = Json::obj()
             .with("version", Json::uint(1))
             .with("cell_protocol_version", Json::uint(CELL_PROTOCOL_VERSION))
             .with("cells", cells_field);
-        assert!(parse_cell_cache(&old_container).evicted_all);
+        let load = parse_cell_cache(&old_container);
+        assert!(load.cells.is_empty() && load.evicted_all);
     }
 
     #[test]

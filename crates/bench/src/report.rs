@@ -69,9 +69,11 @@ pub trait Report: Sized {
         None
     }
 
-    /// Why the report, read from `path`, is stale against the current
-    /// code: `repro report --check` refuses it.
-    fn stale(&self, _path: &Path) -> Option<String> {
+    /// Why the report `name`, read from `path`, is stale against the
+    /// current code: `repro report --check` refuses it. `name` is the
+    /// file's, not the document's own `experiment` field, so a report
+    /// copied over another one's file is judged as the file it sits in.
+    fn stale(&self, _name: &str, _path: &Path) -> Option<String> {
         None
     }
 
@@ -315,12 +317,12 @@ impl Report for Artifact {
     /// An artifact whose config hash the current code no longer produces
     /// would not be reused by a rerun: its numbers may be out of date
     /// even when its rendered section still matches.
-    fn stale(&self, _path: &Path) -> Option<String> {
-        let current = ExperimentId::parse(&self.experiment)?.config_hash(self.quick);
+    fn stale(&self, name: &str, _path: &Path) -> Option<String> {
+        let current = ExperimentId::parse(name)?.config_hash(self.quick);
         (self.config_hash != current).then(|| {
             format!(
-                "`{}` artifact is stale: config {:#018x}, current config {current:#018x}",
-                self.experiment, self.config_hash,
+                "`{name}` artifact is stale: config {:#018x}, current config {current:#018x}",
+                self.config_hash,
             )
         })
     }

@@ -88,7 +88,7 @@ impl Report for TraceSummary {
 
     /// The timing half holds the server's `stats` reply: a summary from
     /// another wire protocol predates the server it describes.
-    fn stale(&self, path: &Path) -> Option<String> {
+    fn stale(&self, _name: &str, path: &Path) -> Option<String> {
         let protocol = self.server_protocol();
         (protocol != Some(dd_server::SERVER_PROTOCOL_VERSION)).then(|| {
             format!(

@@ -141,6 +141,27 @@ fn report_check_refuses_a_stale_config_hash() {
 }
 
 #[test]
+fn report_check_judges_an_artifact_by_the_file_it_sits_in() {
+    // table3's artifact copied over table2.json is table2's artifact with
+    // another experiment's config hash, whatever its own fields say.
+    let copy = ArtifactsCopy::new("swapped");
+    std::fs::copy(
+        copy.dir().join("table3.json"),
+        copy.dir().join("table2.json"),
+    )
+    .expect("copy artifact");
+    let out = copy.check();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.contains("`table2` artifact is stale: config ")
+            && err.contains("run `repro table2` and commit artifacts/"),
+        "{err}"
+    );
+    assert!(err.contains("1 artifact(s) are stale"), "{err}");
+}
+
+#[test]
 fn report_check_refuses_a_trace_from_another_server_protocol() {
     let copy = ArtifactsCopy::new("protocol");
     let current = format!("\"protocol\": {}", dd_server::SERVER_PROTOCOL_VERSION);
