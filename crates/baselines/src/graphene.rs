@@ -13,7 +13,6 @@ use std::collections::HashMap;
 use dd_dram::rowhammer::preferred_aggressor;
 use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController};
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats, FlipAttempt};
-use dnn_defender::overhead::{overhead_table, OverheadEntry};
 
 /// A Misra–Gries frequent-items summary over row activations.
 ///
@@ -227,12 +226,6 @@ impl DefenseMechanism for GrapheneDefense {
             defense_ops: self.refreshes,
             ..self.stats
         }
-    }
-
-    fn overhead(&self, config: &DramConfig) -> Option<OverheadEntry> {
-        overhead_table(config)
-            .into_iter()
-            .find(|e| e.framework == "Graphene")
     }
 }
 

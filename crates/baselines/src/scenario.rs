@@ -571,21 +571,6 @@ impl MatrixReport {
             Json::Arr(self.cells.iter().map(CellReport::to_json).collect()),
         )
     }
-
-    /// Deserialize an artifact-pipeline record.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
-    pub fn from_json(value: &Json) -> Result<MatrixReport, JsonError> {
-        Ok(MatrixReport {
-            cells: value
-                .field_arr("cells")?
-                .iter()
-                .map(CellReport::from_json)
-                .collect::<Result<_, _>>()?,
-        })
-    }
 }
 
 /// One row of the Fig. 8 analytical comparison emitted next to the
@@ -613,21 +598,6 @@ impl Fig8Row {
             .with("shadow_days", Json::num(self.shadow_days))
             .with("max_defended_bfas", Json::uint(self.max_defended_bfas))
             .with("attacker_bfas", Json::uint(self.attacker_bfas))
-    }
-
-    /// Deserialize an artifact-pipeline record.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
-    pub fn from_json(value: &Json) -> Result<Fig8Row, JsonError> {
-        Ok(Fig8Row {
-            t_rh: value.field_u64("t_rh")?,
-            dd_days: value.field_f64("dd_days")?,
-            shadow_days: value.field_f64("shadow_days")?,
-            max_defended_bfas: value.field_u64("max_defended_bfas")?,
-            attacker_bfas: value.field_u64("attacker_bfas")?,
-        })
     }
 }
 
@@ -2292,9 +2262,16 @@ mod tests {
             .expect("matrix");
         let json = report.to_json();
         let text = json.render_pretty();
-        let back = MatrixReport::from_json(&Json::parse(&text).expect("parse")).expect("decode");
-        assert_eq!(back.cells.len(), report.cells.len());
-        let (a, b) = (&report.cells[0], &back.cells[0]);
+        let back: Vec<CellReport> = Json::parse(&text)
+            .expect("parse")
+            .field_arr("cells")
+            .expect("cells")
+            .iter()
+            .map(CellReport::from_json)
+            .collect::<Result<_, _>>()
+            .expect("decode");
+        assert_eq!(back.len(), report.cells.len());
+        let (a, b) = (&report.cells[0], &back[0]);
         assert_eq!(a.scenario, b.scenario);
         assert_eq!(a.clean_accuracy, b.clean_accuracy);
         assert_eq!(a.post_attack_accuracy, b.post_attack_accuracy);

@@ -16,9 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dd_dram::rowhammer::preferred_aggressor;
-use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, RowInSubarray};
+use dd_dram::{DramError, GlobalRowId, MemoryController, RowInSubarray};
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats, FlipAttempt};
-use dnn_defender::overhead::{overhead_table, OverheadEntry};
 use dnn_defender::WeightMap;
 
 /// Disturbance fraction of `T_RH` at which SHADOW's tracker shuffles.
@@ -143,17 +142,12 @@ impl DefenseMechanism for ShadowMechanism {
     fn stats(&self) -> DefenseStats {
         self.stats
     }
-
-    fn overhead(&self, config: &DramConfig) -> Option<OverheadEntry> {
-        overhead_table(config)
-            .into_iter()
-            .find(|e| e.framework == "SHADOW")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dd_dram::DramConfig;
     use dd_qnn::BitAddr;
 
     /// One scratch-device campaign against `row` of bank 0, subarray 0;

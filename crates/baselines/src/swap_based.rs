@@ -19,9 +19,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, RowInSubarray};
+use dd_dram::{DramError, GlobalRowId, MemoryController, RowInSubarray};
 use dnn_defender::defense::{CampaignView, DefenseMechanism, DefenseStats, FlipAttempt};
-use dnn_defender::overhead::{overhead_table, OverheadEntry};
 
 /// Which swap-based scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,17 +192,12 @@ impl DefenseMechanism for RowSwapMechanism {
     fn stats(&self) -> DefenseStats {
         self.stats
     }
-
-    fn overhead(&self, config: &DramConfig) -> Option<OverheadEntry> {
-        overhead_table(config)
-            .into_iter()
-            .find(|e| e.framework == self.scheme.name())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dd_dram::DramConfig;
     use dd_qnn::BitAddr;
 
     fn setup() -> (MemoryController, GlobalRowId) {

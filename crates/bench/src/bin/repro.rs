@@ -33,7 +33,7 @@ use dd_bench::corpus::{run_corpus_campaign, CorpusReport};
 use dd_bench::experiments::{print_artifact, ExperimentId, RunContext};
 use dd_bench::kernel::run_kernel_bench;
 use dd_bench::report::{render_duration, splice_section, Artifact, Report};
-use dd_bench::serve::{run_serve, run_submit, ServeOptions, SubmitOptions};
+use dd_bench::serve::{run_serve, run_submit, Endpoint, ServiceOptions};
 use dd_bench::trace::{run_trace, TraceSummary, PERFETTO_FILE};
 
 struct Options {
@@ -317,7 +317,7 @@ fn run_experiments(opts: &Options, experiments: &[ExperimentId]) -> Result<(), E
         let hash = id.config_hash(opts.smoke);
         let json_path = opts.artifacts_dir.join(Artifact::file_name(id.name()));
         if !opts.force {
-            if let Some(existing) = load::<Artifact>(&json_path, true) {
+            if let Some(existing) = load::<Artifact>(&json_path) {
                 // The config hash is the whole reuse decision: it already
                 // encodes quick/full mode for the experiments whose
                 // numbers depend on it (the analytical ones are
@@ -433,11 +433,11 @@ fn run_report(opts: &Options) -> Result<(), ExitCode> {
         stale: 0,
     };
     for id in ExperimentId::ALL {
-        splice.section::<Artifact>(id.name(), true)?;
+        splice.section::<Artifact>(id.name())?;
     }
-    splice.section::<TraceSummary>("trace", false)?;
-    splice.section::<ChaosCampaignReport>("chaos", false)?;
-    splice.section::<CorpusReport>("corpus", false)?;
+    splice.section::<TraceSummary>("trace")?;
+    splice.section::<ChaosCampaignReport>("chaos")?;
+    splice.section::<CorpusReport>("corpus")?;
     if splice.spliced == 0 {
         // "Up to date" with nothing verified would be a lie — this is a
         // misconfiguration (wrong directory, no artifacts yet), not a
@@ -495,11 +495,11 @@ struct Splice<'a> {
 
 impl Splice<'_> {
     /// Re-read the report `name`, count it when `--check` finds it stale,
-    /// and splice its section. An experiment's artifact names why it does
-    /// not parse, and `repro all` rewrites it too.
-    fn section<R: Report>(&mut self, name: &str, experiment: bool) -> Result<(), ExitCode> {
+    /// and splice its section. `repro all` rewrites an experiment's
+    /// artifact too.
+    fn section<R: Report>(&mut self, name: &str) -> Result<(), ExitCode> {
         let path = self.artifacts_dir.join(R::file_name(name));
-        let Some(report) = load::<R>(&path, experiment) else {
+        let Some(report) = load::<R>(&path) else {
             if self.check {
                 // A section that cannot be re-rendered cannot be verified
                 // against its artifact — the drift gate must not pass it.
@@ -507,7 +507,7 @@ impl Splice<'_> {
                     "repro: cannot verify `{name}`: {} missing or unreadable — \
                      run `repro {name}`{} and commit artifacts/",
                     path.display(),
-                    if experiment { " (or `repro all`)" } else { "" },
+                    ExperimentId::parse(name).map_or("", |_| " (or `repro all`)"),
                 );
                 return Err(ExitCode::FAILURE);
             }
@@ -546,150 +546,118 @@ fn locate_experiments_md() -> Option<PathBuf> {
 }
 
 /// The report at `path`, or `None` when it is missing or does not parse
-/// (named on stderr when `name_errors`).
-fn load<R: Report>(path: &Path, name_errors: bool) -> Option<R> {
+/// (named on stderr).
+fn load<R: Report>(path: &Path) -> Option<R> {
     let text = std::fs::read_to_string(path).ok()?;
     R::parse(&text)
-        .map_err(|e| {
-            if name_errors {
-                eprintln!("repro: ignoring {}: {e}", path.display());
-            }
-        })
+        .map_err(|e| eprintln!("repro: ignoring {}: {e}", path.display()))
         .ok()
 }
 
 /// Parse the args of `repro serve` / `repro submit` (the service
 /// subcommands take their own options, so they bypass [`parse_args`]).
-fn parse_service_args(command: &str) -> Result<(ServeOptions, SubmitOptions), ExitCode> {
-    let mut serve = ServeOptions {
+fn parse_service_args(command: &str) -> Result<ServiceOptions, ExitCode> {
+    let mut opts = ServiceOptions {
         artifacts_dir: PathBuf::from("artifacts"),
-        socket: None,
-        tcp: None,
+        endpoint: Endpoint::Stdio,
         read_timeout_ms: None,
         jobs: None,
         capacity_micros: None,
         grant_micros: None,
         quick: false,
-    };
-    let mut submit = SubmitOptions {
-        artifacts_dir: PathBuf::from("artifacts"),
-        socket: None,
-        tcp: None,
         client: "cli".to_string(),
-        grant_micros: None,
         retries: None,
         retry_seed: None,
         out: None,
         check_batch: false,
-        quick: false,
         quiet: false,
         specs: Vec::new(),
     };
-    let need = |flag: &str, value: Option<String>| {
-        value.ok_or_else(|| {
-            eprintln!("repro {command}: {flag} needs a value");
-            usage(1)
-        })
+    let (mut socket, mut tcp) = (None, None);
+    let mut args = ServiceArgs {
+        command,
+        rest: std::env::args().skip(2),
     };
-    let mut args = std::env::args().skip(2);
-    while let Some(arg) = args.next() {
+    while let Some(arg) = args.rest.next() {
         match arg.as_str() {
-            "--smoke" => {
-                serve.quick = true;
-                submit.quick = true;
-            }
-            "--quiet" => submit.quiet = true,
-            "--check-batch" => submit.check_batch = true,
-            "--socket" => {
-                let path = PathBuf::from(need("--socket", args.next())?);
-                serve.socket = Some(path.clone());
-                submit.socket = Some(path);
-            }
-            "--tcp" => {
-                let addr = need("--tcp", args.next())?;
-                serve.tcp = Some(addr.clone());
-                submit.tcp = Some(addr);
-            }
-            "--read-timeout-ms" => match need("--read-timeout-ms", args.next())?.parse::<u64>() {
-                Ok(ms) => serve.read_timeout_ms = Some(ms),
-                Err(_) => {
-                    eprintln!("repro {command}: --read-timeout-ms needs an integer");
-                    return Err(usage(1));
-                }
-            },
-            "--retries" => match need("--retries", args.next())?.parse::<u32>() {
-                Ok(n) if n > 0 => submit.retries = Some(n),
-                _ => {
-                    eprintln!("repro {command}: --retries needs a positive integer");
-                    return Err(usage(1));
-                }
-            },
-            "--retry-seed" => match need("--retry-seed", args.next())?.parse::<u64>() {
-                Ok(seed) => submit.retry_seed = Some(seed),
-                Err(_) => {
-                    eprintln!("repro {command}: --retry-seed needs an integer");
-                    return Err(usage(1));
-                }
-            },
-            "--artifacts-dir" => {
-                let dir = PathBuf::from(need("--artifacts-dir", args.next())?);
-                serve.artifacts_dir = dir.clone();
-                submit.artifacts_dir = dir;
-            }
-            "--client" => submit.client = need("--client", args.next())?,
-            "--out" => submit.out = Some(PathBuf::from(need("--out", args.next())?)),
-            "--jobs" => match need("--jobs", args.next())?.parse::<usize>() {
-                Ok(n) if n > 0 => serve.jobs = Some(n),
-                _ => {
-                    eprintln!("repro {command}: --jobs needs a positive integer");
-                    return Err(usage(1));
-                }
-            },
-            "--capacity-micros" => match need("--capacity-micros", args.next())?.parse::<u64>() {
-                Ok(n) => serve.capacity_micros = Some(n),
-                Err(_) => {
-                    eprintln!("repro {command}: --capacity-micros needs an integer");
-                    return Err(usage(1));
-                }
-            },
-            "--grant-micros" => match need("--grant-micros", args.next())?.parse::<u64>() {
-                Ok(n) => {
-                    serve.grant_micros = Some(n);
-                    submit.grant_micros = Some(n);
-                }
-                Err(_) => {
-                    eprintln!("repro {command}: --grant-micros needs an integer");
-                    return Err(usage(1));
-                }
-            },
+            "--smoke" => opts.quick = true,
+            "--quiet" => opts.quiet = true,
+            "--check-batch" => opts.check_batch = true,
+            "--socket" => socket = Some(args.value(&arg, false)?),
+            "--tcp" => tcp = Some(args.value(&arg, false)?),
+            "--read-timeout-ms" => opts.read_timeout_ms = Some(args.value(&arg, false)?),
+            "--retries" => opts.retries = Some(args.value(&arg, true)?),
+            "--retry-seed" => opts.retry_seed = Some(args.value(&arg, false)?),
+            "--artifacts-dir" => opts.artifacts_dir = args.value(&arg, false)?,
+            "--client" => opts.client = args.value(&arg, false)?,
+            "--out" => opts.out = Some(args.value(&arg, false)?),
+            "--jobs" => opts.jobs = Some(args.value(&arg, true)?),
+            "--capacity-micros" => opts.capacity_micros = Some(args.value(&arg, false)?),
+            "--grant-micros" => opts.grant_micros = Some(args.value(&arg, false)?),
             "--help" | "-h" => return Err(usage(0)),
-            spec if !spec.starts_with('-') => submit.specs.push(spec.to_string()),
+            spec if !spec.starts_with('-') => opts.specs.push(spec.to_string()),
             unknown => {
                 eprintln!("repro {command}: unknown option `{unknown}`");
                 return Err(usage(1));
             }
         }
     }
-    Ok((serve, submit))
+    opts.endpoint = match (socket, tcp) {
+        (Some(_), Some(_)) => {
+            eprintln!("repro {command}: --socket and --tcp are mutually exclusive");
+            return Err(ExitCode::FAILURE);
+        }
+        (Some(path), None) => Endpoint::Unix(path),
+        (None, Some(addr)) => Endpoint::Tcp(addr),
+        (None, None) => Endpoint::Stdio,
+    };
+    Ok(opts)
+}
+
+/// The arguments of `repro serve` / `repro submit` left to parse.
+struct ServiceArgs<'a> {
+    command: &'a str,
+    rest: std::iter::Skip<std::env::Args>,
+}
+
+impl ServiceArgs<'_> {
+    /// The value after `flag`, parsed; `positive` refuses 0. A missing or
+    /// malformed value names the flag and prints the usage text.
+    fn value<T>(&mut self, flag: &str, positive: bool) -> Result<T, ExitCode>
+    where
+        T: std::str::FromStr + PartialOrd + Default,
+    {
+        let command = self.command;
+        let Some(value) = self.rest.next() else {
+            eprintln!("repro {command}: {flag} needs a value");
+            return Err(usage(1));
+        };
+        match value.parse::<T>() {
+            Ok(n) if !positive || n > T::default() => return Ok(n),
+            _ if positive => eprintln!("repro {command}: {flag} needs a positive integer"),
+            _ => eprintln!("repro {command}: {flag} needs an integer"),
+        }
+        Err(usage(1))
+    }
 }
 
 /// The `serve`/`submit` service subcommands, dispatched before the
 /// experiment-pipeline arg parsing (they accept cell specs as bare
 /// arguments, which the pipeline would read as experiment names).
 fn run_service(command: &str) -> ExitCode {
-    let (serve, submit) = match parse_service_args(command) {
-        Ok(parsed) => parsed,
+    let opts = match parse_service_args(command) {
+        Ok(opts) => opts,
         Err(code) => return code,
     };
     let result = match command {
         "serve" => {
-            if !submit.specs.is_empty() {
-                eprintln!("repro serve: unexpected arguments {:?}", submit.specs);
+            if !opts.specs.is_empty() {
+                eprintln!("repro serve: unexpected arguments {:?}", opts.specs);
                 return usage(1);
             }
-            run_serve(&serve)
+            run_serve(&opts)
         }
-        _ => run_submit(&submit),
+        _ => run_submit(&opts),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

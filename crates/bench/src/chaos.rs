@@ -50,8 +50,8 @@ use dnn_defender::{CostModel, Json, JsonError};
 use crate::cache::{load_cell_cache, save_cell_cache};
 use crate::report::{Invariant, Report};
 use crate::serve::{
-    batch_report, response_cells, BoundListener, Endpoint, Remote, RetryPolicy, ServiceClient,
-    REFERENCE_DEVICE_ROWS,
+    batch_report, request_inline, response_cells, BoundListener, Endpoint, RetryPolicy,
+    ServiceClient, REFERENCE_DEVICE_ROWS,
 };
 
 /// Schema version of `CHAOS_report.json`.
@@ -380,11 +380,6 @@ fn parse_specs(specs: &[&str]) -> Result<Vec<CellSpec>, String> {
     specs.iter().map(|s| CellSpec::parse_compact(s)).collect()
 }
 
-fn submit_inline(server: &mut SweepServer, client: &str, specs: &[CellSpec]) -> Option<Json> {
-    let line = SweepServer::submit_request(client, true, specs).render_compact();
-    Json::parse(&server.handle_line(&line)).ok()
-}
-
 /// `granted + refunded == charged_gross + remaining` — the conservation
 /// law, read off a wire ledger object.
 pub fn ledger_balanced(ledger: &Json) -> bool {
@@ -437,7 +432,8 @@ fn phase_job_panic() -> PhaseReport {
     );
     let mut server = campaign_server();
     let specs = parse_specs(&[SPEC_A]).expect("campaign specs parse");
-    let response = submit_inline(&mut server, "panic-client", &specs);
+    let request = SweepServer::submit_request("panic-client", true, &specs);
+    let response = request_inline(&mut server, &request).ok();
     let hello = Json::parse(&server.handle_line("{\"op\":\"hello\"}")).ok();
     let chaos = session.finish();
     phase.absorb(&chaos);
@@ -496,7 +492,8 @@ fn phase_job_stall(smoke: bool) -> PhaseReport {
             .with_rule("kernel.chunk_stall", ALWAYS),
     );
     let mut server = campaign_server();
-    let response = submit_inline(&mut server, "stall-client", &specs);
+    let request = SweepServer::submit_request("stall-client", true, &specs);
+    let response = request_inline(&mut server, &request).ok();
     let chaos = session.finish();
     phase.absorb(&chaos);
 
@@ -665,18 +662,9 @@ fn temp_socket(tag: &str) -> PathBuf {
 
 type ServerHandle = std::thread::JoinHandle<Result<(), String>>;
 
-fn spawn_campaign_server(endpoint: &Endpoint) -> Result<(ServerHandle, Remote), String> {
+fn spawn_campaign_server(endpoint: &Endpoint) -> Result<(ServerHandle, Endpoint), String> {
     let bound = BoundListener::bind(endpoint)?;
-    let remote = match endpoint {
-        Endpoint::Unix(path) => Remote::Unix(path.clone()),
-        Endpoint::Tcp(_) => Remote::Tcp(
-            bound
-                .tcp_addr()
-                .ok_or("no tcp address after bind")?
-                .to_string(),
-        ),
-        Endpoint::Stdio => return Err("stdio endpoint in campaign".to_string()),
-    };
+    let remote = bound.endpoint();
     let handle =
         std::thread::spawn(move || bound.serve(campaign_server(), Some(Duration::from_secs(30))));
     Ok((handle, remote))

@@ -37,6 +37,7 @@ use dnn_defender::{
 };
 
 use crate::report::{Artifact, TableArtifact, ARTIFACT_SCHEMA_VERSION};
+use crate::serve::request_inline;
 use crate::{pct, prepare_victim, print_table, DatasetKind, Victim};
 
 /// Version of the experiment *bodies*: the seeds and constants baked
@@ -1362,22 +1363,6 @@ fn submit_counts(response: &Json) -> StepCounts {
     counts
 }
 
-pub(crate) fn server_roundtrip(server: &mut SweepServer, request: &Json) -> Json {
-    let response = server.handle_line(&request.render_compact());
-    let response = Json::parse(&response).expect("response parses");
-    assert_eq!(
-        response.field_bool("ok"),
-        Ok(true),
-        "scripted request failed: {response:?}"
-    );
-    response
-}
-
-pub(crate) fn server_submit(server: &mut SweepServer, client: &str, specs: &[CellSpec]) -> Json {
-    let request = SweepServer::submit_request(client, server.sweep_base().quick(), specs);
-    server_roundtrip(server, &request)
-}
-
 /// The scripted matrix-as-a-service session. Runs a real [`SweepServer`]
 /// (empty cache, pinned cost model, capacity of exactly one heavy cell)
 /// through three clients and asserts the scheduler's decisions at every
@@ -1435,7 +1420,8 @@ fn server_service(ctx: &mut RunContext<'_>) -> Artifact {
         };
 
     // Alice: cold sweep → warm resweep → invalidate one axis → resweep.
-    let cold = server_submit(&mut server, "alice", &script.alice);
+    let alice = SweepServer::submit_request("alice", ctx.quick, &script.alice);
+    let cold = request_inline(&mut server, &alice).expect("submit");
     let counts = submit_counts(&cold);
     assert_eq!(cold.field_str("regime"), Ok("calm"));
     assert_eq!((counts.computed, counts.hits), (4, 0));
@@ -1445,7 +1431,7 @@ fn server_service(ctx: &mut RunContext<'_>) -> Artifact {
         .expect("ledger");
     log("cold sweep", "alice", "calm", &counts, &mut raw_steps);
 
-    let warm = server_submit(&mut server, "alice", &script.alice);
+    let warm = request_inline(&mut server, &alice).expect("submit");
     let counts = submit_counts(&warm);
     assert_eq!((counts.computed, counts.hits), (0, 4));
     let charged_warm = warm
@@ -1455,13 +1441,14 @@ fn server_service(ctx: &mut RunContext<'_>) -> Artifact {
     assert_eq!(charged_warm, charged_cold, "cache hits must charge nothing");
     log("warm resweep", "alice", "calm", &counts, &mut raw_steps);
 
-    let invalidate = server_roundtrip(
+    let invalidate = request_inline(
         &mut server,
         &Json::obj()
             .with("op", Json::str("invalidate"))
             .with("axis", Json::str("workload"))
             .with("value", Json::str("light")),
-    );
+    )
+    .expect("invalidate");
     let counts = StepCounts {
         evicted: invalidate.field_u64("evicted").expect("evicted"),
         ..StepCounts::default()
@@ -1475,7 +1462,7 @@ fn server_service(ctx: &mut RunContext<'_>) -> Artifact {
         &mut raw_steps,
     );
 
-    let resweep = server_submit(&mut server, "alice", &script.alice);
+    let resweep = request_inline(&mut server, &alice).expect("submit");
     let counts = submit_counts(&resweep);
     assert_eq!(
         (counts.computed, counts.hits),
@@ -1492,14 +1479,16 @@ fn server_service(ctx: &mut RunContext<'_>) -> Artifact {
 
     // Bob: an exact grant covers the first cell and rejects the second.
     let grant_micros = price(&script.bob[0]);
-    server_roundtrip(
+    request_inline(
         &mut server,
         &Json::obj()
             .with("op", Json::str("budget"))
             .with("client", Json::str("bob"))
             .with("grant_micros", Json::uint(grant_micros)),
-    );
-    let bob = server_submit(&mut server, "bob", &script.bob);
+    )
+    .expect("grant");
+    let request = SweepServer::submit_request("bob", ctx.quick, &script.bob);
+    let bob = request_inline(&mut server, &request).expect("submit");
     let counts = submit_counts(&bob);
     assert_eq!((counts.computed, counts.rejected), (1, 1));
     let results = bob.field_arr("results").expect("results");
@@ -1509,7 +1498,8 @@ fn server_service(ctx: &mut RunContext<'_>) -> Artifact {
 
     // Carol: warm riders at priority 1, four cold cells storming the
     // capacity; shedding drops the lowest priority, newest first.
-    let carol = server_submit(&mut server, "carol", &script.carol);
+    let request = SweepServer::submit_request("carol", ctx.quick, &script.carol);
+    let carol = request_inline(&mut server, &request).expect("submit");
     let counts = submit_counts(&carol);
     assert_eq!(carol.field_str("regime"), Ok("storm"));
     assert_eq!((counts.computed, counts.hits, counts.shed), (1, 4, 3));
@@ -1521,7 +1511,8 @@ fn server_service(ctx: &mut RunContext<'_>) -> Artifact {
     );
     log("storm sweep", "carol", "storm", &counts, &mut raw_steps);
 
-    let stats = server_roundtrip(&mut server, &Json::obj().with("op", Json::str("stats")));
+    let stats =
+        request_inline(&mut server, &Json::obj().with("op", Json::str("stats"))).expect("stats");
 
     // Per-client accounting (deterministic: estimates charge, wall-clock
     // is metric-only and stays in `raw`).

@@ -12,8 +12,9 @@
 //!
 //! Resilience posture (see `docs/resilience.md`):
 //!
-//! * connections read through [`FrameReader`] under a per-connection
-//!   read deadline — oversized frames get a structured error and the
+//! * stdio and every accepted socket run one connection loop, reading
+//!   through [`FrameReader`] (sockets under a per-connection read
+//!   deadline) — oversized frames get a structured error and the
 //!   stream resyncs, garbage bytes fail JSON parsing as a structured
 //!   error, a deadline or mid-frame disconnect closes only that
 //!   connection;
@@ -29,8 +30,8 @@
 //!   failures deterministically when a chaos plan is armed.
 
 use std::collections::HashMap;
-use std::io::{BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,15 +76,14 @@ pub fn calibrated_cost_model(artifacts_dir: &Path) -> CostModel {
     CostModel::new(commands_per_sec, REFERENCE_DEVICE_ROWS)
 }
 
-/// Options of `repro serve`.
-pub struct ServeOptions {
-    /// Artifact directory (cell-cache warm start + kernel calibration).
+/// Options of `repro serve` and `repro submit`; each command reads the
+/// fields it needs.
+pub struct ServiceOptions {
+    /// Artifact directory (cell-cache warm start, kernel calibration).
     pub artifacts_dir: PathBuf,
-    /// Listen on this Unix socket instead of stdin/stdout.
-    pub socket: Option<PathBuf>,
-    /// Listen on this TCP address (e.g. `127.0.0.1:7979`) instead of
-    /// stdin/stdout. Mutually exclusive with `socket`.
-    pub tcp: Option<String>,
+    /// Where `serve` listens and `submit` connects. On
+    /// [`Endpoint::Stdio`], `submit` runs an in-process server.
+    pub endpoint: Endpoint,
     /// Per-connection read deadline override, in milliseconds
     /// (default [`DEFAULT_READ_TIMEOUT_MS`]; 0 disables).
     pub read_timeout_ms: Option<u64>,
@@ -91,22 +91,47 @@ pub struct ServeOptions {
     pub jobs: Option<usize>,
     /// Regime planning capacity override, in estimated microseconds.
     pub capacity_micros: Option<u64>,
-    /// Default per-client grant override, in estimated microseconds.
+    /// Estimated microseconds: `serve`'s default per-client grant, or
+    /// what `submit` grants its client before submitting.
     pub grant_micros: Option<u64>,
-    /// Quick (smoke) mode.
+    /// Quick (smoke) mode; a client's must match its server's.
     pub quick: bool,
+    /// Client name for budget accounting.
+    pub client: String,
+    /// Retry attempts per request (default 5).
+    pub retries: Option<u32>,
+    /// Seed of the retry backoff jitter.
+    pub retry_seed: Option<u64>,
+    /// Write the returned cells as a canonical `MatrixReport` document.
+    pub out: Option<PathBuf>,
+    /// Re-run the same specs through the batch path and require
+    /// byte-identical cells.
+    pub check_batch: bool,
+    /// Suppress per-cell lines.
+    pub quiet: bool,
+    /// Cell specs (`defense:attacker:device:load[:priority]`).
+    pub specs: Vec<String>,
 }
 
-impl ServeOptions {
+impl ServiceOptions {
     fn read_timeout(&self) -> Option<Duration> {
         match self.read_timeout_ms.unwrap_or(DEFAULT_READ_TIMEOUT_MS) {
             0 => None,
             ms => Some(Duration::from_millis(ms)),
         }
     }
+
+    fn policy(&self) -> RetryPolicy {
+        let defaults = RetryPolicy::default();
+        RetryPolicy {
+            attempts: self.retries.unwrap_or(defaults.attempts).max(1),
+            seed: self.retry_seed.unwrap_or(defaults.seed),
+            ..defaults
+        }
+    }
 }
 
-/// Where a server listens (or a client connects).
+/// Where a server listens or a client connects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
     /// Line-delimited JSON on stdin/stdout (server only).
@@ -117,17 +142,28 @@ pub enum Endpoint {
     Tcp(String),
 }
 
-fn serve_endpoint(opts: &ServeOptions) -> Result<Endpoint, String> {
-    match (&opts.socket, &opts.tcp) {
-        (Some(_), Some(_)) => Err("--socket and --tcp are mutually exclusive".to_string()),
-        (Some(path), None) => Ok(Endpoint::Unix(path.clone())),
-        (None, Some(addr)) => Ok(Endpoint::Tcp(addr.clone())),
-        (None, None) => Ok(Endpoint::Stdio),
+impl std::fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Endpoint::Stdio => write!(f, "stdio"),
+            Endpoint::Unix(path) => write!(f, "unix {}", path.display()),
+            Endpoint::Tcp(addr) => write!(f, "tcp {addr}"),
+        }
+    }
+}
+
+impl Endpoint {
+    fn connect(&self) -> std::io::Result<ClientConn> {
+        match self {
+            Endpoint::Stdio => Err(std::io::Error::other("stdio is not a socket")),
+            Endpoint::Unix(path) => ClientConn::new(UnixStream::connect(path)?),
+            Endpoint::Tcp(addr) => ClientConn::new(TcpStream::connect(addr.as_str())?),
+        }
     }
 }
 
 /// The common surface of the two socket stream types.
-trait Stream: Read + Write + Send + Sized {
+trait Stream: Read + Write + Send + Sized + 'static {
     fn try_clone_stream(&self) -> std::io::Result<Self>;
     fn set_read_deadline(&self, timeout: Option<Duration>) -> std::io::Result<()>;
     fn close_both(&self) -> std::io::Result<()>;
@@ -157,68 +193,48 @@ impl Stream for TcpStream {
     }
 }
 
-enum ListenerKind {
-    Unix {
-        listener: UnixListener,
-        path: PathBuf,
-    },
-    Tcp {
-        listener: TcpListener,
-    },
+enum Listener {
+    Unix(UnixListener),
+    Tcp(TcpListener),
 }
 
 /// A bound (but not yet serving) listener. Binding and serving are
 /// separate so harnesses can bind an ephemeral TCP port, read the
 /// address, and only then hand the listener to a server thread.
 pub struct BoundListener {
-    kind: ListenerKind,
+    listener: Listener,
+    endpoint: Endpoint,
 }
 
 impl BoundListener {
     /// Bind the endpoint ([`Endpoint::Stdio`] is not bindable).
     pub fn bind(endpoint: &Endpoint) -> Result<Self, String> {
-        match endpoint {
-            Endpoint::Stdio => Err("stdio endpoint cannot be bound".to_string()),
+        let (listener, endpoint) = match endpoint {
+            Endpoint::Stdio => return Err("stdio endpoint cannot be bound".to_string()),
             Endpoint::Unix(path) => {
                 // A stale socket file from a previous run would make bind
                 // fail.
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)
                     .map_err(|e| format!("cannot bind {}: {e}", path.display()))?;
-                Ok(BoundListener {
-                    kind: ListenerKind::Unix {
-                        listener,
-                        path: path.clone(),
-                    },
-                })
+                (Listener::Unix(listener), endpoint.clone())
             }
             Endpoint::Tcp(addr) => {
                 let listener = TcpListener::bind(addr.as_str())
                     .map_err(|e| format!("cannot bind tcp {addr}: {e}"))?;
-                Ok(BoundListener {
-                    kind: ListenerKind::Tcp { listener },
-                })
+                let bound = listener
+                    .local_addr()
+                    .map_err(|e| format!("local_addr: {e}"))?;
+                (Listener::Tcp(listener), Endpoint::Tcp(bound.to_string()))
             }
-        }
+        };
+        Ok(BoundListener { listener, endpoint })
     }
 
-    /// Human-readable bound address.
-    pub fn describe(&self) -> String {
-        match &self.kind {
-            ListenerKind::Unix { path, .. } => format!("unix {}", path.display()),
-            ListenerKind::Tcp { listener } => match listener.local_addr() {
-                Ok(addr) => format!("tcp {addr}"),
-                Err(_) => "tcp ?".to_string(),
-            },
-        }
-    }
-
-    /// The actual TCP address (resolves port 0 to the bound port).
-    pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        match &self.kind {
-            ListenerKind::Tcp { listener } => listener.local_addr().ok(),
-            ListenerKind::Unix { .. } => None,
-        }
+    /// The address a client connects to (port 0 resolved to the bound
+    /// port).
+    pub fn endpoint(&self) -> Endpoint {
+        self.endpoint.clone()
     }
 
     /// Serve connections until a `shutdown` op. Connections multiplex:
@@ -228,26 +244,15 @@ impl BoundListener {
     /// blocks accept. On shutdown, in-flight requests drain and every
     /// open connection is closed.
     pub fn serve(self, server: SweepServer, read_timeout: Option<Duration>) -> Result<(), String> {
-        match self.kind {
-            ListenerKind::Unix { listener, path } => {
-                let wake_path = path.clone();
-                let wake = move || {
-                    let _ = UnixStream::connect(&wake_path);
-                };
-                let result = drive(server, listener.incoming(), wake, read_timeout);
-                let _ = std::fs::remove_file(&path);
-                result
-            }
-            ListenerKind::Tcp { listener } => {
-                let addr = listener
-                    .local_addr()
-                    .map_err(|e| format!("local_addr: {e}"))?;
-                let wake = move || {
-                    let _ = TcpStream::connect(addr);
-                };
-                drive(server, listener.incoming(), wake, read_timeout)
-            }
+        let wake = || drop(self.endpoint.connect());
+        let result = match self.listener {
+            Listener::Unix(listener) => drive(server, listener.incoming(), wake, read_timeout),
+            Listener::Tcp(listener) => drive(server, listener.incoming(), wake, read_timeout),
+        };
+        if let Endpoint::Unix(path) = &self.endpoint {
+            let _ = std::fs::remove_file(path);
         }
+        result
     }
 }
 
@@ -295,7 +300,16 @@ where
             let open = &open;
             let wake = &wake;
             scope.spawn(move || {
-                if let Err(e) = serve_connection(server, stream, conn_id, read_timeout) {
+                let served = || -> Result<(), String> {
+                    stream
+                        .set_read_deadline(read_timeout)
+                        .map_err(|e| format!("set read deadline: {e}"))?;
+                    let writer = stream
+                        .try_clone_stream()
+                        .map_err(|e| format!("clone: {e}"))?;
+                    serve_connection(server, BufReader::new(stream), writer, conn_id)
+                };
+                if let Err(e) = served() {
                     // A broken client must not take the server down.
                     eprintln!("repro serve: connection {conn_id}: {e}");
                 }
@@ -320,21 +334,16 @@ where
     })
 }
 
-/// One connection: framed reads under the deadline, three-phase request
-/// handling, chaos-injected drops/corruption on the write side.
-fn serve_connection<S: Stream>(
+/// One connection, an accepted socket or stdio (connection 0): framed
+/// reads, three-phase request handling, chaos-injected drops/corruption
+/// on the write side.
+fn serve_connection(
     server: &Mutex<SweepServer>,
-    stream: S,
+    reader: impl BufRead,
+    mut writer: impl Write,
     conn_id: u64,
-    read_timeout: Option<Duration>,
 ) -> Result<(), String> {
-    stream
-        .set_read_deadline(read_timeout)
-        .map_err(|e| format!("set read deadline: {e}"))?;
-    let mut writer = stream
-        .try_clone_stream()
-        .map_err(|e| format!("clone: {e}"))?;
-    let mut frames = FrameReader::new(BufReader::new(stream), MAX_FRAME_BYTES);
+    let mut frames = FrameReader::new(reader, MAX_FRAME_BYTES);
     let mut line_idx = 0u64;
     loop {
         let frame = match frames.next_frame() {
@@ -442,17 +451,13 @@ fn corrupt_frame(bytes: &mut Vec<u8>, payload: u64) {
     }
 }
 
-fn build_server(opts: &ServeOptions) -> SweepServer {
+/// The server `opts` describe. `repro serve` passes `--grant-micros` as
+/// the default per-client grant; `repro submit` grants it explicitly.
+fn build_server(opts: &ServiceOptions, default_grant_micros: Option<u64>) -> SweepServer {
     let mut config = ServerConfig::standard(opts.quick);
-    if let Some(jobs) = opts.jobs {
-        config.workers = jobs;
-    }
-    if let Some(capacity) = opts.capacity_micros {
-        config.capacity_micros = capacity;
-    }
-    if let Some(grant) = opts.grant_micros {
-        config.default_grant_micros = grant;
-    }
+    config.workers = opts.jobs.unwrap_or(config.workers);
+    config.capacity_micros = opts.capacity_micros.unwrap_or(config.capacity_micros);
+    config.default_grant_micros = default_grant_micros.unwrap_or(config.default_grant_micros);
     let cost = calibrated_cost_model(&opts.artifacts_dir);
     let cache = load_cell_cache(&opts.artifacts_dir.join("cache").join("cells.json")).cells;
     eprintln!(
@@ -467,52 +472,15 @@ fn build_server(opts: &ServeOptions) -> SweepServer {
 }
 
 /// Run the resident server until a `shutdown` op (or EOF on stdio).
-pub fn run_serve(opts: &ServeOptions) -> Result<(), String> {
-    let server = build_server(opts);
-    match serve_endpoint(opts)? {
-        Endpoint::Stdio => serve_stdio(server),
-        endpoint => {
-            let bound = BoundListener::bind(&endpoint)?;
-            eprintln!("repro serve: listening on {}", bound.describe());
-            bound.serve(server, opts.read_timeout())
-        }
+pub fn run_serve(opts: &ServiceOptions) -> Result<(), String> {
+    let server = build_server(opts, opts.grant_micros);
+    if opts.endpoint == Endpoint::Stdio {
+        let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
+        return serve_connection(&Mutex::new(server), stdin, stdout, 0);
     }
-}
-
-fn serve_stdio(mut server: SweepServer) -> Result<(), String> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut frames = FrameReader::new(stdin.lock(), MAX_FRAME_BYTES);
-    loop {
-        let response = match frames.next_frame().map_err(|e| format!("stdin: {e}"))? {
-            Frame::Eof => return Ok(()),
-            Frame::Line {
-                terminated: false, ..
-            } => return Ok(()),
-            Frame::Oversized { drained } => oversized_response(drained),
-            Frame::Line { text, .. } => {
-                if text.trim().is_empty() {
-                    continue;
-                }
-                server.handle_line(&text)
-            }
-        };
-        let mut out = stdout.lock();
-        writeln!(out, "{response}").map_err(|e| format!("stdout: {e}"))?;
-        out.flush().map_err(|e| format!("stdout: {e}"))?;
-        if server.is_shutdown() {
-            return Ok(());
-        }
-    }
-}
-
-/// Where `repro submit` (or a harness client) connects.
-#[derive(Debug, Clone)]
-pub enum Remote {
-    /// A Unix-domain socket at this path.
-    Unix(PathBuf),
-    /// A TCP address (`host:port`).
-    Tcp(String),
+    let bound = BoundListener::bind(&opts.endpoint)?;
+    eprintln!("repro serve: listening on {}", bound.endpoint());
+    bound.serve(server, opts.read_timeout())
 }
 
 /// Seeded retry policy for transient transport failures.
@@ -556,30 +524,28 @@ impl RetryPolicy {
     }
 }
 
-struct SocketConn<S: Stream> {
-    frames: FrameReader<BufReader<S>>,
-    writer: S,
+/// One client connection to a socket server.
+struct ClientConn {
+    frames: FrameReader<BufReader<Box<dyn Read + Send>>>,
+    writer: Box<dyn Write + Send>,
 }
 
-impl<S: Stream> SocketConn<S> {
-    fn new(stream: S) -> std::io::Result<Self> {
+impl ClientConn {
+    fn new<S: Stream>(stream: S) -> std::io::Result<Self> {
         stream.set_read_deadline(Some(CLIENT_READ_TIMEOUT))?;
-        let writer = stream.try_clone_stream()?;
-        Ok(SocketConn {
-            frames: FrameReader::new(BufReader::new(stream), MAX_FRAME_BYTES),
+        let writer = Box::new(stream.try_clone_stream()?);
+        let reader: Box<dyn Read + Send> = Box::new(stream);
+        Ok(ClientConn {
+            frames: FrameReader::new(BufReader::new(reader), MAX_FRAME_BYTES),
             writer,
         })
     }
 
-    fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
-    }
-
-    /// One response line, or a transient-failure description.
-    fn recv(&mut self) -> std::io::Result<Result<String, String>> {
-        Ok(match self.frames.next_frame()? {
+    /// Send one request line and read its response line, or describe
+    /// the transient failure.
+    fn roundtrip(&mut self, line: &str) -> Result<String, String> {
+        write_response(&mut self.writer, line.as_bytes())?;
+        match self.frames.next_frame().map_err(|e| format!("read: {e}"))? {
             Frame::Line {
                 text,
                 terminated: true,
@@ -589,39 +555,6 @@ impl<S: Stream> SocketConn<S> {
             } => Err("connection dropped mid-response".to_string()),
             Frame::Oversized { drained } => Err(format!("oversized response ({drained} bytes)")),
             Frame::Eof => Err("server closed the connection before responding".to_string()),
-        })
-    }
-}
-
-enum ClientConn {
-    Unix(SocketConn<UnixStream>),
-    Tcp(SocketConn<TcpStream>),
-}
-
-impl ClientConn {
-    fn send(&mut self, line: &str) -> std::io::Result<()> {
-        match self {
-            ClientConn::Unix(conn) => conn.send(line),
-            ClientConn::Tcp(conn) => conn.send(line),
-        }
-    }
-    fn recv(&mut self) -> std::io::Result<Result<String, String>> {
-        match self {
-            ClientConn::Unix(conn) => conn.recv(),
-            ClientConn::Tcp(conn) => conn.recv(),
-        }
-    }
-}
-
-impl Remote {
-    fn connect(&self) -> std::io::Result<ClientConn> {
-        match self {
-            Remote::Unix(path) => Ok(ClientConn::Unix(SocketConn::new(UnixStream::connect(
-                path,
-            )?)?)),
-            Remote::Tcp(addr) => Ok(ClientConn::Tcp(SocketConn::new(TcpStream::connect(
-                addr.as_str(),
-            )?)?)),
         }
     }
 }
@@ -634,7 +567,7 @@ impl Remote {
 /// (charged once), budget grants carry a `txn` token, and every other
 /// op is read-only or naturally idempotent.
 pub struct ServiceClient {
-    remote: Option<Remote>,
+    endpoint: Endpoint,
     local: Option<Box<SweepServer>>,
     conn: Option<ClientConn>,
     policy: RetryPolicy,
@@ -643,9 +576,9 @@ pub struct ServiceClient {
 
 impl ServiceClient {
     /// Connect lazily to a socket server.
-    pub fn remote(remote: Remote, policy: RetryPolicy) -> Self {
+    pub fn remote(endpoint: Endpoint, policy: RetryPolicy) -> Self {
         ServiceClient {
-            remote: Some(remote),
+            endpoint,
             local: None,
             conn: None,
             policy,
@@ -653,10 +586,11 @@ impl ServiceClient {
         }
     }
 
-    /// Drive an in-process server (no sockets).
+    /// Drive an in-process server (no sockets), as `repro submit` does
+    /// on [`Endpoint::Stdio`].
     pub fn local(server: SweepServer, policy: RetryPolicy) -> Self {
         ServiceClient {
-            remote: None,
+            endpoint: Endpoint::Stdio,
             local: Some(Box::new(server)),
             conn: None,
             policy,
@@ -705,70 +639,29 @@ impl ServiceClient {
         if dd_chaos::fires("client.submit_transient", fault_key) {
             return Err("injected transient submit failure".to_string());
         }
-        if let Some(server) = self.local.as_mut() {
+        let response = match self.local.as_mut() {
             // In-process: no transport to fail.
-            return Json::parse(&server.handle_line(line))
-                .map_err(|e| format!("bad response line: {}", e.message));
-        }
-        let remote = self.remote.as_ref().ok_or("client has no endpoint")?;
-        if self.conn.is_none() {
-            self.conn = Some(remote.connect().map_err(|e| format!("connect: {e}"))?);
-        }
-        let conn = self.conn.as_mut().ok_or("client has no connection")?;
-        conn.send(line).map_err(|e| format!("write: {e}"))?;
-        let response = conn.recv().map_err(|e| format!("read: {e}"))??;
+            Some(server) => server.handle_line(line),
+            None => {
+                let conn = match self.conn.take() {
+                    Some(conn) => conn,
+                    None => self
+                        .endpoint
+                        .connect()
+                        .map_err(|e| format!("connect: {e}"))?,
+                };
+                self.conn.insert(conn).roundtrip(line)?
+            }
+        };
         // A corrupted frame fails to parse — that is a transport fault
         // (retry), not a server answer.
-        Json::parse(&response).map_err(|e| format!("bad response line: {}", e.message))
-    }
-}
-
-/// Options of `repro submit`.
-pub struct SubmitOptions {
-    /// Artifact directory (for the in-process server and batch check).
-    pub artifacts_dir: PathBuf,
-    /// Connect to a `repro serve --socket` server.
-    pub socket: Option<PathBuf>,
-    /// Connect to a `repro serve --tcp` server. Mutually exclusive with
-    /// `socket`; in-process when neither is given.
-    pub tcp: Option<String>,
-    /// Client name for budget accounting.
-    pub client: String,
-    /// Grant this many estimated microseconds before submitting.
-    pub grant_micros: Option<u64>,
-    /// Retry attempts per request (default 5).
-    pub retries: Option<u32>,
-    /// Seed of the retry backoff jitter.
-    pub retry_seed: Option<u64>,
-    /// Write the returned cells as a canonical `MatrixReport` document.
-    pub out: Option<PathBuf>,
-    /// Re-run the same specs through the batch path and require
-    /// byte-identical cells.
-    pub check_batch: bool,
-    /// Quick (smoke) mode — must match the server's.
-    pub quick: bool,
-    /// Suppress per-cell lines.
-    pub quiet: bool,
-    /// Cell specs (`defense:attacker:device:load[:priority]`).
-    pub specs: Vec<String>,
-}
-
-impl SubmitOptions {
-    fn policy(&self) -> RetryPolicy {
-        let mut policy = RetryPolicy::default();
-        if let Some(attempts) = self.retries {
-            policy.attempts = attempts.max(1);
-        }
-        if let Some(seed) = self.retry_seed {
-            policy.seed = seed;
-        }
-        policy
+        parse_response(&response)
     }
 }
 
 /// Submit cell specs, print the per-cell outcomes, and enforce
 /// `--out` / `--check-batch`. Any non-`done` cell is an error.
-pub fn run_submit(opts: &SubmitOptions) -> Result<(), String> {
+pub fn run_submit(opts: &ServiceOptions) -> Result<(), String> {
     if opts.specs.is_empty() {
         return Err("no cell specs given (defense:attacker:device:load[:priority])".to_string());
     }
@@ -778,26 +671,9 @@ pub fn run_submit(opts: &SubmitOptions) -> Result<(), String> {
         .map(|text| CellSpec::parse_compact(text))
         .collect::<Result<_, _>>()?;
 
-    let policy = opts.policy();
-    let mut client = match (&opts.socket, &opts.tcp) {
-        (Some(_), Some(_)) => {
-            return Err("--socket and --tcp are mutually exclusive".to_string());
-        }
-        (Some(path), None) => ServiceClient::remote(Remote::Unix(path.clone()), policy),
-        (None, Some(addr)) => ServiceClient::remote(Remote::Tcp(addr.clone()), policy),
-        (None, None) => ServiceClient::local(
-            build_server(&ServeOptions {
-                artifacts_dir: opts.artifacts_dir.clone(),
-                socket: None,
-                tcp: None,
-                read_timeout_ms: None,
-                jobs: None,
-                capacity_micros: None,
-                grant_micros: None,
-                quick: opts.quick,
-            }),
-            policy,
-        ),
+    let mut client = match &opts.endpoint {
+        Endpoint::Stdio => ServiceClient::local(build_server(opts, None), opts.policy()),
+        endpoint => ServiceClient::remote(endpoint.clone(), opts.policy()),
     };
 
     if let Some(grant) = opts.grant_micros {
@@ -813,13 +689,11 @@ pub fn run_submit(opts: &SubmitOptions) -> Result<(), String> {
             .with("client", Json::str(opts.client.clone()))
             .with("grant_micros", Json::uint(grant))
             .with("txn", Json::str(txn));
-        let response = client.request_json(&budget)?;
-        expect_ok(&response)?;
+        expect_ok(client.request_json(&budget)?)?;
     }
 
     let request = SweepServer::submit_request(&opts.client, opts.quick, &specs);
-    let response = client.request_json(&request)?;
-    expect_ok(&response)?;
+    let response = expect_ok(client.request_json(&request)?)?;
 
     let regime = response.field_str("regime").unwrap_or("?").to_string();
     let results = response
@@ -923,9 +797,10 @@ fn parse_response(line: &str) -> Result<Json, String> {
     Json::parse(line).map_err(|e| format!("bad response line: {}", e.message))
 }
 
-fn expect_ok(response: &Json) -> Result<(), String> {
+/// The response, or the error it answers with.
+fn expect_ok(response: Json) -> Result<Json, String> {
     if response.field_bool("ok") == Ok(true) {
-        return Ok(());
+        return Ok(response);
     }
     Err(response
         .field_str("error")
@@ -933,19 +808,10 @@ fn expect_ok(response: &Json) -> Result<(), String> {
         .unwrap_or_else(|_| "server error".to_string()))
 }
 
-/// Shared in-process round trip used by tests and the `server`
-/// experiment: submit `specs` for `client` against `server`, returning
-/// the parsed response.
-pub fn submit_specs(
-    server: &mut SweepServer,
-    client: &str,
-    specs: &[CellSpec],
-    quick: bool,
-) -> Result<Json, String> {
-    let request = SweepServer::submit_request(client, quick, specs);
-    let response = parse_response(&server.handle_line(&request.render_compact()))?;
-    expect_ok(&response)?;
-    Ok(response)
+/// One request to an in-process server: its parsed response, or the
+/// error the server answers with.
+pub fn request_inline(server: &mut SweepServer, request: &Json) -> Result<Json, String> {
+    parse_response(&server.handle_line(&request.render_compact())).and_then(expect_ok)
 }
 
 /// Decode the `done` cells of a submit response in request order,

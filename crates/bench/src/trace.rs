@@ -32,10 +32,9 @@ use dd_server::{hist_to_json, CellSpec, ServerConfig, SweepBase, SweepServer};
 use dd_workload::BackgroundLoad;
 use dnn_defender::{Json, JsonError};
 
-use crate::experiments::{
-    server_cost_model, server_roundtrip, server_script, server_submit, workload_run, WorkloadParams,
-};
+use crate::experiments::{server_cost_model, server_script, workload_run, WorkloadParams};
 use crate::report::Report;
+use crate::serve::request_inline;
 
 /// Schema version of `TRACE_summary.json`. Bump on any incompatible
 /// change to the summary's shape (the golden test then regenerates).
@@ -330,11 +329,14 @@ pub fn run_trace(quick: bool, jobs: Option<usize>) -> Result<TraceOutcome, DramE
     config.workers = jobs.unwrap_or(2);
     config.capacity_micros = capacity_micros;
     let mut server = SweepServer::new(config, cost);
-    let alice = server_submit(&mut server, "alice", &script.alice);
+    let request = SweepServer::submit_request("alice", quick, &script.alice);
+    let alice = request_inline(&mut server, &request).expect("submit");
     assert_eq!(alice.field_str("regime"), Ok("calm"), "alice stays calm");
-    let carol = server_submit(&mut server, "carol", &script.carol);
+    let request = SweepServer::submit_request("carol", quick, &script.carol);
+    let carol = request_inline(&mut server, &request).expect("submit");
     assert_eq!(carol.field_str("regime"), Ok("storm"), "carol must storm");
-    let stats = server_roundtrip(&mut server, &Json::obj().with("op", Json::str("stats")));
+    let stats =
+        request_inline(&mut server, &Json::obj().with("op", Json::str("stats"))).expect("stats");
 
     let snapshot = session.finish();
     let wall_millis = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);

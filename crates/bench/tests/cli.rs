@@ -6,8 +6,11 @@
 //! nothing done. `repro report --check` must pass the committed tree and
 //! refuse, naming the file, every report it cannot verify.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+
+use dnn_defender::Json;
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -196,6 +199,13 @@ fn report_check_refuses_a_foreign_schema_version() {
                 && err.contains(&format!("{file} missing or unreadable")),
             "{err}"
         );
+        assert!(
+            err.contains(&format!(
+                "repro: ignoring {}",
+                copy.dir().join(file).display()
+            )) && err.contains("schema v99 (expected v1)"),
+            "{err}"
+        );
     }
 }
 
@@ -282,4 +292,62 @@ fn service_subcommands_reject_bad_input_nonzero() {
     let out = repro(&["serve", "--sockte", "/tmp/x"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("unknown option `--sockte`"));
+
+    // One endpoint at a time, for the server and the client alike.
+    for args in [
+        ["serve", "--socket", "/tmp/x", "--tcp", "127.0.0.1:0"].as_slice(),
+        [
+            "submit",
+            "--socket",
+            "/tmp/x",
+            "--tcp",
+            "127.0.0.1:0",
+            "Baseline (undefended):BFA:lpddr4_small:none",
+        ]
+        .as_slice(),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(
+            stderr(&out).contains("--socket and --tcp are mutually exclusive"),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn serve_answers_stdio_lines_until_shutdown() {
+    // A directory that does not exist: no cell cache, default calibration.
+    let artifacts = std::env::temp_dir().join(format!("dd-repro-cli-stdio-{}", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "serve",
+            "--smoke",
+            "--artifacts-dir",
+            artifacts.to_str().expect("utf-8 path"),
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro runs");
+    // A blank line gets no answer, a non-JSON one a structured error, and
+    // nothing answers the line after `shutdown`.
+    let lines = "{\"op\":\"hello\"}\n\nnot json\n{\"op\":\"stats\"}\n{\"op\":\"shutdown\"}\n{\"op\":\"hello\"}\n";
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(lines.as_bytes())
+        .expect("write requests");
+    let out = child.wait_with_output().expect("repro exits");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let ops: Vec<String> = stdout(&out)
+        .lines()
+        .map(|line| {
+            let response = Json::parse(line).expect("one JSON response per line");
+            response.field_str("op").expect("op").to_string()
+        })
+        .collect();
+    assert_eq!(ops, ["hello", "?", "stats", "shutdown"], "{}", stdout(&out));
 }

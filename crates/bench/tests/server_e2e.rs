@@ -13,7 +13,7 @@ use dd_bench::cache::{parse_cell_cache, render_cell_cache};
 use dd_bench::experiments::{workload_matrix, ExperimentId, RunContext};
 use dd_bench::report::{Artifact, Report};
 use dd_bench::serve::{
-    response_cells, submit_specs, BoundListener, Endpoint, Remote, RetryPolicy, ServiceClient,
+    request_inline, response_cells, BoundListener, Endpoint, RetryPolicy, ServiceClient,
 };
 use dd_server::{CellSpec, DeviceSpec, ServerConfig, SweepBase, SweepServer};
 use dnn_defender::{CostModel, Json};
@@ -81,7 +81,8 @@ fn served_cells_are_byte_identical_to_batch() {
     ];
 
     let mut server = quick_server();
-    let response = submit_specs(&mut server, "e2e", &specs, true).expect("submit");
+    let request = SweepServer::submit_request("e2e", true, &specs);
+    let response = request_inline(&mut server, &request).expect("submit");
     let served = MatrixReport {
         cells: response_cells(&response).expect("all cells done"),
     };
@@ -101,7 +102,7 @@ fn served_cells_are_byte_identical_to_batch() {
     );
 
     // And a warm resubmit serves the same bytes from cache.
-    let warm = submit_specs(&mut server, "e2e", &specs, true).expect("warm submit");
+    let warm = request_inline(&mut server, &request).expect("warm submit");
     for result in warm.field_arr("results").expect("results") {
         assert_eq!(result.field_bool("cache_hit"), Ok(true));
     }
@@ -127,13 +128,9 @@ fn exhausted_budget_is_a_structured_rejection() {
     let response = Json::parse(&server.handle_line(&grant.render_compact())).expect("grant");
     assert_eq!(response.field_bool("ok"), Ok(true));
 
-    let response = submit_specs(
-        &mut server,
-        "pauper",
-        &[spec(DefenseKind::Undefended, BackgroundLoad::None)],
-        true,
-    )
-    .expect("submit answers");
+    let cells = [spec(DefenseKind::Undefended, BackgroundLoad::None)];
+    let request = SweepServer::submit_request("pauper", true, &cells);
+    let response = request_inline(&mut server, &request).expect("submit answers");
     let results = response.field_arr("results").expect("results");
     assert_eq!(results[0].field_str("status"), Ok("rejected"));
     assert_eq!(results[0].field_str("reason"), Ok("budget_exhausted"));
@@ -147,7 +144,7 @@ fn spawn_server(
     transport: &str,
 ) -> (
     std::thread::JoinHandle<Result<(), String>>,
-    Remote,
+    Endpoint,
     Option<std::path::PathBuf>,
 ) {
     use std::time::Duration;
@@ -163,32 +160,29 @@ fn spawn_server(
         _ => (Endpoint::Tcp("127.0.0.1:0".to_string()), None),
     };
     let bound = BoundListener::bind(&endpoint).expect("bind");
-    let remote = match &endpoint {
-        Endpoint::Unix(path) => Remote::Unix(path.clone()),
-        Endpoint::Tcp(_) => Remote::Tcp(bound.tcp_addr().expect("tcp addr").to_string()),
-        Endpoint::Stdio => unreachable!(),
-    };
+    let remote = bound.endpoint();
     let handle =
         std::thread::spawn(move || bound.serve(quick_server(), Some(Duration::from_secs(30))));
     (handle, remote, socket_path)
 }
 
-fn raw_connect(remote: &Remote) -> (Box<dyn std::io::Write>, Box<dyn std::io::Read>) {
+fn raw_connect(remote: &Endpoint) -> (Box<dyn std::io::Write>, Box<dyn std::io::Read>) {
     match remote {
-        Remote::Unix(path) => {
+        Endpoint::Unix(path) => {
             let stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
             (
                 Box::new(stream.try_clone().expect("clone")),
                 Box::new(stream),
             )
         }
-        Remote::Tcp(addr) => {
+        Endpoint::Tcp(addr) => {
             let stream = std::net::TcpStream::connect(addr.as_str()).expect("connect");
             (
                 Box::new(stream.try_clone().expect("clone")),
                 Box::new(stream),
             )
         }
+        Endpoint::Stdio => unreachable!("servers under test listen on sockets"),
     }
 }
 

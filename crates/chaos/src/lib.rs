@@ -251,11 +251,6 @@ impl ChaosSession {
         report.unwrap_or_default()
         // Drop releases the session lock.
     }
-
-    /// Snapshot the per-site accounting so far without disarming.
-    pub fn snapshot(&self) -> ChaosReport {
-        snapshot().unwrap_or_default()
-    }
 }
 
 impl Drop for ChaosSession {

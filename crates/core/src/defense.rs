@@ -13,8 +13,8 @@
 //! * [`DefenseMechanism::filter_flip`] — play one attacker campaign on the
 //!   simulated device and decide its fate;
 //! * [`DefenseMechanism::on_hammer_window`] — refresh-window rollover;
-//! * [`DefenseMechanism::stats`] / [`DefenseMechanism::overhead`] — the
-//!   Table 3 bookkeeping and the Table 2 hardware cost.
+//! * [`DefenseMechanism::stats`] — the Table 3 bookkeeping (Table 2's
+//!   hardware cost is [`crate::overhead::overhead_table`]).
 //!
 //! [`crate::system::ProtectedSystem`] is generic over the installed
 //! defense; the scenario matrix in `dd-baselines` sweeps attacker ×
@@ -27,13 +27,12 @@ use rand::{Rng, SeedableRng};
 
 use dd_attack::{multi_round_profile, AttackConfig, AttackData};
 use dd_dram::rowhammer::preferred_aggressor;
-use dd_dram::{DramConfig, DramError, GlobalRowId, MemoryController, RowInSubarray};
+use dd_dram::{DramError, GlobalRowId, MemoryController, RowInSubarray};
 use dd_nn::data::Dataset;
 use dd_nn::Network;
 use dd_qnn::{BitAddr, QModel};
 
 use crate::mapping::WeightMap;
-use crate::overhead::OverheadEntry;
 use crate::swap::four_step_swap;
 
 /// Outcome of one attacker campaign against one bit.
@@ -262,12 +261,6 @@ pub trait DefenseMechanism: Send {
 
     /// Bookkeeping so far.
     fn stats(&self) -> DefenseStats;
-
-    /// Table 2 hardware-overhead entry. Default: none (software
-    /// defenses occupy no dedicated memory).
-    fn overhead(&self, _config: &DramConfig) -> Option<OverheadEntry> {
-        None
-    }
 }
 
 /// Type-erased defense for heterogeneous sweeps.
@@ -318,9 +311,6 @@ impl DefenseMechanism for DynDefense {
     }
     fn stats(&self) -> DefenseStats {
         (**self).stats()
-    }
-    fn overhead(&self, config: &DramConfig) -> Option<OverheadEntry> {
-        (**self).overhead(config)
     }
 }
 
@@ -723,17 +713,12 @@ impl DefenseMechanism for DnnDefenderDefense {
     fn stats(&self) -> DefenseStats {
         self.stats
     }
-
-    fn overhead(&self, config: &DramConfig) -> Option<OverheadEntry> {
-        crate::overhead::overhead_table(config)
-            .into_iter()
-            .find(|e| e.framework == "DNN-Defender")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dd_dram::DramConfig;
 
     #[test]
     fn stats_invariants_track_outcomes() {

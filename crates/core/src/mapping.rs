@@ -212,7 +212,10 @@ mod tests {
         let (model, config) = model_and_config();
         let map = WeightMap::layout(&model, &config);
         let mapped: usize = map.slots().iter().map(|s| s.len).sum();
-        assert_eq!(mapped, model.total_weights());
+        let weights: usize = (0..model.num_qparams())
+            .map(|p| model.qtensor(p).len())
+            .sum();
+        assert_eq!(mapped, weights);
         // fc1 = 8192 weights / 64 B rows = 128 rows; fc2 = 1280 / 64 = 20.
         assert_eq!(map.slots().len(), 148);
     }

@@ -10,7 +10,7 @@
 
 use dd_dram::{DramConfig, EnergyModel};
 
-use crate::analysis::{DefenseOp, SecurityModel};
+use crate::analysis::SecurityModel;
 
 /// A mitigation's power profile at a given operating point.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,17 +90,10 @@ pub fn saving_versus(config: &DramConfig, t_rh: u64, other: &str) -> f64 {
     1.0 - dd.defense_energy_pj / o.defense_energy_pj
 }
 
-/// Convenience re-export of the defense-op costs used above so callers
-/// can cross-check against [`crate::analysis`].
-pub fn op_cost_ratio(config: &DramConfig) -> f64 {
-    let m = SecurityModel::from_config(config);
-    DefenseOp::ShadowShuffle.cost(&m.timing).0 as f64
-        / DefenseOp::DnnDefenderSwap.cost(&m.timing).0 as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::DefenseOp;
 
     #[test]
     fn dd_saves_slightly_versus_shadow() {
@@ -145,7 +138,9 @@ mod tests {
 
     #[test]
     fn op_cost_ratio_matches_analysis() {
-        let r = op_cost_ratio(&DramConfig::lpddr4_small());
+        let m = SecurityModel::from_config(&DramConfig::lpddr4_small());
+        let r = DefenseOp::ShadowShuffle.cost(&m.timing).0 as f64
+            / DefenseOp::DnnDefenderSwap.cost(&m.timing).0 as f64;
         assert!((r - 1.32).abs() < 0.01, "ratio = {r}");
     }
 }

@@ -7,7 +7,7 @@
 //! (labelled instants) and *log2 histograms* into per-thread recorders.
 //! Everything is amortized per chunk/job/request — never per DRAM command —
 //! and the whole subsystem sits behind a single relaxed atomic flag:
-//! with [`ObsSink::Disabled`] (the default) every probe is one atomic load
+//! outside a [`session`] (the default) every probe is one atomic load
 //! and an early return, which `repro kernel` proves costs ≤ the committed
 //! overhead ceiling on the batched kernel path.
 //!
@@ -36,38 +36,15 @@ pub use record::{
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Where recorded telemetry goes. There is exactly one global sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObsSink {
-    /// Recording off (the default). Every probe is a relaxed atomic load.
-    Disabled,
-    /// Recording on: spans/counters/events land in per-thread recorders.
-    Enabled,
-}
-
+/// The one global switch: set while a [`session`] is live.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// True when the global sink is [`ObsSink::Enabled`]. This is the fast-path
-/// check every probe starts with; callers can use it to skip label
-/// construction entirely.
+/// True while a [`session`] records. This is the fast-path check every
+/// probe starts with; callers can use it to skip label construction
+/// entirely.
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// The current global sink.
-pub fn sink() -> ObsSink {
-    if enabled() {
-        ObsSink::Enabled
-    } else {
-        ObsSink::Disabled
-    }
-}
-
-/// Set the global sink. Prefer [`session`], which also serializes
-/// concurrent recording users and resets state.
-pub fn set_sink(sink: ObsSink) {
-    ENABLED.store(sink == ObsSink::Enabled, Ordering::Relaxed);
 }
 
 static SESSION: Mutex<()> = Mutex::new(());
@@ -81,10 +58,10 @@ pub struct ObsSession {
 }
 
 /// Start an exclusive recording session: takes the global session lock,
-/// clears any stale telemetry, and enables the sink.
+/// clears any stale telemetry, and enables recording.
 pub fn session() -> ObsSession {
     let guard = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
-    set_sink(ObsSink::Enabled);
+    ENABLED.store(true, Ordering::Relaxed);
     // Reset *after* enabling so recorders registered by earlier sessions
     // are drained of stale contents.
     let _ = snapshot_and_reset();
@@ -93,17 +70,17 @@ pub fn session() -> ObsSession {
 
 impl ObsSession {
     /// End the session: snapshot everything recorded since it began,
-    /// disable the sink, and release the session lock.
+    /// disable recording, and release the session lock.
     pub fn finish(self) -> Snapshot {
         let snap = snapshot_and_reset();
-        drop(self); // Drop disables the sink.
+        drop(self); // Drop disables recording.
         snap
     }
 }
 
 impl Drop for ObsSession {
     fn drop(&mut self) {
-        set_sink(ObsSink::Disabled);
+        ENABLED.store(false, Ordering::Relaxed);
     }
 }
 
@@ -114,17 +91,17 @@ mod tests {
     #[test]
     fn disabled_by_default_and_probes_are_inert() {
         let _session_lock = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
-        set_sink(ObsSink::Disabled);
-        assert_eq!(sink(), ObsSink::Disabled);
+        ENABLED.store(false, Ordering::Relaxed);
+        assert!(!enabled());
         {
             let _g = span("test.noop");
             let _sampled = span("test.noop_sampled").with_sample("test.noop_hist", 7);
             add("test.counter", 3);
             event("test.event", || "label".into());
         }
-        set_sink(ObsSink::Enabled);
+        ENABLED.store(true, Ordering::Relaxed);
         let snap = snapshot_and_reset();
-        set_sink(ObsSink::Disabled);
+        ENABLED.store(false, Ordering::Relaxed);
         assert!(snap.spans.is_empty());
         assert!(snap.events.is_empty());
         assert!(snap.counters.is_empty());

@@ -160,7 +160,7 @@ pub fn now_ns() -> u64 {
 }
 
 /// A RAII span: records `[creation, drop]` into the current thread's
-/// recorder. When the sink is disabled, creation is one atomic load and
+/// recorder. Outside a session, creation is one atomic load and
 /// the guard is inert (no clock read, no label built).
 #[must_use = "a span measures the scope it is bound to; dropping it immediately records nothing useful"]
 pub struct SpanGuard {

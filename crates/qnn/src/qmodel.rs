@@ -121,11 +121,6 @@ impl QModel {
         self.qtensors.iter().map(QTensor::bits).sum()
     }
 
-    /// Total number of quantized weights.
-    pub fn total_weights(&self) -> usize {
-        self.qtensors.iter().map(QTensor::len).sum()
-    }
-
     /// Read one bit.
     ///
     /// # Panics
@@ -291,8 +286,9 @@ mod tests {
     fn structure_is_discovered() {
         let qm = tiny_qmodel();
         assert_eq!(qm.num_qparams(), 2);
-        assert_eq!(qm.total_weights(), 8 * 16 + 16 * 4);
-        assert_eq!(qm.total_bits(), qm.total_weights() * 8);
+        let weights: usize = qm.qtensors.iter().map(QTensor::len).sum();
+        assert_eq!(weights, 8 * 16 + 16 * 4);
+        assert_eq!(qm.total_bits(), weights * 8);
     }
 
     #[test]

@@ -262,11 +262,6 @@ impl SweepServer {
         self.inflight_micros
     }
 
-    /// The server's sweep base (fixed victim/attack/budget constants).
-    pub fn sweep_base(&self) -> SweepBase {
-        self.base
-    }
-
     /// Price one spec exactly as admission will.
     pub fn price_micros(&self, spec: &CellSpec) -> u64 {
         self.cost
