@@ -1216,7 +1216,6 @@ impl ScenarioMatrix {
         // Bit flips commute (XOR), so blocked flips are tracked as
         // addresses and reverted by toggling.
         let mem = MemoryController::try_new(dram.clone())?;
-        let t_rh = dram.rowhammer_threshold;
 
         // The cell's background traffic: zipfian serving over a 64-row
         // "hot" working set spread across the device, scans over every
@@ -1252,7 +1251,6 @@ impl ScenarioMatrix {
             benign,
             disturbed: RowSet::new(dram),
             clean_accuracy: clean,
-            t_rh,
             false_ops_base,
         })
     }
@@ -1272,7 +1270,6 @@ impl ScenarioMatrix {
             traffic,
             benign,
             disturbed,
-            t_rh,
             false_ops_base,
             ..
         } = state;
@@ -1283,13 +1280,7 @@ impl ScenarioMatrix {
             let span = traffic.drive_benign_window(mem, &mut **defense, None)?;
             benign.ops += span.ops;
             benign.activations += span.activations;
-            mem.disturbances(traffic.universe().iter())
-                .for_each(|(row, d)| {
-                    benign.peak_disturbance = benign.peak_disturbance.max(d);
-                    if d >= *t_rh / 2 {
-                        disturbed.insert(row);
-                    }
-                });
+            traffic.sample_window(mem, |_| false, disturbed, &mut benign.peak_disturbance);
             mem.advance(Nanos(1));
         }
         benign.false_defense_ops = defense.stats().defense_ops - *false_ops_base;
@@ -1312,7 +1303,6 @@ impl ScenarioMatrix {
             benign: mut benign_report,
             mut disturbed,
             clean_accuracy,
-            t_rh,
             ..
         } = state;
         let mut blocked: Vec<BitAddr> = Vec::new();
@@ -1379,14 +1369,12 @@ impl ScenarioMatrix {
             if let (Some(t), Some(b)) = (traffic.as_mut(), benign_report.as_mut()) {
                 if attempts.is_multiple_of(10) || attempts == flips.len() {
                     let victim = dram.flat_row_index(victim);
-                    mem.disturbances(t.universe().iter())
-                        .filter(|&(row, _)| Some(row) != victim)
-                        .for_each(|(row, d)| {
-                            b.peak_disturbance = b.peak_disturbance.max(d);
-                            if d >= t_rh / 2 {
-                                disturbed.insert(row);
-                            }
-                        });
+                    t.sample_window(
+                        &mut mem,
+                        |row| Some(row) == victim,
+                        &mut disturbed,
+                        &mut b.peak_disturbance,
+                    );
                 }
                 mem.advance(Nanos(1));
             }
@@ -1755,7 +1743,6 @@ struct CellState {
     benign: Option<BenignReport>,
     disturbed: RowSet,
     clean_accuracy: f32,
-    t_rh: u64,
     /// Defense-op counter at the end of setup; the warmup windows'
     /// false-positive delta is measured from here.
     false_ops_base: u64,
@@ -1793,7 +1780,10 @@ fn pseudo_bit_in_row(addr: BitAddr, config: &DramConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dd_nn::layers::{Flatten, Linear};
     use dnn_defender::defense::FlipAttempt;
+    use dnn_defender::WeightMap;
+    use proptest::prelude::*;
 
     fn quick_matrix() -> ScenarioMatrix {
         let attack = AttackConfig {
@@ -1804,6 +1794,50 @@ mod tests {
         ScenarioMatrix::new(VictimSpec::tiny_mlp(2002))
             .attack_config(attack)
             .budget(20)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The rows an attacker reaches lie in the data region, on both
+        /// presets: the pseudo victim of any bit and both of its
+        /// aggressors, and every row `WeightMap::layout` places a weight
+        /// in. (`crates/workload/tests/benign_streams.rs` checks the
+        /// benign rows.)
+        #[test]
+        fn attacker_rows_stay_in_the_data_region(
+            ddr4 in any::<bool>(),
+            param in any::<usize>(),
+            index in any::<usize>(),
+            bit in 0u8..8,
+            inputs in 1usize..256,
+            outputs in 1usize..256,
+        ) {
+            let config = if ddr4 {
+                DramConfig::ddr4_32gb()
+            } else {
+                DramConfig::lpddr4_small()
+            };
+            let data_rows = config.data_rows_per_subarray();
+            let victim = pseudo_victim(BitAddr { param, index, bit }, &config);
+            prop_assert!(config.flat_row_index(victim).is_some(), "{:?}", victim);
+            let aggressors: Vec<_> = victim.row.neighbours(config.rows_per_subarray).collect();
+            prop_assert_eq!(aggressors.len(), 2, "{:?} sits on a subarray edge", victim);
+            for row in aggressors.into_iter().chain([victim.row]) {
+                prop_assert!(row.0 < data_rows, "{:?} of {:?}", row, victim);
+            }
+
+            let model = QModel::from_network(
+                Network::new("layout")
+                    .push(Flatten::new())
+                    .push(Linear::kaiming("fc", inputs, outputs, &mut StdRng::seed_from_u64(7))),
+            );
+            let map = WeightMap::layout(&model, &config);
+            for slot in map.slots() {
+                prop_assert!(config.flat_row_index(slot.row).is_some(), "{:?}", slot.row);
+                prop_assert!(slot.row.row.0 < data_rows, "{:?}", slot.row);
+            }
+        }
     }
 
     /// Which bits a random cell draws from its RNG, pinned: the cell
@@ -1951,6 +1985,26 @@ mod tests {
         {
             assert_eq!(cell.landed, cell.attempts);
         }
+    }
+
+    /// At T_RH 1 half the threshold is 0, so every row of a loaded cell's
+    /// universe counts as disturbed, whether a window touched it or not.
+    /// The values were recorded from the scan of the whole universe that
+    /// the window read replaced.
+    #[test]
+    fn a_threshold_one_cell_pins_its_benign_sample() {
+        let report = quick_matrix()
+            .budget(6)
+            .background(BackgroundLoad::Light)
+            .dram_config(DramConfig::lpddr4_small().with_rowhammer_threshold(1))
+            .defense_kind(DefenseKind::DnnDefender)
+            .run()
+            .expect("matrix");
+        let benign = report.cells[0].benign.as_ref().expect("a loaded cell");
+        assert_eq!(
+            (benign.disturbed_rows, benign.peak_disturbance),
+            (16_128, 496)
+        );
     }
 
     #[test]

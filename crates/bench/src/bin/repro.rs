@@ -71,10 +71,12 @@ fn usage(code: u8) -> ExitCode {
          \x20                broken invariant\n\
          \x20 serve          resident sweep server (line-delimited JSON on stdio,\n\
          \x20                --socket <S>, or --tcp <host:port>; budget-accounted,\n\
-         \x20                cell-cached; --read-timeout-ms <N>)\n\
+         \x20                cell-cached; --read-timeout-ms <N>, --capacity-micros <N>,\n\
+         \x20                --grant-micros <N> as each client's default grant)\n\
          \x20 submit         submit cell specs (defense:attacker:device:load[:priority])\n\
-         \x20                to a server (--socket <S> / --tcp <A>, else in-process);\n\
-         \x20                --client <C>, --grant-micros <N>, --out <F>, --check-batch,\n\
+         \x20                to a server (--socket <S> / --tcp <A>, else in-process,\n\
+         \x20                which takes --capacity-micros <N>); --client <C>,\n\
+         \x20                --grant-micros <N>, --out <F>, --check-batch,\n\
          \x20                --retries <N>, --retry-seed <N>\n\
          \x20 fig1a | fig1b | table2 | table3 | fig8a | fig8b | fig9 | power | workload | server\n\
          \n\
@@ -579,6 +581,16 @@ fn parse_service_args(command: &str) -> Result<ServiceOptions, ExitCode> {
         rest: std::env::args().skip(2),
     };
     while let Some(arg) = args.rest.next() {
+        // Each command takes only the flags its usage line lists.
+        let owner = match arg.as_str() {
+            "--read-timeout-ms" => "serve",
+            "--client" | "--out" | "--check-batch" | "--retries" | "--retry-seed" => "submit",
+            _ => command,
+        };
+        if owner != command {
+            eprintln!("repro {command}: {arg} is a `repro {owner}` option");
+            return Err(usage(1));
+        }
         match arg.as_str() {
             "--smoke" => opts.quick = true,
             "--quiet" => opts.quiet = true,

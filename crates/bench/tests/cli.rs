@@ -293,6 +293,38 @@ fn service_subcommands_reject_bad_input_nonzero() {
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("unknown option `--sockte`"));
 
+    // Each command refuses the other's flags and names their command.
+    for (args, refused) in [
+        (
+            [
+                "serve",
+                "--out",
+                "x",
+                "--check-batch",
+                "--client",
+                "c",
+                "--retries",
+                "3",
+            ]
+            .as_slice(),
+            "repro serve: --out is a `repro submit` option",
+        ),
+        (
+            [
+                "submit",
+                "--read-timeout-ms",
+                "5",
+                "Baseline (undefended):BFA:lpddr4_small:none",
+            ]
+            .as_slice(),
+            "repro submit: --read-timeout-ms is a `repro serve` option",
+        ),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(stderr(&out).contains(refused), "{args:?}: {}", stderr(&out));
+    }
+
     // One endpoint at a time, for the server and the client alike.
     for args in [
         ["serve", "--socket", "/tmp/x", "--tcp", "127.0.0.1:0"].as_slice(),

@@ -357,20 +357,16 @@ impl MemoryController {
         self.hammer.disturbance(row, self.epoch())
     }
 
-    /// Each of `rows`, flat row indices ([`DramConfig::flat_row_index`]),
-    /// paired with its current disturbance, in order: the bulk form of
-    /// [`MemoryController::disturbance`] for scans over a whole row set,
-    /// with the refresh epoch computed once per call instead of per row.
-    /// An index past the device's last row reads 0, as a row outside the
-    /// geometry does.
-    pub fn disturbances<'a, I>(&'a self, rows: I) -> impl Iterator<Item = (usize, u64)> + 'a
-    where
-        I: IntoIterator<Item = usize>,
-        I::IntoIter: 'a,
-    {
+    /// The rows disturbed in the present refresh window, each once as its
+    /// flat row index ([`DramConfig::flat_row_index`]) with its current
+    /// disturbance, in address order; a row refreshed since its first
+    /// disturbance in the window reads 0. Every row left out reads 0, so
+    /// a scan over a row set tests only these rows against it instead of
+    /// reading every row of the set. It takes `&mut self` because the
+    /// walk drops the rows earlier windows recorded.
+    pub fn window_disturbances(&mut self) -> impl Iterator<Item = (usize, u64)> + '_ {
         let epoch = self.epoch();
-        rows.into_iter()
-            .map(move |flat| (flat, self.hammer.disturbance_at(flat, epoch)))
+        self.hammer.window(epoch)
     }
 
     /// Attempt to flip `bits` (bit offsets within the row payload) in
@@ -800,12 +796,15 @@ mod tests {
             GlobalRowId::new(16, 0, 0),
         ];
         assert_eq!(rows.map(|r| m.disturbance(r)), [0, 40, 0, 40, 0]);
-        // The bulk read takes flat indices: an undisturbed row, the two
-        // disturbed rows, and the first index past the end of the table.
-        let flat = [0, 128 + 72, 8 * 128, 16 * 8 * 128];
+        // The window read names the four neighbours by flat index.
         assert_eq!(
-            m.disturbances(flat).map(|(_, d)| d).collect::<Vec<_>>(),
-            vec![0, 40, 40, 0]
+            m.window_disturbances().collect::<Vec<_>>(),
+            [
+                (128 + 72, 40),
+                (128 + 74, 40),
+                (8 * 128, 40),
+                (8 * 128 + 2, 40)
+            ]
         );
     }
 

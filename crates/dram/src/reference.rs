@@ -7,9 +7,10 @@
 //! activate / read sequences, across epoch rollovers, on the edge rows of
 //! every subarray and on the last bank and subarray, and require every
 //! read to agree, out-of-range rows included. A second property checks
-//! [`MemoryController::disturbances`] against per-row reads and against
-//! the reference on both sides of a refresh-window boundary, over every
-//! flat row index and past the table's end.
+//! [`MemoryController::window_disturbances`] against the reference and
+//! against per-row reads, on both sides of every refresh-window boundary
+//! and twice in a row within a window, under hammers, refreshes,
+//! RowClones and successful flips.
 
 use std::collections::HashMap;
 
@@ -17,13 +18,15 @@ use proptest::prelude::*;
 
 use crate::controller::MemoryController;
 use crate::geometry::{DramConfig, GlobalRowId};
-use crate::rowhammer::HammerTracker;
+use crate::rowhammer::{preferred_aggressor, HammerTracker};
 use crate::timing::Nanos;
 
-/// The hash-map tracker the dense table replaced.
+/// The hash-map tracker the dense table replaced, plus the epoch each row
+/// was last disturbed in.
 #[derive(Debug, Default)]
 struct HashMapTracker {
     counts: HashMap<GlobalRowId, (u64, u64)>,
+    last_disturbed: HashMap<GlobalRowId, u64>,
 }
 
 impl HashMapTracker {
@@ -33,6 +36,7 @@ impl HashMapTracker {
             *entry = (epoch, 0);
         }
         entry.1 += n;
+        self.last_disturbed.insert(row, epoch);
     }
 
     fn refresh(&mut self, row: GlobalRowId) {
@@ -139,59 +143,91 @@ proptest! {
         }
     }
 
-    /// `disturbances` equals per-row `disturbance` and the reference, just
-    /// before and just after every refresh-window boundary the random
-    /// hammer / refresh sequence crosses.
+    /// `window_disturbances` yields exactly the rows the reference reads
+    /// nonzero, each once with its reference value, plus possibly rows
+    /// disturbed in the window and refreshed since, at 0; each value is
+    /// the per-row read's, and every per-row read, rows outside the
+    /// geometry included, is the reference's. Checked 1 ns before and at
+    /// every refresh-window boundary the random hammer / refresh /
+    /// RowClone / flip sequence crosses, and twice after every op.
     #[test]
-    fn bulk_read_matches_per_row_reads_across_epochs(
+    fn window_read_matches_the_reference_across_epochs(
         which in 0usize..2,
-        ops in collection::vec((0u8..3, 0usize..30, 1u64..5000), 1..40),
+        ops in collection::vec((0u8..5, 0usize..30, 0usize..30, 1u64..5000), 1..40),
     ) {
         let config = geometry(which);
-        let mut probes = all_rows(&config);
-        probes.extend(outside_rows(&config));
-        let rows = &probes[..config.total_rows()];
+        let rows = all_rows(&config);
+        let rows_per_subarray = config.rows_per_subarray;
+        let threshold = config.rowhammer_threshold;
         let mut mem = MemoryController::try_new(config.clone()).expect("valid config");
         let mut reference = HashMapTracker::default();
         let t_ref = config.timing.t_ref.0;
-        let check = |mem: &MemoryController, reference: &HashMapTracker| {
-            // Every flat index in order, then two past the table's end,
-            // which read 0 as the rows outside the geometry do.
-            let bulk: Vec<(usize, u64)> = mem.disturbances(0..rows.len() + 2).collect();
-            let beyond = [0, 0].into_iter();
-            let single: Vec<(usize, u64)> =
-                rows.iter().map(|&r| mem.disturbance(r)).chain(beyond.clone()).enumerate().collect();
-            let oracle: Vec<(usize, u64)> = rows
+        let check = |mem: &mut MemoryController, reference: &HashMapTracker| {
+            let epoch = mem.epoch();
+            let read: Vec<(usize, u64)> = mem.window_disturbances().collect();
+            assert!(
+                read.windows(2).all(|pair| pair[0].0 < pair[1].0),
+                "rows out of order or repeated at {:?}: {read:?}", mem.now()
+            );
+            let nonzero: Vec<(usize, u64)> = rows
                 .iter()
-                .map(|&r| reference.disturbance(r, mem.epoch()))
-                .chain(beyond)
+                .map(|&r| reference.disturbance(r, epoch))
                 .enumerate()
+                .filter(|&(_, d)| d > 0)
                 .collect();
-            assert_eq!(bulk, single, "bulk vs per-row at {:?}", mem.now());
-            assert_eq!(bulk, oracle, "dense vs reference at {:?}", mem.now());
-            for &r in &probes[rows.len()..] {
-                assert_eq!(mem.disturbance(r), reference.disturbance(r, mem.epoch()), "{r:?}");
+            let read_nonzero: Vec<(usize, u64)> =
+                read.iter().copied().filter(|&(_, d)| d > 0).collect();
+            assert_eq!(read_nonzero, nonzero, "window read vs reference at {:?}", mem.now());
+            for &(flat, d) in &read {
+                let row = rows[flat];
+                assert_eq!(mem.disturbance(row), d, "window read vs per-row read of {row:?}");
+                assert_eq!(
+                    reference.last_disturbed.get(&row),
+                    Some(&epoch),
+                    "{row:?} read but not disturbed in the window"
+                );
+            }
+            for &r in rows.iter().chain(&outside_rows(&config)) {
+                assert_eq!(mem.disturbance(r), reference.disturbance(r, epoch), "{r:?}");
             }
         };
-        for (kind, pick, n) in ops {
+        for (kind, pick, other, n) in ops {
             let row = rows[pick % rows.len()];
             match kind {
                 0 => {
                     mem.hammer(row, n).expect("in range");
-                    reference.activate(row, config.rows_per_subarray, n, mem.epoch());
+                    reference.activate(row, rows_per_subarray, n, mem.epoch());
                 }
                 1 => {
                     mem.refresh_row(row).expect("in range");
                     reference.refresh(row);
                 }
+                2 => {
+                    // Another row of the same subarray, or the row itself.
+                    let dst = GlobalRowId { row: rows[other % rows.len()].row, ..row };
+                    mem.row_clone(row.bank, row.subarray, row.row, dst.row).expect("in range");
+                    let epoch = mem.epoch();
+                    reference.activate(row, rows_per_subarray, 1, epoch);
+                    reference.activate(dst, rows_per_subarray, 1, epoch);
+                }
+                3 => {
+                    // A full hammer of a neighbour, then a flip that lands
+                    // and recharges the row.
+                    let aggressor = preferred_aggressor(row, rows_per_subarray);
+                    mem.hammer(aggressor, threshold).expect("in range");
+                    reference.activate(aggressor, rows_per_subarray, threshold, mem.epoch());
+                    assert!(mem.attempt_flip(row, &[0]).expect("in range").flipped());
+                    reference.refresh(row);
+                }
                 _ => {
                     let boundary = (mem.now().0 / t_ref + 1) * t_ref;
                     mem.advance(Nanos(boundary - 1 - mem.now().0));
-                    check(&mem, &reference);
+                    check(&mut mem, &reference);
                     mem.advance(Nanos(1));
                 }
             }
-            check(&mem, &reference);
+            check(&mut mem, &reference);
+            check(&mut mem, &reference);
         }
     }
 }

@@ -17,10 +17,12 @@
 //! has rolled over.
 //!
 //! The counters live in one dense table per device (`HammerTracker`, owned
-//! by [`crate::MemoryController`]): an `(epoch, count)` entry per row at
-//! the row's flat index `(bank·spb + subarray)·rows + row`, which the
+//! by [`crate::MemoryController`]): a `(window tag, count)` entry per row
+//! at the row's flat index `(bank·spb + subarray)·rows + row`, which the
 //! per-command path and the batched kernel both update in place, so every
-//! disturbance, refresh and read is a single index operation.
+//! disturbance, refresh and read is a single index operation. Beside it,
+//! one bit per row records the rows tagged with the current window, so a
+//! scan reads the rows a window disturbed instead of every row.
 
 use crate::geometry::{DramConfig, GlobalRowId, RowInSubarray};
 use crate::timing::Nanos;
@@ -36,28 +38,44 @@ pub(crate) fn flat_index(
     (row.bank.0 * subarrays_per_bank + row.subarray.0) * rows_per_subarray + row.row.0
 }
 
-/// Per-row disturbance bookkeeping: one `(epoch, count)` entry per row of
-/// the device.
+/// The entry tag of epoch `epoch`: the epoch plus one, so that tag 0,
+/// a zeroed entry's, marks a row never disturbed.
+#[inline]
+fn tag(epoch: u64) -> u64 {
+    epoch.wrapping_add(1)
+}
+
+/// Per-row disturbance bookkeeping: one `(window tag, count)` entry per
+/// row of the device, and a record of the rows tagged with the current
+/// window.
 #[derive(Debug)]
 pub(crate) struct HammerTracker {
     banks: usize,
     subarrays_per_bank: usize,
     rows_per_subarray: usize,
-    /// `(epoch, accumulated neighbour activations)` per [`flat_index`].
-    /// Untouched and refreshed rows hold `(0, 0)`, which reads as zero in
-    /// every epoch.
+    /// `(tag, accumulated neighbour activations)` per [`flat_index`],
+    /// tagged with the [`tag`] of the epoch the count belongs to, so the
+    /// zeroed entry of a row never disturbed reads as zero in every
+    /// epoch. A refresh zeroes the count and keeps the tag.
     entries: Vec<(u64, u64)>,
+    /// One bit per [`flat_index`], set when the row's entry is first
+    /// tagged with a window. Every row whose tag is the current window's
+    /// has its bit set; [`HammerTracker::window`] clears the bits of rows
+    /// whose tag went stale.
+    record: Vec<u64>,
 }
 
 impl HammerTracker {
     /// A zeroed table for `config`'s geometry. The zeros come from one
-    /// zeroed allocation, so rows never disturbed cost no resident memory.
+    /// zeroed allocation each, so rows never disturbed cost no resident
+    /// memory.
     pub(crate) fn new(config: &DramConfig) -> Self {
         HammerTracker {
             banks: config.banks,
             subarrays_per_bank: config.subarrays_per_bank,
             rows_per_subarray: config.rows_per_subarray,
             entries: vec![(0, 0); config.total_rows()],
+            record: vec![0; config.total_rows().div_ceil(64)],
         }
     }
 
@@ -72,27 +90,33 @@ impl HammerTracker {
     }
 
     /// Add `n` units of disturbance to the row at `flat` in epoch `epoch`,
-    /// restarting its count when the entry carries a stale epoch.
+    /// restarting its count and recording the row when the entry carries
+    /// another window's tag.
     #[inline]
     pub(crate) fn disturb(&mut self, flat: usize, n: u64, epoch: u64) {
+        let tag = tag(epoch);
         let entry = &mut self.entries[flat];
-        if entry.0 != epoch {
-            *entry = (epoch, 0);
+        if entry.0 != tag {
+            *entry = (tag, 0);
+            self.record[flat / 64] |= 1 << (flat % 64);
         }
         entry.1 += n;
     }
 
     /// Reset the disturbance of the row at `flat` (the row was
-    /// refreshed/activated/cloned).
+    /// refreshed/activated/cloned). The entry keeps its window tag, so a
+    /// row stays recorded at most once per window.
     #[inline]
     pub(crate) fn refresh(&mut self, flat: usize) {
-        self.entries[flat] = (0, 0);
+        self.entries[flat].1 = 0;
     }
 
     /// Apply the RowHammer side effects of activating the row at `flat`
     /// (row `in_row` of its subarray) `n` times: the row recharges and each
-    /// physical neighbour takes `n` units of disturbance.
-    #[inline]
+    /// physical neighbour takes `n` units of disturbance. Always inlined:
+    /// the record's write would otherwise leave it a call in the batched
+    /// kernel's loop.
+    #[inline(always)]
     pub(crate) fn activate(&mut self, flat: usize, in_row: usize, n: u64, epoch: u64) {
         self.refresh(flat);
         if in_row > 0 {
@@ -103,14 +127,34 @@ impl HammerTracker {
         }
     }
 
-    /// Current disturbance of the row at `flat` within epoch `epoch`; an
-    /// index past the table's end reads 0.
-    #[inline]
-    pub(crate) fn disturbance_at(&self, flat: usize, epoch: u64) -> u64 {
-        match self.entries.get(flat) {
-            Some(&(e, n)) if e == epoch => n,
-            _ => 0,
-        }
+    /// Every row tagged with epoch `epoch`, once each in flat order, with
+    /// its disturbance: the rows disturbed in that window, those refreshed
+    /// since reading 0. Every row left out reads 0 in that epoch. Rows
+    /// recorded in an earlier window are dropped from the record as the
+    /// walk passes them.
+    pub(crate) fn window(&mut self, epoch: u64) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let tag = tag(epoch);
+        let entries = &self.entries;
+        self.record
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, word)| **word != 0)
+            .flat_map(move |(i, word)| {
+                let mut bits = *word;
+                std::iter::from_fn(move || {
+                    while bits != 0 {
+                        let bit = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        let flat = i * 64 + bit as usize;
+                        let (at, n) = entries[flat];
+                        if at == tag {
+                            return Some((flat, n));
+                        }
+                        *word &= !(1 << bit);
+                    }
+                    None
+                })
+            })
     }
 
     /// Current disturbance of `row` within epoch `epoch`. A row outside
@@ -124,7 +168,10 @@ impl HammerTracker {
         {
             return 0;
         }
-        self.disturbance_at(self.index(row), epoch)
+        match self.entries[self.index(row)] {
+            (at, n) if at == tag(epoch) => n,
+            _ => 0,
+        }
     }
 }
 
@@ -248,6 +295,30 @@ mod tests {
         t.refresh(one);
         assert_eq!(t.disturbance(gid(1), 0), 0);
         assert_eq!(t.disturbance(gid(2), 0), 10);
+    }
+
+    #[test]
+    fn window_yields_the_rows_of_its_epoch_once_each() {
+        let mut t = tracker();
+        let (one, two, three) = (t.index(gid(1)), t.index(gid(2)), t.index(gid(70)));
+        t.disturb(three, 4, 0);
+        t.disturb(one, 10, 0);
+        t.disturb(one, 5, 0);
+        t.disturb(two, 10, 0);
+        t.refresh(two);
+        // A refresh keeps the row in its window's record, at 0.
+        assert_eq!(
+            t.window(0).collect::<Vec<_>>(),
+            [(one, 15), (two, 0), (three, 4)]
+        );
+        assert_eq!(t.window(0).count(), 3, "a read keeps the window's rows");
+        t.disturb(two, 7, 1);
+        assert_eq!(t.window(1).collect::<Vec<_>>(), [(two, 7)]);
+        assert_eq!(t.record.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+        assert_eq!(t.window(2).count(), 0);
+        // A row dropped from the record returns with its next window.
+        t.disturb(one, 2, 3);
+        assert_eq!(t.window(3).collect::<Vec<_>>(), [(one, 2)]);
     }
 
     #[test]

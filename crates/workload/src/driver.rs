@@ -266,6 +266,37 @@ impl BenignTraffic {
         &self.universe
     }
 
+    /// Fold the present refresh window into a run's benign disturbance
+    /// sample: each universe row that `excluded` does not name raises
+    /// `peak` to its disturbance, and joins `disturbed` at `T_RH / 2` or
+    /// above. Only the rows the window disturbed are read
+    /// ([`MemoryController::window_disturbances`]); every other row reads
+    /// 0, which reaches `T_RH / 2` only when that is 0, and then every
+    /// such universe row joins.
+    pub fn sample_window(
+        &self,
+        mem: &mut MemoryController,
+        excluded: impl Fn(usize) -> bool,
+        disturbed: &mut RowSet,
+        peak: &mut u64,
+    ) {
+        let half = mem.config().rowhammer_threshold / 2;
+        if half == 0 {
+            self.universe
+                .iter()
+                .filter(|&row| !excluded(row))
+                .for_each(|row| disturbed.insert(row));
+        }
+        for (row, d) in mem.window_disturbances() {
+            if self.universe.contains(row) && !excluded(row) {
+                *peak = (*peak).max(d);
+                if d >= half {
+                    disturbed.insert(row);
+                }
+            }
+        }
+    }
+
     /// Execute `ops` benign operations merged across the streams,
     /// event-driven over `[mem.now(), span_end)`, observing `defense`
     /// after every op. Idle gaps advance the simulated clock; on return
@@ -597,28 +628,13 @@ pub fn run_workload(
     // geometry.
     let mut attacked = RowSet::new(&config);
     let mut peak = 0u64;
-    let sample = |mem: &MemoryController,
-                  traffic: &BenignTraffic,
-                  attacked: &RowSet,
-                  disturbed: &mut RowSet,
-                  peak: &mut u64| {
-        // `for_each` walks each run of consecutive rows as one counted
-        // loop.
-        mem.disturbances(traffic.universe().difference(attacked))
-            .for_each(|(row, d)| {
-                *peak = (*peak).max(d);
-                if d >= t_rh / 2 {
-                    disturbed.insert(row);
-                }
-            });
-    };
 
     // Phase 1: benign-only. Every defensive op fired here is a false
     // positive — there is no attack to defend against.
     let ops_before = defense.stats().defense_ops;
     for _ in 0..cfg.benign_windows {
         benign.absorb(traffic.drive_benign_window(mem, defense, map.as_deref_mut())?);
-        sample(mem, traffic, &attacked, &mut disturbed, &mut peak);
+        traffic.sample_window(mem, |row| attacked.contains(row), &mut disturbed, &mut peak);
         mem.advance(Nanos(1));
     }
     let false_defense_ops = defense.stats().defense_ops - ops_before;
@@ -671,7 +687,7 @@ pub fn run_workload(
         )?;
         benign.absorb(window_traffic);
         online_defense_ops += online_ops;
-        sample(mem, traffic, &attacked, &mut disturbed, &mut peak);
+        traffic.sample_window(mem, |row| attacked.contains(row), &mut disturbed, &mut peak);
         mem.advance(Nanos(1));
     }
 
@@ -834,6 +850,60 @@ mod tests {
             },
         );
         assert!(matches!(run, Err(DramError::InvalidConfig(_))));
+    }
+
+    /// At T_RH 1 half the threshold is 0, so every universe row counts as
+    /// disturbed, whether a window touched it or not, bar the rows under
+    /// attack once they are; at T_RH 2 only the rows a window disturbed
+    /// count. Both the benign and the attacked windows are sampled. The
+    /// values were recorded from the scan of the whole universe that the
+    /// window read replaced.
+    #[test]
+    fn half_thresholds_of_zero_and_one_pin_the_sample() {
+        use dd_nn::init::seeded_rng;
+        use dd_nn::layers::{Flatten, Linear};
+        use dd_nn::model::Network;
+        use dd_qnn::QModel;
+
+        let model = QModel::from_network(
+            Network::new("serving")
+                .push(Flatten::new())
+                .push(Linear::kaiming("fc", 64, 16, &mut seeded_rng(3))),
+        );
+        let bits: Vec<BitAddr> = (0..3)
+            .map(|i| BitAddr {
+                param: 0,
+                index: i * 211,
+                bit: 7,
+            })
+            .collect();
+        for (t_rh, benign_windows, disturbed, peak) in
+            [(1, 2, 16_128, 544), (1, 0, 16_127, 368), (2, 2, 64, 544)]
+        {
+            let config = DramConfig::lpddr4_small().with_rowhammer_threshold(t_rh);
+            let mut mem = MemoryController::try_new(config.clone()).expect("valid config");
+            let mut map = WeightMap::layout(&model, &config);
+            let mut traffic = light_traffic(&config);
+            let report = run_workload(
+                &mut mem,
+                &mut Undefended::new(),
+                Some(&mut map),
+                &mut traffic,
+                &bits,
+                &DriverConfig {
+                    benign_windows,
+                    attack_windows: 3,
+                    record: false,
+                },
+            )
+            .expect("the light load lies inside the geometry");
+            assert_eq!(report.landed, 3, "T_RH {t_rh}");
+            assert_eq!(
+                (report.disturbed_rows, report.peak_benign_disturbance),
+                (disturbed, peak),
+                "T_RH {t_rh}, {benign_windows} benign windows"
+            );
+        }
     }
 
     fn device() -> MemoryController {

@@ -9,7 +9,7 @@
 //!
 //! A traffic's disturbance-scan universe, and the rows a run saw
 //! disturbed, are a [`RowSet`]: one bit per device row at its flat index,
-//! walked in address order.
+//! which a disturbance sample tests the rows a window disturbed against.
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -281,6 +281,14 @@ impl RowSet {
         self.bits[flat / 64] |= 1 << (flat % 64);
     }
 
+    /// Whether the row at flat index `flat` is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, flat: usize) -> bool {
+        self.bits
+            .get(flat / 64)
+            .is_some_and(|word| word >> (flat % 64) & 1 == 1)
+    }
+
     fn insert_range(&mut self, mut start: usize, end: usize) {
         while start < end {
             let bit = start % 64;
@@ -294,23 +302,6 @@ impl RowSet {
     /// order, walked a run of consecutive rows at a time.
     pub fn iter(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         Runs::new(self.bits.iter().copied()).flatten()
-    }
-
-    /// The flat indices of the rows inside the geometry that are not in
-    /// `other`, in address order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two sets belong to different device geometries.
-    pub(crate) fn difference<'a>(
-        &'a self,
-        other: &'a RowSet,
-    ) -> impl Iterator<Item = usize> + Clone + 'a {
-        assert_eq!(
-            self.geometry, other.geometry,
-            "row sets of different devices"
-        );
-        Runs::new(self.bits.iter().zip(&other.bits).map(|(a, b)| a & !b)).flatten()
     }
 
     /// Number of rows, those outside the geometry included.
@@ -520,12 +511,10 @@ mod tests {
             inside.sort_unstable();
             let set = RowSet::of(&config, rows.iter().copied());
             prop_assert_eq!(set.iter().collect::<Vec<_>>(), inside.clone());
-            let every_third: HashSet<usize> = inside.iter().copied().step_by(3).collect();
-            let mut others = RowSet::new(&config);
-            every_third.iter().for_each(|&i| others.insert(i));
-            let rest: Vec<usize> =
-                inside.iter().copied().filter(|i| !every_third.contains(i)).collect();
-            prop_assert_eq!(set.difference(&others).collect::<Vec<_>>(), rest);
+            for flat in inside.iter().flat_map(|&i| [i.saturating_sub(1), i, i + 1]) {
+                prop_assert_eq!(set.contains(flat), inside.binary_search(&flat).is_ok(), "{}", flat);
+            }
+            prop_assert!(!set.contains(config.total_rows().next_multiple_of(64)));
             prop_assert_eq!(set.outside(), distinct.len() - inside.len());
             prop_assert_eq!(set.len(), distinct.len());
         }

@@ -11,8 +11,9 @@
 //! indistinguishable:
 //!
 //! * identical [`DefenseStats`] (including false/online defensive ops),
-//! * identical activation counters — device [`dd_dram::MemStats`] and
-//!   per-row disturbance,
+//! * identical activation counters — device [`dd_dram::MemStats`], and
+//!   the disturbance of every universe row, read per row and through
+//!   the window read (`MemoryController::window_disturbances`),
 //! * identical row payloads (a digest of every row of the device),
 //! * identical `observe_activation` call sequences (recorded by a
 //!   wrapper defense),
@@ -122,6 +123,7 @@ struct Outcome {
     disturbed_rows: u64,
     peak_disturbance: u64,
     disturbance: Vec<u64>,
+    window: Vec<(usize, u64)>,
 }
 
 /// The device grid the oracle sweeps: the two matrix presets plus a
@@ -175,12 +177,26 @@ fn payload_digest(mem: &MemoryController) -> u64 {
     hasher.finish()
 }
 
+/// The row at flat index `flat` of `config`.
+fn row_at(config: &DramConfig, flat: usize) -> GlobalRowId {
+    let subarray = flat / config.rows_per_subarray;
+    GlobalRowId::new(
+        subarray / config.subarrays_per_bank,
+        subarray % config.subarrays_per_bank,
+        flat % config.rows_per_subarray,
+    )
+}
+
 fn outcome_of(
-    mem: MemoryController,
+    mut mem: MemoryController,
     recording: Recording,
     report: dd_workload::DriverReport,
     universe: &RowSet,
 ) -> Outcome {
+    let disturbance = universe
+        .iter()
+        .map(|flat| mem.disturbance(row_at(mem.config(), flat)))
+        .collect();
     Outcome {
         stats: report.stats,
         mem: mem.stats(),
@@ -193,7 +209,8 @@ fn outcome_of(
         landed: report.landed,
         disturbed_rows: report.disturbed_rows,
         peak_disturbance: report.peak_benign_disturbance,
-        disturbance: mem.disturbances(universe.iter()).map(|(_, d)| d).collect(),
+        disturbance,
+        window: mem.window_disturbances().collect(),
     }
 }
 
