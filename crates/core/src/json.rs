@@ -10,14 +10,18 @@
 //!   mantissa (seeds, content hashes) travel as `0x…` hex strings via
 //!   [`Json::hex`] / [`Json::as_hex_u64`];
 //! * rendering is stable: the same tree always produces the same bytes
-//!   (float formatting uses Rust's shortest round-trip `Display`).
+//!   (float formatting uses Rust's shortest round-trip `Display`);
+//! * a finished tree can keep its compact rendering ([`Json::spliced`]),
+//!   so a document that repeats it, such as every answer carrying one
+//!   cached cell, copies those bytes instead of walking the tree again.
 //!
 //! The artifact schema is documented in `docs/artifacts.md`.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Json {
     /// `null`.
     Null,
@@ -31,6 +35,34 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object with insertion-ordered keys.
     Obj(Vec<(String, Json)>),
+    /// A tree kept with its compact rendering, built by [`Json::spliced`].
+    /// [`Json::render_compact`] copies the stored bytes; rendering pretty,
+    /// the accessors and `==` read the tree, so the node reads and renders
+    /// exactly as its tree does. Clones share the node.
+    Spliced(Arc<Splice>),
+}
+
+/// A tree and its compact rendering, held by [`Json::Spliced`]. The
+/// fields are private and [`Json::spliced`] is the only constructor, so
+/// the bytes are always the tree's.
+#[derive(Debug)]
+pub struct Splice {
+    tree: Json,
+    compact: Box<str>,
+}
+
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self.tree(), other.tree()) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Num(a), Json::Num(b)) => a == b,
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (Json::Obj(a), Json::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// Why a JSON document failed to parse or a field failed to convert.
@@ -81,7 +113,27 @@ impl Json {
         Json::Num(v as f64)
     }
 
-    /// Append a field to an object. Panics on non-objects (builder use).
+    /// Keep `tree` with its compact rendering, made here once: every
+    /// later compact rendering of the node, or of a document holding it,
+    /// copies those bytes.
+    pub fn spliced(tree: Json) -> Json {
+        if let Json::Spliced(_) = tree {
+            return tree;
+        }
+        let compact = tree.render_compact().into_boxed_str();
+        Json::Spliced(Arc::new(Splice { tree, compact }))
+    }
+
+    /// The value itself, or a [`Json::Spliced`] node's tree.
+    fn tree(&self) -> &Json {
+        match self {
+            Json::Spliced(splice) => &splice.tree,
+            json => json,
+        }
+    }
+
+    /// Append a field to an object. Panics on non-objects, a spliced
+    /// object included (builder use).
     pub fn with(mut self, key: impl Into<String>, value: Json) -> Json {
         match &mut self {
             Json::Obj(fields) => fields.push((key.into(), value)),
@@ -92,7 +144,7 @@ impl Json {
 
     /// Look up an object field.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
+        match self.tree() {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
@@ -178,7 +230,7 @@ impl Json {
 
     /// The string payload, if any.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
+        match self.tree() {
             Json::Str(s) => Some(s),
             _ => None,
         }
@@ -186,7 +238,7 @@ impl Json {
 
     /// The numeric payload, if any.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
+        match self.tree() {
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -206,7 +258,7 @@ impl Json {
 
     /// The boolean payload, if any.
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
+        match self.tree() {
             Json::Bool(b) => Some(*b),
             _ => None,
         }
@@ -214,7 +266,7 @@ impl Json {
 
     /// The array items, if any.
     pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
+        match self.tree() {
             Json::Arr(items) => Some(items),
             _ => None,
         }
@@ -283,6 +335,10 @@ impl Json {
                 out.push_str(&pad);
                 out.push('}');
             }
+            Json::Spliced(splice) => match indent {
+                None => out.push_str(&splice.compact),
+                Some(_) => splice.tree.write(out, indent, depth),
+            },
         }
     }
 
@@ -311,30 +367,60 @@ impl Json {
 
 /// Stable number formatting: integers without a fractional part render as
 /// integers; everything else uses Rust's shortest round-trip `Display`.
+/// The integers, most of what the artifacts and the wire carry, are
+/// written digit by digit rather than through `fmt`.
 fn write_number(out: &mut String, n: f64) {
     debug_assert!(n.is_finite(), "JSON cannot carry {n}");
     if n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
+        // At most 15 digits; `-0.0` is not below zero, so it renders `0`.
+        let mut digits = [0u8; 15];
+        let mut at = digits.len();
+        let mut v = n.abs() as u64;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        if n < 0.0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
+/// A JSON string literal: `"`, `\` and U+0000–U+001F escaped, every
+/// run of bytes between them copied in one push.
 fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        // Every byte of a multi-byte character is 0x80 or above, so `i`
+        // is a character boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -569,6 +655,248 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The writer before its fast paths, kept as their oracle: the tree
+    /// walk of [`Json::write`] with a splice's tree walked like any
+    /// other, and the leaves formatted through `fmt` one `char` at a
+    /// time.
+    mod reference {
+        use super::super::Json;
+        use std::fmt::Write as _;
+
+        pub fn render(json: &Json, indent: Option<usize>) -> String {
+            let mut out = String::new();
+            write(json, &mut out, indent, 0);
+            if indent.is_some() {
+                out.push('\n');
+            }
+            out
+        }
+
+        fn write(json: &Json, out: &mut String, indent: Option<usize>, depth: usize) {
+            let (nl, pad, pad_in, colon) = match indent {
+                Some(w) => (
+                    "\n",
+                    " ".repeat(w * depth),
+                    " ".repeat(w * (depth + 1)),
+                    ": ",
+                ),
+                None => ("", String::new(), String::new(), ":"),
+            };
+            match json {
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Num(n) => write_number(out, *n),
+                Json::Str(s) => write_escaped(out, s),
+                Json::Arr(items) if items.is_empty() => out.push_str("[]"),
+                Json::Arr(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push_str(nl);
+                        out.push_str(&pad_in);
+                        write(item, out, indent, depth + 1);
+                    }
+                    out.push_str(nl);
+                    out.push_str(&pad);
+                    out.push(']');
+                }
+                Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
+                Json::Obj(fields) => {
+                    out.push('{');
+                    for (i, (key, value)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push_str(nl);
+                        out.push_str(&pad_in);
+                        write_escaped(out, key);
+                        out.push_str(colon);
+                        write(value, out, indent, depth + 1);
+                    }
+                    out.push_str(nl);
+                    out.push_str(&pad);
+                    out.push('}');
+                }
+                Json::Spliced(splice) => write(&splice.tree, out, indent, depth),
+            }
+        }
+
+        fn write_number(out: &mut String, n: f64) {
+            if n.fract() == 0.0 && n.abs() < 1e15 {
+                let _ = write!(out, "{}", n as i64);
+            } else {
+                let _ = write!(out, "{n}");
+            }
+        }
+
+        fn write_escaped(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    /// Random trees from one seed (SplitMix64): strings over the escaped
+    /// range, `"`, `\`, DEL and multi-byte UTF-8; numbers at the integer
+    /// path's edges, fractional and exponent-form values, random
+    /// integers around ±10^15 and random finite bit patterns.
+    struct Trees(u64);
+
+    impl Trees {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn string(&mut self) -> String {
+            let special = [
+                '"', '\\', '\u{7f}', 'é', '€', '\u{2028}', '😀', 'a', 'Z', ' ', '/',
+            ];
+            (0..self.below(9))
+                .map(|_| match self.below(3) {
+                    0 => char::from(self.below(0x20) as u8),
+                    _ => special[self.below(special.len())],
+                })
+                .collect()
+        }
+
+        fn number(&mut self) -> f64 {
+            let edges = [
+                0.0,
+                -0.0,
+                1.0,
+                -1.0,
+                999_999_999_999_999.0,
+                -999_999_999_999_999.0,
+                1e15,
+                -1e15,
+                0.5,
+                -0.25,
+                1.0 / 3.0,
+                0.917_129_3,
+                1e-7,
+                -2.5e-300,
+                1.5e300,
+                6.02e23,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+            ];
+            match self.below(4) {
+                0 | 1 => edges[self.below(edges.len())],
+                2 => (self.next() % 4_000_000_000_000_001) as f64 - 2e15,
+                _ => Some(f64::from_bits(self.next()))
+                    .filter(|n| n.is_finite())
+                    .unwrap_or(0.5),
+            }
+        }
+
+        fn tree(&mut self, depth: usize) -> Json {
+            let kinds = if depth < 4 { 7 } else { 4 };
+            match self.below(kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 1),
+                2 => Json::Num(self.number()),
+                3 => Json::Str(self.string()),
+                4 | 5 => Json::Arr((0..self.below(4)).map(|_| self.tree(depth + 1)).collect()),
+                _ => Json::Obj(
+                    (0..self.below(4))
+                        .map(|_| (self.string(), self.tree(depth + 1)))
+                        .collect(),
+                ),
+            }
+        }
+
+        /// `tree` with random subtrees wrapped in splice nodes.
+        fn splice_some(&mut self, tree: &Json) -> Json {
+            let copy = match tree {
+                Json::Arr(items) => Json::Arr(items.iter().map(|i| self.splice_some(i)).collect()),
+                Json::Obj(fields) => Json::Obj(
+                    fields
+                        .iter()
+                        .map(|(k, v)| (k.clone(), self.splice_some(v)))
+                        .collect(),
+                ),
+                leaf => leaf.clone(),
+            };
+            if self.below(3) == 0 {
+                Json::spliced(copy)
+            } else {
+                copy
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn fast_writer_renders_the_reference_bytes(seed in any::<u64>()) {
+            let mut trees = Trees(seed);
+            let tree = trees.tree(0);
+            let spliced = trees.splice_some(&tree);
+            let compact = reference::render(&tree, None);
+            let pretty = reference::render(&tree, Some(2));
+            for json in [&tree, &spliced] {
+                prop_assert_eq!(json.render_compact(), compact.clone());
+                prop_assert_eq!(json.render_pretty(), pretty.clone());
+            }
+            prop_assert_eq!(&spliced, &tree);
+            prop_assert_eq!(Json::parse(&compact).expect("parse"), tree);
+        }
+    }
+
+    #[test]
+    fn spliced_node_reads_as_its_tree() {
+        let tree = Json::obj()
+            .with("name", Json::str("cell"))
+            .with("n", Json::uint(7))
+            .with("ok", Json::Bool(true))
+            .with("rows", Json::Arr(vec![Json::num(0.5), Json::Null]));
+        let spliced = Json::spliced(tree.clone());
+        assert_eq!(spliced, tree);
+        assert_eq!(
+            Json::spliced(spliced.clone()).render_compact(),
+            tree.render_compact()
+        );
+        assert_eq!(spliced.field_str("name"), Ok("cell"));
+        assert_eq!(spliced.field_u64("n"), Ok(7));
+        assert_eq!(spliced.field_bool("ok"), Ok(true));
+        assert_eq!(spliced.field_arr("rows"), tree.field_arr("rows"));
+        assert_eq!(Json::spliced(Json::str("x")).as_str(), Some("x"));
+        assert_eq!(Json::spliced(Json::num(2.5)).as_f64(), Some(2.5));
+        let doc = Json::obj().with("cell", spliced);
+        assert_eq!(
+            doc.render_compact(),
+            Json::obj().with("cell", tree.clone()).render_compact()
+        );
+        assert_eq!(
+            doc.render_pretty(),
+            Json::obj().with("cell", tree).render_pretty()
+        );
+    }
 
     #[test]
     fn round_trips_nested_trees() {

@@ -12,9 +12,13 @@
 //!
 //! 1. every cell spec is parsed, keyed ([`SweepBase::cell_key`]) and
 //!    priced ([`CostModel::price_micros`] over
-//!    [`SweepBase::estimated_commands`] × device rows);
+//!    [`SweepBase::estimated_commands`] × device rows); a spec whose cell
+//!    is cached takes its key and price from the admission memo instead,
+//!    derived when its cell entered the cache or was first hit;
 //! 2. cache hits are answered immediately and charged nothing — warm
-//!    clients pay only for the delta;
+//!    clients pay only for the delta. A cached cell's wire bytes are
+//!    rendered once, when it enters the cache, and every answer carrying
+//!    it splices them ([`Json::spliced`]);
 //! 3. misses charge their *estimate* against the client's
 //!    [`dnn_defender::BudgetAccount`] at admission (so `charged ≤ granted` holds by
 //!    construction; actual wall time is a metric, not a charge) or get a
@@ -98,7 +102,12 @@ pub struct SweepServer {
     config: ServerConfig,
     cost: CostModel,
     base: SweepBase,
-    cache: HashMap<u64, CellReport>,
+    cache: HashMap<u64, CachedCell>,
+    /// Admission memo: a spec's label ([`CellSpec::label`], which leaves
+    /// out priority) → its cache key and price in µs. An entry is added
+    /// when the spec's cell is cached or hit and dropped when that cell
+    /// is evicted, so a rejected or malformed spec never enters.
+    priced: HashMap<String, (u64, u64)>,
     clients: BTreeMap<String, ClientLedger>,
     stats: ServerStats,
     last_regime: Option<Regime>,
@@ -112,6 +121,21 @@ pub struct SweepServer {
     memo: Arc<RunMemo>,
 }
 
+/// One cached cell: its report and its wire encoding, rendered once when
+/// the cell enters the cache.
+struct CachedCell {
+    report: CellReport,
+    /// `report.to_json()`, spliced.
+    wire: Json,
+}
+
+impl CachedCell {
+    fn new(report: CellReport) -> Self {
+        let wire = Json::spliced(report.to_json());
+        CachedCell { report, wire }
+    }
+}
+
 /// Per-cell admission state inside one submit request.
 enum Slot {
     Done {
@@ -123,7 +147,8 @@ enum Slot {
         queue_micros: u64,
         wall_micros: u64,
         worker: usize,
-        cell: Box<CellReport>,
+        /// The cached cell's wire encoding.
+        cell: Json,
     },
     Rejected {
         spec_label: String,
@@ -224,6 +249,7 @@ impl SweepServer {
             config,
             cost,
             cache: HashMap::new(),
+            priced: HashMap::new(),
             clients: BTreeMap::new(),
             stats: ServerStats::default(),
             last_regime: None,
@@ -233,21 +259,23 @@ impl SweepServer {
         }
     }
 
-    /// Warm-start the cache (e.g. from `artifacts/cache/cells.json`).
+    /// Warm-start the cache (e.g. from `artifacts/cache/cells.json`),
+    /// rendering each cell's wire bytes once.
     pub fn with_cache(mut self, cache: HashMap<u64, CellReport>) -> Self {
-        self.cache = cache;
+        self.cache = cache
+            .into_iter()
+            .map(|(key, report)| (key, CachedCell::new(report)))
+            .collect();
         self
-    }
-
-    /// The content-addressed cell cache (key → report).
-    pub fn cache(&self) -> &HashMap<u64, CellReport> {
-        &self.cache
     }
 
     /// Consume the server, returning the cache (so a harness can merge
     /// server-computed cells back into the shared batch cache).
     pub fn into_cache(self) -> HashMap<u64, CellReport> {
         self.cache
+            .into_iter()
+            .map(|(key, cached)| (key, cached.report))
+            .collect()
     }
 
     /// Whether a `shutdown` op has been accepted.
@@ -424,6 +452,7 @@ impl SweepServer {
         if request.get("all").and_then(Json::as_bool) == Some(true) {
             let evicted = self.cache.len() as u64;
             self.cache.clear();
+            self.priced.clear();
             self.stats.invalidated += evicted;
             return ok_response("invalidate")
                 .with("evicted", Json::uint(evicted))
@@ -459,7 +488,9 @@ impl SweepServer {
             }
         };
         let before = self.cache.len();
-        self.cache.retain(|_, cell| !matches(&cell.scenario));
+        self.cache.retain(|_, cell| !matches(&cell.report.scenario));
+        let cache = &self.cache;
+        self.priced.retain(|_, (key, _)| cache.contains_key(key));
         let evicted = (before - self.cache.len()) as u64;
         self.stats.invalidated += evicted;
         ok_response("invalidate")
@@ -481,7 +512,8 @@ impl SweepServer {
             )
     }
 
-    /// Passes 1–2 of the submit pipeline: parse, key, price, charge the
+    /// Passes 1–2 of the submit pipeline: parse, key and price (or read
+    /// both from the admission memo), charge the
     /// live ledger, classify the regime against offered + in-flight load,
     /// shed under storm. Runs under the server lock; returns the prepared
     /// submit for lock-free execution (or the finished response on
@@ -542,12 +574,18 @@ impl SweepServer {
                     continue;
                 }
             };
-            let (_, key) = base.cell_key(&spec);
-            let estimate_micros =
-                cost.price_micros(base.estimated_commands(&spec), spec.device.rows());
-            self.stats.hist_estimate_micros.record(estimate_micros);
             let spec_label = spec.label();
+            let memo = self.priced.get(&spec_label).copied();
+            let (key, estimate_micros) = memo.unwrap_or_else(|| {
+                let price = cost.price_micros(base.estimated_commands(&spec), spec.device.rows());
+                (base.cell_key(&spec).1, price)
+            });
+            self.stats.hist_estimate_micros.record(estimate_micros);
             if let Some(hit) = self.cache.get(&key) {
+                if memo.is_none() {
+                    self.priced
+                        .insert(spec_label.clone(), (key, estimate_micros));
+                }
                 slots.push(Slot::Done {
                     spec_label,
                     key,
@@ -557,7 +595,7 @@ impl SweepServer {
                     queue_micros: 0,
                     wall_micros: 0,
                     worker: 0,
-                    cell: Box::new(hit.clone()),
+                    cell: hit.wire.clone(),
                 });
                 continue;
             }
@@ -830,8 +868,12 @@ impl SweepServer {
                 self.stats.job_retries += u64::from(run.attempts - 1);
             }
             match run.output {
-                JobOutcome::Ok(Ok(cell)) => {
-                    self.cache.insert(key, cell.clone());
+                JobOutcome::Ok(Ok(report)) => {
+                    let cached = CachedCell::new(report);
+                    let cell = cached.wire.clone();
+                    self.cache.insert(key, cached);
+                    self.priced
+                        .insert(spec_label.clone(), (key, estimate_micros));
                     slots[slot_index] = Slot::Done {
                         spec_label,
                         key,
@@ -841,7 +883,7 @@ impl SweepServer {
                         queue_micros: run.queue_micros,
                         wall_micros: run.wall_micros,
                         worker: run.worker,
-                        cell: Box::new(cell),
+                        cell,
                     };
                 }
                 JobOutcome::Ok(Err(message)) => {
@@ -878,7 +920,7 @@ impl SweepServer {
         for slot in &mut slots {
             if let Slot::Duplicate { spec_label, key } = slot {
                 *slot = match self.cache.get(key) {
-                    Some(cell) => Slot::Done {
+                    Some(cached) => Slot::Done {
                         spec_label: std::mem::take(spec_label),
                         key: *key,
                         cache_hit: true,
@@ -887,7 +929,7 @@ impl SweepServer {
                         queue_micros: 0,
                         wall_micros: 0,
                         worker: 0,
-                        cell: Box::new(cell.clone()),
+                        cell: cached.wire.clone(),
                     },
                     None => Slot::Error {
                         message: format!(
@@ -903,7 +945,7 @@ impl SweepServer {
         drop(pass_span);
         let _pass_span = dd_obs::span("server.respond");
         let mut results = Vec::with_capacity(slots.len());
-        for slot in &slots {
+        for slot in slots {
             results.push(match slot {
                 Slot::Done {
                     spec_label,
@@ -916,7 +958,7 @@ impl SweepServer {
                     worker,
                     cell,
                 } => {
-                    if *cache_hit {
+                    if cache_hit {
                         ledger.cache_hits += 1;
                         self.stats.cache_hits += 1;
                     } else {
@@ -927,15 +969,15 @@ impl SweepServer {
                     }
                     Json::obj()
                         .with("status", Json::str("done"))
-                        .with("spec", Json::str(spec_label.clone()))
-                        .with("key", Json::hex(*key))
-                        .with("cache_hit", Json::Bool(*cache_hit))
-                        .with("priority", Json::num(*priority as f64))
-                        .with("estimate_micros", Json::uint(*estimate_micros))
-                        .with("queue_micros", Json::uint(*queue_micros))
-                        .with("wall_micros", Json::uint(*wall_micros))
-                        .with("worker", Json::uint(*worker as u64))
-                        .with("cell", cell.to_json())
+                        .with("spec", Json::str(spec_label))
+                        .with("key", Json::hex(key))
+                        .with("cache_hit", Json::Bool(cache_hit))
+                        .with("priority", Json::num(priority as f64))
+                        .with("estimate_micros", Json::uint(estimate_micros))
+                        .with("queue_micros", Json::uint(queue_micros))
+                        .with("wall_micros", Json::uint(wall_micros))
+                        .with("worker", Json::uint(worker as u64))
+                        .with("cell", cell)
                 }
                 Slot::Rejected {
                     spec_label,
@@ -948,10 +990,10 @@ impl SweepServer {
                     Json::obj()
                         .with("status", Json::str("rejected"))
                         .with("reason", Json::str("budget_exhausted"))
-                        .with("spec", Json::str(spec_label.clone()))
-                        .with("key", Json::hex(*key))
-                        .with("estimate_micros", Json::uint(*estimate_micros))
-                        .with("remaining_micros", Json::uint(*remaining_micros))
+                        .with("spec", Json::str(spec_label))
+                        .with("key", Json::hex(key))
+                        .with("estimate_micros", Json::uint(estimate_micros))
+                        .with("remaining_micros", Json::uint(remaining_micros))
                 }
                 Slot::Shed {
                     spec_label,
@@ -961,22 +1003,22 @@ impl SweepServer {
                 } => {
                     ledger.shed += 1;
                     // The storm shed loop already refunded the charge.
-                    self.stats.record_shed(regime, *estimate_micros);
+                    self.stats.record_shed(regime, estimate_micros);
                     Json::obj()
                         .with("status", Json::str("shed"))
                         .with("reason", Json::str("storm_overload"))
-                        .with("spec", Json::str(spec_label.clone()))
-                        .with("key", Json::hex(*key))
-                        .with("estimate_micros", Json::uint(*estimate_micros))
-                        .with("priority", Json::num(*priority as f64))
+                        .with("spec", Json::str(spec_label))
+                        .with("key", Json::hex(key))
+                        .with("estimate_micros", Json::uint(estimate_micros))
+                        .with("priority", Json::num(priority as f64))
                 }
                 Slot::Error { message, kind } => {
                     ledger.errors += 1;
                     self.stats.errors += 1;
                     Json::obj()
                         .with("status", Json::str("error"))
-                        .with("kind", Json::str(*kind))
-                        .with("reason", Json::str(message.clone()))
+                        .with("kind", Json::str(kind))
+                        .with("reason", Json::str(message))
                 }
                 Slot::Pending { .. } | Slot::Duplicate { .. } => {
                     // Defensive: a slot that somehow survived unresolved is
@@ -1297,5 +1339,102 @@ mod tests {
             .field_str("error")
             .expect("error")
             .contains("quick-mode mismatch"));
+    }
+
+    /// Each `done` result of `line`, as (key, cache hit, estimate).
+    fn done_results(line: &str) -> Vec<(u64, bool, u64)> {
+        let response = Json::parse(line).expect("response");
+        let results = response.field_arr("results").expect("results");
+        results
+            .iter()
+            .map(|r| {
+                assert_eq!(r.field_str("status"), Ok("done"), "{line}");
+                (
+                    r.field_hex_u64("key").expect("key"),
+                    r.field_bool("cache_hit").expect("cache_hit"),
+                    r.field_u64("estimate_micros").expect("estimate"),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn done_cells_carry_the_cached_bytes_and_the_memo_stays_bounded() {
+        let loaded = "Baseline (undefended):T-BFA(*->1):lpddr4_small:none";
+        let computed = "Baseline (undefended):BFA:lpddr4_small:none";
+        let twice = "Graphene:BFA:lpddr4_small:none";
+        let recomputed = "DNN-Defender:BFA:lpddr4_small:none";
+        let mut loader = test_server(1_000_000);
+        done_results(&loader.handle_line(&submit_line("loader", &[loaded])));
+        let mut server = test_server(1_000_000).with_cache(loader.into_cache());
+
+        let first = server.handle_line(&submit_line(
+            "alice",
+            &[loaded, computed, twice, twice, recomputed],
+        ));
+        let hits: Vec<bool> = done_results(&first).iter().map(|r| r.1).collect();
+        assert_eq!(hits, [true, false, false, true, false]);
+        assert_eq!(server.priced.len(), 4);
+        let evicted = server
+            .handle_line("{\"op\":\"invalidate\",\"axis\":\"defense\",\"value\":\"DNN-Defender\"}");
+        assert_eq!(
+            Json::parse(&evicted).expect("evict").field_u64("evicted"),
+            Ok(1)
+        );
+        assert_eq!(server.priced.len(), 3);
+        let second = server.handle_line(&submit_line(
+            "alice",
+            &[loaded, computed, twice, recomputed],
+        ));
+        let hits: Vec<bool> = done_results(&second).iter().map(|r| r.1).collect();
+        assert_eq!(hits, [true, true, true, false]);
+        // A memo hit reads the key and price the first derivation gave.
+        let mut firsts = done_results(&first);
+        firsts.remove(3);
+        let keyed = |results: Vec<(u64, bool, u64)>| -> Vec<(u64, u64)> {
+            results.into_iter().map(|(k, _, e)| (k, e)).collect()
+        };
+        assert_eq!(keyed(done_results(&second)), keyed(firsts));
+
+        // A client with nothing left to spend cannot grow the memo, with
+        // never-seen specs or malformed ones.
+        server.handle_line("{\"op\":\"budget\",\"client\":\"broke\",\"grant_micros\":0}");
+        let never_seen: Vec<String> = (0..1000)
+            .map(|i| format!("Baseline (undefended):BFA:lpddr4_small@{}:none", 10_000 + i))
+            .chain(["Baseline (undefended):T-BFA(*->7):lpddr4_small:none".to_string()])
+            .collect();
+        let texts: Vec<&str> = never_seen.iter().map(String::as_str).collect();
+        let refused =
+            Json::parse(&server.handle_line(&submit_line("broke", &texts))).expect("refused");
+        let statuses: Vec<&str> = refused
+            .field_arr("results")
+            .expect("results")
+            .iter()
+            .map(|r| r.field_str("status").expect("status"))
+            .collect();
+        assert_eq!(statuses[..1000], ["rejected"; 1000]);
+        assert_eq!(statuses[1000], "error");
+        assert_eq!(server.priced.len(), 4);
+
+        // Every `done` cell on the wire is its cached report's compact
+        // rendering, byte for byte.
+        let cache = server.into_cache();
+        for line in [&first, &second] {
+            let results = done_results(line);
+            assert_eq!(line.matches("\"cell\":").count(), results.len());
+            for (key, _, _) in results {
+                let bytes = cache[&key].to_json().render_compact();
+                assert!(line.contains(&format!("\"cell\":{bytes}}}")), "{line}");
+            }
+        }
+
+        let mut reloaded = test_server(1_000_000).with_cache(cache);
+        let hits = done_results(
+            &reloaded.handle_line(&submit_line("bob", &[loaded, computed, twice, recomputed])),
+        );
+        assert!(hits.iter().all(|r| r.1));
+        assert_eq!(reloaded.priced.len(), 4);
+        reloaded.handle_line("{\"op\":\"invalidate\",\"all\":true}");
+        assert!(reloaded.priced.is_empty());
     }
 }
